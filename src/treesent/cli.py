@@ -21,16 +21,38 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    IO,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from . import __version__
 from .assets import demo_lexicon
 from .bench import BenchError, run_bench, synthetic_corpus, synthetic_sentence, word_pool
-from .conllu import ConlluError, ReadStats, format_sentence, read_conllu
+from .conllu import (
+    Block,
+    ConlluError,
+    ReadStats,
+    format_sentence,
+    iter_raw_lines,
+    parse_blocks,
+    read_conllu,
+    split_blocks,
+)
 from .encodings import (
     BridgeError,
     BridgeStats,
@@ -192,15 +214,12 @@ def _open_output(cfg: PipelineConfig) -> Iterator[IO[str]]:
 
 def _input_source(cfg: PipelineConfig):
     if cfg.input is None:
-        return sys.stdin
+        # bytes, so that a line that is not UTF-8 fails as data, with its line number
+        return getattr(sys.stdin, "buffer", sys.stdin)
     path = Path(cfg.input)
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
     return path
-
-
-def _dump_line(record: dict, out: IO[str]) -> None:
-    out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 # ------------------------------------------------------------------ analyze
@@ -249,51 +268,115 @@ def _sentence_record(
     return record
 
 
-def _analyze_chunk(args) -> List[dict]:
-    trees, lexicon, rules_cfg, explain, baseline, aspects_only = args
-    return [
-        _sentence_record(tree, lexicon, rules_cfg, explain, baseline, aspects_only)
-        for tree in trees
-    ]
+class _Scoring(NamedTuple):
+    """What every sentence of one ``analyze`` run is scored with."""
+
+    lexicon: PolarityLexicon
+    rules_cfg: RuleConfig
+    explain: bool
+    baseline: bool
+    aspects_only: bool
+    on_error: str
+
+    def lines(self, blocks: Iterable[Block], stats: ReadStats) -> Iterator[str]:
+        """One JSON line per readable sentence, in block order."""
+        for tree in parse_blocks(blocks, self.on_error, stats):
+            record = _sentence_record(
+                tree, self.lexicon, self.rules_cfg, self.explain, self.baseline,
+                self.aspects_only,
+            )
+            yield json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def _analyze_records(
-    trees: Sequence[DepTree],
-    lexicon: PolarityLexicon,
-    rules_cfg: RuleConfig,
-    workers: int,
-    explain: bool,
-    baseline: bool,
-    aspects_only: bool,
-) -> List[dict]:
-    if workers == 1 or len(trees) < 2 * workers:
-        return _analyze_chunk((trees, lexicon, rules_cfg, explain, baseline, aspects_only))
-    step = -(-len(trees) // workers)
-    chunks = [trees[i : i + step] for i in range(0, len(trees), step)]
-    records: List[dict] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(
-            _analyze_chunk,
-            [(chunk, lexicon, rules_cfg, explain, baseline, aspects_only) for chunk in chunks],
-        ):
-            records.extend(part)  # map yields chunks in submission order
-    return records
+# Sentences per pool task. Large enough that a task's pickling and
+# scheduling cost is small beside its work, small enough that the first
+# records come out early and the pool holds little memory.
+CHUNK_SENTENCES = 64
+
+_worker_scoring: Optional[_Scoring] = None  # set once in each pool worker
+
+
+def _start_worker(scoring: _Scoring) -> None:
+    global _worker_scoring
+    _worker_scoring = scoring
+
+
+def _score_chunk(blocks: List[Block]) -> Tuple[List[str], ReadStats, Optional[ConlluError]]:
+    """Pool task: the chunk's output lines, its read tallies, and its first error.
+
+    Lines before a bad sentence are returned with its error, so the parent
+    writes exactly what a single process would before it stops.
+    """
+    stats = ReadStats()
+    lines: List[str] = []
+    try:
+        for line in _worker_scoring.lines(blocks, stats):
+            lines.append(line)
+    except ConlluError as exc:
+        return lines, stats, exc
+    return lines, stats, None
+
+
+def _map_chunks(fn, chunks: Iterable, workers: int, initializer, initargs) -> Iterator:
+    """``fn`` over ``chunks`` in a process pool, results in submission order.
+
+    At most ``2 * workers`` chunks are in flight, so memory stays bounded
+    however long the input is. Closing the generator early cancels the
+    chunks not yet started.
+    """
+    pool = ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs)
+    pending: Deque[Future] = deque()
+    try:
+        for chunk in chunks:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, chunk))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _write_records(
+    scoring: _Scoring, blocks: Iterator[Block], workers: int, stats: ReadStats, out: IO[str]
+) -> None:
+    """Score ``blocks`` and write their lines to ``out`` as they are finished.
+
+    With one worker, or input of at most one chunk, everything runs in
+    this process. Otherwise this process only splits the input and writes;
+    raw blocks go to the pool and finished lines come back.
+    """
+    if workers > 1:
+        chunks = iter(lambda: list(islice(blocks, CHUNK_SENTENCES)), [])
+        head = list(islice(chunks, 2))
+        if len(head) == 2:
+            results = _map_chunks(
+                _score_chunk, chain(head, chunks), workers, _start_worker, (scoring,)
+            )
+            with closing(results):
+                for lines, counts, error in results:
+                    out.writelines(lines)
+                    stats.add(counts)
+                    if error is not None:
+                        raise error
+            return
+        blocks = chain.from_iterable(head)
+    out.writelines(scoring.lines(blocks, stats))
 
 
 def cmd_analyze(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    lexicon = cfg.load_lexicon()
-    rules_cfg = cfg.load_rules()
-    aspects_only = args.command == "aspects"
-    explain = getattr(args, "explain", False)
-    baseline = getattr(args, "baseline", False)
-    stats = ReadStats()
-    trees = list(read_conllu(_input_source(cfg), on_error=cfg.on_error, stats=stats))
-    records = _analyze_records(
-        trees, lexicon, rules_cfg, cfg.workers, explain, baseline, aspects_only
+    scoring = _Scoring(
+        cfg.load_lexicon(),
+        cfg.load_rules(),
+        explain=getattr(args, "explain", False),
+        baseline=getattr(args, "baseline", False),
+        aspects_only=args.command == "aspects",
+        on_error=cfg.on_error,
     )
+    stats = ReadStats()
+    blocks = split_blocks(iter_raw_lines(_input_source(cfg)))
     with _open_output(cfg) as out:
-        for record in records:
-            _dump_line(record, out)
+        _write_records(scoring, blocks, cfg.workers, stats, out)
     if stats.skipped:
         print(f"skipped {stats.skipped} unreadable sentences", file=sys.stderr)
     return 0
@@ -303,9 +386,10 @@ def cmd_analyze(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_encode(cfg: PipelineConfig) -> int:
+    stats = ReadStats()
     skipped = 0
     with _open_output(cfg) as out:
-        for tree in read_conllu(_input_source(cfg), on_error=cfg.on_error):
+        for tree in read_conllu(_input_source(cfg), on_error=cfg.on_error, stats=stats):
             try:
                 line = format_tagger_line(tree, encode(tree, cfg.scheme))
             except NonProjectiveError:
@@ -314,6 +398,8 @@ def cmd_encode(cfg: PipelineConfig) -> int:
                 skipped += 1
                 continue
             out.write(line + "\n")
+    if stats.skipped:
+        print(f"skipped {stats.skipped} unreadable sentences", file=sys.stderr)
     if skipped:
         print(f"skipped {skipped} non-projective sentences", file=sys.stderr)
     return 0

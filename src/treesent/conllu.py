@@ -9,13 +9,16 @@ nodes (``1.1``) are dropped silently, with a tally kept in ``ReadStats``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .tree import DepTree, Token, TreeError
 
-Source = Union[str, Path, IO[bytes], IO[str], Iterable[str]]
+Line = Union[str, bytes]
+Source = Union[str, Path, IO[bytes], IO[str], Iterable[Line]]
+# one sentence as ``split_blocks`` yields it: (ordinal, [(lineno, line), ...])
+Block = Tuple[int, List[Tuple[int, Line]]]
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_ID = re.compile(r"^\d+\.\d+$")
@@ -27,8 +30,12 @@ class ConlluError(ValueError):
 
     def __init__(self, message: str, sentence: int, line: int):
         super().__init__(f"sentence {sentence} (line {line}): {message}")
+        self.message = message
         self.sentence = sentence
         self.line = line
+
+    def __reduce__(self):
+        return type(self), (self.message, self.sentence, self.line)
 
 
 @dataclass
@@ -40,27 +47,73 @@ class ReadStats:
     dropped_ranges: int = 0
     dropped_empty_nodes: int = 0
 
+    def add(self, other: "ReadStats") -> None:
+        """Fold in the tallies of another read, such as one chunk's."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+def iter_raw_lines(source: Source) -> Iterator[Line]:
+    """Lines as the source holds them: bytes from paths and byte streams."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            yield from fh
+        return
+    yield from source
+
+
+def decode_line(raw: Line) -> Optional[str]:
+    """``raw`` as text, or None for bytes that are not valid UTF-8."""
+    if isinstance(raw, str):
+        return raw
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
 
 def iter_lines(source: Source) -> Iterator[str]:
     """Lines from a path, a text or byte stream, or any line iterable."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            for raw in fh:
-                yield raw.decode("utf-8")
-        return
-    for raw in source:
+    for raw in iter_raw_lines(source):
+        yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
+
+
+def split_blocks(lines: Iterable[Line]) -> Iterator[Block]:
+    """Group lines into sentence blocks, ``(ordinal, [(lineno, line), ...])``.
+
+    Blank lines end a block; ordinals and line numbers count from 1. Line
+    ends are stripped. A line that is not valid UTF-8 stays ``bytes``, so
+    the sentence holding it fails when its block is parsed.
+    """
+    block: List[Tuple[int, Line]] = []
+    ordinal = 0
+    for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        yield raw
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                block.append((lineno, raw))
+                continue
+        line = raw.rstrip("\n").rstrip("\r")
+        if line.strip():
+            block.append((lineno, line))
+        elif block:
+            ordinal += 1
+            yield ordinal, block
+            block = []
+    if block:
+        yield ordinal + 1, block
 
 
 def _parse_block(
-    lines: list[tuple[int, str]], ordinal: int, stats: ReadStats
+    lines: List[Tuple[int, Line]], ordinal: int, stats: ReadStats
 ) -> DepTree:
     metadata: dict = {}
     tokens: list[Token] = []
     first_line = lines[0][0]
     for lineno, text in lines:
+        if isinstance(text, bytes):
+            raise ConlluError("not valid UTF-8", ordinal, lineno)
         if text.startswith("#"):
             body = text[1:].strip()
             if "=" in body:
@@ -97,6 +150,32 @@ def _parse_block(
         raise ConlluError(str(exc), ordinal, first_line) from None
 
 
+def parse_blocks(
+    blocks: Iterable[Block],
+    on_error: str = "skip",
+    stats: ReadStats | None = None,
+) -> Iterator[DepTree]:
+    """Yield one validated ``DepTree`` per block from ``split_blocks``.
+
+    ``on_error`` is ``"skip"`` (drop bad sentences, count them in
+    ``stats.skipped``) or ``"abort"`` (raise ``ConlluError``).
+    """
+    if on_error not in ("skip", "abort"):
+        raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
+    if stats is None:
+        stats = ReadStats()
+    for ordinal, lines in blocks:
+        try:
+            tree = _parse_block(lines, ordinal, stats)
+        except ConlluError:
+            if on_error == "abort":
+                raise
+            stats.skipped += 1
+            continue
+        stats.sentences += 1
+        yield tree
+
+
 def read_conllu(
     source: Source,
     on_error: str = "skip",
@@ -104,46 +183,10 @@ def read_conllu(
 ) -> Iterator[DepTree]:
     """Yield one validated ``DepTree`` per sentence block.
 
-    ``on_error`` is ``"skip"`` (drop bad sentences, count them in
-    ``stats.skipped``) or ``"abort"`` (raise ``ConlluError``). Input is
+    ``on_error`` and ``stats`` work as in ``parse_blocks``. Input is
     consumed line by line, whole files are never buffered.
     """
-    if on_error not in ("skip", "abort"):
-        raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
-    if stats is None:
-        stats = ReadStats()
-    block: list[tuple[int, str]] = []
-    ordinal = 0
-    lineno = 0
-
-    def finish_block() -> DepTree | None:
-        nonlocal ordinal
-        ordinal += 1
-        try:
-            tree = _parse_block(block, ordinal, stats)
-        except ConlluError:
-            if on_error == "abort":
-                raise
-            stats.skipped += 1
-            return None
-        stats.sentences += 1
-        return tree
-
-    for raw in iter_lines(source):
-        lineno += 1
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            if block:
-                tree = finish_block()
-                block = []
-                if tree is not None:
-                    yield tree
-        else:
-            block.append((lineno, line))
-    if block:
-        tree = finish_block()
-        if tree is not None:
-            yield tree
+    return parse_blocks(split_blocks(iter_raw_lines(source)), on_error, stats)
 
 
 def format_sentence(tree: DepTree) -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .conllu import iter_lines
+from .conllu import decode_line, iter_raw_lines
 from .tree import DepTree, Token, crossing_arcs
 
 ROOT_UPOS = "ROOT"
@@ -332,7 +332,11 @@ class BridgeError(ValueError):
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line)
 
 
 @dataclass
@@ -423,13 +427,14 @@ def parse_tagger_output(
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     if stats is None:
         stats = BridgeStats()
-    lineno = 0
-    for raw in iter_lines(source):
-        lineno += 1
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
+    for lineno, raw in enumerate(iter_raw_lines(source), start=1):
+        text = decode_line(raw)
         try:
+            if text is None:
+                raise BridgeError("not valid UTF-8", lineno)
+            line = text.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
             yield _parse_bridge_line(line, lineno, scheme, stats)
         except BridgeError:
             if on_error == "abort":

@@ -29,10 +29,12 @@ class LexiconError(ValueError):
     """Malformed lexicon or collocation data, or an inconsistent merge."""
 
     def __init__(self, message: str, line: Optional[int] = None):
+        self.message = message
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line)
 
 
 class LexEntry(NamedTuple):

@@ -48,10 +48,12 @@ class RuleError(ValueError):
     """Bad rule configuration or an invalid scoring request."""
 
     def __init__(self, message: str, line: Optional[int] = None):
+        self.message = message
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line)
 
 
 def classify_valence(valence: float, threshold: float) -> str:
@@ -86,13 +88,14 @@ class RuleConfig:
         object.__setattr__(self, "negation_shift", float(self.negation_shift))
         object.__setattr__(self, "negation_cap", float(self.negation_cap))
         object.__setattr__(self, "neutral_threshold", float(self.neutral_threshold))
-        if self.negation_shift < 0:
+        # written as "not x >= 0" so that NaN, which fails every comparison, is rejected
+        if not self.negation_shift >= 0:
             raise RuleError(f"negation_shift must be >= 0, got {self.negation_shift}")
         if not 0 < self.negation_cap <= 5:
             raise RuleError(f"negation_cap must be in (0, 5], got {self.negation_cap}")
-        if any(w < 0 for w in weights):
+        if not all(w >= 0 for w in weights):
             raise RuleError(f"adversative_weights must be >= 0, got {weights}")
-        if self.neutral_threshold < 0:
+        if not self.neutral_threshold >= 0:
             raise RuleError(f"neutral_threshold must be >= 0, got {self.neutral_threshold}")
         if self.negation_scope != HEAD_SUBTREE:
             raise RuleError(

@@ -1,11 +1,13 @@
 """End-to-end command line tests, all in-process through main()."""
 
+import io
 import json
+import sys
 
 import pytest
 
 from treesent import DepTree, demo_gold_path, demo_treebank_path, demo_ud_path, read_conllu, write_conllu
-from treesent.cli import main
+from treesent.cli import CHUNK_SENTENCES, main
 
 TOL = 1e-9
 
@@ -87,6 +89,113 @@ def test_analyze_workers_preserve_order(tmp_path):
     assert run("analyze", "-i", corpus, "-o", serial) == 0
     assert run("analyze", "-i", corpus, "-o", parallel, "--workers", 3) == 0
     assert serial.read_text() == parallel.read_text()
+
+
+# more chunks than --workers 3 keeps in flight (2 x 3), so that the pool
+# starts and its window of pending chunks moves on
+POOL_SENTENCES = 7 * CHUNK_SENTENCES + 10
+
+
+# (old, new) byte replacements that make one sentence unreadable
+BAD_BYTE = (b"\n1\t", b"\n1\t\xff")  # not UTF-8, at the start of token 1's FORM
+BAD_HEAD = (b"\t0\troot", b"\tx\troot")
+
+
+def _damage(data, sentence, defect):
+    """CoNLL-U ``data`` with ``defect`` applied once inside one sentence."""
+    blocks = data.split(b"\n\n")
+    blocks[sentence - 1] = blocks[sentence - 1].replace(*defect, 1)
+    return b"\n\n".join(blocks)
+
+
+def _pool_corpus(tmp_path, damage=()):
+    """A generated corpus of POOL_SENTENCES, with ``(sentence, defect)`` pairs applied.
+
+    Each sentence takes 8 lines: ``# sent_id``, 6 tokens and a blank line.
+    """
+    path = tmp_path / "pool.conllu"
+    run("gen", "--sentences", POOL_SENTENCES, "--length", 6, "--seed", 9,
+        "--format", "conllu", "-o", path)
+    data = path.read_bytes()
+    for sentence, defect in damage:
+        data = _damage(data, sentence, defect)
+    path.write_bytes(data)
+    return path
+
+
+def _per_worker_count(capsys, *argv):
+    """(exit code, stdout, stderr) of one command run with 1, 2 and 3 workers."""
+    results = []
+    for workers in (1, 2, 3):
+        code = run(*argv, "--workers", workers)
+        results.append((code, *capsys.readouterr()))
+    return results
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze",), ("analyze", "--explain"), ("aspects",), ("analyze", "--baseline")],
+    ids=["analyze", "explain", "aspects", "baseline"],
+)
+def test_pool_output_matches_one_worker(tmp_path, capsys, argv):
+    corpus = _pool_corpus(tmp_path)
+    single, *pooled = _per_worker_count(capsys, *argv, "-i", corpus)
+    assert single[0] == 0
+    assert len(single[1].splitlines()) == POOL_SENTENCES
+    assert all(result == single for result in pooled)
+
+
+def test_pool_skips_bad_sentences_on_both_sides_of_a_chunk_boundary(tmp_path, capsys):
+    corpus = _pool_corpus(
+        tmp_path, [(CHUNK_SENTENCES, BAD_HEAD), (CHUNK_SENTENCES + 1, BAD_BYTE)]
+    )
+    single, *pooled = _per_worker_count(capsys, "analyze", "-i", corpus, "--on-error", "skip")
+    assert single[0] == 0
+    assert len(single[1].splitlines()) == POOL_SENTENCES - 2
+    assert single[2] == "skipped 2 unreadable sentences\n"
+    assert all(result == single for result in pooled)
+
+
+def test_pool_abort_writes_the_records_before_the_bad_sentence(tmp_path, capsys):
+    bad = 2 * CHUNK_SENTENCES + 22
+    corpus = _pool_corpus(tmp_path, [(bad, BAD_BYTE)])
+    single, *pooled = _per_worker_count(capsys, "analyze", "-i", corpus)
+    line = 8 * (bad - 1) + 2
+    assert single[0] == 1
+    assert single[2] == f"error: sentence {bad} (line {line}): not valid UTF-8\n"
+    assert len(single[1].splitlines()) == bad - 1
+    assert all(result == single for result in pooled)
+
+
+@pytest.mark.parametrize("command", ["analyze", "aspects", "encode"])
+def test_invalid_utf8_on_stdin_is_a_data_error(capsys, monkeypatch, command):
+    data = _damage(demo_treebank_path().read_bytes(), 2, BAD_BYTE)
+    line = data[: data.index(b"\xff")].count(b"\n") + 1
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert run(command) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: sentence 2 (line {line}): not valid UTF-8\n"
+    assert len(out.splitlines()) == 1  # the record before the bad sentence
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert run(command, "--on-error", "skip") == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 2
+    assert "skipped 1 unreadable sentences" in err
+
+
+def test_invalid_utf8_bridge_line_is_a_data_error(tmp_path, capsys):
+    bridge = tmp_path / "ud.bridge"
+    assert run("encode", "-i", demo_treebank_path(), "-o", bridge) == 0
+    lines = bridge.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b"\t", b"\t\xff", 1)
+    bridge.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert run("decode", "-i", bridge) == 1
+    assert "error: line 2: not valid UTF-8" in capsys.readouterr().err
+    assert run("decode", "-i", bridge, "--on-error", "skip") == 0
+    out, err = capsys.readouterr()
+    assert [t.sentence_id for t in read_conllu(out.splitlines())] == ["s1", "s3"]
+    assert "decoded 2 sentences" in err and "skipped=1" in err
 
 
 def test_analyze_rules_file_changes_classes(tmp_path):
@@ -378,6 +487,13 @@ def test_bad_flag_values_are_config_errors(tmp_path, capsys):
     assert "unknown scheme" in capsys.readouterr().err
     assert run("analyze", "-i", demo_treebank_path(), "--workers", 0) == 2
     assert run("analyze", "-i", tmp_path / "missing.conllu") == 2
+
+
+def test_nan_in_rules_file_is_a_config_error(tmp_path, capsys):
+    rules = tmp_path / "rules.cfg"
+    rules.write_text("neutral_threshold = nan\n")
+    assert run("analyze", "-i", demo_treebank_path(), "--rules", rules) == 2
+    assert "neutral_threshold must be >= 0" in capsys.readouterr().err
 
 
 def test_lexicon_search_path_fallback(tmp_path, monkeypatch):

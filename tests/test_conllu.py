@@ -1,10 +1,12 @@
 """CoNLL-U reading and writing."""
 
 import io
+import pickle
 
 import pytest
 
 from treesent import ConlluError, DepTree, ReadStats, dumps_conllu, read_conllu, write_conllu
+from treesent.conllu import parse_blocks, split_blocks
 from treesent.tree import random_tree
 
 SIMPLE = """\
@@ -132,3 +134,32 @@ def test_bare_comment_round_trip():
     trees = read_all(text)
     assert trees[0].metadata == {"newdoc": None}
     assert dumps_conllu(trees).startswith("# newdoc\n")
+
+
+def test_split_blocks_numbers_sentences_and_lines():
+    text = "\n" + SIMPLE + "\n\n" + SIMPLE.rstrip("\n")
+    blocks = list(split_blocks(io.StringIO(text)))
+    assert [ordinal for ordinal, _ in blocks] == [1, 2]
+    assert blocks[0][1][0] == (2, "# sent_id = s1")
+    assert [lineno for lineno, _ in blocks[1][1]] == [9, 10, 11, 12]
+    trees = list(parse_blocks(blocks, on_error="abort"))
+    assert [t.tokens for t in trees] == [t.tokens for t in read_all(text)]
+
+
+def test_invalid_utf8_fails_only_its_sentence():
+    bad = SIMPLE.replace("phone", "ph\udcffone").encode("utf-8", "surrogateescape")
+    data = bad + b"\n" + SIMPLE.replace("s1", "s2").encode("utf-8")
+    stats = ReadStats()
+    trees = list(read_conllu(io.BytesIO(data), stats=stats))
+    assert [t.sentence_id for t in trees] == ["s2"]
+    assert stats.skipped == 1
+    with pytest.raises(ConlluError, match=r"sentence 1 \(line 3\): not valid UTF-8"):
+        list(read_conllu(io.BytesIO(data), on_error="abort"))
+
+
+def test_conllu_error_survives_pickle():
+    err = pickle.loads(pickle.dumps(ConlluError("bad", 3, 7)))
+    assert type(err) is ConlluError
+    assert (str(err), err.message, err.sentence, err.line) == (
+        "sentence 3 (line 7): bad", "bad", 3, 7
+    )

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import pickle
 import random
 
 import pytest
@@ -307,6 +308,22 @@ def test_bridge_bad_record_policies():
     assert len(out) == 1 and stats.skipped == 1
     with pytest.raises(BridgeError, match="line 1"):
         list(parse_tagger_output(lines, Scheme.REL_OFFSET, on_error="abort"))
+
+
+def test_bridge_invalid_utf8_is_a_bad_record():
+    lines = [b"s1\ta/X/0:root\n", b"s2\t\xff/X/0:root\n", b"s3\tb/X/0:root\n"]
+    stats = BridgeStats()
+    out = list(parse_tagger_output(lines, Scheme.REL_OFFSET, stats=stats))
+    assert [r.tree.sentence_id for _, r in out] == ["s1", "s3"]
+    assert stats.skipped == 1
+    with pytest.raises(BridgeError, match="line 2: not valid UTF-8"):
+        list(parse_tagger_output(lines, Scheme.REL_OFFSET, on_error="abort"))
+
+
+def test_bridge_error_survives_pickle():
+    err = pickle.loads(pickle.dumps(BridgeError("bad label", 12)))
+    assert type(err) is BridgeError
+    assert (str(err), err.message, err.line) == ("line 12: bad label", "bad label", 12)
 
 
 def test_bridge_empty_stream():

@@ -1,6 +1,7 @@
 """Lexicon loading, layer shadowing, and shifter classification."""
 
 import io
+import pickle
 import random
 
 import pytest
@@ -64,6 +65,13 @@ def test_bad_rows_rejected_with_line(row, message):
     with pytest.raises(LexiconError, match=message) as err:
         lex_from(row + "\n")
     assert err.value.line == 1
+
+
+def test_lexicon_error_survives_pickle():
+    err = pickle.loads(pickle.dumps(LexiconError("bad row", 7)))
+    assert type(err) is LexiconError
+    assert (str(err), err.message, err.line) == ("line 7: bad row", "bad row", 7)
+    assert pickle.loads(pickle.dumps(LexiconError("no line"))).line is None
 
 
 def test_duplicate_key_rejected():

@@ -2,6 +2,7 @@
 
 import io
 import math
+import pickle
 
 import pytest
 
@@ -393,6 +394,9 @@ def test_config_from_file_overrides_and_defaults():
         ("negation_cap = 0", "negation_cap"),
         ("negation_cap = 9", "negation_cap"),
         ("neutral_threshold = -1", "neutral_threshold"),
+        ("neutral_threshold = nan", "neutral_threshold"),
+        ("negation_shift = nan", "negation_shift"),
+        ("adversative_weights = 0.5, nan", "adversative_weights"),
     ],
 )
 def test_config_errors(text, message):
@@ -405,3 +409,10 @@ def test_config_direct_validation():
         RuleConfig(adversative_weights=(-0.5, 1.0))
     with pytest.raises(RuleError):
         RuleConfig(negation_shift=-1.0)
+
+
+def test_rule_error_survives_pickle():
+    err = pickle.loads(pickle.dumps(RuleError("bad value", 4)))
+    assert type(err) is RuleError
+    assert (str(err), err.message, err.line) == ("line 4: bad value", "bad value", 4)
+    assert pickle.loads(pickle.dumps(RuleError("no line"))).line is None
