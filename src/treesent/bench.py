@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .conllu import Source, iter_lines
+from .conllu import Source, numbered_lines
 from .encodings import BridgeStats, Scheme, encode, format_tagger_line, parse_tagger_output
 from .lexicon import PolarityLexicon
 from .rules import CLASSES, RuleConfig, analyze
@@ -188,7 +188,12 @@ def run_bench(
     config = config if config is not None else RuleConfig()
 
     started = perf_counter()
-    lines = [line for line in iter_lines(source) if line.strip()]
+    lines = []
+    for lineno, line in numbered_lines(source):
+        if line is None:
+            raise BenchError(f"line {lineno}: not valid UTF-8")
+        if line.strip():
+            lines.append(line)
     read_time = perf_counter() - started
     if len(lines) < MIN_CORPUS:
         warnings.warn(

@@ -47,9 +47,10 @@ from .conllu import (
     Block,
     ConlluError,
     ReadStats,
+    _parse_block,
     format_sentence,
     iter_raw_lines,
-    parse_blocks,
+    numbered_lines,
     read_conllu,
     split_blocks,
 )
@@ -167,7 +168,10 @@ def _read_config_file(path_text: str) -> Dict[str, str]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values: Dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in numbered_lines(path):
+        if raw is None:
+            raise ConfigError(f"{path}:{lineno}: not valid UTF-8")
+        raw = raw.rstrip("\r\n")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -241,7 +245,7 @@ def _sentence_record(
             "valence": valence,
             "baseline": True,
         }
-    result = analyze(tree, lexicon, rules_cfg)
+    result = analyze(tree, lexicon, rules_cfg, trace=explain)
     opinions = [
         {
             "target": [op.target_token_ids[0], op.target_token_ids[-1]],
@@ -279,13 +283,31 @@ class _Scoring(NamedTuple):
     on_error: str
 
     def lines(self, blocks: Iterable[Block], stats: ReadStats) -> Iterator[str]:
-        """One JSON line per readable sentence, in block order."""
-        for tree in parse_blocks(blocks, self.on_error, stats):
-            record = _sentence_record(
-                tree, self.lexicon, self.rules_cfg, self.explain, self.baseline,
-                self.aspects_only,
-            )
-            yield json.dumps(record, ensure_ascii=False) + "\n"
+        """One JSON line per readable sentence, in block order.
+
+        A sentence fails, under ``on_error``, if it cannot be read or if its
+        record holds a number JSON cannot carry (an overflowed score).
+        """
+        for ordinal, block in blocks:
+            try:
+                line = self._line(_parse_block(block, ordinal, stats), ordinal, block[0][0])
+            except ConlluError:
+                if self.on_error == "abort":
+                    raise
+                stats.skipped += 1
+                continue
+            stats.sentences += 1
+            yield line
+
+    def _line(self, tree: DepTree, ordinal: int, lineno: int) -> str:
+        record = _sentence_record(
+            tree, self.lexicon, self.rules_cfg, self.explain, self.baseline,
+            self.aspects_only,
+        )
+        try:
+            return json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n"
+        except ValueError:
+            raise ConlluError("score is not a finite number", ordinal, lineno) from None
 
 
 # Sentences per pool task. Large enough that a task's pickling and
@@ -436,22 +458,33 @@ def _prediction_entry() -> dict:
     return {"class": None, "items": [], "has_opinions": False}
 
 
+def _prediction_span(span, where: str) -> Tuple[int, int]:
+    if (
+        not isinstance(span, list)
+        or len(span) != 2
+        or not all(isinstance(end, int) and not isinstance(end, bool) for end in span)
+    ):
+        raise EvalError(f"{where}: target must be a pair of integers, got {span!r}")
+    return span[0], span[1]
+
+
 def _load_predictions(path: Path) -> Dict[str, dict]:
     """Accepts analyze/aspects output or a gold-format file."""
-    first = None
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        if raw.strip():
-            first = raw
-            break
+    lines = []
+    for lineno, raw in numbered_lines(path):
+        if raw is None:
+            raise EvalError(f"{path}:{lineno}: not valid UTF-8")
+        lines.append(raw)
+    first = next((raw for raw in lines if raw.strip()), None)
     table: Dict[str, dict] = {}
     if first is None:
         return table
     try:
-        gold_format = "tokens" in json.loads(first)
+        first_record = json.loads(first)
     except json.JSONDecodeError as exc:
         raise EvalError(f"{path}: bad JSON on first record: {exc}") from None
-    if gold_format:
-        for record in load_gold(path):
+    if isinstance(first_record, dict) and "tokens" in first_record:
+        for record in load_gold(lines):
             entry = _prediction_entry()
             entry["class"] = record.gold_class
             if record.gold_opinions is not None:
@@ -463,29 +496,35 @@ def _load_predictions(path: Path) -> Dict[str, dict]:
                 ]
             table[record.sentence_id] = entry
         return table
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise EvalError(f"{path}:{lineno}: bad JSON: {exc}") from None
+            raise EvalError(f"{where}: bad JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise EvalError(f"{where}: prediction record must be a JSON object")
         sid = str(obj.get("sent_id", ""))
         if not sid:
-            raise EvalError(f"{path}:{lineno}: prediction record missing sent_id")
+            raise EvalError(f"{where}: prediction record missing sent_id")
         if sid in table:
-            raise EvalError(f"{path}:{lineno}: duplicate prediction for {sid!r}")
+            raise EvalError(f"{where}: duplicate prediction for {sid!r}")
         entry = _prediction_entry()
         if obj.get("class") is not None:
             entry["class"] = str(obj["class"])
         if "opinions" in obj:
+            opinions = obj["opinions"]
+            if not isinstance(opinions, list) or not all(isinstance(op, dict) for op in opinions):
+                raise EvalError(f"{where}: opinions must be a list of JSON objects")
             entry["has_opinions"] = True
-            for op in obj["opinions"]:
+            for op in opinions:
                 span = op.get("target")
                 if span is None:
                     continue
-                entry["items"].append(((int(span[0]), int(span[1])), str(op.get("polarity"))))
+                entry["items"].append((_prediction_span(span, where), str(op.get("polarity"))))
         table[sid] = entry
     return table
 
@@ -564,7 +603,9 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         parse=parse_metrics,
     )
     with _open_output(cfg) as out:
-        out.write(json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n")
+        out.write(
+            json.dumps(report.to_dict(), ensure_ascii=False, indent=2, allow_nan=False) + "\n"
+        )
     return 0
 
 
@@ -591,7 +632,7 @@ def cmd_bench(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         warmup=args.warmup,
     )
     with _open_output(cfg) as out:
-        out.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        out.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
     return 0
 
 

@@ -72,10 +72,13 @@ def decode_line(raw: Line) -> Optional[str]:
         return None
 
 
-def iter_lines(source: Source) -> Iterator[str]:
-    """Lines from a path, a text or byte stream, or any line iterable."""
-    for raw in iter_raw_lines(source):
-        yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
+def numbered_lines(source: Source) -> Iterator[Tuple[int, Optional[str]]]:
+    """``(lineno, text)`` per line of a path, stream or line iterable.
+
+    Line numbers count from 1. ``text`` is None for a line that is not
+    valid UTF-8, so that each reader can report it in its own terms.
+    """
+    return enumerate(map(decode_line, iter_raw_lines(source)), start=1)
 
 
 def split_blocks(lines: Iterable[Line]) -> Iterator[Block]:
@@ -95,7 +98,7 @@ def split_blocks(lines: Iterable[Line]) -> Iterator[Block]:
                 block.append((lineno, raw))
                 continue
         line = raw.rstrip("\n").rstrip("\r")
-        if line.strip():
+        if line and not line.isspace():
             block.append((lineno, line))
         elif block:
             ordinal += 1
@@ -128,16 +131,19 @@ def _parse_block(
                 f"expected {_COLUMNS} columns, got {len(cols)}", ordinal, lineno
             )
         raw_id = cols[0]
-        if _RANGE_ID.match(raw_id):
+        if raw_id.isdecimal():
+            tok_id = int(raw_id)
+        elif _RANGE_ID.match(raw_id):
             stats.dropped_ranges += 1
             continue
-        if _EMPTY_ID.match(raw_id):
+        elif _EMPTY_ID.match(raw_id):
             stats.dropped_empty_nodes += 1
             continue
-        try:
-            tok_id = int(raw_id)
-        except ValueError:
-            raise ConlluError(f"non-numeric id {raw_id!r}", ordinal, lineno) from None
+        else:
+            try:
+                tok_id = int(raw_id)
+            except ValueError:
+                raise ConlluError(f"non-numeric id {raw_id!r}", ordinal, lineno) from None
         try:
             head = int(cols[6])
         except ValueError:

@@ -28,7 +28,7 @@ from typing import (
     Union,
 )
 
-from .conllu import Source, iter_lines
+from .conllu import Source, numbered_lines
 from .opinions import Opinion, OpinionError, OpinionSet, to_tree
 from .rules import CLASSES
 from .tree import DepTree, TreeError
@@ -246,7 +246,9 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
 
 def load_gold(source: Source) -> Iterator[GoldRecord]:
     """Stream GoldRecords out of a JSON-lines file."""
-    for lineno, raw_line in enumerate(iter_lines(source), start=1):
+    for lineno, raw_line in numbered_lines(source):
+        if raw_line is None:
+            raise EvalError(f"line {lineno}: not valid UTF-8")
         line = raw_line.strip()
         if not line:
             continue

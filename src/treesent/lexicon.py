@@ -14,9 +14,9 @@ layer on top of a base lexicon without touching either input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .conllu import Source, iter_lines
+from .conllu import Source, numbered_lines
 
 VALENCE_LIMIT = 5.0
 
@@ -61,6 +61,8 @@ class ShifterInventory:
     negators: frozenset = frozenset()
     intensifiers: Mapping[str, float] = field(default_factory=dict)
     adversatives: frozenset = frozenset()
+    # lemma -> Shifter over all three classes, built once here
+    _by_lemma: Mapping[str, Shifter] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "negators", frozenset(self.negators))
@@ -80,17 +82,14 @@ class ShifterInventory:
                 raise LexiconError(
                     f"intensifier strength for {lemma!r} must be > -1, got {strength}"
                 )
+        by_lemma = dict.fromkeys(self.negators, Shifter(NEGATOR))
+        by_lemma.update(dict.fromkeys(self.adversatives, Shifter(ADVERSATIVE)))
+        for lemma, strength in self.intensifiers.items():
+            by_lemma[lemma] = Shifter(INTENSIFIER, strength)
+        object.__setattr__(self, "_by_lemma", by_lemma)
 
     def classify(self, lemma: str) -> Optional[Shifter]:
-        lemma = lemma.lower()
-        if lemma in self.negators:
-            return Shifter(NEGATOR)
-        strength = self.intensifiers.get(lemma)
-        if strength is not None:
-            return Shifter(INTENSIFIER, strength)
-        if lemma in self.adversatives:
-            return Shifter(ADVERSATIVE)
-        return None
+        return self._by_lemma.get(lemma.lower())
 
 
 def _merge_shifters(base: ShifterInventory, domain: ShifterInventory) -> ShifterInventory:
@@ -112,12 +111,17 @@ class PolarityLexicon:
 
     ``layers`` runs bottom to top. The topmost layer that knows a term wins,
     and within a layer a UPOS-constrained entry beats the unconstrained one.
+    Construction compiles the layers into one flat table, so a lookup costs
+    the same however many layers are stacked.
     """
 
     layers: tuple = ()
     shifters: ShifterInventory = field(default_factory=ShifterInventory)
     language: str = "und"
     collocations: Mapping[tuple, str] = field(default_factory=dict)
+    # (term, upos-or-None) -> valence after shadowing; the rule engine reads
+    # it and ``shifters._by_lemma`` directly with already-lowered lemmas
+    _valence_of: Mapping[tuple, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.language:
@@ -130,20 +134,28 @@ class PolarityLexicon:
                     raise LexiconError("empty term")
                 if not abs(valence) <= VALENCE_LIMIT:
                     raise LexiconError(f"valence for {term!r} outside [-5, 5]: {valence}")
+        # Top layer first: a key keeps the first valence it gets, and a term
+        # with an unconstrained entry in some layer takes nothing from the
+        # layers below it, whatever their UPOS filters.
+        valence_of: dict = {}
+        closed: set = set()
+        for layer in reversed(self.layers):
+            for key, valence in layer.items():
+                if key[0] not in closed:
+                    valence_of.setdefault(key, valence)
+            closed.update(term for term, upos in layer if upos is None)
+        object.__setattr__(self, "_valence_of", valence_of)
 
     def lookup(self, lemma: str, upos: Optional[str] = None) -> Optional[float]:
         """Valence for a lowercased lemma, or None on a miss."""
         lemma = lemma.lower()
-        for layer in reversed(self.layers):
-            hit = layer.get((lemma, upos))
-            if hit is None and upos is not None:
-                hit = layer.get((lemma, None))
-            if hit is not None:
-                return hit
-        return None
+        hit = self._valence_of.get((lemma, upos))
+        if hit is None and upos is not None:
+            hit = self._valence_of.get((lemma, None))
+        return hit
 
     def classify_shifter(self, lemma: str) -> Optional[Shifter]:
-        return self.shifters.classify(lemma)
+        return self.shifters._by_lemma.get(lemma.lower())
 
     def entries(self) -> Iterator[LexEntry]:
         """Effective entries after shadowing, topmost layer first."""
@@ -182,7 +194,9 @@ def load_lexicon(source: Source, language: str) -> PolarityLexicon:
     intensifiers: dict = {}
     adversatives: set = set()
     seen: dict = {}
-    for lineno, raw in enumerate(iter_lines(source), start=1):
+    for lineno, raw in numbered_lines(source):
+        if raw is None:
+            raise LexiconError("not valid UTF-8", lineno)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -233,7 +247,9 @@ def load_lexicon(source: Source, language: str) -> PolarityLexicon:
 def load_collocations(source: Source) -> dict:
     """Read an adjacent-pair table: ``token1 token2<TAB>merged_lemma``."""
     table: dict = {}
-    for lineno, raw in enumerate(iter_lines(source), start=1):
+    for lineno, raw in numbered_lines(source):
+        if raw is None:
+            raise LexiconError("not valid UTF-8", lineno)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -259,6 +275,11 @@ def merge_collocations(lemmas: Sequence[str], table: Mapping) -> list:
     The first token of a matched pair takes the merged lemma; the second is
     blanked out so downstream lookups treat it as inert.
     """
+    return merge_lowered(lemmas, table)[0]
+
+
+def merge_lowered(lemmas: Sequence[str], table: Mapping) -> Tuple[List[str], List[str]]:
+    """``merge_collocations`` plus the same lemmas lowercased, as lookups see them."""
     merged = list(lemmas)
     lowered = [lemma.lower() for lemma in lemmas]
     i = 0
@@ -269,5 +290,7 @@ def merge_collocations(lemmas: Sequence[str], table: Mapping) -> list:
         else:
             merged[i] = hit
             merged[i + 1] = ""
+            lowered[i] = hit.lower()
+            lowered[i + 1] = ""
             i += 2
-    return merged
+    return merged, lowered

@@ -4,8 +4,8 @@ A post-order walk assigns each node a lexicon valence, lets intensifier
 dependents scale it, and lets negator dependents shift the node's whole
 subtree total toward (and possibly past) zero, clamped to a cap. An
 adversative marker splits the sentence linearly and reweights the two
-halves. Every rule application is recorded as a trace step so a score can
-be audited or replayed after the fact.
+halves. Every rule application can be recorded as a trace step so a score
+can be audited or replayed after the fact.
 
 A bag-of-words baseline with no syntax and no shifters is included for
 contrast experiments.
@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .conllu import Source, iter_lines
+from .conllu import Source, numbered_lines
 from .lexicon import ADVERSATIVE as _ADV_KIND
 from .lexicon import INTENSIFIER as _INT_KIND
 from .lexicon import NEGATOR as _NEG_KIND
-from .lexicon import PolarityLexicon, merge_collocations
+from .lexicon import PolarityLexicon, merge_lowered
 from .tree import DepTree, Token
 
 POSITIVE = "positive"
@@ -106,7 +106,9 @@ class RuleConfig:
     def from_file(cls, source: Source) -> "RuleConfig":
         """Parse a flat ``key = value`` file; keys are the field names."""
         values: dict = {}
-        for lineno, raw in enumerate(iter_lines(source), start=1):
+        for lineno, raw in numbered_lines(source):
+            if raw is None:
+                raise RuleError("not valid UTF-8", lineno)
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -183,9 +185,9 @@ class SentimentResult:
 
 class _Composition(NamedTuple):
     valence: float
-    trace: List[TraceStep]
+    trace: Optional[List[TraceStep]]  # None unless asked for
     contribution: List[float]  # indexed by token id; [0] unused
-    lemmas: List[str]  # after the collocation pre-pass
+    lemmas: List[str]  # lowercased, after the collocation pre-pass
 
 
 def _post_order(tree: DepTree) -> List[int]:
@@ -201,74 +203,97 @@ def _post_order(tree: DepTree) -> List[int]:
     return order
 
 
-def _compose(tree: DepTree, lex: PolarityLexicon, cfg: RuleConfig) -> _Composition:
+def _compose(
+    tree: DepTree, lex: PolarityLexicon, cfg: RuleConfig, trace: bool = True
+) -> _Composition:
     n = len(tree)
-    lemmas = merge_collocations([tok.lemma for tok in tree.tokens], lex.collocations)
-    shifter = [None] + [
-        lex.classify_shifter(lemma) if lemma else None for lemma in lemmas
-    ]
-    children = tree.children
+    tokens = tree.tokens
+    lemmas, lowered = merge_lowered([tok.lemma for tok in tokens], lex.collocations)
+    # the lexicon's compiled tables, read with the lemmas lowered once here
+    valence_of = lex._valence_of
+    shifter_of = lex.shifters._by_lemma
+    shifter: list = [None] * (n + 1)
+    shifter_deps: dict = {}  # head id -> its shifter dependents, left to right
+    for node, lemma in enumerate(lowered, start=1):
+        kind = shifter_of.get(lemma) if lemma else None
+        if kind is not None:
+            shifter[node] = kind
+            shifter_deps.setdefault(tokens[node - 1].head, []).append(node)
     contribution = [0.0] * (n + 1)
-    subtree = [0.0] * (n + 1)
-    trace: List[TraceStep] = []
+    # children's subtree totals summed left to right, exactly as sum() would
+    below = [0] * (n + 1)
+    steps: Optional[List[TraceStep]] = [] if trace else None
 
     for node in _post_order(tree):
-        token = tree.tokens[node - 1]
-        lemma = lemmas[node - 1]
-        base = lex.lookup(lemma, token.upos) if lemma else None
-        value = 0.0 if base is None else float(base)
-        if value != 0.0:
-            trace.append(TraceStep(node, LEXICON, 0.0, value, lemma))
-        for dep in children[node]:
+        token = tokens[node - 1]
+        lemma = lowered[node - 1]
+        value = 0.0
+        if lemma:
+            base = valence_of.get((lemma, token.upos))
+            if base is None:
+                base = valence_of.get((lemma, None))
+            if base is not None:
+                value = float(base)
+        if steps is not None and value != 0.0:
+            steps.append(TraceStep(node, LEXICON, 0.0, value, lemmas[node - 1]))
+        deps = shifter_deps.get(node, ())
+        for dep in deps:
             kind = shifter[dep]
-            if kind is not None and kind.kind == _INT_KIND and value != 0.0:
+            if kind.kind == _INT_KIND and value != 0.0:
                 scaled = value * (1.0 + kind.strength)
-                trace.append(TraceStep(node, INTENSIFY, value, scaled, lemmas[dep - 1]))
+                if steps is not None:
+                    steps.append(TraceStep(node, INTENSIFY, value, scaled, lemmas[dep - 1]))
                 value = scaled
         contribution[node] = value
-        total = value + sum(subtree[dep] for dep in children[node])
-        for dep in children[node]:
-            kind = shifter[dep]
-            if kind is None or kind.kind != _NEG_KIND:
+        total = value + below[node]
+        for dep in deps:
+            if shifter[dep].kind != _NEG_KIND:
                 continue
             if total == 0.0:
-                trace.append(TraceStep(node, NEGATE, 0.0, 0.0, "vacuous"))
+                if steps is not None:
+                    steps.append(TraceStep(node, NEGATE, 0.0, 0.0, "vacuous"))
                 continue
             shifted = total - math.copysign(cfg.negation_shift, total)
             clamped = max(-cfg.negation_cap, min(cfg.negation_cap, shifted))
-            trace.append(TraceStep(node, NEGATE, total, clamped, lemmas[dep - 1]))
+            if steps is not None:
+                steps.append(TraceStep(node, NEGATE, total, clamped, lemmas[dep - 1]))
             contribution[node] += clamped - total
             total = clamped
-        subtree[node] = total
+        below[token.head] += total
 
-    sentence = subtree[tree.root_id]
+    sentence = total  # the root is the last node of the post-order
     pivot = next(
         (
             node
-            for node in range(1, n + 1)
-            if shifter[node] is not None and shifter[node].kind == _ADV_KIND
+            for node, kind in enumerate(shifter)
+            if kind is not None and kind.kind == _ADV_KIND
         ),
         None,
     )
     if pivot is not None:
-        before = sum(contribution[i] for i in range(1, pivot))
-        after = sum(contribution[i] for i in range(pivot + 1, n + 1))
+        before = sum(contribution[1:pivot])
+        after = sum(contribution[pivot + 1:])
         w_before, w_after = cfg.adversative_weights
         weighted = w_before * before + w_after * after
-        trace.append(
+        if steps is not None:
+            steps.append(
+                TraceStep(
+                    pivot,
+                    ADVERSATIVE,
+                    sentence,
+                    weighted,
+                    f"{w_before:g}*before + {w_after:g}*after",
+                )
+            )
+        sentence = weighted
+    if steps is not None:
+        steps.append(
             TraceStep(
-                pivot,
-                ADVERSATIVE,
-                sentence,
-                weighted,
-                f"{w_before:g}*before + {w_after:g}*after",
+                0, AGGREGATE, sentence, sentence,
+                classify_valence(sentence, cfg.neutral_threshold),
             )
         )
-        sentence = weighted
-    trace.append(
-        TraceStep(0, AGGREGATE, sentence, sentence, classify_valence(sentence, cfg.neutral_threshold))
-    )
-    return _Composition(sentence, trace, contribution, lemmas)
+    return _Composition(sentence, steps, contribution, lowered)
 
 
 def score_tree(
@@ -302,11 +327,14 @@ def classify_sentence(tree: DepTree, lex: PolarityLexicon, cfg: RuleConfig) -> S
     )
 
 
-def _base_deprel(deprel: str) -> str:
-    return deprel.split(":", 1)[0]
+def _base_deprels(tree: DepTree) -> List[str]:
+    """Each token's deprel without its subtype, by token id; [0] is unused."""
+    return [""] + [tok.deprel.partition(":")[0] for tok in tree.tokens]
 
 
-def _target_candidates(tree: DepTree) -> List[Tuple[int, Tuple[int, ...]]]:
+def _target_candidates(
+    tree: DepTree, deprels: List[str]
+) -> List[Tuple[int, Tuple[int, ...]]]:
     children = tree.children
     tokens = tree.tokens
     candidates = []
@@ -318,15 +346,10 @@ def _target_candidates(tree: DepTree) -> List[Tuple[int, Tuple[int, ...]]]:
         # amod chain belongs to the bigger span, not to a span of its own
         if token.head != 0:
             head_token = tokens[token.head - 1]
-            if (
-                _base_deprel(token.deprel) in _NOMINAL_MODIFIERS
-                and head_token.upos in _NOUN_TAGS
-            ):
+            if deprels[node] in _NOMINAL_MODIFIERS and head_token.upos in _NOUN_TAGS:
                 continue
         modifier_deps = {
-            dep
-            for dep in children[node]
-            if _base_deprel(tokens[dep - 1].deprel) in _NOMINAL_MODIFIERS
+            dep for dep in children[node] if deprels[dep] in _NOMINAL_MODIFIERS
         }
         lo = node
         while lo - 1 in modifier_deps:
@@ -342,43 +365,50 @@ def _target_candidates(tree: DepTree) -> List[Tuple[int, Tuple[int, ...]]]:
 def extract_targets(tree: DepTree) -> List[Tuple[int, ...]]:
     """Candidate aspect spans, left to right: nominal heads plus their
     adjacent compound/flat/amod dependents."""
-    return [span for _head, span in _target_candidates(tree)]
+    return [span for _head, span in _target_candidates(tree, _base_deprels(tree))]
 
 
-def _opinion(
+def _evidence(
     tree: DepTree,
     lex: PolarityLexicon,
-    cfg: RuleConfig,
     head: int,
-    span: Tuple[int, ...],
     composed: _Composition,
-) -> TargetOpinion:
+    deprels: List[str],
+) -> List[Tuple[int, float]]:
+    """(token id, contribution) of each scored token that speaks about the
+    target headed at ``head``, left to right."""
     tokens = tree.tokens
     children = tree.children
     head_token = tokens[head - 1]
     evidence = set()
     # adjectival / participial modifiers of the target head
     for dep in children[head]:
-        if _base_deprel(tokens[dep - 1].deprel) in ("amod", "acl"):
+        if deprels[dep] in ("amod", "acl"):
             evidence.add(dep)
-    relation = _base_deprel(head_token.deprel)
+    relation = deprels[head]
     governor = head_token.head
     if governor != 0:
         governor_token = tokens[governor - 1]
         if relation == "nsubj":
             # copular or adjectival predicate the target is subject of
-            has_copula = any(
-                _base_deprel(tokens[dep - 1].deprel) == "cop"
-                for dep in children[governor]
-            )
+            has_copula = any(deprels[dep] == "cop" for dep in children[governor])
             if has_copula or governor_token.upos == "ADJ":
                 evidence.add(governor)
         elif relation in ("obj", "iobj", "obl") and governor_token.upos == "VERB":
-            base = lex.lookup(composed.lemmas[governor - 1] or "", governor_token.upos)
+            lemma = composed.lemmas[governor - 1]
+            base = lex._valence_of.get((lemma, governor_token.upos))
+            if base is None:
+                base = lex._valence_of.get((lemma, None))
             if base:
                 evidence.add(governor)
     weighed = [(e, composed.contribution[e]) for e in sorted(evidence)]
-    kept = [(e, v) for e, v in weighed if v != 0.0]
+    return [(e, v) for e, v in weighed if v != 0.0]
+
+
+def _opinion(
+    tree: DepTree, cfg: RuleConfig, span: Tuple[int, ...], kept: List[Tuple[int, float]]
+) -> TargetOpinion:
+    tokens = tree.tokens
     valence = sum(v for _e, v in kept)
     return TargetOpinion(
         span,
@@ -397,26 +427,35 @@ def score_target(
 ) -> TargetOpinion:
     """Opinion for one candidate span previously produced by extract_targets."""
     span = tuple(target)
-    for head, candidate in _target_candidates(tree):
+    deprels = _base_deprels(tree)
+    for head, candidate in _target_candidates(tree, deprels):
         if candidate == span:
-            return _opinion(tree, lex, cfg, head, span, _compose(tree, lex, cfg))
+            composed = _compose(tree, lex, cfg, trace=False)
+            return _opinion(tree, cfg, span, _evidence(tree, lex, head, composed, deprels))
     raise RuleError(f"target span {span} is not a candidate of this tree")
 
 
-def analyze(tree: DepTree, lex: PolarityLexicon, cfg: RuleConfig) -> SentimentResult:
-    """Full pipeline: sentence score plus one opinion per surviving target."""
-    composed = _compose(tree, lex, cfg)
+def analyze(
+    tree: DepTree, lex: PolarityLexicon, cfg: RuleConfig, trace: bool = True
+) -> SentimentResult:
+    """Full pipeline: sentence score plus one opinion per surviving target.
+
+    With ``trace=False`` no trace steps are built and ``trace`` is empty;
+    every other field is the same.
+    """
+    composed = _compose(tree, lex, cfg, trace)
+    deprels = _base_deprels(tree)
     opinions = []
-    for head, span in _target_candidates(tree):
-        opinion = _opinion(tree, lex, cfg, head, span, composed)
-        if opinion.opinion_class == NEUTRAL and not opinion.evidence_token_ids:
-            continue
-        opinions.append(opinion)
+    for head, span in _target_candidates(tree, deprels):
+        kept = _evidence(tree, lex, head, composed, deprels)
+        # a target with no evidence is neutral, and is left out
+        if kept:
+            opinions.append(_opinion(tree, cfg, span, kept))
     return SentimentResult(
         composed.valence,
         classify_valence(composed.valence, cfg.neutral_threshold),
         tuple(opinions),
-        tuple(composed.trace),
+        composed.trace or (),
     )
 
 

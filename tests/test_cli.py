@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from treesent import DepTree, demo_gold_path, demo_treebank_path, demo_ud_path, read_conllu, write_conllu
+from treesent import conllu
 from treesent.cli import CHUNK_SENTENCES, main
 
 TOL = 1e-9
@@ -455,6 +456,144 @@ def test_bench_cli_accepts_file_corpus(tmp_path):
     with pytest.warns(RuntimeWarning):
         assert run("bench", "-i", corpus, "-o", out) == 0
     assert json.loads(out.read_text())["sentences"] == 30
+
+
+# A lexicon whose intensifier overflows a float: "very very good" scores inf.
+OVERFLOW_LEXICON = "good\t\t3.0\nvery\t\tINT:1e308\n"
+OVERFLOW_BLOCK = (
+    b"# sent_id = overflow\n"
+    b"1\tvery\tvery\tADV\t_\t_\t3\tadvmod\t_\t_\n"
+    b"2\tvery\tvery\tADV\t_\t_\t3\tadvmod\t_\t_\n"
+    b"3\tgood\tgood\tADJ\t_\t_\t0\troot\t_\t_"
+)
+
+
+def _strict_json(line):
+    return json.loads(line, parse_constant=lambda name: pytest.fail(f"bare {name}"))
+
+
+@pytest.mark.parametrize("explain", [(), ("--explain",)], ids=["plain", "explain"])
+def test_non_finite_score_is_a_data_error_on_any_worker_count(tmp_path, capsys, explain):
+    bad = CHUNK_SENTENCES + 3
+    corpus = _pool_corpus(tmp_path)
+    blocks = corpus.read_bytes().split(b"\n\n")
+    blocks[bad - 1] = OVERFLOW_BLOCK
+    corpus.write_bytes(b"\n\n".join(blocks))
+    lexicon = tmp_path / "overflow.tsv"
+    lexicon.write_text(OVERFLOW_LEXICON)
+    argv = ("analyze", *explain, "-i", corpus, "--lexicon", lexicon)
+
+    single, *pooled = _per_worker_count(capsys, *argv)
+    assert single[0] == 1
+    line = 8 * (bad - 1) + 1
+    assert single[2] == f"error: sentence {bad} (line {line}): score is not a finite number\n"
+    assert len(single[1].splitlines()) == bad - 1
+    assert all(result == single for result in pooled)
+
+    single, *pooled = _per_worker_count(capsys, *argv, "--on-error", "skip")
+    assert single[0] == 0
+    assert single[2] == "skipped 1 unreadable sentences\n"
+    records = [_strict_json(line) for line in single[1].splitlines()]
+    assert len(records) == POOL_SENTENCES - 1
+    assert "overflow" not in {record["sent_id"] for record in records}
+    assert all(result == single for result in pooled)
+
+
+def test_finite_scores_under_a_large_intensifier_still_print(tmp_path, capsys):
+    lexicon = tmp_path / "big.tsv"
+    lexicon.write_text("good\t\t3.0\nvery\t\tINT:1e300\n")
+    corpus = tmp_path / "one.conllu"
+    corpus.write_bytes(OVERFLOW_BLOCK.replace(b"1\tvery\tvery", b"1\tquite\tquite") + b"\n\n")
+    assert run("analyze", "-i", corpus, "--lexicon", lexicon) == 0
+    record = _strict_json(capsys.readouterr().out)
+    assert record["valence"] == 3.0 * (1.0 + 1e300)
+
+
+def _bad_utf8(path, text, line):
+    """Write ``text`` to ``path`` with a 0xff byte at the start of line ``line``."""
+    rows = text.encode("utf-8").splitlines(keepends=True)
+    rows[line - 1] = b"\xff" + rows[line - 1]
+    path.write_bytes(b"".join(rows))
+    return path
+
+
+@pytest.mark.parametrize("flag", ["--lexicon", "--domain-lexicon"])
+def test_invalid_utf8_lexicon_is_a_config_error(tmp_path, capsys, flag):
+    lexicon = _bad_utf8(tmp_path / "lex.tsv", "# rows\ngood\t\t3.0\nbad\t\t-3.0\n", 3)
+    assert run("analyze", "-i", demo_treebank_path(), flag, lexicon) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: lexicon: line 3: not valid UTF-8\n"
+
+
+def test_invalid_utf8_rules_file_is_a_config_error(tmp_path, capsys):
+    rules = _bad_utf8(tmp_path / "rules.cfg", "negation_shift = 4\nnegation_cap = 5\n", 2)
+    assert run("analyze", "-i", demo_treebank_path(), "--rules", rules) == 2
+    assert capsys.readouterr().err == "config error: rule config: line 2: not valid UTF-8\n"
+
+
+def test_invalid_utf8_config_file_is_a_config_error(tmp_path, capsys):
+    config = _bad_utf8(tmp_path / "run.cfg", "language = en\nseed = 3\n", 2)
+    assert run("analyze", "--config", config, "-i", demo_treebank_path()) == 2
+    assert capsys.readouterr().err == f"config error: {config}:2: not valid UTF-8\n"
+
+
+def test_invalid_utf8_gold_file_is_a_data_error(tmp_path, capsys):
+    gold = _bad_utf8(tmp_path / "gold.jsonl", demo_gold_path().read_text(encoding="utf-8"), 2)
+    assert run("eval", "--pred", demo_gold_path(), "--gold", gold) == 1
+    assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+
+
+def _analyze_predictions(tmp_path):
+    pred = tmp_path / "pred.jsonl"
+    assert run("analyze", "-i", demo_treebank_path(), "-o", pred) == 0
+    return pred
+
+
+def test_invalid_utf8_predictions_are_a_data_error(tmp_path, capsys):
+    pred = _analyze_predictions(tmp_path)
+    _bad_utf8(pred, pred.read_text(encoding="utf-8"), 3)
+    assert run("eval", "--pred", pred, "--gold", demo_gold_path()) == 1
+    assert capsys.readouterr().err == f"error: {pred}:3: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize(
+    "target", [["x", 2], [1], [1, 2, 3], [True, 2], [1.5, 2], "1-2", {"start": 1}]
+)
+def test_eval_rejects_a_target_that_is_not_an_integer_pair(tmp_path, capsys, target):
+    pred = _analyze_predictions(tmp_path)
+    records = read_jsonl(pred)
+    records[2]["opinions"][0]["target"] = target
+    _write_jsonl(pred, records)
+    assert run("eval", "--pred", pred, "--gold", demo_gold_path()) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {pred}:3: target must be a pair of integers, got {target!r}\n"
+    )
+
+
+@pytest.mark.parametrize("line", ['[1, 2]', '"s1"', '{"sent_id": "s9", "opinions": 3}'])
+def test_eval_rejects_prediction_records_of_the_wrong_shape(tmp_path, capsys, line):
+    pred = _analyze_predictions(tmp_path)
+    pred.write_text(pred.read_text() + line + "\n")
+    assert run("eval", "--pred", pred, "--gold", demo_gold_path()) == 1
+    assert capsys.readouterr().err.startswith(f"error: {pred}:4: ")
+
+
+def test_eval_reads_the_predictions_file_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    gold_format = tmp_path / "gold_copy.jsonl"
+    gold_format.write_bytes(demo_gold_path().read_bytes())
+    monkeypatch.setattr(conllu, "open", counting_open, raising=False)
+    for pred in (_analyze_predictions(tmp_path), gold_format):
+        opened.clear()
+        assert run("eval", "--pred", pred, "--gold", demo_gold_path(), "-o", tmp_path / "r") == 0
+        assert opened.count(str(pred)) == 1
 
 
 # ------------------------------------------------------------ configuration

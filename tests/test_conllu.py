@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from treesent import ConlluError, DepTree, ReadStats, dumps_conllu, read_conllu, write_conllu
-from treesent.conllu import parse_blocks, split_blocks
+from treesent.conllu import _parse_block, parse_blocks, split_blocks
 from treesent.tree import random_tree
 
 SIMPLE = """\
@@ -144,6 +144,42 @@ def test_split_blocks_numbers_sentences_and_lines():
     assert [lineno for lineno, _ in blocks[1][1]] == [9, 10, 11, 12]
     trees = list(parse_blocks(blocks, on_error="abort"))
     assert [t.tokens for t in trees] == [t.tokens for t in read_all(text)]
+
+
+@pytest.mark.parametrize(
+    "raw_id,heads,counts,error",
+    [
+        ("3", (2, 0, 2), (0, 0), None),
+        ("1-2", (2, 0), (1, 0), None),
+        ("1.1", (2, 0), (0, 1), None),
+        ("\u0663", (2, 0, 2), (0, 0), None),  # ARABIC-INDIC DIGIT THREE
+        (" 3", (2, 0, 2), (0, 0), None),
+        ("x", None, (0, 0), "sentence 4 (line 13): non-numeric id 'x'"),
+        ("-1", None, (0, 0), "sentence 4 (line 11): token ids not contiguous: expected 3, got -1"),
+    ],
+)
+def test_parse_block_token_ids(raw_id, heads, counts, error):
+    rows = ["1\tit\tit\tPRON\t_\t_\t2\tnsubj\t_\t_", "2\tworks\twork\tVERB\t_\t_\t0\troot\t_\t_"]
+    rows.append(f"{raw_id}\twell\twell\tADV\t_\t_\t2\tadvmod\t_\t_")
+    lines = list(enumerate(rows, start=11))
+    stats = ReadStats()
+    if error is None:
+        tree = _parse_block(lines, 4, stats)
+        assert tree.heads == heads
+        assert tree.sentence_id == "s4"
+    else:
+        with pytest.raises(ConlluError) as err:
+            _parse_block(lines, 4, stats)
+        assert str(err.value) == error
+    assert (stats.dropped_ranges, stats.dropped_empty_nodes) == counts
+    assert (stats.sentences, stats.skipped) == (0, 0)
+
+
+def test_whitespace_only_lines_end_a_block():
+    text = SIMPLE.rstrip("\n") + "\n \t\r\n" + SIMPLE.replace("s1", "s2") + "\u3000\n"
+    blocks = list(split_blocks(io.StringIO(text)))
+    assert [ordinal for ordinal, _ in blocks] == [1, 2]
+    assert [lineno for lineno, _ in blocks[1][1]] == [6, 7, 8, 9]
 
 
 def test_invalid_utf8_fails_only_its_sentence():

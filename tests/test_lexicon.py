@@ -5,6 +5,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesent.assets import demo_lexicon
 from treesent.lexicon import (
@@ -65,6 +67,15 @@ def test_bad_rows_rejected_with_line(row, message):
     with pytest.raises(LexiconError, match=message) as err:
         lex_from(row + "\n")
     assert err.value.line == 1
+
+
+def test_invalid_utf8_is_a_lexicon_error_with_its_line():
+    with pytest.raises(LexiconError, match="not valid UTF-8") as err:
+        load_lexicon(io.BytesIO(b"good\t\t3.0\n\xffbad\t\t-3.0\n"), "en")
+    assert err.value.line == 2
+    with pytest.raises(LexiconError, match="not valid UTF-8") as err:
+        load_collocations(io.BytesIO(b"# pairs\nat all\tat_all\nno\xff w\tx\n"))
+    assert err.value.line == 3
 
 
 def test_lexicon_error_survives_pickle():
@@ -152,6 +163,79 @@ def test_overlay_with_empty_layer_changes_nothing():
     for term, upos in probes:
         assert merged.lookup(term, upos) == base.lookup(term, upos)
     assert merged.shifters == base.shifters
+
+
+# The layered semantics, walked layer by layer as the lexicon is documented.
+def reference_lookup(layers, lemma, upos):
+    lemma = lemma.lower()
+    for layer in reversed(layers):
+        hit = layer.get((lemma, upos))
+        if hit is None and upos is not None:
+            hit = layer.get((lemma, None))
+        if hit is not None:
+            return hit
+    return None
+
+
+def reference_shifter(inventories, lemma):
+    lemma = lemma.lower()
+    for inventory in reversed(inventories):
+        if lemma in inventory.negators:
+            return Shifter(NEGATOR)
+        if lemma in inventory.intensifiers:
+            return Shifter(INTENSIFIER, inventory.intensifiers[lemma])
+        if lemma in inventory.adversatives:
+            return Shifter(ADVERSATIVE)
+    return None
+
+
+TERMS = ("good", "bad", "nice", "Good", "BAD", "not", "very")
+UPOS = (None, "ADJ", "NOUN", "VERB")
+QUERIES = TERMS + ("GOOD", "Nice", "NOT", "Very", "vERY", "miss", "")
+
+layer_dicts = st.dictionaries(
+    st.tuples(st.sampled_from(TERMS), st.sampled_from(UPOS)),
+    st.sampled_from((-5.0, -2.5, -1.0, 0.0, 0.5, 2.0, 4.5)),
+    max_size=10,
+)
+inventories = st.dictionaries(
+    st.sampled_from(("not", "very", "Very", "but", "hardly", "good")),
+    st.one_of(st.sampled_from(("NEG", "ADV")), st.sampled_from((-0.5, 0.25, 0.5, 2.0))),
+    max_size=4,
+).map(
+    lambda kinds: ShifterInventory(
+        {lemma for lemma, kind in kinds.items() if kind == "NEG"},
+        {lemma: kind for lemma, kind in kinds.items() if not isinstance(kind, str)},
+        {lemma for lemma, kind in kinds.items() if kind == "ADV"},
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(layer_dicts, inventories), min_size=2, max_size=5))
+def test_compiled_lookup_matches_the_layered_reference(stack):
+    # the first pair is the base; each further pair is one overlay
+    lexicons = [PolarityLexicon((layer,), shifters) for layer, shifters in stack]
+    merged = lexicons[0]
+    for domain in lexicons[1:]:
+        merged = merged.overlay(domain)
+    layers = [layer for layer, _ in stack]
+    assert merged.layers == tuple(layers)
+    for lemma in QUERIES:
+        for upos in UPOS:
+            assert merged.lookup(lemma, upos) == reference_lookup(layers, lemma, upos)
+        expected = reference_shifter([shifters for _, shifters in stack], lemma)
+        assert merged.classify_shifter(lemma) == expected
+        assert merged.shifters.classify(lemma) == expected
+
+
+def test_compiled_tables_stay_out_of_equality_and_repr():
+    lex = demo_lexicon("en")
+    again = PolarityLexicon(lex.layers, lex.shifters, lex.language, lex.collocations)
+    assert again == lex
+    assert "_valence_of" not in repr(lex) and "_by_lemma" not in repr(lex)
+    assert pickle.loads(pickle.dumps(lex)).lookup("good", "ADJ") == 3.0
+    assert lex.with_collocations({}).lookup("good", "ADJ") == 3.0
 
 
 def test_overlay_merges_shifters_domain_wins():

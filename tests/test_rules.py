@@ -4,9 +4,12 @@ import io
 import math
 import pickle
 
+from dataclasses import replace
+
 import pytest
 
-from treesent.assets import demo_lexicon, demo_treebank_path
+from treesent.assets import demo_lexicon, demo_treebank_path, demo_ud_path
+from treesent.bench import synthetic_sentence, word_pool
 from treesent.conllu import read_conllu
 from treesent.lexicon import PolarityLexicon, load_lexicon
 from treesent.rules import (
@@ -290,6 +293,19 @@ def test_trace_replay_is_exact(demo, lex, cfg):
     )
     valence, trace = score_tree(custom, lex, cfg)
     assert replay_trace(trace) == valence
+
+
+def test_untraced_analyze_differs_only_in_its_trace(demo, lex, cfg):
+    pool = word_pool(lex)
+    trees = [*demo.values(), *read_conllu(demo_ud_path())]
+    trees += [synthetic_sentence(12, pool, seed, f"syn-{seed}") for seed in range(300)]
+    for tree in trees:
+        full = analyze(tree, lex, cfg)
+        lean = analyze(tree, lex, cfg, trace=False)
+        assert lean.trace == ()
+        assert lean == replace(full, trace=())
+        assert full.trace == tuple(score_tree(tree, lex, cfg)[1])
+    assert sum(bool(analyze(t, lex, cfg).opinions) for t in trees) > 50
 
 
 def test_aggregate_step_carries_the_class(demo, lex, cfg):
