@@ -126,7 +126,7 @@ class PipelineConfig:
         if self.rules is None:
             return RuleConfig()
         path = Path(self.rules)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"rule config file not found: {path}")
         try:
             return RuleConfig.from_file(path)
@@ -136,12 +136,12 @@ class PipelineConfig:
 
 def _find_lexicon(path_text: str) -> Path:
     path = Path(path_text)
-    if path.exists():
+    if path.is_file():
         return path
     search_dir = os.environ.get(LEXICON_DIR_ENV)
     if search_dir:
         fallback = Path(search_dir) / path_text
-        if fallback.exists():
+        if fallback.is_file():
             return fallback
         raise ConfigError(
             f"lexicon file not found: {path} (also tried {fallback})"
@@ -165,7 +165,7 @@ _CONFIG_KEYS = (
 
 def _read_config_file(path_text: str) -> Dict[str, str]:
     path = Path(path_text)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: Dict[str, str] = {}
     for lineno, raw in numbered_lines(path):
@@ -212,7 +212,11 @@ def _open_output(cfg: PipelineConfig) -> Iterator[IO[str]]:
     if cfg.output is None:
         yield sys.stdout
     else:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(cfg.output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {cfg.output}: {exc.strerror}") from None
+        with handle:
             yield handle
 
 
@@ -221,7 +225,7 @@ def _input_source(cfg: PipelineConfig):
         # bytes, so that a line that is not UTF-8 fails as data, with its line number
         return getattr(sys.stdin, "buffer", sys.stdin)
     path = Path(cfg.input)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"input file not found: {path}")
     return path
 
@@ -434,11 +438,8 @@ def cmd_decode(cfg: PipelineConfig) -> int:
             _input_source(cfg), cfg.scheme, on_error=cfg.on_error, stats=stats
         ):
             tree = result.tree
-            keeper = DepTree(
-                tree.tokens,
-                sentence_id=tree.sentence_id,
-                metadata={"sent_id": tree.sentence_id},
-            )
+            # the same tokens as the tree decode() built, with the id as a comment
+            keeper = DepTree._trusted(tree.tokens, tree.sentence_id, {"sent_id": tree.sentence_id})
             out.write(format_sentence(keeper) + "\n\n")
     repairs = stats.repairs
     print(
@@ -532,7 +533,7 @@ def _load_predictions(path: Path) -> Dict[str, dict]:
 def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     pred_path, gold_path = Path(args.pred), Path(args.gold)
     for path in (pred_path, gold_path):
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"file not found: {path}")
     gold_records = list(load_gold(gold_path))
     preds = _load_predictions(pred_path)
@@ -572,7 +573,7 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     parse_metrics = None
     if getattr(args, "pred_parse", None):
         parse_path = Path(args.pred_parse)
-        if not parse_path.exists():
+        if not parse_path.is_file():
             raise ConfigError(f"file not found: {parse_path}")
         by_id = {
             tree.sentence_id: tree

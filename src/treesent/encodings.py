@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .conllu import decode_line, iter_raw_lines
-from .tree import DepTree, Token, crossing_arcs
+from .tree import DepTree, Token, TreeError, crossing_arcs
 
 ROOT_UPOS = "ROOT"
 
@@ -100,6 +101,24 @@ class LabelSeq:
                 raise ValueError("mixed schemes in one label sequence")
             if not _payload_ok(self.scheme, lab.payload):
                 raise ValueError(f"malformed payload {lab.payload!r} for {self.scheme}")
+
+    @classmethod
+    def _trusted(
+        cls,
+        labels: tuple[SyntaxLabel, ...],
+        scheme: Scheme,
+        sentence_polarity: str | None = None,
+    ) -> "LabelSeq":
+        """A sequence over ``labels`` without re-checking them.
+
+        Only for callers that built every label themselves: at least one,
+        all in ``scheme``, each payload of the shape ``_payload_ok`` wants.
+        """
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "labels", labels)
+        object.__setattr__(seq, "scheme", scheme)
+        object.__setattr__(seq, "sentence_polarity", sentence_polarity)
+        return seq
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -174,7 +193,7 @@ def encode(tree: DepTree, scheme: Scheme) -> LabelSeq:
             labels.append(SyntaxLabel(scheme, sym, deprel))
     else:  # pragma: no cover
         raise ValueError(f"unhandled scheme {scheme}")
-    return LabelSeq(tuple(labels), scheme)
+    return LabelSeq._trusted(tuple(labels), scheme)
 
 
 def repair(proposals: Sequence[int | None], n: int) -> tuple[list[int], RepairStats]:
@@ -238,6 +257,11 @@ def _propose_heads(seq: LabelSeq, upos: Sequence[str]) -> list[int | None]:
         return [0 if lab.payload == 0 else i + lab.payload
                 for i, lab in enumerate(seq.labels, start=1)]
     if scheme is Scheme.REL_POS:
+        # positions of each UPOS in order; the k-th match outward from i is
+        # a fixed offset from where i would be inserted
+        where: dict[str, list[int]] = {}
+        for j, tag in enumerate(upos, start=1):
+            where.setdefault(tag, []).append(j)
         proposals: list[int | None] = []
         for i, lab in enumerate(seq.labels, start=1):
             tag, k = lab.payload
@@ -245,22 +269,11 @@ def _propose_heads(seq: LabelSeq, upos: Sequence[str]) -> list[int | None]:
                 proposals.append(0)
                 continue
             found: int | None = None
-            if k > 0:
-                count = 0
-                for j in range(i + 1, n + 1):
-                    if upos[j - 1] == tag:
-                        count += 1
-                        if count == k:
-                            found = j
-                            break
-            elif k < 0:
-                count = 0
-                for j in range(i - 1, 0, -1):
-                    if upos[j - 1] == tag:
-                        count += 1
-                        if count == -k:
-                            found = j
-                            break
+            spots = where.get(tag)
+            if spots and k:
+                at = bisect_right(spots, i) + k - 1 if k > 0 else bisect_left(spots, i) + k
+                if 0 <= at < len(spots):
+                    found = spots[at]
             proposals.append(found)
         return proposals
     # BRACKETS: scan both planes left to right, stacks give nearest-open
@@ -305,6 +318,9 @@ def decode(
     if len(words) != n:
         raise ValueError(f"expected {n} words, got {len(words)}")
     upos = [w[1] for w in words]
+    if not all(upos):
+        first = next(i for i, tag in enumerate(upos, start=1) if not tag)
+        raise TreeError(f"token {first}: empty upos")
     proposals = _propose_heads(seq, upos)
     heads, stats = repair(proposals, n)
     tokens = tuple(
@@ -312,7 +328,9 @@ def decode(
               seq.labels[i - 1].deprel)
         for i in range(1, n + 1)
     )
-    return DecodeResult(DepTree(tokens, sentence_id=sentence_id), stats)
+    # ids come from range() and repair() returns in-range, single-rooted,
+    # acyclic heads, so the tree is valid without checking it again
+    return DecodeResult(DepTree._trusted(tokens, sentence_id), stats)
 
 
 def emit_multitask_labels(tree: DepTree, scheme: Scheme, polarity_class: str) -> LabelSeq:
@@ -358,11 +376,10 @@ def format_label(label: SyntaxLabel) -> str:
     return f"{label.payload}:{label.deprel}"
 
 
-_REL_OFFSET_LABEL = re.compile(r"^([+-]?\d+):(.*)$")
-_REL_POS_LABEL = re.compile(r"^([^,:]+),([+-]?\d+):(.*)$")
 # Non-greedy form: the earliest form/upos split that lets the whole field
 # parse wins, which keeps bracket symbols out of the upos slot while still
-# allowing slashes inside forms.
+# allowing slashes inside forms. The symbol order is checked afterwards
+# (``_BRACKET_PAYLOAD``), since checking it here would change which split wins.
 _BRACKET_FIELD = re.compile(r"^(?P<form>.+?)/(?P<upos>[^/]+)/(?P<sym>[\\<>/]*):(?P<rel>[^/]*)$")
 
 
@@ -376,15 +393,27 @@ def _parse_field(field: str, scheme: Scheme) -> tuple[str, str, SyntaxLabel]:
     if len(parts) != 3 or not parts[0] or not parts[1]:
         raise ValueError(f"bad token field {field!r}")
     form, upos, raw = parts
+    # REL_OFFSET labels are "<k>:<deprel>", REL_POS labels "<tag>,<k>:<deprel>"
+    # with a tag free of ',' and ':'; k is an optional sign and decimal digits
     if scheme is Scheme.REL_OFFSET:
-        m = _REL_OFFSET_LABEL.match(raw)
-        if m is None:
+        tag = None
+        number, colon, deprel = raw.partition(":")
+    else:
+        tag, comma, rest = raw.partition(",")
+        if not comma or not tag or ":" in tag:
             raise ValueError(f"bad label {raw!r}")
-        return form, upos, SyntaxLabel(scheme, int(m.group(1)), m.group(2))
-    m = _REL_POS_LABEL.match(raw)
-    if m is None:
+        number, colon, deprel = rest.partition(":")
+    if not colon or not (
+        number.isdecimal() or (number[1:].isdecimal() and number[0] in "+-")
+    ):
         raise ValueError(f"bad label {raw!r}")
-    return form, upos, SyntaxLabel(scheme, (m.group(1), int(m.group(2))), m.group(3))
+    if "\n" in deprel:
+        # a deprel may end in one newline, which is dropped, and hold no other
+        if "\n" in deprel[:-1]:
+            raise ValueError(f"bad label {raw!r}")
+        deprel = deprel[:-1]
+    k = int(number)
+    return form, upos, SyntaxLabel(scheme, k if tag is None else (tag, k), deprel)
 
 
 def format_tagger_line(tree: DepTree, seq: LabelSeq) -> str:
@@ -470,10 +499,13 @@ def _parse_bridge_line(
             raise BridgeError(str(exc), lineno) from None
         words.append((form, upos))
         labels.append(label)
-    try:
-        seq = LabelSeq(tuple(labels), scheme, sentence_polarity=polarity)
-    except ValueError as exc:
-        raise BridgeError(str(exc), lineno) from None
+    # _parse_field gives every label this scheme and a payload of its type;
+    # only the bracket symbol order is left to check
+    if scheme is Scheme.BRACKETS:
+        for label in labels:
+            if _BRACKET_PAYLOAD.match(label.payload) is None:
+                raise BridgeError(f"malformed payload {label.payload!r} for {scheme}", lineno)
+    seq = LabelSeq._trusted(tuple(labels), scheme, polarity)
     result = decode(seq, words, sentence_id=sent_id)
     stats.records += 1
     stats.repairs = stats.repairs + result.repairs

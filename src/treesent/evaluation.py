@@ -140,8 +140,13 @@ def char_span_to_token_span(
 
 
 def _record_error(sentence_id: str, lineno: int, message: str) -> EvalError:
-    label = sentence_id or f"line {lineno}"
-    return EvalError(f"record {label}: {message}")
+    where = f"line {lineno}: record {sentence_id}" if sentence_id else f"line {lineno}"
+    return EvalError(f"{where}: {message}")
+
+
+def _objects(value) -> bool:
+    """True for a JSON array of JSON objects."""
+    return isinstance(value, list) and all(isinstance(item, dict) for item in value)
 
 
 def _parse_record(raw: dict, lineno: int) -> GoldRecord:
@@ -151,6 +156,8 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
     token_rows = raw.get("tokens")
     if not token_rows:
         raise _record_error(sentence_id, lineno, "missing tokens")
+    if not _objects(token_rows):
+        raise _record_error(sentence_id, lineno, "tokens must be a list of JSON objects")
     text = str(raw.get("text", ""))
     forms, upos, offsets = [], [], []
     previous_start = -1
@@ -177,6 +184,8 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
 
     gold_opinions = None
     if "opinions" in raw:
+        if not _objects(raw["opinions"]):
+            raise _record_error(sentence_id, lineno, "opinions must be a list of JSON objects")
         opinions = []
         for position, item in enumerate(raw["opinions"]):
             if "expression" not in item:
@@ -207,6 +216,10 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
                 raise _record_error(
                     sentence_id, lineno, f"opinion {position}: {exc}"
                 ) from None
+            except (TypeError, ValueError, IndexError):
+                raise _record_error(
+                    sentence_id, lineno, f"opinion {position}: spans must be pairs of integers"
+                ) from None
         gold_opinions = OpinionSet(
             tuple(forms), tuple(upos), tuple(opinions), sentence_id=sentence_id
         )
@@ -217,9 +230,16 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
     parse = None
     if "parse" in raw and raw["parse"] is not None:
         block = raw["parse"]
+        if not isinstance(block, dict):
+            raise _record_error(sentence_id, lineno, "parse must be a JSON object")
         heads = block.get("heads")
         deprels = block.get("deprels")
-        if not heads or not deprels or len(heads) != len(forms) or len(deprels) != len(forms):
+        if (
+            not isinstance(heads, list)
+            or not isinstance(deprels, list)
+            or len(heads) != len(forms)
+            or len(deprels) != len(forms)
+        ):
             raise _record_error(sentence_id, lineno, "parse arrays do not match tokens")
         try:
             parse = DepTree.build(
@@ -231,6 +251,8 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
             )
         except TreeError as exc:
             raise _record_error(sentence_id, lineno, f"bad parse: {exc}") from None
+        except (TypeError, ValueError):
+            raise _record_error(sentence_id, lineno, "parse heads must be integers") from None
 
     return GoldRecord(
         sentence_id,

@@ -14,6 +14,7 @@ layer on top of a base lexicon without touching either input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .conllu import Source, numbered_lines
@@ -76,6 +77,10 @@ class ShifterInventory:
             clash = one & other
             if clash:
                 raise LexiconError(f"shifter classes overlap on {sorted(clash)}")
+        # classify() lowercases its query, so no other lemma could be found
+        for lemma in chain(self.negators, self.intensifiers, self.adversatives):
+            if lemma != lemma.lower():
+                raise LexiconError(f"shifter lemma {lemma!r} is not lowercase")
         for lemma, strength in self.intensifiers.items():
             # not (s > -1) also rejects NaN
             if not strength > -1:
@@ -132,6 +137,9 @@ class PolarityLexicon:
             for (term, _upos), valence in layer.items():
                 if not term:
                     raise LexiconError("empty term")
+                if term != term.lower():
+                    # lookup() lowercases its query, so the entry could never be found
+                    raise LexiconError(f"term {term!r} is not lowercase")
                 if not abs(valence) <= VALENCE_LIMIT:
                     raise LexiconError(f"valence for {term!r} outside [-5, 5]: {valence}")
         # Top layer first: a key keeps the first valence it gets, and a term

@@ -2,7 +2,9 @@
 
 A sentence is a list of tokens, each pointing at a head token (0 for the
 sentence root). Trees are validated on construction, so every ``DepTree``
-in the system is single-rooted, acyclic and contiguously numbered.
+in the system is single-rooted, acyclic and contiguously numbered. The one
+exception is ``DepTree._trusted``, for code that has just proven those
+invariants itself.
 """
 
 from __future__ import annotations
@@ -87,6 +89,22 @@ class DepTree:
             object.__setattr__(self, "tokens", tuple(self.tokens))
         _validate_tokens(self.tokens)
 
+    @classmethod
+    def _trusted(
+        cls, tokens: tuple[Token, ...], sentence_id: str = "", metadata: dict | None = None
+    ) -> "DepTree":
+        """A tree over ``tokens`` without validating them.
+
+        Only for callers that built ``tokens`` themselves and so already
+        know what ``_validate_tokens`` would check: ids ``1..n``, non-empty
+        UPOS tags, in-range heads, and one acyclic tree with a single root.
+        """
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "tokens", tokens)
+        object.__setattr__(tree, "sentence_id", sentence_id)
+        object.__setattr__(tree, "metadata", {} if metadata is None else metadata)
+        return tree
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -150,12 +168,45 @@ class DepTree:
         return cls(tokens, sentence_id=sentence_id, metadata=metadata or {})
 
 
+def _arcs_nest(tokens: Sequence[Token]) -> bool:
+    """True if no two arcs cross, in one left-to-right pass.
+
+    Arcs are opened at their left end, longest first, and closed at their
+    right end. They nest exactly when every arc closes while it is the
+    innermost one still open, that is, on top of the stack.
+    """
+    n = len(tokens)
+    right_ends: list[list[int]] = [[] for _ in range(n + 1)]
+    closing = [0] * (n + 1)
+    for tok in tokens:
+        if tok.head < tok.id:
+            right_ends[tok.head].append(tok.id)
+            closing[tok.id] += 1
+        else:
+            right_ends[tok.id].append(tok.head)
+            closing[tok.head] += 1
+    open_ends: list[int] = []
+    for pos in range(n + 1):
+        for _ in range(closing[pos]):
+            if open_ends.pop() != pos:
+                return False
+        ends = right_ends[pos]
+        if ends:
+            ends.sort(reverse=True)
+            open_ends.extend(ends)
+    return True
+
+
 def crossing_arcs(tree: DepTree) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """First pair of crossing arcs, or None if the tree is projective.
 
     Each arc is reported as (head, dependent). The root arc counts as an
-    arc from position 0 to the root token.
+    arc from position 0 to the root token. Projective trees cost one
+    linear pass; only a tree with a crossing is searched pair by pair,
+    so that the pair reported is the first one in token order.
     """
+    if _arcs_nest(tree.tokens):
+        return None
     spans = []
     for tok in tree.tokens:
         lo, hi = (tok.head, tok.id) if tok.head < tok.id else (tok.id, tok.head)
@@ -166,7 +217,7 @@ def crossing_arcs(tree: DepTree) -> tuple[tuple[int, int], tuple[int, int]] | No
             lo2, hi2, h2, d2 = spans[b]
             if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
                 return (h1, d1), (h2, d2)
-    return None
+    return None  # unreachable: _arcs_nest found a crossing
 
 
 def is_projective(tree: DepTree) -> bool:

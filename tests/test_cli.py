@@ -544,6 +544,16 @@ def test_invalid_utf8_gold_file_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize("shape", [{"tokens": 5}, {"opinions": 5}, {"opinions": [1]}])
+def test_gold_record_of_the_wrong_shape_is_a_data_error(tmp_path, capsys, shape):
+    record = {"sent_id": "a", "text": "ab", "class": "positive",
+              "tokens": [{"form": "ab", "upos": "X", "start": 0, "end": 2}], **shape}
+    gold = tmp_path / "gold.jsonl"
+    _write_jsonl(gold, [record])
+    assert run("eval", "--pred", gold, "--gold", gold) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: record a: ")
+
+
 def _analyze_predictions(tmp_path):
     pred = tmp_path / "pred.jsonl"
     assert run("analyze", "-i", demo_treebank_path(), "-o", pred) == 0
@@ -647,6 +657,39 @@ def test_lexicon_search_path_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("SALSA_LEXICON_DIR", str(stash))
     assert run("analyze", "-i", demo_treebank_path(), "-o", out, "--lexicon", "custom.tsv") == 0
     assert [r["class"] for r in read_jsonl(out)] == ["positive", "negative", "negative"]
+
+
+@pytest.mark.parametrize(
+    "flag", ["--lexicon", "--domain-lexicon", "--rules", "--config", "-i", "-o"]
+)
+def test_a_directory_where_a_file_belongs_is_a_config_error(tmp_path, capsys, flag, monkeypatch):
+    monkeypatch.delenv("SALSA_LEXICON_DIR", raising=False)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = ["analyze", flag, folder]
+    if flag != "-i":
+        argv += ["-i", demo_treebank_path()]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(folder) in err
+    assert err.count("\n") == 1
+
+
+def test_eval_directory_paths_are_config_errors(tmp_path, capsys):
+    gold = demo_gold_path()
+    assert run("eval", "--pred", tmp_path, "--gold", gold) == 2
+    assert run("eval", "--pred", gold, "--gold", tmp_path) == 2
+    assert run("eval", "--pred", gold, "--gold", gold, "--pred-parse", tmp_path) == 2
+    assert run("eval", "--pred", gold, "--gold", gold, "-o", tmp_path) == 2
+    assert capsys.readouterr().err.count("config error: ") == 4
+
+
+def test_output_in_a_missing_directory_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.jsonl"
+    assert run("analyze", "-i", demo_treebank_path(), "-o", out) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write output file {out}: No such file or directory\n"
+    )
 
 
 def test_unknown_language_is_config_error(tmp_path, capsys):

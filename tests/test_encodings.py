@@ -4,9 +4,10 @@ import io
 import itertools
 import pickle
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treesent import (
@@ -24,7 +25,8 @@ from treesent import (
     parse_tagger_output,
     repair,
 )
-from treesent.encodings import format_label
+from treesent import tree as tree_module
+from treesent.encodings import _parse_field, _propose_heads, format_label
 from treesent.tree import TreeError, is_projective, random_projective_tree, random_tree
 
 PHONE = DepTree.build(
@@ -159,6 +161,21 @@ def test_decode_word_count_mismatch():
         decode(seq, [("a", "X")])
 
 
+def test_decode_rejects_empty_upos():
+    seq = encode(DepTree.build([0]), Scheme.REL_OFFSET)
+    with pytest.raises(TreeError, match="^token 1: empty upos$"):
+        decode(seq, [("w", "")])
+    with pytest.raises(TreeError, match="^token 2: empty upos$"):
+        decode(encode(PHONE, Scheme.REL_POS), [("a", "DET"), ("b", ""), ("c", "")])
+
+
+def test_encode_labels_pass_validation():
+    for scheme in Scheme:
+        for seed in range(50):
+            seq = encode(random_projective_tree(1 + seed % 30, seed), scheme)
+            assert seq == LabelSeq(seq.labels, seq.scheme)
+
+
 # -- fuzzed label sequences always decode to valid trees --------------------
 
 def _random_label(rng, scheme, n):
@@ -183,8 +200,172 @@ def test_fuzzed_labels_decode_to_valid_trees(scheme):
         seq = LabelSeq(tuple(_random_label(rng, scheme, n) for _ in range(n)), scheme)
         words = [(f"w{i}", rng.choice(["NOUN", "VERB", "ADJ", "X"]))
                  for i in range(1, n + 1)]
-        got = decode(seq, words)  # DepTree construction validates
+        got = decode(seq, words)
+        _assert_valid_tree(got.tree)
         assert len(got.tree) == n
+
+
+def _assert_valid_tree(tree):
+    """decode() builds its tree unchecked; it must be one the checks accept."""
+    assert isinstance(tree.tokens, tuple)
+    tree_module._validate_tokens(tree.tokens)
+    checked = DepTree(tree.tokens, sentence_id=tree.sentence_id)
+    assert tree == checked
+    assert (tree.root_id, tree.children) == (checked.root_id, checked.children)
+
+
+_TAGS = ["NOUN", "VERB", "ADJ", "ROOT", "X"]
+
+
+@st.composite
+def _label_sequences(draw, schemes=tuple(Scheme)):
+    scheme = draw(st.sampled_from(schemes))
+    n = draw(st.integers(1, 30))
+    if scheme is Scheme.REL_OFFSET:
+        payloads = st.integers(-n - 3, n + 3)
+    elif scheme is Scheme.REL_POS:
+        payloads = st.tuples(st.sampled_from(_TAGS), st.integers(-4, 4))
+    else:
+        payloads = st.builds(
+            lambda a, b, c, d: "\\" * a + "<" * b + ">" * c + "/" * d,
+            st.integers(0, 3), st.integers(0, 1), st.integers(0, 1), st.integers(0, 3),
+        )
+    labels = draw(st.lists(payloads, min_size=n, max_size=n))
+    seq = LabelSeq(tuple(SyntaxLabel(scheme, p, "dep") for p in labels), scheme)
+    tags = draw(st.lists(st.sampled_from(_TAGS), min_size=n, max_size=n))
+    return seq, [(f"w{i}", tag) for i, tag in enumerate(tags, start=1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_label_sequences())
+def test_any_label_sequence_decodes_to_a_valid_tree(case):
+    seq, words = case
+    got = decode(seq, words, sentence_id="s")
+    _assert_valid_tree(got.tree)
+    assert got.tree.sentence_id == "s"
+    assert [t.upos for t in got.tree.tokens] == [tag for _, tag in words]
+
+
+def _scan_rel_pos(seq, upos):
+    """REL_POS head proposals by counting outward from each token."""
+    proposals = []
+    for i, lab in enumerate(seq.labels, start=1):
+        tag, k = lab.payload
+        if tag == "ROOT" and k == 0:
+            proposals.append(0)
+            continue
+        side = range(i + 1, len(upos) + 1) if k > 0 else range(i - 1, 0, -1)
+        hits = [j for j in side if upos[j - 1] == tag] if k else []
+        proposals.append(hits[abs(k) - 1] if abs(k) <= len(hits) and k else None)
+    return proposals
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_sequences(schemes=(Scheme.REL_POS,)))
+def test_rel_pos_proposals_match_outward_scan(case):
+    seq, words = case
+    upos = [tag for _, tag in words]
+    assert _propose_heads(seq, upos) == _scan_rel_pos(seq, upos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_sequences(), st.sampled_from(["", "@positive"]))
+def test_bridge_lines_decode_to_valid_trees_and_labels(case, suffix):
+    seq, words = case
+    line = "s\t" + " ".join(
+        f"{form}/{tag}/{format_label(lab)}" for (form, tag), lab in zip(words, seq.labels)
+    ) + suffix
+    (parsed, got), = parse_tagger_output([line], seq.scheme, on_error="abort")
+    assert parsed == LabelSeq(parsed.labels, parsed.scheme, parsed.sentence_polarity)
+    assert parsed.labels == seq.labels
+    _assert_valid_tree(got.tree)
+
+
+# -- the bridge field parser against the regex grammar it replaced ------------
+
+_REGEX_REL_OFFSET = re.compile(r"^([+-]?\d+):(.*)$")
+_REGEX_REL_POS = re.compile(r"^([^,:]+),([+-]?\d+):(.*)$")
+
+
+def _regex_parse_field(field, scheme):
+    """The rel-offset/rel-pos field parser as a pair of regexes, the reference."""
+    parts = field.rsplit("/", 2)
+    if len(parts) != 3 or not parts[0] or not parts[1]:
+        raise ValueError(f"bad token field {field!r}")
+    form, upos, raw = parts
+    if scheme is Scheme.REL_OFFSET:
+        m = _REGEX_REL_OFFSET.match(raw)
+        if m is None:
+            raise ValueError(f"bad label {raw!r}")
+        return form, upos, SyntaxLabel(scheme, int(m.group(1)), m.group(2))
+    m = _REGEX_REL_POS.match(raw)
+    if m is None:
+        raise ValueError(f"bad label {raw!r}")
+    return form, upos, SyntaxLabel(scheme, (m.group(1), int(m.group(2))), m.group(3))
+
+
+def _outcome(parse, field, scheme):
+    try:
+        return parse(field, scheme)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+_LABEL_CHARS = "0123456789\u0663+-_ ,:/\n\rNOUNa@"
+
+
+@settings(max_examples=1500, deadline=None)
+@given(
+    st.sampled_from([Scheme.REL_OFFSET, Scheme.REL_POS]),
+    st.one_of(
+        st.text(_LABEL_CHARS, max_size=14),
+        st.text(_LABEL_CHARS, max_size=10).map("w/X/".__add__),
+        st.builds(
+            lambda tag, sign, digits, sep, rel: f"w/X/{tag}{sign}{digits}{sep}{rel}",
+            st.sampled_from(["", "NOUN,", ",", "NO:UN,", "NOUN", "\n,"]),
+            st.sampled_from(["", "+", "-", "+-", " "]),
+            st.text("0123456789\u0663_ ", max_size=4),
+            st.sampled_from([":", "", ",", "::"]),
+            st.text("amod:\n\r/", max_size=5),
+        ),
+    ),
+)
+@example(Scheme.REL_OFFSET, "w/X/\u0663:dep")
+@example(Scheme.REL_POS, "w/X/NOUN,-\u0663:dep")
+@example(Scheme.REL_OFFSET, "w/X/+:dep")
+@example(Scheme.REL_OFFSET, "w/X/-:dep")
+@example(Scheme.REL_POS, "w/X/NOUN,+:dep")
+@example(Scheme.REL_OFFSET, "w/X/ 3:dep")
+@example(Scheme.REL_POS, "w/X/NOUN, 3:dep")
+@example(Scheme.REL_OFFSET, "w/X/1_0:dep")
+@example(Scheme.REL_POS, "w/X/NOUN,1_0:dep")
+@example(Scheme.REL_OFFSET, "w/X/3dep")
+@example(Scheme.REL_POS, "w/X/NOUN3:dep")
+@example(Scheme.REL_POS, "w/X/NOUN,3dep")
+@example(Scheme.REL_POS, "w/X/,3:dep")
+@example(Scheme.REL_OFFSET, "w/X/3:de\np")
+@example(Scheme.REL_OFFSET, "w/X/3:dep\n")
+@example(Scheme.REL_OFFSET, "w/X/3:dep\n\n")
+@example(Scheme.REL_OFFSET, "w/X/" + "9" * 5000 + ":dep")
+def test_field_parser_matches_the_regex_grammar(scheme, field):
+    assert _outcome(_parse_field, field, scheme) == _outcome(_regex_parse_field, field, scheme)
+
+
+@pytest.mark.parametrize("suffix", ["", "@pos"])
+@pytest.mark.parametrize(
+    "fields,payload",
+    [("w/NOUN/<\\:x", "<\\"), ("v/VERB/:root a/b/>/\\:r", ">/\\")],
+)
+def test_misordered_bracket_symbols_are_malformed(fields, payload, suffix):
+    # a/b/>/\:r keeps form "a" and upos "b": the order is checked after the split
+    with pytest.raises(BridgeError) as info:
+        list(parse_tagger_output([f"s1\t{fields}{suffix}"], Scheme.BRACKETS, on_error="abort"))
+    assert str(info.value) == f"line 1: malformed payload {payload!r} for Scheme.BRACKETS"
+
+
+def test_bad_field_outranks_an_earlier_misordered_payload():
+    with pytest.raises(BridgeError, match="^line 1: bad token field 'b/X/zz'$"):
+        list(parse_tagger_output(["s1\tw/NOUN/<\\:x b/X/zz"], Scheme.BRACKETS, on_error="abort"))
 
 
 # -- repair -----------------------------------------------------------------

@@ -113,6 +113,19 @@ def test_load_gold_bad_json_names_line():
         (_record(opinions=[{"expression": [9, 12], "polarity": "positive"}]), "covers no token"),
         (_record(parse={"heads": [0], "deprels": ["root"]}), "do not match"),
         (_record(parse={"heads": [2, 1], "deprels": ["a", "b"]}), "bad parse"),
+        (_record(tokens=5), "tokens must be a list of JSON objects"),
+        (_record(tokens="ab"), "tokens must be a list of JSON objects"),
+        (_record(tokens=[5]), "tokens must be a list of JSON objects"),
+        (_record(opinions=5), "opinions must be a list of JSON objects"),
+        (_record(opinions=None), "opinions must be a list of JSON objects"),
+        (_record(opinions=[3]), "opinions must be a list of JSON objects"),
+        (_record(opinions=["expression"]), "opinions must be a list of JSON objects"),
+        (_record(opinions=[{"expression": 5, "polarity": "positive"}]), "pairs of integers"),
+        (_record(opinions=[{"expression": ["a", 2], "polarity": "positive"}]), "pairs of integers"),
+        (_record(opinions=[{"expression": [0], "polarity": "positive"}]), "pairs of integers"),
+        (_record(parse=5), "parse must be a JSON object"),
+        (_record(parse={"heads": 5, "deprels": ["root"]}), "do not match"),
+        (_record(parse={"heads": ["x", None], "deprels": ["a", "b"]}), "heads must be integers"),
     ],
 )
 def test_load_gold_rejects_malformed_records(raw, fragment):
@@ -123,6 +136,14 @@ def test_load_gold_rejects_malformed_records(raw, fragment):
 def test_load_gold_errors_carry_sentence_id():
     with pytest.raises(EvalError, match="record t1"):
         _load_one(_record(**{"class": "meh"}))
+
+
+def test_load_gold_errors_carry_the_line():
+    lines = [json.dumps(_record()), "", json.dumps(_record(sent_id="t3", tokens=5))]
+    with pytest.raises(EvalError, match="^line 3: record t3: tokens must be"):
+        list(load_gold(lines))
+    with pytest.raises(EvalError, match="^line 1: missing sent_id$"):
+        _load_one(_record(sent_id=""))
 
 
 def test_char_span_rounds_outward():

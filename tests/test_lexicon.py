@@ -189,9 +189,10 @@ def reference_shifter(inventories, lemma):
     return None
 
 
-TERMS = ("good", "bad", "nice", "Good", "BAD", "not", "very")
+# stored terms are lowercase (construction rejects any other); queries are not
+TERMS = ("good", "bad", "nice", "not", "very")
 UPOS = (None, "ADJ", "NOUN", "VERB")
-QUERIES = TERMS + ("GOOD", "Nice", "NOT", "Very", "vERY", "miss", "")
+QUERIES = TERMS + ("Good", "GOOD", "BAD", "Nice", "NOT", "Very", "vERY", "miss", "")
 
 layer_dicts = st.dictionaries(
     st.tuples(st.sampled_from(TERMS), st.sampled_from(UPOS)),
@@ -199,7 +200,7 @@ layer_dicts = st.dictionaries(
     max_size=10,
 )
 inventories = st.dictionaries(
-    st.sampled_from(("not", "very", "Very", "but", "hardly", "good")),
+    st.sampled_from(("not", "very", "but", "hardly", "good")),
     st.one_of(st.sampled_from(("NEG", "ADV")), st.sampled_from((-0.5, 0.25, 0.5, 2.0))),
     max_size=4,
 ).map(
@@ -270,6 +271,18 @@ def test_direct_construction_validates_valence():
         PolarityLexicon(layers=({("x", None): 9.0},))
     with pytest.raises(LexiconError, match="language"):
         PolarityLexicon(language="")
+
+
+def test_direct_construction_rejects_terms_no_lookup_can_reach():
+    with pytest.raises(LexiconError, match="^term 'Good' is not lowercase$"):
+        PolarityLexicon(layers=({("Good", None): 2.0},))
+    with pytest.raises(LexiconError, match="not lowercase"):
+        PolarityLexicon(layers=({("good", None): 2.0}, {("GREAT", "ADJ"): 3.0}))
+    for shifters in ({"negators": {"Not"}}, {"intensifiers": {"Very": 0.5}},
+                     {"adversatives": {"But"}}):
+        with pytest.raises(LexiconError, match="^shifter lemma '[A-Z][a-z]+' is not lowercase$"):
+            ShifterInventory(**shifters)
+    assert lex_from("Good\tADJ\t2.0\nNOT\t\tNEG").lookup("GOOD", "ADJ") == 2.0
 
 
 def test_demo_english_core_values():

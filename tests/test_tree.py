@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from treesent import DepTree, Token, TreeError, crossing_arcs, is_projective
-from treesent.tree import random_projective_tree, random_tree
+from treesent.tree import _arcs_nest, random_projective_tree, random_tree
 
 
 def build(heads, **kw):
@@ -91,17 +91,52 @@ def test_root_spanning_arc_is_crossing():
     assert not is_projective(build([3, 0, 2]))
 
 
+def _quadratic_crossing(tree):
+    """First crossing pair in token order, by checking every pair of arcs."""
+    spans = [(min(t.head, t.id), max(t.head, t.id), t.head, t.id) for t in tree.tokens]
+    for a, (lo1, hi1, h1, d1) in enumerate(spans):
+        for lo2, hi2, h2, d2 in spans[a + 1:]:
+            if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
+                return (h1, d1), (h2, d2)
+    return None
+
+
+def _rooted_trees(n):
+    """Every labeled rooted tree on n tokens, as validated DepTrees."""
+    for root in range(1, n + 1):
+        choices = [[0] if d == root else [h for h in range(1, n + 1) if h != d]
+                   for d in range(1, n + 1)]
+        for heads in itertools.product(*choices):
+            try:
+                yield build(list(heads))
+            except TreeError:
+                continue
+
+
 def test_projectivity_matches_oracle_exhaustively():
-    n = 4
-    seen = 0
-    for heads in itertools.product(range(n + 1), repeat=n):
-        try:
-            t = build(list(heads))
-        except TreeError:
-            continue
-        seen += 1
-        assert is_projective(t) == _oracle_projective(heads), heads
-    assert seen == n ** (n - 1)  # 64 labeled rooted trees on 4 nodes
+    for n in range(1, 7):
+        seen = 0
+        for t in _rooted_trees(n):
+            seen += 1
+            assert _arcs_nest(t.tokens) == _oracle_projective(t.heads), t.heads
+            assert is_projective(t) == _oracle_projective(t.heads), t.heads
+            assert crossing_arcs(t) == _quadratic_crossing(t), t.heads
+        assert seen == n ** (n - 1)  # labeled rooted trees on n nodes
+
+
+def test_crossing_pair_on_long_trees_matches_quadratic_search():
+    for seed in range(200):
+        n = 20 + seed % 60
+        t = random_projective_tree(n, seed) if seed % 2 else random_tree(n, seed)
+        assert crossing_arcs(t) == _quadratic_crossing(t), t.heads
+
+
+def test_trusted_tree_equals_validated_tree():
+    t = build([2, 3, 0], forms=["a", "b", "c"], sentence_id="s")
+    trusted = DepTree._trusted(t.tokens, "s")
+    assert trusted == t and trusted.metadata == {}
+    assert (trusted.root_id, trusted.children) == (t.root_id, t.children)
+    assert DepTree._trusted(t.tokens, "s", {"sent_id": "s"}).metadata == {"sent_id": "s"}
 
 
 # -- random generators ------------------------------------------------------
