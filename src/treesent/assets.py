@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from importlib import resources
+from pathlib import Path
 
 from .lexicon import LexiconError, PolarityLexicon, load_collocations, load_lexicon
 
 DEMO_LANGUAGES = ("en", "es")
 
 
-def data_path(name: str):
-    """Path-like handle on a bundled data file."""
-    return resources.files(__package__).joinpath("data", name)
+def data_path(name: str) -> Path:
+    """Path of a bundled data file, installed beside this module as package data."""
+    return Path(__file__).with_name("data") / name
 
 
 def demo_lexicon(language: str = "en") -> PolarityLexicon:
@@ -26,13 +26,13 @@ def demo_lexicon(language: str = "en") -> PolarityLexicon:
         return lexicon.with_collocations(load_collocations(fh))
 
 
-def demo_treebank_path():
+def demo_treebank_path() -> Path:
     return data_path("demo_reviews.conllu")
 
 
-def demo_ud_path():
+def demo_ud_path() -> Path:
     return data_path("demo_ud.conllu")
 
 
-def demo_gold_path():
+def demo_gold_path() -> Path:
     return data_path("demo_reviews.gold.jsonl")

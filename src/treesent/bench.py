@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -210,6 +209,8 @@ def run_bench(
     if workers == 1:
         results = [_bench_chunk((lines, lexicon, config, scheme))]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         step = max(1, -(-len(lines) // workers))
         chunks = [lines[i : i + step] for i in range(0, len(lines), step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -22,7 +22,6 @@ import json
 import os
 import sys
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -42,7 +41,6 @@ from typing import (
 
 from . import __version__
 from .assets import demo_lexicon
-from .bench import BenchError, run_bench, synthetic_corpus, synthetic_sentence, word_pool
 from .conllu import (
     Block,
     ConlluError,
@@ -55,7 +53,6 @@ from .conllu import (
     split_blocks,
 )
 from .encodings import (
-    BridgeError,
     BridgeStats,
     NonProjectiveError,
     Scheme,
@@ -63,23 +60,14 @@ from .encodings import (
     format_tagger_line,
     parse_tagger_output,
 )
-from .evaluation import (
-    EvalError,
-    MetricsReport,
-    conversion_coverage,
-    eval_parse,
-    eval_sentences,
-    eval_targets,
-    load_gold,
-)
 from .lexicon import LexiconError, PolarityLexicon, load_lexicon
-from .opinions import OpinionError
 from .rules import RuleConfig, RuleError, analyze, baseline_wordcount
-from .tree import DepTree, TreeError
+from .tree import DataError, DepTree
+
+# evaluation, bench and concurrent.futures are imported where they are used,
+# so that analyze, encode and decode start without them
 
 LEXICON_DIR_ENV = "SALSA_LEXICON_DIR"
-
-_DATA_ERRORS = (ConlluError, BridgeError, NonProjectiveError, EvalError, TreeError, OpinionError)
 
 
 class ConfigError(ValueError):
@@ -207,11 +195,21 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**merged)  # type: ignore[arg-type]
 
 
+def _same_file(first: str, second: str) -> bool:
+    try:
+        return os.path.samefile(first, second)
+    except OSError:  # either one missing
+        return False
+
+
 @contextmanager
 def _open_output(cfg: PipelineConfig) -> Iterator[IO[str]]:
     if cfg.output is None:
         yield sys.stdout
     else:
+        # the input is read lazily, so truncating it first would lose it
+        if cfg.input is not None and _same_file(cfg.output, cfg.input):
+            raise ConfigError(f"output file {cfg.output} is the input file {cfg.input}")
         try:
             handle = open(cfg.output, "w", encoding="utf-8")
         except OSError as exc:
@@ -350,6 +348,8 @@ def _map_chunks(fn, chunks: Iterable, workers: int, initializer, initargs) -> It
     however long the input is. Closing the generator early cancels the
     chunks not yet started.
     """
+    from concurrent.futures import Future, ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs)
     pending: Deque[Future] = deque()
     try:
@@ -455,88 +455,24 @@ def cmd_decode(cfg: PipelineConfig) -> int:
 # ---------------------------------------------------------------------- eval
 
 
-def _prediction_entry() -> dict:
-    return {"class": None, "items": [], "has_opinions": False}
-
-
-def _prediction_span(span, where: str) -> Tuple[int, int]:
-    if (
-        not isinstance(span, list)
-        or len(span) != 2
-        or not all(isinstance(end, int) and not isinstance(end, bool) for end in span)
-    ):
-        raise EvalError(f"{where}: target must be a pair of integers, got {span!r}")
-    return span[0], span[1]
-
-
-def _load_predictions(path: Path) -> Dict[str, dict]:
-    """Accepts analyze/aspects output or a gold-format file."""
-    lines = []
-    for lineno, raw in numbered_lines(path):
-        if raw is None:
-            raise EvalError(f"{path}:{lineno}: not valid UTF-8")
-        lines.append(raw)
-    first = next((raw for raw in lines if raw.strip()), None)
-    table: Dict[str, dict] = {}
-    if first is None:
-        return table
-    try:
-        first_record = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise EvalError(f"{path}: bad JSON on first record: {exc}") from None
-    if isinstance(first_record, dict) and "tokens" in first_record:
-        for record in load_gold(lines):
-            entry = _prediction_entry()
-            entry["class"] = record.gold_class
-            if record.gold_opinions is not None:
-                entry["has_opinions"] = True
-                entry["items"] = [
-                    (op.target_span, op.polarity)
-                    for op in record.gold_opinions.opinions
-                    if op.target_span is not None
-                ]
-            table[record.sentence_id] = entry
-        return table
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EvalError(f"{where}: bad JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise EvalError(f"{where}: prediction record must be a JSON object")
-        sid = str(obj.get("sent_id", ""))
-        if not sid:
-            raise EvalError(f"{where}: prediction record missing sent_id")
-        if sid in table:
-            raise EvalError(f"{where}: duplicate prediction for {sid!r}")
-        entry = _prediction_entry()
-        if obj.get("class") is not None:
-            entry["class"] = str(obj["class"])
-        if "opinions" in obj:
-            opinions = obj["opinions"]
-            if not isinstance(opinions, list) or not all(isinstance(op, dict) for op in opinions):
-                raise EvalError(f"{where}: opinions must be a list of JSON objects")
-            entry["has_opinions"] = True
-            for op in opinions:
-                span = op.get("target")
-                if span is None:
-                    continue
-                entry["items"].append((_prediction_span(span, where), str(op.get("polarity"))))
-        table[sid] = entry
-    return table
-
-
 def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    from .evaluation import (
+        EvalError,
+        MetricsReport,
+        conversion_coverage,
+        eval_parse,
+        eval_sentences,
+        eval_targets,
+        load_gold,
+        load_predictions,
+    )
+
     pred_path, gold_path = Path(args.pred), Path(args.gold)
     for path in (pred_path, gold_path):
         if not path.is_file():
             raise ConfigError(f"file not found: {path}")
     gold_records = list(load_gold(gold_path))
-    preds = _load_predictions(pred_path)
+    preds = load_predictions(pred_path)
     strict = cfg.on_error == "abort"
 
     pred_labels, gold_labels = [], []
@@ -613,33 +549,49 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- bench/gen
 
 
+@contextmanager
+def _bench_errors() -> Iterator[None]:
+    """A bad benchmark or corpus parameter is a config error."""
+    from .bench import BenchError
+
+    try:
+        yield
+    except BenchError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_bench(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    from .bench import run_bench, synthetic_corpus
+
     lexicon = cfg.load_lexicon()
     rules_cfg = cfg.load_rules()
-    if cfg.input is not None:
-        source = _input_source(cfg)
-    else:
-        source = list(
-            synthetic_corpus(
-                args.sentences, args.length, lexicon, seed=cfg.seed, scheme=cfg.scheme
+    with _bench_errors():
+        if cfg.input is not None:
+            source = _input_source(cfg)
+        else:
+            source = list(
+                synthetic_corpus(
+                    args.sentences, args.length, lexicon, seed=cfg.seed, scheme=cfg.scheme
+                )
             )
+        report = run_bench(
+            source,
+            lexicon,
+            rules_cfg,
+            scheme=cfg.scheme,
+            workers=cfg.workers,
+            warmup=args.warmup,
         )
-    report = run_bench(
-        source,
-        lexicon,
-        rules_cfg,
-        scheme=cfg.scheme,
-        workers=cfg.workers,
-        warmup=args.warmup,
-    )
     with _open_output(cfg) as out:
         out.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
     return 0
 
 
 def cmd_gen(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    from .bench import synthetic_corpus, synthetic_sentence, word_pool
+
     lexicon = cfg.load_lexicon()
-    with _open_output(cfg) as out:
+    with _bench_errors(), _open_output(cfg) as out:
         if args.format == "bridge":
             for line in synthetic_corpus(
                 args.sentences, args.length, lexicon, seed=cfg.seed, scheme=cfg.scheme
@@ -747,10 +699,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "bench":
             return cmd_bench(cfg, args)
         return cmd_gen(cfg, args)
-    except (ConfigError, BenchError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .tree import DepTree, Token, TreeError
+from .tree import DataError, DepTree, Token, TreeError
 
 Line = Union[str, bytes]
 Source = Union[str, Path, IO[bytes], IO[str], Iterable[Line]]
@@ -25,7 +25,7 @@ _EMPTY_ID = re.compile(r"^\d+\.\d+$")
 _COLUMNS = 10
 
 
-class ConlluError(ValueError):
+class ConlluError(DataError):
     """A sentence that cannot be read, with its ordinal and line number."""
 
     def __init__(self, message: str, sentence: int, line: int):

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .conllu import decode_line, iter_raw_lines
-from .tree import DepTree, Token, TreeError, crossing_arcs
+from .tree import DataError, DepTree, Token, TreeError, crossing_arcs
 
 ROOT_UPOS = "ROOT"
 
@@ -49,7 +49,7 @@ class Scheme(enum.Enum):
         raise ValueError(f"unknown scheme {text!r}")
 
 
-class NonProjectiveError(ValueError):
+class NonProjectiveError(DataError):
     """Raised when BRACKETS encoding meets crossing arcs."""
 
     def __init__(self, pair):
@@ -345,7 +345,7 @@ def emit_multitask_labels(tree: DepTree, scheme: Scheme, polarity_class: str) ->
 #   sent_id TAB form/upos/label SPACE form/upos/label ...
 # with an optional @class suffix on the last label.
 
-class BridgeError(ValueError):
+class BridgeError(DataError):
     """A bridge line that cannot be parsed, with its line number."""
 
     def __init__(self, message: str, line: int):
@@ -431,13 +431,6 @@ def format_tagger_line(tree: DepTree, seq: LabelSeq) -> str:
     if seq.sentence_polarity:
         fields[-1] += f"@{seq.sentence_polarity}"
     return sent_id + "\t" + " ".join(fields)
-
-
-def write_tagger_output(
-    pairs: Iterable[tuple[DepTree, LabelSeq]], dest: IO[str]
-) -> None:
-    for tree, seq in pairs:
-        dest.write(format_tagger_line(tree, seq) + "\n")
 
 
 def parse_tagger_output(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import (
     Dict,
     Iterable,
@@ -31,10 +32,10 @@ from typing import (
 from .conllu import Source, numbered_lines
 from .opinions import Opinion, OpinionError, OpinionSet, to_tree
 from .rules import CLASSES
-from .tree import DepTree, TreeError
+from .tree import DataError, DepTree, TreeError
 
 
-class EvalError(ValueError):
+class EvalError(DataError):
     """Bad gold data or an impossible metric request."""
 
 
@@ -119,6 +120,18 @@ class MetricsReport:
         return out
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: not a float, a numeric string or a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_pair(span) -> Optional[Tuple[int, int]]:
+    """``span`` as two integers, or None if it is anything else."""
+    if isinstance(span, (list, tuple)) and len(span) == 2 and all(map(_is_int, span)):
+        return span[0], span[1]
+    return None
+
+
 def char_span_to_token_span(
     offsets: Sequence[Tuple[int, int]], span: Tuple[int, int]
 ) -> Tuple[int, int]:
@@ -126,7 +139,10 @@ def char_span_to_token_span(
 
     Rounds outward: any token sharing at least one character is included.
     """
-    start, end = int(span[0]), int(span[1])
+    pair = _int_pair(span)
+    if pair is None:
+        raise EvalError("spans must be pairs of integers")
+    start, end = pair
     if start >= end:
         raise EvalError(f"empty character span ({start}, {end})")
     hit = [
@@ -162,11 +178,10 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
     forms, upos, offsets = [], [], []
     previous_start = -1
     for row in token_rows:
-        try:
-            form, tag = str(row["form"]), str(row["upos"])
-            start, end = int(row["start"]), int(row["end"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _record_error(sentence_id, lineno, f"bad token row {row!r}") from exc
+        start, end = row.get("start"), row.get("end")
+        if "form" not in row or "upos" not in row or not (_is_int(start) and _is_int(end)):
+            raise _record_error(sentence_id, lineno, f"bad token row {row!r}")
+        form, tag = str(row["form"]), str(row["upos"])
         if start < 0 or end <= start or start < previous_start:
             raise _record_error(
                 sentence_id, lineno, f"bad offsets ({start}, {end}) for {form!r}"
@@ -216,10 +231,6 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
                 raise _record_error(
                     sentence_id, lineno, f"opinion {position}: {exc}"
                 ) from None
-            except (TypeError, ValueError, IndexError):
-                raise _record_error(
-                    sentence_id, lineno, f"opinion {position}: spans must be pairs of integers"
-                ) from None
         gold_opinions = OpinionSet(
             tuple(forms), tuple(upos), tuple(opinions), sentence_id=sentence_id
         )
@@ -241,9 +252,11 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
             or len(deprels) != len(forms)
         ):
             raise _record_error(sentence_id, lineno, "parse arrays do not match tokens")
+        if not all(map(_is_int, heads)):
+            raise _record_error(sentence_id, lineno, "parse heads must be integers")
         try:
             parse = DepTree.build(
-                [int(h) for h in heads],
+                heads,
                 deprels=[str(d) for d in deprels],
                 forms=forms,
                 upos=upos,
@@ -251,8 +264,6 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
             )
         except TreeError as exc:
             raise _record_error(sentence_id, lineno, f"bad parse: {exc}") from None
-        except (TypeError, ValueError):
-            raise _record_error(sentence_id, lineno, "parse heads must be integers") from None
 
     return GoldRecord(
         sentence_id,
@@ -281,6 +292,78 @@ def load_gold(source: Source) -> Iterator[GoldRecord]:
         if not isinstance(raw, dict):
             raise EvalError(f"line {lineno}: record must be a JSON object")
         yield _parse_record(raw, lineno)
+
+
+def _prediction_entry() -> dict:
+    return {"class": None, "items": [], "has_opinions": False}
+
+
+def load_predictions(path: Path) -> Dict[str, dict]:
+    """Predictions by sentence id, from analyze/aspects output or a gold-format file.
+
+    Each entry holds the predicted ``class``, the ``(target span, polarity)``
+    ``items`` and whether the record carried opinions at all.
+    """
+    lines = []
+    for lineno, raw in numbered_lines(path):
+        if raw is None:
+            raise EvalError(f"{path}:{lineno}: not valid UTF-8")
+        lines.append(raw)
+    first = next((raw for raw in lines if raw.strip()), None)
+    table: Dict[str, dict] = {}
+    if first is None:
+        return table
+    try:
+        first_record = json.loads(first)
+    except json.JSONDecodeError as exc:
+        raise EvalError(f"{path}: bad JSON on first record: {exc}") from None
+    if isinstance(first_record, dict) and "tokens" in first_record:
+        for record in load_gold(lines):
+            entry = _prediction_entry()
+            entry["class"] = record.gold_class
+            if record.gold_opinions is not None:
+                entry["has_opinions"] = True
+                entry["items"] = [
+                    (op.target_span, op.polarity)
+                    for op in record.gold_opinions.opinions
+                    if op.target_span is not None
+                ]
+            table[record.sentence_id] = entry
+        return table
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise EvalError(f"{where}: bad JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise EvalError(f"{where}: prediction record must be a JSON object")
+        sid = str(obj.get("sent_id", ""))
+        if not sid:
+            raise EvalError(f"{where}: prediction record missing sent_id")
+        if sid in table:
+            raise EvalError(f"{where}: duplicate prediction for {sid!r}")
+        entry = _prediction_entry()
+        if obj.get("class") is not None:
+            entry["class"] = str(obj["class"])
+        if "opinions" in obj:
+            opinions = obj["opinions"]
+            if not _objects(opinions):
+                raise EvalError(f"{where}: opinions must be a list of JSON objects")
+            entry["has_opinions"] = True
+            for op in opinions:
+                span = op.get("target")
+                if span is None:
+                    continue
+                pair = _int_pair(span)
+                if pair is None:
+                    raise EvalError(f"{where}: target must be a pair of integers, got {span!r}")
+                entry["items"].append((pair, str(op.get("polarity"))))
+        table[sid] = entry
+    return table
 
 
 def _prf(true_positives: int, predicted: int, gold: int) -> Tuple[float, float, float]:

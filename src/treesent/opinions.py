@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .encodings import DecodeResult, LabelSeq, Scheme, decode, encode
 from .rules import CLASSES
-from .tree import FILLER_UPOS, DepTree
+from .tree import FILLER_UPOS, DataError, DepTree
 
 SPAN_DEPREL = "span"
 TARGET_DEPREL = "targ"
@@ -30,7 +30,7 @@ NONE_DEPREL = "none"
 EXPRESSION_PREFIX = "exp:"
 
 
-class OpinionError(ValueError):
+class OpinionError(DataError):
     """An opinion structure that cannot be built or read back."""
 
 

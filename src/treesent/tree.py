@@ -26,7 +26,11 @@ class Token(NamedTuple):
     deprel: str
 
 
-class TreeError(ValueError):
+class DataError(ValueError):
+    """Input data that cannot be read or used; the command line exits 1 on it."""
+
+
+class TreeError(DataError):
     """Raised when a token list does not form a valid dependency tree."""
 
 

@@ -6,8 +6,21 @@ import sys
 
 import pytest
 
-from treesent import DepTree, demo_gold_path, demo_treebank_path, demo_ud_path, read_conllu, write_conllu
-from treesent import conllu
+from treesent import (
+    BridgeError,
+    DataError,
+    DepTree,
+    EvalError,
+    NonProjectiveError,
+    OpinionError,
+    TreeError,
+    demo_gold_path,
+    demo_treebank_path,
+    demo_ud_path,
+    read_conllu,
+    write_conllu,
+)
+from treesent import cli, conllu
 from treesent.cli import CHUNK_SENTENCES, main
 
 TOL = 1e-9
@@ -449,6 +462,19 @@ def test_bench_cli_reports_structure(tmp_path):
     assert report["sentences_per_sec"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bench", "--sentences", 0), "corpus size must be >= 1, got 0"),
+        (("gen", "--length", 0), "sentence length must be >= 1, got 0"),
+        (("gen", "--length", 0, "--format", "conllu"), "sentence length must be >= 1, got 0"),
+    ],
+)
+def test_bad_bench_and_gen_parameters_are_config_errors(tmp_path, capsys, argv, message):
+    assert run(*argv, "-o", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_bench_cli_accepts_file_corpus(tmp_path):
     corpus = tmp_path / "corpus.bridge"
     run("gen", "--sentences", 30, "--length", 6, "-o", corpus)
@@ -552,6 +578,27 @@ def test_gold_record_of_the_wrong_shape_is_a_data_error(tmp_path, capsys, shape)
     _write_jsonl(gold, [record])
     assert run("eval", "--pred", gold, "--gold", gold) == 1
     assert capsys.readouterr().err.startswith("error: line 1: record a: ")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"opinions": [{"expression": [True, 2.9], "polarity": "positive"}]},
+         "opinion 0: spans must be pairs of integers"),
+        ({"opinions": [{"expression": [0, 2], "target": [3.5, 10], "polarity": "positive"}]},
+         "opinion 0: spans must be pairs of integers"),
+        ({"tokens": [{"form": "ab", "upos": "X", "start": 5.9, "end": 7}]}, "bad token row"),
+        ({"tokens": [{"form": "ab", "upos": "X", "start": "5", "end": 7}]}, "bad token row"),
+        ({"tokens": [{"form": "ab", "upos": "X", "start": 0, "end": True}]}, "bad token row"),
+    ],
+)
+def test_gold_offsets_that_are_not_integers_are_data_errors(tmp_path, capsys, change, message):
+    record = {"sent_id": "a", "text": "ab", "class": "positive",
+              "tokens": [{"form": "ab", "upos": "X", "start": 0, "end": 2}], **change}
+    gold = tmp_path / "gold.jsonl"
+    _write_jsonl(gold, [record])
+    assert run("eval", "--pred", gold, "--gold", gold) == 1
+    assert capsys.readouterr().err.startswith(f"error: line 1: record a: {message}")
 
 
 def _analyze_predictions(tmp_path):
@@ -690,6 +737,58 @@ def test_output_in_a_missing_directory_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error: cannot write output file {out}: No such file or directory\n"
     )
+
+
+def _same_file_argv(tmp_path, command, link):
+    if command == "decode":
+        source = tmp_path / "in.bridge"
+        assert run("gen", "--sentences", 5, "--length", 6, "-o", source) == 0
+    else:
+        source = tmp_path / "in.conllu"
+        source.write_bytes(demo_treebank_path().read_bytes())
+    target = source
+    if link:
+        target = tmp_path / "link"
+        target.symlink_to(source)
+    return source, [command, "-i", source, "-o", target]
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+@pytest.mark.parametrize("command", ["analyze", "encode", "decode"])
+def test_output_that_is_the_input_is_refused_before_it_is_truncated(
+    tmp_path, capsys, command, link
+):
+    source, argv = _same_file_argv(tmp_path, command, link)
+    before = source.read_bytes()
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output file {argv[-1]} is the input file {source}\n"
+    )
+    assert source.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        conllu.ConlluError("bad column count", 3, 14),
+        BridgeError("bad label", 7),
+        NonProjectiveError(((2, 4), (3, 5))),
+        EvalError("no prediction"),
+        TreeError("no root"),
+        OpinionError("bad span"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_every_data_error_exits_1(monkeypatch, capsys, error):
+    assert isinstance(error, DataError)
+
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_encode", fail)
+    assert run("encode") == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_unknown_language_is_config_error(tmp_path, capsys):

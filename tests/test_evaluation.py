@@ -126,6 +126,14 @@ def test_load_gold_bad_json_names_line():
         (_record(parse=5), "parse must be a JSON object"),
         (_record(parse={"heads": 5, "deprels": ["root"]}), "do not match"),
         (_record(parse={"heads": ["x", None], "deprels": ["a", "b"]}), "heads must be integers"),
+        (_record(opinions=[{"expression": [True, 2.9], "polarity": "positive"}]), "pairs of integers"),
+        (_record(opinions=[{"expression": [0, 2], "target": [3.5, 10], "polarity": "positive"}]), "pairs of integers"),
+        (_record(opinions=[{"expression": [0, 2], "holder": [0, 1.0], "polarity": "positive"}]), "pairs of integers"),
+        (_record(tokens=[{"form": "x", "upos": "X", "start": 5.9, "end": 7}]), "bad token row"),
+        (_record(tokens=[{"form": "x", "upos": "X", "start": "5", "end": 7}]), "bad token row"),
+        (_record(tokens=[{"form": "x", "upos": "X", "start": False, "end": 1}]), "bad token row"),
+        (_record(parse={"heads": [0, 1.9], "deprels": ["root", "dep"]}), "heads must be integers"),
+        (_record(parse={"heads": ["0", True], "deprels": ["root", "dep"]}), "heads must be integers"),
     ],
 )
 def test_load_gold_rejects_malformed_records(raw, fragment):
@@ -161,6 +169,19 @@ def test_char_span_failures():
         char_span_to_token_span(offsets, (4, 5))
     with pytest.raises(EvalError, match="empty character span"):
         char_span_to_token_span(offsets, (3, 3))
+
+
+@pytest.mark.parametrize(
+    "span", [(True, 4), (0, 2.9), (3.5, 10), ("0", 4), (0, 4, 9), (0,), 5, None]
+)
+def test_char_span_must_be_a_pair_of_integers(span):
+    with pytest.raises(EvalError, match="^spans must be pairs of integers$"):
+        char_span_to_token_span(((0, 4), (5, 10)), span)
+
+
+def test_char_span_takes_a_list_or_a_tuple():
+    offsets = ((0, 4), (5, 10))
+    assert char_span_to_token_span(offsets, [0, 10]) == char_span_to_token_span(offsets, (0, 10))
 
 
 # ------------------------------------------------------- sentence metrics
