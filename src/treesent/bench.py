@@ -113,6 +113,18 @@ def synthetic_sentence(
     )
 
 
+def synthetic_trees(
+    sentences: int, length: int, lexicon: PolarityLexicon, seed: int = 0
+) -> Iterator[DepTree]:
+    """Deterministic synthetic sentences ``syn-0``, ``syn-1``, ...: same
+    arguments, same trees."""
+    if sentences < 1:
+        raise BenchError(f"corpus size must be >= 1, got {sentences}")
+    pool = word_pool(lexicon)
+    for index in range(sentences):
+        yield synthetic_sentence(length, pool, seed * 1_000_003 + index, f"syn-{index}")
+
+
 def synthetic_corpus(
     sentences: int,
     length: int,
@@ -121,13 +133,7 @@ def synthetic_corpus(
     scheme: Scheme = Scheme.REL_OFFSET,
 ) -> Iterator[str]:
     """Deterministic bridge lines: same arguments, same corpus."""
-    if sentences < 1:
-        raise BenchError(f"corpus size must be >= 1, got {sentences}")
-    pool = word_pool(lexicon)
-    for index in range(sentences):
-        tree = synthetic_sentence(
-            length, pool, seed * 1_000_003 + index, f"syn-{index}"
-        )
+    for tree in synthetic_trees(sentences, length, lexicon, seed):
         yield format_tagger_line(tree, encode(tree, scheme))
 
 

@@ -431,16 +431,21 @@ def cmd_encode(cfg: PipelineConfig) -> int:
     return 0
 
 
+def _with_sent_id_comment(tree: DepTree) -> DepTree:
+    """The same valid tree, sharing its columns, with its id as the only comment."""
+    return DepTree._trusted(
+        tree.forms, tree.lemmas, tree.upos, tree.heads, tree.deprels,
+        tree.sentence_id, {"sent_id": tree.sentence_id},
+    )
+
+
 def cmd_decode(cfg: PipelineConfig) -> int:
     stats = BridgeStats()
     with _open_output(cfg) as out:
         for _, result in parse_tagger_output(
             _input_source(cfg), cfg.scheme, on_error=cfg.on_error, stats=stats
         ):
-            tree = result.tree
-            # the same tokens as the tree decode() built, with the id as a comment
-            keeper = DepTree._trusted(tree.tokens, tree.sentence_id, {"sent_id": tree.sentence_id})
-            out.write(format_sentence(keeper) + "\n\n")
+            out.write(format_sentence(_with_sent_id_comment(result.tree)) + "\n\n")
     repairs = stats.repairs
     print(
         f"decoded {stats.records} sentences, repairs total={repairs.total} "
@@ -588,7 +593,7 @@ def cmd_bench(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_gen(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    from .bench import synthetic_corpus, synthetic_sentence, word_pool
+    from .bench import synthetic_corpus, synthetic_trees
 
     lexicon = cfg.load_lexicon()
     with _bench_errors(), _open_output(cfg) as out:
@@ -598,17 +603,8 @@ def cmd_gen(cfg: PipelineConfig, args: argparse.Namespace) -> int:
             ):
                 out.write(line + "\n")
         else:
-            pool = word_pool(lexicon)
-            for index in range(args.sentences):
-                tree = synthetic_sentence(
-                    args.length, pool, cfg.seed * 1_000_003 + index, f"syn-{index}"
-                )
-                keeper = DepTree(
-                    tree.tokens,
-                    sentence_id=tree.sentence_id,
-                    metadata={"sent_id": tree.sentence_id},
-                )
-                out.write(format_sentence(keeper) + "\n\n")
+            for tree in synthetic_trees(args.sentences, args.length, lexicon, seed=cfg.seed):
+                out.write(format_sentence(_with_sent_id_comment(tree)) + "\n\n")
     return 0
 
 

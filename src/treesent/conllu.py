@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .tree import DataError, DepTree, Token, TreeError
+from .tree import DataError, DepTree, TreeError
 
 Line = Union[str, bytes]
 Source = Union[str, Path, IO[bytes], IO[str], Iterable[Line]]
@@ -112,7 +112,8 @@ def _parse_block(
     lines: List[Tuple[int, Line]], ordinal: int, stats: ReadStats
 ) -> DepTree:
     metadata: dict = {}
-    tokens: list[Token] = []
+    rows: List[List[str]] = []
+    heads: List[int] = []
     first_line = lines[0][0]
     for lineno, text in lines:
         if isinstance(text, bytes):
@@ -131,27 +132,30 @@ def _parse_block(
                 f"expected {_COLUMNS} columns, got {len(cols)}", ordinal, lineno
             )
         raw_id = cols[0]
-        if raw_id.isdecimal():
-            tok_id = int(raw_id)
-        elif _RANGE_ID.match(raw_id):
-            stats.dropped_ranges += 1
-            continue
-        elif _EMPTY_ID.match(raw_id):
-            stats.dropped_empty_nodes += 1
-            continue
-        else:
+        if not raw_id.isdecimal():
+            if _RANGE_ID.match(raw_id):
+                stats.dropped_ranges += 1
+                continue
+            if _EMPTY_ID.match(raw_id):
+                stats.dropped_empty_nodes += 1
+                continue
             try:
-                tok_id = int(raw_id)
+                int(raw_id)
             except ValueError:
                 raise ConlluError(f"non-numeric id {raw_id!r}", ordinal, lineno) from None
         try:
-            head = int(cols[6])
+            heads.append(int(cols[6]))
         except ValueError:
             raise ConlluError(f"non-numeric head {cols[6]!r}", ordinal, lineno) from None
-        tokens.append(Token(tok_id, cols[1], cols[2], cols[3], head, cols[7]))
+        rows.append(cols)
     sent_id = metadata.get("sent_id") or f"s{ordinal}"
+    # ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC
+    ids, forms, lemmas, upos, _, _, _, deprels, _, _ = zip(*rows) if rows else ((),) * _COLUMNS
     try:
-        return DepTree(tuple(tokens), sentence_id=sent_id, metadata=metadata)
+        return DepTree._from_columns(
+            tuple(map(int, ids)), forms, lemmas, upos, tuple(heads), deprels,
+            sentence_id=sent_id, metadata=metadata,
+        )
     except TreeError as exc:
         raise ConlluError(str(exc), ordinal, first_line) from None
 
@@ -200,10 +204,10 @@ def format_sentence(tree: DepTree) -> str:
     out = []
     for key, value in tree.metadata.items():
         out.append(f"# {key}" if value is None else f"# {key} = {value}")
-    for t in tree.tokens:
-        out.append(
-            f"{t.id}\t{t.form}\t{t.lemma}\t{t.upos}\t_\t_\t{t.head}\t{t.deprel}\t_\t_"
-        )
+    for i, form, lemma, upos, head, deprel in zip(
+        range(1, len(tree) + 1), tree.forms, tree.lemmas, tree.upos, tree.heads, tree.deprels
+    ):
+        out.append(f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_")
     return "\n".join(out)
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .conllu import decode_line, iter_raw_lines
-from .tree import DataError, DepTree, Token, TreeError, crossing_arcs
+from .tree import DataError, DepTree, TreeError, crossing_arcs
 
 ROOT_UPOS = "ROOT"
 
@@ -153,44 +153,44 @@ class DecodeResult(NamedTuple):
 
 def encode(tree: DepTree, scheme: Scheme) -> LabelSeq:
     """Labels for a validated tree. BRACKETS requires projectivity."""
-    tokens = tree.tokens
-    n = len(tokens)
+    heads = tree.heads
+    deprels = tree.deprels
+    n = len(heads)
     labels: list[SyntaxLabel] = []
     if scheme is Scheme.REL_OFFSET:
-        for t in tokens:
-            off = 0 if t.head == 0 else t.head - t.id
-            labels.append(SyntaxLabel(scheme, off, t.deprel))
+        for dep, (head, deprel) in enumerate(zip(heads, deprels), start=1):
+            labels.append(SyntaxLabel(scheme, 0 if head == 0 else head - dep, deprel))
     elif scheme is Scheme.REL_POS:
-        for t in tokens:
-            if t.head == 0:
-                labels.append(SyntaxLabel(scheme, (ROOT_UPOS, 0), t.deprel))
+        upos = tree.upos
+        for dep, (head, deprel) in enumerate(zip(heads, deprels), start=1):
+            if head == 0:
+                labels.append(SyntaxLabel(scheme, (ROOT_UPOS, 0), deprel))
                 continue
-            tag = tokens[t.head - 1].upos
-            if t.head > t.id:
-                k = sum(1 for j in range(t.id + 1, t.head + 1) if tokens[j - 1].upos == tag)
+            tag = upos[head - 1]
+            if head > dep:
+                k = upos[dep:head].count(tag)
             else:
-                k = -sum(1 for j in range(t.head, t.id) if tokens[j - 1].upos == tag)
-            labels.append(SyntaxLabel(scheme, (tag, k), t.deprel))
+                k = -upos[head - 1:dep - 1].count(tag)
+            labels.append(SyntaxLabel(scheme, (tag, k), deprel))
     elif scheme is Scheme.BRACKETS:
         pair = crossing_arcs(tree)
         if pair is not None:
             raise NonProjectiveError(pair)
         left_closes = [0] * (n + 1)  # '\' count per head
         right_opens = [0] * (n + 1)  # '/' count per head
-        for t in tokens:
-            if t.head > t.id:
-                left_closes[t.head] += 1
-            elif t.head != 0:
-                right_opens[t.head] += 1
-        for t in tokens:
-            sym = "\\" * left_closes[t.id]
-            if t.head > t.id:
+        for dep, head in enumerate(heads, start=1):
+            if head > dep:
+                left_closes[head] += 1
+            elif head != 0:
+                right_opens[head] += 1
+        for dep, (head, deprel) in enumerate(zip(heads, deprels), start=1):
+            sym = "\\" * left_closes[dep]
+            if head > dep:
                 sym += "<"
-            elif t.head != 0:
+            elif head != 0:
                 sym += ">"
-            sym += "/" * right_opens[t.id]
-            deprel = "root" if t.head == 0 else t.deprel
-            labels.append(SyntaxLabel(scheme, sym, deprel))
+            sym += "/" * right_opens[dep]
+            labels.append(SyntaxLabel(scheme, sym, "root" if head == 0 else deprel))
     else:  # pragma: no cover
         raise ValueError(f"unhandled scheme {scheme}")
     return LabelSeq._trusted(tuple(labels), scheme)
@@ -317,20 +317,18 @@ def decode(
         words = [(f"w{i}", "X") for i in range(1, n + 1)]
     if len(words) != n:
         raise ValueError(f"expected {n} words, got {len(words)}")
-    upos = [w[1] for w in words]
+    forms = tuple([w[0] for w in words])
+    upos = tuple([w[1] for w in words])
     if not all(upos):
         first = next(i for i, tag in enumerate(upos, start=1) if not tag)
         raise TreeError(f"token {first}: empty upos")
     proposals = _propose_heads(seq, upos)
     heads, stats = repair(proposals, n)
-    tokens = tuple(
-        Token(i, words[i - 1][0], words[i - 1][0], upos[i - 1], heads[i - 1],
-              seq.labels[i - 1].deprel)
-        for i in range(1, n + 1)
-    )
-    # ids come from range() and repair() returns in-range, single-rooted,
-    # acyclic heads, so the tree is valid without checking it again
-    return DecodeResult(DepTree._trusted(tokens, sentence_id), stats)
+    deprels = tuple([lab.deprel for lab in seq.labels])
+    # repair() returns in-range, single-rooted, acyclic heads, one per
+    # label, so the tree is valid without checking it again
+    tree = DepTree._trusted(forms, forms, upos, tuple(heads), deprels, sentence_id)
+    return DecodeResult(tree, stats)
 
 
 def emit_multitask_labels(tree: DepTree, scheme: Scheme, polarity_class: str) -> LabelSeq:
@@ -418,16 +416,16 @@ def _parse_field(field: str, scheme: Scheme) -> tuple[str, str, SyntaxLabel]:
 
 def format_tagger_line(tree: DepTree, seq: LabelSeq) -> str:
     """One bridge line for a sentence and its labels."""
-    if len(seq.labels) != len(tree.tokens):
+    if len(seq.labels) != len(tree):
         raise ValueError("label count does not match sentence length")
     sent_id = tree.sentence_id or "s"
     if any(c.isspace() for c in sent_id):
         raise ValueError(f"sentence id {sent_id!r} contains whitespace")
     fields = []
-    for tok, lab in zip(tree.tokens, seq.labels):
-        if any(c.isspace() for c in tok.form):
-            raise ValueError(f"form {tok.form!r} contains whitespace")
-        fields.append(f"{tok.form}/{tok.upos}/{format_label(lab)}")
+    for form, upos, lab in zip(tree.forms, tree.upos, seq.labels):
+        if any(c.isspace() for c in form):
+            raise ValueError(f"form {form!r} contains whitespace")
+        fields.append(f"{form}/{upos}/{format_label(lab)}")
     if seq.sentence_polarity:
         fields[-1] += f"@{seq.sentence_polarity}"
     return sent_id + "\t" + " ".join(fields)

@@ -397,7 +397,7 @@ def eval_sentences(pred: Sequence[str], gold: Sequence[str]) -> SentenceMetrics:
 TargetItems = Union[OpinionSet, Iterable[Tuple[Tuple[int, int], str]]]
 
 
-def _target_items(payload: TargetItems) -> List[Tuple[Tuple[int, int], str]]:
+def _target_items(payload: TargetItems, sid: str) -> List[Tuple[Tuple[int, int], str]]:
     if isinstance(payload, OpinionSet):
         items = [
             (op.target_span, op.polarity)
@@ -405,19 +405,26 @@ def _target_items(payload: TargetItems) -> List[Tuple[Tuple[int, int], str]]:
             if op.target_span is not None
         ]
     else:
-        items = [((int(span[0]), int(span[1])), polarity) for span, polarity in payload]
+        items = []
+        for span, polarity in payload:
+            pair = _int_pair(span)
+            if pair is None:
+                raise EvalError(
+                    f"sentence {sid!r}: target must be a pair of integers, got {span!r}"
+                )
+            items.append((pair, polarity))
     return sorted(items, key=lambda item: item[0])
 
 
 def _by_sentence(side: Union[Mapping[str, TargetItems], Iterable[OpinionSet]], name: str):
     if isinstance(side, Mapping):
-        return {sid: _target_items(payload) for sid, payload in side.items()}
+        return {sid: _target_items(payload, sid) for sid, payload in side.items()}
     table: Dict[str, List[Tuple[Tuple[int, int], str]]] = {}
     for opinion_set in side:
         sid = opinion_set.sentence_id
         if sid in table:
             raise EvalError(f"duplicate {name} sentence_id {sid!r}")
-        table[sid] = _target_items(opinion_set)
+        table[sid] = _target_items(opinion_set, sid)
     return table
 
 
@@ -481,11 +488,13 @@ def eval_parse(pred: Iterable[DepTree], gold: Iterable[DepTree]) -> ParseMetrics
                 f"token count mismatch: {len(pred_tree)} vs {len(gold_tree)} "
                 f"in {gold_tree.sentence_id or 'unnamed sentence'}"
             )
-        for p_token, g_token in zip(pred_tree.tokens, gold_tree.tokens):
+        for p_head, g_head, p_rel, g_rel in zip(
+            pred_tree.heads, gold_tree.heads, pred_tree.deprels, gold_tree.deprels
+        ):
             tokens += 1
-            if p_token.head == g_token.head:
+            if p_head == g_head:
                 head_hits += 1
-                if p_token.deprel == g_token.deprel:
+                if p_rel == g_rel:
                     label_hits += 1
     return ParseMetrics(head_hits / tokens, label_hits / tokens, tokens)
 

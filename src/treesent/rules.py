@@ -190,25 +190,13 @@ class _Composition(NamedTuple):
     lemmas: List[str]  # lowercased, after the collocation pre-pass
 
 
-def _post_order(tree: DepTree) -> List[int]:
-    # reversed right-to-left pre-order = left-to-right post-order
-    order: List[int] = []
-    stack = [tree.root_id]
-    children = tree.children
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(children[node])
-    order.reverse()
-    return order
-
-
 def _compose(
     tree: DepTree, lex: PolarityLexicon, cfg: RuleConfig, trace: bool = True
 ) -> _Composition:
     n = len(tree)
-    tokens = tree.tokens
-    lemmas, lowered = merge_lowered([tok.lemma for tok in tokens], lex.collocations)
+    heads = tree.heads
+    upos = tree.upos
+    lemmas, lowered = merge_lowered(tree.lemmas, lex.collocations)
     # the lexicon's compiled tables, read with the lemmas lowered once here
     valence_of = lex._valence_of
     shifter_of = lex.shifters._by_lemma
@@ -218,18 +206,17 @@ def _compose(
         kind = shifter_of.get(lemma) if lemma else None
         if kind is not None:
             shifter[node] = kind
-            shifter_deps.setdefault(tokens[node - 1].head, []).append(node)
+            shifter_deps.setdefault(heads[node - 1], []).append(node)
     contribution = [0.0] * (n + 1)
     # children's subtree totals summed left to right, exactly as sum() would
     below = [0] * (n + 1)
     steps: Optional[List[TraceStep]] = [] if trace else None
 
-    for node in _post_order(tree):
-        token = tokens[node - 1]
+    for node in tree.post_order:
         lemma = lowered[node - 1]
         value = 0.0
         if lemma:
-            base = valence_of.get((lemma, token.upos))
+            base = valence_of.get((lemma, upos[node - 1]))
             if base is None:
                 base = valence_of.get((lemma, None))
             if base is not None:
@@ -259,7 +246,7 @@ def _compose(
                 steps.append(TraceStep(node, NEGATE, total, clamped, lemmas[dep - 1]))
             contribution[node] += clamped - total
             total = clamped
-        below[token.head] += total
+        below[heads[node - 1]] += total
 
     sentence = total  # the root is the last node of the post-order
     pivot = next(
@@ -329,24 +316,24 @@ def classify_sentence(tree: DepTree, lex: PolarityLexicon, cfg: RuleConfig) -> S
 
 def _base_deprels(tree: DepTree) -> List[str]:
     """Each token's deprel without its subtype, by token id; [0] is unused."""
-    return [""] + [tok.deprel.partition(":")[0] for tok in tree.tokens]
+    return [""] + [deprel.partition(":")[0] for deprel in tree.deprels]
 
 
 def _target_candidates(
     tree: DepTree, deprels: List[str]
 ) -> List[Tuple[int, Tuple[int, ...]]]:
     children = tree.children
-    tokens = tree.tokens
+    heads = tree.heads
+    upos = tree.upos
     candidates = []
-    for node in range(1, len(tree) + 1):
-        token = tokens[node - 1]
-        if token.upos not in _NOUN_TAGS:
+    for node, tag in enumerate(upos, start=1):
+        if tag not in _NOUN_TAGS:
             continue
         # a nominal hanging off another nominal as part of a compound/flat/
         # amod chain belongs to the bigger span, not to a span of its own
-        if token.head != 0:
-            head_token = tokens[token.head - 1]
-            if deprels[node] in _NOMINAL_MODIFIERS and head_token.upos in _NOUN_TAGS:
+        head = heads[node - 1]
+        if head != 0:
+            if deprels[node] in _NOMINAL_MODIFIERS and upos[head - 1] in _NOUN_TAGS:
                 continue
         modifier_deps = {
             dep for dep in children[node] if deprels[dep] in _NOMINAL_MODIFIERS
@@ -377,26 +364,24 @@ def _evidence(
 ) -> List[Tuple[int, float]]:
     """(token id, contribution) of each scored token that speaks about the
     target headed at ``head``, left to right."""
-    tokens = tree.tokens
     children = tree.children
-    head_token = tokens[head - 1]
     evidence = set()
     # adjectival / participial modifiers of the target head
     for dep in children[head]:
         if deprels[dep] in ("amod", "acl"):
             evidence.add(dep)
     relation = deprels[head]
-    governor = head_token.head
+    governor = tree.heads[head - 1]
     if governor != 0:
-        governor_token = tokens[governor - 1]
+        governor_upos = tree.upos[governor - 1]
         if relation == "nsubj":
             # copular or adjectival predicate the target is subject of
             has_copula = any(deprels[dep] == "cop" for dep in children[governor])
-            if has_copula or governor_token.upos == "ADJ":
+            if has_copula or governor_upos == "ADJ":
                 evidence.add(governor)
-        elif relation in ("obj", "iobj", "obl") and governor_token.upos == "VERB":
+        elif relation in ("obj", "iobj", "obl") and governor_upos == "VERB":
             lemma = composed.lemmas[governor - 1]
-            base = lex._valence_of.get((lemma, governor_token.upos))
+            base = lex._valence_of.get((lemma, governor_upos))
             if base is None:
                 base = lex._valence_of.get((lemma, None))
             if base:
@@ -408,11 +393,11 @@ def _evidence(
 def _opinion(
     tree: DepTree, cfg: RuleConfig, span: Tuple[int, ...], kept: List[Tuple[int, float]]
 ) -> TargetOpinion:
-    tokens = tree.tokens
+    forms = tree.forms
     valence = sum(v for _e, v in kept)
     return TargetOpinion(
         span,
-        " ".join(tokens[i - 1].form for i in span),
+        " ".join(forms[i - 1] for i in span),
         valence,
         classify_valence(valence, cfg.neutral_threshold),
         tuple(e for e, _v in kept),
@@ -466,10 +451,12 @@ def baseline_wordcount(
 ) -> Tuple[float, str]:
     """Plain valence sum over tokens: no syntax, no shifters."""
     if isinstance(tokens, DepTree):
-        tokens = tokens.tokens
+        words = zip(tokens.lemmas, tokens.upos)
+    else:
+        words = ((token.lemma, token.upos) for token in tokens)
     valence = 0.0
-    for token in tokens:
-        hit = lex.lookup(token.lemma, token.upos)
+    for lemma, upos in words:
+        hit = lex.lookup(lemma, upos)
         if hit is not None:
             valence += hit
     return valence, classify_valence(valence, cfg.neutral_threshold)

@@ -1,16 +1,19 @@
 """Dependency tree domain model.
 
 A sentence is a list of tokens, each pointing at a head token (0 for the
-sentence root). Trees are validated on construction, so every ``DepTree``
-in the system is single-rooted, acyclic and contiguously numbered. The one
-exception is ``DepTree._trusted``, for code that has just proven those
-invariants itself.
+sentence root). ``DepTree`` stores the sentence as column tuples (forms,
+lemmas, UPOS tags, heads, deprels); ``Token`` rows are a view built on
+request. Trees are validated on construction, so every ``DepTree`` in the
+system is single-rooted, acyclic and contiguously numbered. Validation
+walks the tree from its root, and that walk is also the post-order and the
+children lists the rule engine reads. The one exception is
+``DepTree._trusted``, for code that has just proven those invariants itself.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -39,109 +42,165 @@ FILLER_UPOS = ("NOUN", "VERB", "ADJ", "ADV")
 FILLER_DEPRELS = ("nsubj", "obj", "amod", "advmod")
 
 
-def _validate_tokens(tokens: Sequence[Token]) -> None:
-    n = len(tokens)
-    if n == 0:
-        raise TreeError("empty sentence")
-    root = 0
-    for pos, tok in enumerate(tokens, start=1):
-        if tok.id != pos:
-            raise TreeError(f"token ids not contiguous: expected {pos}, got {tok.id}")
-        if not tok.upos:
+def _walk(heads: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Child ids per head (index 0 = the artificial root slot) and the
+    left-to-right post-order of the tokens reachable from the root.
+
+    ``heads`` must be in range. The order holds every token exactly when
+    the heads form one tree: a token on a cycle, or pointing at itself, has
+    its only parent on that cycle, so no walk from the root reaches it.
+    """
+    kids: list[list[int]] = [[] for _ in range(len(heads) + 1)]
+    for dep, head in enumerate(heads, start=1):
+        kids[head].append(dep)
+    # reversed right-to-left pre-order = left-to-right post-order
+    order: list[int] = []
+    stack = list(kids[0])
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(kids[node])
+    order.reverse()
+    return tuple(map(tuple, kids)), tuple(order)
+
+
+def _check_tokens(ids: Sequence[int], upos: Sequence[str], heads: Sequence[int]) -> None:
+    """Raise on the first token that fails a check, then on the root count."""
+    n = len(heads)
+    for pos, tok_id, tag, head in zip(range(1, n + 1), ids, upos, heads):
+        if tok_id != pos:
+            raise TreeError(f"token ids not contiguous: expected {pos}, got {tok_id}")
+        if not tag:
             raise TreeError(f"token {pos}: empty upos")
-        if tok.head < 0 or tok.head > n:
-            raise TreeError(f"token {pos}: head {tok.head} out of range 0..{n}")
-        if tok.head == tok.id:
+        if head < 0 or head > n:
+            raise TreeError(f"token {pos}: head {head} out of range 0..{n}")
+        if head == pos:
             raise TreeError(f"token {pos}: head equals id")
-        if tok.head == 0:
-            root += 1
-    if root == 0:
+    roots = heads.count(0)
+    if roots == 0:
         raise TreeError("no root token (head 0)")
-    if root > 1:
-        raise TreeError(f"{root} root tokens, expected exactly one")
-    # Head-chasing with visited marks; every chain must reach 0.
-    state = [0] * (n + 1)  # 0 new, 1 on current path, 2 done
-    for start in range(1, n + 1):
-        if state[start]:
-            continue
-        path = []
-        j = start
-        while j != 0 and state[j] == 0:
-            state[j] = 1
-            path.append(j)
-            j = tokens[j - 1].head
-        if j != 0 and state[j] == 1:
-            raise TreeError(f"cycle through token {j}")
-        for v in path:
-            state[v] = 2
+    if roots > 1:
+        raise TreeError(f"{roots} root tokens, expected exactly one")
 
 
-@dataclass(frozen=True)
+def _cycle_token(heads: Sequence[int], reached: Sequence[int]) -> int:
+    """The first token that repeats on the head chain of the smallest token
+    the walk missed: the one chasing heads from token 1 upwards meets first."""
+    reached = set(reached)
+    j = next(dep for dep in range(1, len(heads) + 1) if dep not in reached)
+    path = set()
+    while j not in path:
+        path.add(j)
+        j = heads[j - 1]
+    return j
+
+
+@dataclass(frozen=True, init=False)
 class DepTree:
     """An immutable validated dependency tree.
 
-    ``metadata`` holds comment key/value pairs (value ``None`` for bare
-    comments). Treat it as read-only after construction.
+    The columns are tuples indexed by token id minus one. ``metadata``
+    holds comment key/value pairs (value ``None`` for bare comments).
+    Treat it as read-only after construction.
     """
 
-    tokens: tuple[Token, ...]
-    sentence_id: str = ""
-    metadata: dict = field(default_factory=dict)
+    forms: tuple[str, ...]
+    lemmas: tuple[str, ...]
+    upos: tuple[str, ...]
+    heads: tuple[int, ...]
+    deprels: tuple[str, ...]
+    sentence_id: str
+    metadata: dict
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.tokens, tuple):
-            object.__setattr__(self, "tokens", tuple(self.tokens))
-        _validate_tokens(self.tokens)
+    def __init__(self, tokens: Sequence[Token], sentence_id: str = "",
+                 metadata: dict | None = None) -> None:
+        tokens = tuple(tokens)
+        ids, *columns = zip(*tokens) if tokens else ((),) * len(Token._fields)
+        self._fill(*columns, sentence_id, metadata)
+        self._validate(ids)
+        self.__dict__["tokens"] = tokens
+
+    def _fill(self, forms, lemmas, upos, heads, deprels, sentence_id, metadata) -> None:
+        self.__dict__.update(
+            forms=forms, lemmas=lemmas, upos=upos, heads=heads, deprels=deprels,
+            sentence_id=sentence_id, metadata={} if metadata is None else metadata,
+        )
+
+    def _validate(self, ids: tuple[int, ...]) -> None:
+        """Check the tree and keep the children and post-order its walk found.
+
+        Whole-column tests run first. Only a tree that fails one, or whose
+        walk misses a token, is checked token by token, so that the error
+        raised is always the one the first failing check names.
+        """
+        heads, upos = self.heads, self.upos
+        n = len(heads)
+        if n == 0:
+            raise TreeError("empty sentence")
+        if (ids != tuple(range(1, n + 1)) or not all(upos)
+                or min(heads) < 0 or max(heads) > n or heads.count(0) != 1):
+            _check_tokens(ids, upos, heads)
+        children, order = _walk(heads)
+        if len(order) != n:
+            _check_tokens(ids, upos, heads)  # a self-head is named before a cycle
+            raise TreeError(f"cycle through token {_cycle_token(heads, order)}")
+        self.__dict__.update(children=children, post_order=order)
 
     @classmethod
-    def _trusted(
-        cls, tokens: tuple[Token, ...], sentence_id: str = "", metadata: dict | None = None
-    ) -> "DepTree":
-        """A tree over ``tokens`` without validating them.
-
-        Only for callers that built ``tokens`` themselves and so already
-        know what ``_validate_tokens`` would check: ids ``1..n``, non-empty
-        UPOS tags, in-range heads, and one acyclic tree with a single root.
-        """
-        tree = object.__new__(cls)
-        object.__setattr__(tree, "tokens", tokens)
-        object.__setattr__(tree, "sentence_id", sentence_id)
-        object.__setattr__(tree, "metadata", {} if metadata is None else metadata)
+    def _from_columns(cls, ids: tuple[int, ...], *columns, sentence_id: str = "",
+                      metadata: dict | None = None) -> "DepTree":
+        """A validated tree over ids and the five columns, in field order."""
+        tree = cls._trusted(*columns, sentence_id, metadata)
+        tree._validate(ids)
         return tree
 
+    @classmethod
+    def _trusted(cls, forms, lemmas, upos, heads, deprels, sentence_id: str = "",
+                 metadata: dict | None = None) -> "DepTree":
+        """A tree over column tuples without validating them.
+
+        Only for callers that built the columns themselves and so already
+        know what validation would check: equal lengths, non-empty UPOS
+        tags, in-range heads, and one acyclic tree with a single root.
+        """
+        tree = object.__new__(cls)
+        tree._fill(forms, lemmas, upos, heads, deprels, sentence_id, metadata)
+        return tree
+
+    def __reduce__(self):
+        # the columns alone; a tree that was valid when pickled needs no check
+        return self._trusted, (self.forms, self.lemmas, self.upos, self.heads,
+                               self.deprels, self.sentence_id, self.metadata)
+
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.heads)
 
     @cached_property
-    def root_id(self) -> int:
-        for tok in self.tokens:
-            if tok.head == 0:
-                return tok.id
-        raise TreeError("no root")  # unreachable after validation
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Child ids per head, index 0 = the artificial root slot."""
-        kids: list[list[int]] = [[] for _ in range(len(self.tokens) + 1)]
-        for tok in self.tokens:
-            kids[tok.head].append(tok.id)
-        return tuple(tuple(k) for k in kids)
-
-    @property
-    def heads(self) -> tuple[int, ...]:
-        return tuple(t.head for t in self.tokens)
-
-    @property
-    def deprels(self) -> tuple[str, ...]:
-        return tuple(t.deprel for t in self.tokens)
-
-    @property
-    def forms(self) -> tuple[str, ...]:
-        return tuple(t.form for t in self.tokens)
+    def tokens(self) -> tuple[Token, ...]:
+        """The sentence as ``Token`` rows, built on first use."""
+        return tuple(map(Token, range(1, len(self) + 1), self.forms, self.lemmas,
+                         self.upos, self.heads, self.deprels))
 
     @property
     def upos_tags(self) -> tuple[str, ...]:
-        return tuple(t.upos for t in self.tokens)
+        return self.upos
+
+    @cached_property
+    def root_id(self) -> int:
+        return self.heads.index(0) + 1
+
+    # validation fills in both of these; a tree from ``_trusted`` walks on first use
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Child ids per head, index 0 = the artificial root slot."""
+        children, self.__dict__["post_order"] = _walk(self.heads)
+        return children
+
+    @cached_property
+    def post_order(self) -> tuple[int, ...]:
+        """Token ids with every dependent before its head, siblings left to right."""
+        self.__dict__["children"], order = _walk(self.heads)
+        return order
 
     @classmethod
     def build(
@@ -161,34 +220,34 @@ class DepTree:
         if upos is None:
             upos = [FILLER_UPOS[(i - 1) % len(FILLER_UPOS)] for i in range(1, n + 1)]
         if lemmas is None:
-            lemmas = list(forms)
+            lemmas = forms
         if deprels is None:
             deprels = ["root" if h == 0 else FILLER_DEPRELS[(i - 1) % len(FILLER_DEPRELS)]
                        for i, h in enumerate(heads, start=1)]
-        tokens = tuple(
-            Token(i, forms[i - 1], lemmas[i - 1], upos[i - 1], heads[i - 1], deprels[i - 1])
-            for i in range(1, n + 1)
-        )
-        return cls(tokens, sentence_id=sentence_id, metadata=metadata or {})
+        columns = tuple(map(tuple, (forms, lemmas, upos, heads, deprels)))
+        if any(len(column) != n for column in columns):
+            raise ValueError(f"every column needs {n} entries, one per head")
+        return cls._from_columns(tuple(range(1, n + 1)), *columns, sentence_id=sentence_id,
+                                 metadata=metadata or {})
 
 
-def _arcs_nest(tokens: Sequence[Token]) -> bool:
+def _arcs_nest(heads: Sequence[int]) -> bool:
     """True if no two arcs cross, in one left-to-right pass.
 
     Arcs are opened at their left end, longest first, and closed at their
     right end. They nest exactly when every arc closes while it is the
     innermost one still open, that is, on top of the stack.
     """
-    n = len(tokens)
+    n = len(heads)
     right_ends: list[list[int]] = [[] for _ in range(n + 1)]
     closing = [0] * (n + 1)
-    for tok in tokens:
-        if tok.head < tok.id:
-            right_ends[tok.head].append(tok.id)
-            closing[tok.id] += 1
+    for dep, head in enumerate(heads, start=1):
+        if head < dep:
+            right_ends[head].append(dep)
+            closing[dep] += 1
         else:
-            right_ends[tok.id].append(tok.head)
-            closing[tok.head] += 1
+            right_ends[dep].append(head)
+            closing[head] += 1
     open_ends: list[int] = []
     for pos in range(n + 1):
         for _ in range(closing[pos]):
@@ -209,12 +268,12 @@ def crossing_arcs(tree: DepTree) -> tuple[tuple[int, int], tuple[int, int]] | No
     linear pass; only a tree with a crossing is searched pair by pair,
     so that the pair reported is the first one in token order.
     """
-    if _arcs_nest(tree.tokens):
+    if _arcs_nest(tree.heads):
         return None
     spans = []
-    for tok in tree.tokens:
-        lo, hi = (tok.head, tok.id) if tok.head < tok.id else (tok.id, tok.head)
-        spans.append((lo, hi, tok.head, tok.id))
+    for dep, head in enumerate(tree.heads, start=1):
+        lo, hi = (head, dep) if head < dep else (dep, head)
+        spans.append((lo, hi, head, dep))
     for a in range(len(spans)):
         lo1, hi1, h1, d1 = spans[a]
         for b in range(a + 1, len(spans)):

@@ -13,6 +13,7 @@ from treesent import (
     EvalError,
     NonProjectiveError,
     OpinionError,
+    Token,
     TreeError,
     demo_gold_path,
     demo_treebank_path,
@@ -475,6 +476,13 @@ def test_bad_bench_and_gen_parameters_are_config_errors(tmp_path, capsys, argv, 
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("fmt", ["bridge", "conllu"])
+@pytest.mark.parametrize("count", [0, -3])
+def test_gen_rejects_a_corpus_size_below_one_in_both_formats(tmp_path, capsys, fmt, count):
+    assert run("gen", "--sentences", count, "--format", fmt, "-o", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: corpus size must be >= 1, got {count}\n"
+
+
 def test_bench_cli_accepts_file_corpus(tmp_path):
     corpus = tmp_path / "corpus.bridge"
     run("gen", "--sentences", 30, "--length", 6, "-o", corpus)
@@ -794,6 +802,46 @@ def test_every_data_error_exits_1(monkeypatch, capsys, error):
 def test_unknown_language_is_config_error(tmp_path, capsys):
     assert run("analyze", "-i", demo_treebank_path(), "--language", "xx") == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "-i", demo_treebank_path()),
+        ("analyze", "--explain", "-i", demo_treebank_path()),
+        ("analyze", "--baseline", "-i", demo_treebank_path()),
+        ("aspects", "-i", demo_treebank_path()),
+        *(("encode", "--scheme", scheme, "-i", demo_ud_path())
+          for scheme in ("rel-offset", "rel-pos", "brackets")),
+    ],
+    ids=lambda argv: "-".join(str(a) for a in argv[:-2]),
+)
+def test_commands_build_no_token_rows(tmp_path, monkeypatch, argv):
+    """The commands read and write tree columns; ``Token`` rows are only a
+    view for library callers."""
+    built, views = [], []
+    token_new = Token.__new__
+    view = DepTree.__dict__["tokens"]
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return token_new(cls, *args, **kwargs)
+
+    def counted_view(tree):
+        views.append(tree.sentence_id)
+        return view.func(tree)
+
+    monkeypatch.setattr(Token, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(DepTree, "tokens", property(counted_view))
+    bridge = tmp_path / "lines.bridge"
+    scheme = argv[2] if argv[0] == "encode" else "rel-offset"
+    assert run(*argv, "--workers", 1, "-o", bridge) == 0
+    if argv[0] == "encode":
+        assert run("decode", "--scheme", scheme, "-i", bridge, "-o", tmp_path / "back") == 0
+        assert (tmp_path / "back").stat().st_size > 0
+    assert built == [] and views == []
+    # the counters do see the view when something asks for it
+    assert DepTree.build([0]).tokens and len(built) == 1 and len(views) == 1
 
 
 def test_version_flag(capsys):

@@ -25,9 +25,10 @@ from treesent import (
     parse_tagger_output,
     repair,
 )
-from treesent import tree as tree_module
 from treesent.encodings import _parse_field, _propose_heads, format_label
 from treesent.tree import TreeError, is_projective, random_projective_tree, random_tree
+
+from test_tree import reference_validate
 
 PHONE = DepTree.build(
     [2, 3, 0],
@@ -208,10 +209,11 @@ def test_fuzzed_labels_decode_to_valid_trees(scheme):
 def _assert_valid_tree(tree):
     """decode() builds its tree unchecked; it must be one the checks accept."""
     assert isinstance(tree.tokens, tuple)
-    tree_module._validate_tokens(tree.tokens)
+    reference_validate(tree.tokens)
     checked = DepTree(tree.tokens, sentence_id=tree.sentence_id)
     assert tree == checked
     assert (tree.root_id, tree.children) == (checked.root_id, checked.children)
+    assert tree.post_order == checked.post_order
 
 
 _TAGS = ["NOUN", "VERB", "ADJ", "ROOT", "X"]

@@ -257,6 +257,16 @@ def test_eval_targets_off_by_one_span():
     assert overlap == (1.0, 1.0, 1.0, 1, 1, 1)
 
 
+@pytest.mark.parametrize("side", ["pred", "gold"])
+@pytest.mark.parametrize("span", [(1.9, True), ("1", 2), (1, 2, 3)], ids=repr)
+def test_eval_targets_rejects_a_span_that_is_not_an_integer_pair(side, span):
+    bad = {"a": [(span, "positive")]}
+    good = {"a": [((1, 1), "positive")]}
+    pred, gold = (bad, good) if side == "pred" else (good, bad)
+    with pytest.raises(EvalError, match=r"^sentence 'a': target must be a pair of integers"):
+        eval_targets(pred, gold, mode="exact")
+
+
 def test_eval_targets_polarity_must_match():
     pred = {"x": [((2, 3), "positive")]}
     gold_side = {"x": [((2, 3), "negative")]}
