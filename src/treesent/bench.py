@@ -113,13 +113,24 @@ def synthetic_sentence(
     )
 
 
+def check_corpus_shape(sentences: int, length: int) -> None:
+    """Reject a synthetic corpus size or sentence length below 1.
+
+    The generators below are lazy, so a caller that must not act on bad
+    parameters (``gen`` opening its output file) calls this first.
+    """
+    if sentences < 1:
+        raise BenchError(f"corpus size must be >= 1, got {sentences}")
+    if length < 1:
+        raise BenchError(f"sentence length must be >= 1, got {length}")
+
+
 def synthetic_trees(
     sentences: int, length: int, lexicon: PolarityLexicon, seed: int = 0
 ) -> Iterator[DepTree]:
     """Deterministic synthetic sentences ``syn-0``, ``syn-1``, ...: same
     arguments, same trees."""
-    if sentences < 1:
-        raise BenchError(f"corpus size must be >= 1, got {sentences}")
+    check_corpus_shape(sentences, length)
     pool = word_pool(lexicon)
     for index in range(sentences):
         yield synthetic_sentence(length, pool, seed * 1_000_003 + index, f"syn-{index}")

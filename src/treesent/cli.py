@@ -11,8 +11,10 @@ Subcommands:
 
 Settings resolve in three layers: built-in defaults, then a key=value
 config file (--config), then explicit flags. Lexicon paths that do not
-exist as given are retried under $SALSA_LEXICON_DIR. Exit codes: 0 on
-success, 1 for data errors under the abort policy, 2 for config errors.
+exist as given are retried under $TREESENT_LEXICON_DIR ($SALSA_LEXICON_DIR,
+its former name, is still read when the new one is unset, for one more
+release). Exit codes: 0 on success, 1 for data errors under the abort
+policy, 2 for config errors.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ from .tree import DataError, DepTree
 # evaluation, bench and concurrent.futures are imported where they are used,
 # so that analyze, encode and decode start without them
 
-LEXICON_DIR_ENV = "SALSA_LEXICON_DIR"
+LEXICON_DIR_ENV = "TREESENT_LEXICON_DIR"
+# the former name, read only when LEXICON_DIR_ENV is unset; to be removed
+FORMER_LEXICON_DIR_ENV = "SALSA_LEXICON_DIR"
 
 
 class ConfigError(ValueError):
@@ -126,7 +130,7 @@ def _find_lexicon(path_text: str) -> Path:
     path = Path(path_text)
     if path.is_file():
         return path
-    search_dir = os.environ.get(LEXICON_DIR_ENV)
+    search_dir = os.environ.get(LEXICON_DIR_ENV, os.environ.get(FORMER_LEXICON_DIR_ENV))
     if search_dir:
         fallback = Path(search_dir) / path_text
         if fallback.is_file():
@@ -593,18 +597,21 @@ def cmd_bench(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_gen(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    from .bench import synthetic_corpus, synthetic_trees
+    from .bench import check_corpus_shape, synthetic_corpus, synthetic_trees
 
     lexicon = cfg.load_lexicon()
-    with _bench_errors(), _open_output(cfg) as out:
-        if args.format == "bridge":
-            for line in synthetic_corpus(
-                args.sentences, args.length, lexicon, seed=cfg.seed, scheme=cfg.scheme
-            ):
-                out.write(line + "\n")
-        else:
-            for tree in synthetic_trees(args.sentences, args.length, lexicon, seed=cfg.seed):
-                out.write(format_sentence(_with_sent_id_comment(tree)) + "\n\n")
+    with _bench_errors():
+        # before the output is opened, so that bad parameters leave an -o file as it was
+        check_corpus_shape(args.sentences, args.length)
+        with _open_output(cfg) as out:
+            if args.format == "bridge":
+                for line in synthetic_corpus(
+                    args.sentences, args.length, lexicon, seed=cfg.seed, scheme=cfg.scheme
+                ):
+                    out.write(line + "\n")
+            else:
+                for tree in synthetic_trees(args.sentences, args.length, lexicon, seed=cfg.seed):
+                    out.write(format_sentence(_with_sent_id_comment(tree)) + "\n\n")
     return 0
 
 

@@ -431,6 +431,15 @@ def format_tagger_line(tree: DepTree, seq: LabelSeq) -> str:
     return sent_id + "\t" + " ".join(fields)
 
 
+# Each distinct token field is parsed once per parse_tagger_output call and
+# remembered in a memo local to that call; once the memo holds this many
+# fields, new ones are still parsed but no longer stored.
+_FIELD_MEMO_LIMIT = 8192
+
+# field text -> ((form, upos), label, bracket symbols in order)
+_FieldMemo = dict[str, tuple[tuple[str, str], SyntaxLabel, bool]]
+
+
 def parse_tagger_output(
     source: Union[str, Path, IO[str], IO[bytes], Iterable[str]],
     scheme: Scheme,
@@ -441,12 +450,14 @@ def parse_tagger_output(
 
     Yields ``(labels, decode_result)`` per record. Unparseable records
     are skipped (tallied in ``stats.skipped``) or abort, depending on
-    ``on_error``. Blank lines are ignored.
+    ``on_error``. Blank lines are ignored. A token field that repeats
+    an earlier one in the same call is looked up, not parsed again.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     if stats is None:
         stats = BridgeStats()
+    memo: _FieldMemo = {}
     for lineno, raw in enumerate(iter_raw_lines(source), start=1):
         text = decode_line(raw)
         try:
@@ -455,15 +466,28 @@ def parse_tagger_output(
             line = text.rstrip("\n").rstrip("\r")
             if not line.strip():
                 continue
-            yield _parse_bridge_line(line, lineno, scheme, stats)
+            yield _parse_bridge_line(line, lineno, scheme, stats, memo)
         except BridgeError:
             if on_error == "abort":
                 raise
             stats.skipped += 1
 
 
+def _memo_field(
+    field: str, scheme: Scheme, memo: _FieldMemo
+) -> tuple[tuple[str, str], SyntaxLabel, bool]:
+    """The memo entry for a field not in ``memo`` yet; ValueError if it
+    does not parse, in which case nothing is stored."""
+    form, upos, label = _parse_field(field, scheme)
+    ordered = scheme is not Scheme.BRACKETS or _BRACKET_PAYLOAD.match(label.payload) is not None
+    entry = ((form, upos), label, ordered)
+    if len(memo) < _FIELD_MEMO_LIMIT:
+        memo[field] = entry
+    return entry
+
+
 def _parse_bridge_line(
-    line: str, lineno: int, scheme: Scheme, stats: BridgeStats
+    line: str, lineno: int, scheme: Scheme, stats: BridgeStats, memo: _FieldMemo
 ) -> tuple[LabelSeq, DecodeResult]:
     sent_id, tab, rest = line.partition("\t")
     if not tab or not rest.strip():
@@ -475,28 +499,28 @@ def _parse_bridge_line(
         head_part, _, cls = last.rpartition("@")
         if cls:
             try:
-                _parse_field(head_part, scheme)
+                if head_part not in memo:
+                    _memo_field(head_part, scheme, memo)
             except ValueError:
                 pass  # the @ belongs to the form, leave the field alone
             else:
                 fields[-1] = head_part
                 polarity = cls
-    words: list[tuple[str, str]] = []
-    labels: list[SyntaxLabel] = []
-    for field_text in fields:
-        try:
-            form, upos, label = _parse_field(field_text, scheme)
-        except ValueError as exc:
-            raise BridgeError(str(exc), lineno) from None
-        words.append((form, upos))
-        labels.append(label)
+    try:
+        entries = [memo.get(field) or _memo_field(field, scheme, memo) for field in fields]
+    except ValueError as exc:
+        raise BridgeError(str(exc), lineno) from None
+    words, labels, ordered = zip(*entries)
     # _parse_field gives every label this scheme and a payload of its type;
-    # only the bracket symbol order is left to check
-    if scheme is Scheme.BRACKETS:
-        for label in labels:
-            if _BRACKET_PAYLOAD.match(label.payload) is None:
-                raise BridgeError(f"malformed payload {label.payload!r} for {scheme}", lineno)
-    seq = LabelSeq._trusted(tuple(labels), scheme, polarity)
+    # only the bracket symbol order is left to check, after every field parsed
+    if not all(ordered):
+        payload = labels[ordered.index(False)].payload
+        raise BridgeError(f"malformed payload {payload!r} for {scheme}", lineno)
+    if "\t" in rest:
+        # last, so that every other fault keeps its message; a tab in a form
+        # or relation would split its CoNLL-U column in two
+        raise BridgeError("tab inside the token fields", lineno)
+    seq = LabelSeq._trusted(labels, scheme, polarity)
     result = decode(seq, words, sentence_id=sent_id)
     stats.records += 1
     stats.repairs = stats.repairs + result.repairs

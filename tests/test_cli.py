@@ -2,9 +2,13 @@
 
 import io
 import json
+import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesent import (
     BridgeError,
@@ -249,6 +253,51 @@ def test_decode_mangled_lines_still_yield_valid_trees(tmp_path, capsys):
     assert "repairs total=0" not in err
 
 
+# token fields of every scheme, some with odd bytes in the form, and byte
+# pieces that break fields when strung together
+_BRIDGE_FIELDS = [
+    b"w/NOUN/+1:det", b"w/NOUN/0:root", b"w/VERB/-1:amod", b"w/NOUN/NOUN,+1:det",
+    b"w/VERB/ROOT,0:root", b"w/NOUN/VERB,-1:obj", b"w/NOUN/<:det", b"w/VERB/\\/:root",
+    b"w/NOUN/>:amod", b"w/NOUN/\\:x", b"w/NOUN/+99999999999999999999:dep",
+    b"w/NOUN/NOUN,-99999999999999:x", b"\xc3\xa9/ADJ/</:y", b"a@b/X/0:root", b"w\x00/X/0:root",
+    b"w\r/X/0:root", b"4/5/NUM/-1:nummod", b"w/NOUN/<\\:x",
+]
+_BRIDGE_PIECES = [
+    b"\t", b" ", b"\n", b"\r", b"/", b"@", b":", b",", b"\\", b"<", b">", b"#", b"+", b"-",
+    b"0", b"9", b"NOUN", b"\xff", b"\xc3", b"\x00",
+]
+_bridge_field = st.one_of(
+    st.sampled_from(_BRIDGE_FIELDS),
+    st.lists(
+        st.sampled_from(_BRIDGE_PIECES + _BRIDGE_FIELDS), min_size=1, max_size=6
+    ).map(b"".join),
+)
+_bridge_line = st.builds(
+    lambda sent_id, fields, end: sent_id + b"\t" + b" ".join(fields) + end,
+    st.sampled_from([b"s1", b"s2", b"", b"s\xff", b"# s"]),
+    st.lists(_bridge_field, min_size=1, max_size=8),
+    st.sampled_from([b"\n", b"\r\n", b"@pos\n", b"@\n", b"\t\n", b""]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.binary(max_size=200), st.lists(_bridge_line, max_size=6).map(b"".join)))
+def test_decode_ends_cleanly_on_any_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "in.bridge"
+    path.write_bytes(data)
+    for scheme in ("rel-offset", "rel-pos", "brackets"):
+        for policy in ("abort", "skip"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run("decode", "--scheme", scheme, "--on-error", policy, "-i", path)
+            assert code in (0, 1, 2), (scheme, policy)
+            trees = list(read_conllu(io.BytesIO(out.getvalue().encode("utf-8")), on_error="abort"))
+            if policy == "skip":
+                assert code == 0, err.getvalue()
+                decoded = re.match(r"decoded (\d+) sentences", err.getvalue())
+                assert decoded is not None and int(decoded[1]) == len(trees)
+
+
 def _non_projective_file(tmp_path):
     crossing = DepTree.build(
         [3, 4, 0, 3],
@@ -483,6 +532,24 @@ def test_gen_rejects_a_corpus_size_below_one_in_both_formats(tmp_path, capsys, f
     assert capsys.readouterr().err == f"config error: corpus size must be >= 1, got {count}\n"
 
 
+@pytest.mark.parametrize("fmt", ["bridge", "conllu"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--sentences", 0), "corpus size must be >= 1, got 0"),
+        (("--length", 0), "sentence length must be >= 1, got 0"),
+    ],
+)
+def test_gen_leaves_an_existing_output_file_alone_when_its_parameters_are_bad(
+    tmp_path, capsys, fmt, flags, message
+):
+    keep = tmp_path / "keep.txt"
+    keep.write_bytes(b"earlier corpus\n\xff\n")
+    assert run("gen", *flags, "--format", fmt, "-o", keep) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert keep.read_bytes() == b"earlier corpus\n\xff\n"
+
+
 def test_bench_cli_accepts_file_corpus(tmp_path):
     corpus = tmp_path / "corpus.bridge"
     run("gen", "--sentences", 30, "--length", 6, "-o", corpus)
@@ -700,24 +767,58 @@ def test_nan_in_rules_file_is_a_config_error(tmp_path, capsys):
     assert "neutral_threshold must be >= 0" in capsys.readouterr().err
 
 
-def test_lexicon_search_path_fallback(tmp_path, monkeypatch):
+def _lexicon_stash(tmp_path):
     from treesent.assets import data_path
 
     stash = tmp_path / "lexicons"
     stash.mkdir()
     (stash / "custom.tsv").write_text(data_path("lexicon_en.tsv").read_text(encoding="utf-8"))
+    return stash
+
+
+def test_lexicon_search_path_fallback(tmp_path, monkeypatch):
+    stash = _lexicon_stash(tmp_path)
     out = tmp_path / "out.jsonl"
+    monkeypatch.delenv("TREESENT_LEXICON_DIR", raising=False)
     monkeypatch.delenv("SALSA_LEXICON_DIR", raising=False)
     assert run("analyze", "-i", demo_treebank_path(), "-o", out, "--lexicon", "custom.tsv") == 2
+    monkeypatch.setenv("TREESENT_LEXICON_DIR", str(stash))
+    assert run("analyze", "-i", demo_treebank_path(), "-o", out, "--lexicon", "custom.tsv") == 0
+    assert [r["class"] for r in read_jsonl(out)] == ["positive", "negative", "negative"]
+
+
+def test_the_former_lexicon_dir_variable_is_still_read(tmp_path, monkeypatch):
+    stash = _lexicon_stash(tmp_path)
+    out = tmp_path / "out.jsonl"
+    monkeypatch.delenv("TREESENT_LEXICON_DIR", raising=False)
     monkeypatch.setenv("SALSA_LEXICON_DIR", str(stash))
     assert run("analyze", "-i", demo_treebank_path(), "-o", out, "--lexicon", "custom.tsv") == 0
     assert [r["class"] for r in read_jsonl(out)] == ["positive", "negative", "negative"]
+
+
+def test_the_new_lexicon_dir_variable_wins_over_the_former_one(tmp_path, monkeypatch, capsys):
+    stash = _lexicon_stash(tmp_path)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    out = tmp_path / "out.jsonl"
+    argv = ("analyze", "-i", demo_treebank_path(), "-o", out, "--lexicon", "custom.tsv")
+    monkeypatch.setenv("TREESENT_LEXICON_DIR", str(stash))
+    monkeypatch.setenv("SALSA_LEXICON_DIR", str(elsewhere))
+    assert run(*argv) == 0
+    monkeypatch.setenv("TREESENT_LEXICON_DIR", str(elsewhere))
+    monkeypatch.setenv("SALSA_LEXICON_DIR", str(stash))
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: lexicon file not found: custom.tsv "
+        f"(also tried {elsewhere / 'custom.tsv'})\n"
+    )
 
 
 @pytest.mark.parametrize(
     "flag", ["--lexicon", "--domain-lexicon", "--rules", "--config", "-i", "-o"]
 )
 def test_a_directory_where_a_file_belongs_is_a_config_error(tmp_path, capsys, flag, monkeypatch):
+    monkeypatch.delenv("TREESENT_LEXICON_DIR", raising=False)
     monkeypatch.delenv("SALSA_LEXICON_DIR", raising=False)
     folder = tmp_path / "folder"
     folder.mkdir()

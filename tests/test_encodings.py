@@ -25,6 +25,7 @@ from treesent import (
     parse_tagger_output,
     repair,
 )
+from treesent import encodings
 from treesent.encodings import _parse_field, _propose_heads, format_label
 from treesent.tree import TreeError, is_projective, random_projective_tree, random_tree
 
@@ -493,6 +494,26 @@ def test_bridge_bad_record_policies():
         list(parse_tagger_output(lines, Scheme.REL_OFFSET, on_error="abort"))
 
 
+_ROOT_LABEL = {Scheme.REL_OFFSET: "0:root", Scheme.REL_POS: "ROOT,0:root", Scheme.BRACKETS: ":root"}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("line", ["s1\tw/X/{}\t", "s1\tw\tx/X/{}", "s1\tw/X/{}\tx"])
+def test_a_tab_inside_the_token_fields_is_a_bad_record(scheme, line):
+    # decoded, the tab would split a CoNLL-U column in two
+    line = line.format(_ROOT_LABEL[scheme])
+    stats = BridgeStats()
+    assert list(parse_tagger_output([line], scheme, stats=stats)) == []
+    assert stats.skipped == 1
+    with pytest.raises(BridgeError, match="^line 1: tab inside the token fields$"):
+        list(parse_tagger_output([line], scheme, on_error="abort"))
+
+
+def test_a_tab_does_not_hide_an_earlier_fault():
+    with pytest.raises(BridgeError, match="^line 1: bad token field 'bad'$"):
+        list(parse_tagger_output(["s1\tw/X/0:root\tx bad"], Scheme.REL_OFFSET, on_error="abort"))
+
+
 def test_bridge_invalid_utf8_is_a_bad_record():
     lines = [b"s1\ta/X/0:root\n", b"s2\t\xff/X/0:root\n", b"s3\tb/X/0:root\n"]
     stats = BridgeStats()
@@ -511,6 +532,122 @@ def test_bridge_error_survives_pickle():
 
 def test_bridge_empty_stream():
     assert list(parse_tagger_output(io.StringIO(""), Scheme.REL_OFFSET)) == []
+
+
+# -- the per-call field memo -------------------------------------------------
+
+# good fields of each scheme ('@' inside forms and as a class suffix
+# included), then fields that fail: misordered bracket symbols, malformed ones
+_MEMO_GOOD = {
+    Scheme.REL_OFFSET: ["the/DET/+1:det", "phone/NOUN/0:root", "good/ADJ/-1:amod",
+                        "a/b/NOUN/+2:x", "e@mail/NOUN/+1:obj", "phone/NOUN/0:root@positive",
+                        "r/VERB/+99999999999999999999:obl"],
+    Scheme.REL_POS: ["the/DET/NOUN,+1:det", "phone/NOUN/ROOT,0:root", "good/ADJ/NOUN,-1:amod",
+                     "e@mail/NOUN/NOUN,+1:obj", "phone/NOUN/ROOT,0:root@positive",
+                     "r/VERB/NOUN,-99999999999:obl"],
+    Scheme.BRACKETS: ["the/DET/<:det", "phone/NOUN/\\/:root", "good/ADJ/>:amod",
+                      "x/X/\\\\<:dep", "k/N/:x", "e@mail/NOUN/<:obj", "good/ADJ/>:amod@neg"],
+}
+_MEMO_MISORDERED = ["w/NOUN/<\\:x", "v/VERB/>/\\:r"]
+_MEMO_MALFORMED = ["bad", "w//0:x", "k/N/X,:x", "@/X/0:root@"]
+
+
+def _memo_lines(scheme):
+    good = st.sampled_from(_MEMO_GOOD[scheme])
+    fields = st.one_of(
+        good, good, st.sampled_from(_MEMO_MISORDERED), st.sampled_from(_MEMO_MALFORMED)
+    )
+    return st.lists(
+        st.one_of(
+            st.builds(
+                lambda fields, suffix: "s\t" + " ".join(fields) + suffix,
+                st.lists(fields, min_size=1, max_size=5),
+                st.sampled_from(["", "", "@positive", "@", "\r"]),
+            ),
+            st.sampled_from(["", "no tab", "s\t "]),
+        ),
+        max_size=12,
+    )
+
+
+def _bridge_outcome(lines, scheme, on_error):
+    """(pairs, stats, first error) of one parse_tagger_output call."""
+    stats = BridgeStats()
+    pairs = []
+    try:
+        for pair in parse_tagger_output(lines, scheme, on_error=on_error, stats=stats):
+            pairs.append(pair)
+    except BridgeError as exc:
+        return pairs, stats, (str(exc), exc.line)
+    return pairs, stats, None
+
+
+def _line_by_line_outcome(lines, scheme, on_error):
+    """The same, with each line read by a fresh call at its own line number."""
+    pairs, total = [], BridgeStats()
+    for index, line in enumerate(lines):
+        got, stats, error = _bridge_outcome([""] * index + [line], scheme, on_error)
+        pairs += got
+        total.records += stats.records
+        total.skipped += stats.skipped
+        total.repairs = total.repairs + stats.repairs
+        if error is not None:
+            return pairs, total, error
+    return pairs, total, None
+
+
+@pytest.mark.parametrize("limit", [None, 0, 3], ids=["default", "never", "small"])
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(list(Scheme)).flatmap(lambda s: st.tuples(st.just(s), _memo_lines(s))),
+    st.sampled_from(["skip", "abort"]),
+)
+# a field remembered from a line that failed is still misordered when it comes back
+@example((Scheme.BRACKETS, ["s\tw/NOUN/<\\:x", "s\tthe/DET/<:det w/NOUN/<\\:x"]), "skip")
+@example((Scheme.REL_OFFSET, ["s\tbad", "s\tphone/NOUN/0:root@pos", "s\tphone/NOUN/0:root"]), "skip")
+def test_memo_reads_a_stream_as_fresh_calls_read_its_lines(limit, case, on_error):
+    scheme, lines = case
+    with pytest.MonkeyPatch.context() as patch:
+        if limit is not None:
+            patch.setattr(encodings, "_FIELD_MEMO_LIMIT", limit)
+        assert _bridge_outcome(lines, scheme, on_error) == _line_by_line_outcome(
+            lines, scheme, on_error
+        )
+
+
+def _counting_parse_field(patch):
+    calls = []
+
+    def counted(field, scheme):
+        calls.append(field)
+        return _parse_field(field, scheme)
+
+    patch.setattr(encodings, "_parse_field", counted)
+    return calls
+
+
+def test_each_distinct_field_is_parsed_once_per_call():
+    lines = ["s1\tthe/DET/+1:det phone/NOUN/0:root", "s2\tthe/DET/+1:det phone/NOUN/0:root@pos",
+             "s3\tbad the/DET/+1:det", "s4\tbad"]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counting_parse_field(patch)
+        out = list(parse_tagger_output(lines, Scheme.REL_OFFSET))
+        assert [seq.sentence_polarity for seq, _ in out] == [None, "pos"]
+        # a field that fails is never remembered, so "bad" is parsed each time
+        assert calls == ["the/DET/+1:det", "phone/NOUN/0:root", "bad", "bad"]
+        calls.clear()
+        list(parse_tagger_output(lines[:1], Scheme.REL_OFFSET))
+        assert calls == ["the/DET/+1:det", "phone/NOUN/0:root"]  # no memo across calls
+
+
+def test_a_full_memo_still_parses_new_fields():
+    lines = ["s1\ta/X/0:root", "s2\tb/X/0:root", "s3\tb/X/0:root", "s4\ta/X/0:root"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encodings, "_FIELD_MEMO_LIMIT", 1)
+        calls = _counting_parse_field(patch)
+        out = list(parse_tagger_output(lines, Scheme.REL_OFFSET, on_error="abort"))
+    assert [result.tree.forms for _, result in out] == [("a",), ("b",), ("b",), ("a",)]
+    assert calls == ["a/X/0:root", "b/X/0:root", "b/X/0:root"]
 
 
 def test_format_rejects_whitespace_forms():
