@@ -14,6 +14,7 @@ single-worker run because sentences are independent.
 
 from __future__ import annotations
 
+import itertools
 import random
 import warnings
 from dataclasses import dataclass
@@ -113,27 +114,21 @@ def synthetic_sentence(
     )
 
 
-def check_corpus_shape(sentences: int, length: int) -> None:
-    """Reject a synthetic corpus size or sentence length below 1.
-
-    The generators below are lazy, so a caller that must not act on bad
-    parameters (``gen`` opening its output file) calls this first.
-    """
-    if sentences < 1:
-        raise BenchError(f"corpus size must be >= 1, got {sentences}")
-    if length < 1:
-        raise BenchError(f"sentence length must be >= 1, got {length}")
-
-
 def synthetic_trees(
     sentences: int, length: int, lexicon: PolarityLexicon, seed: int = 0
 ) -> Iterator[DepTree]:
     """Deterministic synthetic sentences ``syn-0``, ``syn-1``, ...: same
-    arguments, same trees."""
-    check_corpus_shape(sentences, length)
+    arguments, same trees. Bad arguments raise here, not on first use."""
+    if sentences < 1:
+        raise BenchError(f"corpus size must be >= 1, got {sentences}")
     pool = word_pool(lexicon)
-    for index in range(sentences):
-        yield synthetic_sentence(length, pool, seed * 1_000_003 + index, f"syn-{index}")
+    # built now, so that a bad length raises before the caller acts
+    first = synthetic_sentence(length, pool, seed * 1_000_003, "syn-0")
+    rest = (
+        synthetic_sentence(length, pool, seed * 1_000_003 + index, f"syn-{index}")
+        for index in range(1, sentences)
+    )
+    return itertools.chain((first,), rest)
 
 
 def synthetic_corpus(
@@ -143,9 +138,10 @@ def synthetic_corpus(
     seed: int = 0,
     scheme: Scheme = Scheme.REL_OFFSET,
 ) -> Iterator[str]:
-    """Deterministic bridge lines: same arguments, same corpus."""
-    for tree in synthetic_trees(sentences, length, lexicon, seed):
-        yield format_tagger_line(tree, encode(tree, scheme))
+    """Deterministic bridge lines: same arguments, same corpus. Bad
+    arguments raise here, not on first use."""
+    trees = synthetic_trees(sentences, length, lexicon, seed)
+    return (format_tagger_line(tree, encode(tree, scheme)) for tree in trees)
 
 
 class _ChunkResult(NamedTuple):

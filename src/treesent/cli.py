@@ -597,21 +597,22 @@ def cmd_bench(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_gen(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    from .bench import check_corpus_shape, synthetic_corpus, synthetic_trees
+    from .bench import synthetic_corpus, synthetic_trees
 
     lexicon = cfg.load_lexicon()
     with _bench_errors():
-        # before the output is opened, so that bad parameters leave an -o file as it was
-        check_corpus_shape(args.sentences, args.length)
+        # both generators check their arguments when called, so bad ones
+        # raise before the output is opened and leave an -o file as it was
+        if args.format == "bridge":
+            lines = synthetic_corpus(
+                args.sentences, args.length, lexicon, seed=cfg.seed, scheme=cfg.scheme
+            )
+            records = (line + "\n" for line in lines)
+        else:
+            trees = synthetic_trees(args.sentences, args.length, lexicon, seed=cfg.seed)
+            records = (format_sentence(_with_sent_id_comment(tree)) + "\n\n" for tree in trees)
         with _open_output(cfg) as out:
-            if args.format == "bridge":
-                for line in synthetic_corpus(
-                    args.sentences, args.length, lexicon, seed=cfg.seed, scheme=cfg.scheme
-                ):
-                    out.write(line + "\n")
-            else:
-                for tree in synthetic_trees(args.sentences, args.length, lexicon, seed=cfg.seed):
-                    out.write(format_sentence(_with_sent_id_comment(tree)) + "\n\n")
+            out.writelines(records)
     return 0
 
 

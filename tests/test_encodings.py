@@ -288,10 +288,16 @@ def test_bridge_lines_decode_to_valid_trees_and_labels(case, suffix):
 
 _REGEX_REL_OFFSET = re.compile(r"^([+-]?\d+):(.*)$")
 _REGEX_REL_POS = re.compile(r"^([^,:]+),([+-]?\d+):(.*)$")
+_REGEX_BRACKET_FIELD = re.compile(r"^(.+?)/([^/]+)/([\\<>/]*):([^/]*)$")
 
 
 def _regex_parse_field(field, scheme):
-    """The rel-offset/rel-pos field parser as a pair of regexes, the reference."""
+    """The field parser as regexes, the reference."""
+    if scheme is Scheme.BRACKETS:
+        m = _REGEX_BRACKET_FIELD.match(field)
+        if m is None:
+            raise ValueError(f"bad token field {field!r}")
+        return m.group(1), m.group(2), SyntaxLabel(scheme, m.group(3), m.group(4))
     parts = field.rsplit("/", 2)
     if len(parts) != 3 or not parts[0] or not parts[1]:
         raise ValueError(f"bad token field {field!r}")
@@ -315,43 +321,63 @@ def _outcome(parse, field, scheme):
 
 
 _LABEL_CHARS = "0123456789\u0663+-_ ,:/\n\rNOUNa@"
+_BRACKET_CHARS = "\\<>/:a@\n"
 
 
 @settings(max_examples=1500, deadline=None)
 @given(
-    st.sampled_from([Scheme.REL_OFFSET, Scheme.REL_POS]),
     st.one_of(
-        st.text(_LABEL_CHARS, max_size=14),
-        st.text(_LABEL_CHARS, max_size=10).map("w/X/".__add__),
-        st.builds(
-            lambda tag, sign, digits, sep, rel: f"w/X/{tag}{sign}{digits}{sep}{rel}",
-            st.sampled_from(["", "NOUN,", ",", "NO:UN,", "NOUN", "\n,"]),
-            st.sampled_from(["", "+", "-", "+-", " "]),
-            st.text("0123456789\u0663_ ", max_size=4),
-            st.sampled_from([":", "", ",", "::"]),
-            st.text("amod:\n\r/", max_size=5),
+        st.tuples(
+            st.sampled_from([Scheme.REL_OFFSET, Scheme.REL_POS]),
+            st.one_of(
+                st.text(_LABEL_CHARS, max_size=14),
+                st.text(_LABEL_CHARS, max_size=10).map("w/X/".__add__),
+                st.builds(
+                    lambda tag, sign, digits, sep, rel: f"w/X/{tag}{sign}{digits}{sep}{rel}",
+                    st.sampled_from(["", "NOUN,", ",", "NO:UN,", "NOUN", "\n,"]),
+                    st.sampled_from(["", "+", "-", "+-", " "]),
+                    st.text("0123456789\u0663_ ", max_size=4),
+                    st.sampled_from([":", "", ",", "::"]),
+                    st.text("amod:\n\r/", max_size=5),
+                ),
+            ),
+        ),
+        st.tuples(
+            st.just(Scheme.BRACKETS),
+            st.one_of(
+                st.text(_BRACKET_CHARS, max_size=14),
+                st.text(_BRACKET_CHARS, max_size=10).map("w/X/".__add__),
+            ),
         ),
     ),
 )
-@example(Scheme.REL_OFFSET, "w/X/\u0663:dep")
-@example(Scheme.REL_POS, "w/X/NOUN,-\u0663:dep")
-@example(Scheme.REL_OFFSET, "w/X/+:dep")
-@example(Scheme.REL_OFFSET, "w/X/-:dep")
-@example(Scheme.REL_POS, "w/X/NOUN,+:dep")
-@example(Scheme.REL_OFFSET, "w/X/ 3:dep")
-@example(Scheme.REL_POS, "w/X/NOUN, 3:dep")
-@example(Scheme.REL_OFFSET, "w/X/1_0:dep")
-@example(Scheme.REL_POS, "w/X/NOUN,1_0:dep")
-@example(Scheme.REL_OFFSET, "w/X/3dep")
-@example(Scheme.REL_POS, "w/X/NOUN3:dep")
-@example(Scheme.REL_POS, "w/X/NOUN,3dep")
-@example(Scheme.REL_POS, "w/X/,3:dep")
-@example(Scheme.REL_OFFSET, "w/X/3:de\np")
-@example(Scheme.REL_OFFSET, "w/X/3:dep\n")
-@example(Scheme.REL_OFFSET, "w/X/3:dep\n\n")
-@example(Scheme.REL_OFFSET, "w/X/" + "9" * 5000 + ":dep")
-def test_field_parser_matches_the_regex_grammar(scheme, field):
-    assert _outcome(_parse_field, field, scheme) == _outcome(_regex_parse_field, field, scheme)
+@example((Scheme.REL_OFFSET, "w/X/\u0663:dep"))
+@example((Scheme.REL_POS, "w/X/NOUN,-\u0663:dep"))
+@example((Scheme.REL_OFFSET, "w/X/+:dep"))
+@example((Scheme.REL_OFFSET, "w/X/-:dep"))
+@example((Scheme.REL_POS, "w/X/NOUN,+:dep"))
+@example((Scheme.REL_OFFSET, "w/X/ 3:dep"))
+@example((Scheme.REL_POS, "w/X/NOUN, 3:dep"))
+@example((Scheme.REL_OFFSET, "w/X/1_0:dep"))
+@example((Scheme.REL_POS, "w/X/NOUN,1_0:dep"))
+@example((Scheme.REL_OFFSET, "w/X/3dep"))
+@example((Scheme.REL_POS, "w/X/NOUN3:dep"))
+@example((Scheme.REL_POS, "w/X/NOUN,3dep"))
+@example((Scheme.REL_POS, "w/X/,3:dep"))
+@example((Scheme.REL_OFFSET, "w/X/3:de\np"))
+@example((Scheme.REL_OFFSET, "w/X/3:dep\n"))
+@example((Scheme.REL_OFFSET, "w/X/3:dep\n\n"))
+@example((Scheme.REL_OFFSET, "w/X/" + "9" * 5000 + ":dep"))
+@example((Scheme.BRACKETS, "a/b/>/\\:r:s"))
+@example((Scheme.BRACKETS, "a/<\\/X/>:r"))
+def test_field_parser_matches_the_regex_grammar(case):
+    scheme, field = case
+    expected = _outcome(_regex_parse_field, field, scheme)
+    assert _outcome(_parse_field, field, scheme) == expected
+    # with a label memo: the first call parses the label, the second finds it
+    known = {}
+    for _ in range(2):
+        assert _outcome(lambda f, s: _parse_field(f, s, known), field, scheme) == expected
 
 
 @pytest.mark.parametrize("suffix", ["", "@pos"])
@@ -534,7 +560,7 @@ def test_bridge_empty_stream():
     assert list(parse_tagger_output(io.StringIO(""), Scheme.REL_OFFSET)) == []
 
 
-# -- the per-call field memo -------------------------------------------------
+# -- the per-call label memo -------------------------------------------------
 
 # good fields of each scheme ('@' inside forms and as a class suffix
 # included), then fields that fail: misordered bracket symbols, malformed ones
@@ -602,52 +628,55 @@ def _line_by_line_outcome(lines, scheme, on_error):
     st.sampled_from(list(Scheme)).flatmap(lambda s: st.tuples(st.just(s), _memo_lines(s))),
     st.sampled_from(["skip", "abort"]),
 )
-# a field remembered from a line that failed is still misordered when it comes back
+# a label remembered from a line that failed is still misordered when it comes back
 @example((Scheme.BRACKETS, ["s\tw/NOUN/<\\:x", "s\tthe/DET/<:det w/NOUN/<\\:x"]), "skip")
 @example((Scheme.REL_OFFSET, ["s\tbad", "s\tphone/NOUN/0:root@pos", "s\tphone/NOUN/0:root"]), "skip")
 def test_memo_reads_a_stream_as_fresh_calls_read_its_lines(limit, case, on_error):
     scheme, lines = case
     with pytest.MonkeyPatch.context() as patch:
         if limit is not None:
-            patch.setattr(encodings, "_FIELD_MEMO_LIMIT", limit)
+            patch.setattr(encodings, "_LABEL_MEMO_LIMIT", limit)
         assert _bridge_outcome(lines, scheme, on_error) == _line_by_line_outcome(
             lines, scheme, on_error
         )
 
 
-def _counting_parse_field(patch):
-    calls = []
+def _counting_labels(patch):
+    """Record the arguments of every SyntaxLabel the bridge reader builds."""
+    made = []
 
-    def counted(field, scheme):
-        calls.append(field)
-        return _parse_field(field, scheme)
+    def counted(*args):
+        made.append(args[1:])
+        return SyntaxLabel(*args)
 
-    patch.setattr(encodings, "_parse_field", counted)
-    return calls
+    patch.setattr(encodings, "SyntaxLabel", counted)
+    return made
 
 
-def test_each_distinct_field_is_parsed_once_per_call():
-    lines = ["s1\tthe/DET/+1:det phone/NOUN/0:root", "s2\tthe/DET/+1:det phone/NOUN/0:root@pos",
-             "s3\tbad the/DET/+1:det", "s4\tbad"]
+def test_each_distinct_label_is_parsed_once_per_call():
+    lines = ["s1\tthe/DET/+1:det phone/NOUN/0:root", "s2\ta/DET/+1:det cat/NOUN/0:root@pos",
+             "s3\tbad the/DET/+1:det", "s4\tthis/DET/+1:det"]
     with pytest.MonkeyPatch.context() as patch:
-        calls = _counting_parse_field(patch)
+        made = _counting_labels(patch)
         out = list(parse_tagger_output(lines, Scheme.REL_OFFSET))
-        assert [seq.sentence_polarity for seq, _ in out] == [None, "pos"]
-        # a field that fails is never remembered, so "bad" is parsed each time
-        assert calls == ["the/DET/+1:det", "phone/NOUN/0:root", "bad", "bad"]
-        calls.clear()
+        assert [result.tree.forms for _, result in out] == [
+            ("the", "phone"), ("a", "cat"), ("this",)]
+        assert [seq.sentence_polarity for seq, _ in out] == [None, "pos", None]
+        assert made == [(1, "det"), (0, "root")]
+        made.clear()
         list(parse_tagger_output(lines[:1], Scheme.REL_OFFSET))
-        assert calls == ["the/DET/+1:det", "phone/NOUN/0:root"]  # no memo across calls
+        assert made == [(1, "det"), (0, "root")]  # no memo across calls
 
 
-def test_a_full_memo_still_parses_new_fields():
-    lines = ["s1\ta/X/0:root", "s2\tb/X/0:root", "s3\tb/X/0:root", "s4\ta/X/0:root"]
+def test_a_full_memo_is_dropped():
+    lines = ["s1\ta/X/0:root", "s2\tb/X/0:root", "s3\tc/X/0:root"]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(encodings, "_FIELD_MEMO_LIMIT", 1)
-        calls = _counting_parse_field(patch)
+        patch.setattr(encodings, "_LABEL_MEMO_LIMIT", 1)
+        made = _counting_labels(patch)
         out = list(parse_tagger_output(lines, Scheme.REL_OFFSET, on_error="abort"))
-    assert [result.tree.forms for _, result in out] == [("a",), ("b",), ("b",), ("a",)]
-    assert calls == ["a/X/0:root", "b/X/0:root", "b/X/0:root"]
+    assert [result.tree.forms for _, result in out] == [("a",), ("b",), ("c",)]
+    # the first line fills the memo; the lines after it parse their labels anew
+    assert made == [(0, "root")] * 3
 
 
 def test_format_rejects_whitespace_forms():
