@@ -30,6 +30,8 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import (
     IO,
+    TYPE_CHECKING,
+    Callable,
     Deque,
     Dict,
     Iterable,
@@ -42,7 +44,6 @@ from typing import (
 )
 
 from . import __version__
-from .assets import demo_lexicon
 from .conllu import (
     Block,
     ConlluError,
@@ -62,12 +63,14 @@ from .encodings import (
     format_tagger_line,
     parse_tagger_output,
 )
-from .lexicon import LexiconError, PolarityLexicon, load_lexicon
-from .rules import RuleConfig, RuleError, analyze, baseline_wordcount
 from .tree import DataError, DepTree
 
-# evaluation, bench and concurrent.futures are imported where they are used,
-# so that analyze, encode and decode start without them
+# The lexicon, rules, assets, evaluation, bench and concurrent.futures
+# modules are imported where they are used: encode and decode start without
+# any of them, analyze without the last three.
+if TYPE_CHECKING:
+    from .lexicon import PolarityLexicon
+    from .rules import RuleConfig
 
 LEXICON_DIR_ENV = "TREESENT_LEXICON_DIR"
 # the former name, read only when LEXICON_DIR_ENV is unset; to be removed
@@ -100,6 +103,9 @@ class PipelineConfig:
             raise ConfigError(f"on_error must be 'skip' or 'abort', got {self.on_error!r}")
 
     def load_lexicon(self) -> PolarityLexicon:
+        from .assets import demo_lexicon
+        from .lexicon import LexiconError, load_lexicon
+
         try:
             if self.lexicon is None:
                 lexicon = demo_lexicon(self.language)
@@ -115,6 +121,8 @@ class PipelineConfig:
             raise ConfigError(f"lexicon: {exc}") from None
 
     def load_rules(self) -> RuleConfig:
+        from .rules import RuleConfig, RuleError
+
         if self.rules is None:
             return RuleConfig()
         path = Path(self.rules)
@@ -237,21 +245,24 @@ def _input_source(cfg: PipelineConfig):
 
 def _sentence_record(
     tree: DepTree,
+    score: Callable,
     lexicon: PolarityLexicon,
     rules_cfg: RuleConfig,
     explain: bool,
     baseline: bool,
     aspects_only: bool,
 ) -> dict:
+    """The JSON record of one sentence; ``score`` is ``rules.baseline_wordcount``
+    when ``baseline`` is set, ``rules.analyze`` otherwise."""
     if baseline:
-        valence, label = baseline_wordcount(tree, lexicon, rules_cfg)
+        valence, label = score(tree, lexicon, rules_cfg)
         return {
             "sent_id": tree.sentence_id,
             "class": label,
             "valence": valence,
             "baseline": True,
         }
-    result = analyze(tree, lexicon, rules_cfg, trace=explain)
+    result = score(tree, lexicon, rules_cfg, trace=explain)
     opinions = [
         {
             "target": [op.target_token_ids[0], op.target_token_ids[-1]],
@@ -283,6 +294,7 @@ class _Scoring(NamedTuple):
 
     lexicon: PolarityLexicon
     rules_cfg: RuleConfig
+    score: Callable  # bound once per run; see _sentence_record
     explain: bool
     baseline: bool
     aspects_only: bool
@@ -307,7 +319,7 @@ class _Scoring(NamedTuple):
 
     def _line(self, tree: DepTree, ordinal: int, lineno: int) -> str:
         record = _sentence_record(
-            tree, self.lexicon, self.rules_cfg, self.explain, self.baseline,
+            tree, self.score, self.lexicon, self.rules_cfg, self.explain, self.baseline,
             self.aspects_only,
         )
         try:
@@ -395,11 +407,15 @@ def _write_records(
 
 
 def cmd_analyze(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    from .rules import analyze, baseline_wordcount
+
+    baseline = getattr(args, "baseline", False)
     scoring = _Scoring(
         cfg.load_lexicon(),
         cfg.load_rules(),
+        score=baseline_wordcount if baseline else analyze,
         explain=getattr(args, "explain", False),
-        baseline=getattr(args, "baseline", False),
+        baseline=baseline,
         aspects_only=args.command == "aspects",
         on_error=cfg.on_error,
     )
@@ -417,21 +433,33 @@ def cmd_analyze(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_encode(cfg: PipelineConfig) -> int:
     stats = ReadStats()
-    skipped = 0
+    non_projective = unwritable = 0
     with _open_output(cfg) as out:
-        for tree in read_conllu(_input_source(cfg), on_error=cfg.on_error, stats=stats):
+        for ordinal, block in split_blocks(iter_raw_lines(_input_source(cfg))):
             try:
-                line = format_tagger_line(tree, encode(tree, cfg.scheme))
-            except NonProjectiveError:
+                tree = _parse_block(block, ordinal, stats)
+            except ConlluError:
                 if cfg.on_error == "abort":
                     raise
-                skipped += 1
+                stats.skipped += 1
+                continue
+            try:
+                line = format_tagger_line(tree, encode(tree, cfg.scheme))
+            except ValueError as exc:  # crossing arcs, or whitespace inside a field
+                if cfg.on_error == "abort":
+                    raise ConlluError(str(exc), ordinal, block[0][0]) from None
+                if isinstance(exc, NonProjectiveError):
+                    non_projective += 1
+                else:
+                    unwritable += 1
                 continue
             out.write(line + "\n")
     if stats.skipped:
         print(f"skipped {stats.skipped} unreadable sentences", file=sys.stderr)
-    if skipped:
-        print(f"skipped {skipped} non-projective sentences", file=sys.stderr)
+    if non_projective:
+        print(f"skipped {non_projective} non-projective sentences", file=sys.stderr)
+    if unwritable:
+        print(f"skipped {unwritable} sentences with whitespace inside a field", file=sys.stderr)
     return 0
 
 
@@ -687,27 +715,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    if args.command in ("analyze", "aspects"):
+        return cmd_analyze(cfg, args)
+    if args.command == "encode":
+        return cmd_encode(cfg)
+    if args.command == "decode":
+        return cmd_decode(cfg)
+    if args.command == "eval":
+        return cmd_eval(cfg, args)
+    if args.command == "bench":
+        return cmd_bench(cfg, args)
+    return cmd_gen(cfg, args)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        if args.command in ("analyze", "aspects"):
-            return cmd_analyze(cfg, args)
-        if args.command == "encode":
-            return cmd_encode(cfg)
-        if args.command == "decode":
-            return cmd_decode(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args)
-        if args.command == "bench":
-            return cmd_bench(cfg, args)
-        return cmd_gen(cfg, args)
+        code = _run(_build_config(args), args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout went away (``| head``): stop quietly, and point
+        # stdout at devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -24,6 +24,7 @@ import enum
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -47,6 +48,12 @@ class Scheme(enum.Enum):
             if member.value == key:
                 return member
         raise ValueError(f"unknown scheme {text!r}")
+
+
+# Code that runs per token or per sentence compares schemes against these
+# names: reading ``Scheme.BRACKETS`` off the enum class takes about 0.14 us
+# with CPython 3.11 on a 2-CPU x86-64 machine, a module global about 0.02 us.
+_REL_OFFSET, _REL_POS, _BRACKETS = Scheme.REL_OFFSET, Scheme.REL_POS, Scheme.BRACKETS
 
 
 class NonProjectiveError(DataError):
@@ -151,31 +158,43 @@ class DecodeResult(NamedTuple):
     repairs: RepairStats
 
 
+def _positions(upos: Sequence[str]) -> dict[str, list[int]]:
+    """The 1-based positions of each UPOS tag, in ascending order."""
+    where: dict[str, list[int]] = {}
+    for j, tag in enumerate(upos, start=1):
+        where.setdefault(tag, []).append(j)
+    return where
+
+
 def encode(tree: DepTree, scheme: Scheme) -> LabelSeq:
     """Labels for a validated tree. BRACKETS requires projectivity."""
     heads = tree.heads
-    deprels = tree.deprels
-    n = len(heads)
-    labels: list[SyntaxLabel] = []
-    if scheme is Scheme.REL_OFFSET:
-        for dep, (head, deprel) in enumerate(zip(heads, deprels), start=1):
-            labels.append(SyntaxLabel(scheme, 0 if head == 0 else head - dep, deprel))
-    elif scheme is Scheme.REL_POS:
+    deprels: Sequence[str] = tree.deprels
+    payloads: list[Payload]
+    if scheme is _REL_OFFSET:
+        payloads = [0 if head == 0 else head - dep for dep, head in enumerate(heads, start=1)]
+    elif scheme is _REL_POS:
         upos = tree.upos
-        for dep, (head, deprel) in enumerate(zip(heads, deprels), start=1):
+        where = _positions(upos)
+        payloads = []
+        for dep, head in enumerate(heads, start=1):
             if head == 0:
-                labels.append(SyntaxLabel(scheme, (ROOT_UPOS, 0), deprel))
+                payloads.append((ROOT_UPOS, 0))
                 continue
             tag = upos[head - 1]
+            spots = where[tag]
+            # k counts the tag's tokens from the word outward to the head,
+            # the head included: two bisects, whatever the arc's length
             if head > dep:
-                k = upos[dep:head].count(tag)
+                k = bisect_right(spots, head) - bisect_right(spots, dep)
             else:
-                k = -upos[head - 1:dep - 1].count(tag)
-            labels.append(SyntaxLabel(scheme, (tag, k), deprel))
-    elif scheme is Scheme.BRACKETS:
+                k = bisect_left(spots, head) - bisect_left(spots, dep)
+            payloads.append((tag, k))
+    elif scheme is _BRACKETS:
         pair = crossing_arcs(tree)
         if pair is not None:
             raise NonProjectiveError(pair)
+        n = len(heads)
         left_closes = [0] * (n + 1)  # '\' count per head
         right_opens = [0] * (n + 1)  # '/' count per head
         for dep, head in enumerate(heads, start=1):
@@ -183,16 +202,18 @@ def encode(tree: DepTree, scheme: Scheme) -> LabelSeq:
                 left_closes[head] += 1
             elif head != 0:
                 right_opens[head] += 1
-        for dep, (head, deprel) in enumerate(zip(heads, deprels), start=1):
-            sym = "\\" * left_closes[dep]
-            if head > dep:
-                sym += "<"
-            elif head != 0:
-                sym += ">"
-            sym += "/" * right_opens[dep]
-            labels.append(SyntaxLabel(scheme, sym, "root" if head == 0 else deprel))
+        payloads = [
+            "\\" * closes + ("<" if head > dep else ">" if head else "") + "/" * opens
+            for dep, head, closes, opens in zip(
+                range(1, n + 1), heads, left_closes[1:], right_opens[1:]
+            )
+        ]
+        deprels = ["root" if head == 0 else deprel for head, deprel in zip(heads, deprels)]
     else:  # pragma: no cover
         raise ValueError(f"unhandled scheme {scheme}")
+    # tuple.__new__ makes the same label SyntaxLabel(...) makes, in a C-level
+    # loop without a call to the NamedTuple's Python __new__ per label
+    labels = map(tuple.__new__, repeat(SyntaxLabel), zip(repeat(scheme), payloads, deprels))
     return LabelSeq._trusted(tuple(labels), scheme)
 
 
@@ -257,11 +278,9 @@ def _propose_heads(seq: LabelSeq, upos: Sequence[str]) -> list[int | None]:
         return [0 if lab.payload == 0 else i + lab.payload
                 for i, lab in enumerate(seq.labels, start=1)]
     if scheme is Scheme.REL_POS:
-        # positions of each UPOS in order; the k-th match outward from i is
-        # a fixed offset from where i would be inserted
-        where: dict[str, list[int]] = {}
-        for j, tag in enumerate(upos, start=1):
-            where.setdefault(tag, []).append(j)
+        # the k-th match outward from i is a fixed offset from where i
+        # would be inserted among the positions of its tag
+        where = _positions(upos)
         proposals: list[int | None] = []
         for i, lab in enumerate(seq.labels, start=1):
             tag, k = lab.payload
@@ -343,6 +362,10 @@ def emit_multitask_labels(tree: DepTree, scheme: Scheme, polarity_class: str) ->
 #   sent_id TAB form/upos/label SPACE form/upos/label ...
 # with an optional @class suffix on the last label.
 
+# ``\s`` matches exactly the characters ``str.isspace`` accepts
+_WHITESPACE = re.compile(r"\s")
+
+
 class BridgeError(DataError):
     """A bridge line that cannot be parsed, with its line number."""
 
@@ -362,16 +385,28 @@ class BridgeStats:
     repairs: RepairStats = RepairStats()
 
 
+def _fields(
+    scheme: Scheme, forms: Sequence[str], upos: Sequence[str], labels: Sequence[SyntaxLabel]
+) -> list[str]:
+    """``form/upos/label`` per token, one comprehension per scheme.
+
+    This is the one spelling of label texts: ``<k>:<deprel>`` for
+    REL_OFFSET, ``<tag>,<k>:<deprel>`` for REL_POS and
+    ``<symbols>:<deprel>`` for BRACKETS, with k signed unless it is 0.
+    """
+    if scheme is _REL_OFFSET:
+        return [f"{f}/{u}/{k:+d}:{r}" if k else f"{f}/{u}/0:{r}"
+                for f, u, (_, k, r) in zip(forms, upos, labels)]
+    if scheme is _REL_POS:
+        return [f"{f}/{u}/{t},{k:+d}:{r}" if k else f"{f}/{u}/{t},0:{r}"
+                for f, u, (_, (t, k), r) in zip(forms, upos, labels)]
+    return [f"{f}/{u}/{s}:{r}" for f, u, (_, s, r) in zip(forms, upos, labels)]
+
+
 def format_label(label: SyntaxLabel) -> str:
-    if label.scheme is Scheme.REL_OFFSET:
-        off = label.payload
-        text = "0" if off == 0 else f"{off:+d}"
-        return f"{text}:{label.deprel}"
-    if label.scheme is Scheme.REL_POS:
-        tag, k = label.payload
-        text = "0" if k == 0 else f"{k:+d}"
-        return f"{tag},{text}:{label.deprel}"
-    return f"{label.payload}:{label.deprel}"
+    """The text of one label, as a bridge line spells it."""
+    # the field of an empty form and upos is "//" and then the label text
+    return _fields(label.scheme, ("",), ("",), (label,))[0][2:]
 
 
 # Non-greedy form: the earliest form/upos split that lets the whole field
@@ -379,12 +414,6 @@ def format_label(label: SyntaxLabel) -> str:
 # allowing slashes inside forms. The symbol order is checked afterwards
 # (``_BRACKET_PAYLOAD``), since checking it here would change which split wins.
 _BRACKET_FIELD = re.compile(r"^(?P<form>.+?)/(?P<upos>[^/]+)/(?P<label>[\\<>/]*:[^/]*)$")
-
-# The field parser runs once per token and compares its scheme against
-# these names: reading ``Scheme.BRACKETS`` off the enum class takes about
-# 0.14 us with CPython 3.11 on a 2-CPU x86-64 machine, a module global
-# about 0.02 us.
-_REL_OFFSET, _BRACKETS = Scheme.REL_OFFSET, Scheme.BRACKETS
 
 
 def _parse_field(
@@ -440,20 +469,32 @@ def _parse_field(
 
 
 def format_tagger_line(tree: DepTree, seq: LabelSeq) -> str:
-    """One bridge line for a sentence and its labels."""
+    """One bridge line for a sentence and its labels.
+
+    ValueError if the line would not read back: whitespace inside the
+    sentence id, a form, a UPOS tag, a label or the polarity class would
+    split it.
+    """
     if len(seq.labels) != len(tree):
         raise ValueError("label count does not match sentence length")
     sent_id = tree.sentence_id or "s"
-    if any(c.isspace() for c in sent_id):
-        raise ValueError(f"sentence id {sent_id!r} contains whitespace")
-    fields = []
-    for form, upos, lab in zip(tree.forms, tree.upos, seq.labels):
-        if any(c.isspace() for c in form):
-            raise ValueError(f"form {form!r} contains whitespace")
-        fields.append(f"{form}/{upos}/{format_label(lab)}")
+    fields = _fields(seq.scheme, tree.forms, tree.upos, seq.labels)
     if seq.sentence_polarity:
         fields[-1] += f"@{seq.sentence_polarity}"
+    if _WHITESPACE.search(sent_id) or _WHITESPACE.search("".join(fields)):
+        raise _whitespace_error(sent_id, tree, seq)
     return sent_id + "\t" + " ".join(fields)
+
+
+def _whitespace_error(sent_id: str, tree: DepTree, seq: LabelSeq) -> ValueError:
+    """The error naming the first part of a bridge line that holds whitespace."""
+    named = [("sentence id", sent_id)]
+    for i, (form, upos, label) in enumerate(zip(tree.forms, tree.upos, seq.labels), start=1):
+        named += [(f"token {i}: form", form), (f"token {i}: upos", upos),
+                  (f"token {i}: label", format_label(label))]
+    named.append(("sentence polarity", seq.sentence_polarity or ""))
+    what, text = next((what, text) for what, text in named if _WHITESPACE.search(text))
+    return ValueError(f"{what} {text!r} contains whitespace")
 
 
 # A tagger picks each label from the closed set it was trained on, so its

@@ -1,8 +1,11 @@
-"""End-to-end command line tests, all in-process through main()."""
+"""End-to-end command line tests, in-process through main(); a closed
+stdout is tested in a process of its own."""
 
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -334,6 +337,54 @@ def test_encode_brackets_skip_policy_drops_crossing_sentence(tmp_path, capsys):
     lines = [l for l in out.read_text().splitlines() if l.strip()]
     assert len(lines) == 1 and lines[0].startswith("np-2\t")
     assert "skipped 1 non-projective" in capsys.readouterr().err
+
+
+_CONLLU_ROW = "1\t{form}\t_\t{upos}\t_\t_\t0\t{deprel}\t_\t_\n"
+
+
+@pytest.mark.parametrize("scheme", ["rel-offset", "rel-pos", "brackets"])
+@pytest.mark.parametrize(
+    "row, sent_id, message",
+    [
+        ({"form": "go od"}, "w2", "token 1: form 'go od'"),
+        ({}, "a b", "sentence id 'a b'"),
+        ({"upos": "AD J"}, "w2", "token 1: upos 'AD J'"),
+    ],
+)
+def test_whitespace_inside_a_field_is_a_data_error(tmp_path, capsys, scheme, row, sent_id, message):
+    rows = [{"form": "good", "upos": "ADJ", "deprel": "root"}] * 3
+    rows[1] = {**rows[1], **row}
+    path = tmp_path / "spaced.conllu"
+    path.write_text("".join(
+        f"# sent_id = {sid}\n" + _CONLLU_ROW.format(**fields) + "\n"
+        for sid, fields in zip(["w1", sent_id, "w3"], rows)
+    ))
+    out = tmp_path / "out.bridge"
+    assert run("encode", "--scheme", scheme, "-i", path, "-o", out) == 1
+    assert capsys.readouterr().err == f"error: sentence 2 (line 4): {message} contains whitespace\n"
+    assert [line.split("\t")[0] for line in out.read_text().splitlines()] == ["w1"]
+    assert run("encode", "--scheme", scheme, "-i", path, "-o", out, "--on-error", "skip") == 0
+    assert capsys.readouterr().err == "skipped 1 sentences with whitespace inside a field\n"
+    assert [line.split("\t")[0] for line in out.read_text().splitlines()] == ["w1", "w3"]
+
+
+def test_whitespace_inside_a_relation_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "spaced.conllu"
+    path.write_text(
+        "1\tthe\t_\tDET\t_\t_\t2\tam od\t_\t_\n2\tcat\t_\tNOUN\t_\t_\t0\troot\t_\t_\n\n"
+    )
+    assert run("encode", "-i", path) == 1
+    assert capsys.readouterr().err == (
+        "error: sentence 1 (line 1): token 1: label '+1:am od' contains whitespace\n"
+    )
+
+
+def test_crossing_arcs_are_reported_with_their_sentence(tmp_path, capsys):
+    path = _non_projective_file(tmp_path)
+    assert run("encode", "-i", path, "--scheme", "brackets") == 1
+    assert capsys.readouterr().err == (
+        "error: sentence 1 (line 1): crossing arcs: head 3 -> dependent 1 and head 4 -> dependent 2\n"
+    )
 
 
 # ---------------------------------------------------------------------- eval
@@ -943,6 +994,33 @@ def test_commands_build_no_token_rows(tmp_path, monkeypatch, argv):
     assert built == [] and views == []
     # the counters do see the view when something asks for it
     assert DepTree.build([0]).tokens and len(built) == 1 and len(views) == 1
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["analyze", "encode", "decode"])
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path, command, buffered):
+    # buffered, the first failing write is the flush at the end of main()
+    source = demo_treebank_path()
+    if command == "decode":
+        source = tmp_path / "demo.bridge"
+        assert run("encode", "-i", demo_treebank_path(), "-o", source) == 0
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first record is written
+    try:
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys; from treesent.cli import main; sys.exit(main())",
+             command, "-i", str(source)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    # decode reports its tallies on stderr before the end-of-run flush finds the pipe closed
+    assert all(line.startswith(b"decoded ") for line in done.stderr.splitlines()), done.stderr
 
 
 def test_version_flag(capsys):

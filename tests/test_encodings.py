@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -683,6 +684,131 @@ def test_format_rejects_whitespace_forms():
     t = DepTree.build([0], forms=["two words"])
     with pytest.raises(ValueError, match="whitespace"):
         format_tagger_line(t, encode(t, Scheme.REL_OFFSET))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"sentence_id": "a b"}, "sentence id 'a b'"),
+        ({"forms": ["the", "go\u2003od"]}, "token 2: form " + repr("go\u2003od")),
+        ({"upos": ["DET", "NO UN"]}, "token 1: label 'NO UN,+1:det'"),
+        ({"upos": ["D\tET", "NOUN"]}, "token 1: upos 'D\\tET'"),
+        ({"deprels": ["am od", "root"]}, "token 1: label 'NOUN,+1:am od'"),
+    ],
+)
+def test_format_names_the_first_part_that_holds_whitespace(change, message):
+    columns = {"forms": ["the", "phone"], "upos": ["DET", "NOUN"], "deprels": ["det", "root"]}
+    t = DepTree.build([2, 0], **{**columns, **change})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} contains whitespace$"):
+        format_tagger_line(t, encode(t, Scheme.REL_POS))
+
+
+def test_format_names_whitespace_in_the_polarity_class():
+    seq = replace(encode(PHONE, Scheme.BRACKETS), sentence_polarity="very good")
+    with pytest.raises(ValueError, match="^sentence polarity 'very good' contains whitespace$"):
+        format_tagger_line(PHONE, seq)
+
+
+# -- the bridge writer against per-label references ---------------------------
+
+def _reference_line(tree, seq):
+    """The bridge line from one ``format_label`` call per token, with every
+    character of it checked for whitespace."""
+    sent_id = tree.sentence_id or "s"
+    fields = [f"{form}/{tag}/{format_label(label)}"
+              for form, tag, label in zip(tree.forms, tree.upos, seq.labels)]
+    if seq.sentence_polarity:
+        fields[-1] += "@" + seq.sentence_polarity
+    if any(c.isspace() for text in (sent_id, *fields) for c in text):
+        raise ValueError("whitespace")
+    return sent_id + "\t" + " ".join(fields)
+
+
+def _line_outcome(format_line, tree, seq):
+    try:
+        return format_line(tree, seq)
+    except ValueError as exc:
+        return type(exc)
+
+
+# a few of each kind of whitespace, and the bridge's own separators
+_WRITER_CHARS = "ab/@:,+-0\\<> \t\n\x1f\x85\u00a0\u2003\u3000"
+_writer_text = st.text(_WRITER_CHARS, min_size=1, max_size=6)
+
+
+@st.composite
+def _labelled_trees(draw):
+    scheme = draw(st.sampled_from(list(Scheme)))
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 10_000))
+    shape = random_projective_tree(n, seed) if scheme is Scheme.BRACKETS else random_tree(n, seed)
+    column = st.lists(_writer_text, min_size=n, max_size=n)
+    tree = DepTree.build(
+        list(shape.heads),
+        forms=draw(column),
+        upos=draw(st.lists(st.sampled_from(["NOUN", "ADJ", "NO UN", "X\u2003"]) | _writer_text,
+                           min_size=n, max_size=n)),
+        deprels=draw(column),
+        sentence_id=draw(st.sampled_from(["", "s1", "a b"]) | _writer_text),
+    )
+    polarity = draw(st.sampled_from([None, "", "positive", "very good"]) | _writer_text)
+    return tree, replace(encode(tree, scheme), sentence_polarity=polarity)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_labelled_trees())
+def test_format_tagger_line_matches_the_per_label_reference(case):
+    tree, seq = case
+    got = _line_outcome(format_tagger_line, tree, seq)
+    assert got == _line_outcome(_reference_line, tree, seq)
+
+
+def _slice_count_rel_pos(tree):
+    """REL_POS payloads by counting the head's tag over the slice between."""
+    upos = tree.upos
+    payloads = []
+    for dep, head in enumerate(tree.heads, start=1):
+        if head == 0:
+            payloads.append(("ROOT", 0))
+            continue
+        tag = upos[head - 1]
+        k = upos[dep:head].count(tag) if head > dep else -upos[head - 1:dep - 1].count(tag)
+        payloads.append((tag, k))
+    return payloads
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 10_000), st.data())
+def test_rel_pos_encode_matches_the_slice_count(n, seed, data):
+    tags = data.draw(st.lists(st.sampled_from(["NOUN", "VERB", "ADJ"]), min_size=n, max_size=n))
+    tree = DepTree.build(list(random_tree(n, seed).heads), upos=tags)
+    seq = encode(tree, Scheme.REL_POS)
+    assert [label.payload for label in seq.labels] == _slice_count_rel_pos(tree)
+    assert [label.deprel for label in seq.labels] == list(tree.deprels)
+
+
+_bridge_forms = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8
+).filter(lambda form: not any(c.isspace() for c in form))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(list(Scheme)),
+    st.integers(1, 15),
+    st.integers(0, 10_000),
+    st.data(),
+    st.sampled_from([None, "positive"]),
+)
+def test_encoded_lines_read_back_with_any_forms(scheme, n, seed, data, polarity):
+    heads = list(random_projective_tree(n, seed).heads)
+    forms = data.draw(st.lists(_bridge_forms, min_size=n, max_size=n))
+    tree = DepTree.build(heads, forms=forms, sentence_id="s1")
+    seq = replace(encode(tree, scheme), sentence_polarity=polarity)
+    (parsed, got), = parse_tagger_output([format_tagger_line(tree, seq)], scheme, on_error="abort")
+    assert parsed == seq
+    assert (got.tree.forms, got.tree.upos, got.tree.heads) == (tree.forms, tree.upos, tree.heads)
+    assert got.repairs.total == 0
 
 
 def test_scheme_parse_spellings():

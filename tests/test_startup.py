@@ -2,8 +2,9 @@
 
 ``import treesent`` resolves its public names lazily, and the command line
 imports the evaluation, benchmark and process-pool modules only for the
-commands that use them. The start-up checks run in a fresh interpreter,
-since this test process has imported everything already.
+commands that use them, and the lexicon, rules and demo-data modules only
+for the commands that score. The start-up checks run in a fresh
+interpreter, since this test process has imported everything already.
 """
 
 import json
@@ -73,6 +74,31 @@ def test_analyze_encode_decode_leave_eval_bench_and_the_pool_unloaded(tmp_path):
     seen = _fresh_python(CLI_RUN, tmp_path, *UNUSED_BY_THE_HOT_COMMANDS)
     assert seen == {"codes": [0, 0, 0], "after_import": [], "after_run": []}
     assert (tmp_path / "u.conllu").stat().st_size > 0
+
+
+# modules that only the scoring commands (analyze, aspects, eval, bench, gen) call
+SCORING_MODULES = ("treesent.lexicon", "treesent.rules", "treesent.assets")
+
+ENCODE_DECODE_RUN = """
+import json, sys
+source, out, watched = sys.argv[1], sys.argv[2], sys.argv[3:]
+import treesent.cli
+codes = []
+for scheme in ("rel-offset", "rel-pos", "brackets"):
+    bridge = f"{out}/{scheme}.bridge"
+    codes.append(treesent.cli.main(["encode", "--scheme", scheme, "-i", source, "-o", bridge]))
+    codes.append(treesent.cli.main(["decode", "--scheme", scheme, "-i", bridge,
+                                    "-o", f"{out}/{scheme}.conllu"]))
+print(json.dumps({"codes": codes, "loaded": [m for m in watched if m in sys.modules]}))
+"""
+
+
+def test_encode_and_decode_leave_the_scoring_modules_unloaded(tmp_path):
+    seen = _fresh_python(
+        ENCODE_DECODE_RUN, demo_ud_path(), tmp_path, *SCORING_MODULES, *UNUSED_BY_THE_HOT_COMMANDS
+    )
+    assert seen == {"codes": [0] * 6, "loaded": []}
+    assert (tmp_path / "brackets.conllu").read_bytes() == demo_ud_path().read_bytes()
 
 
 def test_every_public_name_is_its_modules_object():
