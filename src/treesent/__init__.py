@@ -101,11 +101,9 @@ _EXPORTS = {
             "TraceStep",
             "analyze",
             "baseline_wordcount",
-            "classify_sentence",
             "classify_valence",
             "extract_targets",
             "replay_trace",
-            "score_target",
             "score_tree",
         ),
         "rules",

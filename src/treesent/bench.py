@@ -4,12 +4,13 @@ The benchmark consumes tagger-bridge lines (real files or a synthetic
 corpus), decodes every sentence to a tree, and scores it with the rule
 engine. Three stages are timed: ``read`` (pulling lines off the source),
 ``decode`` (bridge parsing, label decoding, repairs), and ``rules``
-(sentiment analysis). A short warmup pass runs before the clock starts.
+(sentiment analysis, untraced as in ``analyze`` without ``--explain``).
+A short warmup pass runs before the clock starts.
 
-With several workers the corpus is split into contiguous chunks handled
-by a process pool; per-stage wall time is then the slowest worker's, and
-aggregate outputs (counts, class tallies, repairs) are identical to the
-single-worker run because sentences are independent.
+With several workers the corpus is split into one contiguous chunk per
+worker, run through ``analyze``'s pool driver; per-stage wall time is then
+the slowest worker's, and aggregate outputs (counts, class tallies, repairs)
+are identical to the single-worker run because sentences are independent.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _bench_chunk(args) -> _ChunkResult:
     classes = {label: 0 for label in CLASSES}
     started = perf_counter()
     for tree in trees:
-        classes[analyze(tree, lexicon, config).sentence_class] += 1
+        classes[analyze(tree, lexicon, config, trace=False).sentence_class] += 1
     rules_time = perf_counter() - started
     return _ChunkResult(
         len(trees),
@@ -222,17 +223,12 @@ def run_bench(
     if workers == 1:
         results = [_bench_chunk((lines, lexicon, config, scheme))]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from .cli import _map_chunks
 
         step = max(1, -(-len(lines) // workers))
-        chunks = [lines[i : i + step] for i in range(0, len(lines), step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _bench_chunk,
-                    [(chunk, lexicon, config, scheme) for chunk in chunks],
-                )
-            )
+        chunks = [(lines[i : i + step], lexicon, config, scheme)
+                  for i in range(0, len(lines), step)]
+        results = list(_map_chunks(_bench_chunk, chunks, workers, None, ()))
     processing_time = perf_counter() - started
 
     total_time = read_time + processing_time

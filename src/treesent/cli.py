@@ -51,14 +51,15 @@ from .conllu import (
     _parse_block,
     format_sentence,
     iter_raw_lines,
-    numbered_lines,
     read_conllu,
+    settings_lines,
     split_blocks,
 )
 from .encodings import (
     BridgeStats,
     NonProjectiveError,
     Scheme,
+    UnreadableFieldError,
     encode,
     format_tagger_line,
     parse_tagger_output,
@@ -149,18 +150,8 @@ def _find_lexicon(path_text: str) -> Path:
     raise ConfigError(f"lexicon file not found: {path}")
 
 
-_CONFIG_KEYS = (
-    "language",
-    "lexicon",
-    "domain_lexicon",
-    "rules",
-    "scheme",
-    "input",
-    "output",
-    "on_error",
-    "workers",
-    "seed",
-)
+# a config file and the command line set the same keys: the settings' fields
+_CONFIG_KEYS = tuple(PipelineConfig.__dataclass_fields__)
 
 
 def _read_config_file(path_text: str) -> Dict[str, str]:
@@ -168,21 +159,11 @@ def _read_config_file(path_text: str) -> Dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: Dict[str, str] = {}
-    for lineno, raw in numbered_lines(path):
-        if raw is None:
-            raise ConfigError(f"{path}:{lineno}: not valid UTF-8")
-        raw = raw.rstrip("\r\n")
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+    for lineno, key, value in settings_lines(
+        path, lambda message, lineno: ConfigError(f"{path}:{lineno}: {message}")
+    ):
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate setting {key!r}")
         values[key] = value
     return values
 
@@ -433,7 +414,7 @@ def cmd_analyze(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_encode(cfg: PipelineConfig) -> int:
     stats = ReadStats()
-    non_projective = unwritable = 0
+    non_projective = spaced = misread = 0
     with _open_output(cfg) as out:
         for ordinal, block in split_blocks(iter_raw_lines(_input_source(cfg))):
             try:
@@ -445,21 +426,26 @@ def cmd_encode(cfg: PipelineConfig) -> int:
                 continue
             try:
                 line = format_tagger_line(tree, encode(tree, cfg.scheme))
-            except ValueError as exc:  # crossing arcs, or whitespace inside a field
+            except ValueError as exc:  # crossing arcs, or a field the line cannot carry
                 if cfg.on_error == "abort":
                     raise ConlluError(str(exc), ordinal, block[0][0]) from None
                 if isinstance(exc, NonProjectiveError):
                     non_projective += 1
+                elif isinstance(exc, UnreadableFieldError):
+                    misread += 1
                 else:
-                    unwritable += 1
+                    spaced += 1
                 continue
             out.write(line + "\n")
     if stats.skipped:
         print(f"skipped {stats.skipped} unreadable sentences", file=sys.stderr)
     if non_projective:
         print(f"skipped {non_projective} non-projective sentences", file=sys.stderr)
-    if unwritable:
-        print(f"skipped {unwritable} sentences with whitespace inside a field", file=sys.stderr)
+    if spaced:
+        print(f"skipped {spaced} sentences with whitespace inside a field", file=sys.stderr)
+    if misread:
+        print(f"skipped {misread} sentences with a field that would read back wrong",
+              file=sys.stderr)
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .tree import DataError, DepTree, TreeError
 
@@ -79,6 +79,30 @@ def numbered_lines(source: Source) -> Iterator[Tuple[int, Optional[str]]]:
     valid UTF-8, so that each reader can report it in its own terms.
     """
     return enumerate(map(decode_line, iter_raw_lines(source)), start=1)
+
+
+def settings_lines(
+    source: Source, error: Callable[[str, int], Exception]
+) -> Iterator[Tuple[int, str, str]]:
+    """``(lineno, key, value)`` per setting of a ``key = value`` file, one at
+    a time, so that a caller checking each as it comes reports the first bad
+    line. Blank lines and ``#`` comments are skipped. A line that is not valid
+    UTF-8, has no ``=`` or key, or repeats a key raises ``error(message, lineno)``.
+    """
+    seen = set()
+    for lineno, text in numbered_lines(source):
+        if text is None:
+            raise error("not valid UTF-8", lineno)
+        line = text.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or not key:
+            raise error(f"expected 'key = value', got {line!r}", lineno)
+        if key in seen:
+            raise error(f"duplicate key {key!r}", lineno)
+        seen.add(key)
+        yield lineno, key, value
 
 
 def split_blocks(lines: Iterable[Line]) -> Iterator[Block]:

@@ -25,6 +25,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -468,12 +469,40 @@ def _parse_field(
     return form, upos, label
 
 
+def _split_polarity(
+    last: str, scheme: Scheme, known: dict[str, SyntaxLabel] | None = None
+) -> tuple[str, str | None]:
+    """The last token field of a bridge line and its polarity class: the text
+    after its last ``@``, if that is not empty and the text before parses."""
+    field, at, polarity = last.rpartition("@")
+    if at and polarity:
+        try:
+            _parse_field(field, scheme, known)
+            return field, polarity
+        except ValueError:
+            pass  # the @ belongs to the field
+    return last, None
+
+
+class UnreadableFieldError(ValueError):
+    """A bridge line field that ``parse_tagger_output`` would misread."""
+
+
+_DEPREL_OF = itemgetter(2)
+# UPOS characters that can make a field read back wrong: '/' splits it, ',' or
+# ':' a REL_POS label naming the tag, and bracket symbols let a '/' in the form
+# be the earliest form/upos split that parses (see _BRACKET_FIELD)
+_RISKY_UPOS = {_REL_OFFSET: re.compile("/"), _REL_POS: re.compile("[/,:]"),
+               _BRACKETS: re.compile(r"[/\\<>]")}
+
+
 def format_tagger_line(tree: DepTree, seq: LabelSeq) -> str:
     """One bridge line for a sentence and its labels.
 
     ValueError if the line would not read back: whitespace inside the
     sentence id, a form, a UPOS tag, a label or the polarity class would
-    split it.
+    split it, and ``UnreadableFieldError`` names the first token field
+    that ``parse_tagger_output`` would read back as something else.
     """
     if len(seq.labels) != len(tree):
         raise ValueError("label count does not match sentence length")
@@ -483,6 +512,15 @@ def format_tagger_line(tree: DepTree, seq: LabelSeq) -> str:
         fields[-1] += f"@{seq.sentence_polarity}"
     if _WHITESPACE.search(sent_id) or _WHITESPACE.search("".join(fields)):
         raise _whitespace_error(sent_id, tree, seq)
+    # every line that could read back wrong, found without a Python loop per
+    # token, given that a REL_POS label's tag is a UPOS tag of the sentence
+    if (
+        "@" in (seq.sentence_polarity or fields[-1])
+        or "" in tree.forms
+        or _RISKY_UPOS[seq.scheme].search("".join(tree.upos))
+        or "/" in "".join(map(_DEPREL_OF, seq.labels))
+    ):
+        _check_read_back(tree, seq, fields)
     return sent_id + "\t" + " ".join(fields)
 
 
@@ -495,6 +533,21 @@ def _whitespace_error(sent_id: str, tree: DepTree, seq: LabelSeq) -> ValueError:
     named.append(("sentence polarity", seq.sentence_polarity or ""))
     what, text = next((what, text) for what, text in named if _WHITESPACE.search(text))
     return ValueError(f"{what} {text!r} contains whitespace")
+
+
+def _check_read_back(tree: DepTree, seq: LabelSeq, fields: list[str]) -> None:
+    """Read ``fields`` back as ``parse_tagger_output`` does, and raise
+    ``UnreadableFieldError`` on the first that reads back as something else."""
+    # a polarity class split off at the wrong '@' moves the end of the last field
+    last = _split_polarity(fields[-1], seq.scheme)[0]
+    written = zip(tree.forms, tree.upos, seq.labels)
+    for i, (field, word) in enumerate(zip([*fields[:-1], last], written), start=1):
+        try:
+            misread = _parse_field(field, seq.scheme) != word
+        except ValueError:
+            misread = True
+        if misread:
+            raise UnreadableFieldError(f"token {i}: field {fields[i - 1]!r} would not read back")
 
 
 # A tagger picks each label from the closed set it was trained on, so its
@@ -551,18 +604,7 @@ def _parse_bridge_line(
     if not tab or not rest.strip():
         raise BridgeError("expected 'sent_id<TAB>token fields'", lineno)
     fields = rest.split(" ")
-    polarity = None
-    last = fields[-1]
-    if "@" in last:
-        head_part, _, cls = last.rpartition("@")
-        if cls:
-            try:
-                _parse_field(head_part, scheme, known)
-            except ValueError:
-                pass  # the @ belongs to the form, leave the field alone
-            else:
-                fields[-1] = head_part
-                polarity = cls
+    fields[-1], polarity = _split_polarity(fields[-1], scheme, known)
     words: list[tuple[str, str]] = []
     labels: list[SyntaxLabel] = []
     for field_text in fields:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .conllu import Source, numbered_lines
+from .conllu import Source, settings_lines
 from .lexicon import ADVERSATIVE as _ADV_KIND
 from .lexicon import INTENSIFIER as _INT_KIND
 from .lexicon import NEGATOR as _NEG_KIND
@@ -28,8 +28,6 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 NEUTRAL = "neutral"
 CLASSES = (POSITIVE, NEGATIVE, NEUTRAL)
-
-HEAD_SUBTREE = "HEAD_SUBTREE"
 
 # trace step rule names
 LEXICON = "LEXICON"
@@ -78,7 +76,6 @@ class RuleConfig:
     negation_cap: float = 5.0
     adversative_weights: Tuple[float, float] = (0.5, 1.5)
     neutral_threshold: float = 0.5
-    negation_scope: str = HEAD_SUBTREE
 
     def __post_init__(self) -> None:
         weights = tuple(float(w) for w in self.adversative_weights)
@@ -97,38 +94,18 @@ class RuleConfig:
             raise RuleError(f"adversative_weights must be >= 0, got {weights}")
         if not self.neutral_threshold >= 0:
             raise RuleError(f"neutral_threshold must be >= 0, got {self.neutral_threshold}")
-        if self.negation_scope != HEAD_SUBTREE:
-            raise RuleError(
-                f"unsupported negation_scope {self.negation_scope!r}; only {HEAD_SUBTREE}"
-            )
 
     @classmethod
     def from_file(cls, source: Source) -> "RuleConfig":
         """Parse a flat ``key = value`` file; keys are the field names."""
         values: dict = {}
-        for lineno, raw in numbered_lines(source):
-            if raw is None:
-                raise RuleError("not valid UTF-8", lineno)
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not sep or not key:
-                raise RuleError(f"expected 'key = value', got {line!r}", lineno)
-            if key in values:
-                raise RuleError(f"duplicate key {key!r}", lineno)
+        for lineno, key, value in settings_lines(source, RuleError):
+            if key not in cls.__dataclass_fields__:
+                raise RuleError(f"unknown key {key!r}", lineno)
             try:
-                if key in ("negation_shift", "negation_cap", "neutral_threshold"):
-                    values[key] = float(value)
-                elif key == "adversative_weights":
-                    values[key] = tuple(float(part) for part in value.split(","))
-                elif key == "negation_scope":
-                    values[key] = value
-                else:
-                    raise RuleError(f"unknown key {key!r}", lineno)
-            except ValueError as exc:
-                if isinstance(exc, RuleError):
-                    raise
+                weights = key == "adversative_weights"
+                values[key] = tuple(map(float, value.split(","))) if weights else float(value)
+            except ValueError:
                 raise RuleError(f"bad value for {key!r}: {value!r}", lineno) from None
         return cls(**values)
 
@@ -306,14 +283,6 @@ def replay_trace(trace: Sequence[TraceStep]) -> float:
     return acc
 
 
-def classify_sentence(tree: DepTree, lex: PolarityLexicon, cfg: RuleConfig) -> SentimentResult:
-    """Sentence-level result only; no target opinions."""
-    valence, trace = score_tree(tree, lex, cfg)
-    return SentimentResult(
-        valence, classify_valence(valence, cfg.neutral_threshold), (), tuple(trace)
-    )
-
-
 def _base_deprels(tree: DepTree) -> List[str]:
     """Each token's deprel without its subtype, by token id; [0] is unused."""
     return [""] + [deprel.partition(":")[0] for deprel in tree.deprels]
@@ -402,22 +371,6 @@ def _opinion(
         classify_valence(valence, cfg.neutral_threshold),
         tuple(e for e, _v in kept),
     )
-
-
-def score_target(
-    tree: DepTree,
-    lex: PolarityLexicon,
-    cfg: RuleConfig,
-    target: Sequence[int],
-) -> TargetOpinion:
-    """Opinion for one candidate span previously produced by extract_targets."""
-    span = tuple(target)
-    deprels = _base_deprels(tree)
-    for head, candidate in _target_candidates(tree, deprels):
-        if candidate == span:
-            composed = _compose(tree, lex, cfg, trace=False)
-            return _opinion(tree, cfg, span, _evidence(tree, lex, head, composed, deprels))
-    raise RuleError(f"target span {span} is not a candidate of this tree")
 
 
 def analyze(

@@ -10,6 +10,7 @@ from treesent import (
     BenchReport,
     RuleConfig,
     Scheme,
+    TraceStep,
     demo_lexicon,
     parse_tagger_output,
     run_bench,
@@ -76,6 +77,26 @@ def test_run_bench_reports_consistent_counts(lex):
     for stage in (report.read_time, report.decode_time, report.rules_time):
         assert 0 <= stage <= report.total_time
     assert sum(report.classes.values()) == 1200
+
+
+def test_run_bench_scores_without_a_trace(lex, monkeypatch):
+    # bench times the path analyze runs without --explain, which builds no trace
+    from treesent import rules
+
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return TraceStep(*args)
+
+    monkeypatch.setattr(rules, "TraceStep", counted)
+    lines = list(synthetic_corpus(40, 8, lex, seed=5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_bench(lines, lex, workers=1, warmup=5)
+    assert report.sentences == 40
+    assert sum(report.classes.values()) == 40
+    assert made == []
 
 
 def test_run_bench_warns_on_small_corpus(lex):

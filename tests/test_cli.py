@@ -368,6 +368,36 @@ def test_whitespace_inside_a_field_is_a_data_error(tmp_path, capsys, scheme, row
     assert [line.split("\t")[0] for line in out.read_text().splitlines()] == ["w1", "w3"]
 
 
+@pytest.mark.parametrize(
+    "scheme, row, message",
+    [
+        ("rel-offset", {"form": ""}, "token 1: field '/ADJ/0:root' would not read back"),
+        ("brackets", {"form": ""}, "token 1: field '/ADJ/:root' would not read back"),
+        ("rel-pos", {"upos": "NO/UN"},
+         "token 1: field 'good/NO/UN/ROOT,0:root' would not read back"),
+        ("rel-offset", {"deprel": "ro@ot"},
+         "token 1: field 'good/ADJ/0:ro@ot' would not read back"),
+    ],
+)
+def test_a_field_that_would_read_back_wrong_is_a_data_error(tmp_path, capsys, scheme, row, message):
+    rows = [{"form": "good", "upos": "ADJ", "deprel": "root"}] * 3
+    rows[1] = {**rows[1], **row}
+    path = tmp_path / "odd.conllu"
+    path.write_text("".join(
+        f"# sent_id = w{i}\n" + _CONLLU_ROW.format(**fields) + "\n"
+        for i, fields in enumerate(rows, start=1)
+    ))
+    out = tmp_path / "out.bridge"
+    assert run("encode", "--scheme", scheme, "-i", path, "-o", out) == 1
+    assert capsys.readouterr().err == f"error: sentence 2 (line 4): {message}\n"
+    assert [line.split("\t")[0] for line in out.read_text().splitlines()] == ["w1"]
+    assert run("encode", "--scheme", scheme, "-i", path, "-o", out, "--on-error", "skip") == 0
+    assert capsys.readouterr().err == (
+        "skipped 1 sentences with a field that would read back wrong\n"
+    )
+    assert [line.split("\t")[0] for line in out.read_text().splitlines()] == ["w1", "w3"]
+
+
 def test_whitespace_inside_a_relation_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "spaced.conllu"
     path.write_text(
@@ -802,6 +832,76 @@ def test_config_file_errors(tmp_path, capsys):
     dupe = tmp_path / "dupe.cfg"
     dupe.write_text("seed = 1\nseed = 2\n")
     assert run("analyze", "--config", dupe, "-i", demo_treebank_path()) == 2
+
+
+# one valid setting per reader, for the lines around the bad one
+_READERS = {
+    "--rules": ("negation_shift", "2", "rule config: line {line}: "),
+    "--config": ("seed", "2", "{path}:{line}: "),
+}
+
+
+@pytest.mark.parametrize("flag", list(_READERS))
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (b"{key} = {value}\njust words\n", 2, "expected 'key = value', got 'just words'"),
+        (b"# settings\n  = 3\n", 2, "expected 'key = value', got '= 3'"),
+        (b"{key} = {value}\n\n{key}= {value}\n", 3, "duplicate key '{key}'"),
+        (b"{key} = {value}\n\xff{key} = {value}\n", 2, "not valid UTF-8"),
+        (b"# tuning\n{key}: {value}\n# {key} = {value}\nno equals\n", 2,
+         "expected 'key = value', got '{key}: {value}'"),
+    ],
+    ids=["no-equals", "empty-key", "duplicate-key", "bad-utf8", "comment-after-bad-line"],
+)
+def test_both_settings_readers_name_the_first_bad_line(tmp_path, capsys, flag, text, line, message):
+    key, value, prefix = _READERS[flag]
+    path = tmp_path / "settings.cfg"
+    path.write_bytes(text.replace(b"{key}", key.encode()).replace(b"{value}", value.encode()))
+    assert run("analyze", "-i", demo_treebank_path(), flag, path) == 2
+    expected = prefix.format(path=path, line=line) + message.replace("{key}", key).replace(
+        "{value}", value
+    )
+    assert capsys.readouterr() == ("", f"config error: {expected}\n")
+
+
+_SETTING_KEYS = [
+    "negation_shift", "negation_cap", "adversative_weights", "neutral_threshold",
+    "negation_scope", "language", "lexicon", "domain_lexicon", "rules", "scheme", "input",
+    "output", "on_error", "workers", "seed", "", "#", "k\u00e9y",
+]
+_SETTING_VALUES = ["1", "0.5, 1.5", "nan", "-1", "en", "es", "brackets", "skip", "", "=", "x"]
+_settings_line = st.one_of(
+    st.builds(
+        lambda key, sep, value: (key + sep + value).encode("utf-8"),
+        st.sampled_from(_SETTING_KEYS) | st.text(max_size=5),
+        st.sampled_from([" = ", "=", " ", ""]),
+        st.sampled_from(_SETTING_VALUES) | st.text(max_size=5),
+    ),
+    st.sampled_from([b"", b"# comment", b"\xff", b"\r", b"\x00"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.binary(max_size=120),
+                 st.lists(_settings_line, max_size=6).map(lambda lines: b"\n".join(lines))))
+def test_settings_files_end_cleanly_on_any_bytes(tmp_path_factory, data):
+    folder = tmp_path_factory.mktemp("settings")
+    path = folder / "settings.cfg"
+    path.write_bytes(data)
+    for flag in _READERS:
+        out, err = io.StringIO(), io.StringIO()
+        # the flags win over a config file's input, output and workers
+        argv = ["analyze", "-i", demo_treebank_path(), "-o", folder / "out.jsonl",
+                "--workers", 1, flag, path]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(*argv)
+        assert out.getvalue() == ""
+        assert code in (0, 2), flag
+        if code == 2:
+            assert re.fullmatch(r"config error: [^\n]*\n", err.getvalue()), err.getvalue()
+        else:
+            assert err.getvalue() == ""
 
 
 def test_bad_flag_values_are_config_errors(tmp_path, capsys):

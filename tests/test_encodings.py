@@ -27,7 +27,7 @@ from treesent import (
     repair,
 )
 from treesent import encodings
-from treesent.encodings import _parse_field, _propose_heads, format_label
+from treesent.encodings import UnreadableFieldError, _parse_field, _propose_heads, format_label
 from treesent.tree import TreeError, is_projective, random_projective_tree, random_tree
 
 from test_tree import reference_validate
@@ -709,11 +709,59 @@ def test_format_names_whitespace_in_the_polarity_class():
         format_tagger_line(PHONE, seq)
 
 
+_GOOD_PHONE = {"forms": ["good", "phone"], "upos": ["ADJ", "NOUN"], "deprels": ["amod", "root"]}
+
+
+@pytest.mark.parametrize(
+    "scheme, change, message",
+    [
+        (Scheme.REL_OFFSET, {"forms": ["good", ""]}, "token 2: field '/NOUN/0:root'"),
+        (Scheme.BRACKETS, {"upos": ["ADJ", "NO/UN"]}, "token 2: field 'phone/NO/UN/\\\\:root'"),
+        # the head's tag is in its dependent's label, which is read first
+        (Scheme.REL_POS, {"upos": ["ADJ", "NO/UN"]}, "token 1: field 'good/ADJ/NO/UN,+1:amod'"),
+        (Scheme.REL_POS, {"upos": ["ADJ", "A,B"]}, "token 1: field 'good/ADJ/A,B,+1:amod'"),
+        (Scheme.REL_POS, {"upos": ["ADJ", "A:B"]}, "token 1: field 'good/ADJ/A:B,+1:amod'"),
+        (Scheme.REL_OFFSET, {"deprels": ["a/b", "root"]}, "token 1: field 'good/ADJ/+1:a/b'"),
+        (Scheme.BRACKETS, {"forms": ["a/b", "phone"], "upos": ["<", "NOUN"]},
+         "token 1: field 'a/b/</<:amod'"),
+        (Scheme.REL_OFFSET, {"deprels": ["amod", "ro@ot"]}, "token 2: field 'phone/NOUN/0:ro@ot'"),
+        (Scheme.REL_POS, {"forms": ["good", "a/b/ROOT,0:@x"]},
+         "token 2: field 'a/b/ROOT,0:@x/NOUN/ROOT,0:root'"),
+    ],
+)
+def test_format_names_the_first_field_that_would_read_back_wrong(scheme, change, message):
+    t = DepTree.build([2, 0], **{**_GOOD_PHONE, **change})
+    with pytest.raises(UnreadableFieldError, match=f"^{re.escape(message)} would not read back$"):
+        format_tagger_line(t, encode(t, scheme))
+
+
+def test_format_names_an_at_in_the_polarity_class():
+    seq = replace(encode(PHONE, Scheme.REL_OFFSET), sentence_polarity="a@b")
+    message = "token 3: field 'works/VERB/0:root@a@b' would not read back"
+    with pytest.raises(UnreadableFieldError, match=f"^{re.escape(message)}$"):
+        format_tagger_line(PHONE, seq)
+
+
 # -- the bridge writer against per-label references ---------------------------
+
+def _reads_back(line, tree, seq):
+    """Whether ``line`` reads back to the labels, polarity class, forms, UPOS
+    tags, heads and relations it was written from."""
+    try:
+        (parsed, got), = parse_tagger_output([line], seq.scheme, on_error="abort")
+    except BridgeError:
+        return False
+    return (
+        parsed.labels == seq.labels
+        and parsed.sentence_polarity == (seq.sentence_polarity or None)
+        and (got.tree.forms, got.tree.upos, got.tree.heads) == (tree.forms, tree.upos, tree.heads)
+        and got.tree.deprels == tuple(label.deprel for label in seq.labels)
+    )
+
 
 def _reference_line(tree, seq):
     """The bridge line from one ``format_label`` call per token, with every
-    character of it checked for whitespace."""
+    character of it checked for whitespace, and then read back."""
     sent_id = tree.sentence_id or "s"
     fields = [f"{form}/{tag}/{format_label(label)}"
               for form, tag, label in zip(tree.forms, tree.upos, seq.labels)]
@@ -721,7 +769,10 @@ def _reference_line(tree, seq):
         fields[-1] += "@" + seq.sentence_polarity
     if any(c.isspace() for text in (sent_id, *fields) for c in text):
         raise ValueError("whitespace")
-    return sent_id + "\t" + " ".join(fields)
+    line = sent_id + "\t" + " ".join(fields)
+    if not _reads_back(line, tree, seq):
+        raise UnreadableFieldError(line)
+    return line
 
 
 def _line_outcome(format_line, tree, seq):
@@ -731,9 +782,10 @@ def _line_outcome(format_line, tree, seq):
         return type(exc)
 
 
-# a few of each kind of whitespace, and the bridge's own separators
-_WRITER_CHARS = "ab/@:,+-0\\<> \t\n\x1f\x85\u00a0\u2003\u3000"
-_writer_text = st.text(_WRITER_CHARS, min_size=1, max_size=6)
+# a few of each kind of whitespace, and the bridge's own separators; the
+# separators alone, so that most lines get past the whitespace check; and
+# neither, so that the sampled values below are often a line's only fault
+_WRITER_ALPHABETS = ("ab/@:,+-0\\<> \t\n\x1f\x85\u00a0\u2003\u3000", "ab/@:,+-0\\<>", "ab")
 
 
 @st.composite
@@ -742,25 +794,70 @@ def _labelled_trees(draw):
     n = draw(st.integers(1, 12))
     seed = draw(st.integers(0, 10_000))
     shape = random_projective_tree(n, seed) if scheme is Scheme.BRACKETS else random_tree(n, seed)
-    column = st.lists(_writer_text, min_size=n, max_size=n)
+    text = st.text(draw(st.sampled_from(_WRITER_ALPHABETS)), min_size=1, max_size=6)
+
+    def column(*specials):
+        # one value in four is special, so that a line often has just one fault
+        return st.lists(st.one_of(text, text, text, st.sampled_from(specials)),
+                        min_size=n, max_size=n)
+
     tree = DepTree.build(
         list(shape.heads),
-        forms=draw(column),
-        upos=draw(st.lists(st.sampled_from(["NOUN", "ADJ", "NO UN", "X\u2003"]) | _writer_text,
-                           min_size=n, max_size=n)),
-        deprels=draw(column),
-        sentence_id=draw(st.sampled_from(["", "s1", "a b"]) | _writer_text),
+        forms=draw(column("", "a/b", "e@mail")),
+        upos=draw(column("NOUN", "NO/UN", "A,B", "A:B", "<")),
+        deprels=draw(column("nmod:poss", "ro@ot", "a/b")),
+        sentence_id=draw(st.sampled_from(["", "s1", "a b"]) | text),
     )
-    polarity = draw(st.sampled_from([None, "", "positive", "very good"]) | _writer_text)
+    polarity = draw(st.sampled_from([None, "", "positive", "very good", "a@b"]) | text)
     return tree, replace(encode(tree, scheme), sentence_polarity=polarity)
 
 
 @settings(max_examples=600, deadline=None)
 @given(_labelled_trees())
+# an '@' in the last form is the form's unless the text before it parses as a
+# field, and a '/' in a form can be split at before a UPOS of bracket symbols
+@example((DepTree.build([0], forms=["e@mail"]), encode(DepTree.build([0]), Scheme.REL_OFFSET)))
+@example((DepTree.build([0], forms=["a/b/0:@x"]), encode(DepTree.build([0]), Scheme.REL_OFFSET)))
+@example((DepTree.build([2, 0], forms=["a/b", "c"], upos=["<", "X"]),
+          encode(DepTree.build([2, 0], upos=["<", "X"]), Scheme.BRACKETS)))
 def test_format_tagger_line_matches_the_per_label_reference(case):
+    # with the reference, this is the bridge's round-trip property: a line
+    # that format_tagger_line writes reads back as written, and one it
+    # rejects for anything but whitespace would not have
     tree, seq = case
     got = _line_outcome(format_tagger_line, tree, seq)
     assert got == _line_outcome(_reference_line, tree, seq)
+
+
+# values that hold the bridge's separators where some scheme reads them back
+# wrong, or where the reader must still read them back right
+_ONE_FAULT_VALUES = ["", "a/b", "/a", "a/", "<", ">", "\\", "A,B", "A:B", "ro@ot", "root@",
+                     "e@mail", "a/b/0:@x", "a/b/ROOT,0:@x", "a/b/\\:@x"]
+
+
+def _one_fault_cases(scheme):
+    """Two-token trees with one value of _ONE_FAULT_VALUES in one column, or
+    in the form and the UPOS of one token, with and without a polarity class."""
+    good = _GOOD_PHONE
+    changes = [{column: [*good[column][:i], value, *good[column][i + 1:]]}
+               for column in good for i in range(2) for value in _ONE_FAULT_VALUES]
+    changes += [{"forms": [*good["forms"][:i], form, *good["forms"][i + 1:]],
+                 "upos": [*good["upos"][:i], tag, *good["upos"][i + 1:]]}
+                for i in range(2)
+                for form, tag in itertools.product(_ONE_FAULT_VALUES, repeat=2)]
+    for change, heads in itertools.product(changes, ([2, 0], [0, 1])):
+        if "" in change.get("upos", ()):
+            continue  # not a tree
+        tree = DepTree.build(heads, **{**good, **change})
+        for polarity in (None, "pos", "a@b"):
+            yield tree, replace(encode(tree, scheme), sentence_polarity=polarity)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_format_rejects_one_fault_exactly_when_it_would_not_read_back(scheme):
+    for tree, seq in _one_fault_cases(scheme):
+        got = _line_outcome(format_tagger_line, tree, seq)
+        assert got == _line_outcome(_reference_line, tree, seq), (tree, seq)
 
 
 def _slice_count_rel_pos(tree):

@@ -24,11 +24,9 @@ from treesent.rules import (
     RuleError,
     analyze,
     baseline_wordcount,
-    classify_sentence,
     classify_valence,
     extract_targets,
     replay_trace,
-    score_target,
     score_tree,
 )
 from treesent.tree import DepTree
@@ -61,10 +59,12 @@ def test_contrast_pair_valences(demo, lex, cfg):
 
 
 def test_contrast_pair_opposite_classes(demo, lex, cfg):
-    r1 = classify_sentence(demo["s1"], lex, cfg)
-    r2 = classify_sentence(demo["s2"], lex, cfg)
+    r1 = analyze(demo["s1"], lex, cfg)
+    r2 = analyze(demo["s2"], lex, cfg)
     assert r1.sentence_class == POSITIVE
     assert r2.sentence_class == NEGATIVE
+    assert r1.trace == tuple(score_tree(demo["s1"], lex, cfg)[1])
+    assert r2.trace == tuple(score_tree(demo["s2"], lex, cfg)[1])
 
 
 def test_contrast_pair_negation_steps(demo, lex, cfg):
@@ -104,7 +104,7 @@ def test_baseline_cannot_separate_contrast_pair(demo, lex, cfg):
     assert b1 == b2
     assert b1 == (pytest.approx(1.0), POSITIVE)
     # while the tree-walking rules do separate them
-    assert classify_sentence(demo["s2"], lex, cfg).sentence_class != b2[1]
+    assert analyze(demo["s2"], lex, cfg).sentence_class != b2[1]
 
 
 def test_empty_lexicon_all_neutral(demo, cfg):
@@ -112,7 +112,9 @@ def test_empty_lexicon_all_neutral(demo, cfg):
     valence, trace = score_tree(demo["s1"], empty, cfg)
     assert valence == 0.0
     assert [step.rule for step in trace] == [AGGREGATE]
-    assert classify_sentence(demo["s1"], empty, cfg).sentence_class == NEUTRAL
+    result = analyze(demo["s1"], empty, cfg)
+    assert result.sentence_class == NEUTRAL
+    assert [step.rule for step in result.trace] == [AGGREGATE]
 
 
 @pytest.mark.parametrize(
@@ -153,10 +155,8 @@ def test_negation_flips_class_for_every_eligible_demo_word(cfg):
             shifted = max(-cfg.negation_cap, min(cfg.negation_cap, shifted))
             if abs(shifted) <= cfg.neutral_threshold:
                 continue  # lands in the neutral band, no clean flip
-            plain = classify_sentence(_predicate_tree(entry.term, upos, False), lexicon, cfg)
-            negated = classify_sentence(
-                _predicate_tree(entry.term, upos, True, negator), lexicon, cfg
-            )
+            plain = analyze(_predicate_tree(entry.term, upos, False), lexicon, cfg)
+            negated = analyze(_predicate_tree(entry.term, upos, True, negator), lexicon, cfg)
             assert plain.sentence_class != negated.sentence_class, entry
             assert {plain.sentence_class, negated.sentence_class} == {POSITIVE, NEGATIVE}
             checked += 1
@@ -334,25 +334,10 @@ def test_extract_targets_amod_joins_span():
     assert extract_targets(tree) == [(2, 3)]
 
 
-def test_score_target_matches_analyze(demo, lex, cfg):
-    result = analyze(demo["s3"], lex, cfg)
-    for opinion in result.opinions:
-        assert score_target(demo["s3"], lex, cfg, opinion.target_token_ids) == opinion
-
-
-def test_score_target_rejects_foreign_span(demo, lex, cfg):
-    with pytest.raises(RuleError, match="not a candidate"):
-        score_target(demo["s3"], lex, cfg, (7, 8))
-    with pytest.raises(RuleError, match="not a candidate"):
-        score_target(demo["s1"], lex, cfg, (11, 12))
-
-
 def test_target_without_evidence_is_neutral(demo, lex, cfg):
-    opinion = score_target(demo["s3"], lex, cfg, (5,))
-    assert opinion.valence == 0.0
-    assert opinion.opinion_class == NEUTRAL
-    assert opinion.evidence_token_ids == ()
-    # and analyze prunes it
+    # (5,) is a candidate span, but nothing speaks about it, so analyze
+    # leaves it out rather than report a neutral opinion
+    assert (5,) in extract_targets(demo["s3"])
     spans = [op.target_token_ids for op in analyze(demo["s3"], lex, cfg).opinions]
     assert (5,) not in spans
 
@@ -395,7 +380,6 @@ def test_config_from_file_overrides_and_defaults():
     assert cfg.adversative_weights == (0.25, 1.75)
     assert cfg.neutral_threshold == 0.1
     assert cfg.negation_cap == 5.0  # untouched default
-    assert cfg.negation_scope == "HEAD_SUBTREE"
 
 
 @pytest.mark.parametrize(

@@ -118,8 +118,9 @@ def test_star_import_and_dir_list_every_public_name():
 def test_unknown_and_removed_names_are_attribute_errors():
     with pytest.raises(AttributeError, match="no_such_name"):
         treesent.no_such_name
-    with pytest.raises(AttributeError, match="write_tagger_output"):
-        treesent.write_tagger_output
+    for removed in ("write_tagger_output", "classify_sentence", "score_target"):
+        with pytest.raises(AttributeError, match=removed):
+            getattr(treesent, removed)
     with pytest.raises(ImportError):
         exec("from treesent import no_such_name", {})
 
