@@ -14,7 +14,8 @@ config file (--config), then explicit flags. Lexicon paths that do not
 exist as given are retried under $TREESENT_LEXICON_DIR ($SALSA_LEXICON_DIR,
 its former name, is still read when the new one is unset, for one more
 release). Exit codes: 0 on success, 1 for data errors under the abort
-policy, 2 for config errors.
+policy, 2 for config errors. analyze, aspects and encode stream through one
+ordered pool of --workers processes; decode runs in one whatever --workers says.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import sys
 from collections import deque
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import (
@@ -45,6 +47,7 @@ from typing import (
 
 from . import __version__
 from .conllu import (
+    UNREADABLE,
     Block,
     ConlluError,
     ReadStats,
@@ -152,38 +155,39 @@ def _find_lexicon(path_text: str) -> Path:
 
 # a config file and the command line set the same keys: the settings' fields
 _CONFIG_KEYS = tuple(PipelineConfig.__dataclass_fields__)
+# how a config file's text becomes each value that is not text
+_CONFIG_TYPES = {"workers": int, "seed": int, "scheme": Scheme.parse}
 
 
-def _read_config_file(path_text: str) -> Dict[str, str]:
+def _read_config_file(path_text: str) -> Dict[str, object]:
     path = Path(path_text)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    values: Dict[str, str] = {}
+    values: Dict[str, object] = {}
     for lineno, key, value in settings_lines(
         path, lambda message, lineno: ConfigError(f"{path}:{lineno}: {message}")
     ):
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
-        values[key] = value
+        try:
+            values[key] = _CONFIG_TYPES.get(key, str)(value)
+            PipelineConfig(**{key: values[key]})  # the field's own checks, while its line is known
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     return values
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     """defaults, then config file entries, then explicit flags."""
-    merged: Dict[str, object] = {}
-    if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
+    merged = _read_config_file(args.config) if getattr(args, "config", None) else {}
     try:
-        if "scheme" in merged and not isinstance(merged["scheme"], Scheme):
-            merged["scheme"] = Scheme.parse(str(merged["scheme"]))
-        for key in ("workers", "seed"):
-            if key in merged:
-                merged[key] = int(merged[key])
-    except ValueError as exc:
+        for key in _CONFIG_KEYS:
+            flag = getattr(args, key, None)
+            if flag is not None:
+                merged[key] = _CONFIG_TYPES.get(key, str)(flag)
+    except ValueError as exc:  # --scheme; argparse has checked the others
         raise ConfigError(str(exc)) from None
     return PipelineConfig(**merged)  # type: ignore[arg-type]
 
@@ -221,30 +225,27 @@ def _input_source(cfg: PipelineConfig):
     return path
 
 
-# ------------------------------------------------------------------ analyze
+# ------------------------------------------------- analyze, aspects, encode
+# A run turns each valid CoNLL-U tree into one output line with a function
+# bound once per run, with ``partial`` over the module-level functions below
+# so that it pickles to the pool. The record functions are passed
+# ``rules.analyze`` or ``rules.baseline_wordcount``, so a sentence imports nothing.
 
 
-def _sentence_record(
-    tree: DepTree,
-    score: Callable,
-    lexicon: PolarityLexicon,
-    rules_cfg: RuleConfig,
-    explain: bool,
-    baseline: bool,
-    aspects_only: bool,
-) -> dict:
-    """The JSON record of one sentence; ``score`` is ``rules.baseline_wordcount``
-    when ``baseline`` is set, ``rules.analyze`` otherwise."""
-    if baseline:
-        valence, label = score(tree, lexicon, rules_cfg)
-        return {
-            "sent_id": tree.sentence_id,
-            "class": label,
-            "valence": valence,
-            "baseline": True,
-        }
-    result = score(tree, lexicon, rules_cfg, trace=explain)
-    opinions = [
+class _Skip(Exception):
+    """``(message, reason)``: a valid tree has no output line; ``reason`` is its tally."""
+
+
+# encode's skip reasons by error type, in the order their tallies are printed
+_ENCODE_SKIPS = {
+    NonProjectiveError: "non-projective sentences",
+    ValueError: "sentences with whitespace inside a field",
+    UnreadableFieldError: "sentences with a field that would read back wrong",
+}
+
+
+def _opinions(result) -> list:
+    return [
         {
             "target": [op.target_token_ids[0], op.target_token_ids[-1]],
             "text": op.target_text,
@@ -254,59 +255,78 @@ def _sentence_record(
         }
         for op in result.opinions
     ]
-    if aspects_only:
-        return {"sent_id": tree.sentence_id, "opinions": opinions}
-    record = {
+
+
+def _scored(tree: DepTree, result) -> dict:
+    return {
         "sent_id": tree.sentence_id,
         "class": result.sentence_class,
         "valence": result.sentence_valence,
-        "opinions": opinions,
+        "opinions": _opinions(result),
     }
-    if explain:
-        record["trace"] = [
-            [step.token_id, step.rule, step.before, step.after, step.note]
-            for step in result.trace
-        ]
-    return record
 
 
-class _Scoring(NamedTuple):
-    """What every sentence of one ``analyze`` run is scored with."""
+def _analyze_record(analyze: Callable, lexicon, rules_cfg, tree: DepTree) -> dict:
+    return _scored(tree, analyze(tree, lexicon, rules_cfg, trace=False))
 
-    lexicon: PolarityLexicon
-    rules_cfg: RuleConfig
-    score: Callable  # bound once per run; see _sentence_record
-    explain: bool
-    baseline: bool
-    aspects_only: bool
+
+def _explain_record(analyze: Callable, lexicon, rules_cfg, tree: DepTree) -> dict:
+    result = analyze(tree, lexicon, rules_cfg, trace=True)
+    trace = [[step.token_id, step.rule, step.before, step.after, step.note]
+             for step in result.trace]
+    return {**_scored(tree, result), "trace": trace}
+
+
+def _aspects_record(analyze: Callable, lexicon, rules_cfg, tree: DepTree) -> dict:
+    result = analyze(tree, lexicon, rules_cfg, trace=False)
+    return {"sent_id": tree.sentence_id, "opinions": _opinions(result)}
+
+
+def _baseline_record(baseline: Callable, lexicon, rules_cfg, tree: DepTree) -> dict:
+    valence, label = baseline(tree, lexicon, rules_cfg)
+    return {"sent_id": tree.sentence_id, "class": label, "valence": valence, "baseline": True}
+
+
+def _json_line(record: Callable[[DepTree], dict], tree: DepTree) -> str:
+    fields = record(tree)
+    try:
+        return json.dumps(fields, ensure_ascii=False, allow_nan=False) + "\n"
+    except ValueError:  # an overflowed score
+        raise _Skip("score is not a finite number", UNREADABLE) from None
+
+
+def _bridge_line(scheme: Scheme, tree: DepTree) -> str:
+    try:
+        return format_tagger_line(tree, encode(tree, scheme)) + "\n"
+    except ValueError as exc:  # crossing arcs, or a field the line cannot carry
+        reason = _ENCODE_SKIPS.get(type(exc), _ENCODE_SKIPS[ValueError])
+        raise _Skip(str(exc), reason) from None
+
+
+class _Job(NamedTuple):
+    """What one run does to each sentence, and what it does when one fails."""
+
+    line: Callable[[DepTree], str]  # raises _Skip for a tree with no line
     on_error: str
 
     def lines(self, blocks: Iterable[Block], stats: ReadStats) -> Iterator[str]:
-        """One JSON line per readable sentence, in block order.
-
-        A sentence fails, under ``on_error``, if it cannot be read or if its
-        record holds a number JSON cannot carry (an overflowed score).
-        """
+        """One output line per sentence that is read and has one, in block order."""
         for ordinal, block in blocks:
             try:
-                line = self._line(_parse_block(block, ordinal, stats), ordinal, block[0][0])
+                line = self.line(_parse_block(block, ordinal, stats))
             except ConlluError:
                 if self.on_error == "abort":
                     raise
-                stats.skipped += 1
+                stats.skip(UNREADABLE)
+                continue
+            except _Skip as exc:
+                message, reason = exc.args
+                if self.on_error == "abort":
+                    raise ConlluError(message, ordinal, block[0][0]) from None
+                stats.skip(reason)
                 continue
             stats.sentences += 1
             yield line
-
-    def _line(self, tree: DepTree, ordinal: int, lineno: int) -> str:
-        record = _sentence_record(
-            tree, self.score, self.lexicon, self.rules_cfg, self.explain, self.baseline,
-            self.aspects_only,
-        )
-        try:
-            return json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n"
-        except ValueError:
-            raise ConlluError("score is not a finite number", ordinal, lineno) from None
 
 
 # Sentences per pool task. Large enough that a task's pickling and
@@ -314,24 +334,23 @@ class _Scoring(NamedTuple):
 # records come out early and the pool holds little memory.
 CHUNK_SENTENCES = 64
 
-_worker_scoring: Optional[_Scoring] = None  # set once in each pool worker
+_worker_job: Optional[_Job] = None  # set once in each pool worker
 
 
-def _start_worker(scoring: _Scoring) -> None:
-    global _worker_scoring
-    _worker_scoring = scoring
+def _start_worker(job: _Job) -> None:
+    global _worker_job
+    _worker_job = job
 
 
-def _score_chunk(blocks: List[Block]) -> Tuple[List[str], ReadStats, Optional[ConlluError]]:
+def _run_chunk(blocks: List[Block]) -> Tuple[List[str], ReadStats, Optional[ConlluError]]:
     """Pool task: the chunk's output lines, its read tallies, and its first error.
 
     Lines before a bad sentence are returned with its error, so the parent
     writes exactly what a single process would before it stops.
     """
-    stats = ReadStats()
-    lines: List[str] = []
+    stats, lines = ReadStats(), []
     try:
-        for line in _worker_scoring.lines(blocks, stats):
+        for line in _worker_job.lines(blocks, stats):
             lines.append(line)
     except ConlluError as exc:
         return lines, stats, exc
@@ -361,9 +380,9 @@ def _map_chunks(fn, chunks: Iterable, workers: int, initializer, initargs) -> It
 
 
 def _write_records(
-    scoring: _Scoring, blocks: Iterator[Block], workers: int, stats: ReadStats, out: IO[str]
+    job: _Job, blocks: Iterator[Block], workers: int, stats: ReadStats, out: IO[str]
 ) -> None:
-    """Score ``blocks`` and write their lines to ``out`` as they are finished.
+    """Run ``job`` over ``blocks`` and write its lines to ``out`` as they are finished.
 
     With one worker, or input of at most one chunk, everything runs in
     this process. Otherwise this process only splits the input and writes;
@@ -374,7 +393,7 @@ def _write_records(
         head = list(islice(chunks, 2))
         if len(head) == 2:
             results = _map_chunks(
-                _score_chunk, chain(head, chunks), workers, _start_worker, (scoring,)
+                _run_chunk, chain(head, chunks), workers, _start_worker, (job,)
             )
             with closing(results):
                 for lines, counts, error in results:
@@ -384,69 +403,41 @@ def _write_records(
                         raise error
             return
         blocks = chain.from_iterable(head)
-    out.writelines(scoring.lines(blocks, stats))
+    out.writelines(job.lines(blocks, stats))
+
+
+def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
+    """Write ``line`` of each sentence of the input, then the skip tallies."""
+    stats = ReadStats()
+    blocks = split_blocks(iter_raw_lines(_input_source(cfg)))
+    with _open_output(cfg) as out:
+        _write_records(_Job(line, cfg.on_error), blocks, cfg.workers, stats, out)
+    for reason in (UNREADABLE, *_ENCODE_SKIPS.values()):
+        if stats.skipped_by[reason]:
+            print(f"skipped {stats.skipped_by[reason]} {reason}", file=sys.stderr)
+    return 0
 
 
 def cmd_analyze(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     from .rules import analyze, baseline_wordcount
 
-    baseline = getattr(args, "baseline", False)
-    scoring = _Scoring(
-        cfg.load_lexicon(),
-        cfg.load_rules(),
-        score=baseline_wordcount if baseline else analyze,
-        explain=getattr(args, "explain", False),
-        baseline=baseline,
-        aspects_only=args.command == "aspects",
-        on_error=cfg.on_error,
-    )
-    stats = ReadStats()
-    blocks = split_blocks(iter_raw_lines(_input_source(cfg)))
-    with _open_output(cfg) as out:
-        _write_records(scoring, blocks, cfg.workers, stats, out)
-    if stats.skipped:
-        print(f"skipped {stats.skipped} unreadable sentences", file=sys.stderr)
-    return 0
-
-
-# ------------------------------------------------------------ encode/decode
+    scoring = (cfg.load_lexicon(), cfg.load_rules())
+    if args.command == "aspects":
+        record = partial(_aspects_record, analyze, *scoring)
+    elif args.baseline:
+        record = partial(_baseline_record, baseline_wordcount, *scoring)
+    elif args.explain:
+        record = partial(_explain_record, analyze, *scoring)
+    else:
+        record = partial(_analyze_record, analyze, *scoring)
+    return _run_job(cfg, partial(_json_line, record))
 
 
 def cmd_encode(cfg: PipelineConfig) -> int:
-    stats = ReadStats()
-    non_projective = spaced = misread = 0
-    with _open_output(cfg) as out:
-        for ordinal, block in split_blocks(iter_raw_lines(_input_source(cfg))):
-            try:
-                tree = _parse_block(block, ordinal, stats)
-            except ConlluError:
-                if cfg.on_error == "abort":
-                    raise
-                stats.skipped += 1
-                continue
-            try:
-                line = format_tagger_line(tree, encode(tree, cfg.scheme))
-            except ValueError as exc:  # crossing arcs, or a field the line cannot carry
-                if cfg.on_error == "abort":
-                    raise ConlluError(str(exc), ordinal, block[0][0]) from None
-                if isinstance(exc, NonProjectiveError):
-                    non_projective += 1
-                elif isinstance(exc, UnreadableFieldError):
-                    misread += 1
-                else:
-                    spaced += 1
-                continue
-            out.write(line + "\n")
-    if stats.skipped:
-        print(f"skipped {stats.skipped} unreadable sentences", file=sys.stderr)
-    if non_projective:
-        print(f"skipped {non_projective} non-projective sentences", file=sys.stderr)
-    if spaced:
-        print(f"skipped {spaced} sentences with whitespace inside a field", file=sys.stderr)
-    if misread:
-        print(f"skipped {misread} sentences with a field that would read back wrong",
-              file=sys.stderr)
-    return 0
+    return _run_job(cfg, partial(_bridge_line, cfg.scheme))
+
+
+# ------------------------------------------------------------------- decode
 
 
 def _with_sent_id_comment(tree: DepTree) -> DepTree:

@@ -9,7 +9,8 @@ nodes (``1.1``) are dropped silently, with a tally kept in ``ReadStats``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -23,6 +24,8 @@ Block = Tuple[int, List[Tuple[int, Line]]]
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_ID = re.compile(r"^\d+\.\d+$")
 _COLUMNS = 10
+# the reason ``parse_blocks`` skips a sentence, in the words that report it
+UNREADABLE = "unreadable sentences"
 
 
 class ConlluError(DataError):
@@ -40,12 +43,18 @@ class ConlluError(DataError):
 
 @dataclass
 class ReadStats:
-    """Tallies filled in by ``read_conllu`` as it goes."""
+    """Tallies filled in by ``read_conllu``, or a command's run, as it goes."""
 
     sentences: int = 0
     skipped: int = 0
     dropped_ranges: int = 0
     dropped_empty_nodes: int = 0
+    # ``skipped`` split by reason: UNREADABLE, or a command's own reasons
+    skipped_by: Counter = field(default_factory=Counter)
+
+    def skip(self, reason: str) -> None:
+        self.skipped += 1
+        self.skipped_by[reason] += 1
 
     def add(self, other: "ReadStats") -> None:
         """Fold in the tallies of another read, such as one chunk's."""
@@ -204,7 +213,7 @@ def parse_blocks(
         except ConlluError:
             if on_error == "abort":
                 raise
-            stats.skipped += 1
+            stats.skip(UNREADABLE)
             continue
         stats.sentences += 1
         yield tree
@@ -244,8 +253,6 @@ def write_conllu(trees: Iterable[DepTree], dest: str | Path | IO[str]) -> None:
     """Stream sentences to a path or text file object."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8") as fh:
-            for tree in trees:
-                fh.write(format_sentence(tree) + "\n\n")
-    else:
-        for tree in trees:
-            dest.write(format_sentence(tree) + "\n\n")
+            return write_conllu(trees, fh)
+    for tree in trees:
+        dest.write(format_sentence(tree) + "\n\n")

@@ -77,7 +77,7 @@ class ShifterInventory:
             clash = one & other
             if clash:
                 raise LexiconError(f"shifter classes overlap on {sorted(clash)}")
-        # classify() lowercases its query, so no other lemma could be found
+        # classify_shifter() lowercases its query, so no other lemma could be found
         for lemma in chain(self.negators, self.intensifiers, self.adversatives):
             if lemma != lemma.lower():
                 raise LexiconError(f"shifter lemma {lemma!r} is not lowercase")
@@ -92,9 +92,6 @@ class ShifterInventory:
         for lemma, strength in self.intensifiers.items():
             by_lemma[lemma] = Shifter(INTENSIFIER, strength)
         object.__setattr__(self, "_by_lemma", by_lemma)
-
-    def classify(self, lemma: str) -> Optional[Shifter]:
-        return self._by_lemma.get(lemma.lower())
 
 
 def _merge_shifters(base: ShifterInventory, domain: ShifterInventory) -> ShifterInventory:

@@ -105,6 +105,9 @@ class RuleConfig:
             try:
                 weights = key == "adversative_weights"
                 values[key] = tuple(map(float, value.split(","))) if weights else float(value)
+                cls(**{key: values[key]})  # the field's own checks, while its line is known
+            except RuleError as exc:
+                raise RuleError(exc.message, lineno) from None
             except ValueError:
                 raise RuleError(f"bad value for {key!r}: {value!r}", lineno) from None
         return cls(**values)

@@ -154,10 +154,14 @@ def _per_worker_count(capsys, *argv):
     return results
 
 
+SCHEMES = ("rel-offset", "rel-pos", "brackets")
+
+
 @pytest.mark.parametrize(
     "argv",
-    [("analyze",), ("analyze", "--explain"), ("aspects",), ("analyze", "--baseline")],
-    ids=["analyze", "explain", "aspects", "baseline"],
+    [("analyze",), ("analyze", "--explain"), ("aspects",), ("analyze", "--baseline"),
+     *(("encode", "--scheme", scheme) for scheme in SCHEMES)],
+    ids=["analyze", "explain", "aspects", "baseline", *(f"encode-{s}" for s in SCHEMES)],
 )
 def test_pool_output_matches_one_worker(tmp_path, capsys, argv):
     corpus = _pool_corpus(tmp_path)
@@ -178,10 +182,43 @@ def test_pool_skips_bad_sentences_on_both_sides_of_a_chunk_boundary(tmp_path, ca
     assert all(result == single for result in pooled)
 
 
-def test_pool_abort_writes_the_records_before_the_bad_sentence(tmp_path, capsys):
+# a 4-token sentence whose arcs 3 -> 1 and 4 -> 2 cross
+CROSSING_BLOCK = b"".join(
+    b"%d\tw\tw\tNOUN\t_\t_\t%d\t%s\t_\t_\n" % (i, head, b"dep" if head else b"root")
+    for i, head in enumerate([3, 4, 0, 3], start=1)
+).rstrip(b"\n")
+SPACED_FORM = (b"\n1\t", b"\n1\tx y")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_encode_pool_skips_bad_sentences_on_both_sides_of_a_chunk_boundary(
+    tmp_path, capsys, scheme
+):
+    corpus = _pool_corpus(
+        tmp_path, [(CHUNK_SENTENCES, SPACED_FORM), (CHUNK_SENTENCES + 1, BAD_BYTE)]
+    )
+    blocks = corpus.read_bytes().split(b"\n\n")
+    blocks[2 * CHUNK_SENTENCES - 1] = blocks[2 * CHUNK_SENTENCES] = CROSSING_BLOCK
+    corpus.write_bytes(b"\n\n".join(blocks))
+    single, *pooled = _per_worker_count(
+        capsys, "encode", "--scheme", scheme, "-i", corpus, "--on-error", "skip"
+    )
+    crossing = scheme == "brackets"
+    assert single[0] == 0
+    assert len(single[1].splitlines()) == POOL_SENTENCES - 2 - 2 * crossing
+    assert single[2] == (
+        "skipped 1 unreadable sentences\n"
+        + "skipped 2 non-projective sentences\n" * crossing
+        + "skipped 1 sentences with whitespace inside a field\n"
+    )
+    assert all(result == single for result in pooled)
+
+
+@pytest.mark.parametrize("command", ["analyze", "encode"])
+def test_pool_abort_writes_the_records_before_the_bad_sentence(tmp_path, capsys, command):
     bad = 2 * CHUNK_SENTENCES + 22
     corpus = _pool_corpus(tmp_path, [(bad, BAD_BYTE)])
-    single, *pooled = _per_worker_count(capsys, "analyze", "-i", corpus)
+    single, *pooled = _per_worker_count(capsys, command, "-i", corpus)
     line = 8 * (bad - 1) + 2
     assert single[0] == 1
     assert single[2] == f"error: sentence {bad} (line {line}): not valid UTF-8\n"
@@ -865,6 +902,32 @@ def test_both_settings_readers_name_the_first_bad_line(tmp_path, capsys, flag, t
     assert capsys.readouterr() == ("", f"config error: {expected}\n")
 
 
+@pytest.mark.parametrize(
+    "flag, setting, message",
+    [
+        ("--config", "seed = x", "{path}:2: bad value for 'seed': 'x'"),
+        ("--config", "workers = 0", "{path}:2: worker count must be >= 1, got 0"),
+        ("--config", "scheme = nope", "{path}:2: bad value for 'scheme': 'nope'"),
+        ("--config", "on_error = maybe",
+         "{path}:2: on_error must be 'skip' or 'abort', got 'maybe'"),
+        ("--rules", "negation_cap = 9",
+         "rule config: line 2: negation_cap must be in (0, 5], got 9.0"),
+        ("--rules", "neutral_threshold = nan",
+         "rule config: line 2: neutral_threshold must be >= 0, got nan"),
+        ("--rules", "adversative_weights = 1",
+         "rule config: line 2: adversative_weights needs 2 values, got 1"),
+    ],
+)
+def test_both_settings_readers_name_the_line_of_a_bad_value(
+    tmp_path, capsys, flag, setting, message
+):
+    first = {"--config": "language = en", "--rules": "negation_shift = 2"}[flag]
+    path = tmp_path / "settings.cfg"
+    path.write_text(f"{first}\n{setting}\n# the line after\n")
+    assert run("analyze", "-i", demo_treebank_path(), flag, path) == 2
+    assert capsys.readouterr() == ("", f"config error: {message.format(path=path)}\n")
+
+
 _SETTING_KEYS = [
     "negation_shift", "negation_cap", "adversative_weights", "neutral_threshold",
     "negation_scope", "language", "lexicon", "domain_lexicon", "rules", "scheme", "input",
@@ -997,6 +1060,15 @@ def test_output_in_a_missing_directory_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error: cannot write output file {out}: No such file or directory\n"
     )
+
+
+@pytest.mark.parametrize("command", ["analyze", "encode"])
+def test_a_missing_input_leaves_the_output_file_as_it_was(tmp_path, capsys, command):
+    missing, out = tmp_path / "missing.conllu", tmp_path / "out.txt"
+    out.write_text("kept\n")
+    assert run(command, "-i", missing, "-o", out) == 2
+    assert capsys.readouterr().err == f"config error: input file not found: {missing}\n"
+    assert out.read_text() == "kept\n"
 
 
 def _same_file_argv(tmp_path, command, link):

@@ -227,7 +227,6 @@ def test_compiled_lookup_matches_the_layered_reference(stack):
             assert merged.lookup(lemma, upos) == reference_lookup(layers, lemma, upos)
         expected = reference_shifter([shifters for _, shifters in stack], lemma)
         assert merged.classify_shifter(lemma) == expected
-        assert merged.shifters.classify(lemma) == expected
 
 
 def test_compiled_tables_stay_out_of_equality_and_repr():
