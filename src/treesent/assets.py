@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from .lexicon import LexiconError, PolarityLexicon, load_collocations, load_lexicon
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
+
 DEMO_LANGUAGES = ("en", "es")
+# the bundled data files, installed beside this module as package data
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def data_path(name: str) -> Path:
-    """Path of a bundled data file, installed beside this module as package data."""
-    return Path(__file__).with_name("data") / name
+    """Path of a bundled data file."""
+    from pathlib import Path
+
+    return Path(_DATA_DIR, name)
 
 
 def demo_lexicon(language: str = "en") -> PolarityLexicon:
@@ -20,9 +28,9 @@ def demo_lexicon(language: str = "en") -> PolarityLexicon:
         raise LexiconError(
             f"no demo lexicon for language {language!r}; have {DEMO_LANGUAGES}"
         )
-    with data_path(f"lexicon_{language}.tsv").open("rb") as fh:
+    with open(os.path.join(_DATA_DIR, f"lexicon_{language}.tsv"), "rb") as fh:
         lexicon = load_lexicon(fh, language)
-    with data_path(f"collocations_{language}.tsv").open("rb") as fh:
+    with open(os.path.join(_DATA_DIR, f"collocations_{language}.tsv"), "rb") as fh:
         return lexicon.with_collocations(load_collocations(fh))
 
 

@@ -20,13 +20,18 @@ import random
 import warnings
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from .conllu import Source, numbered_lines
+from .conllu import numbered_lines
 from .encodings import BridgeStats, Scheme, encode, format_tagger_line, parse_tagger_output
 from .lexicon import PolarityLexicon
 from .rules import CLASSES, RuleConfig, analyze
 from .tree import DepTree, random_projective_tree
+
+if TYPE_CHECKING:
+    from .conllu import Source
 
 MIN_CORPUS = 1000
 

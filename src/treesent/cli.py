@@ -21,34 +21,16 @@ ordered pool of --workers processes; decode runs in one whatever --workers says.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from collections import deque
+from collections import deque, namedtuple
 from contextlib import closing, contextmanager
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
-from pathlib import Path
-from typing import (
-    IO,
-    TYPE_CHECKING,
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
 
 from . import __version__
 from .conllu import (
     UNREADABLE,
-    Block,
     ConlluError,
     ReadStats,
     _parse_block,
@@ -67,12 +49,18 @@ from .encodings import (
     format_tagger_line,
     parse_tagger_output,
 )
-from .tree import DataError, DepTree
+from .tree import DataError, DepTree, _Record
 
-# The lexicon, rules, assets, evaluation, bench and concurrent.futures
+# The lexicon, rules, assets, json, evaluation, bench and concurrent.futures
 # modules are imported where they are used: encode and decode start without
 # any of them, analyze without the last three.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import (
+        IO, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    )
+
+    from .conllu import Block
     from .lexicon import PolarityLexicon
     from .rules import RuleConfig
 
@@ -85,26 +73,34 @@ class ConfigError(ValueError):
     """Bad settings: unknown keys, unreadable files, invalid values."""
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(_Record, frozen=True):
     """Resolved settings shared by every subcommand."""
 
-    language: str = "en"
-    lexicon: Optional[str] = None
-    domain_lexicon: Optional[str] = None
-    rules: Optional[str] = None
-    scheme: Scheme = Scheme.REL_OFFSET
-    input: Optional[str] = None
-    output: Optional[str] = None
-    on_error: str = "abort"
-    workers: int = 1
-    seed: int = 0
+    _fields = ("language", "lexicon", "domain_lexicon", "rules", "scheme", "input", "output",
+               "on_error", "workers", "seed")
 
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigError(f"worker count must be >= 1, got {self.workers}")
-        if self.on_error not in ("skip", "abort"):
-            raise ConfigError(f"on_error must be 'skip' or 'abort', got {self.on_error!r}")
+    def __init__(
+        self,
+        language: str = "en",
+        lexicon: Optional[str] = None,
+        domain_lexicon: Optional[str] = None,
+        rules: Optional[str] = None,
+        scheme: Scheme = Scheme.REL_OFFSET,
+        input: Optional[str] = None,
+        output: Optional[str] = None,
+        on_error: str = "abort",
+        workers: int = 1,
+        seed: int = 0,
+    ) -> None:
+        if workers < 1:
+            raise ConfigError(f"worker count must be >= 1, got {workers}")
+        if on_error not in ("skip", "abort"):
+            raise ConfigError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
+        self.__dict__.update(
+            language=language, lexicon=lexicon, domain_lexicon=domain_lexicon, rules=rules,
+            scheme=scheme, input=input, output=output, on_error=on_error, workers=workers,
+            seed=seed,
+        )
 
     def load_lexicon(self) -> PolarityLexicon:
         from .assets import demo_lexicon
@@ -129,23 +125,21 @@ class PipelineConfig:
 
         if self.rules is None:
             return RuleConfig()
-        path = Path(self.rules)
-        if not path.is_file():
-            raise ConfigError(f"rule config file not found: {path}")
+        if not os.path.isfile(self.rules):
+            raise ConfigError(f"rule config file not found: {self.rules}")
         try:
-            return RuleConfig.from_file(path)
+            return RuleConfig.from_file(self.rules)
         except RuleError as exc:
             raise ConfigError(f"rule config: {exc}") from None
 
 
-def _find_lexicon(path_text: str) -> Path:
-    path = Path(path_text)
-    if path.is_file():
+def _find_lexicon(path: str) -> str:
+    if os.path.isfile(path):
         return path
     search_dir = os.environ.get(LEXICON_DIR_ENV, os.environ.get(FORMER_LEXICON_DIR_ENV))
     if search_dir:
-        fallback = Path(search_dir) / path_text
-        if fallback.is_file():
+        fallback = os.path.join(search_dir, path)
+        if os.path.isfile(fallback):
             return fallback
         raise ConfigError(
             f"lexicon file not found: {path} (also tried {fallback})"
@@ -154,14 +148,13 @@ def _find_lexicon(path_text: str) -> Path:
 
 
 # a config file and the command line set the same keys: the settings' fields
-_CONFIG_KEYS = tuple(PipelineConfig.__dataclass_fields__)
+_CONFIG_KEYS = PipelineConfig._fields
 # how a config file's text becomes each value that is not text
 _CONFIG_TYPES = {"workers": int, "seed": int, "scheme": Scheme.parse}
 
 
-def _read_config_file(path_text: str) -> Dict[str, object]:
-    path = Path(path_text)
-    if not path.is_file():
+def _read_config_file(path: str) -> Dict[str, object]:
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     values: Dict[str, object] = {}
     for lineno, key, value in settings_lines(
@@ -219,10 +212,9 @@ def _input_source(cfg: PipelineConfig):
     if cfg.input is None:
         # bytes, so that a line that is not UTF-8 fails as data, with its line number
         return getattr(sys.stdin, "buffer", sys.stdin)
-    path = Path(cfg.input)
-    if not path.is_file():
-        raise ConfigError(f"input file not found: {path}")
-    return path
+    if not os.path.isfile(cfg.input):
+        raise ConfigError(f"input file not found: {cfg.input}")
+    return cfg.input
 
 
 # ------------------------------------------------- analyze, aspects, encode
@@ -287,10 +279,12 @@ def _baseline_record(baseline: Callable, lexicon, rules_cfg, tree: DepTree) -> d
     return {"sent_id": tree.sentence_id, "class": label, "valence": valence, "baseline": True}
 
 
-def _json_line(record: Callable[[DepTree], dict], tree: DepTree) -> str:
+def _json_line(
+    to_json: Callable[[dict], str], record: Callable[[DepTree], dict], tree: DepTree
+) -> str:
     fields = record(tree)
     try:
-        return json.dumps(fields, ensure_ascii=False, allow_nan=False) + "\n"
+        return to_json(fields) + "\n"
     except ValueError:  # an overflowed score
         raise _Skip("score is not a finite number", UNREADABLE) from None
 
@@ -303,11 +297,11 @@ def _bridge_line(scheme: Scheme, tree: DepTree) -> str:
         raise _Skip(str(exc), reason) from None
 
 
-class _Job(NamedTuple):
-    """What one run does to each sentence, and what it does when one fails."""
+class _Job(namedtuple("_Job", "line on_error")):
+    """What one run does to each sentence, and what it does when one fails:
+    ``line(tree)`` raises _Skip for a tree with no line, ``on_error`` is the policy."""
 
-    line: Callable[[DepTree], str]  # raises _Skip for a tree with no line
-    on_error: str
+    __slots__ = ()
 
     def lines(self, blocks: Iterable[Block], stats: ReadStats) -> Iterator[str]:
         """One output line per sentence that is read and has one, in block order."""
@@ -419,6 +413,8 @@ def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
 
 
 def cmd_analyze(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    from json import JSONEncoder
+
     from .rules import analyze, baseline_wordcount
 
     scoring = (cfg.load_lexicon(), cfg.load_rules())
@@ -430,7 +426,8 @@ def cmd_analyze(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         record = partial(_explain_record, analyze, *scoring)
     else:
         record = partial(_analyze_record, analyze, *scoring)
-    return _run_job(cfg, partial(_json_line, record))
+    to_json = JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+    return _run_job(cfg, partial(_json_line, to_json, record))
 
 
 def cmd_encode(cfg: PipelineConfig) -> int:
@@ -450,10 +447,10 @@ def _with_sent_id_comment(tree: DepTree) -> DepTree:
 
 def cmd_decode(cfg: PipelineConfig) -> int:
     stats = BridgeStats()
+    source = _input_source(cfg)  # before the output is opened, which empties it
     with _open_output(cfg) as out:
-        for _, result in parse_tagger_output(
-            _input_source(cfg), cfg.scheme, on_error=cfg.on_error, stats=stats
-        ):
+        for _, result in parse_tagger_output(source, cfg.scheme, on_error=cfg.on_error,
+                                             stats=stats):
             out.write(format_sentence(_with_sent_id_comment(result.tree)) + "\n\n")
     repairs = stats.repairs
     print(
@@ -470,6 +467,8 @@ def cmd_decode(cfg: PipelineConfig) -> int:
 
 
 def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    import json
+
     from .evaluation import (
         EvalError,
         MetricsReport,
@@ -481,12 +480,11 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         load_predictions,
     )
 
-    pred_path, gold_path = Path(args.pred), Path(args.gold)
-    for path in (pred_path, gold_path):
-        if not path.is_file():
+    for path in (args.pred, args.gold):
+        if not os.path.isfile(path):
             raise ConfigError(f"file not found: {path}")
-    gold_records = list(load_gold(gold_path))
-    preds = load_predictions(pred_path)
+    gold_records = list(load_gold(args.gold))
+    preds = load_predictions(args.pred)
     strict = cfg.on_error == "abort"
 
     pred_labels, gold_labels = [], []
@@ -522,12 +520,11 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
     parse_metrics = None
     if getattr(args, "pred_parse", None):
-        parse_path = Path(args.pred_parse)
-        if not parse_path.is_file():
-            raise ConfigError(f"file not found: {parse_path}")
+        if not os.path.isfile(args.pred_parse):
+            raise ConfigError(f"file not found: {args.pred_parse}")
         by_id = {
             tree.sentence_id: tree
-            for tree in read_conllu(parse_path, on_error="abort")
+            for tree in read_conllu(args.pred_parse, on_error="abort")
         }
         pred_trees, gold_trees = [], []
         for record in gold_records:
@@ -575,6 +572,8 @@ def _bench_errors() -> Iterator[None]:
 
 
 def cmd_bench(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    import json
+
     from .bench import run_bench, synthetic_corpus
 
     lexicon = cfg.load_lexicon()

@@ -8,18 +8,20 @@ nodes (``1.1``) are dropped silently, with a tally kept in ``ReadStats``.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields
-from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .tree import DataError, DepTree, TreeError
+from .tree import DataError, DepTree, TreeError, _Record
 
-Line = Union[str, bytes]
-Source = Union[str, Path, IO[bytes], IO[str], Iterable[Line]]
-# one sentence as ``split_blocks`` yields it: (ordinal, [(lineno, line), ...])
-Block = Tuple[int, List[Tuple[int, Line]]]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import IO, Callable, Iterable, Iterator, List, Optional, Tuple, Union
+
+    Line = Union[str, bytes]
+    Source = Union[str, os.PathLike, IO[bytes], IO[str], Iterable[Line]]
+    # one sentence as ``split_blocks`` yields it: (ordinal, [(lineno, line), ...])
+    Block = Tuple[int, List[Tuple[int, Line]]]
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_ID = re.compile(r"^\d+\.\d+$")
@@ -41,16 +43,19 @@ class ConlluError(DataError):
         return type(self), (self.message, self.sentence, self.line)
 
 
-@dataclass
-class ReadStats:
+class ReadStats(_Record):
     """Tallies filled in by ``read_conllu``, or a command's run, as it goes."""
 
-    sentences: int = 0
-    skipped: int = 0
-    dropped_ranges: int = 0
-    dropped_empty_nodes: int = 0
-    # ``skipped`` split by reason: UNREADABLE, or a command's own reasons
-    skipped_by: Counter = field(default_factory=Counter)
+    _fields = ("sentences", "skipped", "dropped_ranges", "dropped_empty_nodes", "skipped_by")
+
+    def __init__(self, sentences: int = 0, skipped: int = 0, dropped_ranges: int = 0,
+                 dropped_empty_nodes: int = 0, skipped_by: Counter | None = None) -> None:
+        self.sentences = sentences
+        self.skipped = skipped
+        self.dropped_ranges = dropped_ranges
+        self.dropped_empty_nodes = dropped_empty_nodes
+        # ``skipped`` split by reason: UNREADABLE, or a command's own reasons
+        self.skipped_by = Counter() if skipped_by is None else skipped_by
 
     def skip(self, reason: str) -> None:
         self.skipped += 1
@@ -58,13 +63,13 @@ class ReadStats:
 
     def add(self, other: "ReadStats") -> None:
         """Fold in the tallies of another read, such as one chunk's."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in self._fields:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 def iter_raw_lines(source: Source) -> Iterator[Line]:
     """Lines as the source holds them: bytes from paths and byte streams."""
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             yield from fh
         return
@@ -249,9 +254,9 @@ def dumps_conllu(trees: Iterable[DepTree]) -> str:
     return "".join(format_sentence(t) + "\n\n" for t in trees)
 
 
-def write_conllu(trees: Iterable[DepTree], dest: str | Path | IO[str]) -> None:
+def write_conllu(trees: Iterable[DepTree], dest: str | os.PathLike | IO[str]) -> None:
     """Stream sentences to a path or text file object."""
-    if isinstance(dest, (str, Path)):
+    if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", encoding="utf-8") as fh:
             return write_conllu(trees, fh)
     for tree in trees:

@@ -23,18 +23,22 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import repeat
 from operator import itemgetter
-from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .conllu import decode_line, iter_raw_lines
-from .tree import DataError, DepTree, TreeError, crossing_arcs
+from .tree import DataError, DepTree, TreeError, _Record, crossing_arcs
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterator, Sequence, Union
+
+    from .conllu import Source
+
+    Payload = Union[int, tuple[str, int], str]
 
 ROOT_UPOS = "ROOT"
-
-Payload = Union[int, tuple[str, int], str]
 
 
 class Scheme(enum.Enum):
@@ -68,10 +72,10 @@ class NonProjectiveError(DataError):
         self.arcs = pair
 
 
-class SyntaxLabel(NamedTuple):
-    scheme: Scheme
-    payload: Payload
-    deprel: str
+class SyntaxLabel(namedtuple("SyntaxLabel", "scheme payload deprel")):
+    """One token's label: a ``Scheme``, its payload and the token's relation."""
+
+    __slots__ = ()
 
 
 _BRACKET_PAYLOAD = re.compile(r"^\\*<?>?/*$")
@@ -91,24 +95,26 @@ def _payload_ok(scheme: Scheme, payload: Payload) -> bool:
     return isinstance(payload, str) and _BRACKET_PAYLOAD.match(payload) is not None
 
 
-@dataclass(frozen=True)
-class LabelSeq:
+class LabelSeq(_Record, frozen=True):
     """Labels for one sentence, one per token, all in the same scheme."""
 
-    labels: tuple[SyntaxLabel, ...]
-    scheme: Scheme
-    sentence_polarity: str | None = None
+    _fields = ("labels", "scheme", "sentence_polarity")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.labels, tuple):
-            object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels:
+    def __init__(
+        self,
+        labels: Sequence[SyntaxLabel],
+        scheme: Scheme,
+        sentence_polarity: str | None = None,
+    ) -> None:
+        labels = tuple(labels)
+        if not labels:
             raise ValueError("empty label sequence")
-        for lab in self.labels:
-            if lab.scheme is not self.scheme:
+        for lab in labels:
+            if lab.scheme is not scheme:
                 raise ValueError("mixed schemes in one label sequence")
-            if not _payload_ok(self.scheme, lab.payload):
-                raise ValueError(f"malformed payload {lab.payload!r} for {self.scheme}")
+            if not _payload_ok(scheme, lab.payload):
+                raise ValueError(f"malformed payload {lab.payload!r} for {scheme}")
+        self.__dict__.update(labels=labels, scheme=scheme, sentence_polarity=sentence_polarity)
 
     @classmethod
     def _trusted(
@@ -123,23 +129,22 @@ class LabelSeq:
         all in ``scheme``, each payload of the shape ``_payload_ok`` wants.
         """
         seq = object.__new__(cls)
-        object.__setattr__(seq, "labels", labels)
-        object.__setattr__(seq, "scheme", scheme)
-        object.__setattr__(seq, "sentence_polarity", sentence_polarity)
+        seq.__dict__.update(labels=labels, scheme=scheme, sentence_polarity=sentence_polarity)
         return seq
 
     def __len__(self) -> int:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class RepairStats:
+class RepairStats(_Record, frozen=True):
     """How many head proposals each repair rule had to touch."""
 
-    out_of_range: int = 0
-    extra_roots: int = 0
-    missing_root: int = 0
-    cycles_broken: int = 0
+    _fields = ("out_of_range", "extra_roots", "missing_root", "cycles_broken")
+
+    def __init__(self, out_of_range: int = 0, extra_roots: int = 0, missing_root: int = 0,
+                 cycles_broken: int = 0) -> None:
+        self.__dict__.update(out_of_range=out_of_range, extra_roots=extra_roots,
+                             missing_root=missing_root, cycles_broken=cycles_broken)
 
     @property
     def total(self) -> int:
@@ -154,9 +159,10 @@ class RepairStats:
         )
 
 
-class DecodeResult(NamedTuple):
-    tree: DepTree
-    repairs: RepairStats
+class DecodeResult(namedtuple("DecodeResult", "tree repairs")):
+    """A decoded ``DepTree`` and the ``RepairStats`` of its decoding."""
+
+    __slots__ = ()
 
 
 def _positions(upos: Sequence[str]) -> dict[str, list[int]]:
@@ -213,7 +219,7 @@ def encode(tree: DepTree, scheme: Scheme) -> LabelSeq:
     else:  # pragma: no cover
         raise ValueError(f"unhandled scheme {scheme}")
     # tuple.__new__ makes the same label SyntaxLabel(...) makes, in a C-level
-    # loop without a call to the NamedTuple's Python __new__ per label
+    # loop without a call to the named tuple's Python __new__ per label
     labels = map(tuple.__new__, repeat(SyntaxLabel), zip(repeat(scheme), payloads, deprels))
     return LabelSeq._trusted(tuple(labels), scheme)
 
@@ -355,7 +361,7 @@ def emit_multitask_labels(tree: DepTree, scheme: Scheme, polarity_class: str) ->
     """Syntax labels plus a sentence polarity tag carried on the sequence."""
     if not polarity_class or any(c.isspace() for c in polarity_class) or "@" in polarity_class:
         raise ValueError(f"bad polarity class {polarity_class!r}")
-    return replace(encode(tree, scheme), sentence_polarity=polarity_class)
+    return LabelSeq._trusted(encode(tree, scheme).labels, scheme, polarity_class)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +385,16 @@ class BridgeError(DataError):
         return type(self), (self.message, self.line)
 
 
-@dataclass
-class BridgeStats:
-    records: int = 0
-    skipped: int = 0
-    repairs: RepairStats = RepairStats()
+class BridgeStats(_Record):
+    """Tallies filled in by ``parse_tagger_output`` as it goes."""
+
+    _fields = ("records", "skipped", "repairs")
+
+    def __init__(self, records: int = 0, skipped: int = 0,
+                 repairs: RepairStats = RepairStats()) -> None:
+        self.records = records
+        self.skipped = skipped
+        self.repairs = repairs
 
 
 def _fields(
@@ -559,7 +570,7 @@ _LABEL_MEMO_LIMIT = 4096
 
 
 def parse_tagger_output(
-    source: Union[str, Path, IO[str], IO[bytes], Iterable[str]],
+    source: Source,
     scheme: Scheme,
     on_error: str = "skip",
     stats: BridgeStats | None = None,

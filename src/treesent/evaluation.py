@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -29,10 +30,13 @@ from typing import (
     Union,
 )
 
-from .conllu import Source, numbered_lines
+from .conllu import numbered_lines
 from .opinions import Opinion, OpinionError, OpinionSet, to_tree
 from .rules import CLASSES
 from .tree import DataError, DepTree, TreeError
+
+if TYPE_CHECKING:
+    from .conllu import Source
 
 
 class EvalError(DataError):

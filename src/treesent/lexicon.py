@@ -13,13 +13,21 @@ layer on top of a base lexicon without touching either input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from itertools import chain
-from typing import Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .conllu import Source, numbered_lines
+from .conllu import numbered_lines
+from .tree import _Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+    from .conllu import Source
 
 VALENCE_LIMIT = 5.0
+# an intensifier scales a value by (1 + strength): at most by VALENCE_LIMIT
+STRENGTH_LIMIT = VALENCE_LIMIT - 1
 
 NEGATOR = "negator"
 INTENSIFIER = "intensifier"
@@ -38,60 +46,59 @@ class LexiconError(ValueError):
         return type(self), (self.message, self.line)
 
 
-class LexEntry(NamedTuple):
-    term: str
-    upos_filter: Optional[str]
-    valence: float
+class LexEntry(namedtuple("LexEntry", "term upos_filter valence")):
+    """One effective lexicon entry: a term, its UPOS filter or None, its valence."""
+
+    __slots__ = ()
 
 
-class Shifter(NamedTuple):
+class Shifter(namedtuple("Shifter", "kind strength", defaults=(None,))):
     """Classification result for a shifter lemma."""
 
-    kind: str
-    strength: Optional[float] = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShifterInventory:
+class ShifterInventory(_Record, frozen=True):
     """Negator, intensifier, and adversative lemma sets.
 
     The three classes are pairwise disjoint. An intensifier of strength s
-    scales a value by (1 + s), so s must stay above -1.
+    scales a value by (1 + s), so s must lie in (-1, STRENGTH_LIMIT].
     """
 
-    negators: frozenset = frozenset()
-    intensifiers: Mapping[str, float] = field(default_factory=dict)
-    adversatives: frozenset = frozenset()
-    # lemma -> Shifter over all three classes, built once here
-    _by_lemma: Mapping[str, Shifter] = field(init=False, repr=False, compare=False)
+    _fields = ("negators", "intensifiers", "adversatives")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "negators", frozenset(self.negators))
-        object.__setattr__(self, "intensifiers", dict(self.intensifiers))
-        object.__setattr__(self, "adversatives", frozenset(self.adversatives))
+    def __init__(
+        self,
+        negators: Iterable[str] = frozenset(),
+        intensifiers: Mapping[str, float] | None = None,
+        adversatives: Iterable[str] = frozenset(),
+    ) -> None:
+        negators, adversatives = frozenset(negators), frozenset(adversatives)
+        intensifiers = {} if intensifiers is None else dict(intensifiers)
         for one, other in (
-            (self.negators, self.adversatives),
-            (self.negators, self.intensifiers.keys()),
-            (self.adversatives, self.intensifiers.keys()),
+            (negators, adversatives),
+            (negators, intensifiers.keys()),
+            (adversatives, intensifiers.keys()),
         ):
             clash = one & other
             if clash:
                 raise LexiconError(f"shifter classes overlap on {sorted(clash)}")
         # classify_shifter() lowercases its query, so no other lemma could be found
-        for lemma in chain(self.negators, self.intensifiers, self.adversatives):
+        for lemma in chain(negators, intensifiers, adversatives):
             if lemma != lemma.lower():
                 raise LexiconError(f"shifter lemma {lemma!r} is not lowercase")
-        for lemma, strength in self.intensifiers.items():
-            # not (s > -1) also rejects NaN
-            if not strength > -1:
-                raise LexiconError(
-                    f"intensifier strength for {lemma!r} must be > -1, got {strength}"
-                )
-        by_lemma = dict.fromkeys(self.negators, Shifter(NEGATOR))
-        by_lemma.update(dict.fromkeys(self.adversatives, Shifter(ADVERSATIVE)))
-        for lemma, strength in self.intensifiers.items():
+        for lemma, strength in intensifiers.items():
+            # written so that NaN, which fails every comparison, is rejected
+            if not -1 < strength <= STRENGTH_LIMIT:
+                raise LexiconError(f"intensifier strength for {lemma!r} must be > -1 "
+                                   f"and <= {STRENGTH_LIMIT:g}, got {strength}")
+        # lemma -> Shifter over all three classes, built once here
+        by_lemma = dict.fromkeys(negators, Shifter(NEGATOR))
+        by_lemma.update(dict.fromkeys(adversatives, Shifter(ADVERSATIVE)))
+        for lemma, strength in intensifiers.items():
             by_lemma[lemma] = Shifter(INTENSIFIER, strength)
-        object.__setattr__(self, "_by_lemma", by_lemma)
+        self.__dict__.update(negators=negators, intensifiers=intensifiers,
+                             adversatives=adversatives, _by_lemma=by_lemma)
 
 
 def _merge_shifters(base: ShifterInventory, domain: ShifterInventory) -> ShifterInventory:
@@ -107,8 +114,7 @@ def _merge_shifters(base: ShifterInventory, domain: ShifterInventory) -> Shifter
     )
 
 
-@dataclass(frozen=True)
-class PolarityLexicon:
+class PolarityLexicon(_Record, frozen=True):
     """Layered (term, upos) -> valence store plus a shifter inventory.
 
     ``layers`` runs bottom to top. The topmost layer that knows a term wins,
@@ -117,20 +123,19 @@ class PolarityLexicon:
     the same however many layers are stacked.
     """
 
-    layers: tuple = ()
-    shifters: ShifterInventory = field(default_factory=ShifterInventory)
-    language: str = "und"
-    collocations: Mapping[tuple, str] = field(default_factory=dict)
-    # (term, upos-or-None) -> valence after shadowing; the rule engine reads
-    # it and ``shifters._by_lemma`` directly with already-lowered lemmas
-    _valence_of: Mapping[tuple, float] = field(init=False, repr=False, compare=False)
+    _fields = ("layers", "shifters", "language", "collocations")
 
-    def __post_init__(self) -> None:
-        if not self.language:
+    def __init__(
+        self,
+        layers: Iterable[Mapping[tuple, float]] = (),
+        shifters: ShifterInventory | None = None,
+        language: str = "und",
+        collocations: Mapping[tuple, str] | None = None,
+    ) -> None:
+        if not language:
             raise LexiconError("language tag must be non-empty")
-        object.__setattr__(self, "layers", tuple(dict(layer) for layer in self.layers))
-        object.__setattr__(self, "collocations", dict(self.collocations))
-        for layer in self.layers:
+        layers = tuple(dict(layer) for layer in layers)
+        for layer in layers:
             for (term, _upos), valence in layer.items():
                 if not term:
                     raise LexiconError("empty term")
@@ -144,12 +149,20 @@ class PolarityLexicon:
         # layers below it, whatever their UPOS filters.
         valence_of: dict = {}
         closed: set = set()
-        for layer in reversed(self.layers):
+        for layer in reversed(layers):
             for key, valence in layer.items():
                 if key[0] not in closed:
                     valence_of.setdefault(key, valence)
             closed.update(term for term, upos in layer if upos is None)
-        object.__setattr__(self, "_valence_of", valence_of)
+        self.__dict__.update(
+            layers=layers,
+            shifters=ShifterInventory() if shifters is None else shifters,
+            language=language,
+            collocations={} if collocations is None else dict(collocations),
+            # (term, upos-or-None) -> valence after shadowing; the rule engine reads
+            # it and ``shifters._by_lemma`` directly with already-lowered lemmas
+            _valence_of=valence_of,
+        )
 
     def lookup(self, lemma: str, upos: Optional[str] = None) -> Optional[float]:
         """Valence for a lowercased lemma, or None on a miss."""
@@ -189,7 +202,7 @@ class PolarityLexicon:
         )
 
     def with_collocations(self, table: Mapping) -> PolarityLexicon:
-        return replace(self, collocations=dict(table))
+        return PolarityLexicon(self.layers, self.shifters, self.language, table)
 
 
 def load_lexicon(source: Source, language: str) -> PolarityLexicon:
@@ -231,10 +244,9 @@ def load_lexicon(source: Source, language: str) -> PolarityLexicon:
                     strength = float(spec[len("INT:"):])
                 except ValueError:
                     raise LexiconError(f"bad intensifier strength {spec!r}", lineno) from None
-                if not strength > -1:
-                    raise LexiconError(
-                        f"intensifier strength must be > -1, got {strength}", lineno
-                    )
+                if not -1 < strength <= STRENGTH_LIMIT:
+                    raise LexiconError(f"intensifier strength must be > -1 and "
+                                       f"<= {STRENGTH_LIMIT:g}, got {strength}", lineno)
                 intensifiers[term] = strength
         else:
             try:

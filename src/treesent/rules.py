@@ -14,15 +14,20 @@ contrast experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from collections import namedtuple
 
-from .conllu import Source, settings_lines
+from .conllu import settings_lines
 from .lexicon import ADVERSATIVE as _ADV_KIND
 from .lexicon import INTENSIFIER as _INT_KIND
 from .lexicon import NEGATOR as _NEG_KIND
 from .lexicon import PolarityLexicon, merge_lowered
-from .tree import DepTree, Token
+from .tree import DepTree, Token, _Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, List, Optional, Sequence, Tuple, Union
+
+    from .conllu import Source
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -63,8 +68,7 @@ def classify_valence(valence: float, threshold: float) -> str:
     return NEUTRAL
 
 
-@dataclass(frozen=True)
-class RuleConfig:
+class RuleConfig(_Record, frozen=True):
     """Numeric policy for the rule engine.
 
     negation shifts a subtree total toward zero by ``negation_shift`` and
@@ -72,35 +76,38 @@ class RuleConfig:
     marker reweights the material before/after it by ``adversative_weights``.
     """
 
-    negation_shift: float = 4.0
-    negation_cap: float = 5.0
-    adversative_weights: Tuple[float, float] = (0.5, 1.5)
-    neutral_threshold: float = 0.5
+    _fields = ("negation_shift", "negation_cap", "adversative_weights", "neutral_threshold")
 
-    def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.adversative_weights)
+    def __init__(
+        self,
+        negation_shift: float = 4.0,
+        negation_cap: float = 5.0,
+        adversative_weights: Tuple[float, float] = (0.5, 1.5),
+        neutral_threshold: float = 0.5,
+    ) -> None:
+        weights = tuple(float(w) for w in adversative_weights)
         if len(weights) != 2:
             raise RuleError(f"adversative_weights needs 2 values, got {len(weights)}")
-        object.__setattr__(self, "adversative_weights", weights)
-        object.__setattr__(self, "negation_shift", float(self.negation_shift))
-        object.__setattr__(self, "negation_cap", float(self.negation_cap))
-        object.__setattr__(self, "neutral_threshold", float(self.neutral_threshold))
+        negation_shift, negation_cap = float(negation_shift), float(negation_cap)
+        neutral_threshold = float(neutral_threshold)
         # written as "not x >= 0" so that NaN, which fails every comparison, is rejected
-        if not self.negation_shift >= 0:
-            raise RuleError(f"negation_shift must be >= 0, got {self.negation_shift}")
-        if not 0 < self.negation_cap <= 5:
-            raise RuleError(f"negation_cap must be in (0, 5], got {self.negation_cap}")
+        if not negation_shift >= 0:
+            raise RuleError(f"negation_shift must be >= 0, got {negation_shift}")
+        if not 0 < negation_cap <= 5:
+            raise RuleError(f"negation_cap must be in (0, 5], got {negation_cap}")
         if not all(w >= 0 for w in weights):
             raise RuleError(f"adversative_weights must be >= 0, got {weights}")
-        if not self.neutral_threshold >= 0:
-            raise RuleError(f"neutral_threshold must be >= 0, got {self.neutral_threshold}")
+        if not neutral_threshold >= 0:
+            raise RuleError(f"neutral_threshold must be >= 0, got {neutral_threshold}")
+        self.__dict__.update(negation_shift=negation_shift, negation_cap=negation_cap,
+                             adversative_weights=weights, neutral_threshold=neutral_threshold)
 
     @classmethod
     def from_file(cls, source: Source) -> "RuleConfig":
         """Parse a flat ``key = value`` file; keys are the field names."""
         values: dict = {}
         for lineno, key, value in settings_lines(source, RuleError):
-            if key not in cls.__dataclass_fields__:
+            if key not in cls._fields:
                 raise RuleError(f"unknown key {key!r}", lineno)
             try:
                 weights = key == "adversative_weights"
@@ -113,61 +120,63 @@ class RuleConfig:
         return cls(**values)
 
 
-class TraceStep(NamedTuple):
+class TraceStep(namedtuple("TraceStep", "token_id rule before after note", defaults=("",))):
     """One rule application: token it applied at, values before and after."""
 
-    token_id: int
-    rule: str
-    before: float
-    after: float
-    note: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TargetOpinion:
+class TargetOpinion(_Record, frozen=True):
     """Sentiment attributed to one nominal target span."""
 
-    target_token_ids: Tuple[int, ...]
-    target_text: str
-    valence: float
-    opinion_class: str
-    evidence_token_ids: Tuple[int, ...]
+    _fields = ("target_token_ids", "target_text", "valence", "opinion_class",
+               "evidence_token_ids")
 
-    def __post_init__(self) -> None:
-        span = tuple(self.target_token_ids)
-        object.__setattr__(self, "target_token_ids", span)
-        object.__setattr__(self, "evidence_token_ids", tuple(self.evidence_token_ids))
+    def __init__(
+        self,
+        target_token_ids: Sequence[int],
+        target_text: str,
+        valence: float,
+        opinion_class: str,
+        evidence_token_ids: Sequence[int],
+    ) -> None:
+        span, evidence = tuple(target_token_ids), tuple(evidence_token_ids)
         if not span:
             raise RuleError("target span must be non-empty")
         if list(span) != list(range(span[0], span[-1] + 1)):
             raise RuleError(f"target span must be contiguous, got {span}")
-        if self.opinion_class not in CLASSES:
-            raise RuleError(f"bad opinion class {self.opinion_class!r}")
-        if self.opinion_class != NEUTRAL and not self.evidence_token_ids:
+        if opinion_class not in CLASSES:
+            raise RuleError(f"bad opinion class {opinion_class!r}")
+        if opinion_class != NEUTRAL and not evidence:
             raise RuleError("non-neutral opinion needs evidence tokens")
+        self.__dict__.update(target_token_ids=span, target_text=target_text, valence=valence,
+                             opinion_class=opinion_class, evidence_token_ids=evidence)
 
 
-@dataclass(frozen=True)
-class SentimentResult:
+class SentimentResult(_Record, frozen=True):
     """Sentence-level score plus per-target opinions and the full trace."""
 
-    sentence_valence: float
-    sentence_class: str
-    opinions: Tuple[TargetOpinion, ...] = ()
-    trace: Tuple[TraceStep, ...] = ()
+    _fields = ("sentence_valence", "sentence_class", "opinions", "trace")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "opinions", tuple(self.opinions))
-        object.__setattr__(self, "trace", tuple(self.trace))
-        if self.sentence_class not in CLASSES:
-            raise RuleError(f"bad sentence class {self.sentence_class!r}")
+    def __init__(
+        self,
+        sentence_valence: float,
+        sentence_class: str,
+        opinions: Sequence[TargetOpinion] = (),
+        trace: Sequence[TraceStep] = (),
+    ) -> None:
+        if sentence_class not in CLASSES:
+            raise RuleError(f"bad sentence class {sentence_class!r}")
+        self.__dict__.update(sentence_valence=sentence_valence, sentence_class=sentence_class,
+                             opinions=tuple(opinions), trace=tuple(trace))
 
 
-class _Composition(NamedTuple):
-    valence: float
-    trace: Optional[List[TraceStep]]  # None unless asked for
-    contribution: List[float]  # indexed by token id; [0] unused
-    lemmas: List[str]  # lowercased, after the collocation pre-pass
+class _Composition(namedtuple("_Composition", "valence trace contribution lemmas")):
+    """The sentence ``valence``; its ``trace``, a list of TraceStep, or None
+    unless asked for; the ``contribution`` of each token, indexed by token id
+    ([0] unused); and the ``lemmas`` lowercased, after the collocation pre-pass."""
+
+    __slots__ = ()
 
 
 def _compose(

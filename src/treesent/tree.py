@@ -12,21 +12,61 @@ children lists the rule engine reads. The one exception is
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple, Sequence
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Sequence
 
 
-class Token(NamedTuple):
+class _Record:
+    """Base of the package's record classes, which compare, hash and print
+    as dataclasses do, by the attribute names their class lists in ``_fields``.
+
+    Two records are equal when they are of the same class and their fields
+    are equal. ``repr`` is ``Name(field=value, ...)``. A class declared with
+    ``frozen=True`` refuses assignment to and deletion of its attributes and
+    hashes by its fields; its ``__init__`` sets them through ``__dict__``.
+    Any other record is unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if frozen:
+            cls.__hash__ = _Record._hash
+            cls.__setattr__ = _Record._refuse_assignment
+            cls.__delattr__ = _Record._refuse_deletion
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def _refuse_assignment(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _refuse_deletion(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Token(namedtuple("Token", "id form lemma upos head deprel")):
     """One syntactic word. ``head`` is 0 for the root, else a 1-based token id."""
 
-    id: int
-    form: str
-    lemma: str
-    upos: str
-    head: int
-    deprel: str
+    __slots__ = ()
 
 
 class DataError(ValueError):
@@ -95,22 +135,15 @@ def _cycle_token(heads: Sequence[int], reached: Sequence[int]) -> int:
     return j
 
 
-@dataclass(frozen=True, init=False)
-class DepTree:
+class DepTree(_Record, frozen=True):
     """An immutable validated dependency tree.
 
-    The columns are tuples indexed by token id minus one. ``metadata``
-    holds comment key/value pairs (value ``None`` for bare comments).
-    Treat it as read-only after construction.
+    The columns (forms, lemmas, upos, heads, deprels) are tuples indexed by
+    token id minus one. ``metadata`` holds comment key/value pairs (value
+    ``None`` for bare comments). Treat it as read-only after construction.
     """
 
-    forms: tuple[str, ...]
-    lemmas: tuple[str, ...]
-    upos: tuple[str, ...]
-    heads: tuple[int, ...]
-    deprels: tuple[str, ...]
-    sentence_id: str
-    metadata: dict
+    _fields = ("forms", "lemmas", "upos", "heads", "deprels", "sentence_id", "metadata")
 
     def __init__(self, tokens: Sequence[Token], sentence_id: str = "",
                  metadata: dict | None = None) -> None:
@@ -320,6 +353,8 @@ def random_tree(n: int, seed: int) -> DepTree:
     n**(n-1) rooted labeled trees equally likely. Deterministic per
     (n, seed).
     """
+    import random
+
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
@@ -355,6 +390,8 @@ def random_projective_tree(n: int, seed: int) -> DepTree:
     the interval, attach it to the parent, recurse on what is left on
     either side. Always projective, not uniform over projective trees.
     """
+    import random
+
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)

@@ -677,14 +677,15 @@ def test_bench_cli_accepts_file_corpus(tmp_path):
     assert json.loads(out.read_text())["sentences"] == 30
 
 
-# A lexicon whose intensifier overflows a float: "very very good" scores inf.
-OVERFLOW_LEXICON = "good\t\t3.0\nvery\t\tINT:1e308\n"
-OVERFLOW_BLOCK = (
-    b"# sent_id = overflow\n"
-    b"1\tvery\tvery\tADV\t_\t_\t3\tadvmod\t_\t_\n"
-    b"2\tvery\tvery\tADV\t_\t_\t3\tadvmod\t_\t_\n"
-    b"3\tgood\tgood\tADJ\t_\t_\t0\troot\t_\t_"
-)
+# A sentence whose score overflows a float under a lexicon that loads:
+# "very" has the largest strength a lexicon allows (it scales by 5), and
+# 441 of them on "good" make 3 * 5**441, past the largest float.
+OVERFLOW_LEXICON = "good\t\t3.0\nvery\t\tINT:4\n"
+OVERFLOW_INTENSIFIERS = 441
+OVERFLOW_BLOCK = b"# sent_id = overflow\n" + b"".join(
+    b"%d\tvery\tvery\tADV\t_\t_\t%d\tadvmod\t_\t_\n" % (i, OVERFLOW_INTENSIFIERS + 1)
+    for i in range(1, OVERFLOW_INTENSIFIERS + 1)
+) + b"%d\tgood\tgood\tADJ\t_\t_\t0\troot\t_\t_" % (OVERFLOW_INTENSIFIERS + 1)
 
 
 def _strict_json(line):
@@ -720,12 +721,26 @@ def test_non_finite_score_is_a_data_error_on_any_worker_count(tmp_path, capsys, 
 
 def test_finite_scores_under_a_large_intensifier_still_print(tmp_path, capsys):
     lexicon = tmp_path / "big.tsv"
-    lexicon.write_text("good\t\t3.0\nvery\t\tINT:1e300\n")
+    lexicon.write_text(OVERFLOW_LEXICON)
     corpus = tmp_path / "one.conllu"
-    corpus.write_bytes(OVERFLOW_BLOCK.replace(b"1\tvery\tvery", b"1\tquite\tquite") + b"\n\n")
+    corpus.write_bytes(OVERFLOW_BLOCK.replace(b"1\tvery\tvery", b"1\tquite\tquite", 1) + b"\n\n")
     assert run("analyze", "-i", corpus, "--lexicon", lexicon) == 0
     record = _strict_json(capsys.readouterr().out)
-    assert record["valence"] == 3.0 * (1.0 + 1e300)
+    expected = 3.0
+    for _ in range(OVERFLOW_INTENSIFIERS - 1):
+        expected *= 5.0
+    assert record["valence"] == expected > 1e307
+
+
+@pytest.mark.parametrize("strength", ["1e308", "inf"])
+def test_an_intensifier_past_its_bound_is_a_config_error(tmp_path, capsys, strength):
+    lexicon = tmp_path / "big.tsv"
+    lexicon.write_text(f"good\t\t3.0\nvery\t\tINT:{strength}\n")
+    assert run("analyze", "-i", demo_treebank_path(), "--lexicon", lexicon) == 2
+    assert capsys.readouterr() == ("", (
+        "config error: lexicon: line 2: intensifier strength must be > -1 and <= 4, "
+        f"got {float(strength)}\n"
+    ))
 
 
 def _bad_utf8(path, text, line):
@@ -1062,7 +1077,7 @@ def test_output_in_a_missing_directory_is_a_config_error(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["analyze", "encode"])
+@pytest.mark.parametrize("command", ["analyze", "encode", "decode"])
 def test_a_missing_input_leaves_the_output_file_as_it_was(tmp_path, capsys, command):
     missing, out = tmp_path / "missing.conllu", tmp_path / "out.txt"
     out.write_text("kept\n")

@@ -5,7 +5,6 @@ import itertools
 import pickle
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -704,7 +703,7 @@ def test_format_names_the_first_part_that_holds_whitespace(change, message):
 
 
 def test_format_names_whitespace_in_the_polarity_class():
-    seq = replace(encode(PHONE, Scheme.BRACKETS), sentence_polarity="very good")
+    seq = LabelSeq(encode(PHONE, Scheme.BRACKETS).labels, Scheme.BRACKETS, "very good")
     with pytest.raises(ValueError, match="^sentence polarity 'very good' contains whitespace$"):
         format_tagger_line(PHONE, seq)
 
@@ -736,7 +735,7 @@ def test_format_names_the_first_field_that_would_read_back_wrong(scheme, change,
 
 
 def test_format_names_an_at_in_the_polarity_class():
-    seq = replace(encode(PHONE, Scheme.REL_OFFSET), sentence_polarity="a@b")
+    seq = LabelSeq(encode(PHONE, Scheme.REL_OFFSET).labels, Scheme.REL_OFFSET, "a@b")
     message = "token 3: field 'works/VERB/0:root@a@b' would not read back"
     with pytest.raises(UnreadableFieldError, match=f"^{re.escape(message)}$"):
         format_tagger_line(PHONE, seq)
@@ -809,7 +808,7 @@ def _labelled_trees(draw):
         sentence_id=draw(st.sampled_from(["", "s1", "a b"]) | text),
     )
     polarity = draw(st.sampled_from([None, "", "positive", "very good", "a@b"]) | text)
-    return tree, replace(encode(tree, scheme), sentence_polarity=polarity)
+    return tree, LabelSeq(encode(tree, scheme).labels, scheme, polarity)
 
 
 @settings(max_examples=600, deadline=None)
@@ -850,7 +849,7 @@ def _one_fault_cases(scheme):
             continue  # not a tree
         tree = DepTree.build(heads, **{**good, **change})
         for polarity in (None, "pos", "a@b"):
-            yield tree, replace(encode(tree, scheme), sentence_polarity=polarity)
+            yield tree, LabelSeq(encode(tree, scheme).labels, scheme, polarity)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -901,7 +900,7 @@ def test_encoded_lines_read_back_with_any_forms(scheme, n, seed, data, polarity)
     heads = list(random_projective_tree(n, seed).heads)
     forms = data.draw(st.lists(_bridge_forms, min_size=n, max_size=n))
     tree = DepTree.build(heads, forms=forms, sentence_id="s1")
-    seq = replace(encode(tree, scheme), sentence_polarity=polarity)
+    seq = LabelSeq(encode(tree, scheme).labels, scheme, polarity)
     (parsed, got), = parse_tagger_output([format_tagger_line(tree, seq)], scheme, on_error="abort")
     assert parsed == seq
     assert (got.tree.forms, got.tree.upos, got.tree.heads) == (tree.forms, tree.upos, tree.heads)

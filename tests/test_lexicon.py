@@ -263,6 +263,26 @@ def test_shifter_inventory_disjointness():
 def test_shifter_strength_validated_on_construction():
     with pytest.raises(LexiconError, match="> -1"):
         ShifterInventory(intensifiers={"x": -1.5})
+    for strength in (4.01, float("inf"), float("nan")):
+        with pytest.raises(LexiconError, match=r"<= 4, got"):
+            ShifterInventory(intensifiers={"x": strength})
+    assert ShifterInventory(intensifiers={"x": 4}).intensifiers == {"x": 4}
+
+
+@pytest.mark.parametrize("strength", ["1e308", "inf", "4.01", "nan"])
+def test_an_intensifier_strength_past_four_is_rejected_with_its_line(strength):
+    with pytest.raises(LexiconError) as err:
+        lex_from(f"# shifters\nnot\t\tNEG\nvery\t\tINT:{strength}\n")
+    assert err.value.line == 3
+    assert str(err.value) == (
+        f"line 3: intensifier strength must be > -1 and <= 4, got {float(strength)}"
+    )
+
+
+def test_an_intensifier_strength_of_four_loads():
+    # the largest strength: it scales a value by 5, the bound of a valence
+    lex = lex_from("very\t\tINT:4\n")
+    assert lex.classify_shifter("very") == Shifter(INTENSIFIER, 4.0)
 
 
 def test_direct_construction_validates_valence():

@@ -4,8 +4,6 @@ import io
 import math
 import pickle
 
-from dataclasses import replace
-
 import pytest
 
 from treesent.assets import demo_lexicon, demo_treebank_path, demo_ud_path
@@ -22,6 +20,7 @@ from treesent.rules import (
     POSITIVE,
     RuleConfig,
     RuleError,
+    SentimentResult,
     analyze,
     baseline_wordcount,
     classify_valence,
@@ -303,7 +302,7 @@ def test_untraced_analyze_differs_only_in_its_trace(demo, lex, cfg):
         full = analyze(tree, lex, cfg)
         lean = analyze(tree, lex, cfg, trace=False)
         assert lean.trace == ()
-        assert lean == replace(full, trace=())
+        assert lean == SentimentResult(full.sentence_valence, full.sentence_class, full.opinions)
         assert full.trace == tuple(score_tree(tree, lex, cfg)[1])
     assert sum(bool(analyze(t, lex, cfg).opinions) for t in trees) > 50
 

@@ -2,9 +2,12 @@
 
 ``import treesent`` resolves its public names lazily, and the command line
 imports the evaluation, benchmark and process-pool modules only for the
-commands that use them, and the lexicon, rules and demo-data modules only
-for the commands that score. The start-up checks run in a fresh
-interpreter, since this test process has imported everything already.
+commands that use them, the lexicon, rules and demo-data modules only for
+the commands that score, and ``json`` only for the commands that write it.
+None of analyze, aspects, encode and decode loads the standard modules that
+cost the most to import and that they can do without. The start-up checks
+run in a fresh interpreter, since this test process has imported
+everything already.
 """
 
 import json
@@ -29,6 +32,12 @@ UNUSED_BY_THE_HOT_COMMANDS = (
     "treesent.bench",
     "treesent.evaluation",
     "treesent.opinions",
+    # each of these costs from 5 to 30 ms to import in a fresh interpreter
+    "dataclasses",
+    "inspect",
+    "typing",
+    "pathlib",
+    "random",
 )
 
 
@@ -53,25 +62,25 @@ def test_import_treesent_loads_no_submodule():
 
 
 CLI_RUN = """
-import json, sys
-watched = sys.argv[2:]
+import sys
+reviews, ud, out, watched = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
 import treesent.cli
 after_import = [m for m in watched if m in sys.modules]
-from treesent import demo_treebank_path, demo_ud_path
-out = sys.argv[1]
 codes = [
-    treesent.cli.main(["analyze", "--workers", "1", "-i", str(demo_treebank_path()),
-                       "-o", out + "/a.jsonl"]),
-    treesent.cli.main(["encode", "-i", str(demo_ud_path()), "-o", out + "/u.bridge"]),
+    treesent.cli.main(["analyze", "--workers", "1", "-i", reviews, "-o", out + "/a.jsonl"]),
+    treesent.cli.main(["encode", "-i", ud, "-o", out + "/u.bridge"]),
     treesent.cli.main(["decode", "-i", out + "/u.bridge", "-o", out + "/u.conllu"]),
 ]
-print(json.dumps({"codes": codes, "after_import": after_import,
-                  "after_run": [m for m in watched if m in sys.modules]}))
+after_run = [m for m in watched if m in sys.modules]
+import json
+print(json.dumps({"codes": codes, "after_import": after_import, "after_run": after_run}))
 """
 
 
 def test_analyze_encode_decode_leave_eval_bench_and_the_pool_unloaded(tmp_path):
-    seen = _fresh_python(CLI_RUN, tmp_path, *UNUSED_BY_THE_HOT_COMMANDS)
+    seen = _fresh_python(
+        CLI_RUN, demo_treebank_path(), demo_ud_path(), tmp_path, *UNUSED_BY_THE_HOT_COMMANDS
+    )
     assert seen == {"codes": [0, 0, 0], "after_import": [], "after_run": []}
     assert (tmp_path / "u.conllu").stat().st_size > 0
 
@@ -80,7 +89,7 @@ def test_analyze_encode_decode_leave_eval_bench_and_the_pool_unloaded(tmp_path):
 SCORING_MODULES = ("treesent.lexicon", "treesent.rules", "treesent.assets")
 
 ENCODE_DECODE_RUN = """
-import json, sys
+import sys
 source, out, watched = sys.argv[1], sys.argv[2], sys.argv[3:]
 import treesent.cli
 codes = []
@@ -89,13 +98,16 @@ for scheme in ("rel-offset", "rel-pos", "brackets"):
     codes.append(treesent.cli.main(["encode", "--scheme", scheme, "-i", source, "-o", bridge]))
     codes.append(treesent.cli.main(["decode", "--scheme", scheme, "-i", bridge,
                                     "-o", f"{out}/{scheme}.conllu"]))
-print(json.dumps({"codes": codes, "loaded": [m for m in watched if m in sys.modules]}))
+loaded = [m for m in watched if m in sys.modules]
+import json
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def test_encode_and_decode_leave_the_scoring_modules_unloaded(tmp_path):
     seen = _fresh_python(
-        ENCODE_DECODE_RUN, demo_ud_path(), tmp_path, *SCORING_MODULES, *UNUSED_BY_THE_HOT_COMMANDS
+        ENCODE_DECODE_RUN, demo_ud_path(), tmp_path,
+        *SCORING_MODULES, "json", *UNUSED_BY_THE_HOT_COMMANDS,
     )
     assert seen == {"codes": [0] * 6, "loaded": []}
     assert (tmp_path / "brackets.conllu").read_bytes() == demo_ud_path().read_bytes()
