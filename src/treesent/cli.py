@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import deque, namedtuple
+from collections import deque
 from contextlib import closing, contextmanager
 from functools import partial
 from itertools import chain, islice
@@ -33,9 +33,10 @@ from .conllu import (
     UNREADABLE,
     ConlluError,
     ReadStats,
-    _parse_block,
+    _Skip,
     format_sentence,
     iter_raw_lines,
+    parse_blocks,
     read_conllu,
     settings_lines,
     split_blocks,
@@ -63,6 +64,9 @@ if TYPE_CHECKING:
     from .conllu import Block
     from .lexicon import PolarityLexicon
     from .rules import RuleConfig
+
+    # a run's work on a chunk of blocks: ``partial(parse_blocks, on_error=..., line=...)``
+    Job = Callable[..., Iterator[str]]
 
 LEXICON_DIR_ENV = "TREESENT_LEXICON_DIR"
 # the former name, read only when LEXICON_DIR_ENV is unset; to be removed
@@ -222,10 +226,8 @@ def _input_source(cfg: PipelineConfig):
 # bound once per run, with ``partial`` over the module-level functions below
 # so that it pickles to the pool. The record functions are passed
 # ``rules.analyze`` or ``rules.baseline_wordcount``, so a sentence imports nothing.
-
-
-class _Skip(Exception):
-    """``(message, reason)``: a valid tree has no output line; ``reason`` is its tally."""
+# The run's job is ``parse_blocks`` with that function as its ``line``, which
+# raises ``_Skip`` for a tree that has no output line.
 
 
 # encode's skip reasons by error type, in the order their tallies are printed
@@ -297,41 +299,15 @@ def _bridge_line(scheme: Scheme, tree: DepTree) -> str:
         raise _Skip(str(exc), reason) from None
 
 
-class _Job(namedtuple("_Job", "line on_error")):
-    """What one run does to each sentence, and what it does when one fails:
-    ``line(tree)`` raises _Skip for a tree with no line, ``on_error`` is the policy."""
-
-    __slots__ = ()
-
-    def lines(self, blocks: Iterable[Block], stats: ReadStats) -> Iterator[str]:
-        """One output line per sentence that is read and has one, in block order."""
-        for ordinal, block in blocks:
-            try:
-                line = self.line(_parse_block(block, ordinal, stats))
-            except ConlluError:
-                if self.on_error == "abort":
-                    raise
-                stats.skip(UNREADABLE)
-                continue
-            except _Skip as exc:
-                message, reason = exc.args
-                if self.on_error == "abort":
-                    raise ConlluError(message, ordinal, block[0][0]) from None
-                stats.skip(reason)
-                continue
-            stats.sentences += 1
-            yield line
-
-
 # Sentences per pool task. Large enough that a task's pickling and
 # scheduling cost is small beside its work, small enough that the first
 # records come out early and the pool holds little memory.
 CHUNK_SENTENCES = 64
 
-_worker_job: Optional[_Job] = None  # set once in each pool worker
+_worker_job: Optional[Job] = None  # set once in each pool worker
 
 
-def _start_worker(job: _Job) -> None:
+def _start_worker(job: Job) -> None:
     global _worker_job
     _worker_job = job
 
@@ -344,7 +320,7 @@ def _run_chunk(blocks: List[Block]) -> Tuple[List[str], ReadStats, Optional[Conl
     """
     stats, lines = ReadStats(), []
     try:
-        for line in _worker_job.lines(blocks, stats):
+        for line in _worker_job(blocks, stats=stats):
             lines.append(line)
     except ConlluError as exc:
         return lines, stats, exc
@@ -374,7 +350,7 @@ def _map_chunks(fn, chunks: Iterable, workers: int, initializer, initargs) -> It
 
 
 def _write_records(
-    job: _Job, blocks: Iterator[Block], workers: int, stats: ReadStats, out: IO[str]
+    job: Job, blocks: Iterator[Block], workers: int, stats: ReadStats, out: IO[str]
 ) -> None:
     """Run ``job`` over ``blocks`` and write its lines to ``out`` as they are finished.
 
@@ -397,7 +373,7 @@ def _write_records(
                         raise error
             return
         blocks = chain.from_iterable(head)
-    out.writelines(job.lines(blocks, stats))
+    out.writelines(job(blocks, stats=stats))
 
 
 def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
@@ -405,7 +381,8 @@ def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
     stats = ReadStats()
     blocks = split_blocks(iter_raw_lines(_input_source(cfg)))
     with _open_output(cfg) as out:
-        _write_records(_Job(line, cfg.on_error), blocks, cfg.workers, stats, out)
+        job = partial(parse_blocks, on_error=cfg.on_error, line=line)
+        _write_records(job, blocks, cfg.workers, stats, out)
     for reason in (UNREADABLE, *_ENCODE_SKIPS.values()):
         if stats.skipped_by[reason]:
             print(f"skipped {stats.skipped_by[reason]} {reason}", file=sys.stderr)

@@ -20,8 +20,8 @@ if TYPE_CHECKING:
 
     Line = Union[str, bytes]
     Source = Union[str, os.PathLike, IO[bytes], IO[str], Iterable[Line]]
-    # one sentence as ``split_blocks`` yields it: (ordinal, [(lineno, line), ...])
-    Block = Tuple[int, List[Tuple[int, Line]]]
+    # one sentence as ``split_blocks`` yields it: (ordinal, first_line, [line, ...])
+    Block = Tuple[int, int, List[Line]]
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_ID = re.compile(r"^\d+\.\d+$")
@@ -41,6 +41,10 @@ class ConlluError(DataError):
 
     def __reduce__(self):
         return type(self), (self.message, self.sentence, self.line)
+
+
+class _Skip(Exception):
+    """``(message, reason)``: a valid tree has no result; ``reason`` is its tally."""
 
 
 class ReadStats(_Record):
@@ -120,40 +124,39 @@ def settings_lines(
 
 
 def split_blocks(lines: Iterable[Line]) -> Iterator[Block]:
-    """Group lines into sentence blocks, ``(ordinal, [(lineno, line), ...])``.
+    """Group lines into sentence blocks, ``(ordinal, first_line, [line, ...])``.
 
-    Blank lines end a block; ordinals and line numbers count from 1. Line
-    ends are stripped. A line that is not valid UTF-8 stays ``bytes``, so
-    the sentence holding it fails when its block is parsed.
+    Blank and whitespace-only lines end a block and every other line joins
+    it, so a block's lines are consecutive and ``first_line`` numbers them
+    all. Ordinals and line numbers count from 1. Line ends are stripped. A
+    line that is not valid UTF-8 stays ``bytes``, so the sentence holding
+    it fails when its block is parsed.
     """
-    block: List[Tuple[int, Line]] = []
-    ordinal = 0
+    block: List[Line] = []
+    ordinal = lineno = 0
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError:
-                block.append((lineno, raw))
+                block.append(raw)
                 continue
         line = raw.rstrip("\n").rstrip("\r")
         if line and not line.isspace():
-            block.append((lineno, line))
+            block.append(line)
         elif block:
             ordinal += 1
-            yield ordinal, block
+            yield ordinal, lineno - len(block), block
             block = []
     if block:
-        yield ordinal + 1, block
+        yield ordinal + 1, lineno + 1 - len(block), block
 
 
-def _parse_block(
-    lines: List[Tuple[int, Line]], ordinal: int, stats: ReadStats
-) -> DepTree:
+def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadStats) -> DepTree:
     metadata: dict = {}
     rows: List[List[str]] = []
     heads: List[int] = []
-    first_line = lines[0][0]
-    for lineno, text in lines:
+    for lineno, text in enumerate(lines, first_line):
         if isinstance(text, bytes):
             raise ConlluError("not valid UTF-8", ordinal, lineno)
         if text.startswith("#"):
@@ -202,26 +205,38 @@ def parse_blocks(
     blocks: Iterable[Block],
     on_error: str = "skip",
     stats: ReadStats | None = None,
-) -> Iterator[DepTree]:
-    """Yield one validated ``DepTree`` per block from ``split_blocks``.
+    line: Callable[[DepTree], object] | None = None,
+) -> Iterator:
+    """Yield one result per block from ``split_blocks``, in block order: the
+    validated ``DepTree``, or ``line(tree)`` when ``line`` is given.
 
     ``on_error`` is ``"skip"`` (drop bad sentences, count them in
-    ``stats.skipped``) or ``"abort"`` (raise ``ConlluError``).
+    ``stats.skipped``) or ``"abort"`` (raise ``ConlluError``). ``line``
+    raises ``_Skip(message, reason)`` for a tree that has no result: under
+    abort that is a ``ConlluError`` at the block's first line, under skip
+    a sentence tallied as ``reason``.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     if stats is None:
         stats = ReadStats()
-    for ordinal, lines in blocks:
+    for ordinal, first_line, lines in blocks:
         try:
-            tree = _parse_block(lines, ordinal, stats)
+            tree = _parse_block(lines, first_line, ordinal, stats)
+            result = tree if line is None else line(tree)
         except ConlluError:
             if on_error == "abort":
                 raise
             stats.skip(UNREADABLE)
             continue
+        except _Skip as exc:
+            message, reason = exc.args
+            if on_error == "abort":
+                raise ConlluError(message, ordinal, first_line) from None
+            stats.skip(reason)
+            continue
         stats.sentences += 1
-        yield tree
+        yield result
 
 
 def read_conllu(

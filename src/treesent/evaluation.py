@@ -298,15 +298,11 @@ def load_gold(source: Source) -> Iterator[GoldRecord]:
         yield _parse_record(raw, lineno)
 
 
-def _prediction_entry() -> dict:
-    return {"class": None, "items": [], "has_opinions": False}
-
-
 def load_predictions(path: Path) -> Dict[str, dict]:
     """Predictions by sentence id, from analyze/aspects output or a gold-format file.
 
-    Each entry holds the predicted ``class``, the ``(target span, polarity)``
-    ``items`` and whether the record carried opinions at all.
+    Each entry holds the predicted ``class`` and the ``(target span, polarity)``
+    ``items``.
     """
     lines = []
     for lineno, raw in numbered_lines(path):
@@ -323,16 +319,11 @@ def load_predictions(path: Path) -> Dict[str, dict]:
         raise EvalError(f"{path}: bad JSON on first record: {exc}") from None
     if isinstance(first_record, dict) and "tokens" in first_record:
         for record in load_gold(lines):
-            entry = _prediction_entry()
-            entry["class"] = record.gold_class
-            if record.gold_opinions is not None:
-                entry["has_opinions"] = True
-                entry["items"] = [
-                    (op.target_span, op.polarity)
-                    for op in record.gold_opinions.opinions
-                    if op.target_span is not None
-                ]
-            table[record.sentence_id] = entry
+            opinions, sid = record.gold_opinions, record.sentence_id
+            table[sid] = {
+                "class": record.gold_class,
+                "items": [] if opinions is None else _target_items(opinions, sid),
+            }
         return table
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -350,14 +341,13 @@ def load_predictions(path: Path) -> Dict[str, dict]:
             raise EvalError(f"{where}: prediction record missing sent_id")
         if sid in table:
             raise EvalError(f"{where}: duplicate prediction for {sid!r}")
-        entry = _prediction_entry()
+        entry: dict = {"class": None, "items": []}
         if obj.get("class") is not None:
             entry["class"] = str(obj["class"])
         if "opinions" in obj:
             opinions = obj["opinions"]
             if not _objects(opinions):
                 raise EvalError(f"{where}: opinions must be a list of JSON objects")
-            entry["has_opinions"] = True
             for op in opinions:
                 span = op.get("target")
                 if span is None:

@@ -155,30 +155,27 @@ def to_tree(opinion_set: OpinionSet) -> DepTree:
 
 def from_tree(tree: DepTree) -> OpinionSet:
     """Read an opinion tree back; inverse of ``to_tree`` on its image."""
-    n = len(tree)
-    tokens = tree.tokens
+    # (token id, head, deprel) per token, ids from 1
+    arcs = tuple(zip(range(1, len(tree) + 1), tree.heads, tree.deprels))
     role_of = {}
-    for token in tokens:
-        deprel = token.deprel
+    for tid, _, deprel in arcs:
         if deprel.startswith(EXPRESSION_PREFIX):
             polarity = deprel[len(EXPRESSION_PREFIX):]
             if polarity not in CLASSES:
                 raise OpinionError(f"unknown polarity in deprel {deprel!r}")
-            role_of[token.id] = "exp"
+            role_of[tid] = "exp"
         elif deprel in (TARGET_DEPREL, HOLDER_DEPREL, SPAN_DEPREL, NONE_DEPREL):
-            role_of[token.id] = deprel
+            role_of[tid] = deprel
         else:
-            raise OpinionError(f"unknown deprel {deprel!r} at token {token.id}")
+            raise OpinionError(f"unknown deprel {deprel!r} at token {tid}")
 
     span_members: dict = {}
-    for token in tokens:
-        if role_of[token.id] == SPAN_DEPREL:
-            head_role = role_of.get(token.head)
+    for tid, head, _ in arcs:
+        if role_of[tid] == SPAN_DEPREL:
+            head_role = role_of.get(head)
             if head_role not in ("exp", TARGET_DEPREL, HOLDER_DEPREL):
-                raise OpinionError(
-                    f"span token {token.id} attached to non-head token {token.head}"
-                )
-            span_members.setdefault(token.head, []).append(token.id)
+                raise OpinionError(f"span token {tid} attached to non-head token {head}")
+            span_members.setdefault(head, []).append(tid)
 
     def span_of(head_id: int) -> Tuple[int, int]:
         ids = sorted(span_members.get(head_id, []) + [head_id])
@@ -187,38 +184,33 @@ def from_tree(tree: DepTree) -> OpinionSet:
         return (ids[0], ids[-1])
 
     attached: dict = {}
-    for token in tokens:
-        role = role_of[token.id]
+    for tid, head, _ in arcs:
+        role = role_of[tid]
         if role not in (TARGET_DEPREL, HOLDER_DEPREL):
             continue
-        if role_of.get(token.head) != "exp":
+        if role_of.get(head) != "exp":
             raise OpinionError(
-                f"{role!r} token {token.id} must attach to an expression head, "
-                f"not token {token.head}"
+                f"{role!r} token {tid} must attach to an expression head, not token {head}"
             )
-        slot = attached.setdefault(token.head, {})
+        slot = attached.setdefault(head, {})
         if role in slot:
-            raise OpinionError(
-                f"multiple {role!r} spans for the opinion at token {token.head}"
-            )
-        slot[role] = span_of(token.id)
+            raise OpinionError(f"multiple {role!r} spans for the opinion at token {head}")
+        slot[role] = span_of(tid)
 
     opinions = []
-    for token in tokens:
-        if role_of[token.id] != "exp":
+    for tid, _, deprel in arcs:
+        if role_of[tid] != "exp":
             continue
-        slot = attached.get(token.id, {})
+        slot = attached.get(tid, {})
         opinions.append(
             Opinion(
-                span_of(token.id),
-                token.deprel[len(EXPRESSION_PREFIX):],
+                span_of(tid),
+                deprel[len(EXPRESSION_PREFIX):],
                 target_span=slot.get(TARGET_DEPREL),
                 holder_span=slot.get(HOLDER_DEPREL),
             )
         )
-    return OpinionSet(
-        tree.forms, tree.upos_tags, tuple(opinions), sentence_id=tree.sentence_id
-    )
+    return OpinionSet(tree.forms, tree.upos, tuple(opinions), sentence_id=tree.sentence_id)
 
 
 def encode_sentiment_tree(

@@ -20,7 +20,7 @@ from .conllu import settings_lines
 from .lexicon import ADVERSATIVE as _ADV_KIND
 from .lexicon import INTENSIFIER as _INT_KIND
 from .lexicon import NEGATOR as _NEG_KIND
-from .lexicon import PolarityLexicon, merge_lowered
+from .lexicon import VALENCE_LIMIT, PolarityLexicon, merge_lowered
 from .tree import DepTree, Token, _Record
 
 TYPE_CHECKING = False
@@ -93,10 +93,13 @@ class RuleConfig(_Record, frozen=True):
         # written as "not x >= 0" so that NaN, which fails every comparison, is rejected
         if not negation_shift >= 0:
             raise RuleError(f"negation_shift must be >= 0, got {negation_shift}")
-        if not 0 < negation_cap <= 5:
-            raise RuleError(f"negation_cap must be in (0, 5], got {negation_cap}")
-        if not all(w >= 0 for w in weights):
-            raise RuleError(f"adversative_weights must be >= 0, got {weights}")
+        if not 0 < negation_cap <= VALENCE_LIMIT:
+            raise RuleError(f"negation_cap must be in (0, {VALENCE_LIMIT:g}], got {negation_cap}")
+        # a weight scales a value as an intensifier does, and by no more than one can
+        if not all(0 <= w <= VALENCE_LIMIT for w in weights):
+            raise RuleError(
+                f"adversative_weights must be in [0, {VALENCE_LIMIT:g}], got {weights}"
+            )
         if not neutral_threshold >= 0:
             raise RuleError(f"neutral_threshold must be >= 0, got {neutral_threshold}")
         self.__dict__.update(negation_shift=negation_shift, negation_cap=negation_cap,

@@ -743,6 +743,18 @@ def test_an_intensifier_past_its_bound_is_a_config_error(tmp_path, capsys, stren
     ))
 
 
+@pytest.mark.parametrize("weights", ["inf, 1", "1e308, 1e308"])
+def test_an_adversative_weight_past_its_bound_is_a_config_error(tmp_path, capsys, weights):
+    rules = tmp_path / "rules.cfg"
+    rules.write_text(f"adversative_weights = {weights}\n")
+    assert run("analyze", "-i", demo_treebank_path(), "--rules", rules) == 2
+    expected = tuple(float(w) for w in weights.split(","))
+    assert capsys.readouterr() == ("", (
+        f"config error: rule config: line 1: adversative_weights must be in [0, 5], "
+        f"got {expected}\n"
+    ))
+
+
 def _bad_utf8(path, text, line):
     """Write ``text`` to ``path`` with a 0xff byte at the start of line ``line``."""
     rows = text.encode("utf-8").splitlines(keepends=True)

@@ -4,6 +4,8 @@ import io
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treesent import ConlluError, DepTree, ReadStats, dumps_conllu, read_conllu, write_conllu
 from treesent.conllu import _parse_block, parse_blocks, split_blocks
@@ -139,9 +141,9 @@ def test_bare_comment_round_trip():
 def test_split_blocks_numbers_sentences_and_lines():
     text = "\n" + SIMPLE + "\n\n" + SIMPLE.rstrip("\n")
     blocks = list(split_blocks(io.StringIO(text)))
-    assert [ordinal for ordinal, _ in blocks] == [1, 2]
-    assert blocks[0][1][0] == (2, "# sent_id = s1")
-    assert [lineno for lineno, _ in blocks[1][1]] == [9, 10, 11, 12]
+    assert [(ordinal, first_line) for ordinal, first_line, _ in blocks] == [(1, 2), (2, 9)]
+    assert blocks[0][2][0] == "# sent_id = s1"
+    assert len(blocks[1][2]) == 4
     trees = list(parse_blocks(blocks, on_error="abort"))
     assert [t.tokens for t in trees] == [t.tokens for t in read_all(text)]
 
@@ -161,15 +163,14 @@ def test_split_blocks_numbers_sentences_and_lines():
 def test_parse_block_token_ids(raw_id, heads, counts, error):
     rows = ["1\tit\tit\tPRON\t_\t_\t2\tnsubj\t_\t_", "2\tworks\twork\tVERB\t_\t_\t0\troot\t_\t_"]
     rows.append(f"{raw_id}\twell\twell\tADV\t_\t_\t2\tadvmod\t_\t_")
-    lines = list(enumerate(rows, start=11))
     stats = ReadStats()
     if error is None:
-        tree = _parse_block(lines, 4, stats)
+        tree = _parse_block(rows, 11, 4, stats)
         assert tree.heads == heads
         assert tree.sentence_id == "s4"
     else:
         with pytest.raises(ConlluError) as err:
-            _parse_block(lines, 4, stats)
+            _parse_block(rows, 11, 4, stats)
         assert str(err.value) == error
     assert (stats.dropped_ranges, stats.dropped_empty_nodes) == counts
     assert (stats.sentences, stats.skipped) == (0, 0)
@@ -178,8 +179,37 @@ def test_parse_block_token_ids(raw_id, heads, counts, error):
 def test_whitespace_only_lines_end_a_block():
     text = SIMPLE.rstrip("\n") + "\n \t\r\n" + SIMPLE.replace("s1", "s2") + "\u3000\n"
     blocks = list(split_blocks(io.StringIO(text)))
-    assert [ordinal for ordinal, _ in blocks] == [1, 2]
-    assert [lineno for lineno, _ in blocks[1][1]] == [6, 7, 8, 9]
+    assert [(ordinal, first_line) for ordinal, first_line, _ in blocks] == [(1, 1), (2, 6)]
+    assert len(blocks[1][2]) == 4
+
+
+# one input line: (text or undecodable bytes, line end); text holds no line end
+_text = st.one_of(
+    st.sampled_from(["", " ", "\t", " \t ", "\u3000", "# sent_id = a", "1\ta\t_"]),
+    st.text(st.characters(blacklist_characters="\r\n"), max_size=6),
+)
+_line = st.tuples(
+    st.one_of(_text, st.builds(lambda text: b"\xff" + text.encode("utf-8"), _text)),
+    st.sampled_from(["\n", "\r\n", ""]),
+)
+
+
+@given(st.lists(_line, max_size=30))
+def test_a_block_holds_consecutive_lines_from_its_first_line(lines):
+    raw = [body + end.encode() if isinstance(body, bytes) else (body + end).encode("utf-8")
+           for body, end in lines]
+    blocks = list(split_blocks(raw))
+    assert [ordinal for ordinal, _, _ in blocks] == list(range(1, len(blocks) + 1))
+    placed = []
+    for _, first_line, block in blocks:
+        for i, line in enumerate(block):
+            body, end = lines[first_line + i - 1]
+            # an undecodable line stays bytes, line end and all
+            assert line == (body + end.encode() if isinstance(body, bytes) else body)
+            placed.append(first_line + i)
+    kept = [lineno for lineno, (body, _) in enumerate(lines, start=1)
+            if isinstance(body, bytes) or (body and not body.isspace())]
+    assert placed == kept
 
 
 def test_invalid_utf8_fails_only_its_sentence():

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from treesent.cli import PipelineConfig, _Job
+from treesent.cli import PipelineConfig
 from treesent.conllu import ReadStats
 from treesent.encodings import (
     BridgeStats,
@@ -131,12 +131,10 @@ RECORDS = [
      1.5, 0.5, ("valence", "trace", "contribution", "lemmas"),
      "_Composition(valence=1.5, trace=None, contribution=[0.0, 1.5], lemmas=['good'])",
      "unhashable type: 'list'", True),
-    ("_Job", lambda on_error: _Job(str, on_error), "skip", "abort", ("line", "on_error"),
-     "_Job(line=<class 'str'>, on_error='skip')", None, True),
 ]
 
 TUPLES = {"Token", "SyntaxLabel", "DecodeResult", "LexEntry", "Shifter", "TraceStep",
-          "_Composition", "_Job"}
+          "_Composition"}
 
 
 @pytest.mark.parametrize(

@@ -396,11 +396,19 @@ def test_config_from_file_overrides_and_defaults():
         ("neutral_threshold = nan", "neutral_threshold"),
         ("negation_shift = nan", "negation_shift"),
         ("adversative_weights = 0.5, nan", "adversative_weights"),
+        ("adversative_weights = inf, 1", "adversative_weights"),
+        ("adversative_weights = 1e308, 1e308", "adversative_weights"),
+        ("adversative_weights = 1, 5.01", "adversative_weights"),
     ],
 )
 def test_config_errors(text, message):
     with pytest.raises(RuleError, match=message):
         RuleConfig.from_file(io.StringIO(text + "\n"))
+
+
+def test_adversative_weights_of_five_load():
+    cfg = RuleConfig.from_file(io.StringIO("adversative_weights = 5, 5\n"))
+    assert cfg.adversative_weights == (5.0, 5.0)
 
 
 def test_config_direct_validation():

@@ -159,7 +159,7 @@ def token_lists(draw):
 def _conllu_block(tokens):
     rows = [f"{t.id}\t{t.form}\t{t.lemma}\t{t.upos}\t_\t_\t{t.head}\t{t.deprel}\t_\t_"
             for t in tokens]
-    return list(enumerate(["# sent_id = x", *rows], start=1))
+    return ["# sent_id = x", *rows]
 
 
 @settings(max_examples=1500, deadline=None)
@@ -172,7 +172,7 @@ def test_validation_accepts_and_rejects_as_the_reference_does(tokens):
             DepTree(tokens)
         assert str(got.value) == str(expected)
         with pytest.raises(ConlluError) as read:
-            _parse_block(_conllu_block(tokens), 1, ReadStats())
+            _parse_block(_conllu_block(tokens), 1, 1, ReadStats())
         assert read.value.message == str(expected) and read.value.line == 1
         return
     tree = DepTree(tokens, "x", {"sent_id": "x"})
@@ -180,7 +180,7 @@ def test_validation_accepts_and_rejects_as_the_reference_does(tokens):
     assert (tree.children, tree.post_order) == (children, order)
     assert tree.root_id == order[-1]
     assert tree.tokens == tokens
-    read = _parse_block(_conllu_block(tokens), 1, ReadStats())
+    read = _parse_block(_conllu_block(tokens), 1, 1, ReadStats())
     assert read == tree and read.tokens == tokens
     assert (read.children, read.post_order) == (children, order)
     built = DepTree.build(
