@@ -233,7 +233,7 @@ def run_bench(
         step = max(1, -(-len(lines) // workers))
         chunks = [(lines[i : i + step], lexicon, config, scheme)
                   for i in range(0, len(lines), step)]
-        results = list(_map_chunks(_bench_chunk, chunks, workers, None, ()))
+        results = list(_map_chunks(_bench_chunk, chunks, workers))
     processing_time = perf_counter() - started
 
     total_time = read_time + processing_time

@@ -14,8 +14,14 @@ config file (--config), then explicit flags. Lexicon paths that do not
 exist as given are retried under $TREESENT_LEXICON_DIR ($SALSA_LEXICON_DIR,
 its former name, is still read when the new one is unset, for one more
 release). Exit codes: 0 on success, 1 for data errors under the abort
-policy, 2 for config errors. analyze, aspects and encode stream through one
-ordered pool of --workers processes; decode runs in one whatever --workers says.
+policy, 2 for config errors.
+
+analyze, aspects and encode stream their input in byte chunks of whole
+sentences, cut at blank lines. With --workers N and input of more than one
+chunk, the command forks N workers, each fed chunks down a pipe, and writes
+their records in input order, byte-identical to one worker. Without
+os.fork, and for a text stream on stdin, the command runs in one process.
+decode runs in one whatever --workers says.
 """
 
 from __future__ import annotations
@@ -34,12 +40,13 @@ from .conllu import (
     ConlluError,
     ReadStats,
     _Skip,
+    chunk_blocks,
     format_sentence,
-    iter_raw_lines,
+    iter_blocks,
     parse_blocks,
+    read_chunks,
     read_conllu,
     settings_lines,
-    split_blocks,
 )
 from .encodings import (
     BridgeStats,
@@ -52,20 +59,20 @@ from .encodings import (
 )
 from .tree import DataError, DepTree, _Record
 
-# The lexicon, rules, assets, json, evaluation, bench and concurrent.futures
-# modules are imported where they are used: encode and decode start without
-# any of them, analyze without the last three.
+# The lexicon, rules, assets, json, evaluation, bench and pool (pickle,
+# select, signal) modules are imported where they are used: encode and
+# decode start without any of them, analyze without the last three.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import (
         IO, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
     )
 
-    from .conllu import Block
+    from .conllu import Chunk, Source
     from .lexicon import PolarityLexicon
     from .rules import RuleConfig
 
-    # a run's work on a chunk of blocks: ``partial(parse_blocks, on_error=..., line=...)``
+    # a run's work on a run of blocks: ``partial(parse_blocks, on_error=..., line=...)``
     Job = Callable[..., Iterator[str]]
 
 LEXICON_DIR_ENV = "TREESENT_LEXICON_DIR"
@@ -223,8 +230,8 @@ def _input_source(cfg: PipelineConfig):
 
 # ------------------------------------------------- analyze, aspects, encode
 # A run turns each valid CoNLL-U tree into one output line with a function
-# bound once per run, with ``partial`` over the module-level functions below
-# so that it pickles to the pool. The record functions are passed
+# bound once per run, with ``partial`` over the module-level functions below;
+# pool workers inherit it through the fork. The record functions are passed
 # ``rules.analyze`` or ``rules.baseline_wordcount``, so a sentence imports nothing.
 # The run's job is ``parse_blocks`` with that function as its ``line``, which
 # raises ``_Skip`` for a tree that has no output line.
@@ -299,20 +306,173 @@ def _bridge_line(scheme: Scheme, tree: DepTree) -> str:
         raise _Skip(str(exc), reason) from None
 
 
-# Sentences per pool task. Large enough that a task's pickling and
-# scheduling cost is small beside its work, small enough that the first
-# records come out early and the pool holds little memory.
-CHUNK_SENTENCES = 64
+class _Worker:
+    """A forked pool process: its pid, the pipe its chunks go down and the
+    pipe its results come up, with the bytes and results still in transit."""
 
-_worker_job: Optional[Job] = None  # set once in each pool worker
+    __slots__ = ("pid", "send", "recv", "outbox", "inbox", "results", "ended")
+
+    def __init__(self, pid: int, send: int, recv: int) -> None:
+        self.pid, self.send, self.recv = pid, send, recv
+        self.outbox, self.inbox = bytearray(), bytearray()
+        self.results: Deque[tuple] = deque()
+        self.ended = False  # its result pipe is closed
 
 
-def _start_worker(job: Job) -> None:
-    global _worker_job
-    _worker_job = job
+def _frame(data: bytes) -> bytes:
+    return len(data).to_bytes(8, "little") + data
 
 
-def _run_chunk(blocks: List[Block]) -> Tuple[List[str], ReadStats, Optional[ConlluError]]:
+def _serve(fn: Callable, requests: int, results: int) -> None:
+    """A worker's loop: ``fn`` of each chunk pickled down ``requests``,
+    until it closes, with ``(True, result)`` or ``(False, exception)``
+    pickled back up ``results``."""
+    import pickle
+
+    with open(requests, "rb") as source, open(results, "wb") as sink:
+        while True:
+            head = source.read(8)
+            if len(head) < 8:
+                return
+            chunk = pickle.loads(source.read(int.from_bytes(head, "little")))
+            try:
+                reply = True, fn(chunk)
+            except Exception as exc:
+                reply = False, exc
+            try:
+                data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # a result or an exception that does not pickle
+                data = pickle.dumps((False, RuntimeError(f"worker result: {exc!r}")))
+            sink.write(_frame(data))
+            sink.flush()
+
+
+def _fork_worker(fn: Callable, others: List[_Worker]) -> _Worker:
+    import signal
+
+    requests, send = os.pipe()
+    recv, results = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: it never returns into the caller's stack
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+            for fd in (send, recv, *(end for w in others for end in (w.send, w.recv))):
+                os.close(fd)
+            _serve(fn, requests, results)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(requests)
+    os.close(results)
+    os.set_blocking(send, False)
+    return _Worker(pid, send, recv)
+
+
+def _ended(worker: _Worker) -> DataError:
+    _, status = os.waitpid(worker.pid, 0)
+    worker.pid = 0
+    code = os.waitstatus_to_exitcode(status)
+    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+    return DataError(f"a worker process ended before sending its result ({how})")
+
+
+def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
+    """``fn`` over ``chunks`` in ``workers`` forked processes, results in submission order.
+
+    Chunk k goes to worker k mod ``workers``, pickled down its request pipe;
+    the result comes back up its result pipe, each as a length-prefixed
+    pickle. ``fn`` is inherited through the fork, never pickled. At most
+    ``2 * workers`` chunks are in flight, so memory stays bounded however
+    long the input is. An exception ``fn`` raises is raised here with its
+    own type; a worker that dies first is a ``DataError`` naming its exit
+    status. However the generator ends, every worker has been reaped when
+    it does. Without ``os.fork``, ``fn`` runs in this process.
+    """
+    if not hasattr(os, "fork"):
+        yield from map(fn, chunks)
+        return
+    import pickle
+    import select
+    import signal
+
+    pool: List[_Worker] = []
+    finished = False
+    try:
+        for _ in range(workers):
+            pool.append(_fork_worker(fn, pool))
+        owner = {w.recv: w for w in pool}
+        poll = select.poll()
+        for w in pool:
+            poll.register(w.recv, select.POLLIN)
+        in_flight: Deque[_Worker] = deque()
+        todo: Optional[Iterator] = iter(chunks)
+        sent = 0
+        while True:
+            while todo is not None and len(in_flight) < 2 * workers:
+                try:
+                    chunk = next(todo)
+                except StopIteration:
+                    todo = None
+                    break
+                w = pool[sent % workers]
+                sent += 1
+                if not w.outbox and not w.ended:
+                    owner[w.send] = w
+                    poll.register(w.send, select.POLLOUT)
+                w.outbox += _frame(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
+                in_flight.append(w)
+            if not in_flight:
+                break
+            head = in_flight[0]
+            if head.results:
+                in_flight.popleft()
+                ok, value = head.results.popleft()
+                if not ok:
+                    raise value
+                yield value
+                continue
+            if head.ended:
+                raise _ended(head)
+            for fd, _ in poll.poll():
+                w = owner[fd]
+                if fd == w.send:
+                    try:
+                        with memoryview(w.outbox) as pending:
+                            written = os.write(fd, pending)
+                    except BlockingIOError:
+                        continue
+                    except BrokenPipeError:  # the worker is gone; its result pipe says so
+                        written = len(w.outbox)
+                    del w.outbox[:written]
+                    if not w.outbox:
+                        poll.unregister(fd)
+                    continue
+                data = os.read(fd, 1 << 16)
+                if not data:
+                    w.ended = True
+                    poll.unregister(fd)
+                    continue
+                w.inbox += data
+                while len(w.inbox) >= 8:
+                    end = 8 + int.from_bytes(w.inbox[:8], "little")
+                    if len(w.inbox) < end:
+                        break
+                    w.results.append(pickle.loads(w.inbox[8:end]))
+                    del w.inbox[:end]
+        finished = True
+    finally:
+        for w in pool:
+            os.close(w.send)  # the worker's end of input: it exits once idle
+            os.close(w.recv)
+        for w in pool:
+            if w.pid:
+                if not finished:
+                    os.kill(w.pid, signal.SIGKILL)
+                os.waitpid(w.pid, 0)
+
+
+def _run_chunk(job: Job, chunk: Chunk) -> Tuple[List[str], ReadStats, Optional[ConlluError]]:
     """Pool task: the chunk's output lines, its read tallies, and its first error.
 
     Lines before a bad sentence are returned with its error, so the parent
@@ -320,51 +480,29 @@ def _run_chunk(blocks: List[Block]) -> Tuple[List[str], ReadStats, Optional[Conl
     """
     stats, lines = ReadStats(), []
     try:
-        for line in _worker_job(blocks, stats=stats):
+        for line in job(chunk_blocks(chunk), stats=stats):
             lines.append(line)
     except ConlluError as exc:
         return lines, stats, exc
     return lines, stats, None
 
 
-def _map_chunks(fn, chunks: Iterable, workers: int, initializer, initargs) -> Iterator:
-    """``fn`` over ``chunks`` in a process pool, results in submission order.
+def _write_records(job: Job, source: Source, workers: int, stats: ReadStats, out: IO[str]) -> None:
+    """Run ``job`` over the sentences of ``source`` and write its lines to
+    ``out`` as they are finished.
 
-    At most ``2 * workers`` chunks are in flight, so memory stays bounded
-    however long the input is. Closing the generator early cancels the
-    chunks not yet started.
+    With one worker, input of at most one chunk, or a text source,
+    everything runs in this process. Otherwise this process only cuts the
+    input into byte chunks and writes; the chunks go to the pool and
+    finished lines come back.
     """
-    from concurrent.futures import Future, ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs)
-    pending: Deque[Future] = deque()
-    try:
-        for chunk in chunks:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, chunk))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _write_records(
-    job: Job, blocks: Iterator[Block], workers: int, stats: ReadStats, out: IO[str]
-) -> None:
-    """Run ``job`` over ``blocks`` and write its lines to ``out`` as they are finished.
-
-    With one worker, or input of at most one chunk, everything runs in
-    this process. Otherwise this process only splits the input and writes;
-    raw blocks go to the pool and finished lines come back.
-    """
-    if workers > 1:
-        chunks = iter(lambda: list(islice(blocks, CHUNK_SENTENCES)), [])
+    chunks = read_chunks(source) if workers > 1 else None
+    if chunks is None:
+        blocks = iter_blocks(source)
+    else:
         head = list(islice(chunks, 2))
         if len(head) == 2:
-            results = _map_chunks(
-                _run_chunk, chain(head, chunks), workers, _start_worker, (job,)
-            )
+            results = _map_chunks(partial(_run_chunk, job), chain(head, chunks), workers)
             with closing(results):
                 for lines, counts, error in results:
                     out.writelines(lines)
@@ -372,17 +510,17 @@ def _write_records(
                     if error is not None:
                         raise error
             return
-        blocks = chain.from_iterable(head)
+        blocks = chain.from_iterable(map(chunk_blocks, head))
     out.writelines(job(blocks, stats=stats))
 
 
 def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
     """Write ``line`` of each sentence of the input, then the skip tallies."""
     stats = ReadStats()
-    blocks = split_blocks(iter_raw_lines(_input_source(cfg)))
+    source = _input_source(cfg)
     with _open_output(cfg) as out:
         job = partial(parse_blocks, on_error=cfg.on_error, line=line)
-        _write_records(job, blocks, cfg.workers, stats, out)
+        _write_records(job, source, cfg.workers, stats, out)
     for reason in (UNREADABLE, *_ENCODE_SKIPS.values()):
         if stats.skipped_by[reason]:
             print(f"skipped {stats.skipped_by[reason]} {reason}", file=sys.stderr)

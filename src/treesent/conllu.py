@@ -4,13 +4,19 @@ Only the columns the pipeline uses are retained: ID, FORM, LEMMA, UPOS,
 HEAD, DEPREL, plus ``#`` comment metadata. The remaining columns are
 written back as underscores. Multiword token ranges (``1-2``) and empty
 nodes (``1.1``) are dropped silently, with a tally kept in ``ReadStats``.
+
+Paths and byte streams are read a chunk of about ``CHUNK_BYTES`` at a time,
+cut just past a blank line, so that a chunk holds whole sentences and can be
+split and parsed on its own, in this process or in a pool worker.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import re
 from collections import Counter
+from itertools import compress, filterfalse
 
 from .tree import DataError, DepTree, TreeError, _Record
 
@@ -22,10 +28,18 @@ if TYPE_CHECKING:
     Source = Union[str, os.PathLike, IO[bytes], IO[str], Iterable[Line]]
     # one sentence as ``split_blocks`` yields it: (ordinal, first_line, [line, ...])
     Block = Tuple[int, int, List[Line]]
+    # whole lines of a byte input as ``read_chunks`` yields them:
+    # (ordinal of its first sentence, number of its first line, bytes)
+    Chunk = Tuple[int, int, bytes]
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_ID = re.compile(r"^\d+\.\d+$")
 _COLUMNS = 10
+# a line of whitespace, which ends a block like an empty line, once the text
+# searched starts and ends with a newline
+_SPACE_LINE = re.compile(r"\n[^\S\n]+\n")
+# bytes read from a path or byte stream at a time, before a chunk is cut
+CHUNK_BYTES = 1 << 16
 # the reason ``parse_blocks`` skips a sentence, in the words that report it
 UNREADABLE = "unreadable sentences"
 
@@ -152,20 +166,170 @@ def split_blocks(lines: Iterable[Line]) -> Iterator[Block]:
         yield ordinal + 1, lineno + 1 - len(block), block
 
 
-def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadStats) -> DepTree:
-    metadata: dict = {}
+def _in_bytes(source: Source) -> bool:
+    return isinstance(source, (str, os.PathLike, io.BufferedIOBase, io.RawIOBase))
+
+
+def _cuts(source: Source, size: int) -> Iterator[bytes]:
+    """A path or byte stream in runs of whole lines, each cut just past its
+    last blank line (empty, or ``\\r`` alone) once about ``size`` more bytes
+    were read."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            yield from _cuts(fh, size)
+        return
+    read = getattr(source, "read1", source.read)  # what a pipe holds, not a full size
+    pending = bytearray()
+    while True:
+        data = read(size)
+        if not data:
+            break
+        start = max(len(pending) - 2, 0)  # a blank line may begin in the bytes before
+        pending += data
+        lf, crlf = pending.rfind(b"\n\n", start), pending.rfind(b"\n\r\n", start)
+        cut = max(lf + 2 if lf >= 0 else 0, crlf + 3 if crlf >= 0 else 0)
+        if cut:
+            yield bytes(pending[:cut])
+            del pending[:cut]
+    if pending:
+        yield bytes(pending)
+
+
+def read_chunks(source: Source, size: int | None = None) -> Optional[Iterator[Chunk]]:
+    """The input as ``(first_ordinal, first_line, bytes)`` chunks of whole
+    sentences, about ``size`` (default ``CHUNK_BYTES``) bytes each, for a
+    path or a byte stream; None for a text stream or a line iterable.
+
+    Each chunk carries the ordinal and line number that its first sentence
+    and line have in the whole input, which ``chunk_blocks`` continues
+    from, so a chunk can be split and parsed on its own.
+    """
+    return _chunks(source, size or CHUNK_BYTES) if _in_bytes(source) else None
+
+
+def _chunks(source: Source, size: int) -> Iterator[Chunk]:
+    ordinal = lineno = 1
+    for data in _cuts(source, size):
+        chunk = (ordinal, lineno, data)
+        yield chunk
+        ordinal += sum(1 for _ in chunk_blocks(chunk))
+        lineno += data.count(b"\n")
+
+
+def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
+    """The blocks of one chunk from ``read_chunks``, as ``split_blocks``
+    yields them from the whole input.
+
+    The chunk is decoded once and split on empty lines. A chunk that is not
+    valid UTF-8, or holds a ``\\r`` or a whitespace-only line, goes through
+    ``split_blocks`` line by line instead.
+    """
+    ordinal, lineno, data = chunk
+    try:
+        text: Optional[str] = data.decode("utf-8")
+    except UnicodeDecodeError:
+        text = None
+    if text is None or "\r" in text or _SPACE_LINE.search(f"\n{text}\n"):
+        for number, first_line, lines in split_blocks(io.BytesIO(data)):
+            yield ordinal + number - 1, lineno + first_line - 1, lines
+        return
+    for piece in text.split("\n\n"):
+        body = piece.lstrip("\n")  # the empty lines past the first
+        if body:
+            lines = body.split("\n")
+            if not lines[-1]:  # the newline that ends the input
+                lines.pop()
+            yield ordinal, lineno + len(piece) - len(body), lines
+            ordinal += 1
+        lineno += piece.count("\n") + 2
+
+
+def iter_blocks(source: Source) -> Iterator[Block]:
+    """``split_blocks`` of any source, a chunk at a time from a path or byte stream."""
+    return _blocks(source) if _in_bytes(source) else split_blocks(iter_raw_lines(source))
+
+
+def _blocks(source: Source) -> Iterator[Block]:
+    # ``_chunks`` without its count: the blocks of each chunk number the next
+    ordinal = lineno = 1
+    for data in _cuts(source, CHUNK_BYTES):
+        for block in chunk_blocks((ordinal, lineno, data)):
+            ordinal += 1
+            yield block
+        lineno += data.count(b"\n")
+
+
+def _add_comment(metadata: dict, text: str) -> None:
+    body = text[1:].strip()
+    if "=" in body:
+        key, _, value = body.partition("=")
+        metadata[key.strip()] = value.strip()
+    elif body:
+        metadata[body] = None
+
+
+# per sentence length n: the ID texts ("1", ..., "n") and the ids (1, ..., n)
+_IDS: dict = {}
+
+
+def _ids(n: int) -> tuple:
+    if n not in _IDS:
+        _IDS[n] = tuple(map(str, range(1, n + 1))), tuple(range(1, n + 1))
+    return _IDS[n]
+
+
+def _whole_columns(lines: List[Line], metadata: dict, stats: ReadStats) -> Optional[tuple]:
+    """``(ids, forms, lemmas, upos, heads, deprels)`` of a block whose token
+    rows pass every check as whole columns, with its leading comments added
+    to ``metadata``; None for any other block, whose rows ``_row_columns``
+    then reads one by one. Ranges and empty nodes are tallied only here or
+    there, never in both."""
+    start = 0
+    for text in lines:
+        if text[:1] != "#":
+            break
+        _add_comment(metadata, text)
+        start += 1
+    try:
+        rows = [text.split("\t") for text in lines[start:]]
+    except TypeError:  # a line that is not UTF-8 stays bytes
+        return None
+    if not rows or set(map(len, rows)) != {_COLUMNS}:
+        return None
+    columns = tuple(zip(*rows))
+    ranges = empties = 0
+    if columns[0] != _ids(len(rows))[0]:
+        for raw_id in filterfalse(str.isdecimal, columns[0]):
+            if _RANGE_ID.match(raw_id):
+                ranges += 1
+            elif _EMPTY_ID.match(raw_id):
+                empties += 1
+            else:
+                return None
+        columns = tuple(zip(*compress(rows, map(str.isdecimal, columns[0]))))
+        if not columns or columns[0] != _ids(len(columns[0]))[0]:
+            return None
+    try:
+        heads = tuple(map(int, columns[6]))
+    except ValueError:
+        return None
+    stats.dropped_ranges += ranges
+    stats.dropped_empty_nodes += empties
+    # ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC
+    return _ids(len(heads))[1], columns[1], columns[2], columns[3], heads, columns[7]
+
+
+def _row_columns(
+    lines: List[Line], first_line: int, ordinal: int, metadata: dict, stats: ReadStats
+) -> tuple:
+    """``_whole_columns`` row by row, raising the first row's error."""
     rows: List[List[str]] = []
     heads: List[int] = []
     for lineno, text in enumerate(lines, first_line):
         if isinstance(text, bytes):
             raise ConlluError("not valid UTF-8", ordinal, lineno)
         if text.startswith("#"):
-            body = text[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                metadata[key.strip()] = value.strip()
-            elif body:
-                metadata[body] = None
+            _add_comment(metadata, text)
             continue
         cols = text.split("\t")
         if len(cols) != _COLUMNS:
@@ -189,13 +353,19 @@ def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadSt
         except ValueError:
             raise ConlluError(f"non-numeric head {cols[6]!r}", ordinal, lineno) from None
         rows.append(cols)
-    sent_id = metadata.get("sent_id") or f"s{ordinal}"
-    # ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC
     ids, forms, lemmas, upos, _, _, _, deprels, _, _ = zip(*rows) if rows else ((),) * _COLUMNS
+    return tuple(map(int, ids)), forms, lemmas, upos, tuple(heads), deprels
+
+
+def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadStats) -> DepTree:
+    metadata: dict = {}
+    columns = _whole_columns(lines, metadata, stats)
+    if columns is None:
+        metadata = {}
+        columns = _row_columns(lines, first_line, ordinal, metadata, stats)
     try:
         return DepTree._from_columns(
-            tuple(map(int, ids)), forms, lemmas, upos, tuple(heads), deprels,
-            sentence_id=sent_id, metadata=metadata,
+            *columns, sentence_id=metadata.get("sent_id") or f"s{ordinal}", metadata=metadata
         )
     except TreeError as exc:
         raise ConlluError(str(exc), ordinal, first_line) from None
@@ -211,27 +381,32 @@ def parse_blocks(
     validated ``DepTree``, or ``line(tree)`` when ``line`` is given.
 
     ``on_error`` is ``"skip"`` (drop bad sentences, count them in
-    ``stats.skipped``) or ``"abort"`` (raise ``ConlluError``). ``line``
-    raises ``_Skip(message, reason)`` for a tree that has no result: under
-    abort that is a ``ConlluError`` at the block's first line, under skip
-    a sentence tallied as ``reason``.
+    ``stats.skipped``) or ``"abort"`` (raise ``ConlluError``); any other
+    value raises ``ValueError`` here, not when the first result is drawn.
+    ``line`` raises ``_Skip(message, reason)`` for a tree that has no
+    result: under abort that is a ``ConlluError`` at the block's first
+    line, under skip a sentence tallied as ``reason``.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
-    if stats is None:
-        stats = ReadStats()
+    return _parse_blocks(blocks, on_error == "abort", ReadStats() if stats is None else stats,
+                         line)
+
+
+def _parse_blocks(blocks: Iterable[Block], abort: bool, stats: ReadStats,
+                  line: Callable[[DepTree], object] | None) -> Iterator:
     for ordinal, first_line, lines in blocks:
         try:
             tree = _parse_block(lines, first_line, ordinal, stats)
             result = tree if line is None else line(tree)
         except ConlluError:
-            if on_error == "abort":
+            if abort:
                 raise
             stats.skip(UNREADABLE)
             continue
         except _Skip as exc:
             message, reason = exc.args
-            if on_error == "abort":
+            if abort:
                 raise ConlluError(message, ordinal, first_line) from None
             stats.skip(reason)
             continue
@@ -247,9 +422,9 @@ def read_conllu(
     """Yield one validated ``DepTree`` per sentence block.
 
     ``on_error`` and ``stats`` work as in ``parse_blocks``. Input is
-    consumed line by line, whole files are never buffered.
+    consumed a chunk or a line at a time, whole files are never buffered.
     """
-    return parse_blocks(split_blocks(iter_raw_lines(source)), on_error, stats)
+    return parse_blocks(iter_blocks(source), on_error, stats)
 
 
 def format_sentence(tree: DepTree) -> str:

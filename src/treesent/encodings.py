@@ -579,13 +579,19 @@ def parse_tagger_output(
 
     Yields ``(labels, decode_result)`` per record. Unparseable records
     are skipped (tallied in ``stats.skipped``) or abort, depending on
-    ``on_error``. Blank lines are ignored. A label text that repeats an
-    earlier one in the same call is looked up, not parsed again.
+    ``on_error``; any other value raises ``ValueError`` here, not when the
+    first record is drawn. Blank lines are ignored. A label text that
+    repeats an earlier one in the same call is looked up, not parsed again.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
-    if stats is None:
-        stats = BridgeStats()
+    return _parse_tagger_lines(source, scheme, on_error == "abort",
+                               BridgeStats() if stats is None else stats)
+
+
+def _parse_tagger_lines(
+    source: Source, scheme: Scheme, abort: bool, stats: BridgeStats
+) -> Iterator[tuple[LabelSeq, DecodeResult]]:
     known: dict[str, SyntaxLabel] | None = {}
     for lineno, raw in enumerate(iter_raw_lines(source), start=1):
         text = decode_line(raw)
@@ -599,7 +605,7 @@ def parse_tagger_output(
                 known = None
             yield _parse_bridge_line(line, lineno, scheme, stats, known)
         except BridgeError:
-            if on_error == "abort":
+            if abort:
                 raise
             stats.skipped += 1
 

@@ -5,9 +5,11 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from treesent import (
     EvalError,
     NonProjectiveError,
     OpinionError,
+    ReadStats,
     Token,
     TreeError,
     demo_gold_path,
@@ -29,7 +32,7 @@ from treesent import (
     write_conllu,
 )
 from treesent import cli, conllu
-from treesent.cli import CHUNK_SENTENCES, main
+from treesent.cli import main
 
 TOL = 1e-9
 
@@ -113,9 +116,22 @@ def test_analyze_workers_preserve_order(tmp_path):
     assert serial.read_text() == parallel.read_text()
 
 
-# more chunks than --workers 3 keeps in flight (2 x 3), so that the pool
-# starts and its window of pending chunks moves on
-POOL_SENTENCES = 7 * CHUNK_SENTENCES + 10
+# The pool tests cut their input into chunks of about POOL_CHUNK_BYTES:
+# the POOL_SENTENCES corpus then spans 26 chunks, more than --workers 3
+# keeps in flight (2 x 3), so that the pool starts and its window of
+# pending chunks moves on.
+POOL_SENTENCES = 458
+POOL_CHUNK_BYTES = 4096
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(conllu, "CHUNK_BYTES", POOL_CHUNK_BYTES)
+
+
+def _chunk_starts(path):
+    """The ordinal of the first sentence of each chunk the pool cuts ``path`` into."""
+    return [ordinal for ordinal, _, _ in conllu.read_chunks(path)]
 
 
 # (old, new) byte replacements that make one sentence unreadable
@@ -163,18 +179,21 @@ SCHEMES = ("rel-offset", "rel-pos", "brackets")
      *(("encode", "--scheme", scheme) for scheme in SCHEMES)],
     ids=["analyze", "explain", "aspects", "baseline", *(f"encode-{s}" for s in SCHEMES)],
 )
-def test_pool_output_matches_one_worker(tmp_path, capsys, argv):
+def test_pool_output_matches_one_worker(tmp_path, capsys, small_chunks, argv):
     corpus = _pool_corpus(tmp_path)
+    assert len(_chunk_starts(corpus)) > 2 * 3
     single, *pooled = _per_worker_count(capsys, *argv, "-i", corpus)
     assert single[0] == 0
     assert len(single[1].splitlines()) == POOL_SENTENCES
     assert all(result == single for result in pooled)
 
 
-def test_pool_skips_bad_sentences_on_both_sides_of_a_chunk_boundary(tmp_path, capsys):
-    corpus = _pool_corpus(
-        tmp_path, [(CHUNK_SENTENCES, BAD_HEAD), (CHUNK_SENTENCES + 1, BAD_BYTE)]
-    )
+def test_pool_skips_bad_sentences_on_both_sides_of_a_chunk_boundary(
+    tmp_path, capsys, small_chunks
+):
+    boundary = _chunk_starts(_pool_corpus(tmp_path))[1]
+    corpus = _pool_corpus(tmp_path, [(boundary - 1, BAD_HEAD), (boundary, BAD_BYTE)])
+    assert boundary in _chunk_starts(corpus)
     single, *pooled = _per_worker_count(capsys, "analyze", "-i", corpus, "--on-error", "skip")
     assert single[0] == 0
     assert len(single[1].splitlines()) == POOL_SENTENCES - 2
@@ -190,16 +209,25 @@ CROSSING_BLOCK = b"".join(
 SPACED_FORM = (b"\n1\t", b"\n1\tx y")
 
 
+def _padded(block, like):
+    """``block`` after a comment that pads it to the length of ``like``, so
+    that putting it in the place of ``like`` moves no chunk cut."""
+    width = len(like) - len(block) - len(b"# pad = \n")
+    assert width >= 0
+    return b"# pad = " + b"x" * width + b"\n" + block
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_encode_pool_skips_bad_sentences_on_both_sides_of_a_chunk_boundary(
-    tmp_path, capsys, scheme
+    tmp_path, capsys, small_chunks, scheme
 ):
-    corpus = _pool_corpus(
-        tmp_path, [(CHUNK_SENTENCES, SPACED_FORM), (CHUNK_SENTENCES + 1, BAD_BYTE)]
-    )
+    first, second = _chunk_starts(_pool_corpus(tmp_path))[1:3]
+    corpus = _pool_corpus(tmp_path, [(first - 1, SPACED_FORM), (first, BAD_BYTE)])
     blocks = corpus.read_bytes().split(b"\n\n")
-    blocks[2 * CHUNK_SENTENCES - 1] = blocks[2 * CHUNK_SENTENCES] = CROSSING_BLOCK
+    for i in (second - 2, second - 1):  # sentences second - 1 and second
+        blocks[i] = _padded(CROSSING_BLOCK, blocks[i])
     corpus.write_bytes(b"\n\n".join(blocks))
+    assert {first, second} <= set(_chunk_starts(corpus))
     single, *pooled = _per_worker_count(
         capsys, "encode", "--scheme", scheme, "-i", corpus, "--on-error", "skip"
     )
@@ -215,15 +243,145 @@ def test_encode_pool_skips_bad_sentences_on_both_sides_of_a_chunk_boundary(
 
 
 @pytest.mark.parametrize("command", ["analyze", "encode"])
-def test_pool_abort_writes_the_records_before_the_bad_sentence(tmp_path, capsys, command):
-    bad = 2 * CHUNK_SENTENCES + 22
+def test_pool_abort_writes_the_records_before_the_bad_sentence(
+    tmp_path, capsys, small_chunks, command
+):
+    third, fourth = _chunk_starts(_pool_corpus(tmp_path))[2:4]
+    bad = third + 5
     corpus = _pool_corpus(tmp_path, [(bad, BAD_BYTE)])
+    assert third < bad < fourth  # inside the third chunk
     single, *pooled = _per_worker_count(capsys, command, "-i", corpus)
     line = 8 * (bad - 1) + 2
     assert single[0] == 1
     assert single[2] == f"error: sentence {bad} (line {line}): not valid UTF-8\n"
     assert len(single[1].splitlines()) == bad - 1
     assert all(result == single for result in pooled)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_pool_forks_its_workers_and_reaps_them_after_a_run_and_an_abort(
+    tmp_path, capsys, monkeypatch, small_chunks
+):
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    corpus = _pool_corpus(tmp_path)
+    for workers in (2, 3):
+        forks.clear()
+        assert run("analyze", "-i", corpus, "--workers", workers) == 0
+        assert forks == [os.getpid()] * workers
+        _no_child_left()
+    corpus = _pool_corpus(tmp_path, [(100, BAD_BYTE)])
+    assert run("analyze", "-i", corpus, "--workers", 2) == 1
+    assert capsys.readouterr().err.startswith("error: sentence 100 ")
+    _no_child_left()
+
+
+def test_an_exception_in_a_worker_is_raised_with_its_type(tmp_path, small_chunks):
+    def line(tree):
+        if tree.sentence_id == "syn-99":
+            raise KeyError(tree.sentence_id)
+        return tree.sentence_id + "\n"
+
+    job = partial(conllu.parse_blocks, on_error="abort", line=line)
+    out = io.StringIO()
+    with pytest.raises(KeyError, match="syn-99"):
+        cli._write_records(job, _pool_corpus(tmp_path), 2, ReadStats(), out)
+    written = out.getvalue().splitlines()  # whole chunks before the failing one
+    assert written == [f"syn-{i}" for i in range(len(written))] and len(written) < 99
+    _no_child_left()
+
+
+def test_a_worker_that_dies_ends_the_command_with_one_error_line(
+    tmp_path, capsys, monkeypatch, small_chunks
+):
+    parent, json_line = os.getpid(), cli._json_line
+
+    def dying(to_json, record, tree):
+        if os.getpid() != parent and tree.sentence_id == "syn-99":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return json_line(to_json, record, tree)
+
+    monkeypatch.setattr(cli, "_json_line", dying)
+    assert run("analyze", "-i", _pool_corpus(tmp_path), "--workers", 2) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: a worker process ended before sending its result (killed by signal 9)\n"
+    assert len(out.splitlines()) < 99
+    _no_child_left()
+
+
+def test_the_pool_streams_chunks_and_results_larger_than_its_pipes(
+    tmp_path, capsys, monkeypatch
+):
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set here")
+    pipe = os.pipe
+
+    def small_pipe():  # the smallest capacity a pipe can drop to: one page
+        read_end, write_end = pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        return read_end, write_end
+
+    monkeypatch.setattr(os, "pipe", small_pipe)
+    monkeypatch.setattr(conllu, "CHUNK_BYTES", 4 * POOL_CHUNK_BYTES)
+    corpus = _pool_corpus(tmp_path)
+    assert len(_chunk_starts(corpus)) > 2 * 3
+
+    def stuck(*_):
+        raise TimeoutError("the pool made no progress")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(60)
+    try:
+        single, *pooled = _per_worker_count(capsys, "analyze", "--explain", "-i", corpus)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert single[0] == 0 and len(single[1]) > 10 * 4096
+    assert all(result == single for result in pooled)
+    _no_child_left()
+
+
+# a run whose stdout is closed, which then says whether it left a child process
+CLOSED_STDOUT_POOL_RUN = """
+import os, sys
+from treesent import conllu
+from treesent.cli import main
+conllu.CHUNK_BYTES = int(sys.argv[2])
+code = main(["analyze", "--workers", "2", "-i", sys.argv[1]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "a child left"
+except ChildProcessError:
+    left = "no child left"
+print(code, left, file=sys.stderr)
+"""
+
+
+def test_a_closed_stdout_leaves_no_pool_worker(tmp_path):
+    corpus = _pool_corpus(tmp_path)
+    env = {**os.environ, "PYTHONUNBUFFERED": "1",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", CLOSED_STDOUT_POOL_RUN, str(corpus),
+             str(POOL_CHUNK_BYTES)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"1 no child left\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "aspects", "encode"])
@@ -693,9 +851,11 @@ def _strict_json(line):
 
 
 @pytest.mark.parametrize("explain", [(), ("--explain",)], ids=["plain", "explain"])
-def test_non_finite_score_is_a_data_error_on_any_worker_count(tmp_path, capsys, explain):
-    bad = CHUNK_SENTENCES + 3
+def test_non_finite_score_is_a_data_error_on_any_worker_count(
+    tmp_path, capsys, small_chunks, explain
+):
     corpus = _pool_corpus(tmp_path)
+    bad = _chunk_starts(corpus)[1] + 2  # the third sentence of the second chunk
     blocks = corpus.read_bytes().split(b"\n\n")
     blocks[bad - 1] = OVERFLOW_BLOCK
     corpus.write_bytes(b"\n\n".join(blocks))

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from treesent import (
     Scheme, demo_gold_path, demo_treebank_path, demo_ud_path, parse_tagger_output,
 )
-from treesent.cli import CHUNK_SENTENCES, main
-from treesent.conllu import split_blocks
+from treesent import conllu
+from treesent.cli import main
 
 SCHEMES = ("rel-offset", "rel-pos", "brackets")
 COMMANDS = [("analyze",), ("analyze", "--explain"), ("analyze", "--baseline"), ("aspects",),
@@ -120,11 +120,15 @@ def test_eval_ends_cleanly_on_any_bytes(tmp_path_factory, demo_predictions, data
             assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), err
 
 
+# the chunk target of the pool runs below: the 192 generated sentences
+# of ``pool_corpus`` take 5 chunks, so that two workers start the pool
+POOL_CHUNK_BYTES = 8192
+
+
 @pytest.fixture(scope="module")
 def pool_corpus(tmp_path_factory):
-    """Three chunks of generated sentences, so that two workers start the pool."""
     path = tmp_path_factory.mktemp("pool") / "pool.conllu"
-    assert main(["gen", "--sentences", str(3 * CHUNK_SENTENCES), "--length", "5",
+    assert main(["gen", "--sentences", "192", "--length", "5",
                  "--seed", "11", "--format", "conllu", "-o", str(path)]) == 0
     return path.read_bytes()
 
@@ -138,8 +142,10 @@ def test_two_workers_print_what_one_does_on_damaged_input(
 ):
     path = tmp_path_factory.mktemp("pool-fuzz") / "in.conllu"
     data = damaged(pool_corpus, edits)
-    assert len(list(split_blocks(io.BytesIO(data)))) > 2 * CHUNK_SENTENCES
     path.write_bytes(data)
-    single = run(*argv, "--on-error", policy, "-i", path, "--workers", 1)
-    _checked(argv, policy, *single)
-    assert run(*argv, "--on-error", policy, "-i", path, "--workers", 2) == single
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conllu, "CHUNK_BYTES", POOL_CHUNK_BYTES)
+        assert len(list(conllu.read_chunks(io.BytesIO(data)))) > 2
+        single = run(*argv, "--on-error", policy, "-i", path, "--workers", 1)
+        _checked(argv, policy, *single)
+        assert run(*argv, "--on-error", policy, "-i", path, "--workers", 2) == single

@@ -2,13 +2,21 @@
 
 import io
 import pickle
+from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesent import ConlluError, DepTree, ReadStats, dumps_conllu, read_conllu, write_conllu
-from treesent.conllu import _parse_block, parse_blocks, split_blocks
+from treesent import (
+    ConlluError, DepTree, ReadStats, demo_treebank_path, demo_ud_path, dumps_conllu,
+    read_conllu, write_conllu,
+)
+from treesent import conllu
+from treesent.conllu import (
+    _parse_block, _row_columns, _whole_columns, chunk_blocks, iter_raw_lines, parse_blocks,
+    read_chunks, split_blocks,
+)
 from treesent.tree import random_tree
 
 SIMPLE = """\
@@ -131,6 +139,18 @@ def test_unknown_error_policy_rejected():
         read_all(SIMPLE, on_error="ignore")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: read_conllu(io.StringIO(SIMPLE), on_error="bogus"),
+    lambda: read_conllu(io.BytesIO(SIMPLE.encode()), on_error="bogus"),
+    lambda: read_conllu("no/such/file.conllu", on_error="bogus"),
+    lambda: parse_blocks([], on_error="bogus"),
+], ids=["text", "bytes", "path", "parse_blocks"])
+def test_an_unknown_error_policy_is_rejected_by_the_call_itself(call):
+    # nothing is drawn from the result: the call alone raises
+    with pytest.raises(ValueError, match="on_error must be 'skip' or 'abort', got 'bogus'"):
+        call()
+
+
 def test_bare_comment_round_trip():
     text = "# newdoc\n" + SIMPLE[len("# sent_id = s1\n"):]
     trees = read_all(text)
@@ -186,7 +206,9 @@ def test_whitespace_only_lines_end_a_block():
 # one input line: (text or undecodable bytes, line end); text holds no line end
 _text = st.one_of(
     st.sampled_from(["", " ", "\t", " \t ", "\u3000", "# sent_id = a", "1\ta\t_"]),
-    st.text(st.characters(blacklist_characters="\r\n"), max_size=6),
+    # surrogates have no UTF-8 bytes, so no input line holds one
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+            max_size=6),
 )
 _line = st.tuples(
     st.one_of(_text, st.builds(lambda text: b"\xff" + text.encode("utf-8"), _text)),
@@ -229,3 +251,142 @@ def test_conllu_error_survives_pickle():
     assert (str(err), err.message, err.sentence, err.line) == (
         "sentence 3 (line 7): bad", "bad", 3, 7
     )
+
+
+# ------------------------------------------------------------ chunk reader
+
+
+# line-level damage to a CoNLL-U corpus: (kind, where), ``where`` reduced
+# modulo the line count
+DAMAGE = ("crlf", "space line", "unicode space line", "bad byte", "no final newline",
+          "range row", "empty node row", "blank line", "delete")
+RANGE_ROW = b"1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_"
+EMPTY_NODE_ROW = b"2.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_"
+# whitespace-only lines as str.isspace() sees them, not only ASCII
+UNICODE_SPACES = ("\u3000", "\x85", "\u2028", "\x1c \xa0")
+
+
+def damaged(data, edits):
+    lines = data.split(b"\n")
+    for kind, where in edits:
+        i = where % len(lines)
+        if kind == "crlf":
+            lines[i] += b"\r"
+        elif kind == "space line":
+            lines.insert(i, b" \t")
+        elif kind == "unicode space line":
+            lines.insert(i, UNICODE_SPACES[where % len(UNICODE_SPACES)].encode("utf-8"))
+        elif kind == "bad byte":
+            at = where // len(lines) % (len(lines[i]) + 1)
+            lines[i] = lines[i][:at] + b"\xff" + lines[i][at:]
+        elif kind == "no final newline":
+            while lines and not lines[-1].strip():
+                lines.pop()
+        elif kind == "range row":
+            lines.insert(i, RANGE_ROW)
+        elif kind == "empty node row":
+            lines.insert(i, EMPTY_NODE_ROW)
+        elif kind == "blank line":
+            lines.insert(i, b"")
+        elif kind == "delete" and len(lines) > 1:
+            del lines[i]
+    return b"\n".join(lines)
+
+
+_corpora = [demo_treebank_path().read_bytes(), demo_ud_path().read_bytes()]
+_pieces = st.sampled_from([
+    b"\n", b"\r\n", b"\n\n", b"\n\r\n", b" ", b"\t", b"\r", b"# c = 1", b"\xff",
+    "\u3000".encode("utf-8"), b"1\ta\ta\tX\t_\t_\t0\troot\t_\t_", RANGE_ROW, EMPTY_NODE_ROW,
+    b"2\tb\tb\tY\t_\t_\t1\tdep\t_\t_",
+])
+_inputs = st.one_of(
+    st.binary(max_size=300),
+    st.lists(_pieces, max_size=40).map(b"".join),
+    st.builds(damaged, st.sampled_from(_corpora),
+              st.lists(st.tuples(st.sampled_from(DAMAGE), st.integers(0, 10**6)), max_size=8)),
+)
+CHUNK_TARGETS = (1, 7, 64, 4096, None)  # None: the default, CHUNK_BYTES
+
+
+def _outcome(blocks, policy):
+    """What reading ``blocks`` under ``policy`` gives: the blocks, each tree's
+    columns, the error that stopped it and the tallies."""
+    blocks, trees, error, stats = list(blocks), [], None, ReadStats()
+    try:
+        for tree in parse_blocks(blocks, policy, stats):
+            trees.append((tree.sentence_id, tree.metadata, tree.forms, tree.lemmas, tree.upos,
+                          tree.heads, tree.deprels))
+    except ConlluError as exc:
+        error = (exc.sentence, exc.line, exc.message)
+    return blocks, trees, error, stats
+
+
+@settings(max_examples=300, deadline=None)
+@given(_inputs)
+def test_the_chunk_reader_reads_what_the_line_reader_reads(data):
+    for policy in ("skip", "abort"):
+        expected = _outcome(split_blocks(iter_raw_lines(io.BytesIO(data))), policy)
+        for size in CHUNK_TARGETS:
+            chunks = list(read_chunks(io.BytesIO(data), size))
+            assert b"".join(chunk for _, _, chunk in chunks) == data
+            assert _outcome(chain.from_iterable(map(chunk_blocks, chunks)), policy) == expected
+            # read_conllu's own loop numbers each chunk from the blocks it split
+            with pytest.MonkeyPatch.context() as patch:
+                if size is not None:
+                    patch.setattr(conllu, "CHUNK_BYTES", size)
+                stats, trees = ReadStats(), []
+                try:
+                    trees.extend(read_conllu(io.BytesIO(data), policy, stats))
+                except ConlluError as exc:
+                    assert (exc.sentence, exc.line, exc.message) == expected[2]
+                else:
+                    assert expected[2] is None
+            assert [tree.sentence_id for tree in trees] == [tree[0] for tree in expected[1]]
+            assert stats == expected[3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_inputs)
+def test_whole_columns_read_a_block_as_its_rows_do(data):
+    for _, first_line, lines in split_blocks(iter_raw_lines(io.BytesIO(data))):
+        fast_stats, fast_meta = ReadStats(), {}
+        fast = _whole_columns(lines, fast_meta, fast_stats)
+        if fast is None:
+            assert fast_stats == ReadStats()
+            continue
+        slow_stats, slow_meta = ReadStats(), {}
+        assert _row_columns(lines, first_line, 1, slow_meta, slow_stats) == fast
+        assert (slow_meta, slow_stats) == (fast_meta, fast_stats)
+
+
+def test_every_chunk_but_the_last_ends_past_a_blank_line():
+    data = demo_ud_path().read_bytes() * 40
+    data = data.replace(b"\n\n", b"\n\r\n", 7)  # a blank line of "\r" also ends a chunk
+    chunks = list(read_chunks(io.BytesIO(data), 300))
+    assert len(chunks) > 40
+    assert all(chunk.endswith((b"\n\n", b"\n\r\n")) for _, _, chunk in chunks[:-1])
+    for (ordinal, line, chunk), (next_ordinal, next_line, _) in zip(chunks, chunks[1:]):
+        assert next_line == line + chunk.count(b"\n")
+        assert next_ordinal == ordinal + sum(1 for _ in chunk_blocks((ordinal, line, chunk)))
+
+
+def test_a_sentence_longer_than_the_chunk_target_is_one_chunk():
+    long = b"".join(
+        b"%d\tw\tw\tX\t_\t_\t%d\tdep\t_\t_\n" % (i, i - 1) for i in range(1, 2001)
+    )
+    data = SIMPLE.encode() + long + b"\n" + SIMPLE.replace("s1", "s3").encode()
+    chunks = list(read_chunks(io.BytesIO(data), 64))
+    assert [(ordinal, line) for ordinal, line, _ in chunks] == [(1, 1), (2, 6), (3, 2007)]
+    assert [len(t) for t in read_conllu(io.BytesIO(data), on_error="abort")] == [3, 2000, 3]
+
+
+def test_paths_and_raw_byte_streams_are_read_in_chunks(tmp_path):
+    path = tmp_path / "in.conllu"
+    path.write_text(SIMPLE + SIMPLE.replace("s1", "s2"))
+    assert [ordinal for ordinal, _, _ in read_chunks(path, 8)] == [1, 2]
+    assert [ordinal for ordinal, _, _ in read_chunks(str(path), 8)] == [1, 2]
+    with open(path, "rb", buffering=0) as raw:
+        assert [t.sentence_id for t in read_conllu(raw)] == ["s1", "s2"]
+    # text streams and line iterables are read line by line
+    assert read_chunks(io.StringIO(SIMPLE)) is None
+    assert read_chunks(SIMPLE.splitlines(keepends=True)) is None

@@ -556,6 +556,14 @@ def test_bridge_error_survives_pickle():
     assert (str(err), err.message, err.line) == ("line 12: bad label", "bad label", 12)
 
 
+@pytest.mark.parametrize("source", [[], io.StringIO("s1\ta/X/0:root\n"), "no/such/file"],
+                         ids=["lines", "stream", "path"])
+def test_an_unknown_error_policy_is_rejected_by_the_call_itself(source):
+    # nothing is drawn from the result: the call alone raises
+    with pytest.raises(ValueError, match="on_error must be 'skip' or 'abort', got 'bogus'"):
+        parse_tagger_output(source, Scheme.REL_OFFSET, on_error="bogus")
+
+
 def test_bridge_empty_stream():
     assert list(parse_tagger_output(io.StringIO(""), Scheme.REL_OFFSET)) == []
 

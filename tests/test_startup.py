@@ -1,9 +1,10 @@
 """What importing treesent and starting a command load.
 
-``import treesent`` resolves its public names lazily, and the command line
-imports the evaluation, benchmark and process-pool modules only for the
-commands that use them, the lexicon, rules and demo-data modules only for
-the commands that score, and ``json`` only for the commands that write it.
+``import treesent`` resolves its public names lazily. The command line
+imports the evaluation and benchmark modules only for the commands that
+use them, the lexicon, rules and demo-data modules only for the commands
+that score, ``json`` only for the commands that write it, and neither
+``concurrent.futures`` nor ``multiprocessing`` even when it forks a pool.
 None of analyze, aspects, encode and decode loads the standard modules that
 cost the most to import and that they can do without. The start-up checks
 run in a fresh interpreter, since this test process has imported
@@ -28,6 +29,10 @@ SRC = Path(treesent.__file__).resolve().parents[1]
 UNUSED_BY_THE_HOT_COMMANDS = (
     "concurrent.futures",
     "multiprocessing",
+    # the forked pool's, which an input of one chunk does not start
+    "pickle",
+    "select",
+    "signal",
     "importlib.resources",
     "treesent.bench",
     "treesent.evaluation",
@@ -83,6 +88,31 @@ def test_analyze_encode_decode_leave_eval_bench_and_the_pool_unloaded(tmp_path):
     )
     assert seen == {"codes": [0, 0, 0], "after_import": [], "after_run": []}
     assert (tmp_path / "u.conllu").stat().st_size > 0
+
+
+POOL_RUN = """
+import sys
+corpus, out, chunk_bytes = sys.argv[1], sys.argv[2], int(sys.argv[3])
+from treesent import conllu
+import treesent.cli
+conllu.CHUNK_BYTES = chunk_bytes
+chunks = sum(1 for _ in conllu.read_chunks(corpus))
+code = treesent.cli.main(["analyze", "--workers", "2", "-i", corpus, "-o", out])
+loaded = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+import json
+print(json.dumps({"chunks": chunks, "code": code, "loaded": loaded}))
+"""
+
+
+def test_the_pool_loads_neither_concurrent_futures_nor_multiprocessing(tmp_path):
+    from treesent.cli import main
+
+    corpus = tmp_path / "pool.conllu"
+    assert main(["gen", "--sentences", "200", "--length", "6", "--format", "conllu",
+                 "-o", str(corpus)]) == 0
+    seen = _fresh_python(POOL_RUN, corpus, tmp_path / "out.jsonl", 4096)
+    assert seen["chunks"] >= 3 and (seen["code"], seen["loaded"]) == (0, [])
+    assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 200
 
 
 # modules that only the scoring commands (analyze, aspects, eval, bench, gen) call
