@@ -16,7 +16,7 @@ import io
 import os
 import re
 from collections import Counter
-from itertools import compress, filterfalse
+from itertools import chain
 
 from .tree import DataError, DepTree, TreeError, _Record
 
@@ -38,6 +38,12 @@ _COLUMNS = 10
 # a line of whitespace, which ends a block like an empty line, once the text
 # searched starts and ends with a newline
 _SPACE_LINE = re.compile(r"\n[^\S\n]+\n")
+# a newline and the empty or ASCII whitespace line after it, up to that line's
+# own newline: a chunk can be cut just past it
+_BLANK_LINE = re.compile(rb"\n[ \t\r\f\v]*(?=\n)")
+# how many bytes before each read are searched too, for a blank line that
+# straddles two reads; a longer one is not cut at, so its chunk runs on
+_BLANK_REACH = 16
 # bytes read from a path or byte stream at a time, before a chunk is cut
 CHUNK_BYTES = 1 << 16
 # the reason ``parse_blocks`` skips a sentence, in the words that report it
@@ -170,24 +176,25 @@ def _in_bytes(source: Source) -> bool:
     return isinstance(source, (str, os.PathLike, io.BufferedIOBase, io.RawIOBase))
 
 
-def _cuts(source: Source, size: int) -> Iterator[bytes]:
+def _cuts(source: Source) -> Iterator[bytes]:
     """A path or byte stream in runs of whole lines, each cut just past its
-    last blank line (empty, or ``\\r`` alone) once about ``size`` more bytes
-    were read."""
+    last blank line (empty, or of ASCII whitespace) once about
+    ``CHUNK_BYTES`` more bytes were read."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            yield from _cuts(fh, size)
+            yield from _cuts(fh)
         return
     read = getattr(source, "read1", source.read)  # what a pipe holds, not a full size
     pending = bytearray()
     while True:
-        data = read(size)
+        data = read(CHUNK_BYTES)
         if not data:
             break
-        start = max(len(pending) - 2, 0)  # a blank line may begin in the bytes before
+        start = max(len(pending) - _BLANK_REACH, 0)
         pending += data
-        lf, crlf = pending.rfind(b"\n\n", start), pending.rfind(b"\n\r\n", start)
-        cut = max(lf + 2 if lf >= 0 else 0, crlf + 3 if crlf >= 0 else 0)
+        cut = 0
+        for match in _BLANK_LINE.finditer(pending, start):
+            cut = match.end() + 1
         if cut:
             yield bytes(pending[:cut])
             del pending[:cut]
@@ -195,24 +202,33 @@ def _cuts(source: Source, size: int) -> Iterator[bytes]:
         yield bytes(pending)
 
 
-def read_chunks(source: Source, size: int | None = None) -> Optional[Iterator[Chunk]]:
+def read_chunks(source: Source) -> Optional[Iterator[Chunk]]:
     """The input as ``(first_ordinal, first_line, bytes)`` chunks of whole
-    sentences, about ``size`` (default ``CHUNK_BYTES``) bytes each, for a
-    path or a byte stream; None for a text stream or a line iterable.
+    sentences, about ``CHUNK_BYTES`` bytes each, for a path or a byte
+    stream; None for a text stream or a line iterable.
 
     Each chunk carries the ordinal and line number that its first sentence
     and line have in the whole input, which ``chunk_blocks`` continues
     from, so a chunk can be split and parsed on its own.
     """
-    return _chunks(source, size or CHUNK_BYTES) if _in_bytes(source) else None
+    return (chunk for chunk, _ in _split_chunks(source)) if _in_bytes(source) else None
 
 
-def _chunks(source: Source, size: int) -> Iterator[Chunk]:
+def iter_blocks(source: Source) -> Iterator[Block]:
+    """``split_blocks`` of any source, a chunk at a time from a path or byte stream."""
+    if not _in_bytes(source):
+        return split_blocks(iter_raw_lines(source))
+    return chain.from_iterable(blocks for _, blocks in _split_chunks(source))
+
+
+def _split_chunks(source: Source) -> Iterator[Tuple[Chunk, List[Block]]]:
+    """Each chunk with its blocks, whose count numbers the next chunk."""
     ordinal = lineno = 1
-    for data in _cuts(source, size):
+    for data in _cuts(source):
         chunk = (ordinal, lineno, data)
-        yield chunk
-        ordinal += sum(1 for _ in chunk_blocks(chunk))
+        blocks = list(chunk_blocks(chunk))
+        yield chunk, blocks
+        ordinal += len(blocks)
         lineno += data.count(b"\n")
 
 
@@ -244,92 +260,20 @@ def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
         lineno += piece.count("\n") + 2
 
 
-def iter_blocks(source: Source) -> Iterator[Block]:
-    """``split_blocks`` of any source, a chunk at a time from a path or byte stream."""
-    return _blocks(source) if _in_bytes(source) else split_blocks(iter_raw_lines(source))
-
-
-def _blocks(source: Source) -> Iterator[Block]:
-    # ``_chunks`` without its count: the blocks of each chunk number the next
-    ordinal = lineno = 1
-    for data in _cuts(source, CHUNK_BYTES):
-        for block in chunk_blocks((ordinal, lineno, data)):
-            ordinal += 1
-            yield block
-        lineno += data.count(b"\n")
-
-
-def _add_comment(metadata: dict, text: str) -> None:
-    body = text[1:].strip()
-    if "=" in body:
-        key, _, value = body.partition("=")
-        metadata[key.strip()] = value.strip()
-    elif body:
-        metadata[body] = None
-
-
-# per sentence length n: the ID texts ("1", ..., "n") and the ids (1, ..., n)
-_IDS: dict = {}
-
-
-def _ids(n: int) -> tuple:
-    if n not in _IDS:
-        _IDS[n] = tuple(map(str, range(1, n + 1))), tuple(range(1, n + 1))
-    return _IDS[n]
-
-
-def _whole_columns(lines: List[Line], metadata: dict, stats: ReadStats) -> Optional[tuple]:
-    """``(ids, forms, lemmas, upos, heads, deprels)`` of a block whose token
-    rows pass every check as whole columns, with its leading comments added
-    to ``metadata``; None for any other block, whose rows ``_row_columns``
-    then reads one by one. Ranges and empty nodes are tallied only here or
-    there, never in both."""
-    start = 0
-    for text in lines:
-        if text[:1] != "#":
-            break
-        _add_comment(metadata, text)
-        start += 1
-    try:
-        rows = [text.split("\t") for text in lines[start:]]
-    except TypeError:  # a line that is not UTF-8 stays bytes
-        return None
-    if not rows or set(map(len, rows)) != {_COLUMNS}:
-        return None
-    columns = tuple(zip(*rows))
-    ranges = empties = 0
-    if columns[0] != _ids(len(rows))[0]:
-        for raw_id in filterfalse(str.isdecimal, columns[0]):
-            if _RANGE_ID.match(raw_id):
-                ranges += 1
-            elif _EMPTY_ID.match(raw_id):
-                empties += 1
-            else:
-                return None
-        columns = tuple(zip(*compress(rows, map(str.isdecimal, columns[0]))))
-        if not columns or columns[0] != _ids(len(columns[0]))[0]:
-            return None
-    try:
-        heads = tuple(map(int, columns[6]))
-    except ValueError:
-        return None
-    stats.dropped_ranges += ranges
-    stats.dropped_empty_nodes += empties
-    # ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC
-    return _ids(len(heads))[1], columns[1], columns[2], columns[3], heads, columns[7]
-
-
-def _row_columns(
-    lines: List[Line], first_line: int, ordinal: int, metadata: dict, stats: ReadStats
-) -> tuple:
-    """``_whole_columns`` row by row, raising the first row's error."""
+def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadStats) -> DepTree:
+    metadata: dict = {}
     rows: List[List[str]] = []
     heads: List[int] = []
     for lineno, text in enumerate(lines, first_line):
         if isinstance(text, bytes):
             raise ConlluError("not valid UTF-8", ordinal, lineno)
         if text.startswith("#"):
-            _add_comment(metadata, text)
+            body = text[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                metadata[key.strip()] = value.strip()
+            elif body:
+                metadata[body] = None
             continue
         cols = text.split("\t")
         if len(cols) != _COLUMNS:
@@ -353,19 +297,13 @@ def _row_columns(
         except ValueError:
             raise ConlluError(f"non-numeric head {cols[6]!r}", ordinal, lineno) from None
         rows.append(cols)
+    sent_id = metadata.get("sent_id") or f"s{ordinal}"
+    # ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC
     ids, forms, lemmas, upos, _, _, _, deprels, _, _ = zip(*rows) if rows else ((),) * _COLUMNS
-    return tuple(map(int, ids)), forms, lemmas, upos, tuple(heads), deprels
-
-
-def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadStats) -> DepTree:
-    metadata: dict = {}
-    columns = _whole_columns(lines, metadata, stats)
-    if columns is None:
-        metadata = {}
-        columns = _row_columns(lines, first_line, ordinal, metadata, stats)
     try:
         return DepTree._from_columns(
-            *columns, sentence_id=metadata.get("sent_id") or f"s{ordinal}", metadata=metadata
+            tuple(map(int, ids)), forms, lemmas, upos, tuple(heads), deprels,
+            sentence_id=sent_id, metadata=metadata,
         )
     except TreeError as exc:
         raise ConlluError(str(exc), ordinal, first_line) from None

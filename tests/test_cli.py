@@ -188,6 +188,19 @@ def test_pool_output_matches_one_worker(tmp_path, capsys, small_chunks, argv):
     assert all(result == single for result in pooled)
 
 
+@pytest.mark.parametrize("separator", [b" ", b"\t\r"])
+def test_pool_cuts_input_whose_sentences_end_at_whitespace_lines(
+    tmp_path, capsys, small_chunks, separator
+):
+    corpus = _pool_corpus(tmp_path)
+    corpus.write_bytes(corpus.read_bytes().replace(b"\n\n", b"\n" + separator + b"\n"))
+    assert len(_chunk_starts(corpus)) > 2 * 3
+    single, *pooled = _per_worker_count(capsys, "analyze", "--explain", "-i", corpus)
+    assert single[0] == 0
+    assert len(single[1].splitlines()) == POOL_SENTENCES
+    assert all(result == single for result in pooled)
+
+
 def test_pool_skips_bad_sentences_on_both_sides_of_a_chunk_boundary(
     tmp_path, capsys, small_chunks
 ):

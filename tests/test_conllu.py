@@ -14,8 +14,7 @@ from treesent import (
 )
 from treesent import conllu
 from treesent.conllu import (
-    _parse_block, _row_columns, _whole_columns, chunk_blocks, iter_raw_lines, parse_blocks,
-    read_chunks, split_blocks,
+    _parse_block, chunk_blocks, iter_raw_lines, parse_blocks, read_chunks, split_blocks,
 )
 from treesent.tree import random_tree
 
@@ -321,19 +320,26 @@ def _outcome(blocks, policy):
     return blocks, trees, error, stats
 
 
+def chunks_of(source, size):
+    """``read_chunks(source)`` with ``CHUNK_BYTES`` set to ``size``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conllu, "CHUNK_BYTES", size)
+        return list(read_chunks(source))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_inputs)
 def test_the_chunk_reader_reads_what_the_line_reader_reads(data):
     for policy in ("skip", "abort"):
         expected = _outcome(split_blocks(iter_raw_lines(io.BytesIO(data))), policy)
         for size in CHUNK_TARGETS:
-            chunks = list(read_chunks(io.BytesIO(data), size))
-            assert b"".join(chunk for _, _, chunk in chunks) == data
-            assert _outcome(chain.from_iterable(map(chunk_blocks, chunks)), policy) == expected
-            # read_conllu's own loop numbers each chunk from the blocks it split
             with pytest.MonkeyPatch.context() as patch:
                 if size is not None:
                     patch.setattr(conllu, "CHUNK_BYTES", size)
+                chunks = list(read_chunks(io.BytesIO(data)))
+                assert b"".join(chunk for _, _, chunk in chunks) == data
+                assert _outcome(chain.from_iterable(map(chunk_blocks, chunks)), policy) == expected
+                # read_conllu's own loop numbers each chunk from the blocks it split
                 stats, trees = ReadStats(), []
                 try:
                     trees.extend(read_conllu(io.BytesIO(data), policy, stats))
@@ -345,24 +351,10 @@ def test_the_chunk_reader_reads_what_the_line_reader_reads(data):
             assert stats == expected[3]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_inputs)
-def test_whole_columns_read_a_block_as_its_rows_do(data):
-    for _, first_line, lines in split_blocks(iter_raw_lines(io.BytesIO(data))):
-        fast_stats, fast_meta = ReadStats(), {}
-        fast = _whole_columns(lines, fast_meta, fast_stats)
-        if fast is None:
-            assert fast_stats == ReadStats()
-            continue
-        slow_stats, slow_meta = ReadStats(), {}
-        assert _row_columns(lines, first_line, 1, slow_meta, slow_stats) == fast
-        assert (slow_meta, slow_stats) == (fast_meta, fast_stats)
-
-
 def test_every_chunk_but_the_last_ends_past_a_blank_line():
     data = demo_ud_path().read_bytes() * 40
     data = data.replace(b"\n\n", b"\n\r\n", 7)  # a blank line of "\r" also ends a chunk
-    chunks = list(read_chunks(io.BytesIO(data), 300))
+    chunks = chunks_of(io.BytesIO(data), 300)
     assert len(chunks) > 40
     assert all(chunk.endswith((b"\n\n", b"\n\r\n")) for _, _, chunk in chunks[:-1])
     for (ordinal, line, chunk), (next_ordinal, next_line, _) in zip(chunks, chunks[1:]):
@@ -370,12 +362,31 @@ def test_every_chunk_but_the_last_ends_past_a_blank_line():
         assert next_ordinal == ordinal + sum(1 for _ in chunk_blocks((ordinal, line, chunk)))
 
 
+@pytest.mark.parametrize("separator", [b" \n", b"\t \n", b"\r\n", b" \r\n", b"\x0b\x0c\n"])
+def test_a_chunk_is_cut_past_a_whitespace_line(separator):
+    blocks = demo_ud_path().read_bytes().split(b"\n\n")
+    data = (b"\n" + separator).join(block for block in blocks * 40 if block)
+    chunks = chunks_of(io.BytesIO(data), 300)
+    assert len(chunks) > 40
+    assert all(chunk.endswith(b"\n" + separator) for _, _, chunk in chunks[:-1])
+    assert b"".join(chunk for _, _, chunk in chunks) == data
+    assert (_outcome(chain.from_iterable(map(chunk_blocks, chunks)), "skip")
+            == _outcome(split_blocks(iter_raw_lines(io.BytesIO(data))), "skip"))
+
+
+def test_a_whitespace_line_split_between_two_reads_still_ends_a_chunk():
+    first = SIMPLE.rstrip("\n").encode() + b"\n  "  # the first read ends inside the line
+    second = SIMPLE.replace("s1", "s2").encode()
+    chunks = chunks_of(io.BytesIO(first + b"  \n" + second), len(first))
+    assert chunks == [(1, 1, first + b"  \n"), (2, 6, second)]
+
+
 def test_a_sentence_longer_than_the_chunk_target_is_one_chunk():
     long = b"".join(
         b"%d\tw\tw\tX\t_\t_\t%d\tdep\t_\t_\n" % (i, i - 1) for i in range(1, 2001)
     )
     data = SIMPLE.encode() + long + b"\n" + SIMPLE.replace("s1", "s3").encode()
-    chunks = list(read_chunks(io.BytesIO(data), 64))
+    chunks = chunks_of(io.BytesIO(data), 64)
     assert [(ordinal, line) for ordinal, line, _ in chunks] == [(1, 1), (2, 6), (3, 2007)]
     assert [len(t) for t in read_conllu(io.BytesIO(data), on_error="abort")] == [3, 2000, 3]
 
@@ -383,8 +394,8 @@ def test_a_sentence_longer_than_the_chunk_target_is_one_chunk():
 def test_paths_and_raw_byte_streams_are_read_in_chunks(tmp_path):
     path = tmp_path / "in.conllu"
     path.write_text(SIMPLE + SIMPLE.replace("s1", "s2"))
-    assert [ordinal for ordinal, _, _ in read_chunks(path, 8)] == [1, 2]
-    assert [ordinal for ordinal, _, _ in read_chunks(str(path), 8)] == [1, 2]
+    assert [ordinal for ordinal, _, _ in chunks_of(path, 8)] == [1, 2]
+    assert [ordinal for ordinal, _, _ in chunks_of(str(path), 8)] == [1, 2]
     with open(path, "rb", buffering=0) as raw:
         assert [t.sentence_id for t in read_conllu(raw)] == ["s1", "s2"]
     # text streams and line iterables are read line by line
