@@ -14,7 +14,7 @@ config file (--config), then explicit flags. Lexicon paths that do not
 exist as given are retried under $TREESENT_LEXICON_DIR ($SALSA_LEXICON_DIR,
 its former name, is still read when the new one is unset, for one more
 release). Exit codes: 0 on success, 1 for data errors under the abort
-policy, 2 for config errors.
+policy, 2 for config and usage errors, 130 when interrupted (Ctrl-C).
 
 analyze, aspects and encode stream their input in byte chunks of whole
 sentences, cut at blank lines. With --workers N and input of more than one
@@ -22,22 +22,28 @@ chunk, the command forks N workers, each fed chunks down a pipe, and writes
 their records in input order, byte-identical to one worker. Without
 os.fork, and for a text stream on stdin, the command runs in one process.
 decode runs in one whatever --workers says.
+
+The command line is read from one table of commands and flags
+(``_COMMANDS``), without argparse. In a fresh ``python -S`` (CPython 3.11,
+2-CPU x86-64, medians of 31 runs) encode and decode start and end on an
+empty input in about 35 ms, as long as importing this module takes; with
+argparse they took 47 ms, against 13 ms for an empty interpreter.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 from collections import deque
 from contextlib import closing, contextmanager
 from functools import partial
 from itertools import chain, islice
+from types import SimpleNamespace
 
 from . import __version__
 from .conllu import (
     UNREADABLE,
-    ConlluError,
     ReadStats,
     _Skip,
     chunk_blocks,
@@ -65,7 +71,8 @@ from .tree import DataError, DepTree, _Record
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import (
-        IO, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+        IO, Callable, Deque, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence,
+        Tuple,
     )
 
     from .conllu import Chunk, Source
@@ -78,6 +85,8 @@ if TYPE_CHECKING:
 LEXICON_DIR_ENV = "TREESENT_LEXICON_DIR"
 # the former name, read only when LEXICON_DIR_ENV is unset; to be removed
 FORMER_LEXICON_DIR_ENV = "SALSA_LEXICON_DIR"
+# what a bad sentence does: ends the run, or is left out of it
+_ON_ERROR = ("skip", "abort")
 
 
 class ConfigError(ValueError):
@@ -105,7 +114,7 @@ class PipelineConfig(_Record, frozen=True):
     ) -> None:
         if workers < 1:
             raise ConfigError(f"worker count must be >= 1, got {workers}")
-        if on_error not in ("skip", "abort"):
+        if on_error not in _ON_ERROR:
             raise ConfigError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
         self.__dict__.update(
             language=language, lexicon=lexicon, domain_lexicon=domain_lexicon, rules=rules,
@@ -183,7 +192,7 @@ def _read_config_file(path: str) -> Dict[str, object]:
     return values
 
 
-def _build_config(args: argparse.Namespace) -> PipelineConfig:
+def _build_config(args: SimpleNamespace) -> PipelineConfig:
     """defaults, then config file entries, then explicit flags."""
     merged = _read_config_file(args.config) if getattr(args, "config", None) else {}
     try:
@@ -191,7 +200,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
             flag = getattr(args, key, None)
             if flag is not None:
                 merged[key] = _CONFIG_TYPES.get(key, str)(flag)
-    except ValueError as exc:  # --scheme; argparse has checked the others
+    except ValueError as exc:  # --scheme; _read_argv has checked the others
         raise ConfigError(str(exc)) from None
     return PipelineConfig(**merged)  # type: ignore[arg-type]
 
@@ -472,17 +481,19 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
                 os.waitpid(w.pid, 0)
 
 
-def _run_chunk(job: Job, chunk: Chunk) -> Tuple[List[str], ReadStats, Optional[ConlluError]]:
-    """Pool task: the chunk's output lines, its read tallies, and its first error.
+def _run_chunk(job: Job, chunk: Chunk) -> Tuple[List[str], ReadStats, Optional[Exception]]:
+    """Pool task: the chunk's output lines, its read tallies, and the exception
+    that ended it, if one did.
 
-    Lines before a bad sentence are returned with its error, so the parent
-    writes exactly what a single process would before it stops.
+    Lines before a bad sentence, or before a fault of the program, are
+    returned with its exception, so the parent writes exactly what a single
+    process would before it stops.
     """
     stats, lines = ReadStats(), []
     try:
         for line in job(chunk_blocks(chunk), stats=stats):
             lines.append(line)
-    except ConlluError as exc:
+    except Exception as exc:
         return lines, stats, exc
     return lines, stats, None
 
@@ -527,7 +538,7 @@ def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
     return 0
 
 
-def cmd_analyze(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def cmd_analyze(cfg: PipelineConfig, args: SimpleNamespace) -> int:
     from json import JSONEncoder
 
     from .rules import analyze, baseline_wordcount
@@ -581,7 +592,7 @@ def cmd_decode(cfg: PipelineConfig) -> int:
 # ---------------------------------------------------------------------- eval
 
 
-def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def cmd_eval(cfg: PipelineConfig, args: SimpleNamespace) -> int:
     import json
 
     from .evaluation import (
@@ -686,7 +697,7 @@ def _bench_errors() -> Iterator[None]:
         raise ConfigError(str(exc)) from None
 
 
-def cmd_bench(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def cmd_bench(cfg: PipelineConfig, args: SimpleNamespace) -> int:
     import json
 
     from .bench import run_bench, synthetic_corpus
@@ -715,7 +726,7 @@ def cmd_bench(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gen(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def cmd_gen(cfg: PipelineConfig, args: SimpleNamespace) -> int:
     from .bench import synthetic_corpus, synthetic_trees
 
     lexicon = cfg.load_lexicon()
@@ -735,78 +746,235 @@ def cmd_gen(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-# ------------------------------------------------------------------- parser
+# ------------------------------------------------------------- command line
+# The command line is read from one table, without argparse: its import and
+# its seven subparsers took a third of a command's start-up. A flag
+# is (type, default, required, help): the type is str, int, a tuple of the
+# values it may take, or bool for a switch that takes no value. Its key is
+# the attribute it sets; its long form is the key with "-" for "_".
+
+_ABOUT = ("Sentiment analysis over dependency trees, plus the label encodings\n"
+          "that let a tagger produce those trees.")
+_COMMON_HELP = {
+    "config": "key=value settings file",
+    "language": "lexicon language code (default en)",
+    "lexicon": "base lexicon TSV (default: built-in demo)",
+    "domain_lexicon": "overlay lexicon TSV",
+    "rules": "rule engine key=value config file",
+    "scheme": "label scheme: rel-offset, rel-pos, or brackets",
+    "input": "input path (default: stdin)",
+    "output": "output path (default: stdout)",
+    "on_error": "bad-sentence policy (default abort)",
+    "workers": "parallel worker count",
+    "seed": "random seed for synthetic data",
+}
+# a setting's flag type where it is not str: int where a config file reads an
+# int (the scheme is parsed with the settings), and the on_error policies
+_FLAG_TYPES = {**{key: int for key, kind in _CONFIG_TYPES.items() if kind is int},
+               "on_error": _ON_ERROR}
+# the flags every command takes: --config, then one for each setting
+_COMMON_FLAGS = {
+    key: (_FLAG_TYPES.get(key, str), None, False, _COMMON_HELP[key])
+    for key in ("config", *_CONFIG_KEYS)
+}
+_SHORT_FLAGS = {"input": "-i", "output": "-o"}
+# each command: its help line and the flags it takes besides the common ones
+_COMMANDS = {
+    "analyze": ("score sentences from CoNLL-U", {
+        "explain": (bool, False, False, "include rule traces"),
+        "baseline": (bool, False, False, "syntax-free word-count scoring"),
+    }),
+    "aspects": ("emit only per-target opinions", {}),
+    "encode": ("CoNLL-U to tagger bridge lines", {}),
+    "decode": ("tagger bridge lines to CoNLL-U", {}),
+    "eval": ("score predictions against gold", {
+        "pred": (str, None, True, "predictions JSON-lines file"),
+        "gold": (str, None, True, "gold JSON-lines file"),
+        "pred_parse": (str, None, False, "predicted parses (CoNLL-U) for UAS/LAS"),
+    }),
+    "bench": ("throughput benchmark", {
+        "sentences": (int, 10_000, False, "synthetic corpus size"),
+        "length": (int, 20, False, "synthetic sentence length"),
+        "warmup": (int, 50, False, "untimed warmup sentences"),
+    }),
+    "gen": ("write a synthetic corpus", {
+        "sentences": (int, 1000, False, "corpus size"),
+        "length": (int, 20, False, "sentence length"),
+        "format": (("bridge", "conllu"), "bridge", False, "output format"),
+    }),
+}
+_TOP_FLAGS = {"version": (bool, False, False, "print the version and exit")}
+# a word that looks like a negative number is a value, as argparse has it
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value settings file")
-    parser.add_argument("--language", help="lexicon language code (default en)")
-    parser.add_argument("--lexicon", help="base lexicon TSV (default: built-in demo)")
-    parser.add_argument("--domain-lexicon", dest="domain_lexicon", help="overlay lexicon TSV")
-    parser.add_argument("--rules", help="rule engine key=value config file")
-    parser.add_argument(
-        "--scheme", help="label scheme: rel-offset, rel-pos, or brackets"
-    )
-    parser.add_argument("-i", "--input", help="input path (default: stdin)")
-    parser.add_argument("-o", "--output", help="output path (default: stdout)")
-    parser.add_argument(
-        "--on-error", dest="on_error", choices=("skip", "abort"),
-        help="bad-sentence policy (default abort)",
-    )
-    parser.add_argument("--workers", type=int, help="parallel worker count")
-    parser.add_argument("--seed", type=int, help="random seed for synthetic data")
+def _flags(command: Optional[str]) -> Dict[str, tuple]:
+    """The flags ``command`` takes; None for those before the command."""
+    return _TOP_FLAGS if command is None else {**_COMMON_FLAGS, **_COMMANDS[command][1]}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="treesent",
-        description="Sentiment analysis over dependency trees, plus the "
-        "label encodings that let a tagger produce those trees.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    analyze = commands.add_parser("analyze", help="score sentences from CoNLL-U")
-    _add_common_flags(analyze)
-    analyze.add_argument("--explain", action="store_true", help="include rule traces")
-    analyze.add_argument(
-        "--baseline", action="store_true", help="syntax-free word-count scoring"
-    )
-
-    aspects = commands.add_parser("aspects", help="emit only per-target opinions")
-    _add_common_flags(aspects)
-
-    encode_cmd = commands.add_parser("encode", help="CoNLL-U to tagger bridge lines")
-    _add_common_flags(encode_cmd)
-
-    decode_cmd = commands.add_parser("decode", help="tagger bridge lines to CoNLL-U")
-    _add_common_flags(decode_cmd)
-
-    eval_cmd = commands.add_parser("eval", help="score predictions against gold")
-    _add_common_flags(eval_cmd)
-    eval_cmd.add_argument("--pred", required=True, help="predictions JSON-lines file")
-    eval_cmd.add_argument("--gold", required=True, help="gold JSON-lines file")
-    eval_cmd.add_argument(
-        "--pred-parse", dest="pred_parse", help="predicted parses (CoNLL-U) for UAS/LAS"
-    )
-
-    bench = commands.add_parser("bench", help="throughput benchmark")
-    _add_common_flags(bench)
-    bench.add_argument("--sentences", type=int, default=10_000, help="synthetic corpus size")
-    bench.add_argument("--length", type=int, default=20, help="synthetic sentence length")
-    bench.add_argument("--warmup", type=int, default=50, help="untimed warmup sentences")
-
-    gen = commands.add_parser("gen", help="write a synthetic corpus")
-    _add_common_flags(gen)
-    gen.add_argument("--sentences", type=int, default=1000, help="corpus size")
-    gen.add_argument("--length", type=int, default=20, help="sentence length")
-    gen.add_argument(
-        "--format", choices=("bridge", "conllu"), default="bridge", help="output format"
-    )
-    return parser
+def _long(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _run(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+def _option_names(flags: Dict[str, tuple]) -> Dict[str, str]:
+    """Each option string, -h and --help first, and the key of the flag it names."""
+    names = {"-h": "help", "--help": "help"}
+    for key in flags:
+        if key in _SHORT_FLAGS:
+            names[_SHORT_FLAGS[key]] = key
+        names[_long(key)] = key
+    return names
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: treesent [-h] [--version] {{{','.join(_COMMANDS)}}} ..."
+    required = "".join(f" {_long(key)} {key.upper()}"
+                       for key, flag in _flags(command).items() if flag[2])
+    return f"usage: treesent {command} [-h]{required} [options]"
+
+
+def _help(command: Optional[str]) -> str:
+    flags = _flags(command)
+    names = _option_names(flags)
+    rows = [("-h, --help", "show this help and exit")]
+    for key, (kind, default, _, text) in flags.items():
+        shown = ", ".join(name for name, named in names.items() if named == key)
+        if kind is not bool:
+            shown += " " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple) else key.upper())
+        rows.append((shown, f"{text} (default {default})" if default else text))
+    sections = {"options": rows}
+    if command is None:
+        sections = {"commands": [(name, entry[0]) for name, entry in _COMMANDS.items()], **sections}
+    width = max(len(left) for rows in sections.values() for left, _ in rows) + 2
+    lines = [_usage(command), "", _ABOUT if command is None else _COMMANDS[command][0]]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:", *(f"  {left:<{width}}{text}" for left, text in rows)]
+    if command is None:
+        lines += ["", "Run 'treesent <command> --help' for the options of a command."]
+    return "\n".join(lines)
+
+
+def _usage_error(command: Optional[str], message: str) -> NoReturn:
+    """End as argparse does: the usage and the error on stderr, exit status 2."""
+    prog = "treesent" if command is None else f"treesent {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _flag(
+    arg: str, names: Dict[str, str], command: Optional[str]
+) -> Optional[Tuple[str, Optional[str]]]:
+    """``(option, the value given with it or None)`` when ``arg`` is a flag,
+    None when it is a value.
+
+    A flag is an option of ``names``, ``--option=value``, ``-oVALUE``, or a
+    unique prefix of a long option, with or without ``=value``. A word that
+    looks like a flag but is none of these comes back as itself; a prefix
+    of more than one long option is a usage error.
+    """
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in names or arg == "--":
+        return arg, None
+    head, equals, value = arg.partition("=")
+    if equals and head in names:
+        return head, value
+    if arg.startswith("--"):
+        matches = [(name, value if equals else None) for name in names if name.startswith(head)]
+    else:
+        matches = [(arg[:2], arg[2:])] if arg[:2] in names else []
+    if len(matches) > 1:
+        _usage_error(command, f"ambiguous option: {arg} could match "
+                              f"{', '.join(name for name, _ in matches)}")
+    if matches:
+        return matches[0]
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return arg, None
+
+
+def _read_flags(command: Optional[str], args: List[str]) -> Tuple[Dict[str, object], List[str]]:
+    """The value of each flag ``command`` takes, read from ``args``, and the
+    words of ``args`` that no flag takes.
+
+    Words are read in order: a flag's value is checked, and -h, --help and
+    --version end the run, where each is read; a missing required flag is
+    an error after the last word.
+    """
+    flags = _flags(command)
+    names = _option_names(flags)
+    read = [_flag(arg, names, command) for arg in args]
+    values = {key: flag[1] for key, flag in flags.items()}
+    given, left = set(), []
+    at = 0
+    while at < len(args):
+        arg, found = args[at], read[at]
+        at += 1
+        if arg == "--":
+            left += args[at - 1:]
+            break
+        if found is None or found[0] not in names:
+            left.append(arg)
+            continue
+        option, value = found
+        key = names[option]
+        label = "/".join(name for name, named in names.items() if named == key)
+        kind = bool if key == "help" else flags[key][0]
+        if kind is bool:
+            if value is not None:
+                _usage_error(command, f"argument {label}: ignored explicit argument {value!r}")
+            if key in ("help", "version"):
+                print(_help(command) if key == "help" else f"treesent {__version__}")
+                raise SystemExit(0)
+            value = True
+        else:
+            if value is None:
+                if at == len(args) or read[at] is not None:
+                    _usage_error(command, f"argument {label}: expected one argument")
+                value = args[at]
+                at += 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(command, f"argument {label}: invalid int value: {value!r}")
+            elif kind is not str and value not in kind:
+                _usage_error(command, f"argument {label}: invalid choice: {value!r} "
+                                      f"(choose from {', '.join(map(repr, kind))})")
+        values[key] = value
+        given.add(key)
+    missing = [_long(key) for key, flag in flags.items() if flag[2] and key not in given]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    return values, left
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace:
+    """The command named in ``argv`` and the value of each flag it takes.
+
+    What argparse would accept gives the same values, and what it would
+    refuse the same usage error, in its words.
+    """
+    argv = list(argv)
+    names = _option_names(_TOP_FLAGS)
+    at = next((at for at, arg in enumerate(argv)
+               if arg == "--" or _flag(arg, names, None) is None), len(argv))
+    _, stray = _read_flags(None, argv[:at])
+    if at == len(argv):
+        _usage_error(None, "the following arguments are required: command")
+    command = argv[at]
+    if command not in _COMMANDS:
+        _usage_error(None, f"argument command: invalid choice: {command!r} "
+                           f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    values, left = _read_flags(command, argv[at + 1:])
+    if stray or left:
+        _usage_error(None, f"unrecognized arguments: {' '.join(stray + left)}")
+    return SimpleNamespace(command=command, **values)
+
+
+def _run(cfg: PipelineConfig, args: SimpleNamespace) -> int:
     if args.command in ("analyze", "aspects"):
         return cmd_analyze(cfg, args)
     if args.command == "encode":
@@ -821,8 +989,7 @@ def _run(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
     try:
         code = _run(_build_config(args), args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
@@ -838,6 +1005,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # stdout at devnull so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:  # Ctrl-C; a pool's workers have been reaped on the way out
+        return 130
 
 
 if __name__ == "__main__":

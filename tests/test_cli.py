@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 
@@ -308,8 +309,8 @@ def test_an_exception_in_a_worker_is_raised_with_its_type(tmp_path, small_chunks
     out = io.StringIO()
     with pytest.raises(KeyError, match="syn-99"):
         cli._write_records(job, _pool_corpus(tmp_path), 2, ReadStats(), out)
-    written = out.getvalue().splitlines()  # whole chunks before the failing one
-    assert written == [f"syn-{i}" for i in range(len(written))] and len(written) < 99
+    # every line before the failing one, as one process writes them
+    assert out.getvalue().splitlines() == [f"syn-{i}" for i in range(99)]
     _no_child_left()
 
 
@@ -395,6 +396,56 @@ def test_a_closed_stdout_leaves_no_pool_worker(tmp_path):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (0, b"1 no child left\n")
+
+
+# a run that reads stdin, which then says whether it left a child process
+INTERRUPTED_RUN = """
+import os, sys
+from treesent import conllu
+from treesent.cli import main
+conllu.CHUNK_BYTES = int(sys.argv[1])
+code = main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child left", file=sys.stderr)
+except ChildProcessError:
+    print("no child left", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ctrl_c_ends_the_command_with_status_130_and_no_traceback(tmp_path, workers):
+    corpus = _pool_corpus(tmp_path)
+    env = {**os.environ, "PYTHONUNBUFFERED": "1",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    out, err = tmp_path / "out.jsonl", tmp_path / "err.txt"
+    with open(out, "wb") as stdout, open(err, "wb") as stderr:
+        # a session of its own, so that SIGINT goes to its process group as Ctrl-C does
+        proc = subprocess.Popen(
+            [sys.executable, "-S", "-c", INTERRUPTED_RUN, str(POOL_CHUNK_BYTES),
+             "analyze", "--explain", "--workers", str(workers)],
+            stdin=subprocess.PIPE, stdout=stdout, stderr=stderr, env=env,
+            start_new_session=True,
+        )
+    try:
+        # the whole corpus, and then no end of input: the command waits for more
+        proc.stdin.write(corpus.read_bytes())
+        proc.stdin.flush()
+        for _ in range(600):
+            if out.stat().st_size or proc.poll() is not None:
+                break
+            time.sleep(0.1)
+        assert out.stat().st_size, "the command wrote nothing"
+        os.killpg(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=60) == 130
+    finally:
+        proc.stdin.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    stderr = err.read_text()
+    assert "Traceback" not in stderr and stderr.endswith("no child left\n"), stderr
 
 
 @pytest.mark.parametrize("command", ["analyze", "aspects", "encode"])

@@ -6,7 +6,8 @@ use them, the lexicon, rules and demo-data modules only for the commands
 that score, ``json`` only for the commands that write it, and neither
 ``concurrent.futures`` nor ``multiprocessing`` even when it forks a pool.
 None of analyze, aspects, encode and decode loads the standard modules that
-cost the most to import and that they can do without. The start-up checks
+cost the most to import and that they can do without, argparse among them:
+the command line is read from a table of flags. The start-up checks
 run in a fresh interpreter, since this test process has imported
 everything already.
 """
@@ -43,6 +44,11 @@ UNUSED_BY_THE_HOT_COMMANDS = (
     "typing",
     "pathlib",
     "random",
+    # argparse, and what its help and error messages import
+    "argparse",
+    "gettext",
+    "shutil",
+    "locale",
 )
 
 
