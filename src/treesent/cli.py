@@ -261,7 +261,7 @@ def _opinions(result) -> list:
             "text": op.target_text,
             "polarity": op.opinion_class,
             "valence": op.valence,
-            "evidence": list(op.evidence_token_ids),
+            "evidence": op.evidence_token_ids,
         }
         for op in result.opinions
     ]
@@ -282,9 +282,8 @@ def _analyze_record(analyze: Callable, lexicon, rules_cfg, tree: DepTree) -> dic
 
 def _explain_record(analyze: Callable, lexicon, rules_cfg, tree: DepTree) -> dict:
     result = analyze(tree, lexicon, rules_cfg, trace=True)
-    trace = [[step.token_id, step.rule, step.before, step.after, step.note]
-             for step in result.trace]
-    return {**_scored(tree, result), "trace": trace}
+    # TraceStep tuples encode as the JSON arrays [token_id, rule, before, after, note]
+    return {**_scored(tree, result), "trace": result.trace}
 
 
 def _aspects_record(analyze: Callable, lexicon, rules_cfg, tree: DepTree) -> dict:

@@ -16,7 +16,7 @@ import io
 import os
 import re
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 
 from .tree import DataError, DepTree, TreeError, _Record
 
@@ -114,9 +114,12 @@ def numbered_lines(source: Source) -> Iterator[Tuple[int, Optional[str]]]:
     """``(lineno, text)`` per line of a path, stream or line iterable.
 
     Line numbers count from 1. ``text`` is None for a line that is not
-    valid UTF-8, so that each reader can report it in its own terms.
+    valid UTF-8, so that each reader can report it in its own terms. One
+    byte order mark that starts the first line is dropped.
     """
-    return enumerate(map(decode_line, iter_raw_lines(source)), start=1)
+    texts = map(decode_line, iter_raw_lines(source))
+    first = (text and text.removeprefix("\ufeff") for text in islice(texts, 1))
+    return enumerate(chain(first, texts), start=1)
 
 
 def settings_lines(
@@ -260,14 +263,17 @@ def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
         lineno += piece.count("\n") + 2
 
 
-def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadStats) -> DepTree:
+def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadStats,
+                 by_row: bool = False) -> DepTree:
     metadata: dict = {}
     rows: List[List[str]] = []
-    heads: List[int] = []
-    for lineno, text in enumerate(lines, first_line):
+    message = None  # what is wrong with ``text``, the row that ends the loop early
+    counted = stats.dropped_ranges, stats.dropped_empty_nodes
+    for text in lines:
         if isinstance(text, bytes):
-            raise ConlluError("not valid UTF-8", ordinal, lineno)
-        if text.startswith("#"):
+            message = "not valid UTF-8"
+            break
+        if text[:1] == "#":
             body = text[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
@@ -277,9 +283,8 @@ def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadSt
             continue
         cols = text.split("\t")
         if len(cols) != _COLUMNS:
-            raise ConlluError(
-                f"expected {_COLUMNS} columns, got {len(cols)}", ordinal, lineno
-            )
+            message = f"expected {_COLUMNS} columns, got {len(cols)}"
+            break
         raw_id = cols[0]
         if not raw_id.isdecimal():
             if _RANGE_ID.match(raw_id):
@@ -291,18 +296,32 @@ def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadSt
             try:
                 int(raw_id)
             except ValueError:
-                raise ConlluError(f"non-numeric id {raw_id!r}", ordinal, lineno) from None
-        try:
-            heads.append(int(cols[6]))
-        except ValueError:
-            raise ConlluError(f"non-numeric head {cols[6]!r}", ordinal, lineno) from None
+                message = f"non-numeric id {raw_id!r}"
+                break
+        if by_row:
+            try:
+                int(cols[6])
+            except ValueError:
+                message = f"non-numeric head {cols[6]!r}"
+                break
         rows.append(cols)
+    if message is not None:
+        if not by_row:  # a row before this one may have a bad head: read the rows again
+            stats.dropped_ranges, stats.dropped_empty_nodes = counted
+            return _parse_block(lines, first_line, ordinal, stats, by_row=True)
+        # no row before ``text`` equals it: that row would have failed first
+        raise ConlluError(message, ordinal, first_line + lines.index(text))
     sent_id = metadata.get("sent_id") or f"s{ordinal}"
     # ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC
-    ids, forms, lemmas, upos, _, _, _, deprels, _, _ = zip(*rows) if rows else ((),) * _COLUMNS
+    ids, forms, lemmas, upos, _, _, heads, deprels, _, _ = zip(*rows) if rows else ((),) * _COLUMNS
+    try:
+        heads = tuple(map(int, heads))
+    except ValueError:  # the first bad head and its line, read as the rows come
+        stats.dropped_ranges, stats.dropped_empty_nodes = counted
+        return _parse_block(lines, first_line, ordinal, stats, by_row=True)
     try:
         return DepTree._from_columns(
-            tuple(map(int, ids)), forms, lemmas, upos, tuple(heads), deprels,
+            tuple(map(int, ids)), forms, lemmas, upos, heads, deprels,
             sentence_id=sent_id, metadata=metadata,
         )
     except TreeError as exc:

@@ -147,30 +147,30 @@ class PolarityLexicon(_Record, frozen=True):
         # Top layer first: a key keeps the first valence it gets, and a term
         # with an unconstrained entry in some layer takes nothing from the
         # layers below it, whatever their UPOS filters.
-        valence_of: dict = {}
+        valences: dict = {}
         closed: set = set()
         for layer in reversed(layers):
-            for key, valence in layer.items():
-                if key[0] not in closed:
-                    valence_of.setdefault(key, valence)
+            for (term, upos), valence in layer.items():
+                if term not in closed:
+                    valences.setdefault(term, {}).setdefault(upos, valence)
             closed.update(term for term, upos in layer if upos is None)
         self.__dict__.update(
             layers=layers,
             shifters=ShifterInventory() if shifters is None else shifters,
             language=language,
             collocations={} if collocations is None else dict(collocations),
-            # (term, upos-or-None) -> valence after shadowing; the rule engine reads
-            # it and ``shifters._by_lemma`` directly with already-lowered lemmas
-            _valence_of=valence_of,
+            # term -> {upos-or-None: valence} after shadowing, and first lemma ->
+            # {second lemma: merged}; the rule engine reads both and
+            # ``shifters._by_lemma`` directly with already-lowered lemmas
+            _valences=valences,
+            _collocations_after=_by_first(collocations or {}),
         )
 
     def lookup(self, lemma: str, upos: Optional[str] = None) -> Optional[float]:
         """Valence for a lowercased lemma, or None on a miss."""
-        lemma = lemma.lower()
-        hit = self._valence_of.get((lemma, upos))
-        if hit is None and upos is not None:
-            hit = self._valence_of.get((lemma, None))
-        return hit
+        senses = self._valences.get(lemma.lower(), {})
+        hit = senses.get(upos)
+        return senses.get(None) if hit is None else hit
 
     def classify_shifter(self, lemma: str) -> Optional[Shifter]:
         return self.shifters._by_lemma.get(lemma.lower())
@@ -286,28 +286,34 @@ def load_collocations(source: Source) -> dict:
     return table
 
 
+def _by_first(table: Mapping) -> dict:
+    """A pair table as ``{first lemma: {second lemma: merged}}``."""
+    after: dict = {}
+    for pair, merged in table.items():
+        if isinstance(pair, tuple) and len(pair) == 2:  # no other key matches a pair
+            after.setdefault(pair[0], {})[pair[1]] = merged
+    return after
+
+
 def merge_collocations(lemmas: Sequence[str], table: Mapping) -> list:
     """Greedy left-to-right pass replacing known adjacent lemma pairs.
 
     The first token of a matched pair takes the merged lemma; the second is
     blanked out so downstream lookups treat it as inert.
     """
-    return merge_lowered(lemmas, table)[0]
+    return merge_lowered(lemmas, _by_first(table))[0]
 
 
-def merge_lowered(lemmas: Sequence[str], table: Mapping) -> Tuple[List[str], List[str]]:
-    """``merge_collocations`` plus the same lemmas lowercased, as lookups see them."""
+def merge_lowered(lemmas: Sequence[str], after: Mapping) -> Tuple[List[str], List[str]]:
+    """``merge_collocations`` over a table compiled by ``_by_first``, plus the
+    same lemmas lowercased, as lookups see them."""
     merged = list(lemmas)
-    lowered = [lemma.lower() for lemma in lemmas]
-    i = 0
-    while i + 1 < len(merged):
-        hit = table.get((lowered[i], lowered[i + 1]))
-        if hit is None:
-            i += 1
-        else:
-            merged[i] = hit
-            merged[i + 1] = ""
-            lowered[i] = hit.lower()
-            lowered[i + 1] = ""
-            i += 2
+    lowered = list(map(str.lower, lemmas))
+    free = 0  # the first position no merge has taken
+    for i in [i for i, lemma in enumerate(lowered[:-1]) if lemma in after]:
+        hit = after[lowered[i]].get(lowered[i + 1]) if i >= free else None
+        if hit is not None:
+            merged[i], merged[i + 1] = hit, ""
+            lowered[i], lowered[i + 1] = hit.lower(), ""
+            free = i + 2
     return merged, lowered

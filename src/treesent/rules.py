@@ -188,67 +188,62 @@ def _compose(
     n = len(tree)
     heads = tree.heads
     upos = tree.upos
-    lemmas, lowered = merge_lowered(tree.lemmas, lex.collocations)
+    lemmas, lowered = merge_lowered(tree.lemmas, lex._collocations_after)
     # the lexicon's compiled tables, read with the lemmas lowered once here
-    valence_of = lex._valence_of
+    valences = lex._valences
     shifter_of = lex.shifters._by_lemma
-    shifter: list = [None] * (n + 1)
-    shifter_deps: dict = {}  # head id -> its shifter dependents, left to right
-    for node, lemma in enumerate(lowered, start=1):
-        kind = shifter_of.get(lemma) if lemma else None
-        if kind is not None:
-            shifter[node] = kind
-            shifter_deps.setdefault(heads[node - 1], []).append(node)
+    shifter_deps: dict = {}  # head id -> its shifter dependents (id, Shifter), left to right
+    pivot = None  # the leftmost adversative marker, which splits the sentence
+    for node in [node for node, lemma in enumerate(lowered, 1) if lemma and lemma in shifter_of]:
+        kind = shifter_of[lowered[node - 1]]
+        shifter_deps.setdefault(heads[node - 1], []).append((node, kind))
+        if pivot is None and kind.kind == _ADV_KIND:
+            pivot = node
     contribution = [0.0] * (n + 1)
-    # children's subtree totals summed left to right, exactly as sum() would
-    below = [0] * (n + 1)
+    # children's subtree totals summed left to right, exactly as sum() would;
+    # never -0.0, so a node that adds 0.0 to one passes it up unchanged
+    below = [0.0] * (n + 1)
     steps: Optional[List[TraceStep]] = [] if trace else None
 
     for node in tree.post_order:
-        lemma = lowered[node - 1]
-        value = 0.0
-        if lemma:
-            base = valence_of.get((lemma, upos[node - 1]))
-            if base is None:
-                base = valence_of.get((lemma, None))
-            if base is not None:
-                value = float(base)
-        if steps is not None and value != 0.0:
-            steps.append(TraceStep(node, LEXICON, 0.0, value, lemmas[node - 1]))
+        senses = valences.get(lowered[node - 1])  # "", a merge's blank, is no term
         deps = shifter_deps.get(node, ())
-        for dep in deps:
-            kind = shifter[dep]
-            if kind.kind == _INT_KIND and value != 0.0:
-                scaled = value * (1.0 + kind.strength)
+        if senses is None and not deps:  # no rule applies at this node
+            total = below[node]
+        else:
+            value = 0.0
+            if senses is not None:
+                base = senses.get(upos[node - 1])
+                if base is None:
+                    base = senses.get(None)
+                if base is not None:
+                    value = float(base)
+            if steps is not None and value != 0.0:
+                steps.append(TraceStep(node, LEXICON, 0.0, value, lemmas[node - 1]))
+            for dep, kind in deps:
+                if kind.kind == _INT_KIND and value != 0.0:
+                    scaled = value * (1.0 + kind.strength)
+                    if steps is not None:
+                        steps.append(TraceStep(node, INTENSIFY, value, scaled, lemmas[dep - 1]))
+                    value = scaled
+            contribution[node] = value
+            total = value + below[node]
+            for dep, kind in deps:
+                if kind.kind != _NEG_KIND:
+                    continue
+                if total == 0.0:
+                    if steps is not None:
+                        steps.append(TraceStep(node, NEGATE, 0.0, 0.0, "vacuous"))
+                    continue
+                shifted = total - math.copysign(cfg.negation_shift, total)
+                clamped = max(-cfg.negation_cap, min(cfg.negation_cap, shifted))
                 if steps is not None:
-                    steps.append(TraceStep(node, INTENSIFY, value, scaled, lemmas[dep - 1]))
-                value = scaled
-        contribution[node] = value
-        total = value + below[node]
-        for dep in deps:
-            if shifter[dep].kind != _NEG_KIND:
-                continue
-            if total == 0.0:
-                if steps is not None:
-                    steps.append(TraceStep(node, NEGATE, 0.0, 0.0, "vacuous"))
-                continue
-            shifted = total - math.copysign(cfg.negation_shift, total)
-            clamped = max(-cfg.negation_cap, min(cfg.negation_cap, shifted))
-            if steps is not None:
-                steps.append(TraceStep(node, NEGATE, total, clamped, lemmas[dep - 1]))
-            contribution[node] += clamped - total
-            total = clamped
+                    steps.append(TraceStep(node, NEGATE, total, clamped, lemmas[dep - 1]))
+                contribution[node] += clamped - total
+                total = clamped
         below[heads[node - 1]] += total
 
     sentence = total  # the root is the last node of the post-order
-    pivot = next(
-        (
-            node
-            for node, kind in enumerate(shifter)
-            if kind is not None and kind.kind == _ADV_KIND
-        ),
-        None,
-    )
     if pivot is not None:
         before = sum(contribution[1:pivot])
         after = sum(contribution[pivot + 1:])
@@ -300,7 +295,10 @@ def replay_trace(trace: Sequence[TraceStep]) -> float:
 
 def _base_deprels(tree: DepTree) -> List[str]:
     """Each token's deprel without its subtype, by token id; [0] is unused."""
-    return [""] + [deprel.partition(":")[0] for deprel in tree.deprels]
+    deprels = tree.deprels
+    if ":" in "".join(deprels):
+        deprels = [deprel.partition(":")[0] for deprel in deprels]
+    return ["", *deprels]
 
 
 def _target_candidates(
@@ -364,14 +362,10 @@ def _evidence(
             if has_copula or governor_upos == "ADJ":
                 evidence.add(governor)
         elif relation in ("obj", "iobj", "obl") and governor_upos == "VERB":
-            lemma = composed.lemmas[governor - 1]
-            base = lex._valence_of.get((lemma, governor_upos))
-            if base is None:
-                base = lex._valence_of.get((lemma, None))
-            if base:
+            if lex.lookup(composed.lemmas[governor - 1], governor_upos):
                 evidence.add(governor)
-    weighed = [(e, composed.contribution[e]) for e in sorted(evidence)]
-    return [(e, v) for e, v in weighed if v != 0.0]
+    contribution = composed.contribution
+    return [(e, contribution[e]) for e in sorted(evidence) if contribution[e] != 0.0]
 
 
 def _opinion(

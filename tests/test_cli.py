@@ -272,6 +272,37 @@ def test_pool_abort_writes_the_records_before_the_bad_sentence(
     assert all(result == single for result in pooled)
 
 
+# (change to a token row's columns, the error it gives) per kind of bad row
+ROW_DEFECTS = {
+    "head": (lambda cols: cols[:6] + [b"x"] + cols[7:], "non-numeric head 'x'"),
+    "columns": (lambda cols: cols[:9], "expected 10 columns, got 9"),
+    "id": (lambda cols: [b"z"] + cols[1:], "non-numeric id 'z'"),
+    "bytes": (lambda cols: cols[:1] + [b"\xff" + cols[1]] + cols[2:], "not valid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("other", ["columns", "id", "bytes"])
+@pytest.mark.parametrize("head_first", [True, False], ids=["head-first", "head-second"])
+def test_a_block_with_two_bad_rows_fails_at_the_first(tmp_path, capsys, small_chunks,
+                                                      other, head_first):
+    third = _chunk_starts(_pool_corpus(tmp_path))[2]
+    bad = third + 3
+    path = _pool_corpus(tmp_path)
+    blocks = path.read_bytes().split(b"\n\n")
+    rows = blocks[bad - 1].split(b"\n")  # the sent_id comment, then tokens 1-6
+    first, second = ("head", other) if head_first else (other, "head")
+    for token, kind in ((2, first), (5, second)):
+        rows[token] = b"\t".join(ROW_DEFECTS[kind][0](rows[token].split(b"\t")))
+    blocks[bad - 1] = b"\n".join(rows)
+    path.write_bytes(b"\n\n".join(blocks))
+    single, *pooled = _per_worker_count(capsys, "analyze", "-i", path)
+    line = 8 * (bad - 1) + 1 + 2
+    assert single[0] == 1
+    assert single[2] == f"error: sentence {bad} (line {line}): {ROW_DEFECTS[first][1]}\n"
+    assert len(single[1].splitlines()) == bad - 1
+    assert all(result == single for result in pooled)
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -1451,3 +1482,55 @@ def test_version_flag(capsys):
         run("--version")
     assert info.value.code == 0
     assert "treesent" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------ byte order mark
+
+# A file saved with a UTF-8 byte order mark reads as the same file without one.
+BOM = b"\xef\xbb\xbf"
+
+
+def _scores(tmp_path, *flags):
+    out = tmp_path / "out.jsonl"
+    assert run("analyze", "-i", demo_treebank_path(), *flags, "-o", out) == 0
+    return [(record["class"], record["valence"]) for record in read_jsonl(out)]
+
+
+def test_a_byte_order_mark_keeps_the_first_lexicon_entry(tmp_path):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_bytes(BOM + b"good\tADJ\t1.0\n")
+    # "good" is in s1 and s2; no shifter is known, so each scores 1.0
+    expected = [("positive", 1.0), ("positive", 1.0), ("neutral", 0.0)]
+    assert _scores(tmp_path, "--lexicon", lexicon) == expected
+
+
+def test_a_byte_order_mark_keeps_the_first_domain_override(tmp_path):
+    base, domain = tmp_path / "base.tsv", tmp_path / "domain.tsv"
+    base.write_bytes(b"good\tADJ\t1.0\n")
+    domain.write_bytes(BOM + b"good\tADJ\t-2.0\n")
+    expected = [("negative", -2.0), ("negative", -2.0), ("neutral", 0.0)]
+    assert _scores(tmp_path, "--lexicon", base, "--domain-lexicon", domain) == expected
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--rules", b"negation_shift = 1\nneutral_threshold = 2\n"),
+    ("--config", b"seed = 3\nlanguage = en\n"),
+], ids=["rules", "config"])
+def test_a_settings_file_with_a_byte_order_mark_reads_as_without_one(tmp_path, flag, text):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text)
+    marked.write_bytes(BOM + text)
+    assert _scores(tmp_path, flag, marked) == _scores(tmp_path, flag, plain)
+
+
+@pytest.mark.parametrize("marked", ["--gold", "--pred"])
+def test_eval_reads_json_lines_with_a_byte_order_mark(tmp_path, marked):
+    copy = tmp_path / "marked.jsonl"
+    copy.write_bytes(BOM + demo_gold_path().read_bytes())
+    files = {"--gold": demo_gold_path(), "--pred": demo_gold_path(), marked: copy}
+    out = tmp_path / "report.json"
+    assert run("eval", *(part for item in files.items() for part in item), "-o", out) == 0
+    report = json.loads(out.read_text())
+    assert report["sentences"] == 3
+    assert report["sentence"]["accuracy"] == 1.0
+    assert report["targets"]["exact"]["f1"] == 1.0

@@ -195,6 +195,80 @@ def test_parse_block_token_ids(raw_id, heads, counts, error):
     assert (stats.sentences, stats.skipped) == (0, 0)
 
 
+@pytest.mark.parametrize("drop", [
+    "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_", "2.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_",
+], ids=["range", "empty-node"])
+@pytest.mark.parametrize("before", [True, False], ids=["drop-before", "drop-after"])
+def test_a_bad_head_ends_the_tally_of_dropped_rows_where_it_stands(drop, before):
+    # rows past the first bad one are not read, as the tally shows
+    rows = ["1\tit\tit\tPRON\t_\t_\tx\tnsubj\t_\t_", "2\tworks\twork\tVERB\t_\t_\t0\troot\t_\t_"]
+    rows.insert(0 if before else 1, drop)
+    stats = ReadStats()
+    with pytest.raises(ConlluError) as err:
+        _parse_block(rows, 11, 4, stats)
+    assert str(err.value) == f"sentence 4 (line {12 if before else 11}): non-numeric head 'x'"
+    tally = stats.dropped_ranges + stats.dropped_empty_nodes
+    assert tally == (1 if before else 0)
+
+
+def _row_by_row(lines, first_line, ordinal, stats):
+    """The heads of a block's token rows, each row checked in full as it is
+    read, HEAD included, or the ``ConlluError`` of the first bad row."""
+    heads = []
+    for lineno, text in enumerate(lines, first_line):
+        if isinstance(text, bytes):
+            return ConlluError("not valid UTF-8", ordinal, lineno)
+        if text.startswith("#"):
+            continue
+        cols = text.split("\t")
+        if len(cols) != 10:
+            return ConlluError(f"expected 10 columns, got {len(cols)}", ordinal, lineno)
+        if not cols[0].isdecimal():
+            if conllu._RANGE_ID.match(cols[0]):
+                stats.dropped_ranges += 1
+                continue
+            if conllu._EMPTY_ID.match(cols[0]):
+                stats.dropped_empty_nodes += 1
+                continue
+            try:
+                int(cols[0])
+            except ValueError:
+                return ConlluError(f"non-numeric id {cols[0]!r}", ordinal, lineno)
+        try:
+            heads.append(int(cols[6]))
+        except ValueError:
+            return ConlluError(f"non-numeric head {cols[6]!r}", ordinal, lineno)
+    return tuple(heads)
+
+
+ROW_ERRORS = ("not valid UTF-8", "expected 10 columns", "non-numeric")
+_ROWS = st.sampled_from([
+    "# sent_id = x", "# note", "1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_",
+    "2\tb\tb\tADJ\t_\t_\t1\tamod\t_\t_", "2\tb\tb\tADJ\t_\t_\tx\tamod\t_\t_",
+    "3\tc\tc\tADJ\t_\t_\t 1\tamod\t_\t_", "3\tc\tc\tADJ\t_\t_\t\u0661\tamod\t_\t_",
+    "3\tc\tc\tADJ\t_\t_\t-\tamod\t_\t_", "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_",
+    "1.1\te\t_\t_\t_\t_\t_\t_\t_\t_", "z\tb\tb\tADJ\t_\t_\t1\tamod\t_\t_",
+    "4\tshort\t_\t_\t_\t_\t1\t_\t_", b"4\t\xff\t_\tX\t_\t_\t1\tdep\t_\t_",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROWS, min_size=1, max_size=8))
+def test_a_block_fails_at_its_first_bad_row_with_the_tallies_of_the_rows_before(lines):
+    expected, stats = ReadStats(), ReadStats()
+    want = _row_by_row(lines, 21, 3, expected)
+    try:
+        got = _parse_block(lines, 21, 3, stats).heads
+    except ConlluError as exc:
+        got = str(exc)
+        if not isinstance(want, ConlluError):  # good rows that make no tree
+            assert exc.line == 21 and not exc.message.startswith(ROW_ERRORS)
+            got = want
+    assert got == (str(want) if isinstance(want, ConlluError) else want)
+    assert (stats.dropped_ranges, stats.dropped_empty_nodes) == (
+        expected.dropped_ranges, expected.dropped_empty_nodes)
+
+
 def test_whitespace_only_lines_end_a_block():
     text = SIMPLE.rstrip("\n") + "\n \t\r\n" + SIMPLE.replace("s1", "s2") + "\u3000\n"
     blocks = list(split_blocks(io.StringIO(text)))

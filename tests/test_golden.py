@@ -4,8 +4,11 @@ Every case runs one command through ``main()`` at ``--workers 1`` and
 ``--workers 2`` and compares its output file, stderr and exit code with
 the copy in ``tests/golden``. Outputs on the demo data are stored whole;
 outputs on the generated 300-sentence corpora are stored as sha256
-digests. A change that alters any output byte fails here, so output stays
-byte-identical across refactors unless a change means to alter it.
+digests. The analyze, explain and aspects cases run twice: with the demo
+lexicon, and with ``golden/lexicon.tsv`` under the ``golden/domain.tsv``
+overlay, whose unfiltered entries the demo lexicon lacks. A change that
+alters any output byte fails here, so output stays byte-identical across
+refactors unless a change means to alter it.
 
 To rewrite the stored copies after an intended change of output::
 
@@ -33,6 +36,12 @@ ANALYZE_MODES = {
     "baseline": ("analyze", "--baseline"),
     "aspects": ("aspects",),
 }
+# the same commands with a lexicon that has unfiltered entries, under a domain overlay
+LEXICON_MODES = {
+    f"lexicon.{mode}": (*ANALYZE_MODES[mode], "--lexicon", str(GOLDEN / "lexicon.tsv"),
+                        "--domain-lexicon", str(GOLDEN / "domain.tsv"))
+    for mode in ("analyze", "explain", "aspects")
+}
 GEN = ("gen", "--sentences", "300", "--seed", "0")
 GENERATED = ("gen.conllu", *(f"gen.{scheme}.bridge" for scheme in SCHEMES))
 
@@ -42,7 +51,7 @@ def _cases():
     cases, decodes = [], []
     for data in ("demo_reviews", "demo_ud", "gen"):
         conllu = f"{data}.conllu"
-        for mode, argv in ANALYZE_MODES.items():
+        for mode, argv in {**ANALYZE_MODES, **LEXICON_MODES}.items():
             cases.append((f"{data}.{mode}", argv, conllu))
         for scheme in SCHEMES:
             cases.append((f"{data}.encode.{scheme}", ("encode", "--scheme", scheme), conllu))

@@ -233,7 +233,9 @@ def test_compiled_tables_stay_out_of_equality_and_repr():
     lex = demo_lexicon("en")
     again = PolarityLexicon(lex.layers, lex.shifters, lex.language, lex.collocations)
     assert again == lex
-    assert "_valence_of" not in repr(lex) and "_by_lemma" not in repr(lex)
+    for table in ("_valences", "_collocations_after", "_by_lemma"):
+        assert table in vars(lex) or table in vars(lex.shifters)
+        assert table not in repr(lex)
     assert pickle.loads(pickle.dumps(lex)).lookup("good", "ADJ") == 3.0
     assert lex.with_collocations({}).lookup("good", "ADJ") == 3.0
 
@@ -391,3 +393,22 @@ def test_merge_collocations():
 def test_merge_collocations_greedy_left_to_right():
     table = {("a", "b"): "a_b", ("b", "c"): "b_c"}
     assert merge_collocations(["a", "b", "c"], table) == ["a_b", "", "c"]
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("source", [
+    lambda text: io.BytesIO(BOM + text.encode("utf-8")),
+    lambda text: io.StringIO("\ufeff" + text),
+    lambda text: [BOM + line.encode("utf-8") if i == 0 else line.encode("utf-8")
+                  for i, line in enumerate(text.splitlines(keepends=True))],
+], ids=["bytes", "text", "lines"])
+def test_one_leading_byte_order_mark_is_dropped(source):
+    lex = load_lexicon(source("good\tADJ\t2.0\n\ufeffbad\tADJ\t-1.0\n"), "en")
+    assert lex.lookup("good", "ADJ") == 2.0
+    # only the mark that starts the file is one; later ones are text
+    assert lex.lookup("\ufeffbad", "ADJ") == -1.0 and lex.lookup("bad", "ADJ") is None
+    assert load_collocations(source("at all\tat_all\n")) == {("at", "all"): "at_all"}
+    twice = load_lexicon(source("\ufeffgood\tADJ\t2.0\n"), "en")
+    assert twice.lookup("\ufeffgood", "ADJ") == 2.0
