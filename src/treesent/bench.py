@@ -20,12 +20,10 @@ import random
 import warnings
 from dataclasses import dataclass
 from time import perf_counter
-from typing import (
-    TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
-)
+from typing import TYPE_CHECKING, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .conllu import numbered_lines
-from .encodings import BridgeStats, Scheme, encode, format_tagger_line, parse_tagger_output
+from .conllu import iter_raw_lines
+from .encodings import BridgeStats, Scheme, _parse_tagger_lines, encode, format_tagger_line
 from .lexicon import PolarityLexicon
 from .rules import CLASSES, RuleConfig, analyze
 from .tree import DepTree, random_projective_tree
@@ -150,36 +148,21 @@ def synthetic_corpus(
     return (format_tagger_line(tree, encode(tree, scheme)) for tree in trees)
 
 
-class _ChunkResult(NamedTuple):
-    sentences: int
-    tokens: int
-    repairs: int
-    decode_time: float
-    rules_time: float
-    classes: Dict[str, int]
-
-
-def _bench_chunk(args) -> _ChunkResult:
-    lines, lexicon, config, scheme = args
+def _bench_chunk(args) -> tuple:
+    """Sentences, tokens, repairs, decode and rules time, and the class
+    tallies of a run of ``(lineno, line)`` pairs."""
+    numbered, lexicon, config, scheme = args
     stats = BridgeStats()
     started = perf_counter()
-    trees = []
-    for _, result in parse_tagger_output(lines, scheme, on_error="abort", stats=stats):
-        trees.append(result.tree)
+    trees = [result.tree for _, result in _parse_tagger_lines(numbered, scheme, True, stats)]
     decode_time = perf_counter() - started
-    classes = {label: 0 for label in CLASSES}
+    classes = dict.fromkeys(CLASSES, 0)
     started = perf_counter()
     for tree in trees:
         classes[analyze(tree, lexicon, config, trace=False).sentence_class] += 1
     rules_time = perf_counter() - started
-    return _ChunkResult(
-        len(trees),
-        sum(len(tree) for tree in trees),
-        stats.repairs.total,
-        decode_time,
-        rules_time,
-        classes,
-    )
+    return (len(trees), sum(map(len, trees)), stats.repairs.total, decode_time, rules_time,
+            classes)
 
 
 def _peak_rss() -> Optional[int]:
@@ -206,53 +189,47 @@ def run_bench(
     config = config if config is not None else RuleConfig()
 
     started = perf_counter()
-    lines = []
-    for lineno, line in numbered_lines(source):
-        if line is None:
-            raise BenchError(f"line {lineno}: not valid UTF-8")
-        if line.strip():
-            lines.append(line)
+    # the input's own line numbers, so that an error names the file's line
+    numbered = [pair for pair in enumerate(iter_raw_lines(source), start=1) if pair[1].strip()]
     read_time = perf_counter() - started
-    if len(lines) < MIN_CORPUS:
+    if len(numbered) < MIN_CORPUS:
         warnings.warn(
-            f"benchmark corpus has {len(lines)} sentences; "
+            f"benchmark corpus has {len(numbered)} sentences; "
             f"results below {MIN_CORPUS} are noisy",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    if warmup > 0 and lines:
-        _bench_chunk((lines[: min(warmup, len(lines))], lexicon, config, scheme))
+    if warmup > 0 and numbered:
+        _bench_chunk((numbered[:warmup], lexicon, config, scheme))
 
     started = perf_counter()
+    step = max(1, -(-len(numbered) // workers))
+    # an empty corpus is one empty chunk, so that every tally below has a value
+    chunks = [(numbered[i : i + step], lexicon, config, scheme)
+              for i in range(0, len(numbered) or 1, step)]
     if workers == 1:
-        results = [_bench_chunk((lines, lexicon, config, scheme))]
+        results = list(map(_bench_chunk, chunks))
     else:
         from .cli import _map_chunks
 
-        step = max(1, -(-len(lines) // workers))
-        chunks = [(lines[i : i + step], lexicon, config, scheme)
-                  for i in range(0, len(lines), step)]
         results = list(_map_chunks(_bench_chunk, chunks, workers))
     processing_time = perf_counter() - started
 
     total_time = read_time + processing_time
-    sentences = sum(r.sentences for r in results)
-    tokens = sum(r.tokens for r in results)
-    classes = {label: 0 for label in CLASSES}
-    for result in results:
-        for label, count in result.classes.items():
-            classes[label] += count
+    sentences, tokens, repairs, decode_times, rules_times, tallies = zip(*results)
+    sentences, tokens = sum(sentences), sum(tokens)
+    classes = {label: sum(tally[label] for tally in tallies) for label in CLASSES}
     return BenchReport(
         sentences=sentences,
         tokens=tokens,
         read_time=read_time,
-        decode_time=max((r.decode_time for r in results), default=0.0),
-        rules_time=max((r.rules_time for r in results), default=0.0),
+        decode_time=max(decode_times),
+        rules_time=max(rules_times),
         total_time=total_time,
         sentences_per_sec=sentences / total_time if total_time else 0.0,
         tokens_per_sec=tokens / total_time if total_time else 0.0,
-        repairs=sum(r.repairs for r in results),
+        repairs=sum(repairs),
         workers=workers,
         classes=classes,
         peak_rss_bytes=_peak_rss(),

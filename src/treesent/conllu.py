@@ -16,7 +16,7 @@ import io
 import os
 import re
 from collections import Counter
-from itertools import chain, islice
+from itertools import chain
 
 from .tree import DataError, DepTree, TreeError, _Record
 
@@ -46,6 +46,8 @@ _BLANK_LINE = re.compile(rb"\n[ \t\r\f\v]*(?=\n)")
 _BLANK_REACH = 16
 # bytes read from a path or byte stream at a time, before a chunk is cut
 CHUNK_BYTES = 1 << 16
+# a UTF-8 byte order mark, dropped where it starts an input
+_BOM = b"\xef\xbb\xbf"
 # the reason ``parse_blocks`` skips a sentence, in the words that report it
 UNREADABLE = "unreadable sentences"
 
@@ -92,12 +94,18 @@ class ReadStats(_Record):
 
 
 def iter_raw_lines(source: Source) -> Iterator[Line]:
-    """Lines as the source holds them: bytes from paths and byte streams."""
+    """Lines as the source holds them: bytes from paths and byte streams.
+
+    One byte order mark that starts the first line is dropped.
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            yield from fh
+            yield from iter_raw_lines(fh)
         return
-    yield from source
+    lines = iter(source)
+    for first in lines:
+        yield first.removeprefix(_BOM if isinstance(first, bytes) else "\ufeff")
+        yield from lines
 
 
 def decode_line(raw: Line) -> Optional[str]:
@@ -114,12 +122,9 @@ def numbered_lines(source: Source) -> Iterator[Tuple[int, Optional[str]]]:
     """``(lineno, text)`` per line of a path, stream or line iterable.
 
     Line numbers count from 1. ``text`` is None for a line that is not
-    valid UTF-8, so that each reader can report it in its own terms. One
-    byte order mark that starts the first line is dropped.
+    valid UTF-8, so that each reader can report it in its own terms.
     """
-    texts = map(decode_line, iter_raw_lines(source))
-    first = (text and text.removeprefix("\ufeff") for text in islice(texts, 1))
-    return enumerate(chain(first, texts), start=1)
+    return enumerate(map(decode_line, iter_raw_lines(source)), start=1)
 
 
 def settings_lines(
@@ -239,11 +244,14 @@ def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
     """The blocks of one chunk from ``read_chunks``, as ``split_blocks``
     yields them from the whole input.
 
-    The chunk is decoded once and split on empty lines. A chunk that is not
-    valid UTF-8, or holds a ``\\r`` or a whitespace-only line, goes through
-    ``split_blocks`` line by line instead.
+    The chunk that starts at line 1 loses one leading byte order mark, as
+    ``iter_raw_lines`` drops it. The chunk is decoded once and split on
+    empty lines. A chunk that is not valid UTF-8, or holds a ``\\r`` or a
+    whitespace-only line, goes through ``split_blocks`` line by line instead.
     """
     ordinal, lineno, data = chunk
+    if lineno == 1:
+        data = data.removeprefix(_BOM)
     try:
         text: Optional[str] = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -263,12 +271,10 @@ def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
         lineno += piece.count("\n") + 2
 
 
-def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadStats,
-                 by_row: bool = False) -> DepTree:
+def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadStats) -> DepTree:
     metadata: dict = {}
-    rows: List[List[str]] = []
+    rows: List[List] = []
     message = None  # what is wrong with ``text``, the row that ends the loop early
-    counted = stats.dropped_ranges, stats.dropped_empty_nodes
     for text in lines:
         if isinstance(text, bytes):
             message = "not valid UTF-8"
@@ -298,27 +304,18 @@ def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadSt
             except ValueError:
                 message = f"non-numeric id {raw_id!r}"
                 break
-        if by_row:
-            try:
-                int(cols[6])
-            except ValueError:
-                message = f"non-numeric head {cols[6]!r}"
-                break
+        try:
+            cols[6] = int(cols[6])
+        except ValueError:
+            message = f"non-numeric head {cols[6]!r}"
+            break
         rows.append(cols)
     if message is not None:
-        if not by_row:  # a row before this one may have a bad head: read the rows again
-            stats.dropped_ranges, stats.dropped_empty_nodes = counted
-            return _parse_block(lines, first_line, ordinal, stats, by_row=True)
         # no row before ``text`` equals it: that row would have failed first
         raise ConlluError(message, ordinal, first_line + lines.index(text))
     sent_id = metadata.get("sent_id") or f"s{ordinal}"
     # ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC
     ids, forms, lemmas, upos, _, _, heads, deprels, _, _ = zip(*rows) if rows else ((),) * _COLUMNS
-    try:
-        heads = tuple(map(int, heads))
-    except ValueError:  # the first bad head and its line, read as the rows come
-        stats.dropped_ranges, stats.dropped_empty_nodes = counted
-        return _parse_block(lines, first_line, ordinal, stats, by_row=True)
     try:
         return DepTree._from_columns(
             tuple(map(int, ids)), forms, lemmas, upos, heads, deprels,

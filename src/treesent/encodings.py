@@ -32,9 +32,9 @@ from .tree import DataError, DepTree, TreeError, _Record, crossing_arcs
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterator, Sequence, Union
+    from typing import Iterable, Iterator, Sequence, Union
 
-    from .conllu import Source
+    from .conllu import Line, Source
 
     Payload = Union[int, tuple[str, int], str]
 
@@ -585,15 +585,17 @@ def parse_tagger_output(
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
-    return _parse_tagger_lines(source, scheme, on_error == "abort",
-                               BridgeStats() if stats is None else stats)
+    return _parse_tagger_lines(enumerate(iter_raw_lines(source), start=1), scheme,
+                               on_error == "abort", BridgeStats() if stats is None else stats)
 
 
 def _parse_tagger_lines(
-    source: Source, scheme: Scheme, abort: bool, stats: BridgeStats
+    numbered: Iterable[tuple[int, Line]], scheme: Scheme, abort: bool, stats: BridgeStats
 ) -> Iterator[tuple[LabelSeq, DecodeResult]]:
+    """``parse_tagger_output`` over ``(lineno, raw line)`` pairs, which may
+    be any run of an input's lines with the numbers they have in it."""
     known: dict[str, SyntaxLabel] | None = {}
-    for lineno, raw in enumerate(iter_raw_lines(source), start=1):
+    for lineno, raw in numbered:
         text = decode_line(raw)
         try:
             if text is None:

@@ -83,8 +83,11 @@ class ShifterInventory(_Record, frozen=True):
             clash = one & other
             if clash:
                 raise LexiconError(f"shifter classes overlap on {sorted(clash)}")
-        # classify_shifter() lowercases its query, so no other lemma could be found
+        # classify_shifter() lowercases its query, so no other lemma could be
+        # found; "" is what a collocation leaves of its second lemma
         for lemma in chain(negators, intensifiers, adversatives):
+            if not lemma:
+                raise LexiconError("empty shifter lemma")
             if lemma != lemma.lower():
                 raise LexiconError(f"shifter lemma {lemma!r} is not lowercase")
         for lemma, strength in intensifiers.items():
@@ -144,6 +147,14 @@ class PolarityLexicon(_Record, frozen=True):
                     raise LexiconError(f"term {term!r} is not lowercase")
                 if not abs(valence) <= VALENCE_LIMIT:
                     raise LexiconError(f"valence for {term!r} outside [-5, 5]: {valence}")
+        collocations = {} if collocations is None else dict(collocations)
+        for pair, merged in collocations.items():
+            # lemmas are lowered and split at whitespace before they are paired
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(_is_word(lemma) and lemma == lemma.lower() for lemma in pair)):
+                raise LexiconError(f"collocation {pair!r} is not a pair of lowercase words")
+            if not _is_word(merged):
+                raise LexiconError(f"bad merged lemma {merged!r} for {pair!r}")
         # Top layer first: a key keeps the first valence it gets, and a term
         # with an unconstrained entry in some layer takes nothing from the
         # layers below it, whatever their UPOS filters.
@@ -158,12 +169,12 @@ class PolarityLexicon(_Record, frozen=True):
             layers=layers,
             shifters=ShifterInventory() if shifters is None else shifters,
             language=language,
-            collocations={} if collocations is None else dict(collocations),
+            collocations=collocations,
             # term -> {upos-or-None: valence} after shadowing, and first lemma ->
             # {second lemma: merged}; the rule engine reads both and
             # ``shifters._by_lemma`` directly with already-lowered lemmas
             _valences=valences,
-            _collocations_after=_by_first(collocations or {}),
+            _collocations_after=_by_first(collocations),
         )
 
     def lookup(self, lemma: str, upos: Optional[str] = None) -> Optional[float]:
@@ -277,13 +288,18 @@ def load_collocations(source: Source) -> dict:
         merged = parts[1].strip().lower()
         if len(pair) != 2:
             raise LexiconError(f"left side must be exactly two tokens, got {parts[0]!r}", lineno)
-        if not merged or merged.split() != [merged]:
+        if not _is_word(merged):
             raise LexiconError(f"bad merged lemma {parts[1]!r}", lineno)
         key = (pair[0].lower(), pair[1].lower())
         if key in table:
             raise LexiconError(f"duplicate collocation {' '.join(key)!r}", lineno)
         table[key] = merged
     return table
+
+
+def _is_word(text) -> bool:
+    """Whether ``text`` is a non-empty string without whitespace."""
+    return isinstance(text, str) and text.split() == [text]
 
 
 def _by_first(table: Mapping) -> dict:

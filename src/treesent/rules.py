@@ -194,7 +194,7 @@ def _compose(
     shifter_of = lex.shifters._by_lemma
     shifter_deps: dict = {}  # head id -> its shifter dependents (id, Shifter), left to right
     pivot = None  # the leftmost adversative marker, which splits the sentence
-    for node in [node for node, lemma in enumerate(lowered, 1) if lemma and lemma in shifter_of]:
+    for node in [node for node, lemma in enumerate(lowered, 1) if lemma in shifter_of]:
         kind = shifter_of[lowered[node - 1]]
         shifter_deps.setdefault(heads[node - 1], []).append((node, kind))
         if pivot is None and kind.kind == _ADV_KIND:

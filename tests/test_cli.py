@@ -1534,3 +1534,70 @@ def test_eval_reads_json_lines_with_a_byte_order_mark(tmp_path, marked):
     assert report["sentences"] == 3
     assert report["sentence"]["accuracy"] == 1.0
     assert report["targets"]["exact"]["f1"] == 1.0
+
+
+@pytest.mark.parametrize("first", ["comment", "token"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
+def test_conllu_input_with_a_byte_order_mark_reads_as_without_one(
+    tmp_path, capsys, monkeypatch, small_chunks, first, workers, stdin
+):
+    plain = _pool_corpus(tmp_path)
+    data = plain.read_bytes()
+    if first == "token":  # the first sentence starts at its first token row
+        data = data.split(b"\n", 1)[1]
+        plain.write_bytes(data)
+    marked = tmp_path / "marked.conllu"
+    marked.write_bytes(BOM + data)
+    outputs = []
+    for path in (plain, marked):
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes())))
+            argv = ("analyze", "--workers", workers)
+        else:
+            argv = ("analyze", "-i", path, "--workers", workers)
+        assert run(*argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.count("\n") == POOL_SENTENCES
+
+
+def test_decode_drops_a_byte_order_mark_from_the_first_sent_id(tmp_path, capsys):
+    bridge = tmp_path / "demo.bridge"
+    assert run("encode", "-i", demo_treebank_path(), "-o", bridge) == 0
+    marked = tmp_path / "marked.bridge"
+    marked.write_bytes(BOM + bridge.read_bytes())
+    outputs = []
+    for path in (bridge, marked):
+        assert run("decode", "-i", path) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[1].startswith("# sent_id = s1\n")
+
+
+# ------------------------------------------------------- bench's line numbers
+
+
+def _bench_corpus(tmp_path, bad_line, bad):
+    """60 generated bridge lines with two blank lines after the 20th; line
+    ``bad_line`` of the file is replaced by ``bad``."""
+    corpus = tmp_path / "corpus.bridge"
+    assert run("gen", "--sentences", 60, "--length", 6, "-o", corpus) == 0
+    lines = corpus.read_bytes().splitlines(keepends=True)
+    lines[20:20] = [b"\n", b" \t\n"]
+    lines[bad_line - 1] = bad
+    corpus.write_bytes(b"".join(lines))
+    return corpus
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad, message", [
+    (b"a\tno/fields\n", "bad token field 'no/fields'"),
+    (b"a\tok/X/0:root\xff\n", "not valid UTF-8"),
+], ids=["field", "bytes"])
+def test_bench_names_the_line_of_the_file(tmp_path, capsys, workers, bad, message):
+    corpus = _bench_corpus(tmp_path, 51, bad)
+    with pytest.warns(RuntimeWarning):
+        code = run("bench", "-i", corpus, "--workers", workers, "--warmup", 0)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: line 51: {message}\n"

@@ -367,8 +367,10 @@ def damaged(data, edits):
 
 
 _corpora = [demo_treebank_path().read_bytes(), demo_ud_path().read_bytes()]
+# a UTF-8 byte order mark: dropped where it starts the input, text anywhere else
+BOM = b"\xef\xbb\xbf"
 _pieces = st.sampled_from([
-    b"\n", b"\r\n", b"\n\n", b"\n\r\n", b" ", b"\t", b"\r", b"# c = 1", b"\xff",
+    b"\n", b"\r\n", b"\n\n", b"\n\r\n", b" ", b"\t", b"\r", b"# c = 1", b"\xff", BOM,
     "\u3000".encode("utf-8"), b"1\ta\ta\tX\t_\t_\t0\troot\t_\t_", RANGE_ROW, EMPTY_NODE_ROW,
     b"2\tb\tb\tY\t_\t_\t1\tdep\t_\t_",
 ])
@@ -463,6 +465,39 @@ def test_a_sentence_longer_than_the_chunk_target_is_one_chunk():
     chunks = chunks_of(io.BytesIO(data), 64)
     assert [(ordinal, line) for ordinal, line, _ in chunks] == [(1, 1), (2, 6), (3, 2007)]
     assert [len(t) for t in read_conllu(io.BytesIO(data), on_error="abort")] == [3, 2000, 3]
+
+
+@pytest.mark.parametrize("source", [
+    io.BytesIO,
+    lambda data: io.StringIO(data.decode("utf-8")),
+    lambda data: data.splitlines(keepends=True),
+    lambda data: data.decode("utf-8").splitlines(keepends=True),
+], ids=["bytes", "text", "byte lines", "text lines"])
+def test_one_byte_order_mark_that_starts_the_input_is_dropped(source):
+    data = (SIMPLE + SIMPLE.replace("s1", "s2")).encode("utf-8")
+    lines = list(iter_raw_lines(source(data)))
+    assert list(iter_raw_lines(source(BOM + data))) == lines
+    twice = list(iter_raw_lines(source(BOM + BOM + data)))
+    assert twice == [(BOM if isinstance(lines[0], bytes) else "\ufeff") + lines[0], *lines[1:]]
+
+
+def test_a_path_that_starts_with_a_byte_order_mark_reads_as_without_one(tmp_path):
+    path = tmp_path / "marked.conllu"
+    path.write_bytes(BOM + SIMPLE.encode("utf-8"))
+    assert next(iter_raw_lines(path)) == b"# sent_id = s1\n"
+    assert [tree.sentence_id for tree in read_conllu(path, on_error="abort")] == ["s1"]
+
+
+def test_the_chunk_reader_drops_a_byte_order_mark_only_where_the_input_starts():
+    data = (SIMPLE + SIMPLE.replace("s1", "s2")).encode("utf-8")
+    chunks = chunks_of(io.BytesIO(BOM + data), 8)
+    assert [line for _, line, _ in chunks] == [1, 6]
+    blocks = chain.from_iterable(map(chunk_blocks, chunks))
+    assert [t.sentence_id for t in parse_blocks(blocks, "abort")] == ["s1", "s2"]
+    # at the start of a later chunk it is text, so s2's first line is no comment
+    later = chunks_of(io.BytesIO(data.replace(b"# sent_id = s2", BOM + b"# sent_id = s2")), 8)
+    with pytest.raises(ConlluError, match=r"^sentence 2 \(line 6\): expected 10 columns, got 1$"):
+        list(parse_blocks(chain.from_iterable(map(chunk_blocks, later)), "abort"))
 
 
 def test_paths_and_raw_byte_streams_are_read_in_chunks(tmp_path):

@@ -306,6 +306,25 @@ def test_direct_construction_rejects_terms_no_lookup_can_reach():
     assert lex_from("Good\tADJ\t2.0\nNOT\t\tNEG").lookup("GOOD", "ADJ") == 2.0
 
 
+def test_direct_construction_rejects_shifters_and_collocations_no_lookup_can_use():
+    # "" is what a merged collocation leaves of its second lemma
+    for shifters in ({"negators": {""}}, {"intensifiers": {"": 0.5}}, {"adversatives": {""}}):
+        with pytest.raises(LexiconError, match="^empty shifter lemma$"):
+            ShifterInventory(**shifters)
+    # a lemma is lowered and split at whitespace before it is paired
+    for pair in (("at",), ("at", "all", "x"), ("at", ""), ("At", "all"), ("at", "ALL"),
+                 ("at all", "x"), ("at", "a\tb"), ("at", " all"), "at all", ("at", 1)):
+        with pytest.raises(LexiconError, match="is not a pair of lowercase words$"):
+            PolarityLexicon(collocations={pair: "at_all"})
+    for merged in ("", "at all", " at_all", "at_all\n", None):
+        with pytest.raises(LexiconError, match="^bad merged lemma"):
+            PolarityLexicon(collocations={("at", "all"): merged})
+    lex = PolarityLexicon(collocations={("at", "all"): "At_All"})
+    assert merge_collocations(["AT", "all"], lex.collocations) == ["At_All", ""]
+    with pytest.raises(LexiconError, match="^bad merged lemma"):
+        lex.with_collocations({("at", "all"): "at all"})
+
+
 def test_demo_english_core_values():
     lex = demo_lexicon("en")
     assert lex.language == "en"

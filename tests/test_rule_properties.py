@@ -4,14 +4,18 @@ in-bound rule configs, not only the demo ones.
 Each lexicon has a term with both a UPOS-filtered and an unfiltered entry,
 all three shifter kinds, collocations that merge into a lexicon term or a
 shifter, and a domain overlay drawn over the same words, which shadows
-entries and reclassifies shifters.
+entries and reclassifies shifters. ``analyze --explain`` writes the same
+bytes for such a lexicon on one worker as on two.
 """
 
 import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treesent import cli, conllu
+from treesent.conllu import write_conllu
 from treesent.lexicon import PolarityLexicon, ShifterInventory, merge_collocations
 from treesent.rules import LEXICON, RuleConfig, SentimentResult, analyze, replay_trace, score_tree
 from treesent.tree import DepTree
@@ -128,6 +132,29 @@ def test_lexicon_steps_are_the_tokens_with_a_nonzero_lookup(tree, lex, cfg):
             expected.append((node, 0.0, value, lemma))
     steps = [(s.token_id, s.before, s.after, s.note) for s in trace if s.rule == LEXICON]
     assert sorted(steps) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(trees(), min_size=2, max_size=10), lexicons(), rule_configs,
+       st.integers(64, 1024))
+def test_explain_output_is_the_same_on_one_and_two_workers(
+    tmp_path_factory, sentences, lex, cfg, chunk_bytes
+):
+    # the sentences have no sent_id, so each record's id is its ordinal in the input
+    corpus = tmp_path_factory.mktemp("workers") / "corpus.conllu"
+    write_conllu(sentences, corpus)
+    outputs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conllu, "CHUNK_BYTES", chunk_bytes)
+        patch.setattr(cli.PipelineConfig, "load_lexicon", lambda self: lex)
+        patch.setattr(cli.PipelineConfig, "load_rules", lambda self: cfg)
+        for workers in (1, 2):
+            out = corpus.with_name(f"{workers}.jsonl")
+            argv = ["analyze", "--explain", "-i", corpus, "-o", out, "--workers", workers]
+            assert cli.main([str(arg) for arg in argv]) == 0
+            outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == len(sentences)
 
 
 def _pairwise_merge(lemmas, table):
