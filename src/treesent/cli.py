@@ -16,12 +16,15 @@ its former name, is still read when the new one is unset, for one more
 release). Exit codes: 0 on success, 1 for data errors under the abort
 policy, 2 for config and usage errors, 130 when interrupted (Ctrl-C).
 
-analyze, aspects and encode stream their input in byte chunks of whole
-sentences, cut at blank lines. With --workers N and input of more than one
-chunk, the command forks N workers, each fed chunks down a pipe, and writes
-their records in input order, byte-identical to one worker. Without
-os.fork, and for a text stream on stdin, the command runs in one process.
-decode runs in one whatever --workers says.
+analyze, aspects, encode and decode stream their input in byte chunks of
+whole records, cut at blank lines (at any newline for decode's bridge
+lines). The first read is of 4 KiB and each later one twice the last, up
+to 64 KiB, so the first records come soon. A chunk's records are written
+and flushed when the chunk is done. With --workers N and input of more
+than 64 KiB, the command forks N workers, each fed chunks down a pipe, and
+writes their records in input order, byte-identical to one worker; this
+process only cuts the input, counts the lines and sentences that number
+each chunk, and writes. Without os.fork the command runs in one process.
 
 The command line is read from one table of commands and flags
 (``_COMMANDS``), without argparse. In a fresh ``python -S`` (CPython 3.11,
@@ -32,26 +35,28 @@ argparse they took 47 ms, against 13 ms for an empty interpreter.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import sys
 from collections import deque
 from contextlib import closing, contextmanager
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from types import SimpleNamespace
 
-from . import __version__
+from . import __version__, conllu
 from .conllu import (
     UNREADABLE,
     ReadStats,
     _Skip,
     chunk_blocks,
+    chunk_lines,
     format_sentence,
-    iter_blocks,
     parse_blocks,
     read_chunks,
     read_conllu,
+    read_line_chunks,
     settings_lines,
 )
 from .encodings import (
@@ -59,9 +64,9 @@ from .encodings import (
     NonProjectiveError,
     Scheme,
     UnreadableFieldError,
+    _parse_tagger_lines,
     encode,
     format_tagger_line,
-    parse_tagger_output,
 )
 from .tree import DataError, DepTree, _Record
 
@@ -75,11 +80,13 @@ if TYPE_CHECKING:
         Tuple,
     )
 
-    from .conllu import Chunk, Source
+    from .conllu import Chunk, LineChunk, Source
     from .lexicon import PolarityLexicon
     from .rules import RuleConfig
+    from .tree import _Tally
 
-    # a run's work on a run of blocks: ``partial(parse_blocks, on_error=..., line=...)``
+    # a run's work on the blocks or numbered lines of a chunk, given as
+    # ``job(blocks, stats=...)``: ``partial(parse_blocks, on_error=..., line=...)``
     Job = Callable[..., Iterator[str]]
 
 LEXICON_DIR_ENV = "TREESENT_LEXICON_DIR"
@@ -230,8 +237,13 @@ def _open_output(cfg: PipelineConfig) -> Iterator[IO[str]]:
 
 def _input_source(cfg: PipelineConfig):
     if cfg.input is None:
-        # bytes, so that a line that is not UTF-8 fails as data, with its line number
-        return getattr(sys.stdin, "buffer", sys.stdin)
+        # bytes, so that a line that is not UTF-8 fails as data, with its line
+        # number; a stdin that is only a text stream is read whole and encoded
+        # back, so that text decoded from bytes that were not UTF-8 stays so
+        stdin = getattr(sys.stdin, "buffer", None)
+        if stdin is None:
+            stdin = io.BytesIO(sys.stdin.read().encode("utf-8", "surrogatepass"))
+        return stdin
     if not os.path.isfile(cfg.input):
         raise ConfigError(f"input file not found: {cfg.input}")
     return cfg.input
@@ -480,48 +492,59 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
                 os.waitpid(w.pid, 0)
 
 
-def _run_chunk(job: Job, chunk: Chunk) -> Tuple[List[str], ReadStats, Optional[Exception]]:
-    """Pool task: the chunk's output lines, its read tallies, and the exception
-    that ended it, if one did.
+def _run_chunk(
+    job: Job, split: Callable, tally: type, chunk
+) -> Tuple[str, _Tally, Optional[Exception]]:
+    """Pool task: the output lines of ``job`` over ``split(chunk)`` as one
+    text, the chunk's tallies, and the exception that ended it, if one did.
 
-    Lines before a bad sentence, or before a fault of the program, are
+    Lines before a bad record, or before a fault of the program, are
     returned with its exception, so the parent writes exactly what a single
     process would before it stops.
     """
-    stats, lines = ReadStats(), []
+    stats, lines = tally(), []
     try:
-        for line in job(chunk_blocks(chunk), stats=stats):
+        for line in job(split(chunk), stats=stats):
             lines.append(line)
     except Exception as exc:
-        return lines, stats, exc
-    return lines, stats, None
+        return "".join(lines), stats, exc
+    return "".join(lines), stats, None
 
 
-def _write_records(job: Job, source: Source, workers: int, stats: ReadStats, out: IO[str]) -> None:
-    """Run ``job`` over the sentences of ``source`` and write its lines to
-    ``out`` as they are finished.
+def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: IO[str],
+                   lines: bool = False) -> None:
+    """Run ``job`` over the records of byte ``source`` a chunk at a time, and
+    write and flush each chunk's lines to ``out`` as the chunk is done.
 
-    With one worker, input of at most one chunk, or a text source,
-    everything runs in this process. Otherwise this process only cuts the
-    input into byte chunks and writes; the chunks go to the pool and
-    finished lines come back.
+    ``source`` is CoNLL-U, its chunks split into blocks, or with ``lines``
+    bridge lines, its chunks split into numbered lines; ``stats`` sums the
+    tallies of each chunk, which ``job`` fills in a new ``type(stats)``.
+    With one worker, or input of at most ``CHUNK_BYTES``, everything runs in
+    this process. Otherwise this process only cuts and numbers the chunks
+    and writes; the chunks go to the pool and finished lines come back.
     """
-    chunks = read_chunks(source) if workers > 1 else None
-    if chunks is None:
-        blocks = iter_blocks(source)
+    chunks = (read_line_chunks if lines else read_chunks)(source)
+    run = partial(_run_chunk, job, chunk_lines if lines else chunk_blocks, type(stats))
+    head: List[Chunk | LineChunk] = []
+    size = 0
+    if workers > 1:
+        for chunk in chunks:
+            head.append(chunk)
+            size += len(chunk[-1])
+            if size > conllu.CHUNK_BYTES:
+                break
+    chunks = chain(head, chunks)
+    if size > conllu.CHUNK_BYTES:
+        results = _map_chunks(run, chunks, workers)
     else:
-        head = list(islice(chunks, 2))
-        if len(head) == 2:
-            results = _map_chunks(partial(_run_chunk, job), chain(head, chunks), workers)
-            with closing(results):
-                for lines, counts, error in results:
-                    out.writelines(lines)
-                    stats.add(counts)
-                    if error is not None:
-                        raise error
-            return
-        blocks = chain.from_iterable(map(chunk_blocks, head))
-    out.writelines(job(blocks, stats=stats))
+        results = (run(chunk) for chunk in chunks)
+    with closing(results):
+        for text, counts, error in results:
+            out.write(text)
+            out.flush()
+            stats.add(counts)
+            if error is not None:
+                raise error
 
 
 def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
@@ -570,13 +593,19 @@ def _with_sent_id_comment(tree: DepTree) -> DepTree:
     )
 
 
+def _decoded(scheme: Scheme, abort: bool, numbered: Iterable, stats: BridgeStats
+             ) -> Iterator[str]:
+    """The CoNLL-U block of each record of ``(lineno, bridge line)`` pairs."""
+    for _, result in _parse_tagger_lines(numbered, scheme, abort, stats):
+        yield format_sentence(_with_sent_id_comment(result.tree)) + "\n\n"
+
+
 def cmd_decode(cfg: PipelineConfig) -> int:
     stats = BridgeStats()
     source = _input_source(cfg)  # before the output is opened, which empties it
     with _open_output(cfg) as out:
-        for _, result in parse_tagger_output(source, cfg.scheme, on_error=cfg.on_error,
-                                             stats=stats):
-            out.write(format_sentence(_with_sent_id_comment(result.tree)) + "\n\n")
+        job = partial(_decoded, cfg.scheme, cfg.on_error == "abort")
+        _write_records(job, source, cfg.workers, stats, out, lines=True)
     repairs = stats.repairs
     print(
         f"decoded {stats.records} sentences, repairs total={repairs.total} "
@@ -698,6 +727,7 @@ def _bench_errors() -> Iterator[None]:
 
 def cmd_bench(cfg: PipelineConfig, args: SimpleNamespace) -> int:
     import json
+    import warnings
 
     from .bench import run_bench, synthetic_corpus
 
@@ -712,14 +742,22 @@ def cmd_bench(cfg: PipelineConfig, args: SimpleNamespace) -> int:
                     args.sentences, args.length, lexicon, seed=cfg.seed, scheme=cfg.scheme
                 )
             )
-        report = run_bench(
-            source,
-            lexicon,
-            rules_cfg,
-            scheme=cfg.scheme,
-            workers=cfg.workers,
-            warmup=args.warmup,
-        )
+        # run_bench warns a library caller of a small corpus; a user of the
+        # command gets one plain line on stderr, also when the run then fails
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            try:
+                report = run_bench(
+                    source,
+                    lexicon,
+                    rules_cfg,
+                    scheme=cfg.scheme,
+                    workers=cfg.workers,
+                    warmup=args.warmup,
+                )
+            finally:
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
     with _open_output(cfg) as out:
         out.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
     return 0

@@ -5,9 +5,12 @@ HEAD, DEPREL, plus ``#`` comment metadata. The remaining columns are
 written back as underscores. Multiword token ranges (``1-2``) and empty
 nodes (``1.1``) are dropped silently, with a tally kept in ``ReadStats``.
 
-Paths and byte streams are read a chunk of about ``CHUNK_BYTES`` at a time,
-cut just past a blank line, so that a chunk holds whole sentences and can be
-split and parsed on its own, in this process or in a pool worker.
+Paths and byte streams are read in chunks cut just past a blank line, so
+that a chunk holds whole sentences and can be split and parsed on its own,
+in this process or in a pool worker. The first read is of 4 KiB, so that
+the first sentences are soon done; each later read is twice the last, up
+to ``CHUNK_BYTES``. Bridge lines, one record per line, are read the same
+way and cut at any newline.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import re
 from collections import Counter
 from itertools import chain
 
-from .tree import DataError, DepTree, TreeError, _Record
+from .tree import DataError, DepTree, TreeError, _Tally
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -31,6 +34,8 @@ if TYPE_CHECKING:
     # whole lines of a byte input as ``read_chunks`` yields them:
     # (ordinal of its first sentence, number of its first line, bytes)
     Chunk = Tuple[int, int, bytes]
+    # whole lines as ``read_line_chunks`` yields them: (number of the first, bytes)
+    LineChunk = Tuple[int, bytes]
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_ID = re.compile(r"^\d+\.\d+$")
@@ -38,14 +43,21 @@ _COLUMNS = 10
 # a line of whitespace, which ends a block like an empty line, once the text
 # searched starts and ends with a newline
 _SPACE_LINE = re.compile(r"\n[^\S\n]+\n")
-# a newline and the empty or ASCII whitespace line after it, up to that line's
-# own newline: a chunk can be cut just past it
-_BLANK_LINE = re.compile(rb"\n[ \t\r\f\v]*(?=\n)")
+# where a chunk of CoNLL-U may end, matched from where the search starts:
+# just past the last empty or ASCII whitespace line, at its own newline
+_BLOCK_CUT = re.compile(rb"(?s).*(?<=\n)[ \t\r\f\v]*\n")
+# where a chunk of bridge lines may end: just past the last newline
+_LINE_CUT = re.compile(rb"(?s).*\n")
 # how many bytes before each read are searched too, for a blank line that
 # straddles two reads; a longer one is not cut at, so its chunk runs on
 _BLANK_REACH = 16
-# bytes read from a path or byte stream at a time, before a chunk is cut
+# the most bytes read from a path or byte stream at a time, before a chunk is cut
 CHUNK_BYTES = 1 << 16
+# the first read, when CHUNK_BYTES is larger; each later one is twice the last
+FIRST_CHUNK_BYTES = 1 << 12
+# a line that may be whitespace as ``str.isspace`` sees it, after the newline
+# before it: each byte could be part of a whitespace character
+_MAYBE_SPACE_LINE = re.compile(rb"\n([\t\x0b-\r\x1c- \x80-\xff]*)(?=\n)")
 # a UTF-8 byte order mark, dropped where it starts an input
 _BOM = b"\xef\xbb\xbf"
 # the reason ``parse_blocks`` skips a sentence, in the words that report it
@@ -69,7 +81,7 @@ class _Skip(Exception):
     """``(message, reason)``: a valid tree has no result; ``reason`` is its tally."""
 
 
-class ReadStats(_Record):
+class ReadStats(_Tally):
     """Tallies filled in by ``read_conllu``, or a command's run, as it goes."""
 
     _fields = ("sentences", "skipped", "dropped_ranges", "dropped_empty_nodes", "skipped_by")
@@ -86,11 +98,6 @@ class ReadStats(_Record):
     def skip(self, reason: str) -> None:
         self.skipped += 1
         self.skipped_by[reason] += 1
-
-    def add(self, other: "ReadStats") -> None:
-        """Fold in the tallies of another read, such as one chunk's."""
-        for name in self._fields:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 def iter_raw_lines(source: Source) -> Iterator[Line]:
@@ -184,60 +191,117 @@ def _in_bytes(source: Source) -> bool:
     return isinstance(source, (str, os.PathLike, io.BufferedIOBase, io.RawIOBase))
 
 
-def _cuts(source: Source) -> Iterator[bytes]:
-    """A path or byte stream in runs of whole lines, each cut just past its
-    last blank line (empty, or of ASCII whitespace) once about
-    ``CHUNK_BYTES`` more bytes were read."""
+def _cuts(source: Source, cut: re.Pattern) -> Iterator[bytes]:
+    """A path or byte stream in runs of whole lines, each cut where ``cut``
+    last matches in what was read, once ``FIRST_CHUNK_BYTES`` (at most
+    ``CHUNK_BYTES``) were read, then twice that, up to ``CHUNK_BYTES``."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            yield from _cuts(fh)
+            yield from _cuts(fh, cut)
         return
     read = getattr(source, "read1", source.read)  # what a pipe holds, not a full size
     pending = bytearray()
+    size = min(FIRST_CHUNK_BYTES, CHUNK_BYTES)
     while True:
-        data = read(CHUNK_BYTES)
+        data = read(size)
         if not data:
             break
+        size = min(2 * size, CHUNK_BYTES)
         start = max(len(pending) - _BLANK_REACH, 0)
         pending += data
-        cut = 0
-        for match in _BLANK_LINE.finditer(pending, start):
-            cut = match.end() + 1
-        if cut:
-            yield bytes(pending[:cut])
-            del pending[:cut]
+        found = cut.match(pending, start)
+        if found:
+            yield bytes(pending[:found.end()])
+            del pending[:found.end()]
     if pending:
         yield bytes(pending)
 
 
 def read_chunks(source: Source) -> Optional[Iterator[Chunk]]:
     """The input as ``(first_ordinal, first_line, bytes)`` chunks of whole
-    sentences, about ``CHUNK_BYTES`` bytes each, for a path or a byte
-    stream; None for a text stream or a line iterable.
+    sentences, for a path or a byte stream; None for a text stream or a
+    line iterable.
 
     Each chunk carries the ordinal and line number that its first sentence
     and line have in the whole input, which ``chunk_blocks`` continues
-    from, so a chunk can be split and parsed on its own.
+    from, so a chunk can be split and parsed on its own. They are counted
+    here, not parsed: lines by their newlines, sentences by ``count_blocks``.
     """
-    return (chunk for chunk, _ in _split_chunks(source)) if _in_bytes(source) else None
+    if not _in_bytes(source):
+        return None
+    return _numbered(_cuts(source, _BLOCK_CUT))
+
+
+def _numbered(cuts: Iterable[bytes]) -> Iterator[Chunk]:
+    ordinal = lineno = 1
+    for data in cuts:
+        yield ordinal, lineno, data
+        ordinal += count_blocks(data.removeprefix(_BOM) if lineno == 1 else data)
+        lineno += data.count(b"\n")
+
+
+def count_blocks(data: bytes) -> int:
+    """How many blocks ``split_blocks`` finds in the lines of ``data``.
+
+    Each run of lines between blank ones is a block. A line is blank when
+    it is empty or whitespace as ``str.isspace`` sees it, ``\\r`` included;
+    a line that is not valid UTF-8 is not. Only lines of bytes that could
+    all be whitespace are decoded to tell.
+    """
+    count = after = 0  # ``after``: where the line after the last blank one starts
+    for match in _MAYBE_SPACE_LINE.finditer(b"\n" + data + b"\n"):
+        line = match.group(1)
+        if line:
+            text = decode_line(line)
+            if text is None or not text.isspace():
+                continue
+        count += match.start() > after
+        after = match.end()
+    return count + (after < len(data))
+
+
+def read_line_chunks(source: Source) -> Optional[Iterator[LineChunk]]:
+    """The input as ``(first_line, bytes)`` chunks of whole lines, for a
+    path or a byte stream; None for a text stream or a line iterable.
+    ``chunk_lines`` numbers a chunk's lines from its first line's number in
+    the whole input."""
+    if not _in_bytes(source):
+        return None
+    return _line_numbered(_cuts(source, _LINE_CUT))
+
+
+def _line_numbered(cuts: Iterable[bytes]) -> Iterator[LineChunk]:
+    lineno = 1
+    for data in cuts:
+        yield lineno, data
+        lineno += data.count(b"\n")
+
+
+def chunk_lines(chunk: LineChunk) -> Iterator[Tuple[int, Line]]:
+    """``(lineno, line)`` per line of one chunk from ``read_line_chunks``,
+    as ``numbered_lines`` numbers them in the whole input, without their
+    newlines.
+
+    The chunk that starts at line 1 loses one leading byte order mark. A
+    chunk that is valid UTF-8 gives its lines as text, decoded at once;
+    any other gives them as bytes.
+    """
+    lineno, data = chunk
+    if lineno == 1:
+        data = data.removeprefix(_BOM)
+    try:
+        lines: List[Line] = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        lines = data.split(b"\n")
+    return enumerate(lines, start=lineno)
 
 
 def iter_blocks(source: Source) -> Iterator[Block]:
     """``split_blocks`` of any source, a chunk at a time from a path or byte stream."""
-    if not _in_bytes(source):
+    chunks = read_chunks(source)
+    if chunks is None:
         return split_blocks(iter_raw_lines(source))
-    return chain.from_iterable(blocks for _, blocks in _split_chunks(source))
-
-
-def _split_chunks(source: Source) -> Iterator[Tuple[Chunk, List[Block]]]:
-    """Each chunk with its blocks, whose count numbers the next chunk."""
-    ordinal = lineno = 1
-    for data in _cuts(source):
-        chunk = (ordinal, lineno, data)
-        blocks = list(chunk_blocks(chunk))
-        yield chunk, blocks
-        ordinal += len(blocks)
-        lineno += data.count(b"\n")
+    return chain.from_iterable(map(chunk_blocks, chunks))
 
 
 def chunk_blocks(chunk: Chunk) -> Iterator[Block]:

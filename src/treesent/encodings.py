@@ -28,7 +28,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from .conllu import decode_line, iter_raw_lines
-from .tree import DataError, DepTree, TreeError, _Record, crossing_arcs
+from .tree import DataError, DepTree, TreeError, _Record, _Tally, crossing_arcs
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -385,7 +385,7 @@ class BridgeError(DataError):
         return type(self), (self.message, self.line)
 
 
-class BridgeStats(_Record):
+class BridgeStats(_Tally):
     """Tallies filled in by ``parse_tagger_output`` as it goes."""
 
     _fields = ("records", "skipped", "repairs")
@@ -563,9 +563,10 @@ def _check_read_back(tree: DepTree, seq: LabelSeq, fields: list[str]) -> None:
 
 # A tagger picks each label from the closed set it was trained on, so its
 # output repeats label texts however varied its words are: each distinct
-# label text is parsed once per parse_tagger_output call. A stream that
-# brings this many distinct labels is not repeating them, and the rest of
-# it is parsed without the memo.
+# label text is parsed once per parse_tagger_output call; the decode
+# command reads its input a chunk at a time and keeps one memo per chunk. A
+# stream that brings this many distinct labels is not repeating them, and
+# the rest of it is parsed without the memo.
 _LABEL_MEMO_LIMIT = 4096
 
 
@@ -581,7 +582,9 @@ def parse_tagger_output(
     are skipped (tallied in ``stats.skipped``) or abort, depending on
     ``on_error``; any other value raises ``ValueError`` here, not when the
     first record is drawn. Blank lines are ignored. A label text that
-    repeats an earlier one in the same call is looked up, not parsed again.
+    repeats an earlier one in the same call is looked up, not parsed again;
+    the decode command runs this loop once per chunk of its input, so there
+    the memo is kept per chunk.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")

@@ -63,6 +63,15 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class _Tally(_Record):
+    """A record of counts that a run fills in as it goes."""
+
+    def add(self, other: "_Tally") -> None:
+        """Fold in the counts of another run of the same kind, such as one chunk's."""
+        for name in self._fields:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
 class Token(namedtuple("Token", "id form lemma upos head deprel")):
     """One syntactic word. ``head`` is 0 for the root, else a 1-based token id."""
 

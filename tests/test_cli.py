@@ -345,6 +345,59 @@ def test_an_exception_in_a_worker_is_raised_with_its_type(tmp_path, small_chunks
     _no_child_left()
 
 
+def test_an_input_of_at_most_one_full_chunk_forks_no_worker(tmp_path, capsys, monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(conllu, "CHUNK_BYTES", 4 * conllu.FIRST_CHUNK_BYTES)
+    data = _pool_corpus(tmp_path).read_bytes()
+    small = tmp_path / "small.conllu"
+    small.write_bytes(data[:data.rindex(b"\n\n", 0, conllu.CHUNK_BYTES) + 2])
+    assert len(next(conllu.read_chunks(small))[2]) < small.stat().st_size  # chunks, not one
+    for path, forked in ((small, []), (tmp_path / "pool.conllu", [os.getpid()] * 2)):
+        forks.clear()
+        single, pooled = (_run_output(capsys, "analyze", "-i", path, "--workers", workers)
+                          for workers in (1, 2))
+        assert forks == forked
+        assert pooled == single
+    _no_child_left()
+
+
+def _run_output(capsys, *argv):
+    return run(*argv), *capsys.readouterr()
+
+
+class _Calls:
+    """An output stream that keeps each call made of it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(("write", text))
+
+    def flush(self):
+        self.calls.append(("flush",))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_chunk_is_written_and_flushed_before_the_next(tmp_path, small_chunks, workers):
+    corpus = _pool_corpus(tmp_path)
+    job = partial(conllu.parse_blocks, on_error="abort", line=lambda tree: tree.sentence_id + "\n")
+    out = _Calls()
+    cli._write_records(job, corpus, workers, ReadStats(), out)
+    chunks = list(conllu.read_chunks(corpus))
+    assert out.calls[1::2] == [("flush",)] * len(chunks)
+    written = [call[1] for call in out.calls[::2]]
+    assert [text.count("\n") for text in written] == [
+        sum(1 for _ in conllu.chunk_blocks(chunk)) for chunk in chunks]
+    assert "".join(written).splitlines() == [f"syn-{i}" for i in range(POOL_SENTENCES)]
+
+
 def test_a_worker_that_dies_ends_the_command_with_one_error_line(
     tmp_path, capsys, monkeypatch, small_chunks
 ):
@@ -871,11 +924,16 @@ def test_gen_conllu_parses_cleanly(tmp_path):
     assert all(len(t) == 5 for t in trees)
 
 
-def test_bench_cli_reports_structure(tmp_path):
+def _small_corpus_warning(sentences):
+    return (f"warning: benchmark corpus has {sentences} sentences; "
+            "results below 1000 are noisy\n")
+
+
+def test_bench_cli_reports_structure(tmp_path, capsys):
     out = tmp_path / "report.json"
-    with pytest.warns(RuntimeWarning):
-        code = run("bench", "--sentences", 60, "--length", 6, "--warmup", 5, "-o", out)
+    code = run("bench", "--sentences", 60, "--length", 6, "--warmup", 5, "-o", out)
     assert code == 0
+    assert capsys.readouterr().err == _small_corpus_warning(60)
     report = json.loads(out.read_text())
     assert report["sentences"] == 60
     assert report["repairs"] == 0
@@ -921,12 +979,12 @@ def test_gen_leaves_an_existing_output_file_alone_when_its_parameters_are_bad(
     assert keep.read_bytes() == b"earlier corpus\n\xff\n"
 
 
-def test_bench_cli_accepts_file_corpus(tmp_path):
+def test_bench_cli_accepts_file_corpus(tmp_path, capsys):
     corpus = tmp_path / "corpus.bridge"
     run("gen", "--sentences", 30, "--length", 6, "-o", corpus)
     out = tmp_path / "report.json"
-    with pytest.warns(RuntimeWarning):
-        assert run("bench", "-i", corpus, "-o", out) == 0
+    assert run("bench", "-i", corpus, "-o", out) == 0
+    assert capsys.readouterr().err == _small_corpus_warning(30)
     assert json.loads(out.read_text())["sentences"] == 30
 
 
@@ -1575,6 +1633,124 @@ def test_decode_drops_a_byte_order_mark_from_the_first_sent_id(tmp_path, capsys)
     assert outputs[1].startswith("# sent_id = s1\n")
 
 
+# ---------------------------------------------------------- decode in the pool
+
+
+def _bridge_corpus(tmp_path, edit=lambda lines: None):
+    """POOL_SENTENCES generated bridge lines, about 56 KB, changed by ``edit``
+    of their list of lines; the small_chunks fixture cuts them into 15 chunks."""
+    path = tmp_path / "pool.bridge"
+    assert run("gen", "--sentences", POOL_SENTENCES, "--length", 6, "--seed", 9, "-o", path) == 0
+    lines = path.read_bytes().splitlines(keepends=True)
+    edit(lines)
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+def _damaged_lines(lines):
+    lines[40] = b"bad\tno/fields\n"
+    lines[41] = lines[41].replace(b"/+1:", b"/+99:", 1)  # a head out of range, repaired
+    lines[300] = lines[300].replace(b"/", b"/\t/", 1)
+
+
+def _blank_lines(lines):
+    lines[10:10] = [b"\n", b" \t\n"]
+    lines[200:200] = [b"\r\n", "\u3000\n".encode("utf-8")]
+    lines.append(b"\n")
+
+
+def _crlf_lines(lines):
+    lines[:] = [line.replace(b"\n", b"\r\n") for line in lines]
+
+
+def _not_utf8_line(lines):
+    lines[123] = lines[123].replace(b"/", b"\xff/", 1)
+
+
+BRIDGE_INPUTS = {
+    "clean": lambda lines: None,
+    "damaged": _damaged_lines,
+    "crlf": _crlf_lines,
+    "bom": lambda lines: lines.__setitem__(0, BOM + lines[0]),
+    "blank lines": _blank_lines,
+    "not utf-8": _not_utf8_line,
+}
+# the lines of each input that cannot be read
+BAD_BRIDGE_LINES = {"damaged": 2, "not utf-8": 1}
+
+
+@pytest.mark.parametrize("on_error", ["skip", "abort"])
+@pytest.mark.parametrize("kind", BRIDGE_INPUTS)
+def test_decode_writes_the_same_bytes_on_any_worker_count(
+    tmp_path, capsys, small_chunks, kind, on_error
+):
+    corpus = _bridge_corpus(tmp_path, BRIDGE_INPUTS[kind])
+    assert len(list(conllu.read_line_chunks(corpus))) > 2 * 3
+    single, *pooled = _per_worker_count(capsys, "decode", "-i", corpus, "--on-error", on_error)
+    bad = BAD_BRIDGE_LINES.get(kind, 0)
+    assert single[0] == (1 if on_error == "abort" and bad else 0)
+    if single[0] == 0:
+        assert single[1].count("\n\n") == POOL_SENTENCES - bad
+    assert all(result == single for result in pooled)
+
+
+@pytest.mark.parametrize("command", ["analyze", "decode"])
+def test_a_stdin_of_text_alone_reads_as_its_bytes(tmp_path, capsys, monkeypatch, command):
+    corpus = _pool_corpus(tmp_path) if command == "analyze" else _bridge_corpus(tmp_path)
+    expected = _run_output(capsys, command, "-i", corpus)
+    text = corpus.read_bytes().decode("utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert _run_output(capsys, command, "--workers", 2) == expected
+    # text that held bytes that were not UTF-8 stays so, on their line
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\udcff" + text))
+    code, _, err = _run_output(capsys, command)
+    assert (code, err) == (1, "error: " + ("sentence 1 (line 1)" if command == "analyze"
+                                           else "line 1") + ": not valid UTF-8\n")
+
+
+def _line_chunk_starts(path):
+    return [line for line, _ in conllu.read_line_chunks(path)]
+
+
+def _untabbed(line, lines):
+    """Line ``line`` without the tab after its sent_id, which keeps every cut in place."""
+    lines[line - 1] = lines[line - 1].replace(b"\t", b" ", 1)
+
+
+@pytest.mark.parametrize("side", [-1, 0], ids=["end-of-chunk", "start-of-chunk"])
+def test_decode_abort_names_the_same_line_on_either_side_of_a_chunk_boundary(
+    tmp_path, capsys, small_chunks, side
+):
+    boundary = _line_chunk_starts(_bridge_corpus(tmp_path))[2]
+    bad = boundary + side
+    corpus = _bridge_corpus(tmp_path, partial(_untabbed, bad))
+    assert boundary in _line_chunk_starts(corpus)
+    single, *pooled = _per_worker_count(capsys, "decode", "-i", corpus)
+    assert single[0] == 1
+    assert single[1].count("\n\n") == bad - 1
+    assert single[2] == f"error: line {bad}: expected 'sent_id<TAB>token fields'\n"
+    assert all(result == single for result in pooled)
+
+
+def test_decode_skip_reports_the_same_tallies_on_any_worker_count(tmp_path, capsys, small_chunks):
+    boundary = _line_chunk_starts(_bridge_corpus(tmp_path))[3]
+
+    def damage(lines):  # in place, so that every cut stays where it was
+        _untabbed(boundary - 1, lines)  # the last line of a chunk
+        lines[boundary - 1] = lines[boundary - 1].replace(b"/", b"\xff", 1)  # the next one's first
+        for i in range(0, POOL_SENTENCES, 7):
+            lines[i] = lines[i].replace(b"/+1:", b"/+9:", 1)  # a head out of range, repaired
+
+    corpus = _bridge_corpus(tmp_path, damage)
+    assert boundary in _line_chunk_starts(corpus)
+    single, *pooled = _per_worker_count(capsys, "decode", "-i", corpus, "--on-error", "skip")
+    assert single[0] == 0
+    assert re.fullmatch(
+        r"decoded 456 sentences, repairs total=[1-9]\d* \(out_of_range=[1-9]\d*, "
+        r"extra_roots=\d+, missing_root=\d+, cycles_broken=\d+\), skipped=2\n", single[2])
+    assert all(result == single for result in pooled)
+
+
 # ------------------------------------------------------- bench's line numbers
 
 
@@ -1597,7 +1773,6 @@ def _bench_corpus(tmp_path, bad_line, bad):
 ], ids=["field", "bytes"])
 def test_bench_names_the_line_of_the_file(tmp_path, capsys, workers, bad, message):
     corpus = _bench_corpus(tmp_path, 51, bad)
-    with pytest.warns(RuntimeWarning):
-        code = run("bench", "-i", corpus, "--workers", workers, "--warmup", 0)
+    code = run("bench", "-i", corpus, "--workers", workers, "--warmup", 0)
     assert code == 1
-    assert capsys.readouterr().err == f"error: line 51: {message}\n"
+    assert capsys.readouterr().err == _small_corpus_warning(60) + f"error: line 51: {message}\n"

@@ -14,7 +14,8 @@ from treesent import (
 )
 from treesent import conllu
 from treesent.conllu import (
-    _parse_block, chunk_blocks, iter_raw_lines, parse_blocks, read_chunks, split_blocks,
+    _parse_block, chunk_blocks, chunk_lines, count_blocks, iter_raw_lines, numbered_lines,
+    parse_blocks, read_chunks, read_line_chunks, split_blocks,
 )
 from treesent.tree import random_tree
 
@@ -371,7 +372,8 @@ _corpora = [demo_treebank_path().read_bytes(), demo_ud_path().read_bytes()]
 BOM = b"\xef\xbb\xbf"
 _pieces = st.sampled_from([
     b"\n", b"\r\n", b"\n\n", b"\n\r\n", b" ", b"\t", b"\r", b"# c = 1", b"\xff", BOM,
-    "\u3000".encode("utf-8"), b"1\ta\ta\tX\t_\t_\t0\troot\t_\t_", RANGE_ROW, EMPTY_NODE_ROW,
+    "\u3000".encode("utf-8"), "\n\u3000\n".encode("utf-8"), "\n\u00a0\n".encode("utf-8"),
+    b"1\ta\ta\tX\t_\t_\t0\troot\t_\t_", RANGE_ROW, EMPTY_NODE_ROW,
     b"2\tb\tb\tY\t_\t_\t1\tdep\t_\t_",
 ])
 _inputs = st.one_of(
@@ -425,6 +427,55 @@ def test_the_chunk_reader_reads_what_the_line_reader_reads(data):
                     assert expected[2] is None
             assert [tree.sentence_id for tree in trees] == [tree[0] for tree in expected[1]]
             assert stats == expected[3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_inputs)
+def test_the_counted_numbers_of_each_chunk_are_those_its_blocks_give(data):
+    blocks = split_blocks(iter_raw_lines(io.BytesIO(data)))
+    assert count_blocks(data.removeprefix(BOM)) == sum(1 for _ in blocks)
+    for size in CHUNK_TARGETS:
+        with pytest.MonkeyPatch.context() as patch:
+            if size is not None:
+                patch.setattr(conllu, "CHUNK_BYTES", size)
+            chunks = list(read_chunks(io.BytesIO(data)))
+        ordinal = line = 1
+        for counted in chunks:
+            assert counted == (ordinal, line, counted[2])
+            ordinal += sum(1 for _ in chunk_blocks(counted))
+            line += counted[2].count(b"\n")
+
+
+class _Reads(io.BytesIO):
+    """A byte stream that keeps the size of each read asked of it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.sizes = []
+
+    def read1(self, size=-1):
+        self.sizes.append(size)
+        return super().read1(size)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 300, 5000])
+def test_the_first_read_is_small_and_each_later_one_twice_the_last(chunk_bytes):
+    data = demo_ud_path().read_bytes() * 400
+    source = _Reads(data)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_bytes is not None:
+            patch.setattr(conllu, "CHUNK_BYTES", chunk_bytes)
+        chunks = [chunk for _, _, chunk in read_chunks(source)]
+    largest = chunk_bytes or conllu.CHUNK_BYTES
+    first = min(conllu.FIRST_CHUNK_BYTES, largest)
+    assert source.sizes[:3] == [first, min(2 * first, largest), min(4 * first, largest)]
+    assert all(later == min(2 * size, largest)
+               for size, later in zip(source.sizes, source.sizes[1:]))
+    assert set(source.sizes[-3:]) == {largest}
+    # the first chunk ends at the last blank line of the first read
+    assert chunks[0] == data[:data.rindex(b"\n\n", 0, first) + 2]
+    assert all(chunk.endswith(b"\n\n") for chunk in chunks[:-1])
+    assert b"".join(chunks) == data
 
 
 def test_every_chunk_but_the_last_ends_past_a_blank_line():
@@ -510,3 +561,33 @@ def test_paths_and_raw_byte_streams_are_read_in_chunks(tmp_path):
     # text streams and line iterables are read line by line
     assert read_chunks(io.StringIO(SIMPLE)) is None
     assert read_chunks(SIMPLE.splitlines(keepends=True)) is None
+
+
+# ------------------------------------------------------------- line chunks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=300), st.lists(_pieces, max_size=40).map(b"".join)))
+def test_line_chunks_number_their_lines_as_the_line_reader_does(data):
+    expected = [(lineno, text.rstrip("\n") if text is not None else None)
+                for lineno, text in numbered_lines(io.BytesIO(data))]
+    for size in CHUNK_TARGETS:
+        with pytest.MonkeyPatch.context() as patch:
+            if size is not None:
+                patch.setattr(conllu, "CHUNK_BYTES", size)
+            chunks = list(read_line_chunks(io.BytesIO(data)))
+        assert b"".join(chunk for _, chunk in chunks) == data
+        assert all(chunk.endswith(b"\n") for _, chunk in chunks[:-1])
+        lines = [(lineno, conllu.decode_line(line))
+                 for lineno, line in chain.from_iterable(map(chunk_lines, chunks))]
+        # a chunk that ends with a newline adds an empty line after it
+        assert [line for line in lines if line[1] != ""] == [
+            line for line in expected if line[1] != ""]
+
+
+def test_line_chunks_are_read_from_paths_and_byte_streams_only(tmp_path):
+    path = tmp_path / "in.bridge"
+    path.write_bytes(BOM + b"a\tw/X/0:root\n" * 3)
+    assert [list(chunk_lines(chunk)) for chunk in read_line_chunks(path)] == [
+        [(1, "a\tw/X/0:root"), (2, "a\tw/X/0:root"), (3, "a\tw/X/0:root"), (4, "")]]
+    assert read_line_chunks(io.StringIO("a\n")) is None
