@@ -21,10 +21,12 @@ whole records, cut at blank lines (at any newline for decode's bridge
 lines). The first read is of 4 KiB and each later one twice the last, up
 to 64 KiB, so the first records come soon. A chunk's records are written
 and flushed when the chunk is done. With --workers N and input of more
-than 64 KiB, the command forks N workers, each fed chunks down a pipe, and
-writes their records in input order, byte-identical to one worker; this
-process only cuts the input, counts the lines and sentences that number
-each chunk, and writes. Without os.fork the command runs in one process.
+than 64 KiB, the command forks up to N workers, one as each of the first
+N chunks is sent, each fed chunks down a pipe, and writes their records
+in input order, byte-identical to one worker; this process only cuts the
+input, counts the lines and sentences that number each chunk, and
+writes. A run that does not fork numbers each chunk from the blocks it
+split. Without os.fork the command runs in one process.
 
 The command line is read from one table of commands and flags
 (``_COMMANDS``), without argparse. In a fresh ``python -S`` (CPython 3.11,
@@ -54,9 +56,7 @@ from .conllu import (
     chunk_lines,
     format_sentence,
     parse_blocks,
-    read_chunks,
     read_conllu,
-    read_line_chunks,
     settings_lines,
 )
 from .encodings import (
@@ -80,7 +80,7 @@ if TYPE_CHECKING:
         Tuple,
     )
 
-    from .conllu import Chunk, LineChunk, Source
+    from .conllu import Source
     from .lexicon import PolarityLexicon
     from .rules import RuleConfig
     from .tree import _Tally
@@ -402,12 +402,13 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
 
     Chunk k goes to worker k mod ``workers``, pickled down its request pipe;
     the result comes back up its result pipe, each as a length-prefixed
-    pickle. ``fn`` is inherited through the fork, never pickled. At most
-    ``2 * workers`` chunks are in flight, so memory stays bounded however
-    long the input is. An exception ``fn`` raises is raised here with its
-    own type; a worker that dies first is a ``DataError`` naming its exit
-    status. However the generator ends, every worker has been reaped when
-    it does. Without ``os.fork``, ``fn`` runs in this process.
+    pickle. Worker k is forked when chunk k is sent, so that a short input
+    starts no idle worker. ``fn`` is inherited through the fork, never
+    pickled. At most ``2 * workers`` chunks are in flight, so memory stays
+    bounded however long the input is. An exception ``fn`` raises is raised
+    here with its own type; a worker that dies first is a ``DataError`` naming
+    its exit status. However the generator ends, every worker has been reaped
+    when it does. Without ``os.fork``, ``fn`` runs in this process.
     """
     if not hasattr(os, "fork"):
         yield from map(fn, chunks)
@@ -417,14 +418,10 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
     import signal
 
     pool: List[_Worker] = []
+    owner: Dict[int, _Worker] = {}
+    poll = select.poll()
     finished = False
     try:
-        for _ in range(workers):
-            pool.append(_fork_worker(fn, pool))
-        owner = {w.recv: w for w in pool}
-        poll = select.poll()
-        for w in pool:
-            poll.register(w.recv, select.POLLIN)
         in_flight: Deque[_Worker] = deque()
         todo: Optional[Iterator] = iter(chunks)
         sent = 0
@@ -435,6 +432,10 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
                 except StopIteration:
                     todo = None
                     break
+                if len(pool) < workers:  # worker k is forked when chunk k is sent
+                    pool.append(_fork_worker(fn, pool))
+                    owner[pool[-1].recv] = pool[-1]
+                    poll.register(pool[-1].recv, select.POLLIN)
                 w = pool[sent % workers]
                 sent += 1
                 if not w.outbox and not w.ended:
@@ -520,24 +521,29 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
     bridge lines, its chunks split into numbered lines; ``stats`` sums the
     tallies of each chunk, which ``job`` fills in a new ``type(stats)``.
     With one worker, or input of at most ``CHUNK_BYTES``, everything runs in
-    this process. Otherwise this process only cuts and numbers the chunks
-    and writes; the chunks go to the pool and finished lines come back.
+    this process, each chunk numbered from the blocks split before it.
+    Otherwise this process only cuts, counts and writes; the chunks go to
+    the pool and finished lines come back.
     """
-    chunks = (read_line_chunks if lines else read_chunks)(source)
-    run = partial(_run_chunk, job, chunk_lines if lines else chunk_blocks, type(stats))
-    head: List[Chunk | LineChunk] = []
+    cuts = conllu._cuts(source, conllu._LINE_CUT if lines else conllu._BLOCK_CUT)
+    head: List[bytes] = []
     size = 0
     if workers > 1:
-        for chunk in chunks:
-            head.append(chunk)
-            size += len(chunk[-1])
+        for data in cuts:
+            head.append(data)
+            size += len(data)
             if size > conllu.CHUNK_BYTES:
                 break
-    chunks = chain(head, chunks)
-    if size > conllu.CHUNK_BYTES:
-        results = _map_chunks(run, chunks, workers)
+    cuts = chain(head, cuts)
+    pooled = size > conllu.CHUNK_BYTES
+    if lines:
+        chunks, split = conllu._line_numbered(cuts), chunk_lines
+    elif pooled:  # this process parses no chunk, so it counts the sentences of each
+        chunks, split = conllu._numbered(cuts), chunk_blocks
     else:
-        results = (run(chunk) for chunk in chunks)
+        chunks, split = conllu._split_chunks(cuts), iter
+    run = partial(_run_chunk, job, split, type(stats))
+    results = _map_chunks(run, chunks, workers) if pooled else (run(chunk) for chunk in chunks)
     with closing(results):
         for text, counts, error in results:
             out.write(text)

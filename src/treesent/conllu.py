@@ -224,8 +224,9 @@ def read_chunks(source: Source) -> Optional[Iterator[Chunk]]:
 
     Each chunk carries the ordinal and line number that its first sentence
     and line have in the whole input, which ``chunk_blocks`` continues
-    from, so a chunk can be split and parsed on its own. They are counted
-    here, not parsed: lines by their newlines, sentences by ``count_blocks``.
+    from, so a pool worker can split and parse a chunk on its own. They are
+    counted here, not parsed: lines by their newlines, sentences by
+    ``count_blocks``; ``_split_chunks`` numbers chunks from the blocks split.
     """
     if not _in_bytes(source):
         return None
@@ -237,6 +238,16 @@ def _numbered(cuts: Iterable[bytes]) -> Iterator[Chunk]:
     for data in cuts:
         yield ordinal, lineno, data
         ordinal += count_blocks(data.removeprefix(_BOM) if lineno == 1 else data)
+        lineno += data.count(b"\n")
+
+
+def _split_chunks(cuts: Iterable[bytes]) -> Iterator[List[Block]]:
+    """The blocks of each run of ``cuts``, numbered on from the runs before."""
+    ordinal = lineno = 1
+    for data in cuts:
+        blocks = list(chunk_blocks((ordinal, lineno, data)))
+        yield blocks
+        ordinal = blocks[-1][0] + 1 if blocks else ordinal
         lineno += data.count(b"\n")
 
 
@@ -297,11 +308,11 @@ def chunk_lines(chunk: LineChunk) -> Iterator[Tuple[int, Line]]:
 
 
 def iter_blocks(source: Source) -> Iterator[Block]:
-    """``split_blocks`` of any source, a chunk at a time from a path or byte stream."""
-    chunks = read_chunks(source)
-    if chunks is None:
+    """``split_blocks`` of any source, a chunk at a time from a path or byte
+    stream, each chunk numbered from the blocks of the ones before it."""
+    if not _in_bytes(source):
         return split_blocks(iter_raw_lines(source))
-    return chain.from_iterable(map(chunk_blocks, chunks))
+    return chain.from_iterable(_split_chunks(_cuts(source, _BLOCK_CUT)))
 
 
 def chunk_blocks(chunk: Chunk) -> Iterator[Block]:

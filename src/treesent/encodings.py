@@ -96,7 +96,10 @@ def _payload_ok(scheme: Scheme, payload: Payload) -> bool:
 
 
 class LabelSeq(_Record, frozen=True):
-    """Labels for one sentence, one per token, all in the same scheme."""
+    """Labels for one sentence, one per token, all in the same scheme.
+
+    ``_trusted`` is for callers that built every label themselves: at least
+    one, all in ``scheme``, each payload of the shape ``_payload_ok`` wants."""
 
     _fields = ("labels", "scheme", "sentence_polarity")
 
@@ -115,22 +118,6 @@ class LabelSeq(_Record, frozen=True):
             if not _payload_ok(scheme, lab.payload):
                 raise ValueError(f"malformed payload {lab.payload!r} for {scheme}")
         self.__dict__.update(labels=labels, scheme=scheme, sentence_polarity=sentence_polarity)
-
-    @classmethod
-    def _trusted(
-        cls,
-        labels: tuple[SyntaxLabel, ...],
-        scheme: Scheme,
-        sentence_polarity: str | None = None,
-    ) -> "LabelSeq":
-        """A sequence over ``labels`` without re-checking them.
-
-        Only for callers that built every label themselves: at least one,
-        all in ``scheme``, each payload of the shape ``_payload_ok`` wants.
-        """
-        seq = object.__new__(cls)
-        seq.__dict__.update(labels=labels, scheme=scheme, sentence_polarity=sentence_polarity)
-        return seq
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -221,7 +208,7 @@ def encode(tree: DepTree, scheme: Scheme) -> LabelSeq:
     # tuple.__new__ makes the same label SyntaxLabel(...) makes, in a C-level
     # loop without a call to the named tuple's Python __new__ per label
     labels = map(tuple.__new__, repeat(SyntaxLabel), zip(repeat(scheme), payloads, deprels))
-    return LabelSeq._trusted(tuple(labels), scheme)
+    return LabelSeq._trusted(labels=tuple(labels), scheme=scheme, sentence_polarity=None)
 
 
 def repair(proposals: Sequence[int | None], n: int) -> tuple[list[int], RepairStats]:
@@ -361,7 +348,8 @@ def emit_multitask_labels(tree: DepTree, scheme: Scheme, polarity_class: str) ->
     """Syntax labels plus a sentence polarity tag carried on the sequence."""
     if not polarity_class or any(c.isspace() for c in polarity_class) or "@" in polarity_class:
         raise ValueError(f"bad polarity class {polarity_class!r}")
-    return LabelSeq._trusted(encode(tree, scheme).labels, scheme, polarity_class)
+    return LabelSeq._trusted(labels=encode(tree, scheme).labels, scheme=scheme,
+                             sentence_polarity=polarity_class)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +634,7 @@ def _parse_bridge_line(
         # last, so that every other fault keeps its message; a tab in a form
         # or relation would split its CoNLL-U column in two
         raise BridgeError("tab inside the token fields", lineno)
-    seq = LabelSeq._trusted(tuple(labels), scheme, polarity)
+    seq = LabelSeq._trusted(labels=tuple(labels), scheme=scheme, sentence_polarity=polarity)
     result = decode(seq, words, sentence_id=sent_id)
     stats.records += 1
     stats.repairs = stats.repairs + result.repairs

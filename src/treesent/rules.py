@@ -301,40 +301,37 @@ def _base_deprels(tree: DepTree) -> List[str]:
     return ["", *deprels]
 
 
-def _target_candidates(
-    tree: DepTree, deprels: List[str]
-) -> List[Tuple[int, Tuple[int, ...]]]:
-    children = tree.children
+def _candidate_heads(tree: DepTree, deprels: List[str]) -> List[int]:
+    """The nominal tokens that head a target span of their own, left to right.
+
+    A nominal hanging off another nominal as part of a compound/flat/amod
+    chain belongs to the bigger span, not to a span of its own."""
     heads = tree.heads
     upos = tree.upos
-    candidates = []
-    for node, tag in enumerate(upos, start=1):
-        if tag not in _NOUN_TAGS:
-            continue
-        # a nominal hanging off another nominal as part of a compound/flat/
-        # amod chain belongs to the bigger span, not to a span of its own
-        head = heads[node - 1]
-        if head != 0:
-            if deprels[node] in _NOMINAL_MODIFIERS and upos[head - 1] in _NOUN_TAGS:
-                continue
-        modifier_deps = {
-            dep for dep in children[node] if deprels[dep] in _NOMINAL_MODIFIERS
-        }
-        lo = node
-        while lo - 1 in modifier_deps:
-            lo -= 1
-        hi = node
-        while hi + 1 in modifier_deps:
-            hi += 1
-        candidates.append((node, tuple(range(lo, hi + 1))))
-    candidates.sort(key=lambda item: item[1][0])
-    return candidates
+    return [node for node, tag in enumerate(upos, start=1) if tag in _NOUN_TAGS and not (
+        heads[node - 1] and deprels[node] in _NOMINAL_MODIFIERS
+        and upos[heads[node - 1] - 1] in _NOUN_TAGS)]
+
+
+def _target_span(tree: DepTree, deprels: List[str], node: int) -> Tuple[int, ...]:
+    """The span headed at ``node``: it and its adjacent compound/flat/amod dependents.
+
+    Spans of distinct candidate heads are disjoint, so in head order they
+    are also in order of their first token."""
+    heads = tree.heads
+    lo = hi = node
+    while lo > 1 and heads[lo - 2] == node and deprels[lo - 1] in _NOMINAL_MODIFIERS:
+        lo -= 1
+    while hi < len(heads) and heads[hi] == node and deprels[hi + 1] in _NOMINAL_MODIFIERS:
+        hi += 1
+    return tuple(range(lo, hi + 1))
 
 
 def extract_targets(tree: DepTree) -> List[Tuple[int, ...]]:
     """Candidate aspect spans, left to right: nominal heads plus their
     adjacent compound/flat/amod dependents."""
-    return [span for _head, span in _target_candidates(tree, _base_deprels(tree))]
+    deprels = _base_deprels(tree)
+    return [_target_span(tree, deprels, node) for node in _candidate_heads(tree, deprels)]
 
 
 def _evidence(
@@ -343,42 +340,40 @@ def _evidence(
     head: int,
     composed: _Composition,
     deprels: List[str],
-) -> List[Tuple[int, float]]:
-    """(token id, contribution) of each scored token that speaks about the
-    target headed at ``head``, left to right."""
+) -> List[int]:
+    """The scored tokens that speak about the target headed at ``head``,
+    left to right; only a token with a non-zero contribution is looked at."""
     children = tree.children
-    evidence = set()
-    # adjectival / participial modifiers of the target head
-    for dep in children[head]:
-        if deprels[dep] in ("amod", "acl"):
-            evidence.add(dep)
-    relation = deprels[head]
-    governor = tree.heads[head - 1]
-    if governor != 0:
-        governor_upos = tree.upos[governor - 1]
-        if relation == "nsubj":
-            # copular or adjectival predicate the target is subject of
-            has_copula = any(deprels[dep] == "cop" for dep in children[governor])
-            if has_copula or governor_upos == "ADJ":
-                evidence.add(governor)
-        elif relation in ("obj", "iobj", "obl") and governor_upos == "VERB":
-            if lex.lookup(composed.lemmas[governor - 1], governor_upos):
-                evidence.add(governor)
     contribution = composed.contribution
-    return [(e, contribution[e]) for e in sorted(evidence) if contribution[e] != 0.0]
+    # adjectival / participial modifiers of the target head
+    evidence = [dep for dep in children[head]
+                if contribution[dep] != 0.0 and deprels[dep] in ("amod", "acl")]
+    governor = tree.heads[head - 1]
+    if governor == 0 or contribution[governor] == 0.0:
+        return evidence
+    relation = deprels[head]
+    governor_upos = tree.upos[governor - 1]
+    if relation == "nsubj":
+        # copular or adjectival predicate the target is subject of
+        keep = governor_upos == "ADJ" or any(deprels[dep] == "cop" for dep in children[governor])
+    else:
+        keep = relation in ("obj", "iobj", "obl") and governor_upos == "VERB" and lex.lookup(
+            composed.lemmas[governor - 1], governor_upos)
+    if keep:
+        evidence.append(governor)
+        evidence.sort()  # left to right, the order in which the valence is summed
+    return evidence
 
 
-def _opinion(
-    tree: DepTree, cfg: RuleConfig, span: Tuple[int, ...], kept: List[Tuple[int, float]]
-) -> TargetOpinion:
-    forms = tree.forms
-    valence = sum(v for _e, v in kept)
-    return TargetOpinion(
-        span,
-        " ".join(forms[i - 1] for i in span),
-        valence,
-        classify_valence(valence, cfg.neutral_threshold),
-        tuple(e for e, _v in kept),
+def _opinion(tree: DepTree, cfg: RuleConfig, span: Tuple[int, ...], evidence: List[int],
+             contribution: List[float]) -> TargetOpinion:
+    valence = sum([contribution[e] for e in evidence])
+    return TargetOpinion._trusted(
+        target_token_ids=span,
+        target_text=" ".join(tree.forms[span[0] - 1:span[-1]]),  # a span is contiguous
+        valence=valence,
+        opinion_class=classify_valence(valence, cfg.neutral_threshold),
+        evidence_token_ids=tuple(evidence),
     )
 
 
@@ -393,16 +388,17 @@ def analyze(
     composed = _compose(tree, lex, cfg, trace)
     deprels = _base_deprels(tree)
     opinions = []
-    for head, span in _target_candidates(tree, deprels):
-        kept = _evidence(tree, lex, head, composed, deprels)
+    for head in _candidate_heads(tree, deprels):
+        evidence = _evidence(tree, lex, head, composed, deprels)
         # a target with no evidence is neutral, and is left out
-        if kept:
-            opinions.append(_opinion(tree, cfg, span, kept))
-    return SentimentResult(
-        composed.valence,
-        classify_valence(composed.valence, cfg.neutral_threshold),
-        tuple(opinions),
-        composed.trace or (),
+        if evidence:
+            span = _target_span(tree, deprels, head)
+            opinions.append(_opinion(tree, cfg, span, evidence, composed.contribution))
+    return SentimentResult._trusted(
+        sentence_valence=composed.valence,
+        sentence_class=classify_valence(composed.valence, cfg.neutral_threshold),
+        opinions=tuple(opinions),
+        trace=tuple(composed.trace or ()),
     )
 
 

@@ -41,6 +41,14 @@ class _Record:
             cls.__setattr__ = _Record._refuse_assignment
             cls.__delattr__ = _Record._refuse_deletion
 
+    @classmethod
+    def _trusted(cls, **fields):
+        """A record of ``fields``, each field by name, without the checks of
+        ``__init__``: only for callers whose values pass them by construction."""
+        record = object.__new__(cls)
+        record.__dict__.update(fields)
+        return record
+
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 

@@ -371,6 +371,64 @@ def _run_output(capsys, *argv):
     return run(*argv), *capsys.readouterr()
 
 
+def test_the_pool_forks_a_worker_only_when_its_first_chunk_is_sent(
+    tmp_path, capsys, monkeypatch, small_chunks
+):
+    forked, fork_worker = [], cli._fork_worker
+
+    def counted_fork_worker(fn, others):
+        forked.append(len(others))  # the earlier workers, whose pipe ends the child closes
+        return fork_worker(fn, others)
+
+    monkeypatch.setattr(cli, "_fork_worker", counted_fork_worker)
+    corpus = _pool_corpus(tmp_path)
+    data = corpus.read_bytes()
+    three = tmp_path / "three.conllu"
+    three.write_bytes(data[:data.rindex(b"\n\n", 0, 3 * POOL_CHUNK_BYTES - 600) + 2])
+    assert len(list(conllu.read_chunks(three))) == 3
+    for path, workers in ((three, 3), (corpus, 4)):
+        single = _run_output(capsys, "analyze", "-i", path)
+        forked.clear()
+        assert _run_output(capsys, "analyze", "-i", path, "--workers", 4) == single
+        assert forked == list(range(workers))
+        _no_child_left()
+
+
+def _uncalled(*args):
+    raise AssertionError("a run that does not fork counted sentences")
+
+
+@pytest.mark.parametrize("policy", ["skip", "abort"])
+@pytest.mark.parametrize("command", ["analyze", "aspects", "encode"])
+def test_a_run_that_does_not_fork_counts_no_sentences(
+    tmp_path, capsys, monkeypatch, small_chunks, command, policy
+):
+    # past the first chunk, one unreadable sentence, skipped or named by its
+    # ordinal, and after it a sentence that has no sent_id, so its record
+    # carries its ordinal
+    corpus = _pool_corpus(tmp_path, [(100, BAD_HEAD)])
+    data = corpus.read_bytes().replace(b"# sent_id = syn-300\n", b"")
+    corpus.write_bytes(data)
+    small = tmp_path / "small.conllu"
+    small.write_bytes(data[:data.rindex(b"\n\n", 0, conllu.CHUNK_BYTES) + 2])
+    command = (command, "--on-error", policy)
+    expected = {path: _run_output(capsys, *command, "-i", path) for path in (corpus, small)}
+    if policy == "skip":
+        assert "s301" in expected[corpus][1]
+    else:
+        assert expected[corpus][2] == "error: sentence 100 (line 797): non-numeric head 'x'\n"
+    counted, count_blocks = [], conllu.count_blocks
+    with monkeypatch.context() as patch:
+        patch.setattr(conllu, "count_blocks", _uncalled)
+        assert _run_output(capsys, *command, "-i", corpus, "--workers", 1) == expected[corpus]
+        assert _run_output(capsys, *command, "-i", small, "--workers", 2) == expected[small]
+        # the pool's parent parses no chunk, so it counts the sentences of each
+        patch.setattr(conllu, "count_blocks", lambda data: counted.append(data) or count_blocks(data))
+        assert _run_output(capsys, *command, "-i", corpus, "--workers", 2) == expected[corpus]
+    assert counted
+    _no_child_left()
+
+
 class _Calls:
     """An output stream that keeps each call made of it."""
 

@@ -14,10 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesent import cli, conllu
+from treesent import cli, conllu, rules
 from treesent.conllu import write_conllu
 from treesent.lexicon import PolarityLexicon, ShifterInventory, merge_collocations
-from treesent.rules import LEXICON, RuleConfig, SentimentResult, analyze, replay_trace, score_tree
+from treesent.rules import (
+    LEXICON, RuleConfig, SentimentResult, analyze, classify_valence, extract_targets,
+    replay_trace, score_tree,
+)
 from treesent.tree import DepTree
 
 TERMS = ("good", "bad", "fine", "good_value", "not_bad")
@@ -80,19 +83,19 @@ rule_configs = st.builds(
 
 
 @st.composite
-def trees(draw):
+def trees(draw, upos=UPOS, deprels=DEPRELS, lemmas=LEMMAS):
     n = draw(st.integers(1, 14))
     # each token after the first in a random order hangs off one before it
     order = draw(st.permutations(range(1, n + 1)))
     heads = [0] * n
     for k, node in enumerate(order[1:], start=1):
         heads[node - 1] = order[draw(st.integers(0, k - 1))]
-    lemmas = [draw(st.sampled_from(LEMMAS)) for _ in range(n)]
+    lemmas = [draw(st.sampled_from(lemmas)) for _ in range(n)]
     return DepTree.build(
         heads,
-        deprels=[draw(st.sampled_from(DEPRELS)) for _ in range(n)],
+        deprels=[draw(st.sampled_from(deprels)) for _ in range(n)],
         forms=lemmas,
-        upos=[draw(st.sampled_from(UPOS)) for _ in range(n)],
+        upos=[draw(st.sampled_from(upos)) for _ in range(n)],
         lemmas=lemmas,
     )
 
@@ -132,6 +135,85 @@ def test_lexicon_steps_are_the_tokens_with_a_nonzero_lookup(tree, lex, cfg):
             expected.append((node, 0.0, value, lemma))
     steps = [(s.token_id, s.before, s.after, s.note) for s in trace if s.rule == LEXICON]
     assert sorted(steps) == expected
+
+
+def _reference_candidates(tree):
+    """(head, span) of every target candidate, sorted by span start: the
+    rule engine's first target walk, kept here as the reference."""
+    deprels = ["", *(deprel.partition(":")[0] for deprel in tree.deprels)]
+    candidates = []
+    for node, tag in enumerate(tree.upos, start=1):
+        if tag not in ("NOUN", "PROPN"):
+            continue
+        head = tree.heads[node - 1]
+        if head != 0:
+            if deprels[node] in ("compound", "flat", "amod") and tree.upos[head - 1] in (
+                "NOUN", "PROPN"
+            ):
+                continue
+        modifier_deps = {
+            dep for dep in tree.children[node] if deprels[dep] in ("compound", "flat", "amod")
+        }
+        lo = node
+        while lo - 1 in modifier_deps:
+            lo -= 1
+        hi = node
+        while hi + 1 in modifier_deps:
+            hi += 1
+        candidates.append((node, tuple(range(lo, hi + 1))))
+    candidates.sort(key=lambda item: item[1][0])
+    return deprels, candidates
+
+
+def _reference_evidence(tree, lex, head, composed, deprels):
+    evidence = set()
+    for dep in tree.children[head]:
+        if deprels[dep] in ("amod", "acl"):
+            evidence.add(dep)
+    relation = deprels[head]
+    governor = tree.heads[head - 1]
+    if governor != 0:
+        governor_upos = tree.upos[governor - 1]
+        if relation == "nsubj":
+            has_copula = any(deprels[dep] == "cop" for dep in tree.children[governor])
+            if has_copula or governor_upos == "ADJ":
+                evidence.add(governor)
+        elif relation in ("obj", "iobj", "obl") and governor_upos == "VERB":
+            if lex.lookup(composed.lemmas[governor - 1], governor_upos):
+                evidence.add(governor)
+    contribution = composed.contribution
+    return [(e, contribution[e]) for e in sorted(evidence) if contribution[e] != 0.0]
+
+
+def _reference_opinions(tree, lex, cfg):
+    """(span, text, valence bits, class, evidence) per opinion, as the first
+    target walk found them: every candidate's evidence, then its contribution."""
+    composed = rules._compose(tree, lex, cfg, trace=False)
+    deprels, candidates = _reference_candidates(tree)
+    opinions = []
+    for head, span in candidates:
+        kept = _reference_evidence(tree, lex, head, composed, deprels)
+        if kept:
+            valence = sum(v for _e, v in kept)
+            opinions.append((span, " ".join(tree.forms[i - 1] for i in span), _bits(valence),
+                             classify_valence(valence, cfg.neutral_threshold),
+                             tuple(e for e, _v in kept)))
+    return opinions
+
+
+# trees dense in targets and in the relations that give them evidence
+TARGET_TREES = trees(("NOUN", "PROPN", "VERB", "ADJ"),
+                     ("nsubj", "obj", "obl:tmod", "amod", "acl", "cop", "compound", "flat"),
+                     TERMS + ("Good", "not", "very", "phone"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(trees(), TARGET_TREES), lexicons(), rule_configs)
+def test_opinions_and_targets_are_those_of_the_reference_walk(tree, lex, cfg):
+    opinions = [(op.target_token_ids, op.target_text, _bits(op.valence), op.opinion_class,
+                 op.evidence_token_ids) for op in analyze(tree, lex, cfg).opinions]
+    assert opinions == _reference_opinions(tree, lex, cfg)
+    assert extract_targets(tree) == [span for _head, span in _reference_candidates(tree)[1]]
 
 
 @settings(max_examples=30, deadline=None)
