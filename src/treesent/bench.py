@@ -26,7 +26,7 @@ from .conllu import iter_raw_lines
 from .encodings import BridgeStats, Scheme, _parse_tagger_lines, encode, format_tagger_line
 from .lexicon import PolarityLexicon
 from .rules import CLASSES, RuleConfig, analyze
-from .tree import DepTree, random_projective_tree
+from .tree import ConfigError, DepTree, random_projective_tree
 
 if TYPE_CHECKING:
     from .conllu import Source
@@ -43,7 +43,7 @@ _FILLER_WORDS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-class BenchError(ValueError):
+class BenchError(ConfigError):
     """Bad benchmark parameters."""
 
 

@@ -14,7 +14,9 @@ config file (--config), then explicit flags. Lexicon paths that do not
 exist as given are retried under $TREESENT_LEXICON_DIR ($SALSA_LEXICON_DIR,
 its former name, is still read when the new one is unset, for one more
 release). Exit codes: 0 on success, 1 for data errors under the abort
-policy, 2 for config and usage errors, 130 when interrupted (Ctrl-C).
+policy, 2 for config and usage errors, an input or settings file that
+cannot be read and a worker process that cannot start, 130 when
+interrupted (Ctrl-C).
 
 analyze, aspects, encode and decode stream their input in byte chunks of
 whole records, cut at blank lines (at any newline for decode's bridge
@@ -49,6 +51,7 @@ from types import SimpleNamespace
 
 from . import __version__, conllu
 from .conllu import (
+    _ON_ERROR,
     UNREADABLE,
     ReadStats,
     _Skip,
@@ -68,7 +71,7 @@ from .encodings import (
     encode,
     format_tagger_line,
 )
-from .tree import DataError, DepTree, _Record
+from .tree import ConfigError, DataError, DepTree, _Record
 
 # The lexicon, rules, assets, json, evaluation, bench and pool (pickle,
 # select, signal) modules are imported where they are used: encode and
@@ -92,12 +95,6 @@ if TYPE_CHECKING:
 LEXICON_DIR_ENV = "TREESENT_LEXICON_DIR"
 # the former name, read only when LEXICON_DIR_ENV is unset; to be removed
 FORMER_LEXICON_DIR_ENV = "SALSA_LEXICON_DIR"
-# what a bad sentence does: ends the run, or is left out of it
-_ON_ERROR = ("skip", "abort")
-
-
-class ConfigError(ValueError):
-    """Bad settings: unknown keys, unreadable files, invalid values."""
 
 
 class PipelineConfig(_Record, frozen=True):
@@ -370,9 +367,16 @@ def _serve(fn: Callable, requests: int, results: int) -> None:
 def _fork_worker(fn: Callable, others: List[_Worker]) -> _Worker:
     import signal
 
-    requests, send = os.pipe()
-    recv, results = os.pipe()
-    pid = os.fork()
+    ends: List[int] = []
+    try:
+        ends += os.pipe()
+        ends += os.pipe()
+        pid = os.fork()
+    except OSError as exc:  # out of processes or descriptors
+        for fd in ends:
+            os.close(fd)
+        raise OSError(f"cannot start worker process {len(others) + 1}: {exc}") from None
+    requests, send, recv, results = ends
     if pid == 0:  # the worker: it never returns into the caller's stack
         code = 1
         try:
@@ -534,17 +538,18 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
             size += len(data)
             if size > conllu.CHUNK_BYTES:
                 break
-    cuts = chain(head, cuts)
+    chained = chain(head, cuts)
     pooled = size > conllu.CHUNK_BYTES
     if lines:
-        chunks, split = conllu._line_numbered(cuts), chunk_lines
+        chunks, split = conllu._line_numbered(chained), chunk_lines
     elif pooled:  # this process parses no chunk, so it counts the sentences of each
-        chunks, split = conllu._numbered(cuts), chunk_blocks
+        chunks, split = conllu._numbered(chained), chunk_blocks
     else:
-        chunks, split = conllu._split_chunks(cuts), iter
+        chunks, split = conllu._split_chunks(chained), iter
     run = partial(_run_chunk, job, split, type(stats))
     results = _map_chunks(run, chunks, workers) if pooled else (run(chunk) for chunk in chunks)
-    with closing(results):
+    # closing ``cuts`` closes the input file it reads, however the run ends
+    with closing(cuts), closing(results):
         for text, counts, error in results:
             out.write(text)
             out.flush()
@@ -720,17 +725,6 @@ def cmd_eval(cfg: PipelineConfig, args: SimpleNamespace) -> int:
 # ----------------------------------------------------------------- bench/gen
 
 
-@contextmanager
-def _bench_errors() -> Iterator[None]:
-    """A bad benchmark or corpus parameter is a config error."""
-    from .bench import BenchError
-
-    try:
-        yield
-    except BenchError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def cmd_bench(cfg: PipelineConfig, args: SimpleNamespace) -> int:
     import json
     import warnings
@@ -739,31 +733,27 @@ def cmd_bench(cfg: PipelineConfig, args: SimpleNamespace) -> int:
 
     lexicon = cfg.load_lexicon()
     rules_cfg = cfg.load_rules()
-    with _bench_errors():
-        if cfg.input is not None:
-            source = _input_source(cfg)
-        else:
-            source = list(
-                synthetic_corpus(
-                    args.sentences, args.length, lexicon, seed=cfg.seed, scheme=cfg.scheme
-                )
+    if cfg.input is not None:
+        source = _input_source(cfg)
+    else:
+        source = list(synthetic_corpus(args.sentences, args.length, lexicon, seed=cfg.seed,
+                                       scheme=cfg.scheme))
+    # run_bench warns a library caller of a small corpus; a user of the
+    # command gets one plain line on stderr, also when the run then fails
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            report = run_bench(
+                source,
+                lexicon,
+                rules_cfg,
+                scheme=cfg.scheme,
+                workers=cfg.workers,
+                warmup=args.warmup,
             )
-        # run_bench warns a library caller of a small corpus; a user of the
-        # command gets one plain line on stderr, also when the run then fails
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            try:
-                report = run_bench(
-                    source,
-                    lexicon,
-                    rules_cfg,
-                    scheme=cfg.scheme,
-                    workers=cfg.workers,
-                    warmup=args.warmup,
-                )
-            finally:
-                for warning in caught:
-                    print(f"warning: {warning.message}", file=sys.stderr)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
     with _open_output(cfg) as out:
         out.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
     return 0
@@ -773,19 +763,17 @@ def cmd_gen(cfg: PipelineConfig, args: SimpleNamespace) -> int:
     from .bench import synthetic_corpus, synthetic_trees
 
     lexicon = cfg.load_lexicon()
-    with _bench_errors():
-        # both generators check their arguments when called, so bad ones
-        # raise before the output is opened and leave an -o file as it was
-        if args.format == "bridge":
-            lines = synthetic_corpus(
-                args.sentences, args.length, lexicon, seed=cfg.seed, scheme=cfg.scheme
-            )
-            records = (line + "\n" for line in lines)
-        else:
-            trees = synthetic_trees(args.sentences, args.length, lexicon, seed=cfg.seed)
-            records = (format_sentence(_with_sent_id_comment(tree)) + "\n\n" for tree in trees)
-        with _open_output(cfg) as out:
-            out.writelines(records)
+    # both generators check their arguments when called, so bad ones
+    # raise before the output is opened and leave an -o file as it was
+    if args.format == "bridge":
+        lines = synthetic_corpus(args.sentences, args.length, lexicon, seed=cfg.seed,
+                                 scheme=cfg.scheme)
+        records = (line + "\n" for line in lines)
+    else:
+        trees = synthetic_trees(args.sentences, args.length, lexicon, seed=cfg.seed)
+        records = (format_sentence(_with_sent_id_comment(tree)) + "\n\n" for tree in trees)
+    with _open_output(cfg) as out:
+        out.writelines(records)
     return 0
 
 
@@ -1048,6 +1036,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # stdout at devnull so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # a file that cannot be read, a worker that cannot start
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:  # Ctrl-C; a pool's workers have been reaped on the way out
         return 130
 

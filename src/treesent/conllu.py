@@ -31,10 +31,10 @@ if TYPE_CHECKING:
     Source = Union[str, os.PathLike, IO[bytes], IO[str], Iterable[Line]]
     # one sentence as ``split_blocks`` yields it: (ordinal, first_line, [line, ...])
     Block = Tuple[int, int, List[Line]]
-    # whole lines of a byte input as ``read_chunks`` yields them:
+    # whole CoNLL-U lines of a byte input, numbered as in the whole input:
     # (ordinal of its first sentence, number of its first line, bytes)
     Chunk = Tuple[int, int, bytes]
-    # whole lines as ``read_line_chunks`` yields them: (number of the first, bytes)
+    # whole bridge lines of a byte input: (number of the first, bytes)
     LineChunk = Tuple[int, bytes]
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
@@ -62,6 +62,8 @@ _MAYBE_SPACE_LINE = re.compile(rb"\n([\t\x0b-\r\x1c- \x80-\xff]*)(?=\n)")
 _BOM = b"\xef\xbb\xbf"
 # the reason ``parse_blocks`` skips a sentence, in the words that report it
 UNREADABLE = "unreadable sentences"
+# what a bad sentence or record does: is left out of the run, or ends it
+_ON_ERROR = ("skip", "abort")
 
 
 class ConlluError(DataError):
@@ -134,21 +136,31 @@ def numbered_lines(source: Source) -> Iterator[Tuple[int, Optional[str]]]:
     return enumerate(map(decode_line, iter_raw_lines(source)), start=1)
 
 
+def table_lines(
+    source: Source, error: Callable[[str, int], Exception]
+) -> Iterator[Tuple[int, str]]:
+    """``(lineno, line)`` per line of a text table, stripped, skipping blank
+    lines and ``#`` comments. A line that is not valid UTF-8 raises
+    ``error("not valid UTF-8", lineno)``.
+    """
+    for lineno, text in numbered_lines(source):
+        if text is None:
+            raise error("not valid UTF-8", lineno)
+        line = text.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def settings_lines(
     source: Source, error: Callable[[str, int], Exception]
 ) -> Iterator[Tuple[int, str, str]]:
     """``(lineno, key, value)`` per setting of a ``key = value`` file, one at
     a time, so that a caller checking each as it comes reports the first bad
-    line. Blank lines and ``#`` comments are skipped. A line that is not valid
-    UTF-8, has no ``=`` or key, or repeats a key raises ``error(message, lineno)``.
+    line. Lines are read by ``table_lines``. A line that has no ``=`` or key,
+    or repeats a key, raises ``error(message, lineno)``.
     """
     seen = set()
-    for lineno, text in numbered_lines(source):
-        if text is None:
-            raise error("not valid UTF-8", lineno)
-        line = text.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in table_lines(source, error):
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key:
             raise error(f"expected 'key = value', got {line!r}", lineno)
@@ -187,10 +199,6 @@ def split_blocks(lines: Iterable[Line]) -> Iterator[Block]:
         yield ordinal + 1, lineno + 1 - len(block), block
 
 
-def _in_bytes(source: Source) -> bool:
-    return isinstance(source, (str, os.PathLike, io.BufferedIOBase, io.RawIOBase))
-
-
 def _cuts(source: Source, cut: re.Pattern) -> Iterator[bytes]:
     """A path or byte stream in runs of whole lines, each cut where ``cut``
     last matches in what was read, once ``FIRST_CHUNK_BYTES`` (at most
@@ -217,23 +225,13 @@ def _cuts(source: Source, cut: re.Pattern) -> Iterator[bytes]:
         yield bytes(pending)
 
 
-def read_chunks(source: Source) -> Optional[Iterator[Chunk]]:
-    """The input as ``(first_ordinal, first_line, bytes)`` chunks of whole
-    sentences, for a path or a byte stream; None for a text stream or a
-    line iterable.
-
-    Each chunk carries the ordinal and line number that its first sentence
-    and line have in the whole input, which ``chunk_blocks`` continues
-    from, so a pool worker can split and parse a chunk on its own. They are
-    counted here, not parsed: lines by their newlines, sentences by
-    ``count_blocks``; ``_split_chunks`` numbers chunks from the blocks split.
-    """
-    if not _in_bytes(source):
-        return None
-    return _numbered(_cuts(source, _BLOCK_CUT))
-
-
 def _numbered(cuts: Iterable[bytes]) -> Iterator[Chunk]:
+    # Each chunk carries the ordinal and line number its first sentence and
+    # line have in the whole input, which ``chunk_blocks`` continues from.
+    # A pool's parent parses no chunk: splitting each into blocks only to
+    # number the next would repeat the workers' work, so it counts lines by
+    # their newlines and sentences by ``count_blocks``. A process that parses
+    # every chunk numbers each from the blocks it split (``_split_chunks``).
     ordinal = lineno = 1
     for data in cuts:
         yield ordinal, lineno, data
@@ -271,16 +269,6 @@ def count_blocks(data: bytes) -> int:
     return count + (after < len(data))
 
 
-def read_line_chunks(source: Source) -> Optional[Iterator[LineChunk]]:
-    """The input as ``(first_line, bytes)`` chunks of whole lines, for a
-    path or a byte stream; None for a text stream or a line iterable.
-    ``chunk_lines`` numbers a chunk's lines from its first line's number in
-    the whole input."""
-    if not _in_bytes(source):
-        return None
-    return _line_numbered(_cuts(source, _LINE_CUT))
-
-
 def _line_numbered(cuts: Iterable[bytes]) -> Iterator[LineChunk]:
     lineno = 1
     for data in cuts:
@@ -289,7 +277,7 @@ def _line_numbered(cuts: Iterable[bytes]) -> Iterator[LineChunk]:
 
 
 def chunk_lines(chunk: LineChunk) -> Iterator[Tuple[int, Line]]:
-    """``(lineno, line)`` per line of one chunk from ``read_line_chunks``,
+    """``(lineno, line)`` per line of one chunk from ``_line_numbered``,
     as ``numbered_lines`` numbers them in the whole input, without their
     newlines.
 
@@ -310,13 +298,13 @@ def chunk_lines(chunk: LineChunk) -> Iterator[Tuple[int, Line]]:
 def iter_blocks(source: Source) -> Iterator[Block]:
     """``split_blocks`` of any source, a chunk at a time from a path or byte
     stream, each chunk numbered from the blocks of the ones before it."""
-    if not _in_bytes(source):
+    if not isinstance(source, (str, os.PathLike, io.BufferedIOBase, io.RawIOBase)):
         return split_blocks(iter_raw_lines(source))
     return chain.from_iterable(_split_chunks(_cuts(source, _BLOCK_CUT)))
 
 
 def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
-    """The blocks of one chunk from ``read_chunks``, as ``split_blocks``
+    """The blocks of one chunk from ``_numbered``, as ``split_blocks``
     yields them from the whole input.
 
     The chunk that starts at line 1 loses one leading byte order mark, as
@@ -416,7 +404,7 @@ def parse_blocks(
     result: under abort that is a ``ConlluError`` at the block's first
     line, under skip a sentence tallied as ``reason``.
     """
-    if on_error not in ("skip", "abort"):
+    if on_error not in _ON_ERROR:
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     return _parse_blocks(blocks, on_error == "abort", ReadStats() if stats is None else stats,
                          line)

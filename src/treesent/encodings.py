@@ -27,8 +27,8 @@ from collections import namedtuple
 from itertools import repeat
 from operator import itemgetter
 
-from .conllu import decode_line, iter_raw_lines
-from .tree import DataError, DepTree, TreeError, _Record, _Tally, crossing_arcs
+from .conllu import _ON_ERROR, decode_line, iter_raw_lines
+from .tree import DataError, DepTree, LineError, TreeError, _Record, _Tally, crossing_arcs
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -361,16 +361,8 @@ def emit_multitask_labels(tree: DepTree, scheme: Scheme, polarity_class: str) ->
 _WHITESPACE = re.compile(r"\s")
 
 
-class BridgeError(DataError):
+class BridgeError(LineError, DataError):
     """A bridge line that cannot be parsed, with its line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.message = message
-        self.line = line
-
-    def __reduce__(self):
-        return type(self), (self.message, self.line)
 
 
 class BridgeStats(_Tally):
@@ -574,7 +566,7 @@ def parse_tagger_output(
     the decode command runs this loop once per chunk of its input, so there
     the memo is kept per chunk.
     """
-    if on_error not in ("skip", "abort"):
+    if on_error not in _ON_ERROR:
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     return _parse_tagger_lines(enumerate(iter_raw_lines(source), start=1), scheme,
                                on_error == "abort", BridgeStats() if stats is None else stats)

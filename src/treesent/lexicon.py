@@ -16,8 +16,8 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain
 
-from .conllu import numbered_lines
-from .tree import _Record
+from .conllu import table_lines
+from .tree import LineError, _Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -34,16 +34,8 @@ INTENSIFIER = "intensifier"
 ADVERSATIVE = "adversative"
 
 
-class LexiconError(ValueError):
+class LexiconError(LineError):
     """Malformed lexicon or collocation data, or an inconsistent merge."""
-
-    def __init__(self, message: str, line: Optional[int] = None):
-        self.message = message
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
-
-    def __reduce__(self):
-        return type(self), (self.message, self.line)
 
 
 class LexEntry(namedtuple("LexEntry", "term upos_filter valence")):
@@ -223,12 +215,7 @@ def load_lexicon(source: Source, language: str) -> PolarityLexicon:
     intensifiers: dict = {}
     adversatives: set = set()
     seen: dict = {}
-    for lineno, raw in numbered_lines(source):
-        if raw is None:
-            raise LexiconError("not valid UTF-8", lineno)
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in table_lines(source, LexiconError):
         parts = line.split("\t")
         if len(parts) != 3:
             raise LexiconError(f"expected 3 tab-separated fields, got {len(parts)}", lineno)
@@ -275,12 +262,7 @@ def load_lexicon(source: Source, language: str) -> PolarityLexicon:
 def load_collocations(source: Source) -> dict:
     """Read an adjacent-pair table: ``token1 token2<TAB>merged_lemma``."""
     table: dict = {}
-    for lineno, raw in numbered_lines(source):
-        if raw is None:
-            raise LexiconError("not valid UTF-8", lineno)
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in table_lines(source, LexiconError):
         parts = line.split("\t")
         if len(parts) != 2:
             raise LexiconError(f"expected 2 tab-separated fields, got {len(parts)}", lineno)

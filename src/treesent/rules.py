@@ -21,7 +21,7 @@ from .lexicon import ADVERSATIVE as _ADV_KIND
 from .lexicon import INTENSIFIER as _INT_KIND
 from .lexicon import NEGATOR as _NEG_KIND
 from .lexicon import VALENCE_LIMIT, PolarityLexicon, merge_lowered
-from .tree import DepTree, Token, _Record
+from .tree import DepTree, LineError, Token, _Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -47,16 +47,8 @@ _NOMINAL_MODIFIERS = ("compound", "flat", "amod")
 _NOUN_TAGS = ("NOUN", "PROPN")
 
 
-class RuleError(ValueError):
+class RuleError(LineError):
     """Bad rule configuration or an invalid scoring request."""
-
-    def __init__(self, message: str, line: Optional[int] = None):
-        self.message = message
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
-
-    def __reduce__(self):
-        return type(self), (self.message, self.line)
 
 
 def classify_valence(valence: float, threshold: float) -> str:

@@ -90,6 +90,23 @@ class DataError(ValueError):
     """Input data that cannot be read or used; the command line exits 1 on it."""
 
 
+class ConfigError(ValueError):
+    """Bad settings: unknown keys, unreadable files, invalid values; the
+    command line exits 2 on it."""
+
+
+class LineError(ValueError):
+    """A fault in a text file, with the number of its line when one is known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.message = message
+        self.line = line
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line)
+
+
 class TreeError(DataError):
     """Raised when a token list does not form a valid dependency tree."""
 

@@ -1,6 +1,8 @@
 """End-to-end command line tests, in-process through main(); a closed
 stdout is tested in a process of its own."""
 
+import errno
+import gc
 import io
 import json
 import os
@@ -130,9 +132,17 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(conllu, "CHUNK_BYTES", POOL_CHUNK_BYTES)
 
 
+def counted_chunks(path, lines=False):
+    """The numbered chunks the pool's parent makes of ``path``: CoNLL-U as
+    ``(ordinal, line, bytes)``, or with ``lines`` bridge lines as ``(line, bytes)``."""
+    if lines:
+        return conllu._line_numbered(conllu._cuts(path, conllu._LINE_CUT))
+    return conllu._numbered(conllu._cuts(path, conllu._BLOCK_CUT))
+
+
 def _chunk_starts(path):
     """The ordinal of the first sentence of each chunk the pool cuts ``path`` into."""
-    return [ordinal for ordinal, _, _ in conllu.read_chunks(path)]
+    return [ordinal for ordinal, _, _ in counted_chunks(path)]
 
 
 # (old, new) byte replacements that make one sentence unreadable
@@ -357,7 +367,7 @@ def test_an_input_of_at_most_one_full_chunk_forks_no_worker(tmp_path, capsys, mo
     data = _pool_corpus(tmp_path).read_bytes()
     small = tmp_path / "small.conllu"
     small.write_bytes(data[:data.rindex(b"\n\n", 0, conllu.CHUNK_BYTES) + 2])
-    assert len(next(conllu.read_chunks(small))[2]) < small.stat().st_size  # chunks, not one
+    assert len(next(counted_chunks(small))[2]) < small.stat().st_size  # chunks, not one
     for path, forked in ((small, []), (tmp_path / "pool.conllu", [os.getpid()] * 2)):
         forks.clear()
         single, pooled = (_run_output(capsys, "analyze", "-i", path, "--workers", workers)
@@ -385,7 +395,7 @@ def test_the_pool_forks_a_worker_only_when_its_first_chunk_is_sent(
     data = corpus.read_bytes()
     three = tmp_path / "three.conllu"
     three.write_bytes(data[:data.rindex(b"\n\n", 0, 3 * POOL_CHUNK_BYTES - 600) + 2])
-    assert len(list(conllu.read_chunks(three))) == 3
+    assert len(list(counted_chunks(three))) == 3
     for path, workers in ((three, 3), (corpus, 4)):
         single = _run_output(capsys, "analyze", "-i", path)
         forked.clear()
@@ -448,7 +458,7 @@ def test_each_chunk_is_written_and_flushed_before_the_next(tmp_path, small_chunk
     job = partial(conllu.parse_blocks, on_error="abort", line=lambda tree: tree.sentence_id + "\n")
     out = _Calls()
     cli._write_records(job, corpus, workers, ReadStats(), out)
-    chunks = list(conllu.read_chunks(corpus))
+    chunks = list(counted_chunks(corpus))
     assert out.calls[1::2] == [("flush",)] * len(chunks)
     written = [call[1] for call in out.calls[::2]]
     assert [text.count("\n") for text in written] == [
@@ -472,6 +482,63 @@ def test_a_worker_that_dies_ends_the_command_with_one_error_line(
     assert err == "error: a worker process ended before sending its result (killed by signal 9)\n"
     assert len(out.splitlines()) < 99
     _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "name, failing, error",
+    [("fork", 2, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+     ("pipe", 3, OSError(errno.EMFILE, "Too many open files")),
+     ("pipe", 4, OSError(errno.EMFILE, "Too many open files"))],
+    ids=["fork-2", "pipe-3", "pipe-4"],
+)
+def test_a_worker_that_cannot_start_ends_the_command_with_one_config_error(
+    tmp_path, capsys, monkeypatch, small_chunks, workers, name, failing, error
+):
+    corpus = _pool_corpus(tmp_path)
+    real, calls = getattr(os, name), []
+
+    def failing_call():  # the second worker's fork, or one of its two pipes
+        calls.append(name)
+        if len(calls) == failing:
+            raise error
+        return real()
+
+    monkeypatch.setattr(os, name, failing_call)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    assert run("analyze", "-i", corpus, "--workers", workers) == 2
+    assert capsys.readouterr().err == f"config error: cannot start worker process 2: {error}\n"
+    assert len(os.listdir("/proc/self/fd")) == descriptors  # no pipe end left open
+    _no_child_left()
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--workers", 1), ("analyze", "--workers", 2),
+                                  ("decode",)], ids=["analyze-1", "analyze-2", "decode"])
+def test_the_input_file_is_closed_when_the_command_ends(
+    tmp_path_factory, capsys, monkeypatch, small_chunks, argv
+):
+    good, bad = tmp_path_factory.mktemp("good"), tmp_path_factory.mktemp("bad")
+    if argv[0] == "decode":
+        inputs = [_bridge_corpus(good), _bridge_corpus(bad, _damaged_lines)]
+    else:
+        inputs = [_pool_corpus(good), _pool_corpus(bad, [(100, BAD_HEAD)])]
+    opened, real_open = [], open
+
+    def recorded_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(conllu, "open", recorded_open, raising=False)
+    # the cyclic collector would close a file left open by an ended run
+    gc.disable()
+    try:
+        for code, path in enumerate(inputs):  # a run that succeeds, then one that fails
+            opened.clear()
+            assert run(*argv, "-i", path) == code
+            assert opened and all(handle.closed for handle in opened)
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_the_pool_streams_chunks_and_results_larger_than_its_pipes(
@@ -1443,6 +1510,29 @@ def test_a_directory_where_a_file_belongs_is_a_config_error(tmp_path, capsys, fl
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["analyze -i", "decode -i", "--lexicon", "--rules", "--config"])
+def test_a_file_that_cannot_be_opened_is_a_config_error(tmp_path, capsys, monkeypatch, flag):
+    path = tmp_path / "refused"
+    if flag == "analyze -i":
+        path.write_bytes(demo_treebank_path().read_bytes())
+    else:
+        path.write_text({"decode -i": "s1\tgood/ADJ/0:root\n", "--lexicon": "good\t\t2\n",
+                         "--rules": "negation_shift = 4\n", "--config": "seed = 1\n"}[flag])
+    argv = [*flag.split(), path]
+    if not flag.endswith("-i"):
+        argv = ["analyze", *argv, "-i", demo_treebank_path()]
+    real_open = open
+
+    def refusing_open(file, *args, **kwargs):  # as a file without read permission
+        if os.fspath(file) == str(path):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(conllu, "open", refusing_open, raising=False)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"config error: [Errno 13] Permission denied: '{path}'\n"
+
+
 def test_eval_directory_paths_are_config_errors(tmp_path, capsys):
     gold = demo_gold_path()
     assert run("eval", "--pred", tmp_path, "--gold", gold) == 2
@@ -1519,6 +1609,19 @@ def test_every_data_error_exits_1(monkeypatch, capsys, error):
     monkeypatch.setattr(cli, "cmd_encode", fail)
     assert run("encode") == 1
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_the_error_roots():
+    from treesent.bench import BenchError
+    from treesent.lexicon import LexiconError
+    from treesent.rules import RuleError
+    from treesent.tree import ConfigError, LineError
+
+    assert cli.ConfigError is ConfigError
+    assert issubclass(BridgeError, DataError) and issubclass(BridgeError, LineError)
+    for error in (LexiconError, RuleError):
+        assert issubclass(error, LineError) and not issubclass(error, DataError)
+    assert issubclass(BenchError, ConfigError) and issubclass(BenchError, ValueError)
 
 
 def test_unknown_language_is_config_error(tmp_path, capsys):
@@ -1743,7 +1846,7 @@ def test_decode_writes_the_same_bytes_on_any_worker_count(
     tmp_path, capsys, small_chunks, kind, on_error
 ):
     corpus = _bridge_corpus(tmp_path, BRIDGE_INPUTS[kind])
-    assert len(list(conllu.read_line_chunks(corpus))) > 2 * 3
+    assert len(list(counted_chunks(corpus, lines=True))) > 2 * 3
     single, *pooled = _per_worker_count(capsys, "decode", "-i", corpus, "--on-error", on_error)
     bad = BAD_BRIDGE_LINES.get(kind, 0)
     assert single[0] == (1 if on_error == "abort" and bad else 0)
@@ -1767,7 +1870,7 @@ def test_a_stdin_of_text_alone_reads_as_its_bytes(tmp_path, capsys, monkeypatch,
 
 
 def _line_chunk_starts(path):
-    return [line for line, _ in conllu.read_line_chunks(path)]
+    return [line for line, _ in counted_chunks(path, lines=True)]
 
 
 def _untabbed(line, lines):

@@ -15,7 +15,7 @@ from treesent import (
 from treesent import conllu
 from treesent.conllu import (
     _parse_block, chunk_blocks, chunk_lines, count_blocks, iter_raw_lines, numbered_lines,
-    parse_blocks, read_chunks, read_line_chunks, split_blocks,
+    parse_blocks, split_blocks,
 )
 from treesent.tree import random_tree
 
@@ -398,11 +398,20 @@ def _outcome(blocks, policy):
     return blocks, trees, error, stats
 
 
+def counted_chunks(source, lines=False):
+    """The numbered chunks a pool's parent makes of a path or byte stream:
+    CoNLL-U as ``(ordinal, line, bytes)``, or with ``lines`` bridge lines as
+    ``(line, bytes)``, each counted, not parsed."""
+    if lines:
+        return conllu._line_numbered(conllu._cuts(source, conllu._LINE_CUT))
+    return conllu._numbered(conllu._cuts(source, conllu._BLOCK_CUT))
+
+
 def chunks_of(source, size):
-    """``read_chunks(source)`` with ``CHUNK_BYTES`` set to ``size``."""
+    """``counted_chunks(source)`` with ``CHUNK_BYTES`` set to ``size``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(conllu, "CHUNK_BYTES", size)
-        return list(read_chunks(source))
+        return list(counted_chunks(source))
 
 
 def _uncalled(*args):
@@ -418,7 +427,7 @@ def test_the_chunk_reader_reads_what_the_line_reader_reads(data):
             with pytest.MonkeyPatch.context() as patch:
                 if size is not None:
                     patch.setattr(conllu, "CHUNK_BYTES", size)
-                chunks = list(read_chunks(io.BytesIO(data)))
+                chunks = list(counted_chunks(io.BytesIO(data)))
                 assert b"".join(chunk for _, _, chunk in chunks) == data
                 assert _outcome(chain.from_iterable(map(chunk_blocks, chunks)), policy) == expected
                 # read_conllu's own loop numbers each chunk from the blocks it split
@@ -443,7 +452,7 @@ def test_the_counted_numbers_of_each_chunk_are_those_its_blocks_give(data):
         with pytest.MonkeyPatch.context() as patch:
             if size is not None:
                 patch.setattr(conllu, "CHUNK_BYTES", size)
-            chunks = list(read_chunks(io.BytesIO(data)))
+            chunks = list(counted_chunks(io.BytesIO(data)))
         ordinal = line = 1
         for counted in chunks:
             assert counted == (ordinal, line, counted[2])
@@ -470,7 +479,7 @@ def test_the_first_read_is_small_and_each_later_one_twice_the_last(chunk_bytes):
     with pytest.MonkeyPatch.context() as patch:
         if chunk_bytes is not None:
             patch.setattr(conllu, "CHUNK_BYTES", chunk_bytes)
-        chunks = [chunk for _, _, chunk in read_chunks(source)]
+        chunks = [chunk for _, _, chunk in counted_chunks(source)]
     largest = chunk_bytes or conllu.CHUNK_BYTES
     first = min(conllu.FIRST_CHUNK_BYTES, largest)
     assert source.sizes[:3] == [first, min(2 * first, largest), min(4 * first, largest)]
@@ -563,9 +572,6 @@ def test_paths_and_raw_byte_streams_are_read_in_chunks(tmp_path):
     assert [ordinal for ordinal, _, _ in chunks_of(str(path), 8)] == [1, 2]
     with open(path, "rb", buffering=0) as raw:
         assert [t.sentence_id for t in read_conllu(raw)] == ["s1", "s2"]
-    # text streams and line iterables are read line by line
-    assert read_chunks(io.StringIO(SIMPLE)) is None
-    assert read_chunks(SIMPLE.splitlines(keepends=True)) is None
 
 
 # ------------------------------------------------------------- line chunks
@@ -580,7 +586,7 @@ def test_line_chunks_number_their_lines_as_the_line_reader_does(data):
         with pytest.MonkeyPatch.context() as patch:
             if size is not None:
                 patch.setattr(conllu, "CHUNK_BYTES", size)
-            chunks = list(read_line_chunks(io.BytesIO(data)))
+            chunks = list(counted_chunks(io.BytesIO(data), lines=True))
         assert b"".join(chunk for _, chunk in chunks) == data
         assert all(chunk.endswith(b"\n") for _, chunk in chunks[:-1])
         lines = [(lineno, conllu.decode_line(line))
@@ -593,6 +599,5 @@ def test_line_chunks_number_their_lines_as_the_line_reader_does(data):
 def test_line_chunks_are_read_from_paths_and_byte_streams_only(tmp_path):
     path = tmp_path / "in.bridge"
     path.write_bytes(BOM + b"a\tw/X/0:root\n" * 3)
-    assert [list(chunk_lines(chunk)) for chunk in read_line_chunks(path)] == [
+    assert [list(chunk_lines(chunk)) for chunk in counted_chunks(path, lines=True)] == [
         [(1, "a\tw/X/0:root"), (2, "a\tw/X/0:root"), (3, "a\tw/X/0:root"), (4, "")]]
-    assert read_line_chunks(io.StringIO("a\n")) is None

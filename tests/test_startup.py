@@ -102,7 +102,7 @@ corpus, out, chunk_bytes = sys.argv[1], sys.argv[2], int(sys.argv[3])
 from treesent import conllu
 import treesent.cli
 conllu.CHUNK_BYTES = chunk_bytes
-chunks = sum(1 for _ in conllu.read_chunks(corpus))
+chunks = sum(1 for _ in conllu._cuts(corpus, conllu._BLOCK_CUT))
 code = treesent.cli.main(["analyze", "--workers", "2", "-i", corpus, "-o", out])
 loaded = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
 import json
