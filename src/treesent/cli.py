@@ -23,12 +23,13 @@ whole records, cut at blank lines (at any newline for decode's bridge
 lines). The first read is of 4 KiB and each later one twice the last, up
 to 64 KiB, so the first records come soon. A chunk's records are written
 and flushed when the chunk is done. With --workers N and input of more
-than 64 KiB, the command forks up to N workers, one as each of the first
-N chunks is sent, each fed chunks down a pipe, and writes their records
-in input order, byte-identical to one worker; this process only cuts the
-input, counts the lines and sentences that number each chunk, and
-writes. A run that does not fork numbers each chunk from the blocks it
-split. Without os.fork the command runs in one process.
+than 64 KiB, the command runs the first chunk itself and writes its
+records, then forks up to N workers, one as each of the next N chunks is
+sent, each fed chunks down a pipe, and writes their records in input
+order, byte-identical to one worker; past the first chunk this process
+only cuts the input, counts the lines and sentences that number each
+chunk, and writes. A run that does not fork numbers each chunk from the
+blocks it split. Without os.fork the command runs in one process.
 
 The command line is read from one table of commands and flags
 (``_COMMANDS``), without argparse. In a fresh ``python -S`` (CPython 3.11,
@@ -73,9 +74,10 @@ from .encodings import (
 )
 from .tree import ConfigError, DataError, DepTree, _Record
 
-# The lexicon, rules, assets, json, evaluation, bench and pool (pickle,
-# select, signal) modules are imported where they are used: encode and
-# decode start without any of them, analyze without the last three.
+# The lexicon, rules, assets, json, evaluation, bench and pool (select and
+# the C modules _pickle and _signal) modules are imported where they are
+# used: encode and decode start without any of them, analyze without the
+# last three.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import (
@@ -149,26 +151,31 @@ class PipelineConfig(_Record, frozen=True):
 
         if self.rules is None:
             return RuleConfig()
-        if not os.path.isfile(self.rules):
-            raise ConfigError(f"rule config file not found: {self.rules}")
         try:
-            return RuleConfig.from_file(self.rules)
+            return RuleConfig.from_file(_file_to_read(self.rules, "rule config file"))
         except RuleError as exc:
             raise ConfigError(f"rule config: {exc}") from None
 
 
+def _file_to_read(path: str, what: str) -> str:
+    """``path``, when something that is not a directory is there: a regular
+    file, or a named pipe or device such as ``/dev/stdin``. It is not opened
+    here, so that a pipe is read once, by the one reader that opens it."""
+    if os.path.isdir(path):
+        raise ConfigError(f"{what} is a directory: {path}")
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} not found: {path}")
+    return path
+
+
 def _find_lexicon(path: str) -> str:
-    if os.path.isfile(path):
-        return path
     search_dir = os.environ.get(LEXICON_DIR_ENV, os.environ.get(FORMER_LEXICON_DIR_ENV))
-    if search_dir:
+    if search_dir and not os.path.exists(path):
         fallback = os.path.join(search_dir, path)
-        if os.path.isfile(fallback):
-            return fallback
-        raise ConfigError(
-            f"lexicon file not found: {path} (also tried {fallback})"
-        )
-    raise ConfigError(f"lexicon file not found: {path}")
+        if not os.path.exists(fallback):
+            raise ConfigError(f"lexicon file not found: {path} (also tried {fallback})")
+        path = fallback
+    return _file_to_read(path, "lexicon file")
 
 
 # a config file and the command line set the same keys: the settings' fields
@@ -178,12 +185,10 @@ _CONFIG_TYPES = {"workers": int, "seed": int, "scheme": Scheme.parse}
 
 
 def _read_config_file(path: str) -> Dict[str, object]:
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
     values: Dict[str, object] = {}
-    for lineno, key, value in settings_lines(
-        path, lambda message, lineno: ConfigError(f"{path}:{lineno}: {message}")
-    ):
+    lines = settings_lines(_file_to_read(path, "config file"),
+                           lambda message, lineno: ConfigError(f"{path}:{lineno}: {message}"))
+    for lineno, key, value in lines:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
         try:
@@ -241,9 +246,7 @@ def _input_source(cfg: PipelineConfig):
         if stdin is None:
             stdin = io.BytesIO(sys.stdin.read().encode("utf-8", "surrogatepass"))
         return stdin
-    if not os.path.isfile(cfg.input):
-        raise ConfigError(f"input file not found: {cfg.input}")
-    return cfg.input
+    return _file_to_read(cfg.input, "input file")
 
 
 # ------------------------------------------------- analyze, aspects, encode
@@ -344,7 +347,7 @@ def _serve(fn: Callable, requests: int, results: int) -> None:
     """A worker's loop: ``fn`` of each chunk pickled down ``requests``,
     until it closes, with ``(True, result)`` or ``(False, exception)``
     pickled back up ``results``."""
-    import pickle
+    import _pickle as pickle
 
     with open(requests, "rb") as source, open(results, "wb") as sink:
         while True:
@@ -357,7 +360,7 @@ def _serve(fn: Callable, requests: int, results: int) -> None:
             except Exception as exc:
                 reply = False, exc
             try:
-                data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+                data = pickle.dumps(reply, -1)
             except Exception as exc:  # a result or an exception that does not pickle
                 data = pickle.dumps((False, RuntimeError(f"worker result: {exc!r}")))
             sink.write(_frame(data))
@@ -365,7 +368,7 @@ def _serve(fn: Callable, requests: int, results: int) -> None:
 
 
 def _fork_worker(fn: Callable, others: List[_Worker]) -> _Worker:
-    import signal
+    import _signal as signal
 
     ends: List[int] = []
     try:
@@ -417,9 +420,9 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
     if not hasattr(os, "fork"):
         yield from map(fn, chunks)
         return
-    import pickle
+    import _pickle as pickle  # -1 is its highest protocol
+    import _signal as signal
     import select
-    import signal
 
     pool: List[_Worker] = []
     owner: Dict[int, _Worker] = {}
@@ -445,7 +448,7 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
                 if not w.outbox and not w.ended:
                     owner[w.send] = w
                     poll.register(w.send, select.POLLOUT)
-                w.outbox += _frame(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
+                w.outbox += _frame(pickle.dumps(chunk, -1))
                 in_flight.append(w)
             if not in_flight:
                 break
@@ -516,6 +519,13 @@ def _run_chunk(
     return "".join(lines), stats, None
 
 
+def _parent_first(run: Callable, chunks: Iterator, workers: int) -> Iterator:
+    """``run`` of the first chunk in this process, then of the others in the
+    pool, which is started only once the first chunk's result is taken."""
+    yield run(next(chunks))
+    yield from _map_chunks(run, chunks, workers)
+
+
 def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: IO[str],
                    lines: bool = False) -> None:
     """Run ``job`` over the records of byte ``source`` a chunk at a time, and
@@ -526,8 +536,11 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
     tallies of each chunk, which ``job`` fills in a new ``type(stats)``.
     With one worker, or input of at most ``CHUNK_BYTES``, everything runs in
     this process, each chunk numbered from the blocks split before it.
-    Otherwise this process only cuts, counts and writes; the chunks go to
-    the pool and finished lines come back.
+    Otherwise the first chunk, of about ``FIRST_CHUNK_BYTES``, runs in this
+    process and is written before the pool starts, so that the pool's
+    imports and forks come after the first records and an error in the
+    first chunk forks nothing. Past it this process only cuts, counts and
+    writes; the chunks go to the pool and finished lines come back.
     """
     cuts = conllu._cuts(source, conllu._LINE_CUT if lines else conllu._BLOCK_CUT)
     head: List[bytes] = []
@@ -542,12 +555,12 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
     pooled = size > conllu.CHUNK_BYTES
     if lines:
         chunks, split = conllu._line_numbered(chained), chunk_lines
-    elif pooled:  # this process parses no chunk, so it counts the sentences of each
+    elif pooled:  # the pool parses its chunks, so this process counts their sentences
         chunks, split = conllu._numbered(chained), chunk_blocks
     else:
         chunks, split = conllu._split_chunks(chained), iter
     run = partial(_run_chunk, job, split, type(stats))
-    results = _map_chunks(run, chunks, workers) if pooled else (run(chunk) for chunk in chunks)
+    results = _parent_first(run, chunks, workers) if pooled else (run(chunk) for chunk in chunks)
     # closing ``cuts`` closes the input file it reads, however the run ends
     with closing(cuts), closing(results):
         for text, counts, error in results:
@@ -646,8 +659,7 @@ def cmd_eval(cfg: PipelineConfig, args: SimpleNamespace) -> int:
     )
 
     for path in (args.pred, args.gold):
-        if not os.path.isfile(path):
-            raise ConfigError(f"file not found: {path}")
+        _file_to_read(path, "file")
     gold_records = list(load_gold(args.gold))
     preds = load_predictions(args.pred)
     strict = cfg.on_error == "abort"
@@ -685,11 +697,9 @@ def cmd_eval(cfg: PipelineConfig, args: SimpleNamespace) -> int:
 
     parse_metrics = None
     if getattr(args, "pred_parse", None):
-        if not os.path.isfile(args.pred_parse):
-            raise ConfigError(f"file not found: {args.pred_parse}")
         by_id = {
             tree.sentence_id: tree
-            for tree in read_conllu(args.pred_parse, on_error="abort")
+            for tree in read_conllu(_file_to_read(args.pred_parse, "file"), on_error="abort")
         }
         pred_trees, gold_trees = [], []
         for record in gold_records:

@@ -11,7 +11,7 @@ import signal
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import partial
 
 import pytest
@@ -396,12 +396,40 @@ def test_the_pool_forks_a_worker_only_when_its_first_chunk_is_sent(
     three = tmp_path / "three.conllu"
     three.write_bytes(data[:data.rindex(b"\n\n", 0, 3 * POOL_CHUNK_BYTES - 600) + 2])
     assert len(list(counted_chunks(three))) == 3
-    for path, workers in ((three, 3), (corpus, 4)):
+    # the first chunk runs in this process, so three chunks fork two workers
+    for path, workers in ((three, 2), (corpus, 4)):
         single = _run_output(capsys, "analyze", "-i", path)
         forked.clear()
         assert _run_output(capsys, "analyze", "-i", path, "--workers", 4) == single
         assert forked == list(range(workers))
         _no_child_left()
+
+
+@pytest.mark.parametrize("policy", ["abort", "skip"])
+def test_a_pooled_run_runs_its_first_chunk_before_it_forks(
+    tmp_path, capsys, monkeypatch, small_chunks, policy
+):
+    forked, fork_worker = [], cli._fork_worker
+
+    def counted_fork_worker(fn, others):
+        forked.append(len(others))
+        return fork_worker(fn, others)
+
+    monkeypatch.setattr(cli, "_fork_worker", counted_fork_worker)
+    corpus = _pool_corpus(tmp_path, [(1, BAD_HEAD)])  # on the root row of sentence 1
+    data = corpus.read_bytes()
+    line = data[:data.index(b"\tx\troot")].count(b"\n") + 1
+    argv = ("analyze", "-i", corpus, "--on-error", policy)
+    single = _run_output(capsys, *argv, "--workers", 1)
+    assert _run_output(capsys, *argv, "--workers", 2) == single
+    if policy == "abort":
+        assert single == (1, "", f"error: sentence 1 (line {line}): non-numeric head 'x'\n")
+        assert forked == []  # the first chunk failed in this process
+    else:
+        assert single[0] == 0 and len(single[1].splitlines()) == POOL_SENTENCES - 1
+        assert single[2] == "skipped 1 unreadable sentences\n"
+        assert forked == [0, 1]
+    _no_child_left()
 
 
 def _uncalled(*args):
@@ -541,6 +569,23 @@ def test_the_input_file_is_closed_when_the_command_ends(
     capsys.readouterr()
 
 
+@contextmanager
+def _deadline(seconds, message):
+    """Raise TimeoutError(``message``) in the block if it runs ``seconds`` long,
+    also from inside a call that waits on a pipe."""
+
+    def stuck(*_):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_the_pool_streams_chunks_and_results_larger_than_its_pipes(
     tmp_path, capsys, monkeypatch
 ):
@@ -558,17 +603,8 @@ def test_the_pool_streams_chunks_and_results_larger_than_its_pipes(
     monkeypatch.setattr(conllu, "CHUNK_BYTES", 4 * POOL_CHUNK_BYTES)
     corpus = _pool_corpus(tmp_path)
     assert len(_chunk_starts(corpus)) > 2 * 3
-
-    def stuck(*_):
-        raise TimeoutError("the pool made no progress")
-
-    previous = signal.signal(signal.SIGALRM, stuck)
-    signal.alarm(60)
-    try:
+    with _deadline(60, "the pool made no progress"):
         single, *pooled = _per_worker_count(capsys, "analyze", "--explain", "-i", corpus)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert single[0] == 0 and len(single[1]) > 10 * 4096
     assert all(result == single for result in pooled)
     _no_child_left()
@@ -1531,6 +1567,57 @@ def test_a_file_that_cannot_be_opened_is_a_config_error(tmp_path, capsys, monkey
     monkeypatch.setattr(conllu, "open", refusing_open, raising=False)
     assert run(*argv) == 2
     assert capsys.readouterr().err == f"config error: [Errno 13] Permission denied: '{path}'\n"
+
+
+# copies the file argv[1] into the named pipe argv[2], once a reader opens it
+PIPE_WRITER = "import sys; data = open(sys.argv[1], 'rb').read(); open(sys.argv[2], 'wb').write(data)"
+
+
+@contextmanager
+def _named_pipe(path, source):
+    """A named pipe at ``path`` that a writer fills with the bytes of
+    ``source`` once, when a reader opens it. The writer is a process of its
+    own: a pool worker forked while a thread of this one held the pipe's
+    write end would hold it open too, and the reader would never see its end.
+    """
+    os.mkfifo(path)
+    writer = subprocess.Popen([sys.executable, "-S", "-c", PIPE_WRITER, str(source), str(path)],
+                              stderr=subprocess.DEVNULL)
+    try:
+        yield path
+    finally:
+        if writer.poll() is None:  # still waiting for a reader, or done but for its exit
+            writer.kill()
+        writer.wait()
+
+
+# the text each settings flag reads, which changes what analyze prints
+PIPED_SETTINGS = {"--lexicon": b"good\t\t-2\nscreen\t\t1\n", "--rules": b"negation_shift = 1\n",
+                  "--config": b"on_error = skip\nlexicon = missing.tsv\n"}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("flag", ["analyze -i", "decode -i", *PIPED_SETTINGS])
+def test_a_named_pipe_reads_as_the_file_it_carries(tmp_path, capsys, small_chunks, flag, workers):
+    if flag == "analyze -i":
+        regular = _pool_corpus(tmp_path)
+    elif flag == "decode -i":
+        regular = _bridge_corpus(tmp_path)
+    else:
+        regular = tmp_path / "settings"
+        regular.write_bytes(PIPED_SETTINGS[flag])
+
+    def argv(path):
+        if flag.endswith("-i"):
+            return (*flag.split(), path, "--workers", workers)
+        return ("analyze", flag, path, "-i", demo_treebank_path(), "--workers", workers)
+
+    expected = _run_output(capsys, *argv(regular))
+    assert expected[0] == (2 if flag == "--config" else 0)  # the config names a missing lexicon
+    # each file is opened once: a second open of the pipe would wait for a writer
+    with _named_pipe(tmp_path / "pipe", regular) as pipe, _deadline(60, "a pipe was opened twice"):
+        assert _run_output(capsys, *argv(pipe)) == expected
+    _no_child_left()
 
 
 def test_eval_directory_paths_are_config_errors(tmp_path, capsys):

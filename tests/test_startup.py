@@ -3,8 +3,9 @@
 ``import treesent`` resolves its public names lazily. The command line
 imports the evaluation and benchmark modules only for the commands that
 use them, the lexicon, rules and demo-data modules only for the commands
-that score, ``json`` only for the commands that write it, and neither
-``concurrent.futures`` nor ``multiprocessing`` even when it forks a pool.
+that score, ``json`` only for the commands that write it, and none of
+``concurrent.futures``, ``multiprocessing``, ``pickle`` and ``signal`` even
+when it forks a pool, which uses the C modules ``_pickle`` and ``_signal``.
 None of analyze, aspects, encode and decode loads the standard modules that
 cost the most to import and that they can do without, argparse among them:
 the command line is read from a table of flags. The start-up checks
@@ -31,8 +32,9 @@ UNUSED_BY_THE_HOT_COMMANDS = (
     "concurrent.futures",
     "multiprocessing",
     # the forked pool's, which an input of one chunk does not start
-    "pickle",
     "select",
+    # nor does the pool load these: it uses their C cores, _pickle and _signal
+    "pickle",
     "signal",
     "importlib.resources",
     "treesent.bench",
@@ -104,7 +106,8 @@ import treesent.cli
 conllu.CHUNK_BYTES = chunk_bytes
 chunks = sum(1 for _ in conllu._cuts(corpus, conllu._BLOCK_CUT))
 code = treesent.cli.main(["analyze", "--workers", "2", "-i", corpus, "-o", out])
-loaded = [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+loaded = [m for m in ("concurrent.futures", "multiprocessing", "pickle", "signal")
+          if m in sys.modules]
 import json
 print(json.dumps({"chunks": chunks, "code": code, "loaded": loaded}))
 """
