@@ -367,7 +367,7 @@ def _serve(fn: Callable, requests: int, results: int) -> None:
             sink.flush()
 
 
-def _fork_worker(fn: Callable, others: List[_Worker]) -> _Worker:
+def _fork_worker(fn: Callable, number: int) -> _Worker:
     import _signal as signal
 
     ends: List[int] = []
@@ -378,14 +378,17 @@ def _fork_worker(fn: Callable, others: List[_Worker]) -> _Worker:
     except OSError as exc:  # out of processes or descriptors
         for fd in ends:
             os.close(fd)
-        raise OSError(f"cannot start worker process {len(others) + 1}: {exc}") from None
+        raise OSError(f"cannot start worker process {number}: {exc}") from None
     requests, send, recv, results = ends
     if pid == 0:  # the worker: it never returns into the caller's stack
         code = 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-            for fd in (send, recv, *(end for w in others for end in (w.send, w.recv))):
-                os.close(fd)
+            # every descriptor but its own pipe ends, so that it holds no other pipe open
+            low, high = sorted((requests, results))
+            os.closerange(3, low)
+            os.closerange(low + 1, high)
+            os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
             _serve(fn, requests, results)
             code = 0
         finally:
@@ -440,7 +443,7 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
                     todo = None
                     break
                 if len(pool) < workers:  # worker k is forked when chunk k is sent
-                    pool.append(_fork_worker(fn, pool))
+                    pool.append(_fork_worker(fn, len(pool) + 1))
                     owner[pool[-1].recv] = pool[-1]
                     poll.register(pool[-1].recv, select.POLLIN)
                 w = pool[sent % workers]
@@ -545,6 +548,9 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
     cuts = conllu._cuts(source, conllu._LINE_CUT if lines else conllu._BLOCK_CUT)
     head: List[bytes] = []
     size = 0
+    # the look-ahead holds a slow pipe's first records back until CHUNK_BYTES or
+    # its end has come; it stays, as a pool for an input that fits made such
+    # runs slower, and running chunks here while it reads slowed the pool
     if workers > 1:
         for data in cuts:
             head.append(data)
@@ -662,19 +668,23 @@ def cmd_eval(cfg: PipelineConfig, args: SimpleNamespace) -> int:
         _file_to_read(path, "file")
     gold_records = list(load_gold(args.gold))
     preds = load_predictions(args.pred)
-    strict = cfg.on_error == "abort"
 
-    pred_labels, gold_labels = [], []
-    for record in gold_records:
-        if record.gold_class is None:
-            continue
-        entry = preds.get(record.sentence_id)
-        if entry is None or entry["class"] is None:
-            if strict:
-                raise EvalError(f"no predicted class for {record.sentence_id!r}")
-            continue
-        pred_labels.append(entry["class"])
-        gold_labels.append(record.gold_class)
+    def joined(layer: str, predicted: Dict[str, object], what: str) -> Tuple[list, list]:
+        """Each ``predicted[sent_id]`` that is not None, with the gold ``layer`` it is
+        scored against; a gold record with that layer and no prediction stops an abort run."""
+        found, gold = [], []
+        for record in gold_records:
+            if getattr(record, layer) is None:
+                continue
+            if predicted.get(record.sentence_id) is not None:
+                found.append(predicted[record.sentence_id])
+                gold.append(getattr(record, layer))
+            elif cfg.on_error == "abort":
+                raise EvalError(f"{what} for {record.sentence_id!r}")
+        return found, gold
+
+    classes = {sid: entry["class"] for sid, entry in preds.items()}
+    pred_labels, gold_labels = joined("gold_class", classes, "no predicted class")
     sentence_metrics = eval_sentences(pred_labels, gold_labels) if gold_labels else None
 
     gold_sets = {
@@ -684,14 +694,9 @@ def cmd_eval(cfg: PipelineConfig, args: SimpleNamespace) -> int:
     }
     targets_exact = targets_overlap = None
     if gold_sets:
-        pred_map = {}
-        for sid in gold_sets:
-            entry = preds.get(sid)
-            if entry is None:
-                if strict:
-                    raise EvalError(f"no prediction record for {sid!r}")
-                continue
-            pred_map[sid] = entry["items"]
+        items = {sid: entry["items"] for sid, entry in preds.items()}
+        found, opinion_sets = joined("gold_opinions", items, "no prediction record")
+        pred_map = {gold.sentence_id: payload for payload, gold in zip(found, opinion_sets)}
         targets_exact = eval_targets(pred_map, gold_sets, mode="exact")
         targets_overlap = eval_targets(pred_map, gold_sets, mode="overlap")
 
@@ -701,17 +706,7 @@ def cmd_eval(cfg: PipelineConfig, args: SimpleNamespace) -> int:
             tree.sentence_id: tree
             for tree in read_conllu(_file_to_read(args.pred_parse, "file"), on_error="abort")
         }
-        pred_trees, gold_trees = [], []
-        for record in gold_records:
-            if record.parse is None:
-                continue
-            tree = by_id.get(record.sentence_id)
-            if tree is None:
-                if strict:
-                    raise EvalError(f"no predicted parse for {record.sentence_id!r}")
-                continue
-            pred_trees.append(tree)
-            gold_trees.append(record.parse)
+        pred_trees, gold_trees = joined("parse", by_id, "no predicted parse")
         if not gold_trees:
             raise EvalError("gold file has no parses to score against")
         parse_metrics = eval_parse(pred_trees, gold_trees)

@@ -281,20 +281,27 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
     )
 
 
-def load_gold(source: Source) -> Iterator[GoldRecord]:
-    """Stream GoldRecords out of a JSON-lines file."""
-    for lineno, raw_line in numbered_lines(source):
-        if raw_line is None:
-            raise EvalError(f"line {lineno}: not valid UTF-8")
-        line = raw_line.strip()
+def _json_objects(numbered: Iterable, prefix: str, noun: str) -> Iterator[Tuple[int, dict]]:
+    """``(lineno, object)`` of each non-blank ``(lineno, text or None if not UTF-8)``;
+    an error names its line as ``prefix`` and the number, and a non-object a ``noun``."""
+    for lineno, raw in numbered:
+        if raw is None:
+            raise EvalError(f"{prefix}{lineno}: not valid UTF-8")
+        line = raw.strip()
         if not line:
             continue
         try:
-            raw = json.loads(line)
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise EvalError(f"line {lineno}: bad JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise EvalError(f"line {lineno}: record must be a JSON object")
+            raise EvalError(f"{prefix}{lineno}: bad JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise EvalError(f"{prefix}{lineno}: {noun} must be a JSON object")
+        yield lineno, obj
+
+
+def load_gold(source: Source) -> Iterator[GoldRecord]:
+    """Stream GoldRecords out of a JSON-lines file."""
+    for lineno, raw in _json_objects(numbered_lines(source), "line ", "record"):
         yield _parse_record(raw, lineno)
 
 
@@ -325,17 +332,8 @@ def load_predictions(path: Path) -> Dict[str, dict]:
                 "items": [] if opinions is None else _target_items(opinions, sid),
             }
         return table
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, obj in _json_objects(enumerate(lines, start=1), f"{path}:", "prediction record"):
         where = f"{path}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EvalError(f"{where}: bad JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise EvalError(f"{where}: prediction record must be a JSON object")
         sid = str(obj.get("sent_id", ""))
         if not sid:
             raise EvalError(f"{where}: prediction record missing sent_id")
@@ -379,13 +377,14 @@ def eval_sentences(pred: Sequence[str], gold: Sequence[str]) -> SentenceMetrics:
             raise EvalError(f"unknown class label {label!r}")
     correct = sum(1 for p, g in zip(pred, gold) if p == g)
     per_class = {}
+    f1_total = 0.0  # by +=, not sum(): its float sum is compensated from Python 3.12 on
     for label in CLASSES:
         true_positives = sum(1 for p, g in zip(pred, gold) if p == g == label)
         predicted = sum(1 for p in pred if p == label)
         gold_count = sum(1 for g in gold if g == label)
-        per_class[label] = ClassMetrics(*_prf(true_positives, predicted, gold_count))
-    macro = sum(m.f1 for m in per_class.values()) / len(CLASSES)
-    return SentenceMetrics(correct / len(gold), per_class, macro)
+        per_class[label] = metrics = ClassMetrics(*_prf(true_positives, predicted, gold_count))
+        f1_total += metrics.f1
+    return SentenceMetrics(correct / len(gold), per_class, f1_total / len(CLASSES))
 
 
 TargetItems = Union[OpinionSet, Iterable[Tuple[Tuple[int, int], str]]]

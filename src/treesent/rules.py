@@ -192,8 +192,8 @@ def _compose(
         if pivot is None and kind.kind == _ADV_KIND:
             pivot = node
     contribution = [0.0] * (n + 1)
-    # children's subtree totals summed left to right, exactly as sum() would;
-    # never -0.0, so a node that adds 0.0 to one passes it up unchanged
+    # children's subtree totals added left to right by += (sum() rounds otherwise from
+    # Python 3.12 on); never -0.0, so a node that adds 0.0 to one passes it up unchanged
     below = [0.0] * (n + 1)
     steps: Optional[List[TraceStep]] = [] if trace else None
 
@@ -237,8 +237,11 @@ def _compose(
 
     sentence = total  # the root is the last node of the post-order
     if pivot is not None:
-        before = sum(contribution[1:pivot])
-        after = sum(contribution[pivot + 1:])
+        before = after = 0.0
+        for value in contribution[1:pivot]:
+            before += value
+        for value in contribution[pivot + 1:]:
+            after += value
         w_before, w_after = cfg.adversative_weights
         weighted = w_before * before + w_after * after
         if steps is not None:
@@ -359,7 +362,9 @@ def _evidence(
 
 def _opinion(tree: DepTree, cfg: RuleConfig, span: Tuple[int, ...], evidence: List[int],
              contribution: List[float]) -> TargetOpinion:
-    valence = sum([contribution[e] for e in evidence])
+    valence = 0.0
+    for token in evidence:  # left to right, as _compose adds
+        valence += contribution[token]
     return TargetOpinion._trusted(
         target_token_ids=span,
         target_text=" ".join(tree.forms[span[0] - 1:span[-1]]),  # a span is contiguous

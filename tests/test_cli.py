@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import partial
@@ -386,9 +387,9 @@ def test_the_pool_forks_a_worker_only_when_its_first_chunk_is_sent(
 ):
     forked, fork_worker = [], cli._fork_worker
 
-    def counted_fork_worker(fn, others):
-        forked.append(len(others))  # the earlier workers, whose pipe ends the child closes
-        return fork_worker(fn, others)
+    def counted_fork_worker(fn, number):
+        forked.append(number)
+        return fork_worker(fn, number)
 
     monkeypatch.setattr(cli, "_fork_worker", counted_fork_worker)
     corpus = _pool_corpus(tmp_path)
@@ -401,7 +402,7 @@ def test_the_pool_forks_a_worker_only_when_its_first_chunk_is_sent(
         single = _run_output(capsys, "analyze", "-i", path)
         forked.clear()
         assert _run_output(capsys, "analyze", "-i", path, "--workers", 4) == single
-        assert forked == list(range(workers))
+        assert forked == list(range(1, workers + 1))
         _no_child_left()
 
 
@@ -411,9 +412,9 @@ def test_a_pooled_run_runs_its_first_chunk_before_it_forks(
 ):
     forked, fork_worker = [], cli._fork_worker
 
-    def counted_fork_worker(fn, others):
-        forked.append(len(others))
-        return fork_worker(fn, others)
+    def counted_fork_worker(fn, number):
+        forked.append(number)
+        return fork_worker(fn, number)
 
     monkeypatch.setattr(cli, "_fork_worker", counted_fork_worker)
     corpus = _pool_corpus(tmp_path, [(1, BAD_HEAD)])  # on the root row of sentence 1
@@ -428,7 +429,7 @@ def test_a_pooled_run_runs_its_first_chunk_before_it_forks(
     else:
         assert single[0] == 0 and len(single[1].splitlines()) == POOL_SENTENCES - 1
         assert single[2] == "skipped 1 unreadable sentences\n"
-        assert forked == [0, 1]
+        assert forked == [1, 2]
     _no_child_left()
 
 
@@ -1049,7 +1050,7 @@ def test_eval_missing_files_are_config_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_eval_missing_prediction_abort_vs_skip(tmp_path):
+def test_eval_missing_prediction_abort_vs_skip(tmp_path, capsys):
     gold = tmp_path / "gold.jsonl"
     _write_jsonl(
         gold,
@@ -1061,9 +1062,107 @@ def test_eval_missing_prediction_abort_vs_skip(tmp_path):
     pred = tmp_path / "pred.jsonl"
     _write_jsonl(pred, [{"sent_id": "g1", "class": "positive"}])
     assert run("eval", "--pred", pred, "--gold", gold) == 1
+    assert capsys.readouterr().err == "error: no predicted class for 'g2'\n"
     out = tmp_path / "report.json"
     assert run("eval", "--pred", pred, "--gold", gold, "--on-error", "skip", "-o", out) == 0
     assert json.loads(out.read_text())["sentence"]["accuracy"] == 1.0
+
+
+BOX = (["box", "works", "fine"], ["NOUN", "VERB", "ADJ"])
+BOX_PARSE = ([2, 0, 2], ["nsubj", "root", "advmod"])
+
+
+def _box_trees(path, sids):
+    write_conllu([DepTree.build(BOX_PARSE[0], deprels=BOX_PARSE[1], forms=BOX[0], upos=BOX[1],
+                                sentence_id=sid, metadata={"sent_id": sid}) for sid in sids],
+                 path)
+    return path
+
+
+# each layer: the annotation of gold records g1 and g2, the prediction
+# records, the predicted parses, the error that g2's missing prediction stops
+# an abort run with, and what a skip run reports of g1 alone
+MISSING_PREDICTIONS = {
+    "class": ({"cls": "positive"}, [{"sent_id": "g1", "class": "positive"}, {"sent_id": "g2"}],
+              None, "no predicted class for 'g2'",
+              lambda report: report["sentence"]["accuracy"] == 1.0),
+    "opinions": ({"opinions": [(3, 1, 1, "positive")]},
+                 [{"sent_id": "g1", "opinions": [{"target": [1, 1], "polarity": "positive"}]}],
+                 None, "no prediction record for 'g2'",
+                 lambda report: [report["targets"]["exact"][key]
+                                 for key in ("matches", "predicted", "gold")] == [1, 1, 2]),
+    "parse": ({"cls": "positive", "parse": BOX_PARSE},
+              [{"sent_id": sid, "class": "positive"} for sid in ("g1", "g2")],
+              ["g1"], "no predicted parse for 'g2'",
+              lambda report: report["parse"]["tokens"] == 3),
+}
+
+
+@pytest.mark.parametrize("layer", MISSING_PREDICTIONS)
+def test_eval_names_the_gold_record_a_layer_has_no_prediction_for(tmp_path, capsys, layer):
+    annotation, predictions, parsed, message, skipped = MISSING_PREDICTIONS[layer]
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    _write_jsonl(gold, [_gold_record(sid, *BOX, **annotation) for sid in ("g1", "g2")])
+    _write_jsonl(pred, predictions)
+    argv = ("eval", "--pred", pred, "--gold", gold)
+    if parsed:
+        argv += ("--pred-parse", _box_trees(tmp_path / "pred.conllu", parsed))
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    out = tmp_path / "report.json"
+    assert run(*argv, "--on-error", "skip", "-o", out) == 0
+    assert capsys.readouterr().err == ""
+    assert skipped(json.loads(out.read_text()))
+
+
+@pytest.mark.parametrize("policy", ["abort", "skip"])
+def test_eval_needs_a_gold_parse_that_a_predicted_parse_is_scored_against(
+    tmp_path, capsys, policy
+):
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    # under skip, a gold parse whose prediction is missing leaves nothing to score either
+    parse = {"parse": BOX_PARSE} if policy == "skip" else {}
+    _write_jsonl(gold, [_gold_record("g1", *BOX, cls="positive", **parse)])
+    _write_jsonl(pred, [{"sent_id": "g1", "class": "positive"}])
+    parses = _box_trees(tmp_path / "pred.conllu", ["other"])
+    argv = ("eval", "--pred", pred, "--gold", gold, "--pred-parse", parses, "--on-error", policy)
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == "error: gold file has no parses to score against\n"
+
+
+def _json_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} is valid JSON")
+
+
+PARTIAL_RECORD = '{"sent_id":'
+
+
+@pytest.mark.parametrize(
+    "gold_format, lines, message",
+    [
+        (False, [PARTIAL_RECORD],  # the first record is parsed with its line end
+         "{pred}: bad JSON on first record: " + _json_error(PARTIAL_RECORD + "\n")),
+        (False, ["", '{"sent_id": "s1"}', PARTIAL_RECORD, ""],
+         "{pred}:3: bad JSON: " + _json_error(PARTIAL_RECORD)),
+        (False, ["[1, 2]"], "{pred}:1: prediction record must be a JSON object"),
+        # after the demo gold's three records the file is read as gold, whose
+        # errors name a line without the path
+        (True, ["", PARTIAL_RECORD], "line 5: bad JSON: " + _json_error(PARTIAL_RECORD)),
+        (True, ['"s1"'], "line 4: record must be a JSON object"),
+    ],
+)
+def test_eval_names_a_predictions_line_that_is_no_record(
+    tmp_path, capsys, gold_format, lines, message
+):
+    pred = tmp_path / "pred.jsonl"
+    head = demo_gold_path().read_text(encoding="utf-8") if gold_format else ""
+    pred.write_text(head + "".join(line + "\n" for line in lines), encoding="utf-8")
+    assert run("eval", "--pred", pred, "--gold", demo_gold_path()) == 1
+    assert capsys.readouterr().err == f"error: {message.replace('{pred}', str(pred))}\n"
 
 
 # ------------------------------------------------------------------ bench/gen
@@ -1575,11 +1674,8 @@ PIPE_WRITER = "import sys; data = open(sys.argv[1], 'rb').read(); open(sys.argv[
 
 @contextmanager
 def _named_pipe(path, source):
-    """A named pipe at ``path`` that a writer fills with the bytes of
-    ``source`` once, when a reader opens it. The writer is a process of its
-    own: a pool worker forked while a thread of this one held the pipe's
-    write end would hold it open too, and the reader would never see its end.
-    """
+    """A named pipe at ``path`` that a writer process fills with the bytes of
+    ``source`` once, when a reader opens it."""
     os.mkfifo(path)
     writer = subprocess.Popen([sys.executable, "-S", "-c", PIPE_WRITER, str(source), str(path)],
                               stderr=subprocess.DEVNULL)
@@ -1618,6 +1714,38 @@ def test_a_named_pipe_reads_as_the_file_it_carries(tmp_path, capsys, small_chunk
     with _named_pipe(tmp_path / "pipe", regular) as pipe, _deadline(60, "a pipe was opened twice"):
         assert _run_output(capsys, *argv(pipe)) == expected
     _no_child_left()
+
+
+def test_a_worker_keeps_no_descriptor_of_the_process_that_forked_it(tmp_path, capsys):
+    """A thread of this process writes the named pipe that a pooled run reads.
+    A worker that kept the thread's write end open would keep the reader from
+    ever seeing the pipe's end."""
+    corpus = tmp_path / "corpus.conllu"
+    assert run("gen", "--sentences", 3000, "--seed", 0, "--format", "conllu", "-o", corpus) == 0
+    data = corpus.read_bytes()
+    expected = _run_output(capsys, "analyze", "-i", corpus)
+    assert len(expected[1].splitlines()) == 3000
+
+    def write(pipe):
+        try:
+            pipe.write_bytes(data)
+        except BrokenPipeError:  # the reader gave up
+            pass
+
+    for workers in (2, 3):
+        pipe = tmp_path / f"pipe-{workers}"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=write, args=(pipe,))
+        writer.start()
+        try:
+            with _deadline(60, "a worker held the pipe open"):
+                assert _run_output(capsys, "analyze", "-i", pipe, "--workers", workers) == expected
+        finally:
+            if writer.is_alive():  # its open of the pipe waits for a reader
+                os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(10)
+        assert not writer.is_alive()
+        _no_child_left()
 
 
 def test_eval_directory_paths_are_config_errors(tmp_path, capsys):

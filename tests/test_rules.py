@@ -280,6 +280,37 @@ def test_leftmost_adversative_is_the_pivot(lex, cfg):
     assert valence == pytest.approx(0.5 * 3.0 + 1.5 * (-3.0 - 4.0))
 
 
+# sentence syn-4674 of `treesent gen --sentences 10000 --seed 0`
+SYN_4674 = (
+    [2, 5, 2, 3, 9, 5, 6, 7, 11, 9, 16, 13, 14, 11, 14, 18, 16, 0, 18, 19],
+    ["nsubj", "obj", "amod", "advmod", "nsubj", "obj", "amod", "advmod", "nsubj", "obj", "amod",
+     "advmod", "nsubj", "obj", "amod", "advmod", "nsubj", "root", "amod", "advmod"],
+    ["is", "awful", "issue", "noisy", "case", "crisp", "blurry", "amazing", "phone", "useless",
+     "not", "extremely", "defective", "camera", "horrible", "works", "it", "although", "no",
+     "solid"],
+    ["AUX", "ADJ", "NOUN", "ADJ", "NOUN", "ADJ", "ADJ", "ADJ", "NOUN", "ADJ", "PART", "ADV",
+     "ADJ", "NOUN", "ADJ", "VERB", "PRON", "CCONJ", "PART", "ADJ"],
+)
+
+
+def test_adversative_halves_are_added_left_to_right(lex, cfg):
+    # sum(), compensated from Python 3.12 on, scored it 0.5000000000000004: positive
+    result = analyze(simple(*SYN_4674), lex, cfg)
+    assert (result.sentence_valence, result.sentence_class) == (0.5, NEUTRAL)
+    assert [step.after for step in result.trace if step.rule == "ADVERSATIVE"] == [0.5]
+
+
+def test_an_opinion_adds_its_evidence_left_to_right(cfg):
+    lexicon = load_lexicon(io.StringIO("a\t\t0.1\nb\t\t0.2\nc\t\t0.3\n"), "en")
+    # "phone" with three adjectives, whose valences sum() adds to 0.6 from Python 3.12 on
+    tree = simple([0, 1, 1, 1], ["root", "amod", "amod", "amod"], ["phone", "a", "b", "c"],
+                  ["NOUN", "ADJ", "ADJ", "ADJ"])
+    result = analyze(tree, lexicon, cfg)
+    (opinion,) = result.opinions
+    assert opinion.evidence_token_ids == (2, 3, 4)
+    assert opinion.valence == (0.1 + 0.2) + 0.3 == result.sentence_valence != 0.6
+
+
 def test_trace_replay_is_exact(demo, lex, cfg):
     for tree in demo.values():
         valence, trace = score_tree(tree, lex, cfg)
