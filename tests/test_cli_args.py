@@ -1,15 +1,23 @@
 """How ``main`` reads its command line: each case is run through ``main``
 with the command itself replaced by a recorder, so only the reading of
 ``argv`` and the merging of settings are tested. The cases are the
-behaviours of an ``argparse`` command line that scripts may rely on."""
+behaviours of an ``argparse`` command line that scripts may rely on.
+
+The help of ``treesent`` and of each command is pinned to the copies in
+``tests/help``. To rewrite them after an intended change of the help::
+
+    PYTHONPATH=src python tests/test_cli_args.py
+"""
 
 import sys
+from pathlib import Path
 
 import pytest
 
 from treesent import Scheme, __version__, cli
 from treesent.cli import PipelineConfig, main
 
+HELP = Path(__file__).resolve().parent / "help"
 SETTINGS = PipelineConfig._fields
 COMMON = dict.fromkeys(("config", *SETTINGS))
 DEFAULTS = {
@@ -186,9 +194,68 @@ def test_a_commands_help_names_every_flag_it_takes(recorded, capsys, command):
         assert all(flag in words for flag in ("-h", "--help", *COMMON_FLAGS, *FLAGS[command]))
 
 
+def _help_text(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--help"])
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+@pytest.mark.parametrize("command", [None, *FLAGS])
+def test_help_is_the_stored_copy(recorded, capsys, command):
+    argv = [] if command is None else [command]
+    stored = (HELP / f"{command or 'treesent'}.txt").read_text(encoding="utf-8")
+    assert _help_text(capsys, argv) == stored
+
+
+# a config-file line and the flag for each setting; a config file reads
+# the scheme through Scheme.parse and workers and seed as int
+GIVEN = {
+    "language": ("de", "de"),
+    "lexicon": ("lex.tsv", "lex.tsv"),
+    "domain_lexicon": ("domain.tsv", "domain.tsv"),
+    "rules": ("rules.cfg", "rules.cfg"),
+    "scheme": ("brackets", Scheme.BRACKETS),
+    "input": ("in.conllu", "in.conllu"),
+    "output": ("out.jsonl", "out.jsonl"),
+    "on_error": ("skip", "skip"),
+    "workers": ("3", 3),
+    "seed": ("-7", -7),
+}
+
+
+@pytest.mark.parametrize("key", GIVEN)
+def test_a_config_line_and_its_flag_give_equal_settings(recorded, tmp_path, key):
+    assert set(GIVEN) == set(SETTINGS)
+    text, value = GIVEN[key]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {text}\n", encoding="utf-8")
+    assert main(["analyze", "--config", str(config)]) == 0
+    assert main(["analyze", "--" + key.replace("_", "-"), text]) == 0
+    [(from_file, _), (from_flag, _)] = recorded
+    assert from_file == from_flag == PipelineConfig(**{key: value})
+
+
 def test_main_without_arguments_reads_sys_argv(recorded, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["treesent", "encode", "--seed", "5"])
     assert main() == 0
     [(cfg, args)] = recorded
     assert args == {"command": "encode", **DEFAULTS["encode"], "seed": 5}
     assert cfg == PipelineConfig(seed=5)
+
+
+if __name__ == "__main__":
+    from contextlib import redirect_stdout
+    from io import StringIO
+
+    HELP.mkdir(exist_ok=True)
+    for command in (None, *FLAGS):
+        printed = StringIO()
+        with redirect_stdout(printed):
+            try:
+                main([*([command] if command else []), "--help"])
+            except SystemExit:
+                pass
+        (HELP / f"{command or 'treesent'}.txt").write_text(printed.getvalue(), encoding="utf-8")
