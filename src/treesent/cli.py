@@ -99,34 +99,40 @@ LEXICON_DIR_ENV = "TREESENT_LEXICON_DIR"
 FORMER_LEXICON_DIR_ENV = "SALSA_LEXICON_DIR"
 
 
+# Each setting every command takes: its default, the type its flag reads
+# (str, int or the tuple of values it may take), how a config file's text
+# becomes its value, and its help line. A config file and the command line
+# set the same keys.
+_SETTINGS = {
+    "language": ("en", str, str, "lexicon language code (default en)"),
+    "lexicon": (None, str, str, "base lexicon TSV (default: built-in demo)"),
+    "domain_lexicon": (None, str, str, "overlay lexicon TSV"),
+    "rules": (None, str, str, "rule engine key=value config file"),
+    "scheme": (Scheme.REL_OFFSET, str, Scheme.parse,
+               "label scheme: rel-offset, rel-pos, or brackets"),
+    "input": (None, str, str, "input path (default: stdin)"),
+    "output": (None, str, str, "output path (default: stdout)"),
+    "on_error": ("abort", _ON_ERROR, str, "bad-sentence policy (default abort)"),
+    "workers": (1, int, int, "parallel worker count"),
+    "seed": (0, int, int, "random seed for synthetic data"),
+}
+
+
 class PipelineConfig(_Record, frozen=True):
-    """Resolved settings shared by every subcommand."""
+    """Resolved settings shared by every subcommand, one field per ``_SETTINGS`` row."""
 
-    _fields = ("language", "lexicon", "domain_lexicon", "rules", "scheme", "input", "output",
-               "on_error", "workers", "seed")
+    _fields = tuple(_SETTINGS)
 
-    def __init__(
-        self,
-        language: str = "en",
-        lexicon: Optional[str] = None,
-        domain_lexicon: Optional[str] = None,
-        rules: Optional[str] = None,
-        scheme: Scheme = Scheme.REL_OFFSET,
-        input: Optional[str] = None,
-        output: Optional[str] = None,
-        on_error: str = "abort",
-        workers: int = 1,
-        seed: int = 0,
-    ) -> None:
-        if workers < 1:
-            raise ConfigError(f"worker count must be >= 1, got {workers}")
-        if on_error not in _ON_ERROR:
-            raise ConfigError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
-        self.__dict__.update(
-            language=language, lexicon=lexicon, domain_lexicon=domain_lexicon, rules=rules,
-            scheme=scheme, input=input, output=output, on_error=on_error, workers=workers,
-            seed=seed,
-        )
+    def __init__(self, **given) -> None:
+        unknown = sorted(given.keys() - _SETTINGS.keys())
+        if unknown:
+            raise TypeError(f"PipelineConfig got an unexpected keyword argument {unknown[0]!r}")
+        values = {key: given.get(key, row[0]) for key, row in _SETTINGS.items()}
+        if values["workers"] < 1:
+            raise ConfigError(f"worker count must be >= 1, got {values['workers']}")
+        if values["on_error"] not in _ON_ERROR:
+            raise ConfigError(f"on_error must be 'skip' or 'abort', got {values['on_error']!r}")
+        self.__dict__.update(values)
 
     def load_lexicon(self) -> PolarityLexicon:
         from .assets import demo_lexicon
@@ -178,21 +184,15 @@ def _find_lexicon(path: str) -> str:
     return _file_to_read(path, "lexicon file")
 
 
-# a config file and the command line set the same keys: the settings' fields
-_CONFIG_KEYS = PipelineConfig._fields
-# how a config file's text becomes each value that is not text
-_CONFIG_TYPES = {"workers": int, "seed": int, "scheme": Scheme.parse}
-
-
 def _read_config_file(path: str) -> Dict[str, object]:
     values: Dict[str, object] = {}
     lines = settings_lines(_file_to_read(path, "config file"),
                            lambda message, lineno: ConfigError(f"{path}:{lineno}: {message}"))
     for lineno, key, value in lines:
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
         try:
-            values[key] = _CONFIG_TYPES.get(key, str)(value)
+            values[key] = _SETTINGS[key][2](value)
             PipelineConfig(**{key: values[key]})  # the field's own checks, while its line is known
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
@@ -205,13 +205,13 @@ def _build_config(args: SimpleNamespace) -> PipelineConfig:
     """defaults, then config file entries, then explicit flags."""
     merged = _read_config_file(args.config) if getattr(args, "config", None) else {}
     try:
-        for key in _CONFIG_KEYS:
+        for key, row in _SETTINGS.items():
             flag = getattr(args, key, None)
             if flag is not None:
-                merged[key] = _CONFIG_TYPES.get(key, str)(flag)
+                merged[key] = row[2](flag)
     except ValueError as exc:  # --scheme; _read_argv has checked the others
         raise ConfigError(str(exc)) from None
-    return PipelineConfig(**merged)  # type: ignore[arg-type]
+    return PipelineConfig(**merged)
 
 
 def _same_file(first: str, second: str) -> bool:
@@ -791,27 +791,10 @@ def cmd_gen(cfg: PipelineConfig, args: SimpleNamespace) -> int:
 
 _ABOUT = ("Sentiment analysis over dependency trees, plus the label encodings\n"
           "that let a tagger produce those trees.")
-_COMMON_HELP = {
-    "config": "key=value settings file",
-    "language": "lexicon language code (default en)",
-    "lexicon": "base lexicon TSV (default: built-in demo)",
-    "domain_lexicon": "overlay lexicon TSV",
-    "rules": "rule engine key=value config file",
-    "scheme": "label scheme: rel-offset, rel-pos, or brackets",
-    "input": "input path (default: stdin)",
-    "output": "output path (default: stdout)",
-    "on_error": "bad-sentence policy (default abort)",
-    "workers": "parallel worker count",
-    "seed": "random seed for synthetic data",
-}
-# a setting's flag type where it is not str: int where a config file reads an
-# int (the scheme is parsed with the settings), and the on_error policies
-_FLAG_TYPES = {**{key: int for key, kind in _CONFIG_TYPES.items() if kind is int},
-               "on_error": _ON_ERROR}
 # the flags every command takes: --config, then one for each setting
 _COMMON_FLAGS = {
-    key: (_FLAG_TYPES.get(key, str), None, False, _COMMON_HELP[key])
-    for key in ("config", *_CONFIG_KEYS)
+    "config": (str, None, False, "key=value settings file"),
+    **{key: (kind, None, False, text) for key, (_, kind, _, text) in _SETTINGS.items()},
 }
 _SHORT_FLAGS = {"input": "-i", "output": "-o"}
 # each command: its help line and the flags it takes besides the common ones
