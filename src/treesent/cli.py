@@ -702,13 +702,15 @@ def cmd_eval(cfg: PipelineConfig, args: SimpleNamespace) -> int:
 
     parse_metrics = None
     if getattr(args, "pred_parse", None):
+        if all(record.parse is None for record in gold_records):
+            raise EvalError("gold file has no parses to score against")
         by_id = {
             tree.sentence_id: tree
             for tree in read_conllu(_file_to_read(args.pred_parse, "file"), on_error="abort")
         }
         pred_trees, gold_trees = joined("parse", by_id, "no predicted parse")
-        if not gold_trees:
-            raise EvalError("gold file has no parses to score against")
+        if not gold_trees:  # under skip, every gold parse went without its prediction
+            raise EvalError(f"{args.pred_parse} has no parse of a sentence the gold file parses")
         parse_metrics = eval_parse(pred_trees, gold_trees)
 
     report = MetricsReport(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -31,7 +32,7 @@ from typing import (
 )
 
 from .conllu import numbered_lines
-from .opinions import Opinion, OpinionError, OpinionSet, to_tree
+from .opinions import Opinion, OpinionError, OpinionSet, _int_pair, _is_int, to_tree
 from .rules import CLASSES
 from .tree import DataError, DepTree, TreeError
 
@@ -122,18 +123,6 @@ class MetricsReport:
         if self.parse is not None:
             out["parse"] = dict(self.parse._asdict())
         return out
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: not a float, a numeric string or a boolean."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_pair(span) -> Optional[Tuple[int, int]]:
-    """``span`` as two integers, or None if it is anything else."""
-    if isinstance(span, (list, tuple)) and len(span) == 2 and all(map(_is_int, span)):
-        return span[0], span[1]
-    return None
 
 
 def char_span_to_token_span(
@@ -316,15 +305,12 @@ def load_predictions(path: Path) -> Dict[str, dict]:
         if raw is None:
             raise EvalError(f"{path}:{lineno}: not valid UTF-8")
         lines.append(raw)
-    first = next((raw for raw in lines if raw.strip()), None)
+    records = _json_objects(enumerate(lines, start=1), f"{path}:", "prediction record")
+    first = next(records, None)
     table: Dict[str, dict] = {}
     if first is None:
         return table
-    try:
-        first_record = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise EvalError(f"{path}: bad JSON on first record: {exc}") from None
-    if isinstance(first_record, dict) and "tokens" in first_record:
+    if "tokens" in first[1]:
         for record in load_gold(lines):
             opinions, sid = record.gold_opinions, record.sentence_id
             table[sid] = {
@@ -332,7 +318,7 @@ def load_predictions(path: Path) -> Dict[str, dict]:
                 "items": [] if opinions is None else _target_items(opinions, sid),
             }
         return table
-    for lineno, obj in _json_objects(enumerate(lines, start=1), f"{path}:", "prediction record"):
+    for lineno, obj in chain([first], records):
         where = f"{path}:{lineno}"
         sid = str(obj.get("sent_id", ""))
         if not sid:

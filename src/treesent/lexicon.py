@@ -179,13 +179,16 @@ class PolarityLexicon(_Record, frozen=True):
         return self.shifters._by_lemma.get(lemma.lower())
 
     def entries(self) -> Iterator[LexEntry]:
-        """Effective entries after shadowing, topmost layer first."""
-        seen = set()
+        """Effective entries after shadowing, topmost layer first: the ones
+        a lookup of their own term and UPOS filter reaches."""
+        seen: set = set()
+        closed: set = set()  # terms with an unconstrained entry in a higher layer
         for layer in reversed(self.layers):
             for key, valence in layer.items():
-                if key not in seen:
+                if key not in seen and key[0] not in closed:
                     seen.add(key)
                     yield LexEntry(key[0], key[1], valence)
+            closed.update(term for term, upos in layer if upos is None)
 
     def overlay(self, domain: PolarityLexicon) -> PolarityLexicon:
         """Stack ``domain`` on top of this lexicon.

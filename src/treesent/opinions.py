@@ -34,14 +34,28 @@ class OpinionError(DataError):
     """An opinion structure that cannot be built or read back."""
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: not a float, a numeric string or a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_pair(span) -> Optional[Tuple[int, int]]:
+    """``span`` as two integers, or None if it is anything else."""
+    if isinstance(span, (list, tuple)) and len(span) == 2 and all(map(_is_int, span)):
+        return span[0], span[1]
+    return None
+
+
 def _check_span(span, name: str) -> Optional[Tuple[int, int]]:
     if span is None:
         return None
-    first, last = span
-    first, last = int(first), int(last)
+    pair = _int_pair(span)
+    if pair is None:
+        raise OpinionError(f"{name} span must be a pair of integers, got {span!r}")
+    first, last = pair
     if first < 1 or last < first:
         raise OpinionError(f"bad {name} span ({first}, {last})")
-    return (first, last)
+    return pair
 
 
 @dataclass(frozen=True)

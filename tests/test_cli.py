@@ -1120,14 +1120,17 @@ def test_eval_needs_a_gold_parse_that_a_predicted_parse_is_scored_against(
     tmp_path, capsys, policy
 ):
     gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
-    # under skip, a gold parse whose prediction is missing leaves nothing to score either
+    # under skip, a gold parse whose prediction is missing leaves nothing to
+    # score either, and the message names the predicted parses
     parse = {"parse": BOX_PARSE} if policy == "skip" else {}
     _write_jsonl(gold, [_gold_record("g1", *BOX, cls="positive", **parse)])
     _write_jsonl(pred, [{"sent_id": "g1", "class": "positive"}])
     parses = _box_trees(tmp_path / "pred.conllu", ["other"])
     argv = ("eval", "--pred", pred, "--gold", gold, "--pred-parse", parses, "--on-error", policy)
     assert run(*argv) == 1
-    assert capsys.readouterr().err == "error: gold file has no parses to score against\n"
+    message = {"abort": "gold file has no parses to score against",
+               "skip": f"{parses} has no parse of a sentence the gold file parses"}[policy]
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _json_error(text):
@@ -1144,8 +1147,9 @@ PARTIAL_RECORD = '{"sent_id":'
 @pytest.mark.parametrize(
     "gold_format, lines, message",
     [
-        (False, [PARTIAL_RECORD],  # the first record is parsed with its line end
-         "{pred}: bad JSON on first record: " + _json_error(PARTIAL_RECORD + "\n")),
+        # the first record is read as every later one is, and named by its line
+        (False, [PARTIAL_RECORD], "{pred}:1: bad JSON: " + _json_error(PARTIAL_RECORD)),
+        (False, ["", PARTIAL_RECORD], "{pred}:2: bad JSON: " + _json_error(PARTIAL_RECORD)),
         (False, ["", '{"sent_id": "s1"}', PARTIAL_RECORD, ""],
          "{pred}:3: bad JSON: " + _json_error(PARTIAL_RECORD)),
         (False, ["[1, 2]"], "{pred}:1: prediction record must be a JSON object"),

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesent.assets import demo_lexicon
+from treesent.bench import word_pool
 from treesent.lexicon import (
     ADVERSATIVE,
     INTENSIFIER,
     NEGATOR,
+    LexEntry,
     LexiconError,
     PolarityLexicon,
     Shifter,
@@ -227,6 +229,16 @@ def test_compiled_lookup_matches_the_layered_reference(stack):
             assert merged.lookup(lemma, upos) == reference_lookup(layers, lemma, upos)
         expected = reference_shifter([shifters for _, shifters in stack], lemma)
         assert merged.classify_shifter(lemma) == expected
+    # every entry listed is one that a lookup reaches
+    for entry in merged.entries():
+        assert merged.lookup(entry.term, entry.upos_filter) == entry.valence
+
+
+def test_entries_leave_out_a_term_an_unconstrained_overlay_closed():
+    merged = lex_from("good\tADJ\t2.0\nbad\tADJ\t-2.0\n").overlay(lex_from("good\t\t-1.0\n"))
+    assert merged.lookup("good", "ADJ") == -1.0
+    assert list(merged.entries()) == [LexEntry("good", None, -1.0), LexEntry("bad", "ADJ", -2.0)]
+    assert word_pool(merged).count(("good", "ADJ")) == 1
 
 
 def test_compiled_tables_stay_out_of_equality_and_repr():

@@ -130,6 +130,20 @@ def test_span_bounds_checked():
         Opinion((1, 1), "wonderful")
 
 
+@pytest.mark.parametrize("span", [(1.9, 3), (True, 2), ("1", 2), (1, 2, 3)], ids=repr)
+def test_a_span_that_is_not_a_pair_of_integers_is_refused(span):
+    with pytest.raises(OpinionError, match="^expression span must be a pair of integers, got "):
+        Opinion(span, "positive")
+    with pytest.raises(OpinionError, match="^target span must be a pair of integers, got "):
+        Opinion((1, 1), "positive", target_span=span)
+
+
+def test_a_span_given_as_a_list_is_a_tuple():
+    opinion = Opinion([1, 2], "positive", holder_span=[3, 3])
+    assert (opinion.expression_span, opinion.holder_span) == ((1, 2), (3, 3))
+    assert type(opinion.expression_span) is tuple
+
+
 def test_from_tree_unknown_deprel():
     tree = DepTree.build([0, 1], deprels=["exp:positive", "xcomp"])
     with pytest.raises(OpinionError, match="unknown deprel 'xcomp'"):
