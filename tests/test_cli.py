@@ -1149,7 +1149,6 @@ PARTIAL_RECORD = '{"sent_id":'
     [
         # the first record is read as every later one is, and named by its line
         (False, [PARTIAL_RECORD], "{pred}:1: bad JSON: " + _json_error(PARTIAL_RECORD)),
-        (False, ["", PARTIAL_RECORD], "{pred}:2: bad JSON: " + _json_error(PARTIAL_RECORD)),
         (False, ["", '{"sent_id": "s1"}', PARTIAL_RECORD, ""],
          "{pred}:3: bad JSON: " + _json_error(PARTIAL_RECORD)),
         (False, ["[1, 2]"], "{pred}:1: prediction record must be a JSON object"),
@@ -1157,6 +1156,7 @@ PARTIAL_RECORD = '{"sent_id":'
         # errors name a line without the path
         (True, ["", PARTIAL_RECORD], "line 5: bad JSON: " + _json_error(PARTIAL_RECORD)),
         (True, ['"s1"'], "line 4: record must be a JSON object"),
+        (False, ["", PARTIAL_RECORD], "{pred}:2: bad JSON: " + _json_error(PARTIAL_RECORD)),
     ],
 )
 def test_eval_names_a_predictions_line_that_is_no_record(
