@@ -10,8 +10,6 @@ imports its module on first use (PEP 562), so a command pays only for the
 modules it runs.
 """
 
-from importlib import import_module as _import_module
-
 __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
@@ -130,7 +128,8 @@ def __getattr__(name: str):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{module}", __name__), name)
+    # the relative import of ``module`` itself; ``importlib`` is not imported
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
     globals()[name] = value  # later lookups skip this function
     return value
 

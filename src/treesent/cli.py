@@ -32,23 +32,21 @@ chunk, and writes. A run that does not fork numbers each chunk from the
 blocks it split. Without os.fork the command runs in one process.
 
 The command line is read from one table of commands and flags
-(``_COMMANDS``), without argparse. In a fresh ``python -S`` (CPython 3.11,
-2-CPU x86-64, medians of 31 runs) encode and decode start and end on an
-empty input in about 35 ms, as long as importing this module takes; with
-argparse they took 47 ms, against 13 ms for an empty interpreter.
+(``_COMMANDS``), without argparse, and encode and decode import neither
+``re`` nor ``enum``, ``functools``, ``contextlib``, ``importlib`` and
+``types``. In a fresh ``python -S`` with the bytecode cached (CPython 3.11,
+2-CPU x86-64, medians of 50 runs) they start and end on an empty input in
+about 10 ms, against 15 ms when they imported those modules and 5.7 ms for
+an empty interpreter.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import re
 import sys
 from collections import deque
-from contextlib import closing, contextmanager
-from functools import partial
 from itertools import chain
-from types import SimpleNamespace
 
 from . import __version__, conllu
 from .conllu import (
@@ -91,7 +89,7 @@ if TYPE_CHECKING:
     from .tree import _Tally
 
     # a run's work on the blocks or numbered lines of a chunk, given as
-    # ``job(blocks, stats=...)``: ``partial(parse_blocks, on_error=..., line=...)``
+    # ``job(blocks, stats)``: ``parse_blocks`` with the run's ``on_error`` and ``line``
     Job = Callable[..., Iterator[str]]
 
 LEXICON_DIR_ENV = "TREESENT_LEXICON_DIR"
@@ -201,7 +199,7 @@ def _read_config_file(path: str) -> Dict[str, object]:
     return values
 
 
-def _build_config(args: SimpleNamespace) -> PipelineConfig:
+def _build_config(args: _Args) -> PipelineConfig:
     """defaults, then config file entries, then explicit flags."""
     merged = _read_config_file(args.config) if getattr(args, "config", None) else {}
     try:
@@ -221,20 +219,28 @@ def _same_file(first: str, second: str) -> bool:
         return False
 
 
-@contextmanager
-def _open_output(cfg: PipelineConfig) -> Iterator[IO[str]]:
+class _Stdout:
+    """``sys.stdout`` as a context manager that leaves it open."""
+
+    def __enter__(self) -> IO[str]:
+        return sys.stdout
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+
+def _open_output(cfg: PipelineConfig) -> _Stdout | IO[str]:
+    """The output as a context manager: the ``-o`` file, closed on leaving it,
+    or stdout."""
     if cfg.output is None:
-        yield sys.stdout
-    else:
-        # the input is read lazily, so truncating it first would lose it
-        if cfg.input is not None and _same_file(cfg.output, cfg.input):
-            raise ConfigError(f"output file {cfg.output} is the input file {cfg.input}")
-        try:
-            handle = open(cfg.output, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file {cfg.output}: {exc.strerror}") from None
-        with handle:
-            yield handle
+        return _Stdout()
+    # the input is read lazily, so truncating it first would lose it
+    if cfg.input is not None and _same_file(cfg.output, cfg.input):
+        raise ConfigError(f"output file {cfg.output} is the input file {cfg.input}")
+    try:
+        return open(cfg.output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {cfg.output}: {exc.strerror}") from None
 
 
 def _input_source(cfg: PipelineConfig):
@@ -251,10 +257,9 @@ def _input_source(cfg: PipelineConfig):
 
 # ------------------------------------------------- analyze, aspects, encode
 # A run turns each valid CoNLL-U tree into one output line with a function
-# bound once per run, with ``partial`` over the module-level functions below;
-# pool workers inherit it through the fork. The record functions are passed
-# ``rules.analyze`` or ``rules.baseline_wordcount``, so a sentence imports nothing.
-# The run's job is ``parse_blocks`` with that function as its ``line``, which
+# made once per run, a closure over what the command loaded, so that a
+# sentence imports nothing; pool workers inherit it through the fork. The
+# run's job is ``parse_blocks`` with that function as its ``line``, which
 # raises ``_Skip`` for a tree that has no output line.
 
 
@@ -286,26 +291,6 @@ def _scored(tree: DepTree, result) -> dict:
         "valence": result.sentence_valence,
         "opinions": _opinions(result),
     }
-
-
-def _analyze_record(analyze: Callable, lexicon, rules_cfg, tree: DepTree) -> dict:
-    return _scored(tree, analyze(tree, lexicon, rules_cfg, trace=False))
-
-
-def _explain_record(analyze: Callable, lexicon, rules_cfg, tree: DepTree) -> dict:
-    result = analyze(tree, lexicon, rules_cfg, trace=True)
-    # TraceStep tuples encode as the JSON arrays [token_id, rule, before, after, note]
-    return {**_scored(tree, result), "trace": result.trace}
-
-
-def _aspects_record(analyze: Callable, lexicon, rules_cfg, tree: DepTree) -> dict:
-    result = analyze(tree, lexicon, rules_cfg, trace=False)
-    return {"sent_id": tree.sentence_id, "opinions": _opinions(result)}
-
-
-def _baseline_record(baseline: Callable, lexicon, rules_cfg, tree: DepTree) -> dict:
-    valence, label = baseline(tree, lexicon, rules_cfg)
-    return {"sent_id": tree.sentence_id, "class": label, "valence": valence, "baseline": True}
 
 
 def _json_line(
@@ -545,7 +530,7 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
     first chunk forks nothing. Past it this process only cuts, counts and
     writes; the chunks go to the pool and finished lines come back.
     """
-    cuts = conllu._cuts(source, conllu._LINE_CUT if lines else conllu._BLOCK_CUT)
+    cuts = conllu._cuts(source, conllu._line_end if lines else conllu._block_end)
     head: List[bytes] = []
     size = 0
     # the look-ahead holds a slow pipe's first records back until CHUNK_BYTES or
@@ -565,16 +550,26 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
         chunks, split = conllu._numbered(chained), chunk_blocks
     else:
         chunks, split = conllu._split_chunks(chained), iter
-    run = partial(_run_chunk, job, split, type(stats))
+    tally = type(stats)
+
+    def run(chunk) -> Tuple[str, _Tally, Optional[Exception]]:
+        return _run_chunk(job, split, tally, chunk)
+
     results = _parent_first(run, chunks, workers) if pooled else (run(chunk) for chunk in chunks)
-    # closing ``cuts`` closes the input file it reads, however the run ends
-    with closing(cuts), closing(results):
+    try:
         for text, counts, error in results:
             out.write(text)
             out.flush()
             stats.add(counts)
             if error is not None:
                 raise error
+    finally:
+        # however the run ends, closing ``results`` reaps a pool's workers
+        # and closing ``cuts`` the input file it reads
+        try:
+            results.close()
+        finally:
+            cuts.close()
 
 
 def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
@@ -582,7 +577,9 @@ def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
     stats = ReadStats()
     source = _input_source(cfg)
     with _open_output(cfg) as out:
-        job = partial(parse_blocks, on_error=cfg.on_error, line=line)
+        def job(blocks: Iterable, stats: ReadStats) -> Iterator[str]:
+            return parse_blocks(blocks, cfg.on_error, stats, line)
+
         _write_records(job, source, cfg.workers, stats, out)
     for reason in (UNREADABLE, *_ENCODE_SKIPS.values()):
         if stats.skipped_by[reason]:
@@ -590,26 +587,36 @@ def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
     return 0
 
 
-def cmd_analyze(cfg: PipelineConfig, args: SimpleNamespace) -> int:
+def cmd_analyze(cfg: PipelineConfig, args: _Args) -> int:
     from json import JSONEncoder
 
     from .rules import analyze, baseline_wordcount
 
-    scoring = (cfg.load_lexicon(), cfg.load_rules())
+    lexicon, rules_cfg = cfg.load_lexicon(), cfg.load_rules()
     if args.command == "aspects":
-        record = partial(_aspects_record, analyze, *scoring)
+        def record(tree: DepTree) -> dict:
+            result = analyze(tree, lexicon, rules_cfg, trace=False)
+            return {"sent_id": tree.sentence_id, "opinions": _opinions(result)}
     elif args.baseline:
-        record = partial(_baseline_record, baseline_wordcount, *scoring)
+        def record(tree: DepTree) -> dict:
+            valence, label = baseline_wordcount(tree, lexicon, rules_cfg)
+            return {"sent_id": tree.sentence_id, "class": label, "valence": valence,
+                    "baseline": True}
     elif args.explain:
-        record = partial(_explain_record, analyze, *scoring)
+        def record(tree: DepTree) -> dict:
+            result = analyze(tree, lexicon, rules_cfg, trace=True)
+            # TraceStep tuples encode as the JSON arrays [token_id, rule, before, after, note]
+            return {**_scored(tree, result), "trace": result.trace}
     else:
-        record = partial(_analyze_record, analyze, *scoring)
+        def record(tree: DepTree) -> dict:
+            return _scored(tree, analyze(tree, lexicon, rules_cfg, trace=False))
     to_json = JSONEncoder(ensure_ascii=False, allow_nan=False).encode
-    return _run_job(cfg, partial(_json_line, to_json, record))
+    return _run_job(cfg, lambda tree: _json_line(to_json, record, tree))
 
 
 def cmd_encode(cfg: PipelineConfig) -> int:
-    return _run_job(cfg, partial(_bridge_line, cfg.scheme))
+    scheme = cfg.scheme
+    return _run_job(cfg, lambda tree: _bridge_line(scheme, tree))
 
 
 # ------------------------------------------------------------------- decode
@@ -633,8 +640,11 @@ def _decoded(scheme: Scheme, abort: bool, numbered: Iterable, stats: BridgeStats
 def cmd_decode(cfg: PipelineConfig) -> int:
     stats = BridgeStats()
     source = _input_source(cfg)  # before the output is opened, which empties it
+    scheme, abort = cfg.scheme, cfg.on_error == "abort"
     with _open_output(cfg) as out:
-        job = partial(_decoded, cfg.scheme, cfg.on_error == "abort")
+        def job(numbered: Iterable, stats: BridgeStats) -> Iterator[str]:
+            return _decoded(scheme, abort, numbered, stats)
+
         _write_records(job, source, cfg.workers, stats, out, lines=True)
     repairs = stats.repairs
     print(
@@ -650,7 +660,7 @@ def cmd_decode(cfg: PipelineConfig) -> int:
 # ---------------------------------------------------------------------- eval
 
 
-def cmd_eval(cfg: PipelineConfig, args: SimpleNamespace) -> int:
+def cmd_eval(cfg: PipelineConfig, args: _Args) -> int:
     import json
 
     from .evaluation import (
@@ -732,7 +742,7 @@ def cmd_eval(cfg: PipelineConfig, args: SimpleNamespace) -> int:
 # ----------------------------------------------------------------- bench/gen
 
 
-def cmd_bench(cfg: PipelineConfig, args: SimpleNamespace) -> int:
+def cmd_bench(cfg: PipelineConfig, args: _Args) -> int:
     import json
     import warnings
 
@@ -766,7 +776,7 @@ def cmd_bench(cfg: PipelineConfig, args: SimpleNamespace) -> int:
     return 0
 
 
-def cmd_gen(cfg: PipelineConfig, args: SimpleNamespace) -> int:
+def cmd_gen(cfg: PipelineConfig, args: _Args) -> int:
     from .bench import synthetic_corpus, synthetic_trees
 
     lexicon = cfg.load_lexicon()
@@ -826,7 +836,14 @@ _COMMANDS = {
 }
 _TOP_FLAGS = {"version": (bool, False, False, "print the version and exit")}
 # a word that looks like a negative number is a value, as argparse has it
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+class _Args:
+    """The command named on the command line and the value of each flag it takes."""
+
+    def __init__(self, **values) -> None:
+        self.__dict__.update(values)
 
 
 def _flags(command: Optional[str]) -> Dict[str, tuple]:
@@ -911,7 +928,9 @@ def _flag(
                               f"{', '.join(name for name, _ in matches)}")
     if matches:
         return matches[0]
-    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+    import re  # only a word that looks like a flag and is none comes this far
+
+    if " " in arg or re.match(_NEGATIVE_NUMBER, arg):
         return None
     return arg, None
 
@@ -972,7 +991,7 @@ def _read_flags(command: Optional[str], args: List[str]) -> Tuple[Dict[str, obje
     return values, left
 
 
-def _read_argv(argv: Sequence[str]) -> SimpleNamespace:
+def _read_argv(argv: Sequence[str]) -> _Args:
     """The command named in ``argv`` and the value of each flag it takes.
 
     What argparse would accept gives the same values, and what it would
@@ -992,10 +1011,10 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace:
     values, left = _read_flags(command, argv[at + 1:])
     if stray or left:
         _usage_error(None, f"unrecognized arguments: {' '.join(stray + left)}")
-    return SimpleNamespace(command=command, **values)
+    return _Args(command=command, **values)
 
 
-def _run(cfg: PipelineConfig, args: SimpleNamespace) -> int:
+def _run(cfg: PipelineConfig, args: _Args) -> int:
     if args.command in ("analyze", "aspects"):
         return cmd_analyze(cfg, args)
     if args.command == "encode":

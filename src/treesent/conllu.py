@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 import os
-import re
 from collections import Counter
 from itertools import chain
 
@@ -37,17 +36,7 @@ if TYPE_CHECKING:
     # whole bridge lines of a byte input: (number of the first, bytes)
     LineChunk = Tuple[int, bytes]
 
-_RANGE_ID = re.compile(r"^\d+-\d+$")
-_EMPTY_ID = re.compile(r"^\d+\.\d+$")
 _COLUMNS = 10
-# a line of whitespace, which ends a block like an empty line, once the text
-# searched starts and ends with a newline
-_SPACE_LINE = re.compile(r"\n[^\S\n]+\n")
-# where a chunk of CoNLL-U may end, matched from where the search starts:
-# just past the last empty or ASCII whitespace line, at its own newline
-_BLOCK_CUT = re.compile(rb"(?s).*(?<=\n)[ \t\r\f\v]*\n")
-# where a chunk of bridge lines may end: just past the last newline
-_LINE_CUT = re.compile(rb"(?s).*\n")
 # how many bytes before each read are searched too, for a blank line that
 # straddles two reads; a longer one is not cut at, so its chunk runs on
 _BLANK_REACH = 16
@@ -57,7 +46,7 @@ CHUNK_BYTES = 1 << 16
 FIRST_CHUNK_BYTES = 1 << 12
 # a line that may be whitespace as ``str.isspace`` sees it, after the newline
 # before it: each byte could be part of a whitespace character
-_MAYBE_SPACE_LINE = re.compile(rb"\n([\t\x0b-\r\x1c- \x80-\xff]*)(?=\n)")
+_MAYBE_SPACE_LINE = rb"\n([\t\x0b-\r\x1c- \x80-\xff]*)(?=\n)"
 # a UTF-8 byte order mark, dropped where it starts an input
 _BOM = b"\xef\xbb\xbf"
 # the reason ``parse_blocks`` skips a sentence, in the words that report it
@@ -199,10 +188,45 @@ def split_blocks(lines: Iterable[Line]) -> Iterator[Block]:
         yield ordinal + 1, lineno + 1 - len(block), block
 
 
-def _cuts(source: Source, cut: re.Pattern) -> Iterator[bytes]:
+# the bytes that start a line of ASCII whitespace, from the newline before it
+_SPACE_STARTS = (b"\n ", b"\n\t", b"\n\r", b"\n\x0b", b"\n\x0c")
+
+
+def _block_end(data: bytearray, start: int) -> int:
+    """Where a chunk of CoNLL-U in ``data`` may end: just past the newline of
+    the last empty or ASCII whitespace line that starts at ``start`` or later
+    (the newline before it may be the byte before ``start``); 0 if none does."""
+    low = max(start - 1, 0)  # where the newline before such a line may be
+    empty = data.rfind(b"\n\n", low)
+    # a whitespace line past the last empty one starts with a blank: without
+    # one, the empty line is the last blank line
+    for space in _SPACE_STARTS:
+        if data.find(space, max(empty, low)) >= 0:
+            break
+    else:
+        return empty + 2 if empty >= 0 else 0
+    end = data.rfind(b"\n", start)
+    while end >= start:  # each line from the last, while it starts at ``start`` or later
+        before = data.rfind(b"\n", low, end)
+        if before < 0:
+            break
+        if not data[before + 1:end].strip():  # the slice holds no newline
+            return end + 1
+        end = before
+    return 0
+
+
+def _line_end(data: bytearray, start: int) -> int:
+    """Where a chunk of bridge lines in ``data`` may end: just past the last
+    newline at ``start`` or later; 0 if there is none."""
+    return data.rfind(b"\n", start) + 1
+
+
+def _cuts(source: Source, cut: Callable[[bytearray, int], int]) -> Iterator[bytes]:
     """A path or byte stream in runs of whole lines, each cut where ``cut``
-    last matches in what was read, once ``FIRST_CHUNK_BYTES`` (at most
-    ``CHUNK_BYTES``) were read, then twice that, up to ``CHUNK_BYTES``."""
+    (``_block_end`` or ``_line_end``) puts the end of what was read, once
+    ``FIRST_CHUNK_BYTES`` (at most ``CHUNK_BYTES``) were read, then twice
+    that, up to ``CHUNK_BYTES``."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             yield from _cuts(fh, cut)
@@ -217,10 +241,10 @@ def _cuts(source: Source, cut: re.Pattern) -> Iterator[bytes]:
         size = min(2 * size, CHUNK_BYTES)
         start = max(len(pending) - _BLANK_REACH, 0)
         pending += data
-        found = cut.match(pending, start)
-        if found:
-            yield bytes(pending[:found.end()])
-            del pending[:found.end()]
+        end = cut(pending, start)
+        if end:
+            yield bytes(pending[:end])
+            del pending[:end]
     if pending:
         yield bytes(pending)
 
@@ -257,8 +281,10 @@ def count_blocks(data: bytes) -> int:
     a line that is not valid UTF-8 is not. Only lines of bytes that could
     all be whitespace are decoded to tell.
     """
+    import re  # on first use: only a pool's parent counts blocks
+
     count = after = 0  # ``after``: where the line after the last blank one starts
-    for match in _MAYBE_SPACE_LINE.finditer(b"\n" + data + b"\n"):
+    for match in re.finditer(_MAYBE_SPACE_LINE, b"\n" + data + b"\n"):
         line = match.group(1)
         if line:
             text = decode_line(line)
@@ -300,7 +326,7 @@ def iter_blocks(source: Source) -> Iterator[Block]:
     stream, each chunk numbered from the blocks of the ones before it."""
     if not isinstance(source, (str, os.PathLike, io.BufferedIOBase, io.RawIOBase)):
         return split_blocks(iter_raw_lines(source))
-    return chain.from_iterable(_split_chunks(_cuts(source, _BLOCK_CUT)))
+    return chain.from_iterable(_split_chunks(_cuts(source, _block_end)))
 
 
 def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
@@ -308,9 +334,10 @@ def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
     yields them from the whole input.
 
     The chunk that starts at line 1 loses one leading byte order mark, as
-    ``iter_raw_lines`` drops it. The chunk is decoded once and split on
-    empty lines. A chunk that is not valid UTF-8, or holds a ``\\r`` or a
-    whitespace-only line, goes through ``split_blocks`` line by line instead.
+    ``iter_raw_lines`` drops it. The chunk is decoded once, split on empty
+    lines and each block into its lines. A chunk that is not valid UTF-8, or
+    holds a ``\\r`` or a whitespace-only line, goes through ``split_blocks``
+    line by line instead.
     """
     ordinal, lineno, data = chunk
     if lineno == 1:
@@ -319,19 +346,38 @@ def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
         text: Optional[str] = data.decode("utf-8")
     except UnicodeDecodeError:
         text = None
-    if text is None or "\r" in text or _SPACE_LINE.search(f"\n{text}\n"):
-        for number, first_line, lines in split_blocks(io.BytesIO(data)):
-            yield ordinal + number - 1, lineno + first_line - 1, lines
+    split = None if text is None or "\r" in text else _text_blocks(text, lineno)
+    if split is not None:
+        first_lines, blocks = split
+        yield from zip(range(ordinal, ordinal + len(blocks)), first_lines, blocks)
         return
+    for number, first_line, lines in split_blocks(io.BytesIO(data)):
+        yield ordinal + number - 1, lineno + first_line - 1, lines
+
+
+def _text_blocks(text: str, lineno: int) -> Optional[Tuple[List[int], List[List[str]]]]:
+    """The number of the first line of each block of ``text``, which starts
+    at line ``lineno``, and the block's lines; None if a line of ``text`` is
+    whitespace, which ``str.split("\\n\\n")`` does not see as blank."""
+    first_lines, blocks = [], []
     for piece in text.split("\n\n"):
         body = piece.lstrip("\n")  # the empty lines past the first
         if body:
             lines = body.split("\n")
             if not lines[-1]:  # the newline that ends the input
                 lines.pop()
-            yield ordinal, lineno + len(piece) - len(body), lines
-            ordinal += 1
+            first_lines.append(lineno + len(piece) - len(body))
+            blocks.append(lines)
         lineno += piece.count("\n") + 2
+    if any(map(str.isspace, chain.from_iterable(blocks))):
+        return None
+    return first_lines, blocks
+
+
+def _id_pair(raw_id: str, sep: str) -> bool:
+    """True if ``raw_id`` is two decimal numbers joined by ``sep``."""
+    first, found, second = raw_id.partition(sep)
+    return bool(found) and first.isdecimal() and second.isdecimal()
 
 
 def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadStats) -> DepTree:
@@ -356,10 +402,10 @@ def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadSt
             break
         raw_id = cols[0]
         if not raw_id.isdecimal():
-            if _RANGE_ID.match(raw_id):
+            if _id_pair(raw_id, "-"):  # a multiword token range
                 stats.dropped_ranges += 1
                 continue
-            if _EMPTY_ID.match(raw_id):
+            if _id_pair(raw_id, "."):  # an empty node
                 stats.dropped_empty_nodes += 1
                 continue
             try:

@@ -20,8 +20,6 @@ Decoding never fails: implausible head proposals are normalized by
 
 from __future__ import annotations
 
-import enum
-import re
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import repeat
@@ -41,10 +39,41 @@ if TYPE_CHECKING:
 ROOT_UPOS = "ROOT"
 
 
-class Scheme(enum.Enum):
-    REL_OFFSET = "rel-offset"
-    REL_POS = "rel-pos"
-    BRACKETS = "brackets"
+class _SchemeType(type):
+    """The class of ``Scheme``, which behaves as an ``enum.Enum``'s does for
+    what the package uses: iterating gives the members in order, and
+    ``Scheme(value)`` looks one up (so pickles of the enum still load).
+    ``enum`` itself would import ``functools`` and ``types`` at start-up."""
+
+    def __iter__(cls):
+        return iter(cls._members)
+
+    def __call__(cls, value: str) -> "Scheme":
+        for member in cls._members:
+            if member.value == value:
+                return member
+        raise ValueError(f"{value!r} is not a valid {cls.__name__}")
+
+
+class Scheme(metaclass=_SchemeType):
+    """A label scheme: ``REL_OFFSET``, ``REL_POS`` or ``BRACKETS``, each the
+    one instance with its ``name`` and ``value``, compared by identity."""
+
+    __slots__ = ("name", "value")
+    _members: tuple[Scheme, ...]
+    REL_OFFSET: Scheme
+    REL_POS: Scheme
+    BRACKETS: Scheme
+
+    def __repr__(self) -> str:
+        return f"<Scheme.{self.name}: {self.value!r}>"
+
+    def __str__(self) -> str:
+        return f"Scheme.{self.name}"
+
+    def __reduce__(self):
+        # copies and unpickled members are the member itself
+        return Scheme, (self.value,)
 
     @classmethod
     def parse(cls, text: str) -> "Scheme":
@@ -55,10 +84,21 @@ class Scheme(enum.Enum):
         raise ValueError(f"unknown scheme {text!r}")
 
 
+def _scheme(name: str, value: str) -> Scheme:
+    member = object.__new__(Scheme)
+    member.name, member.value = name, value
+    setattr(Scheme, name, member)
+    return member
+
+
 # Code that runs per token or per sentence compares schemes against these
-# names: reading ``Scheme.BRACKETS`` off the enum class takes about 0.14 us
-# with CPython 3.11 on a 2-CPU x86-64 machine, a module global about 0.02 us.
-_REL_OFFSET, _REL_POS, _BRACKETS = Scheme.REL_OFFSET, Scheme.REL_POS, Scheme.BRACKETS
+# names: reading ``Scheme.BRACKETS`` off the class takes about 12 ns with
+# CPython 3.11 on a 2-CPU x86-64 machine (72 ns when it was an ``enum.Enum``),
+# a module global about 2.5 ns.
+Scheme._members = _REL_OFFSET, _REL_POS, _BRACKETS = (
+    _scheme("REL_OFFSET", "rel-offset"), _scheme("REL_POS", "rel-pos"),
+    _scheme("BRACKETS", "brackets"),
+)
 
 
 class NonProjectiveError(DataError):
@@ -78,7 +118,15 @@ class SyntaxLabel(namedtuple("SyntaxLabel", "scheme payload deprel")):
     __slots__ = ()
 
 
-_BRACKET_PAYLOAD = re.compile(r"^\\*<?>?/*$")
+# what the bracket symbols of one label may hold between their leading '\'
+# and their trailing '/'
+_BRACKET_MIDDLES = frozenset(("", "<", ">", "<>"))
+
+
+def _bracket_symbols_ok(symbols: str) -> bool:
+    """True if ``symbols`` is ``\\*<?>?/*``: the bracket symbols of one
+    label, in their order, and nothing else."""
+    return symbols.lstrip("\\").rstrip("/") in _BRACKET_MIDDLES
 
 
 def _payload_ok(scheme: Scheme, payload: Payload) -> bool:
@@ -92,7 +140,7 @@ def _payload_ok(scheme: Scheme, payload: Payload) -> bool:
             and payload[0] != ""
             and isinstance(payload[1], int)
         )
-    return isinstance(payload, str) and _BRACKET_PAYLOAD.match(payload) is not None
+    return isinstance(payload, str) and _bracket_symbols_ok(payload)
 
 
 class LabelSeq(_Record, frozen=True):
@@ -357,8 +405,11 @@ def emit_multitask_labels(tree: DepTree, scheme: Scheme, polarity_class: str) ->
 #   sent_id TAB form/upos/label SPACE form/upos/label ...
 # with an optional @class suffix on the last label.
 
-# ``\s`` matches exactly the characters ``str.isspace`` accepts
-_WHITESPACE = re.compile(r"\s")
+
+def _has_space(text: str) -> bool:
+    """True if ``text`` holds a character that ``str.isspace`` accepts,
+    the characters ``str.split`` splits at."""
+    return bool(text) and text.split(None, 1) != [text]
 
 
 class BridgeError(LineError, DataError):
@@ -404,8 +455,19 @@ def format_label(label: SyntaxLabel) -> str:
 # Non-greedy form: the earliest form/upos split that lets the whole field
 # parse wins, which keeps bracket symbols out of the upos slot while still
 # allowing slashes inside forms. The symbol order is checked afterwards
-# (``_BRACKET_PAYLOAD``), since checking it here would change which split wins.
-_BRACKET_FIELD = re.compile(r"^(?P<form>.+?)/(?P<upos>[^/]+)/(?P<label>[\\<>/]*:[^/]*)$")
+# (``_bracket_symbols_ok``), since checking it here would change which split wins.
+_BRACKET_FIELD = r"^(?P<form>.+?)/(?P<upos>[^/]+)/(?P<label>[\\<>/]*:[^/]*)$"
+
+
+def _match_bracket_field(field: str):
+    """``_BRACKET_FIELD`` matched at the start of ``field``. The first call
+    imports ``re`` and puts the compiled pattern's ``match`` in its place, so
+    that only a brackets reader loads ``re``, once it reads a field."""
+    global _match_bracket_field
+    import re
+
+    _match_bracket_field = re.compile(_BRACKET_FIELD).match
+    return _match_bracket_field(field)
 
 
 def _parse_field(
@@ -417,7 +479,7 @@ def _parse_field(
     found there is not parsed again, and a new one is added once it parsed.
     """
     if scheme is _BRACKETS:
-        m = _BRACKET_FIELD.match(field)
+        m = _match_bracket_field(field)
         if m is None:
             raise ValueError(f"bad token field {field!r}")
         form, upos, raw = m.groups()
@@ -483,8 +545,7 @@ _DEPREL_OF = itemgetter(2)
 # UPOS characters that can make a field read back wrong: '/' splits it, ',' or
 # ':' a REL_POS label naming the tag, and bracket symbols let a '/' in the form
 # be the earliest form/upos split that parses (see _BRACKET_FIELD)
-_RISKY_UPOS = {_REL_OFFSET: re.compile("/"), _REL_POS: re.compile("[/,:]"),
-               _BRACKETS: re.compile(r"[/\\<>]")}
+_RISKY_UPOS = {_REL_OFFSET: "/", _REL_POS: "/,:", _BRACKETS: "/\\<>"}
 
 
 def format_tagger_line(tree: DepTree, seq: LabelSeq) -> str:
@@ -501,14 +562,14 @@ def format_tagger_line(tree: DepTree, seq: LabelSeq) -> str:
     fields = _fields(seq.scheme, tree.forms, tree.upos, seq.labels)
     if seq.sentence_polarity:
         fields[-1] += f"@{seq.sentence_polarity}"
-    if _WHITESPACE.search(sent_id) or _WHITESPACE.search("".join(fields)):
+    if _has_space(sent_id) or _has_space("".join(fields)):
         raise _whitespace_error(sent_id, tree, seq)
     # every line that could read back wrong, found without a Python loop per
     # token, given that a REL_POS label's tag is a UPOS tag of the sentence
     if (
         "@" in (seq.sentence_polarity or fields[-1])
         or "" in tree.forms
-        or _RISKY_UPOS[seq.scheme].search("".join(tree.upos))
+        or any(map("".join(tree.upos).__contains__, _RISKY_UPOS[seq.scheme]))
         or "/" in "".join(map(_DEPREL_OF, seq.labels))
     ):
         _check_read_back(tree, seq, fields)
@@ -522,7 +583,7 @@ def _whitespace_error(sent_id: str, tree: DepTree, seq: LabelSeq) -> ValueError:
         named += [(f"token {i}: form", form), (f"token {i}: upos", upos),
                   (f"token {i}: label", format_label(label))]
     named.append(("sentence polarity", seq.sentence_polarity or ""))
-    what, text = next((what, text) for what, text in named if _WHITESPACE.search(text))
+    what, text = next((what, text) for what, text in named if _has_space(text))
     return ValueError(f"{what} {text!r} contains whitespace")
 
 
@@ -618,9 +679,9 @@ def _parse_bridge_line(
         labels.append(label)
     # _parse_field gives every label this scheme and a payload of its type;
     # only the bracket symbol order is left to check
-    if scheme is Scheme.BRACKETS:
+    if scheme is _BRACKETS:
         for label in labels:
-            if _BRACKET_PAYLOAD.match(label.payload) is None:
+            if not _bracket_symbols_ok(label.payload):
                 raise BridgeError(f"malformed payload {label.payload!r} for {scheme}", lineno)
     if "\t" in rest:
         # last, so that every other fault keeps its message; a tab in a form

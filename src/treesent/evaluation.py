@@ -148,8 +148,10 @@ def char_span_to_token_span(
     return (hit[0], hit[-1])
 
 
-def _record_error(sentence_id: str, lineno: int, message: str) -> EvalError:
-    where = f"line {lineno}: record {sentence_id}" if sentence_id else f"line {lineno}"
+def _record_error(sentence_id: str, where: str, message: str) -> EvalError:
+    """The error of a record at ``where``, its line as ``line 4`` or ``path:4``."""
+    if sentence_id:
+        where = f"{where}: record {sentence_id}"
     return EvalError(f"{where}: {message}")
 
 
@@ -158,26 +160,26 @@ def _objects(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, dict) for item in value)
 
 
-def _parse_record(raw: dict, lineno: int) -> GoldRecord:
+def _parse_record(raw: dict, where: str) -> GoldRecord:
     sentence_id = str(raw.get("sent_id", ""))
     if not sentence_id:
-        raise _record_error("", lineno, "missing sent_id")
+        raise _record_error("", where, "missing sent_id")
     token_rows = raw.get("tokens")
     if not token_rows:
-        raise _record_error(sentence_id, lineno, "missing tokens")
+        raise _record_error(sentence_id, where, "missing tokens")
     if not _objects(token_rows):
-        raise _record_error(sentence_id, lineno, "tokens must be a list of JSON objects")
+        raise _record_error(sentence_id, where, "tokens must be a list of JSON objects")
     text = str(raw.get("text", ""))
     forms, upos, offsets = [], [], []
     previous_start = -1
     for row in token_rows:
         start, end = row.get("start"), row.get("end")
         if "form" not in row or "upos" not in row or not (_is_int(start) and _is_int(end)):
-            raise _record_error(sentence_id, lineno, f"bad token row {row!r}")
+            raise _record_error(sentence_id, where, f"bad token row {row!r}")
         form, tag = str(row["form"]), str(row["upos"])
         if start < 0 or end <= start or start < previous_start:
             raise _record_error(
-                sentence_id, lineno, f"bad offsets ({start}, {end}) for {form!r}"
+                sentence_id, where, f"bad offsets ({start}, {end}) for {form!r}"
             )
         previous_start = start
         forms.append(form)
@@ -188,17 +190,17 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
     if gold_class is not None:
         gold_class = str(gold_class)
         if gold_class not in CLASSES:
-            raise _record_error(sentence_id, lineno, f"unknown class {gold_class!r}")
+            raise _record_error(sentence_id, where, f"unknown class {gold_class!r}")
 
     gold_opinions = None
     if "opinions" in raw:
         if not _objects(raw["opinions"]):
-            raise _record_error(sentence_id, lineno, "opinions must be a list of JSON objects")
+            raise _record_error(sentence_id, where, "opinions must be a list of JSON objects")
         opinions = []
         for position, item in enumerate(raw["opinions"]):
             if "expression" not in item:
                 raise _record_error(
-                    sentence_id, lineno, f"opinion {position} missing expression"
+                    sentence_id, where, f"opinion {position} missing expression"
                 )
             try:
                 expression = char_span_to_token_span(offsets, item["expression"])
@@ -222,20 +224,20 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
                 )
             except (EvalError, OpinionError) as exc:
                 raise _record_error(
-                    sentence_id, lineno, f"opinion {position}: {exc}"
+                    sentence_id, where, f"opinion {position}: {exc}"
                 ) from None
         gold_opinions = OpinionSet(
             tuple(forms), tuple(upos), tuple(opinions), sentence_id=sentence_id
         )
 
     if gold_class is None and gold_opinions is None:
-        raise _record_error(sentence_id, lineno, "needs a class or an opinions list")
+        raise _record_error(sentence_id, where, "needs a class or an opinions list")
 
     parse = None
     if "parse" in raw and raw["parse"] is not None:
         block = raw["parse"]
         if not isinstance(block, dict):
-            raise _record_error(sentence_id, lineno, "parse must be a JSON object")
+            raise _record_error(sentence_id, where, "parse must be a JSON object")
         heads = block.get("heads")
         deprels = block.get("deprels")
         if (
@@ -244,9 +246,9 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
             or len(heads) != len(forms)
             or len(deprels) != len(forms)
         ):
-            raise _record_error(sentence_id, lineno, "parse arrays do not match tokens")
+            raise _record_error(sentence_id, where, "parse arrays do not match tokens")
         if not all(map(_is_int, heads)):
-            raise _record_error(sentence_id, lineno, "parse heads must be integers")
+            raise _record_error(sentence_id, where, "parse heads must be integers")
         try:
             parse = DepTree.build(
                 heads,
@@ -256,7 +258,7 @@ def _parse_record(raw: dict, lineno: int) -> GoldRecord:
                 sentence_id=sentence_id,
             )
         except TreeError as exc:
-            raise _record_error(sentence_id, lineno, f"bad parse: {exc}") from None
+            raise _record_error(sentence_id, where, f"bad parse: {exc}") from None
 
     return GoldRecord(
         sentence_id,
@@ -290,8 +292,14 @@ def _json_objects(numbered: Iterable, prefix: str, noun: str) -> Iterator[Tuple[
 
 def load_gold(source: Source) -> Iterator[GoldRecord]:
     """Stream GoldRecords out of a JSON-lines file."""
-    for lineno, raw in _json_objects(numbered_lines(source), "line ", "record"):
-        yield _parse_record(raw, lineno)
+    return _gold_records(numbered_lines(source), "line ")
+
+
+def _gold_records(numbered: Iterable, prefix: str) -> Iterator[GoldRecord]:
+    """The GoldRecord of each ``(lineno, text)``; an error names its line as
+    ``prefix`` and the number."""
+    for lineno, raw in _json_objects(numbered, prefix, "record"):
+        yield _parse_record(raw, f"{prefix}{lineno}")
 
 
 def load_predictions(path: Path) -> Dict[str, dict]:
@@ -311,7 +319,7 @@ def load_predictions(path: Path) -> Dict[str, dict]:
     if first is None:
         return table
     if "tokens" in first[1]:
-        for record in load_gold(lines):
+        for record in _gold_records(enumerate(lines, start=1), f"{path}:"):
             opinions, sid = record.gold_opinions, record.sentence_id
             table[sid] = {
                 "class": record.gold_class,
@@ -328,6 +336,8 @@ def load_predictions(path: Path) -> Dict[str, dict]:
         entry: dict = {"class": None, "items": []}
         if obj.get("class") is not None:
             entry["class"] = str(obj["class"])
+            if entry["class"] not in CLASSES:
+                raise _record_error(sid, where, f"unknown class {entry['class']!r}")
         if "opinions" in obj:
             opinions = obj["opinions"]
             if not _objects(opinions):

@@ -13,11 +13,29 @@ children lists the rule engine reads. The one exception is
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Sequence
+
+
+class _cached:
+    """``functools.cached_property`` for the record classes, without importing
+    ``functools``: the first read computes the value and keeps it in the
+    instance ``__dict__``, where later reads find it before this descriptor."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class _Record:
@@ -242,7 +260,7 @@ class DepTree(_Record, frozen=True):
     def __len__(self) -> int:
         return len(self.heads)
 
-    @cached_property
+    @_cached
     def tokens(self) -> tuple[Token, ...]:
         """The sentence as ``Token`` rows, built on first use."""
         return tuple(map(Token, range(1, len(self) + 1), self.forms, self.lemmas,
@@ -252,18 +270,18 @@ class DepTree(_Record, frozen=True):
     def upos_tags(self) -> tuple[str, ...]:
         return self.upos
 
-    @cached_property
+    @_cached
     def root_id(self) -> int:
         return self.heads.index(0) + 1
 
     # validation fills in both of these; a tree from ``_trusted`` walks on first use
-    @cached_property
+    @_cached
     def children(self) -> tuple[tuple[int, ...], ...]:
         """Child ids per head, index 0 = the artificial root slot."""
         children, self.__dict__["post_order"] = _walk(self.heads)
         return children
 
-    @cached_property
+    @_cached
     def post_order(self) -> tuple[int, ...]:
         """Token ids with every dependent before its head, siblings left to right."""
         self.__dict__["children"], order = _walk(self.heads)

@@ -137,8 +137,8 @@ def counted_chunks(path, lines=False):
     """The numbered chunks the pool's parent makes of ``path``: CoNLL-U as
     ``(ordinal, line, bytes)``, or with ``lines`` bridge lines as ``(line, bytes)``."""
     if lines:
-        return conllu._line_numbered(conllu._cuts(path, conllu._LINE_CUT))
-    return conllu._numbered(conllu._cuts(path, conllu._BLOCK_CUT))
+        return conllu._line_numbered(conllu._cuts(path, conllu._line_end))
+    return conllu._numbered(conllu._cuts(path, conllu._block_end))
 
 
 def _chunk_starts(path):
@@ -1153,9 +1153,9 @@ PARTIAL_RECORD = '{"sent_id":'
          "{pred}:3: bad JSON: " + _json_error(PARTIAL_RECORD)),
         (False, ["[1, 2]"], "{pred}:1: prediction record must be a JSON object"),
         # after the demo gold's three records the file is read as gold, whose
-        # errors name a line without the path
-        (True, ["", PARTIAL_RECORD], "line 5: bad JSON: " + _json_error(PARTIAL_RECORD)),
-        (True, ['"s1"'], "line 4: record must be a JSON object"),
+        # errors name the predictions file too
+        (True, ["", PARTIAL_RECORD], "{pred}:5: bad JSON: " + _json_error(PARTIAL_RECORD)),
+        (True, ['"s1"'], "{pred}:4: record must be a JSON object"),
         (False, ["", PARTIAL_RECORD], "{pred}:2: bad JSON: " + _json_error(PARTIAL_RECORD)),
     ],
 )
@@ -1167,6 +1167,20 @@ def test_eval_names_a_predictions_line_that_is_no_record(
     pred.write_text(head + "".join(line + "\n" for line in lines), encoding="utf-8")
     assert run("eval", "--pred", pred, "--gold", demo_gold_path()) == 1
     assert capsys.readouterr().err == f"error: {message.replace('{pred}', str(pred))}\n"
+
+
+@pytest.mark.parametrize("gold_format", [False, True], ids=["analyze-format", "gold-format"])
+def test_eval_names_the_line_of_a_predicted_class_that_is_no_class(tmp_path, capsys, gold_format):
+    pred = tmp_path / "pred.jsonl"
+    if gold_format:
+        records = [json.loads(line) for line in demo_gold_path().read_text().splitlines()]
+        records[1]["class"] = "great"
+    else:
+        records = [{"sent_id": "s1", "class": "positive"}, {"sent_id": "s2", "class": "great"}]
+    _write_jsonl(pred, records)
+    assert run("eval", "--pred", pred, "--gold", demo_gold_path()) == 1
+    sid = records[1]["sent_id"]
+    assert capsys.readouterr().err == f"error: {pred}:2: record {sid}: unknown class 'great'\n"
 
 
 # ------------------------------------------------------------------ bench/gen

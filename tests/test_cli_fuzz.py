@@ -145,7 +145,7 @@ def test_two_workers_print_what_one_does_on_damaged_input(
     path.write_bytes(data)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(conllu, "CHUNK_BYTES", POOL_CHUNK_BYTES)
-        assert len(list(conllu._cuts(io.BytesIO(data), conllu._BLOCK_CUT))) > 2
+        assert len(list(conllu._cuts(io.BytesIO(data), conllu._block_end))) > 2
         single = run(*argv, "--on-error", policy, "-i", path, "--workers", 1)
         _checked(argv, policy, *single)
         assert run(*argv, "--on-error", policy, "-i", path, "--workers", 2) == single

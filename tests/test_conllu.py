@@ -2,6 +2,7 @@
 
 import io
 import pickle
+import re
 from itertools import chain
 
 import pytest
@@ -212,6 +213,14 @@ def test_a_bad_head_ends_the_tally_of_dropped_rows_where_it_stands(drop, before)
     assert tally == (1 if before else 0)
 
 
+# the regexes the reader used, kept as oracles for the string code that replaced them
+_RANGE_ID = re.compile(r"^\d+-\d+$")
+_EMPTY_ID = re.compile(r"^\d+\.\d+$")
+_SPACE_LINE = re.compile(r"\n[^\S\n]+\n")
+_BLOCK_CUT = re.compile(rb"(?s).*(?<=\n)[ \t\r\f\v]*\n")
+_LINE_CUT = re.compile(rb"(?s).*\n")
+
+
 def _row_by_row(lines, first_line, ordinal, stats):
     """The heads of a block's token rows, each row checked in full as it is
     read, HEAD included, or the ``ConlluError`` of the first bad row."""
@@ -225,10 +234,10 @@ def _row_by_row(lines, first_line, ordinal, stats):
         if len(cols) != 10:
             return ConlluError(f"expected 10 columns, got {len(cols)}", ordinal, lineno)
         if not cols[0].isdecimal():
-            if conllu._RANGE_ID.match(cols[0]):
+            if _RANGE_ID.match(cols[0]):
                 stats.dropped_ranges += 1
                 continue
-            if conllu._EMPTY_ID.match(cols[0]):
+            if _EMPTY_ID.match(cols[0]):
                 stats.dropped_empty_nodes += 1
                 continue
             try:
@@ -403,8 +412,8 @@ def counted_chunks(source, lines=False):
     CoNLL-U as ``(ordinal, line, bytes)``, or with ``lines`` bridge lines as
     ``(line, bytes)``, each counted, not parsed."""
     if lines:
-        return conllu._line_numbered(conllu._cuts(source, conllu._LINE_CUT))
-    return conllu._numbered(conllu._cuts(source, conllu._BLOCK_CUT))
+        return conllu._line_numbered(conllu._cuts(source, conllu._line_end))
+    return conllu._numbered(conllu._cuts(source, conllu._block_end))
 
 
 def chunks_of(source, size):
@@ -601,3 +610,68 @@ def test_line_chunks_are_read_from_paths_and_byte_streams_only(tmp_path):
     path.write_bytes(BOM + b"a\tw/X/0:root\n" * 3)
     assert [list(chunk_lines(chunk)) for chunk in counted_chunks(path, lines=True)] == [
         [(1, "a\tw/X/0:root"), (2, "a\tw/X/0:root"), (3, "a\tw/X/0:root"), (4, "")]]
+
+
+# ----------------------------------------------- the regexes string code replaced
+
+# line ends, ASCII and Unicode whitespace, digits (ASCII and Arabic-Indic),
+# the separators of ids and a few other characters
+_ODD_TEXT = st.text(st.sampled_from(
+    "\n\r \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\u0661-.#ab/<>\\019"), max_size=24)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ODD_TEXT)
+def test_an_id_is_a_range_or_an_empty_node_exactly_when_its_regex_matches_all_of_it(raw_id):
+    assert conllu._id_pair(raw_id, "-") == bool(_RANGE_ID.fullmatch(raw_id))
+    assert conllu._id_pair(raw_id, ".") == bool(_EMPTY_ID.fullmatch(raw_id))
+
+
+def test_an_id_with_a_trailing_newline_is_no_range():
+    # ``match`` let ``$`` match before a final newline, so "1-2\n" was dropped
+    # as a range: an id that a line of a library caller's list can hold
+    assert _RANGE_ID.match("1-2\n") and _EMPTY_ID.match("1.1\n")
+    assert not conllu._id_pair("1-2\n", "-") and not conllu._id_pair("1.1\n", ".")
+    row = "1-2\n\tab\t_\t_\t_\t_\t_\t_\t_\t_"
+    with pytest.raises(ConlluError, match=r"non-numeric id '1-2\\n'"):
+        _parse_block([row, "1\ta\ta\tX\t_\t_\t0\troot\t_\t_"], 1, 1, ReadStats())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ODD_TEXT.filter(lambda text: "\r" not in text))
+def test_a_text_is_split_in_blocks_unless_its_regex_finds_a_whitespace_line(text):
+    split = conllu._text_blocks(text, 1)
+    assert (split is None) == bool(_SPACE_LINE.search(f"\n{text}\n"))
+    if split is not None:  # and the blocks are those the line reader finds
+        expected = list(split_blocks(io.StringIO(text)))
+        assert list(zip(range(1, len(split[1]) + 1), *split)) == expected
+
+
+_SPACES = [b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1f", "\x85".encode(),
+           "\xa0".encode(), "\u2028".encode()]
+_ODD_BYTES = st.one_of(
+    st.lists(st.sampled_from([b"\n", *_SPACES, b"1", b"-", b".", b"a", b"\\", b"<"]),
+             max_size=30).map(b"".join),
+    # lines of whitespace of every kind between lines of other bytes
+    st.lists(st.one_of(st.lists(st.sampled_from(_SPACES), max_size=3).map(b"".join),
+                       st.sampled_from([b"1\ta", b"# c", b"\xff"])),
+             max_size=8).map(b"\n".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ODD_BYTES)
+def test_a_chunk_is_cut_where_its_regex_matches_from_every_start(data):
+    pending = bytearray(data)
+    for start in range(len(data) + 1):
+        # the lookbehind sees the byte before ``start``
+        block = _BLOCK_CUT.match(pending, start)
+        assert conllu._block_end(pending, start) == (block.end() if block else 0)
+        line = _LINE_CUT.match(pending, start)
+        assert conllu._line_end(pending, start) == (line.end() if line else 0)
+
+
+def test_a_blank_line_may_start_just_past_the_byte_before_start():
+    assert _BLOCK_CUT.match(b"ab\n\ncd", 3).end() == 4
+    assert conllu._block_end(bytearray(b"ab\n\ncd"), 3) == 4
+    assert conllu._block_end(bytearray(b"ab\n\ncd"), 4) == 0

@@ -120,7 +120,7 @@ def test_decode_rel_offset_example():
     assert got.repairs.total == 0
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("scheme", list(Scheme), ids=str)
 def test_round_trip_random_trees(scheme):
     for seed in range(300):
         n = 1 + seed % 40
@@ -194,7 +194,7 @@ def _random_label(rng, scheme, n):
     return SyntaxLabel(scheme, sym, deprel)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("scheme", list(Scheme), ids=str)
 def test_fuzzed_labels_decode_to_valid_trees(scheme):
     rng = random.Random(20240 + list(Scheme).index(scheme))
     for _ in range(400):
@@ -473,7 +473,7 @@ def test_label_spellings_per_scheme():
     assert format_label(SyntaxLabel(Scheme.BRACKETS, "\\<", "nsubj")) == "\\<:nsubj"
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("scheme", list(Scheme), ids=str)
 def test_bridge_round_trip(scheme):
     trees = [random_projective_tree(1 + s % 12, s) for s in range(40)]
     lines = []
@@ -523,7 +523,7 @@ def test_bridge_bad_record_policies():
 _ROOT_LABEL = {Scheme.REL_OFFSET: "0:root", Scheme.REL_POS: "ROOT,0:root", Scheme.BRACKETS: ":root"}
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("scheme", list(Scheme), ids=str)
 @pytest.mark.parametrize("line", ["s1\tw/X/{}\t", "s1\tw\tx/X/{}", "s1\tw/X/{}\tx"])
 def test_a_tab_inside_the_token_fields_is_a_bad_record(scheme, line):
     # decoded, the tab would split a CoNLL-U column in two
@@ -735,6 +735,7 @@ _GOOD_PHONE = {"forms": ["good", "phone"], "upos": ["ADJ", "NOUN"], "deprels": [
         (Scheme.REL_POS, {"forms": ["good", "a/b/ROOT,0:@x"]},
          "token 2: field 'a/b/ROOT,0:@x/NOUN/ROOT,0:root'"),
     ],
+    ids=lambda value: str(value) if isinstance(value, Scheme) else None,
 )
 def test_format_names_the_first_field_that_would_read_back_wrong(scheme, change, message):
     t = DepTree.build([2, 0], **{**_GOOD_PHONE, **change})
@@ -860,7 +861,7 @@ def _one_fault_cases(scheme):
             yield tree, LabelSeq(encode(tree, scheme).labels, scheme, polarity)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("scheme", list(Scheme), ids=str)
 def test_format_rejects_one_fault_exactly_when_it_would_not_read_back(scheme):
     for tree, seq in _one_fault_cases(scheme):
         got = _line_outcome(format_tagger_line, tree, seq)
@@ -920,3 +921,61 @@ def test_scheme_parse_spellings():
     assert Scheme.parse("BRACKETS") is Scheme.BRACKETS
     with pytest.raises(ValueError):
         Scheme.parse("huffman")
+
+
+def test_scheme_members_behave_as_the_enum_members_they_were():
+    import copy
+
+    assert list(Scheme) == [Scheme.REL_OFFSET, Scheme.REL_POS, Scheme.BRACKETS]
+    assert [(s.name, s.value) for s in Scheme] == [
+        ("REL_OFFSET", "rel-offset"), ("REL_POS", "rel-pos"), ("BRACKETS", "brackets")]
+    assert repr(Scheme.REL_POS) == "<Scheme.REL_POS: 'rel-pos'>"
+    assert str(Scheme.BRACKETS) == f"{Scheme.BRACKETS}" == "Scheme.BRACKETS"
+    assert Scheme("rel-pos") is Scheme.REL_POS
+    with pytest.raises(ValueError, match="'huffman' is not a valid Scheme"):
+        Scheme("huffman")
+    for scheme in Scheme:
+        assert isinstance(scheme, Scheme)
+        assert copy.copy(scheme) is scheme and copy.deepcopy(scheme) is scheme
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(scheme, protocol)) is scheme
+    assert len({*Scheme, *Scheme}) == 3 and Scheme.REL_OFFSET != "rel-offset"
+
+
+# -- the regexes that string code replaced, kept as oracles ------------------
+
+_BRACKET_PAYLOAD = re.compile(r"^\\*<?>?/*$")
+_WHITESPACE = re.compile(r"\s")
+_RISKY_UPOS = {Scheme.REL_OFFSET: re.compile("/"), Scheme.REL_POS: re.compile("[/,:]"),
+               Scheme.BRACKETS: re.compile(r"[/\\<>]")}
+# line ends, ASCII and Unicode whitespace, digits, bracket symbols and the
+# characters a bridge field is split at
+_ODD_TEXT = st.text(st.sampled_from(
+    "\n\r \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\u0661-.\\<>/,:@ab09"), max_size=16)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_ODD_TEXT, st.text(st.sampled_from("\\<>/\n"), max_size=8)))
+def test_bracket_symbols_are_in_order_exactly_when_their_regex_matches_all_of_them(symbols):
+    # ``fullmatch``: ``match`` let ``$`` match before a final newline
+    assert encodings._bracket_symbols_ok(symbols) == bool(_BRACKET_PAYLOAD.fullmatch(symbols))
+
+
+def test_a_bracket_payload_with_a_trailing_newline_is_malformed():
+    assert _BRACKET_PAYLOAD.match(">\n")  # what made LabelSeq accept it
+    with pytest.raises(ValueError, match=r"malformed payload '>\\n' for Scheme.BRACKETS"):
+        LabelSeq(labels=(SyntaxLabel(Scheme.BRACKETS, ">\n", "root"),), scheme=Scheme.BRACKETS)
+    assert LabelSeq((SyntaxLabel(Scheme.BRACKETS, ">", "root"),), Scheme.BRACKETS)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ODD_TEXT)
+def test_a_text_holds_whitespace_exactly_when_its_regex_finds_some(text):
+    assert encodings._has_space(text) == bool(_WHITESPACE.search(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(Scheme)), _ODD_TEXT)
+def test_a_upos_text_is_risky_exactly_when_its_regex_finds_a_risky_character(scheme, upos):
+    risky = any(map(upos.__contains__, encodings._RISKY_UPOS[scheme]))
+    assert risky == bool(_RISKY_UPOS[scheme].search(upos))

@@ -195,7 +195,7 @@ def test_nonprojective_opinion_tree_refuses_brackets():
     assert len(seq.labels) == 5
 
 
-@pytest.mark.parametrize("scheme", [Scheme.REL_OFFSET, Scheme.REL_POS])
+@pytest.mark.parametrize("scheme", [Scheme.REL_OFFSET, Scheme.REL_POS], ids=str)
 def test_label_round_trip_preserves_opinions(scheme):
     os = sentence(
         9,

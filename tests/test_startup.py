@@ -8,9 +8,13 @@ that score, ``json`` only for the commands that write it, and none of
 when it forks a pool, which uses the C modules ``_pickle`` and ``_signal``.
 None of analyze, aspects, encode and decode loads the standard modules that
 cost the most to import and that they can do without, argparse among them:
-the command line is read from a table of flags. The start-up checks
-run in a fresh interpreter, since this test process has imported
-everything already.
+the command line is read from a table of flags. encode and decode load
+neither ``re`` nor ``enum``, ``functools``, ``contextlib``, ``importlib`` and
+``types``: ``Scheme`` is a plain class, the CoNLL-U reader and the bridge
+writer test their text with string methods, and the package resolves its
+public names with ``__import__``; the one regex a brackets reader needs
+imports ``re`` when it reads its first field. The start-up checks run in a
+fresh interpreter, since this test process has imported everything already.
 """
 
 import json
@@ -104,7 +108,7 @@ corpus, out, chunk_bytes = sys.argv[1], sys.argv[2], int(sys.argv[3])
 from treesent import conllu
 import treesent.cli
 conllu.CHUNK_BYTES = chunk_bytes
-chunks = sum(1 for _ in conllu._cuts(corpus, conllu._BLOCK_CUT))
+chunks = sum(1 for _ in conllu._cuts(corpus, conllu._block_end))
 code = treesent.cli.main(["analyze", "--workers", "2", "-i", corpus, "-o", out])
 loaded = [m for m in ("concurrent.futures", "multiprocessing", "pickle", "signal")
           if m in sys.modules]
@@ -150,6 +154,66 @@ def test_encode_and_decode_leave_the_scoring_modules_unloaded(tmp_path):
     )
     assert seen == {"codes": [0] * 6, "loaded": []}
     assert (tmp_path / "brackets.conllu").read_bytes() == demo_ud_path().read_bytes()
+
+
+# what ``re`` imports, with ``contextlib`` and ``importlib``: each of encode
+# and decode loads none of them, but a brackets reader, which imports ``re``
+# when it reads its first field
+UNUSED_BY_ENCODE_AND_DECODE = ("re", "enum", "functools", "contextlib", "importlib", "types")
+
+ONE_COMMAND_RUN = """
+import sys
+watched, argv = sys.argv[1].split(","), sys.argv[2:]
+import treesent.cli
+from treesent import encodings
+
+parse_field, before_first_field = encodings._parse_field, []
+
+
+def first_field_watched(*args):
+    if not before_first_field:
+        before_first_field.append([m for m in watched if m in sys.modules])
+    return parse_field(*args)
+
+
+encodings._parse_field = first_field_watched
+code = treesent.cli.main(argv)
+loaded = [m for m in watched if m in sys.modules]
+import json
+print(json.dumps({"code": code, "before_first_field": before_first_field, "loaded": loaded}))
+"""
+
+
+def _one_command(tmp_path, command, scheme):
+    """What a fresh interpreter loads to run one command on the demo data."""
+    from treesent.cli import main
+
+    source = demo_ud_path()
+    if command == "decode":
+        source = tmp_path / f"{scheme}.bridge"
+        assert main(["encode", "--scheme", scheme, "-i", str(demo_ud_path()),
+                     "-o", str(source)]) == 0
+    out = tmp_path / f"{command}.{scheme}.out"
+    seen = _fresh_python(ONE_COMMAND_RUN, ",".join(UNUSED_BY_ENCODE_AND_DECODE), command,
+                         "--scheme", scheme, "-i", source, "-o", out)
+    if command == "decode":
+        assert out.read_bytes() == demo_ud_path().read_bytes()
+    return seen
+
+
+@pytest.mark.parametrize("command, scheme", [
+    ("encode", "rel-offset"), ("encode", "rel-pos"), ("encode", "brackets"),
+    ("decode", "rel-offset"), ("decode", "rel-pos"),
+])
+def test_encode_and_decode_load_neither_re_nor_what_it_imports(tmp_path, command, scheme):
+    seen = _one_command(tmp_path, command, scheme)
+    assert (seen["code"], seen["loaded"]) == (0, [])
+
+
+def test_a_brackets_decode_loads_re_only_once_it_reads_a_field(tmp_path):
+    seen = _one_command(tmp_path, "decode", "brackets")
+    assert (seen["code"], seen["before_first_field"]) == (0, [[]])
+    assert "re" in seen["loaded"]
 
 
 def test_every_public_name_is_its_modules_object():
