@@ -35,7 +35,6 @@ _EXPORTS = {
             "Scheme",
             "SyntaxLabel",
             "decode",
-            "emit_multitask_labels",
             "encode",
             "format_tagger_line",
             "parse_tagger_output",

@@ -186,6 +186,8 @@ def run_bench(
     """Time the decode and rules stages over a bridge-format corpus."""
     if workers < 1:
         raise BenchError(f"worker count must be >= 1, got {workers}")
+    if warmup < 0:
+        raise BenchError(f"warmup must be >= 0, got {warmup}")
     config = config if config is not None else RuleConfig()
 
     started = perf_counter()
@@ -200,7 +202,7 @@ def run_bench(
             stacklevel=2,
         )
 
-    if warmup > 0 and numbered:
+    if warmup and numbered:
         _bench_chunk((numbered[:warmup], lexicon, config, scheme))
 
     started = perf_counter()

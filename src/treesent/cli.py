@@ -714,10 +714,15 @@ def cmd_eval(cfg: PipelineConfig, args: _Args) -> int:
     if getattr(args, "pred_parse", None):
         if all(record.parse is None for record in gold_records):
             raise EvalError("gold file has no parses to score against")
-        by_id = {
-            tree.sentence_id: tree
-            for tree in read_conllu(_file_to_read(args.pred_parse, "file"), on_error="abort")
-        }
+        by_id: Dict[str, DepTree] = {}
+        trees = read_conllu(_file_to_read(args.pred_parse, "file"), on_error="abort")
+        try:
+            for number, tree in enumerate(trees, start=1):
+                if tree.sentence_id in by_id:
+                    raise EvalError(f"sentence {number}: duplicate parse for {tree.sentence_id!r}")
+                by_id[tree.sentence_id] = tree
+        except DataError as exc:
+            raise EvalError(f"{args.pred_parse}: {exc}") from None
         pred_trees, gold_trees = joined("parse", by_id, "no predicted parse")
         if not gold_trees:  # under skip, every gold parse went without its prediction
             raise EvalError(f"{args.pred_parse} has no parse of a sentence the gold file parses")

@@ -149,14 +149,9 @@ class LabelSeq(_Record, frozen=True):
     ``_trusted`` is for callers that built every label themselves: at least
     one, all in ``scheme``, each payload of the shape ``_payload_ok`` wants."""
 
-    _fields = ("labels", "scheme", "sentence_polarity")
+    _fields = ("labels", "scheme")
 
-    def __init__(
-        self,
-        labels: Sequence[SyntaxLabel],
-        scheme: Scheme,
-        sentence_polarity: str | None = None,
-    ) -> None:
+    def __init__(self, labels: Sequence[SyntaxLabel], scheme: Scheme) -> None:
         labels = tuple(labels)
         if not labels:
             raise ValueError("empty label sequence")
@@ -165,7 +160,7 @@ class LabelSeq(_Record, frozen=True):
                 raise ValueError("mixed schemes in one label sequence")
             if not _payload_ok(scheme, lab.payload):
                 raise ValueError(f"malformed payload {lab.payload!r} for {scheme}")
-        self.__dict__.update(labels=labels, scheme=scheme, sentence_polarity=sentence_polarity)
+        self.__dict__.update(labels=labels, scheme=scheme)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -256,7 +251,7 @@ def encode(tree: DepTree, scheme: Scheme) -> LabelSeq:
     # tuple.__new__ makes the same label SyntaxLabel(...) makes, in a C-level
     # loop without a call to the named tuple's Python __new__ per label
     labels = map(tuple.__new__, repeat(SyntaxLabel), zip(repeat(scheme), payloads, deprels))
-    return LabelSeq._trusted(labels=tuple(labels), scheme=scheme, sentence_polarity=None)
+    return LabelSeq._trusted(labels=tuple(labels), scheme=scheme)
 
 
 def repair(proposals: Sequence[int | None], n: int) -> tuple[list[int], RepairStats]:
@@ -392,18 +387,9 @@ def decode(
     return DecodeResult(tree, stats)
 
 
-def emit_multitask_labels(tree: DepTree, scheme: Scheme, polarity_class: str) -> LabelSeq:
-    """Syntax labels plus a sentence polarity tag carried on the sequence."""
-    if not polarity_class or any(c.isspace() for c in polarity_class) or "@" in polarity_class:
-        raise ValueError(f"bad polarity class {polarity_class!r}")
-    return LabelSeq._trusted(labels=encode(tree, scheme).labels, scheme=scheme,
-                             sentence_polarity=polarity_class)
-
-
 # ---------------------------------------------------------------------------
 # Tagger bridge: one sentence per line,
 #   sent_id TAB form/upos/label SPACE form/upos/label ...
-# with an optional @class suffix on the last label.
 
 
 def _has_space(text: str) -> bool:
@@ -522,21 +508,6 @@ def _parse_field(
     return form, upos, label
 
 
-def _split_polarity(
-    last: str, scheme: Scheme, known: dict[str, SyntaxLabel] | None = None
-) -> tuple[str, str | None]:
-    """The last token field of a bridge line and its polarity class: the text
-    after its last ``@``, if that is not empty and the text before parses."""
-    field, at, polarity = last.rpartition("@")
-    if at and polarity:
-        try:
-            _parse_field(field, scheme, known)
-            return field, polarity
-        except ValueError:
-            pass  # the @ belongs to the field
-    return last, None
-
-
 class UnreadableFieldError(ValueError):
     """A bridge line field that ``parse_tagger_output`` would misread."""
 
@@ -552,23 +523,20 @@ def format_tagger_line(tree: DepTree, seq: LabelSeq) -> str:
     """One bridge line for a sentence and its labels.
 
     ValueError if the line would not read back: whitespace inside the
-    sentence id, a form, a UPOS tag, a label or the polarity class would
-    split it, and ``UnreadableFieldError`` names the first token field
-    that ``parse_tagger_output`` would read back as something else.
+    sentence id, a form, a UPOS tag or a label would split it, and
+    ``UnreadableFieldError`` names the first token field that
+    ``parse_tagger_output`` would read back as something else.
     """
     if len(seq.labels) != len(tree):
         raise ValueError("label count does not match sentence length")
     sent_id = tree.sentence_id or "s"
     fields = _fields(seq.scheme, tree.forms, tree.upos, seq.labels)
-    if seq.sentence_polarity:
-        fields[-1] += f"@{seq.sentence_polarity}"
     if _has_space(sent_id) or _has_space("".join(fields)):
         raise _whitespace_error(sent_id, tree, seq)
     # every line that could read back wrong, found without a Python loop per
     # token, given that a REL_POS label's tag is a UPOS tag of the sentence
     if (
-        "@" in (seq.sentence_polarity or fields[-1])
-        or "" in tree.forms
+        "" in tree.forms
         or any(map("".join(tree.upos).__contains__, _RISKY_UPOS[seq.scheme]))
         or "/" in "".join(map(_DEPREL_OF, seq.labels))
     ):
@@ -582,7 +550,6 @@ def _whitespace_error(sent_id: str, tree: DepTree, seq: LabelSeq) -> ValueError:
     for i, (form, upos, label) in enumerate(zip(tree.forms, tree.upos, seq.labels), start=1):
         named += [(f"token {i}: form", form), (f"token {i}: upos", upos),
                   (f"token {i}: label", format_label(label))]
-    named.append(("sentence polarity", seq.sentence_polarity or ""))
     what, text = next((what, text) for what, text in named if _has_space(text))
     return ValueError(f"{what} {text!r} contains whitespace")
 
@@ -590,16 +557,14 @@ def _whitespace_error(sent_id: str, tree: DepTree, seq: LabelSeq) -> ValueError:
 def _check_read_back(tree: DepTree, seq: LabelSeq, fields: list[str]) -> None:
     """Read ``fields`` back as ``parse_tagger_output`` does, and raise
     ``UnreadableFieldError`` on the first that reads back as something else."""
-    # a polarity class split off at the wrong '@' moves the end of the last field
-    last = _split_polarity(fields[-1], seq.scheme)[0]
     written = zip(tree.forms, tree.upos, seq.labels)
-    for i, (field, word) in enumerate(zip([*fields[:-1], last], written), start=1):
+    for i, (field, word) in enumerate(zip(fields, written), start=1):
         try:
             misread = _parse_field(field, seq.scheme) != word
         except ValueError:
             misread = True
         if misread:
-            raise UnreadableFieldError(f"token {i}: field {fields[i - 1]!r} would not read back")
+            raise UnreadableFieldError(f"token {i}: field {field!r} would not read back")
 
 
 # A tagger picks each label from the closed set it was trained on, so its
@@ -667,7 +632,6 @@ def _parse_bridge_line(
     if not tab or not rest.strip():
         raise BridgeError("expected 'sent_id<TAB>token fields'", lineno)
     fields = rest.split(" ")
-    fields[-1], polarity = _split_polarity(fields[-1], scheme, known)
     words: list[tuple[str, str]] = []
     labels: list[SyntaxLabel] = []
     for field_text in fields:
@@ -687,7 +651,7 @@ def _parse_bridge_line(
         # last, so that every other fault keeps its message; a tab in a form
         # or relation would split its CoNLL-U column in two
         raise BridgeError("tab inside the token fields", lineno)
-    seq = LabelSeq._trusted(labels=tuple(labels), scheme=scheme, sentence_polarity=polarity)
+    seq = LabelSeq._trusted(labels=tuple(labels), scheme=scheme)
     result = decode(seq, words, sentence_id=sent_id)
     stats.records += 1
     stats.repairs = stats.repairs + result.repairs

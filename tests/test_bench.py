@@ -134,6 +134,11 @@ def test_run_bench_rejects_bad_worker_count(lex):
         run_bench([], lex, workers=0)
 
 
+def test_run_bench_rejects_a_negative_warmup(lex):
+    with pytest.raises(BenchError, match=r"^warmup must be >= 0, got -1$"):
+        run_bench([], lex, warmup=-1)
+
+
 def test_bench_report_validates_stage_bounds():
     with pytest.raises(BenchError, match="exceeds total"):
         BenchReport(

@@ -880,8 +880,6 @@ def test_whitespace_inside_a_field_is_a_data_error(tmp_path, capsys, scheme, row
         ("brackets", {"form": ""}, "token 1: field '/ADJ/:root' would not read back"),
         ("rel-pos", {"upos": "NO/UN"},
          "token 1: field 'good/NO/UN/ROOT,0:root' would not read back"),
-        ("rel-offset", {"deprel": "ro@ot"},
-         "token 1: field 'good/ADJ/0:ro@ot' would not read back"),
     ],
 )
 def test_a_field_that_would_read_back_wrong_is_a_data_error(tmp_path, capsys, scheme, row, message):
@@ -901,6 +899,17 @@ def test_a_field_that_would_read_back_wrong_is_a_data_error(tmp_path, capsys, sc
         "skipped 1 sentences with a field that would read back wrong\n"
     )
     assert [line.split("\t")[0] for line in out.read_text().splitlines()] == ["w1", "w3"]
+
+
+def test_a_relation_with_an_at_encodes_and_decodes_back(tmp_path, capsys):
+    path = tmp_path / "at.conllu"
+    path.write_text("# sent_id = w1\n"
+                    + _CONLLU_ROW.format(form="good", upos="ADJ", deprel="ro@ot"))
+    bridge, restored = tmp_path / "out.bridge", tmp_path / "out.conllu"
+    assert run("encode", "--scheme", "rel-offset", "-i", path, "-o", bridge) == 0
+    assert bridge.read_text() == "w1\tgood/ADJ/0:ro@ot\n"
+    assert run("decode", "--scheme", "rel-offset", "-i", bridge, "-o", restored) == 0
+    assert restored.read_text() == "# sent_id = w1\n1\tgood\tgood\tADJ\t_\t_\t0\tro@ot\t_\t_\n\n"
 
 
 def test_whitespace_inside_a_relation_is_a_data_error(tmp_path, capsys):
@@ -1133,6 +1142,25 @@ def test_eval_needs_a_gold_parse_that_a_predicted_parse_is_scored_against(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("policy", ["abort", "skip"])
+def test_eval_refuses_a_second_parse_of_one_sentence(tmp_path, capsys, policy):
+    gold = tmp_path / "gold.jsonl"
+    _write_jsonl(gold, [_gold_record(sid, *BOX, cls="positive", parse=BOX_PARSE)
+                        for sid in ("g1", "g2")])
+    parses = _box_trees(tmp_path / "pred.conllu", ["g1", "g2", "g2"])
+    argv = ("eval", "--pred", gold, "--gold", gold, "--pred-parse", parses, "--on-error", policy)
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {parses}: sentence 3: duplicate parse for 'g2'\n"
+
+
+def test_eval_names_the_parse_file_it_cannot_read(tmp_path, capsys):
+    gold = demo_gold_path()
+    parses = tmp_path / "pred.conllu"
+    parses.write_bytes(b"\xff\xfe\n")
+    assert run("eval", "--pred", gold, "--gold", gold, "--pred-parse", parses) == 1
+    assert capsys.readouterr().err == f"error: {parses}: sentence 1 (line 1): not valid UTF-8\n"
+
+
 def _json_error(text):
     try:
         json.loads(text)
@@ -1225,6 +1253,7 @@ def test_bench_cli_reports_structure(tmp_path, capsys):
         (("bench", "--sentences", 0), "corpus size must be >= 1, got 0"),
         (("gen", "--length", 0), "sentence length must be >= 1, got 0"),
         (("gen", "--length", 0, "--format", "conllu"), "sentence length must be >= 1, got 0"),
+        (("bench", "--sentences", 100, "--warmup", -1), "warmup must be >= 0, got -1"),
     ],
 )
 def test_bad_bench_and_gen_parameters_are_config_errors(tmp_path, capsys, argv, message):

@@ -19,7 +19,6 @@ from treesent import (
     Scheme,
     SyntaxLabel,
     decode,
-    emit_multitask_labels,
     encode,
     format_tagger_line,
     parse_tagger_output,
@@ -272,14 +271,14 @@ def test_rel_pos_proposals_match_outward_scan(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_label_sequences(), st.sampled_from(["", "@positive"]))
-def test_bridge_lines_decode_to_valid_trees_and_labels(case, suffix):
+@given(_label_sequences())
+def test_bridge_lines_decode_to_valid_trees_and_labels(case):
     seq, words = case
     line = "s\t" + " ".join(
         f"{form}/{tag}/{format_label(lab)}" for (form, tag), lab in zip(words, seq.labels)
-    ) + suffix
+    )
     (parsed, got), = parse_tagger_output([line], seq.scheme, on_error="abort")
-    assert parsed == LabelSeq(parsed.labels, parsed.scheme, parsed.sentence_polarity)
+    assert parsed == LabelSeq(parsed.labels, parsed.scheme)
     assert parsed.labels == seq.labels
     _assert_valid_tree(got.tree)
 
@@ -451,19 +450,7 @@ def test_repair_total_on_arbitrary_proposals(proposals):
     assert stats2.total == 0
 
 
-# -- multitask and bridge format --------------------------------------------
-
-def test_multitask_label_spelling():
-    seq = emit_multitask_labels(PHONE, Scheme.REL_OFFSET, "positive")
-    assert seq.sentence_polarity == "positive"
-    line = format_tagger_line(PHONE, seq)
-    assert line.endswith("works/VERB/0:root@positive")
-
-
-def test_multitask_rejects_bad_class():
-    with pytest.raises(ValueError):
-        emit_multitask_labels(PHONE, Scheme.REL_OFFSET, "very positive")
-
+# -- bridge format -----------------------------------------------------------
 
 def test_label_spellings_per_scheme():
     assert format_label(SyntaxLabel(Scheme.REL_OFFSET, -2, "amod")) == "-2:amod"
@@ -476,16 +463,13 @@ def test_label_spellings_per_scheme():
 @pytest.mark.parametrize("scheme", list(Scheme), ids=str)
 def test_bridge_round_trip(scheme):
     trees = [random_projective_tree(1 + s % 12, s) for s in range(40)]
-    lines = []
-    for t in trees:
-        seq = emit_multitask_labels(t, scheme, "neutral")
-        lines.append(format_tagger_line(t, seq))
+    lines = [format_tagger_line(t, encode(t, scheme)) for t in trees]
     stats = BridgeStats()
     out = list(parse_tagger_output(lines, scheme, stats=stats))
     assert stats.records == len(trees)
     assert stats.repairs.total == 0
     for t, (seq, result) in zip(trees, out):
-        assert seq.sentence_polarity == "neutral"
+        assert seq == encode(t, scheme)
         assert result.tree.tokens == t.tokens
         assert result.tree.sentence_id == t.sentence_id
 
@@ -570,8 +554,8 @@ def test_bridge_empty_stream():
 
 # -- the per-call label memo -------------------------------------------------
 
-# good fields of each scheme ('@' inside forms and as a class suffix
-# included), then fields that fail: misordered bracket symbols, malformed ones
+# good fields of each scheme ('@' inside forms and relations included), then
+# fields that fail: misordered bracket symbols, malformed ones
 _MEMO_GOOD = {
     Scheme.REL_OFFSET: ["the/DET/+1:det", "phone/NOUN/0:root", "good/ADJ/-1:amod",
                         "a/b/NOUN/+2:x", "e@mail/NOUN/+1:obj", "phone/NOUN/0:root@positive",
@@ -662,14 +646,13 @@ def _counting_labels(patch):
 
 
 def test_each_distinct_label_is_parsed_once_per_call():
-    lines = ["s1\tthe/DET/+1:det phone/NOUN/0:root", "s2\ta/DET/+1:det cat/NOUN/0:root@pos",
+    lines = ["s1\tthe/DET/+1:det phone/NOUN/0:root", "s2\ta/DET/+1:det cat/NOUN/0:root",
              "s3\tbad the/DET/+1:det", "s4\tthis/DET/+1:det"]
     with pytest.MonkeyPatch.context() as patch:
         made = _counting_labels(patch)
         out = list(parse_tagger_output(lines, Scheme.REL_OFFSET))
         assert [result.tree.forms for _, result in out] == [
             ("the", "phone"), ("a", "cat"), ("this",)]
-        assert [seq.sentence_polarity for seq, _ in out] == [None, "pos", None]
         assert made == [(1, "det"), (0, "root")]
         made.clear()
         list(parse_tagger_output(lines[:1], Scheme.REL_OFFSET))
@@ -710,12 +693,6 @@ def test_format_names_the_first_part_that_holds_whitespace(change, message):
         format_tagger_line(t, encode(t, Scheme.REL_POS))
 
 
-def test_format_names_whitespace_in_the_polarity_class():
-    seq = LabelSeq(encode(PHONE, Scheme.BRACKETS).labels, Scheme.BRACKETS, "very good")
-    with pytest.raises(ValueError, match="^sentence polarity 'very good' contains whitespace$"):
-        format_tagger_line(PHONE, seq)
-
-
 _GOOD_PHONE = {"forms": ["good", "phone"], "upos": ["ADJ", "NOUN"], "deprels": ["amod", "root"]}
 
 
@@ -731,9 +708,6 @@ _GOOD_PHONE = {"forms": ["good", "phone"], "upos": ["ADJ", "NOUN"], "deprels": [
         (Scheme.REL_OFFSET, {"deprels": ["a/b", "root"]}, "token 1: field 'good/ADJ/+1:a/b'"),
         (Scheme.BRACKETS, {"forms": ["a/b", "phone"], "upos": ["<", "NOUN"]},
          "token 1: field 'a/b/</<:amod'"),
-        (Scheme.REL_OFFSET, {"deprels": ["amod", "ro@ot"]}, "token 2: field 'phone/NOUN/0:ro@ot'"),
-        (Scheme.REL_POS, {"forms": ["good", "a/b/ROOT,0:@x"]},
-         "token 2: field 'a/b/ROOT,0:@x/NOUN/ROOT,0:root'"),
     ],
     ids=lambda value: str(value) if isinstance(value, Scheme) else None,
 )
@@ -743,25 +717,48 @@ def test_format_names_the_first_field_that_would_read_back_wrong(scheme, change,
         format_tagger_line(t, encode(t, scheme))
 
 
-def test_format_names_an_at_in_the_polarity_class():
-    seq = LabelSeq(encode(PHONE, Scheme.REL_OFFSET).labels, Scheme.REL_OFFSET, "a@b")
-    message = "token 3: field 'works/VERB/0:root@a@b' would not read back"
-    with pytest.raises(UnreadableFieldError, match=f"^{re.escape(message)}$"):
-        format_tagger_line(PHONE, seq)
+@pytest.mark.parametrize(
+    "scheme, change",
+    [
+        (Scheme.REL_OFFSET, {"deprels": ["amod", "ro@ot"]}),
+        (Scheme.REL_POS, {"forms": ["good", "a/b/ROOT,0:@x"]}),
+    ],
+    ids=lambda value: str(value) if isinstance(value, Scheme) else None,
+)
+def test_format_writes_an_at_in_a_field_as_plain_text(scheme, change):
+    t = DepTree.build([2, 0], **{**_GOOD_PHONE, **change})
+    seq = encode(t, scheme)
+    assert _reads_back(format_tagger_line(t, seq), t, seq)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=str)
+def test_a_bridge_line_carries_no_sentence_polarity(scheme):
+    # a last relation that ends in '@x' encodes and reads back whole
+    t = DepTree.build([0, 1], forms=["buy", "phones"], upos=["VERB", "NOUN"],
+                      deprels=["root", "obj@x"])
+    seq = encode(t, scheme)
+    line = format_tagger_line(t, seq)
+    assert line.endswith(":obj@x")
+    assert _reads_back(line, t, seq)
+    # and a last label that ends in '@positive' decodes to that relation
+    root = format_label(encode(DepTree.build([0]), scheme).labels[0])
+    (parsed, got), = parse_tagger_output([f"s1\tgood/ADJ/{root}@positive"], scheme,
+                                         on_error="abort")
+    assert got.tree.deprels == ("root@positive",)
+    assert parsed.labels[0].deprel == "root@positive"
 
 
 # -- the bridge writer against per-label references ---------------------------
 
 def _reads_back(line, tree, seq):
-    """Whether ``line`` reads back to the labels, polarity class, forms, UPOS
-    tags, heads and relations it was written from."""
+    """Whether ``line`` reads back to the labels, forms, UPOS tags, heads and
+    relations it was written from."""
     try:
         (parsed, got), = parse_tagger_output([line], seq.scheme, on_error="abort")
     except BridgeError:
         return False
     return (
         parsed.labels == seq.labels
-        and parsed.sentence_polarity == (seq.sentence_polarity or None)
         and (got.tree.forms, got.tree.upos, got.tree.heads) == (tree.forms, tree.upos, tree.heads)
         and got.tree.deprels == tuple(label.deprel for label in seq.labels)
     )
@@ -773,8 +770,6 @@ def _reference_line(tree, seq):
     sent_id = tree.sentence_id or "s"
     fields = [f"{form}/{tag}/{format_label(label)}"
               for form, tag, label in zip(tree.forms, tree.upos, seq.labels)]
-    if seq.sentence_polarity:
-        fields[-1] += "@" + seq.sentence_polarity
     if any(c.isspace() for text in (sent_id, *fields) for c in text):
         raise ValueError("whitespace")
     line = sent_id + "\t" + " ".join(fields)
@@ -816,13 +811,12 @@ def _labelled_trees(draw):
         deprels=draw(column("nmod:poss", "ro@ot", "a/b")),
         sentence_id=draw(st.sampled_from(["", "s1", "a b"]) | text),
     )
-    polarity = draw(st.sampled_from([None, "", "positive", "very good", "a@b"]) | text)
-    return tree, LabelSeq(encode(tree, scheme).labels, scheme, polarity)
+    return tree, encode(tree, scheme)
 
 
 @settings(max_examples=600, deadline=None)
 @given(_labelled_trees())
-# an '@' in the last form is the form's unless the text before it parses as a
+# an '@' in a form is plain text, even where the text before it parses as a
 # field, and a '/' in a form can be split at before a UPOS of bracket symbols
 @example((DepTree.build([0], forms=["e@mail"]), encode(DepTree.build([0]), Scheme.REL_OFFSET)))
 @example((DepTree.build([0], forms=["a/b/0:@x"]), encode(DepTree.build([0]), Scheme.REL_OFFSET)))
@@ -845,7 +839,7 @@ _ONE_FAULT_VALUES = ["", "a/b", "/a", "a/", "<", ">", "\\", "A,B", "A:B", "ro@ot
 
 def _one_fault_cases(scheme):
     """Two-token trees with one value of _ONE_FAULT_VALUES in one column, or
-    in the form and the UPOS of one token, with and without a polarity class."""
+    in the form and the UPOS of one token."""
     good = _GOOD_PHONE
     changes = [{column: [*good[column][:i], value, *good[column][i + 1:]]}
                for column in good for i in range(2) for value in _ONE_FAULT_VALUES]
@@ -857,8 +851,7 @@ def _one_fault_cases(scheme):
         if "" in change.get("upos", ()):
             continue  # not a tree
         tree = DepTree.build(heads, **{**good, **change})
-        for polarity in (None, "pos", "a@b"):
-            yield tree, LabelSeq(encode(tree, scheme).labels, scheme, polarity)
+        yield tree, encode(tree, scheme)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=str)
@@ -903,13 +896,12 @@ _bridge_forms = st.text(
     st.integers(1, 15),
     st.integers(0, 10_000),
     st.data(),
-    st.sampled_from([None, "positive"]),
 )
-def test_encoded_lines_read_back_with_any_forms(scheme, n, seed, data, polarity):
+def test_encoded_lines_read_back_with_any_forms(scheme, n, seed, data):
     heads = list(random_projective_tree(n, seed).heads)
     forms = data.draw(st.lists(_bridge_forms, min_size=n, max_size=n))
     tree = DepTree.build(heads, forms=forms, sentence_id="s1")
-    seq = LabelSeq(encode(tree, scheme).labels, scheme, polarity)
+    seq = encode(tree, scheme)
     (parsed, got), = parse_tagger_output([format_tagger_line(tree, seq)], scheme, on_error="abort")
     assert parsed == seq
     assert (got.tree.forms, got.tree.upos, got.tree.heads) == (tree.forms, tree.upos, tree.heads)

@@ -36,9 +36,9 @@ TREE_REPR = ("DepTree(forms=('very', 'good'), lemmas=('very', 'good'), upos=('AD
              "heads=(2, 0), deprels=('advmod', 'root'), sentence_id='s1', metadata={})")
 
 
-def _labels(polarity=None):
-    return LabelSeq((SyntaxLabel(Scheme.REL_OFFSET, 1, "advmod"),
-                     SyntaxLabel(Scheme.REL_OFFSET, 0, "root")), Scheme.REL_OFFSET, polarity)
+def _labels(offset=1):
+    return LabelSeq((SyntaxLabel(Scheme.REL_OFFSET, offset, "advmod"),
+                     SyntaxLabel(Scheme.REL_OFFSET, 0, "root")), Scheme.REL_OFFSET)
 
 
 def _shifters(intensity=0.5):
@@ -75,10 +75,10 @@ RECORDS = [
      ("scheme", "payload", "deprel"),
      "SyntaxLabel(scheme=<Scheme.REL_POS: 'rel-pos'>, payload=('NOUN', 1), deprel='nsubj')",
      None, True),
-    ("LabelSeq", _labels, None, "positive", ("labels", "scheme", "sentence_polarity"),
+    ("LabelSeq", _labels, 1, 2, ("labels", "scheme"),
      "LabelSeq(labels=(SyntaxLabel(scheme=<Scheme.REL_OFFSET: 'rel-offset'>, payload=1, "
      "deprel='advmod'), SyntaxLabel(scheme=<Scheme.REL_OFFSET: 'rel-offset'>, payload=0, "
-     "deprel='root')), scheme=<Scheme.REL_OFFSET: 'rel-offset'>, sentence_polarity=None)",
+     "deprel='root')), scheme=<Scheme.REL_OFFSET: 'rel-offset'>)",
      None, True),
     ("RepairStats", lambda cycles: RepairStats(1, 2, 0, cycles), 3, 4,
      ("out_of_range", "extra_roots", "missing_root", "cycles_broken"),
