@@ -5,9 +5,11 @@ HEAD, DEPREL, plus ``#`` comment metadata. The remaining columns are
 written back as underscores. Multiword token ranges (``1-2``) and empty
 nodes (``1.1``) are dropped silently, with a tally kept in ``ReadStats``.
 
-Paths and byte streams are read in chunks cut just past a blank line, so
-that a chunk holds whole sentences and can be split and parsed on its own,
-in this process or in a pool worker. The first read is of 4 KiB, so that
+Where a sentence starts and ends is decided by one splitter,
+``split_blocks``, whatever the source. Paths and byte streams are read in
+chunks cut just past a blank line, so that a chunk holds whole sentences
+and goes through ``split_blocks`` on its own (``chunk_blocks``), in this
+process or in a pool worker. The first read is of 4 KiB, so that
 the first sentences are soon done; each later read is twice the last, up
 to ``CHUNK_BYTES``. Bridge lines, one record per line, are read the same
 way and cut at any newline.
@@ -159,33 +161,33 @@ def settings_lines(
         yield lineno, key, value
 
 
-def split_blocks(lines: Iterable[Line]) -> Iterator[Block]:
+def split_blocks(lines: Iterable[Line], ordinal: int = 1, lineno: int = 1) -> Iterator[Block]:
     """Group lines into sentence blocks, ``(ordinal, first_line, [line, ...])``.
 
-    Blank and whitespace-only lines end a block and every other line joins
-    it, so a block's lines are consecutive and ``first_line`` numbers them
-    all. Ordinals and line numbers count from 1. Line ends are stripped. A
-    line that is not valid UTF-8 stays ``bytes``, so the sentence holding
-    it fails when its block is parsed.
+    The only code that decides where a sentence starts and ends. Empty
+    lines and whitespace lines (as ``str.isspace`` sees them) end a block
+    and every other line joins it, so a block's lines are consecutive and
+    ``first_line`` numbers them all. The first block is sentence ``ordinal``
+    and the first line is line ``lineno``. A kept line loses its ``\\n`` and
+    then its trailing ``\\r``s. A line that is not valid UTF-8 stays
+    ``bytes``, so the sentence holding it fails when its block is parsed.
     """
     block: List[Line] = []
-    ordinal = lineno = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=lineno):
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError:
                 block.append(raw)
                 continue
-        line = raw.rstrip("\n").rstrip("\r")
-        if line and not line.isspace():
-            block.append(line)
+        if raw.strip():  # strips exactly what ``str.isspace`` accepts
+            block.append(raw.rstrip("\n").rstrip("\r"))
         elif block:
-            ordinal += 1
             yield ordinal, lineno - len(block), block
+            ordinal += 1
             block = []
     if block:
-        yield ordinal + 1, lineno + 1 - len(block), block
+        yield ordinal, lineno + 1 - len(block), block
 
 
 # the bytes that start a line of ASCII whitespace, from the newline before it
@@ -334,44 +336,19 @@ def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
     yields them from the whole input.
 
     The chunk that starts at line 1 loses one leading byte order mark, as
-    ``iter_raw_lines`` drops it. The chunk is decoded once, split on empty
-    lines and each block into its lines. A chunk that is not valid UTF-8, or
-    holds a ``\\r`` or a whitespace-only line, goes through ``split_blocks``
-    line by line instead.
+    ``iter_raw_lines`` drops it. The chunk is decoded once, and its lines,
+    split at ``\\n``, go to ``split_blocks`` numbered from the chunk's first
+    ordinal and line. A chunk that is not valid UTF-8 goes as the line
+    reader's bytes lines, each with its newline.
     """
     ordinal, lineno, data = chunk
     if lineno == 1:
         data = data.removeprefix(_BOM)
     try:
-        text: Optional[str] = data.decode("utf-8")
+        lines: Iterable[Line] = data.decode("utf-8").split("\n")
     except UnicodeDecodeError:
-        text = None
-    split = None if text is None or "\r" in text else _text_blocks(text, lineno)
-    if split is not None:
-        first_lines, blocks = split
-        yield from zip(range(ordinal, ordinal + len(blocks)), first_lines, blocks)
-        return
-    for number, first_line, lines in split_blocks(io.BytesIO(data)):
-        yield ordinal + number - 1, lineno + first_line - 1, lines
-
-
-def _text_blocks(text: str, lineno: int) -> Optional[Tuple[List[int], List[List[str]]]]:
-    """The number of the first line of each block of ``text``, which starts
-    at line ``lineno``, and the block's lines; None if a line of ``text`` is
-    whitespace, which ``str.split("\\n\\n")`` does not see as blank."""
-    first_lines, blocks = [], []
-    for piece in text.split("\n\n"):
-        body = piece.lstrip("\n")  # the empty lines past the first
-        if body:
-            lines = body.split("\n")
-            if not lines[-1]:  # the newline that ends the input
-                lines.pop()
-            first_lines.append(lineno + len(piece) - len(body))
-            blocks.append(lines)
-        lineno += piece.count("\n") + 2
-    if any(map(str.isspace, chain.from_iterable(blocks))):
-        return None
-    return first_lines, blocks
+        lines = io.BytesIO(data)
+    return split_blocks(lines, ordinal, lineno)
 
 
 def _id_pair(raw_id: str, sep: str) -> bool:

@@ -296,10 +296,15 @@ def load_gold(source: Source) -> Iterator[GoldRecord]:
 
 
 def _gold_records(numbered: Iterable, prefix: str) -> Iterator[GoldRecord]:
-    """The GoldRecord of each ``(lineno, text)``; an error names its line as
-    ``prefix`` and the number."""
+    """The GoldRecord of each ``(lineno, text)``. An error, a repeated
+    ``sent_id`` included, names its line as ``prefix`` and the number."""
+    seen = set()
     for lineno, raw in _json_objects(numbered, prefix, "record"):
-        yield _parse_record(raw, f"{prefix}{lineno}")
+        record = _parse_record(raw, f"{prefix}{lineno}")
+        if record.sentence_id in seen:
+            raise EvalError(f"{prefix}{lineno}: duplicate record for {record.sentence_id!r}")
+        seen.add(record.sentence_id)
+        yield record
 
 
 def load_predictions(path: Path) -> Dict[str, dict]:

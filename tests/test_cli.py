@@ -206,11 +206,18 @@ def test_pool_cuts_input_whose_sentences_end_at_whitespace_lines(
 ):
     corpus = _pool_corpus(tmp_path)
     corpus.write_bytes(corpus.read_bytes().replace(b"\n\n", b"\n" + separator + b"\n"))
-    assert len(_chunk_starts(corpus)) > 2 * 3
-    single, *pooled = _per_worker_count(capsys, "analyze", "--explain", "-i", corpus)
-    assert single[0] == 0
-    assert len(single[1].splitlines()) == POOL_SENTENCES
-    assert all(result == single for result in pooled)
+    # without sent_id lines each record carries s<N>: the ordinal that one
+    # worker's split_blocks gave its sentence, or the pool parent's count_blocks
+    unnamed = tmp_path / "unnamed.conllu"
+    unnamed.write_bytes(b"".join(line for line in corpus.read_bytes().splitlines(keepends=True)
+                                 if not line.startswith(b"# sent_id")))
+    for path in (corpus, unnamed):
+        assert len(_chunk_starts(path)) > 2 * 3
+        single, *pooled = _per_worker_count(capsys, "analyze", "--explain", "-i", path)
+        assert single[0] == 0
+        assert len(single[1].splitlines()) == POOL_SENTENCES
+        assert all(result == single for result in pooled)
+    assert f'"sent_id": "s{POOL_SENTENCES}"' in single[1]
 
 
 def test_pool_skips_bad_sentences_on_both_sides_of_a_chunk_boundary(
@@ -1159,6 +1166,18 @@ def test_eval_names_the_parse_file_it_cannot_read(tmp_path, capsys):
     parses.write_bytes(b"\xff\xfe\n")
     assert run("eval", "--pred", gold, "--gold", gold, "--pred-parse", parses) == 1
     assert capsys.readouterr().err == f"error: {parses}: sentence 1 (line 1): not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("policy", ["abort", "skip"])
+@pytest.mark.parametrize("side", ["gold", "pred"])
+def test_eval_refuses_a_gold_file_that_repeats_a_sentence(tmp_path, capsys, side, policy):
+    demo = demo_gold_path().read_text(encoding="utf-8")
+    repeated = tmp_path / "repeated.jsonl"
+    repeated.write_text(demo + demo.splitlines(keepends=True)[-1], encoding="utf-8")
+    gold, pred = (repeated, demo_gold_path()) if side == "gold" else (demo_gold_path(), repeated)
+    assert run("eval", "--pred", pred, "--gold", gold, "--on-error", policy) == 1
+    where = "line 4" if side == "gold" else f"{repeated}:4"
+    assert capsys.readouterr().err == f"error: {where}: duplicate record for 's3'\n"
 
 
 def _json_error(text):

@@ -167,6 +167,10 @@ def test_split_blocks_numbers_sentences_and_lines():
     assert len(blocks[1][2]) == 4
     trees = list(parse_blocks(blocks, on_error="abort"))
     assert [t.tokens for t in trees] == [t.tokens for t in read_all(text)]
+    # the same lines, numbered as a chunk that starts at sentence 7 and line 40
+    later = list(split_blocks(io.StringIO(text), ordinal=7, lineno=40))
+    assert [(ordinal, first_line) for ordinal, first_line, _ in later] == [(7, 41), (8, 48)]
+    assert [lines for _, _, lines in later] == [lines for _, _, lines in blocks]
 
 
 @pytest.mark.parametrize(
@@ -216,7 +220,6 @@ def test_a_bad_head_ends_the_tally_of_dropped_rows_where_it_stands(drop, before)
 # the regexes the reader used, kept as oracles for the string code that replaced them
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_ID = re.compile(r"^\d+\.\d+$")
-_SPACE_LINE = re.compile(r"\n[^\S\n]+\n")
 _BLOCK_CUT = re.compile(rb"(?s).*(?<=\n)[ \t\r\f\v]*\n")
 _LINE_CUT = re.compile(rb"(?s).*\n")
 
@@ -635,16 +638,6 @@ def test_an_id_with_a_trailing_newline_is_no_range():
     row = "1-2\n\tab\t_\t_\t_\t_\t_\t_\t_\t_"
     with pytest.raises(ConlluError, match=r"non-numeric id '1-2\\n'"):
         _parse_block([row, "1\ta\ta\tX\t_\t_\t0\troot\t_\t_"], 1, 1, ReadStats())
-
-
-@settings(max_examples=500, deadline=None)
-@given(_ODD_TEXT.filter(lambda text: "\r" not in text))
-def test_a_text_is_split_in_blocks_unless_its_regex_finds_a_whitespace_line(text):
-    split = conllu._text_blocks(text, 1)
-    assert (split is None) == bool(_SPACE_LINE.search(f"\n{text}\n"))
-    if split is not None:  # and the blocks are those the line reader finds
-        expected = list(split_blocks(io.StringIO(text)))
-        assert list(zip(range(1, len(split[1]) + 1), *split)) == expected
 
 
 _SPACES = [b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1f", "\x85".encode(),
