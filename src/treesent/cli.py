@@ -32,12 +32,14 @@ chunk, and writes. A run that does not fork numbers each chunk from the
 blocks it split. Without os.fork the command runs in one process.
 
 The command line is read from one table of commands and flags
-(``_COMMANDS``), without argparse, and encode and decode import neither
-``re`` nor ``enum``, ``functools``, ``contextlib``, ``importlib`` and
-``types``. In a fresh ``python -S`` with the bytecode cached (CPython 3.11,
-2-CPU x86-64, medians of 50 runs) they start and end on an empty input in
-about 10 ms, against 15 ms when they imported those modules and 5.7 ms for
-an empty interpreter.
+(``_COMMANDS``), without argparse, and analyze, aspects, encode and decode
+import neither ``re`` nor ``enum``, ``functools``, ``contextlib``,
+``importlib`` and ``types``. analyze and aspects write their records with
+the C encoder of ``_json``, which ``json`` wraps, so they start without
+``json`` too. In a fresh ``python -S`` with the bytecode cached (CPython
+3.11, 2-CPU x86-64, medians of 50 runs) encode and decode start and end on
+an empty input in about 10 ms, against 15 ms when they imported those
+modules and 5.7 ms for an empty interpreter.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ from .tree import ConfigError, DataError, DepTree, _Record
 
 # The lexicon, rules, assets, json, evaluation, bench and pool (select and
 # the C modules _pickle and _signal) modules are imported where they are
-# used: encode and decode start without any of them, analyze without the
-# last three.
+# used: encode and decode start without any of them, analyze without json
+# and the last three, and so without re.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import (
@@ -291,6 +293,20 @@ def _scored(tree: DepTree, result) -> dict:
         "valence": result.sentence_valence,
         "opinions": _opinions(result),
     }
+
+
+def _record_encoder() -> Callable[[dict], str]:
+    """``JSONEncoder(ensure_ascii=False, allow_nan=False).encode`` without
+    importing ``json``: the C encoder that method calls, with its arguments.
+    Its markers are None, not a dict that an error would leave entries in:
+    records are built fresh for each sentence, so they hold no cycle."""
+    from _json import encode_basestring, make_encoder
+
+    def default(value: object) -> NoReturn:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+    encoder = make_encoder(None, default, encode_basestring, None, ": ", ", ", False, False, False)
+    return lambda fields: "".join(encoder(fields, 0))
 
 
 def _json_line(
@@ -588,8 +604,9 @@ def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
 
 
 def cmd_analyze(cfg: PipelineConfig, args: _Args) -> int:
-    from json import JSONEncoder
-
+    if args.command == "analyze" and args.baseline and args.explain:
+        raise ConfigError("--baseline and --explain cannot be combined: "
+                          "the word count keeps no rule trace")
     from .rules import analyze, baseline_wordcount
 
     lexicon, rules_cfg = cfg.load_lexicon(), cfg.load_rules()
@@ -610,7 +627,7 @@ def cmd_analyze(cfg: PipelineConfig, args: _Args) -> int:
     else:
         def record(tree: DepTree) -> dict:
             return _scored(tree, analyze(tree, lexicon, rules_cfg, trace=False))
-    to_json = JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+    to_json = _record_encoder()
     return _run_job(cfg, lambda tree: _json_line(to_json, record, tree))
 
 

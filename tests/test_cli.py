@@ -28,6 +28,7 @@ from treesent import (
     OpinionError,
     ReadStats,
     Token,
+    TraceStep,
     TreeError,
     demo_gold_path,
     demo_treebank_path,
@@ -92,6 +93,16 @@ def test_analyze_baseline_cannot_tell_the_pair_apart(tmp_path):
     assert records["s1"]["baseline"] is True
     assert records["s1"]["class"] == records["s2"]["class"] == "positive"
     assert records["s1"]["valence"] == pytest.approx(records["s2"]["valence"], abs=TOL)
+
+
+def test_analyze_refuses_baseline_with_explain_before_it_opens_a_file(tmp_path, capsys):
+    # the word count keeps no trace, so --explain would print none
+    out = tmp_path / "out.jsonl"
+    for source in (demo_treebank_path(), tmp_path / "missing.conllu"):
+        assert run("analyze", "--baseline", "--explain", "-i", source, "-o", out) == 2
+        assert capsys.readouterr() == ("", "config error: --baseline and --explain cannot be "
+                                           "combined: the word count keeps no rule trace\n")
+        assert not out.exists()
 
 
 def test_aspects_records_hold_only_opinions(tmp_path):
@@ -1369,6 +1380,50 @@ def test_finite_scores_under_a_large_intensifier_still_print(tmp_path, capsys):
     for _ in range(OVERFLOW_INTENSIFIERS - 1):
         expected *= 5.0
     assert record["valence"] == expected > 1e307
+
+
+# the floats a record can hold, past the finite ones of ordinary size
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -2.5e-308, 1e308, -1.7976931348623157e308,
+    float("nan"), float("inf"), float("-inf"),
+])
+_RECORD_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _EDGE_FLOATS | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.builds(TraceStep, inner, inner, inner, inner, inner)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+# one encoder for every example, as one run writes all its records with one
+_TO_JSON = cli._record_encoder()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(st.text(), _RECORD_VALUES, max_size=6))
+def test_the_record_encoder_writes_what_json_writes(fields):
+    oracle = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+    try:
+        expected = oracle(fields)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _TO_JSON(fields)
+    else:
+        assert _TO_JSON(fields) == expected
+
+
+def test_the_record_encoder_writes_a_record_again_once_its_score_is_finite():
+    # a C encoder given one markers dict for every call keeps the ids of the
+    # containers it was inside when it raised, and refuses them next time
+    # as a circular reference
+    to_json = cli._record_encoder()
+    record = {"sent_id": "s1", "opinions": [{"valence": float("inf")}]}
+    with pytest.raises(ValueError, match="Out of range float"):
+        to_json(record)
+    record["opinions"][0]["valence"] = 1.5
+    assert to_json(record) == '{"sent_id": "s1", "opinions": [{"valence": 1.5}]}'
 
 
 @pytest.mark.parametrize("strength", ["1e308", "inf"])

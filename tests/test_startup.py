@@ -3,18 +3,20 @@
 ``import treesent`` resolves its public names lazily. The command line
 imports the evaluation and benchmark modules only for the commands that
 use them, the lexicon, rules and demo-data modules only for the commands
-that score, ``json`` only for the commands that write it, and none of
-``concurrent.futures``, ``multiprocessing``, ``pickle`` and ``signal`` even
-when it forks a pool, which uses the C modules ``_pickle`` and ``_signal``.
-None of analyze, aspects, encode and decode loads the standard modules that
-cost the most to import and that they can do without, argparse among them:
-the command line is read from a table of flags. encode and decode load
-neither ``re`` nor ``enum``, ``functools``, ``contextlib``, ``importlib`` and
-``types``: ``Scheme`` is a plain class, the CoNLL-U reader and the bridge
-writer test their text with string methods, and the package resolves its
-public names with ``__import__``; the one regex a brackets reader needs
-imports ``re`` when it reads its first field. The start-up checks run in a
-fresh interpreter, since this test process has imported everything already.
+that score, ``json`` only for eval and bench, which print their reports
+with it, and none of ``concurrent.futures``, ``multiprocessing``, ``pickle``
+and ``signal`` even when it forks a pool, which uses the C modules
+``_pickle`` and ``_signal``. None of analyze, aspects, encode and decode
+loads the standard modules that cost the most to import and that they can
+do without, argparse among them: the command line is read from a table of
+flags. None of them loads ``json``, ``re``, ``enum``, ``functools``,
+``contextlib``, ``importlib`` or ``types``: records go straight through
+the C encoder of ``_json``, ``Scheme`` is a plain class, the CoNLL-U reader
+and the bridge writer test their text with string methods, and the package
+resolves its public names with ``__import__``; the one regex a brackets
+reader needs imports ``re`` when it reads its first field. The start-up
+checks run in a fresh interpreter, since this test process has imported
+everything already.
 """
 
 import json
@@ -33,6 +35,8 @@ SRC = Path(treesent.__file__).resolve().parents[1]
 
 # modules that analyze, encode and decode never call
 UNUSED_BY_THE_HOT_COMMANDS = (
+    # eval's and bench's reports; records are written by the C module _json
+    "json",
     "concurrent.futures",
     "multiprocessing",
     # the forked pool's, which an input of one chunk does not start
@@ -150,16 +154,16 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 def test_encode_and_decode_leave_the_scoring_modules_unloaded(tmp_path):
     seen = _fresh_python(
         ENCODE_DECODE_RUN, demo_ud_path(), tmp_path,
-        *SCORING_MODULES, "json", *UNUSED_BY_THE_HOT_COMMANDS,
+        *SCORING_MODULES, *UNUSED_BY_THE_HOT_COMMANDS,
     )
     assert seen == {"codes": [0] * 6, "loaded": []}
     assert (tmp_path / "brackets.conllu").read_bytes() == demo_ud_path().read_bytes()
 
 
-# what ``re`` imports, with ``contextlib`` and ``importlib``: each of encode
-# and decode loads none of them, but a brackets reader, which imports ``re``
-# when it reads its first field
-UNUSED_BY_ENCODE_AND_DECODE = ("re", "enum", "functools", "contextlib", "importlib", "types")
+# what ``re`` imports, with ``contextlib`` and ``importlib``: each of encode,
+# decode, analyze and aspects loads none of them, but a brackets reader,
+# which imports ``re`` when it reads its first field
+UNUSED_BY_THE_LEAN_COMMANDS = ("re", "enum", "functools", "contextlib", "importlib", "types")
 
 ONE_COMMAND_RUN = """
 import sys
@@ -194,7 +198,7 @@ def _one_command(tmp_path, command, scheme):
         assert main(["encode", "--scheme", scheme, "-i", str(demo_ud_path()),
                      "-o", str(source)]) == 0
     out = tmp_path / f"{command}.{scheme}.out"
-    seen = _fresh_python(ONE_COMMAND_RUN, ",".join(UNUSED_BY_ENCODE_AND_DECODE), command,
+    seen = _fresh_python(ONE_COMMAND_RUN, ",".join(UNUSED_BY_THE_LEAN_COMMANDS), command,
                          "--scheme", scheme, "-i", source, "-o", out)
     if command == "decode":
         assert out.read_bytes() == demo_ud_path().read_bytes()
@@ -208,6 +212,18 @@ def _one_command(tmp_path, command, scheme):
 def test_encode_and_decode_load_neither_re_nor_what_it_imports(tmp_path, command, scheme):
     seen = _one_command(tmp_path, command, scheme)
     assert (seen["code"], seen["loaded"]) == (0, [])
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze",), ("aspects",), ("analyze", "--explain"), ("analyze", "--baseline"),
+], ids=["analyze", "aspects", "explain", "baseline"])
+def test_the_scoring_commands_load_neither_json_nor_re(tmp_path, argv):
+    # the demo reviews are one chunk, which no pool worker runs
+    out = tmp_path / "out.jsonl"
+    seen = _fresh_python(ONE_COMMAND_RUN, ",".join(("json", *UNUSED_BY_THE_LEAN_COMMANDS)),
+                         *argv, "-i", demo_treebank_path(), "-o", out)
+    assert (seen["code"], seen["loaded"]) == (0, [])
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_a_brackets_decode_loads_re_only_once_it_reads_a_field(tmp_path):
