@@ -4,6 +4,10 @@ Only the columns the pipeline uses are retained: ID, FORM, LEMMA, UPOS,
 HEAD, DEPREL, plus ``#`` comment metadata. The remaining columns are
 written back as underscores. Multiword token ranges (``1-2``) and empty
 nodes (``1.1``) are dropped silently, with a tally kept in ``ReadStats``.
+A block is read whole first: its rows past the leading comments are split
+once each and read as columns if every row has 10 columns, the IDs other
+than ranges and empty nodes are ``1``..``n`` as text and every HEAD is one
+of ``0``..``n``. Any other block is read a row at a time, to its first bad row.
 
 Where a sentence starts and ends is decided by one splitter,
 ``split_blocks``, whatever the source. Paths and byte streams are read in
@@ -20,7 +24,7 @@ from __future__ import annotations
 import io
 import os
 from collections import Counter
-from itertools import chain
+from itertools import chain, compress, filterfalse
 
 from .tree import DataError, DepTree, TreeError, _Tally
 
@@ -357,26 +361,66 @@ def _id_pair(raw_id: str, sep: str) -> bool:
     return bool(found) and first.isdecimal() and second.isdecimal()
 
 
+# "0", "1", ...: numbers as text, up to the longest sentence yet, and each one's value
+_NUMBER_TEXT: Tuple[str, ...] = ("0",)
+_NUMBER = {"0": 0}
+
+
+def _regular_columns(lines: List[Line], stats: ReadStats) -> Optional[tuple]:
+    """FORM, LEMMA, UPOS, HEAD and DEPREL of token rows that pass the whole-block
+    tests, else None. Ranges and empty nodes are tallied only when all pass."""
+    global _NUMBER_TEXT
+    try:
+        rows = [text.split("\t") for text in lines]
+        columns = list(zip(*rows, strict=True))
+    except (TypeError, ValueError):  # a line of bytes, or rows of unequal length
+        return None
+    if len(columns) != _COLUMNS:
+        return None
+    if len(rows) >= len(_NUMBER_TEXT):
+        _NUMBER_TEXT = tuple(map(str, range(len(rows) + 1)))
+        _NUMBER.update(zip(_NUMBER_TEXT, range(len(rows) + 1)))
+    ranges = empty_nodes = 0
+    if columns[0] != _NUMBER_TEXT[1:len(rows) + 1]:  # leave out ranges and empty nodes
+        dropped = list(filterfalse(str.isdecimal, columns[0]))
+        ranges = sum(_id_pair(raw_id, "-") for raw_id in dropped)
+        empty_nodes = sum(_id_pair(raw_id, ".") for raw_id in dropped)
+        rows = list(compress(rows, map(str.isdecimal, columns[0])))
+        columns = list(zip(*rows))
+        if (ranges + empty_nodes < len(dropped) or not rows
+                or columns[0] != _NUMBER_TEXT[1:len(rows) + 1]):
+            return None
+    try:
+        heads = tuple(map(_NUMBER.__getitem__, columns[6]))
+    except KeyError:
+        return None
+    stats.dropped_ranges += ranges
+    stats.dropped_empty_nodes += empty_nodes
+    return columns[1], columns[2], columns[3], heads, columns[7]
+
+
 def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadStats) -> DepTree:
     metadata: dict = {}
     rows: List[List] = []
-    message = None  # what is wrong with ``text``, the row that ends the loop early
-    for text in lines:
+    # ids None: they run 1..n, as the whole-block tests found; columns (): those tests failed
+    ids = columns = None
+    for lineno, text in enumerate(lines, first_line):
         if isinstance(text, bytes):
-            message = "not valid UTF-8"
-            break
+            raise ConlluError("not valid UTF-8", ordinal, lineno)
         if text[:1] == "#":
-            body = text[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
+            key, sep, value = text[1:].partition("=")
+            if sep:
                 metadata[key.strip()] = value.strip()
-            elif body:
-                metadata[body] = None
+            elif key.strip():
+                metadata[key.strip()] = None
             continue
+        if columns is None:  # the first token row: all the rest are read at once if they pass
+            columns = _regular_columns(lines[lineno - first_line:], stats) or ()
+            if columns:
+                break
         cols = text.split("\t")
         if len(cols) != _COLUMNS:
-            message = f"expected {_COLUMNS} columns, got {len(cols)}"
-            break
+            raise ConlluError(f"expected {_COLUMNS} columns, got {len(cols)}", ordinal, lineno)
         raw_id = cols[0]
         if not raw_id.isdecimal():
             if _id_pair(raw_id, "-"):  # a multiword token range
@@ -385,28 +429,21 @@ def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadSt
             if _id_pair(raw_id, "."):  # an empty node
                 stats.dropped_empty_nodes += 1
                 continue
-            try:
-                int(raw_id)
-            except ValueError:
-                message = f"non-numeric id {raw_id!r}"
-                break
+        try:
+            cols[0] = int(raw_id)
+        except ValueError:
+            raise ConlluError(f"non-numeric id {raw_id!r}", ordinal, lineno) from None
         try:
             cols[6] = int(cols[6])
         except ValueError:
-            message = f"non-numeric head {cols[6]!r}"
-            break
+            raise ConlluError(f"non-numeric head {cols[6]!r}", ordinal, lineno) from None
         rows.append(cols)
-    if message is not None:
-        # no row before ``text`` equals it: that row would have failed first
-        raise ConlluError(message, ordinal, first_line + lines.index(text))
+    if not columns:  # ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC
+        ids, *columns = zip(*rows) if rows else ((),) * _COLUMNS
+        columns = columns[:3] + columns[5:7]
     sent_id = metadata.get("sent_id") or f"s{ordinal}"
-    # ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC
-    ids, forms, lemmas, upos, _, _, heads, deprels, _, _ = zip(*rows) if rows else ((),) * _COLUMNS
     try:
-        return DepTree._from_columns(
-            tuple(map(int, ids)), forms, lemmas, upos, heads, deprels,
-            sentence_id=sent_id, metadata=metadata,
-        )
+        return DepTree._from_columns(ids, *columns, sentence_id=sent_id, metadata=metadata)
     except TreeError as exc:
         raise ConlluError(str(exc), ordinal, first_line) from None
 

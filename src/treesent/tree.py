@@ -211,19 +211,22 @@ class DepTree(_Record, frozen=True):
             sentence_id=sentence_id, metadata={} if metadata is None else metadata,
         )
 
-    def _validate(self, ids: tuple[int, ...]) -> None:
+    def _validate(self, ids: tuple[int, ...] | None) -> None:
         """Check the tree and keep the children and post-order its walk found.
 
-        Whole-column tests run first. Only a tree that fails one, or whose
-        walk misses a token, is checked token by token, so that the error
-        raised is always the one the first failing check names.
+        ``ids`` None: they run 1..n. Whole-column tests run first. Only a tree
+        that fails one, or whose walk misses a token, is checked token by
+        token, so that the error raised is the one the first failing check names.
         """
         heads, upos = self.heads, self.upos
         n = len(heads)
         if n == 0:
             raise TreeError("empty sentence")
-        if (ids != tuple(range(1, n + 1)) or not all(upos)
-                or min(heads) < 0 or max(heads) > n or heads.count(0) != 1):
+        if ids is None:
+            ids = range(1, n + 1)
+        elif ids != tuple(range(1, n + 1)):
+            _check_tokens(ids, upos, heads)
+        if not all(upos) or min(heads) < 0 or max(heads) > n or heads.count(0) != 1:
             _check_tokens(ids, upos, heads)
         children, order = _walk(heads)
         if len(order) != n:
@@ -232,9 +235,9 @@ class DepTree(_Record, frozen=True):
         self.__dict__.update(children=children, post_order=order)
 
     @classmethod
-    def _from_columns(cls, ids: tuple[int, ...], *columns, sentence_id: str = "",
+    def _from_columns(cls, ids: tuple[int, ...] | None, *columns, sentence_id: str = "",
                       metadata: dict | None = None) -> "DepTree":
-        """A validated tree over ids and the five columns, in field order."""
+        """A validated tree over ids (None: 1..n) and the five columns, in field order."""
         tree = cls._trusted(*columns, sentence_id, metadata)
         tree._validate(ids)
         return tree
@@ -312,7 +315,7 @@ class DepTree(_Record, frozen=True):
         columns = tuple(map(tuple, (forms, lemmas, upos, heads, deprels)))
         if any(len(column) != n for column in columns):
             raise ValueError(f"every column needs {n} entries, one per head")
-        return cls._from_columns(tuple(range(1, n + 1)), *columns, sentence_id=sentence_id,
+        return cls._from_columns(None, *columns, sentence_id=sentence_id,
                                  metadata=metadata or {})
 
 

@@ -332,6 +332,27 @@ def test_a_block_with_two_bad_rows_fails_at_the_first(tmp_path, capsys, small_ch
     assert all(result == single for result in pooled)
 
 
+LONG_ID = b"1" + b"0" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("policy", ["skip", "abort"])
+def test_a_token_id_too_long_for_int_is_a_data_error(tmp_path, capsys, small_chunks,
+                                                     policy, workers):
+    bad = _chunk_starts(_pool_corpus(tmp_path))[2] + 2  # in the third chunk, a worker's
+    corpus = _pool_corpus(tmp_path, [(bad, (b"\n3\t", b"\n" + LONG_ID + b"\t"))])
+    line = 8 * (bad - 1) + 4  # the sent_id comment, tokens 1 and 2, then token 3
+    code, out, err = _run_output(capsys, "analyze", "-i", corpus, "--on-error", policy,
+                                 "--workers", workers)
+    if policy == "abort":
+        assert (code, len(out.splitlines())) == (1, bad - 1)
+        message = f"non-numeric id '{LONG_ID.decode()}'"
+        assert err == f"error: sentence {bad} (line {line}): {message}\n"
+    else:
+        assert (code, len(out.splitlines())) == (0, POOL_SENTENCES - 1)
+        assert err == "skipped 1 unreadable sentences\n"
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

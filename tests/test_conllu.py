@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesent import (
-    ConlluError, DepTree, ReadStats, demo_treebank_path, demo_ud_path, dumps_conllu,
-    read_conllu, write_conllu,
+    ConlluError, DepTree, ReadStats, Token, TreeError, demo_treebank_path, demo_ud_path,
+    dumps_conllu, read_conllu, write_conllu,
 )
 from treesent import conllu
 from treesent.conllu import (
@@ -183,6 +183,9 @@ def test_split_blocks_numbers_sentences_and_lines():
         (" 3", (2, 0, 2), (0, 0), None),
         ("x", None, (0, 0), "sentence 4 (line 13): non-numeric id 'x'"),
         ("-1", None, (0, 0), "sentence 4 (line 11): token ids not contiguous: expected 3, got -1"),
+        # more digits than int() converts
+        pytest.param("1" + "0" * 5000, None, (0, 0),
+                     f"sentence 4 (line 13): non-numeric id '1{'0' * 5000}'", id="5001-digits"),
     ],
 )
 def test_parse_block_token_ids(raw_id, heads, counts, error):
@@ -225,13 +228,17 @@ _LINE_CUT = re.compile(rb"(?s).*\n")
 
 
 def _row_by_row(lines, first_line, ordinal, stats):
-    """The heads of a block's token rows, each row checked in full as it is
-    read, HEAD included, or the ``ConlluError`` of the first bad row."""
-    heads = []
+    """The tree of a block read a row at a time, each row checked in full as
+    it is read, ID and HEAD included, and built by ``DepTree``'s public
+    constructor; or the ``ConlluError`` of the first bad row or of the tree."""
+    metadata, tokens = {}, []
     for lineno, text in enumerate(lines, first_line):
         if isinstance(text, bytes):
             return ConlluError("not valid UTF-8", ordinal, lineno)
         if text.startswith("#"):
+            key, sep, value = text[1:].partition("=")
+            if sep or key.strip():
+                metadata[key.strip()] = value.strip() if sep else None
             continue
         cols = text.split("\t")
         if len(cols) != 10:
@@ -243,18 +250,36 @@ def _row_by_row(lines, first_line, ordinal, stats):
             if _EMPTY_ID.match(cols[0]):
                 stats.dropped_empty_nodes += 1
                 continue
-            try:
-                int(cols[0])
-            except ValueError:
-                return ConlluError(f"non-numeric id {cols[0]!r}", ordinal, lineno)
         try:
-            heads.append(int(cols[6]))
+            tok_id = int(cols[0])
+        except ValueError:
+            return ConlluError(f"non-numeric id {cols[0]!r}", ordinal, lineno)
+        try:
+            head = int(cols[6])
         except ValueError:
             return ConlluError(f"non-numeric head {cols[6]!r}", ordinal, lineno)
-    return tuple(heads)
+        tokens.append(Token(tok_id, cols[1], cols[2], cols[3], head, cols[7]))
+    try:
+        return DepTree(tokens, metadata.get("sent_id") or f"s{ordinal}", metadata)
+    except TreeError as exc:
+        return ConlluError(str(exc), ordinal, first_line)
 
 
-ROW_ERRORS = ("not valid UTF-8", "expected 10 columns", "non-numeric")
+def _same_as_row_by_row(lines, first_line=21, ordinal=3):
+    """``_parse_block``'s tree or error, and its tallies, are the oracle's."""
+    expected, stats = ReadStats(), ReadStats()
+    want = _row_by_row(lines, first_line, ordinal, expected)
+    try:
+        got = _parse_block(lines, first_line, ordinal, stats)
+    except ConlluError as exc:
+        assert isinstance(want, ConlluError) and str(exc) == str(want)
+    else:
+        assert got == want
+    assert (stats.dropped_ranges, stats.dropped_empty_nodes) == (
+        expected.dropped_ranges, expected.dropped_empty_nodes)
+    return want
+
+
 _ROWS = st.sampled_from([
     "# sent_id = x", "# note", "1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_",
     "2\tb\tb\tADJ\t_\t_\t1\tamod\t_\t_", "2\tb\tb\tADJ\t_\t_\tx\tamod\t_\t_",
@@ -262,24 +287,51 @@ _ROWS = st.sampled_from([
     "3\tc\tc\tADJ\t_\t_\t-\tamod\t_\t_", "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_",
     "1.1\te\t_\t_\t_\t_\t_\t_\t_\t_", "z\tb\tb\tADJ\t_\t_\t1\tamod\t_\t_",
     "4\tshort\t_\t_\t_\t_\t1\t_\t_", b"4\t\xff\t_\tX\t_\t_\t1\tdep\t_\t_",
+    "2\tb\tb\tADJ\t_\t_\t1\tamod\t_\t_\tmore", "01\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_",
+    "\u0662\tb\tb\tADJ\t_\t_\t1\tamod\t_\t_",
+    "1" + "0" * 5000 + "\tb\tb\tADJ\t_\t_\t1\tamod\t_\t_",
 ])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_ROWS, min_size=1, max_size=8))
 def test_a_block_fails_at_its_first_bad_row_with_the_tallies_of_the_rows_before(lines):
-    expected, stats = ReadStats(), ReadStats()
-    want = _row_by_row(lines, 21, 3, expected)
-    try:
-        got = _parse_block(lines, 21, 3, stats).heads
-    except ConlluError as exc:
-        got = str(exc)
-        if not isinstance(want, ConlluError):  # good rows that make no tree
-            assert exc.line == 21 and not exc.message.startswith(ROW_ERRORS)
-            got = want
-    assert got == (str(want) if isinstance(want, ConlluError) else want)
-    assert (stats.dropped_ranges, stats.dropped_empty_nodes) == (
-        expected.dropped_ranges, expected.dropped_empty_nodes)
+    _same_as_row_by_row(lines)
+
+
+def _chain(n, first=1):
+    """Token rows ``first``..``n``, each headed by the one before it."""
+    return [f"{i}\tw{i}\tw\tNOUN\t_\t_\t{i - 1}\tdep\t_\t_" for i in range(first, n + 1)]
+
+
+RANGE_ROW, EMPTY_ROW = "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_", "2.1\te\t_\t_\t_\t_\t_\t_\t_\t_"
+
+
+@pytest.mark.parametrize("lines,whole", [
+    (["# sent_id = long"] + _chain(1500), True),
+    (["# text = a b", RANGE_ROW] + _chain(2) + [EMPTY_ROW] + _chain(4, 3), True),
+    ([RANGE_ROW], False),
+    ([RANGE_ROW, EMPTY_ROW, RANGE_ROW], False),
+    (["# sent_id = x", "# note"], False),
+    (_chain(3) + ["# sent_id = late"], False),
+    (["# sent_id = early"] + _chain(3) + ["# sent_id = late", "# note"], False),
+    (_chain(3) + [RANGE_ROW + "\t_"], False),
+    (_chain(2) + ["3\tw\tw\tNOUN\t_\t_\t+2\tdep\t_\t_"], False),
+    (_chain(2) + ["3\tw\tw\tNOUN\t_\t_\t9\tdep\t_\t_"], False),
+    (_chain(2) + ["3\tw\tw\tNOUN\t_\t_\t3\tdep\t_\t_"], True),
+], ids=["1500-tokens", "range-and-empty-node", "one-range", "only-dropped-rows",
+        "only-comments", "sent-id-after-rows", "comments-both-sides", "11-column-range",
+        "signed-head", "head-out-of-range", "self-head"])
+def test_the_whole_block_tests_and_the_rows_they_send_row_by_row(monkeypatch, lines, whole):
+    # the number tables as a fresh process has them: the 1500 tokens are past
+    # their end, and so is a HEAD of 9 in a sentence of 3
+    monkeypatch.setattr(conllu, "_NUMBER_TEXT", ("0",))
+    monkeypatch.setattr(conllu, "_NUMBER", {"0": 0})
+    want = _same_as_row_by_row(lines)
+    start = next((i for i, text in enumerate(lines) if not text.startswith("#")), len(lines))
+    assert (conllu._regular_columns(lines[start:], ReadStats()) is not None) == whole
+    if lines[-1].startswith("# sent_id"):
+        assert want.sentence_id == "late"
 
 
 def test_whitespace_only_lines_end_a_block():
