@@ -9,14 +9,23 @@ Subcommands:
   bench    throughput benchmark over a synthetic or file corpus
   gen      write a synthetic corpus (bridge lines or CoNLL-U)
 
-Settings resolve in three layers: built-in defaults, then a key=value
-config file (--config), then explicit flags. Lexicon paths that do not
-exist as given are retried under $TREESENT_LEXICON_DIR ($SALSA_LEXICON_DIR,
-its former name, is still read when the new one is unset, for one more
-release). Exit codes: 0 on success, 1 for data errors under the abort
-policy, 2 for config and usage errors, an input or settings file that
-cannot be read and a worker process that cannot start, 130 when
-interrupted (Ctrl-C).
+Each command takes the settings below, as flags or from a key=value
+config file (--config). The file may hold any of the ten: one file serves
+a pipeline of commands, and each command reads only the keys it takes. A
+setting resolves in three layers: its default, then the file, then its flag.
+
+  analyze, aspects  language lexicon domain_lexicon rules input output on_error workers
+  encode, decode    scheme input output on_error workers
+  eval              output on_error
+  bench             language lexicon domain_lexicon rules scheme input output workers seed
+  gen               language lexicon domain_lexicon scheme output seed
+
+Lexicon paths that do not exist as given are retried under
+$TREESENT_LEXICON_DIR ($SALSA_LEXICON_DIR, its former name, is still read
+when the new one is unset, for one more release). Exit codes: 0 on
+success, 1 for data errors under the abort policy, 2 for config and usage
+errors, an input or settings file that cannot be read and a worker process
+that cannot start, 130 when interrupted (Ctrl-C).
 
 analyze, aspects, encode and decode stream their input in byte chunks of
 whole records, cut at blank lines (at any newline for decode's bridge
@@ -99,10 +108,10 @@ LEXICON_DIR_ENV = "TREESENT_LEXICON_DIR"
 FORMER_LEXICON_DIR_ENV = "SALSA_LEXICON_DIR"
 
 
-# Each setting every command takes: its default, the type its flag reads
-# (str, int or the tuple of values it may take), how a config file's text
-# becomes its value, and its help line. A config file and the command line
-# set the same keys.
+# Each setting: its default, the type its flag reads (str, int or the tuple
+# of values it may take), how a config file's text becomes its value, and
+# its help line. A config file and the command line set the same keys; each
+# command takes those its ``_COMMANDS`` row names.
 _SETTINGS = {
     "language": ("en", str, str, "lexicon language code (default en)"),
     "lexicon": (None, str, str, "base lexicon TSV (default: built-in demo)"),
@@ -184,13 +193,15 @@ def _find_lexicon(path: str) -> str:
     return _file_to_read(path, "lexicon file")
 
 
-def _read_config_file(path: str) -> Dict[str, object]:
+def _read_config_file(path: str, taken: Sequence[str]) -> Dict[str, object]:
     values: Dict[str, object] = {}
     lines = settings_lines(_file_to_read(path, "config file"),
                            lambda message, lineno: ConfigError(f"{path}:{lineno}: {message}"))
     for lineno, key, value in lines:
         if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+        if key not in taken:
+            continue
         try:
             values[key] = _SETTINGS[key][2](value)
             PipelineConfig(**{key: values[key]})  # the field's own checks, while its line is known
@@ -202,8 +213,8 @@ def _read_config_file(path: str) -> Dict[str, object]:
 
 
 def _build_config(args: _Args) -> PipelineConfig:
-    """defaults, then config file entries, then explicit flags."""
-    merged = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    """defaults, then config file entries, then explicit flags, of the command's settings."""
+    merged = _read_config_file(args.config, _COMMANDS[args.command][1]) if args.config else {}
     try:
         for key, row in _SETTINGS.items():
             flag = getattr(args, key, None)
@@ -825,32 +836,31 @@ def cmd_gen(cfg: PipelineConfig, args: _Args) -> int:
 
 _ABOUT = ("Sentiment analysis over dependency trees, plus the label encodings\n"
           "that let a tagger produce those trees.")
-# the flags every command takes: --config, then one for each setting
-_COMMON_FLAGS = {
-    "config": (str, None, False, "key=value settings file"),
-    **{key: (kind, None, False, text) for key, (_, kind, _, text) in _SETTINGS.items()},
-}
 _SHORT_FLAGS = {"input": "-i", "output": "-o"}
-# each command: its help line and the flags it takes besides the common ones
+# the settings of commands that load a lexicon, and of those that stream a file
+_LEXICON = ("language", "lexicon", "domain_lexicon")
+_STREAM = ("input", "output", "on_error", "workers")
+# each command: its help line, the settings it takes and its own flags
 _COMMANDS = {
-    "analyze": ("score sentences from CoNLL-U", {
+    "analyze": ("score sentences from CoNLL-U", (*_LEXICON, "rules", *_STREAM), {
         "explain": (bool, False, False, "include rule traces"),
         "baseline": (bool, False, False, "syntax-free word-count scoring"),
     }),
-    "aspects": ("emit only per-target opinions", {}),
-    "encode": ("CoNLL-U to tagger bridge lines", {}),
-    "decode": ("tagger bridge lines to CoNLL-U", {}),
-    "eval": ("score predictions against gold", {
+    "aspects": ("emit only per-target opinions", (*_LEXICON, "rules", *_STREAM), {}),
+    "encode": ("CoNLL-U to tagger bridge lines", ("scheme", *_STREAM), {}),
+    "decode": ("tagger bridge lines to CoNLL-U", ("scheme", *_STREAM), {}),
+    "eval": ("score predictions against gold", ("output", "on_error"), {
         "pred": (str, None, True, "predictions JSON-lines file"),
         "gold": (str, None, True, "gold JSON-lines file"),
         "pred_parse": (str, None, False, "predicted parses (CoNLL-U) for UAS/LAS"),
     }),
-    "bench": ("throughput benchmark", {
+    "bench": ("throughput benchmark", (*_LEXICON, "rules", "scheme", "input", "output",
+                                       "workers", "seed"), {
         "sentences": (int, 10_000, False, "synthetic corpus size"),
         "length": (int, 20, False, "synthetic sentence length"),
         "warmup": (int, 50, False, "untimed warmup sentences"),
     }),
-    "gen": ("write a synthetic corpus", {
+    "gen": ("write a synthetic corpus", (*_LEXICON, "scheme", "output", "seed"), {
         "sentences": (int, 1000, False, "corpus size"),
         "length": (int, 20, False, "sentence length"),
         "format": (("bridge", "conllu"), "bridge", False, "output format"),
@@ -869,8 +879,13 @@ class _Args:
 
 
 def _flags(command: Optional[str]) -> Dict[str, tuple]:
-    """The flags ``command`` takes; None for those before the command."""
-    return _TOP_FLAGS if command is None else {**_COMMON_FLAGS, **_COMMANDS[command][1]}
+    """The flags ``command`` takes: --config, its settings, its own; None for those before it."""
+    if command is None:
+        return _TOP_FLAGS
+    _, taken, own = _COMMANDS[command]
+    settings = {key: (kind, None, False, text)
+                for key, (_, kind, _, text) in _SETTINGS.items() if key in taken}
+    return {"config": (str, None, False, "key=value settings file"), **settings, **own}
 
 
 def _long(key: str) -> str:

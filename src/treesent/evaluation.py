@@ -161,7 +161,7 @@ def _objects(value) -> bool:
 
 
 def _parse_record(raw: dict, where: str) -> GoldRecord:
-    sentence_id = str(raw.get("sent_id", ""))
+    sentence_id = "" if raw.get("sent_id") is None else str(raw["sent_id"])
     if not sentence_id:
         raise _record_error("", where, "missing sent_id")
     token_rows = raw.get("tokens")
@@ -333,7 +333,7 @@ def load_predictions(path: Path) -> Dict[str, dict]:
         return table
     for lineno, obj in chain([first], records):
         where = f"{path}:{lineno}"
-        sid = str(obj.get("sent_id", ""))
+        sid = "" if obj.get("sent_id") is None else str(obj["sent_id"])
         if not sid:
             raise EvalError(f"{where}: prediction record missing sent_id")
         if sid in table:
@@ -354,7 +354,9 @@ def load_predictions(path: Path) -> Dict[str, dict]:
                 pair = _int_pair(span)
                 if pair is None:
                     raise EvalError(f"{where}: target must be a pair of integers, got {span!r}")
-                entry["items"].append((pair, str(op.get("polarity"))))
+                if op.get("polarity") not in CLASSES:
+                    raise _record_error(sid, where, f"unknown polarity {op.get('polarity')!r}")
+                entry["items"].append((pair, op["polarity"]))
         table[sid] = entry
     return table
 

@@ -37,7 +37,8 @@ from treesent import (
     write_conllu,
 )
 from treesent import cli, conllu
-from treesent.cli import main
+from treesent.assets import data_path
+from treesent.cli import PipelineConfig, main
 
 TOL = 1e-9
 
@@ -1262,6 +1263,40 @@ def test_eval_names_the_line_of_a_predicted_class_that_is_no_class(tmp_path, cap
     assert capsys.readouterr().err == f"error: {pred}:2: record {sid}: unknown class 'great'\n"
 
 
+@pytest.mark.parametrize("side", ["analyze-format", "gold-format", "gold"])
+def test_eval_reads_a_null_sent_id_as_missing_not_as_none(tmp_path, capsys, side):
+    # a gold record named "None" would take a prediction whose id is null
+    gold_records = [json.loads(line) for line in demo_gold_path().read_text().splitlines()]
+    gold_records[1]["sent_id"] = "None"
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    if side == "analyze-format":
+        records = [{"sent_id": "s1", "class": "positive"}, {"sent_id": None, "class": "positive"}]
+    else:
+        records = [dict(record) for record in gold_records]
+        records[1]["sent_id"] = None
+    _write_jsonl(gold, records if side == "gold" else gold_records)
+    _write_jsonl(pred, gold_records if side == "gold" else records)
+    assert run("eval", "--pred", pred, "--gold", gold) == 1
+    where = {"analyze-format": f"{pred}:2: prediction record", "gold-format": f"{pred}:2:",
+             "gold": "line 2:"}[side]
+    assert capsys.readouterr().err == f"error: {where} missing sent_id\n"
+
+
+@pytest.mark.parametrize("polarity", ["great", None, 1])
+def test_eval_names_the_line_of_a_predicted_polarity_that_is_no_class(
+    tmp_path, capsys, polarity
+):
+    pred = _analyze_predictions(tmp_path)
+    records = read_jsonl(pred)
+    records[2]["opinions"][0]["polarity"] = polarity
+    _write_jsonl(pred, records)
+    assert run("eval", "--pred", pred, "--gold", demo_gold_path()) == 1
+    sid = records[2]["sent_id"]
+    assert capsys.readouterr().err == (
+        f"error: {pred}:3: record {sid}: unknown polarity {polarity!r}\n"
+    )
+
+
 # ------------------------------------------------------------------ bench/gen
 
 
@@ -1613,6 +1648,48 @@ def test_config_file_errors(tmp_path, capsys):
     assert run("analyze", "--config", dupe, "-i", demo_treebank_path()) == 2
 
 
+def _without_timings(report):
+    """bench's report less its timings and memory, which differ from run to run."""
+    report = json.loads(report)
+    for key in ("time", "sentences_per_sec", "tokens_per_sec", "peak_rss_bytes"):
+        del report[key]
+    return report
+
+
+def test_a_shared_settings_file_changes_only_what_each_command_takes(tmp_path):
+    corpus, bridge = tmp_path / "corpus.conllu", tmp_path / "corpus.bridge"
+    assert run("gen", "--sentences", 60, "--length", 8, "--format", "conllu", "-o", corpus) == 0
+    assert run("gen", "--sentences", 60, "--length", 8, "--scheme", "rel-pos", "-o", bridge) == 0
+    domain, rules = tmp_path / "domain.tsv", tmp_path / "rules.cfg"
+    domain.write_text("good\t\t-2.0\n")
+    rules.write_text("negation_shift = 2\n")
+    out, missing = tmp_path / "out", tmp_path / "missing"
+    taken = {"language": "en", "lexicon": data_path("lexicon_en.tsv"), "domain_lexicon": domain,
+             "rules": rules, "scheme": "rel-pos", "output": out, "on_error": "skip",
+             "workers": 2, "seed": 3}
+    # each would stop or change a run that read it: input is the output file
+    not_taken = {"language": "xx", "lexicon": missing, "domain_lexicon": missing,
+                 "rules": missing, "scheme": "brackets", "input": out, "on_error": "abort",
+                 "workers": 0, "seed": 9}
+    inputs = {"analyze": corpus, "aspects": corpus, "encode": corpus, "decode": bridge,
+              "bench": bridge}
+    own = {"eval": ("--pred", demo_gold_path(), "--gold", demo_gold_path()),
+           "bench": ("--warmup", 0), "gen": ("--sentences", 20, "--length", 6)}
+    for command, (_, settings, _) in cli._COMMANDS.items():
+        usable = {**taken, "input": inputs.get(command)}
+        values = {key: usable[key] if key in settings else not_taken[key]
+                  for key in PipelineConfig._fields}
+        written = []
+        for name, keys in (("all.cfg", values), ("taken.cfg", settings)):
+            config = tmp_path / name
+            config.write_text("".join(f"{key} = {values[key]}\n" for key in keys))
+            assert run(command, "--config", config, *own.get(command, ())) == 0, command
+            written.append(out.read_bytes())
+        if command == "bench":
+            written = [_without_timings(report) for report in written]
+        assert written[0] == written[1] and written[0], command
+
+
 # one valid setting per reader, for the lines around the bad one
 _READERS = {
     "--rules": ("negation_shift", "2", "rule config: line {line}: "),
@@ -1666,7 +1743,9 @@ def test_both_settings_readers_name_the_line_of_a_bad_value(
     first = {"--config": "language = en", "--rules": "negation_shift = 2"}[flag]
     path = tmp_path / "settings.cfg"
     path.write_text(f"{first}\n{setting}\n# the line after\n")
-    assert run("analyze", "-i", demo_treebank_path(), flag, path) == 2
+    # analyze takes neither seed nor scheme, so bench, which takes both, reads them
+    command = "bench" if setting.startswith(("seed", "scheme")) else "analyze"
+    assert run(command, "-i", demo_treebank_path(), flag, path) == 2
     assert capsys.readouterr() == ("", f"config error: {message.format(path=path)}\n")
 
 
@@ -1710,7 +1789,7 @@ def test_settings_files_end_cleanly_on_any_bytes(tmp_path_factory, data):
 
 
 def test_bad_flag_values_are_config_errors(tmp_path, capsys):
-    assert run("analyze", "-i", demo_treebank_path(), "--scheme", "sideways") == 2
+    assert run("encode", "-i", demo_ud_path(), "--scheme", "sideways") == 2
     assert "unknown scheme" in capsys.readouterr().err
     assert run("analyze", "-i", demo_treebank_path(), "--workers", 0) == 2
     assert run("analyze", "-i", tmp_path / "missing.conllu") == 2

@@ -19,27 +19,42 @@ from treesent.cli import PipelineConfig, main
 
 HELP = Path(__file__).resolve().parent / "help"
 SETTINGS = PipelineConfig._fields
-COMMON = dict.fromkeys(("config", *SETTINGS))
-DEFAULTS = {
-    "analyze": {**COMMON, "explain": False, "baseline": False},
-    "aspects": COMMON,
-    "encode": COMMON,
-    "decode": COMMON,
-    "eval": {**COMMON, "pred": None, "gold": None, "pred_parse": None},
-    "bench": {**COMMON, "sentences": 10_000, "length": 20, "warmup": 50},
-    "gen": {**COMMON, "sentences": 1000, "length": 20, "format": "bridge"},
+# the settings each command takes, as flags and from a settings file
+LEXICON = ("language", "lexicon", "domain_lexicon")
+STREAM = ("input", "output", "on_error", "workers")
+TAKEN = {
+    "analyze": (*LEXICON, "rules", *STREAM),
+    "aspects": (*LEXICON, "rules", *STREAM),
+    "encode": ("scheme", *STREAM),
+    "decode": ("scheme", *STREAM),
+    "eval": ("output", "on_error"),
+    "bench": (*LEXICON, "rules", "scheme", "input", "output", "workers", "seed"),
+    "gen": (*LEXICON, "scheme", "output", "seed"),
 }
-COMMON_FLAGS = ("--config", "--language", "--lexicon", "--domain-lexicon", "--rules", "--scheme",
-                "-i", "--input", "-o", "--output", "--on-error", "--workers", "--seed")
-FLAGS = {
-    "analyze": ("--explain", "--baseline"),
-    "aspects": (),
-    "encode": (),
-    "decode": (),
-    "eval": ("--pred", "--gold", "--pred-parse"),
-    "bench": ("--sentences", "--length", "--warmup"),
-    "gen": ("--sentences", "--length", "--format"),
+OWN = {
+    "analyze": {"explain": False, "baseline": False},
+    "aspects": {},
+    "encode": {},
+    "decode": {},
+    "eval": {"pred": None, "gold": None, "pred_parse": None},
+    "bench": {"sentences": 10_000, "length": 20, "warmup": 50},
+    "gen": {"sentences": 1000, "length": 20, "format": "bridge"},
 }
+DEFAULTS = {command: {"config": None, **dict.fromkeys(TAKEN[command]), **OWN[command]}
+            for command in TAKEN}
+SHORT = {"input": "-i", "output": "-o"}
+
+
+def _option(key):
+    return "--" + key.replace("_", "-")
+
+
+FLAGS = {command: ("--config", *(SHORT[key] for key in TAKEN[command] if key in SHORT),
+                   *map(_option, (*TAKEN[command], *OWN[command])))
+         for command in TAKEN}
+# each setting a command does not take, by its long flag: 27 in all
+NOT_TAKEN = [(command, _option(key)) for command in TAKEN
+             for key in SETTINGS if key not in TAKEN[command]]
 
 
 @pytest.fixture
@@ -75,15 +90,15 @@ ACCEPTED = [
     (["analyze", "-i", "-"], {"input": "-"}),
     (["analyze", "-o", "-"], {"output": "-"}),
     (["analyze", "-i", "-1", "-o", "-2.5"], {"input": "-1", "output": "-2.5"}),
-    (["analyze", "--seed", "-3"], {"seed": -3}),
-    (["analyze", "--seed", "+3"], {"seed": 3}),
+    (["gen", "--seed", "-3"], {"seed": -3}),
+    (["gen", "--seed", "+3"], {"seed": 3}),
     (["analyze", "--workers", " 4 "], {"workers": 4}),
     (["analyze", "--workers", "1_0"], {"workers": 10}),
     (["analyze", "--workers", "٣"], {"workers": 3}),  # ARABIC-INDIC DIGIT THREE
     (["analyze", "--domain-lexicon", "d", "--language", "de"],
      {"domain_lexicon": "d", "language": "de"}),
     (["encode", "--scheme", "brackets", "-o", "out"], {"scheme": "brackets", "output": "out"}),
-    (["decode", "--sch=rel-pos", "--rules", "r"], {"scheme": "rel-pos", "rules": "r"}),
+    (["bench", "--sch=rel-pos", "--rules", "r"], {"scheme": "rel-pos", "rules": "r"}),
     (["aspects", "--lexicon", "lex.tsv"], {"lexicon": "lex.tsv"}),
     (["eval", "--pred", "p", "--gold", "g"], {"pred": "p", "gold": "g"}),
     (["eval", "--gold", "g", "--pred-p", "x", "--pred", "p"],
@@ -133,11 +148,12 @@ REFUSED = [
     (["analyze", "--input", "--"], AN + "argument -i/--input: expected one argument"),
     (["analyze", "-o"], AN + "argument -o/--output: expected one argument"),
     (["analyze", "--workers"], AN + "argument --workers: expected one argument"),
-    (["analyze", "--seed", "-1e3"], AN + "argument --seed: expected one argument"),
+    (["gen", "--seed", "-1e3"], "treesent gen: error: argument --seed: expected one argument"),
     (["analyze", "--workers", "x"], AN + "argument --workers: invalid int value: 'x'"),
     (["analyze", "--workers", "2.0"], AN + "argument --workers: invalid int value: '2.0'"),
     (["analyze", "--workers", ""], AN + "argument --workers: invalid int value: ''"),
-    (["analyze", "--seed", "0x10"], AN + "argument --seed: invalid int value: '0x10'"),
+    (["gen", "--seed", "0x10"],
+     "treesent gen: error: argument --seed: invalid int value: '0x10'"),
     (["analyze", "--explain=1"], AN + "argument --explain: ignored explicit argument '1'"),
     (["analyze", "--on-error", "x"],
      AN + "argument --on-error: invalid choice: 'x' (choose from 'skip', 'abort')"),
@@ -159,6 +175,20 @@ def test_a_usage_error_exits_2_with_the_usage_and_the_error(recorded, capsys, ar
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage: treesent")
     assert err.splitlines()[-1] == message
+
+
+@pytest.mark.parametrize("command, flag", NOT_TAKEN, ids=[" ".join(pair) for pair in NOT_TAKEN])
+def test_a_setting_a_command_does_not_take_is_not_its_flag(recorded, capsys, command, flag):
+    assert len(NOT_TAKEN) == 27
+    value = {"--scheme": "brackets", "--on-error": "skip", "--workers": "2"}.get(flag, "1")
+    required = ["--pred", "p", "--gold", "g"] if command == "eval" else []
+    for option in (flag, "-i") if flag == "--input" else (flag,):
+        with pytest.raises(SystemExit) as info:
+            main([command, *required, option, value])
+        assert info.value.code == 2 and recorded == []
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: treesent")
+        assert err.splitlines()[-1] == f"{TOP}unrecognized arguments: {option} {value}"
 
 
 def test_version_prints_the_version_and_exits_0(recorded, capsys):
@@ -191,7 +221,8 @@ def test_a_commands_help_names_every_flag_it_takes(recorded, capsys, command):
         out, err = capsys.readouterr()
         assert out.startswith(f"usage: treesent {command}") and err == ""
         words = out.replace(",", " ").split()
-        assert all(flag in words for flag in ("-h", "--help", *COMMON_FLAGS, *FLAGS[command]))
+        assert all(flag in words for flag in ("-h", "--help", *FLAGS[command]))
+        assert not any(flag in words for other, flag in NOT_TAKEN if other == command)
 
 
 def _help_text(capsys, argv):
@@ -232,17 +263,18 @@ def test_a_config_line_and_its_flag_give_equal_settings(recorded, tmp_path, key)
     text, value = GIVEN[key]
     config = tmp_path / "run.cfg"
     config.write_text(f"{key} = {text}\n", encoding="utf-8")
-    assert main(["analyze", "--config", str(config)]) == 0
-    assert main(["analyze", "--" + key.replace("_", "-"), text]) == 0
+    command = next(command for command, taken in TAKEN.items() if key in taken)
+    assert main([command, "--config", str(config)]) == 0
+    assert main([command, _option(key), text]) == 0
     [(from_file, _), (from_flag, _)] = recorded
     assert from_file == from_flag == PipelineConfig(**{key: value})
 
 
 def test_main_without_arguments_reads_sys_argv(recorded, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["treesent", "encode", "--seed", "5"])
+    monkeypatch.setattr(sys, "argv", ["treesent", "gen", "--seed", "5"])
     assert main() == 0
     [(cfg, args)] = recorded
-    assert args == {"command": "encode", **DEFAULTS["encode"], "seed": 5}
+    assert args == {"command": "gen", **DEFAULTS["gen"], "seed": 5}
     assert cfg == PipelineConfig(seed=5)
 
 
