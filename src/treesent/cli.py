@@ -43,12 +43,13 @@ blocks it split. Without os.fork the command runs in one process.
 The command line is read from one table of commands and flags
 (``_COMMANDS``), without argparse, and analyze, aspects, encode and decode
 import neither ``re`` nor ``enum``, ``functools``, ``contextlib``,
-``importlib`` and ``types``. analyze and aspects write their records with
-the C encoder of ``_json``, which ``json`` wraps, so they start without
-``json`` too. In a fresh ``python -S`` with the bytecode cached (CPython
-3.11, 2-CPU x86-64, medians of 50 runs) encode and decode start and end on
-an empty input in about 10 ms, against 15 ms when they imported those
-modules and 5.7 ms for an empty interpreter.
+``importlib``, ``types`` and ``collections``. analyze and aspects write
+their records with the C encoder of ``_json``, which ``json`` wraps, and
+start without ``json`` and the label encodings. In a fresh ``python -S``
+with the bytecode cached (CPython 3.11, 2-CPU x86-64, medians of 60 runs)
+analyze starts and ends on an empty input in 11 ms and encode and decode
+in 10 ms, against 14 and 11-12 ms with ``collections``, and 6.5 ms for an
+empty interpreter.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from __future__ import annotations
 import io
 import os
 import sys
-from collections import deque
+from _collections import deque
 from itertools import chain
 
 from . import __version__, conllu
@@ -72,25 +73,16 @@ from .conllu import (
     read_conllu,
     settings_lines,
 )
-from .encodings import (
-    BridgeStats,
-    NonProjectiveError,
-    Scheme,
-    UnreadableFieldError,
-    _parse_tagger_lines,
-    encode,
-    format_tagger_line,
-)
-from .tree import ConfigError, DataError, DepTree, _Record
+from .tree import ConfigError, DataError, DepTree, Scheme, _Record
 
-# The lexicon, rules, assets, json, evaluation, bench and pool (select and
-# the C modules _pickle and _signal) modules are imported where they are
-# used: encode and decode start without any of them, analyze without json
-# and the last three, and so without re.
+# The encodings, lexicon, rules, assets, json, evaluation, bench and pool
+# (select and the C modules _pickle and _signal) modules are imported where
+# they are used: analyze starts without the encodings and json, and so
+# without re, and encode and decode without the scoring modules and json.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import (
-        IO, Callable, Deque, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence,
+        IO, Callable, Deque, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence, Set,
         Tuple,
     )
 
@@ -276,12 +268,10 @@ def _input_source(cfg: PipelineConfig):
 # raises ``_Skip`` for a tree that has no output line.
 
 
-# encode's skip reasons by error type, in the order their tallies are printed
-_ENCODE_SKIPS = {
-    NonProjectiveError: "non-projective sentences",
-    ValueError: "sentences with whitespace inside a field",
-    UnreadableFieldError: "sentences with a field that would read back wrong",
-}
+# encode's skip reasons, in the order their tallies are printed: crossing
+# arcs, whitespace inside a field, and a field that would read back wrong
+_ENCODE_SKIPS = ("non-projective sentences", "sentences with whitespace inside a field",
+                 "sentences with a field that would read back wrong")
 
 
 def _opinions(result) -> list:
@@ -328,14 +318,6 @@ def _json_line(
         return to_json(fields) + "\n"
     except ValueError:  # an overflowed score
         raise _Skip("score is not a finite number", UNREADABLE) from None
-
-
-def _bridge_line(scheme: Scheme, tree: DepTree) -> str:
-    try:
-        return format_tagger_line(tree, encode(tree, scheme)) + "\n"
-    except ValueError as exc:  # crossing arcs, or a field the line cannot carry
-        reason = _ENCODE_SKIPS.get(type(exc), _ENCODE_SKIPS[ValueError])
-        raise _Skip(str(exc), reason) from None
 
 
 class _Worker:
@@ -608,8 +590,8 @@ def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
             return parse_blocks(blocks, cfg.on_error, stats, line)
 
         _write_records(job, source, cfg.workers, stats, out)
-    for reason in (UNREADABLE, *_ENCODE_SKIPS.values()):
-        if stats.skipped_by[reason]:
+    for reason in (UNREADABLE, *_ENCODE_SKIPS):
+        if stats.skipped_by.get(reason):
             print(f"skipped {stats.skipped_by[reason]} {reason}", file=sys.stderr)
     return 0
 
@@ -643,8 +625,18 @@ def cmd_analyze(cfg: PipelineConfig, args: _Args) -> int:
 
 
 def cmd_encode(cfg: PipelineConfig) -> int:
+    from .encodings import NonProjectiveError, UnreadableFieldError, encode, format_tagger_line
+
     scheme = cfg.scheme
-    return _run_job(cfg, lambda tree: _bridge_line(scheme, tree))
+    reasons = dict(zip((NonProjectiveError, ValueError, UnreadableFieldError), _ENCODE_SKIPS))
+
+    def line(tree: DepTree) -> str:
+        try:
+            return format_tagger_line(tree, encode(tree, scheme)) + "\n"
+        except ValueError as exc:  # crossing arcs, or a field the line cannot carry
+            raise _Skip(str(exc), reasons.get(type(exc), reasons[ValueError])) from None
+
+    return _run_job(cfg, line)
 
 
 # ------------------------------------------------------------------- decode
@@ -658,20 +650,17 @@ def _with_sent_id_comment(tree: DepTree) -> DepTree:
     )
 
 
-def _decoded(scheme: Scheme, abort: bool, numbered: Iterable, stats: BridgeStats
-             ) -> Iterator[str]:
-    """The CoNLL-U block of each record of ``(lineno, bridge line)`` pairs."""
-    for _, result in _parse_tagger_lines(numbered, scheme, abort, stats):
-        yield format_sentence(_with_sent_id_comment(result.tree)) + "\n\n"
-
-
 def cmd_decode(cfg: PipelineConfig) -> int:
+    from .encodings import BridgeStats, _parse_tagger_lines
+
     stats = BridgeStats()
     source = _input_source(cfg)  # before the output is opened, which empties it
     scheme, abort = cfg.scheme, cfg.on_error == "abort"
     with _open_output(cfg) as out:
         def job(numbered: Iterable, stats: BridgeStats) -> Iterator[str]:
-            return _decoded(scheme, abort, numbered, stats)
+            """The CoNLL-U block of each record of ``(lineno, bridge line)`` pairs."""
+            for _, result in _parse_tagger_lines(numbered, scheme, abort, stats):
+                yield format_sentence(_with_sent_id_comment(result.tree)) + "\n\n"
 
         _write_records(job, source, cfg.workers, stats, out, lines=True)
     repairs = stats.repairs
@@ -781,6 +770,12 @@ def cmd_bench(cfg: PipelineConfig, args: _Args) -> int:
 
     from .bench import run_bench, synthetic_corpus
 
+    # a flag the run would not read is refused; a settings file's keys are
+    # passed over, as one file may serve several commands
+    unused = [_long(key) for key in ("seed", "sentences", "length") if key in args.given]
+    if cfg.input is not None and unused:
+        raise ConfigError(f"{', '.join(unused)} would do nothing: "
+                          "bench reads the input file, not a synthetic corpus")
     lexicon = cfg.load_lexicon()
     rules_cfg = cfg.load_rules()
     if cfg.input is not None:
@@ -812,6 +807,8 @@ def cmd_bench(cfg: PipelineConfig, args: _Args) -> int:
 def cmd_gen(cfg: PipelineConfig, args: _Args) -> int:
     from .bench import synthetic_corpus, synthetic_trees
 
+    if args.format == "conllu" and "scheme" in args.given:
+        raise ConfigError("--scheme would do nothing: gen --format conllu writes trees, not labels")
     lexicon = cfg.load_lexicon()
     # both generators check their arguments when called, so bad ones
     # raise before the output is opened and leave an -o file as it was
@@ -872,7 +869,8 @@ _NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 class _Args:
-    """The command named on the command line and the value of each flag it takes."""
+    """The command named on the command line, the value of each flag it takes,
+    and ``given``, the set of the flags the command line named."""
 
     def __init__(self, **values) -> None:
         self.__dict__.update(values)
@@ -972,9 +970,10 @@ def _flag(
     return arg, None
 
 
-def _read_flags(command: Optional[str], args: List[str]) -> Tuple[Dict[str, object], List[str]]:
-    """The value of each flag ``command`` takes, read from ``args``, and the
-    words of ``args`` that no flag takes.
+def _read_flags(command: Optional[str], args: List[str]
+                ) -> Tuple[Dict[str, object], Set[str], List[str]]:
+    """The value of each flag ``command`` takes, read from ``args``, the
+    flags that ``args`` named and the words of ``args`` that no flag takes.
 
     Words are read in order: a flag's value is checked, and -h, --help and
     --version end the run, where each is read; a missing required flag is
@@ -1025,7 +1024,7 @@ def _read_flags(command: Optional[str], args: List[str]) -> Tuple[Dict[str, obje
     missing = [_long(key) for key, flag in flags.items() if flag[2] and key not in given]
     if missing:
         _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
-    return values, left
+    return values, given, left
 
 
 def _read_argv(argv: Sequence[str]) -> _Args:
@@ -1038,17 +1037,17 @@ def _read_argv(argv: Sequence[str]) -> _Args:
     names = _option_names(_TOP_FLAGS)
     at = next((at for at, arg in enumerate(argv)
                if arg == "--" or _flag(arg, names, None) is None), len(argv))
-    _, stray = _read_flags(None, argv[:at])
+    _, _, stray = _read_flags(None, argv[:at])
     if at == len(argv):
         _usage_error(None, "the following arguments are required: command")
     command = argv[at]
     if command not in _COMMANDS:
         _usage_error(None, f"argument command: invalid choice: {command!r} "
                            f"(choose from {', '.join(map(repr, _COMMANDS))})")
-    values, left = _read_flags(command, argv[at + 1:])
+    values, given, left = _read_flags(command, argv[at + 1:])
     if stray or left:
         _usage_error(None, f"unrecognized arguments: {' '.join(stray + left)}")
-    return _Args(command=command, **values)
+    return _Args(command=command, given=given, **values)
 
 
 def _run(cfg: PipelineConfig, args: _Args) -> int:

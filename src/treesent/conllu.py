@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import io
 import os
-from collections import Counter
 from itertools import chain, compress, filterfalse
 
 from .tree import DataError, DepTree, TreeError, _Tally
@@ -84,17 +83,17 @@ class ReadStats(_Tally):
     _fields = ("sentences", "skipped", "dropped_ranges", "dropped_empty_nodes", "skipped_by")
 
     def __init__(self, sentences: int = 0, skipped: int = 0, dropped_ranges: int = 0,
-                 dropped_empty_nodes: int = 0, skipped_by: Counter | None = None) -> None:
+                 dropped_empty_nodes: int = 0, skipped_by: dict | None = None) -> None:
         self.sentences = sentences
         self.skipped = skipped
         self.dropped_ranges = dropped_ranges
         self.dropped_empty_nodes = dropped_empty_nodes
         # ``skipped`` split by reason: UNREADABLE, or a command's own reasons
-        self.skipped_by = Counter() if skipped_by is None else skipped_by
+        self.skipped_by = {} if skipped_by is None else skipped_by
 
     def skip(self, reason: str) -> None:
         self.skipped += 1
-        self.skipped_by[reason] += 1
+        self.skipped_by[reason] = self.skipped_by.get(reason, 0) + 1
 
 
 def iter_raw_lines(source: Source) -> Iterator[Line]:
@@ -366,14 +365,14 @@ _NUMBER_TEXT: Tuple[str, ...] = ("0",)
 _NUMBER = {"0": 0}
 
 
-def _regular_columns(lines: List[Line], stats: ReadStats) -> Optional[tuple]:
-    """FORM, LEMMA, UPOS, HEAD and DEPREL of token rows that pass the whole-block
-    tests, else None. Ranges and empty nodes are tallied only when all pass."""
+def _regular_columns(rows: List[List[str]], stats: ReadStats) -> Optional[tuple]:
+    """FORM, LEMMA, UPOS, HEAD and DEPREL of token rows, split at tabs, that
+    pass the whole-block tests, else None. Ranges and empty nodes are
+    tallied only when all pass."""
     global _NUMBER_TEXT
     try:
-        rows = [text.split("\t") for text in lines]
         columns = list(zip(*rows, strict=True))
-    except (TypeError, ValueError):  # a line of bytes, or rows of unequal length
+    except ValueError:  # rows of unequal length
         return None
     if len(columns) != _COLUMNS:
         return None
@@ -415,10 +414,15 @@ def _parse_block(lines: List[Line], first_line: int, ordinal: int, stats: ReadSt
                 metadata[key.strip()] = None
             continue
         if columns is None:  # the first token row: all the rest are read at once if they pass
-            columns = _regular_columns(lines[lineno - first_line:], stats) or ()
+            first_row = lineno  # split: the lines from here on, split at tabs
+            try:
+                split = [line.split("\t") for line in lines[lineno - first_line:]]
+            except TypeError:  # a line of bytes further on, which this loop reports
+                split = []
+            columns = _regular_columns(split, stats) or ()
             if columns:
                 break
-        cols = text.split("\t")
+        cols = split[lineno - first_row] if split else text.split("\t")
         if len(cols) != _COLUMNS:
             raise ConlluError(f"expected {_COLUMNS} columns, got {len(cols)}", ordinal, lineno)
         raw_id = cols[0]

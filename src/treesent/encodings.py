@@ -21,12 +21,12 @@ Decoding never fails: implausible head proposals are normalized by
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from itertools import repeat
 from operator import itemgetter
 
 from .conllu import _ON_ERROR, decode_line, iter_raw_lines
-from .tree import DataError, DepTree, LineError, TreeError, _Record, _Tally, crossing_arcs
+from .tree import (_BRACKETS, _REL_OFFSET, _REL_POS, DataError, DepTree, LineError, Scheme,
+                   TreeError, _Record, _Row, _Tally, crossing_arcs)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -37,68 +37,6 @@ if TYPE_CHECKING:
     Payload = Union[int, tuple[str, int], str]
 
 ROOT_UPOS = "ROOT"
-
-
-class _SchemeType(type):
-    """The class of ``Scheme``, which behaves as an ``enum.Enum``'s does for
-    what the package uses: iterating gives the members in order, and
-    ``Scheme(value)`` looks one up (so pickles of the enum still load).
-    ``enum`` itself would import ``functools`` and ``types`` at start-up."""
-
-    def __iter__(cls):
-        return iter(cls._members)
-
-    def __call__(cls, value: str) -> "Scheme":
-        for member in cls._members:
-            if member.value == value:
-                return member
-        raise ValueError(f"{value!r} is not a valid {cls.__name__}")
-
-
-class Scheme(metaclass=_SchemeType):
-    """A label scheme: ``REL_OFFSET``, ``REL_POS`` or ``BRACKETS``, each the
-    one instance with its ``name`` and ``value``, compared by identity."""
-
-    __slots__ = ("name", "value")
-    _members: tuple[Scheme, ...]
-    REL_OFFSET: Scheme
-    REL_POS: Scheme
-    BRACKETS: Scheme
-
-    def __repr__(self) -> str:
-        return f"<Scheme.{self.name}: {self.value!r}>"
-
-    def __str__(self) -> str:
-        return f"Scheme.{self.name}"
-
-    def __reduce__(self):
-        # copies and unpickled members are the member itself
-        return Scheme, (self.value,)
-
-    @classmethod
-    def parse(cls, text: str) -> "Scheme":
-        key = text.strip().lower().replace("_", "-")
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"unknown scheme {text!r}")
-
-
-def _scheme(name: str, value: str) -> Scheme:
-    member = object.__new__(Scheme)
-    member.name, member.value = name, value
-    setattr(Scheme, name, member)
-    return member
-
-
-# Code that runs per token or per sentence compares schemes against these
-# names: reading ``Scheme.BRACKETS`` off the class takes about 12 ns with
-# CPython 3.11 on a 2-CPU x86-64 machine (72 ns when it was an ``enum.Enum``),
-# a module global about 2.5 ns.
-Scheme._members = _REL_OFFSET, _REL_POS, _BRACKETS = (
-    _scheme("REL_OFFSET", "rel-offset"), _scheme("REL_POS", "rel-pos"),
-    _scheme("BRACKETS", "brackets"),
-)
 
 
 class NonProjectiveError(DataError):
@@ -112,10 +50,14 @@ class NonProjectiveError(DataError):
         self.arcs = pair
 
 
-class SyntaxLabel(namedtuple("SyntaxLabel", "scheme payload deprel")):
+class SyntaxLabel(_Row):
     """One token's label: a ``Scheme``, its payload and the token's relation."""
 
     __slots__ = ()
+    _fields = ("scheme", "payload", "deprel")
+
+    def __new__(cls, scheme, payload, deprel):
+        return tuple.__new__(cls, (scheme, payload, deprel))
 
 
 # what the bracket symbols of one label may hold between their leading '\'
@@ -189,10 +131,14 @@ class RepairStats(_Record, frozen=True):
         )
 
 
-class DecodeResult(namedtuple("DecodeResult", "tree repairs")):
+class DecodeResult(_Row):
     """A decoded ``DepTree`` and the ``RepairStats`` of its decoding."""
 
     __slots__ = ()
+    _fields = ("tree", "repairs")
+
+    def __new__(cls, tree, repairs):
+        return tuple.__new__(cls, (tree, repairs))
 
 
 def _positions(upos: Sequence[str]) -> dict[str, list[int]]:

@@ -13,11 +13,10 @@ layer on top of a base lexicon without touching either input.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import chain
 
 from .conllu import table_lines
-from .tree import LineError, _Record
+from .tree import LineError, _Record, _Row
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -38,16 +37,24 @@ class LexiconError(LineError):
     """Malformed lexicon or collocation data, or an inconsistent merge."""
 
 
-class LexEntry(namedtuple("LexEntry", "term upos_filter valence")):
+class LexEntry(_Row):
     """One effective lexicon entry: a term, its UPOS filter or None, its valence."""
 
     __slots__ = ()
+    _fields = ("term", "upos_filter", "valence")
+
+    def __new__(cls, term, upos_filter, valence):
+        return tuple.__new__(cls, (term, upos_filter, valence))
 
 
-class Shifter(namedtuple("Shifter", "kind strength", defaults=(None,))):
+class Shifter(_Row):
     """Classification result for a shifter lemma."""
 
     __slots__ = ()
+    _fields = ("kind", "strength")
+
+    def __new__(cls, kind, strength=None):
+        return tuple.__new__(cls, (kind, strength))
 
 
 class ShifterInventory(_Record, frozen=True):

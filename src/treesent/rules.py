@@ -14,14 +14,13 @@ contrast experiments.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .conllu import settings_lines
 from .lexicon import ADVERSATIVE as _ADV_KIND
 from .lexicon import INTENSIFIER as _INT_KIND
 from .lexicon import NEGATOR as _NEG_KIND
 from .lexicon import VALENCE_LIMIT, PolarityLexicon, merge_lowered
-from .tree import DepTree, LineError, Token, _Record
+from .tree import DepTree, LineError, Token, _Record, _Row
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -115,10 +114,14 @@ class RuleConfig(_Record, frozen=True):
         return cls(**values)
 
 
-class TraceStep(namedtuple("TraceStep", "token_id rule before after note", defaults=("",))):
+class TraceStep(_Row):
     """One rule application: token it applied at, values before and after."""
 
     __slots__ = ()
+    _fields = ("token_id", "rule", "before", "after", "note")
+
+    def __new__(cls, token_id, rule, before, after, note=""):
+        return tuple.__new__(cls, (token_id, rule, before, after, note))
 
 
 class TargetOpinion(_Record, frozen=True):
@@ -166,12 +169,16 @@ class SentimentResult(_Record, frozen=True):
                              opinions=tuple(opinions), trace=tuple(trace))
 
 
-class _Composition(namedtuple("_Composition", "valence trace contribution lemmas")):
+class _Composition(_Row):
     """The sentence ``valence``; its ``trace``, a list of TraceStep, or None
     unless asked for; the ``contribution`` of each token, indexed by token id
     ([0] unused); and the ``lemmas`` lowercased, after the collocation pre-pass."""
 
     __slots__ = ()
+    _fields = ("valence", "trace", "contribution", "lemmas")
+
+    def __new__(cls, valence, trace, contribution, lemmas):
+        return tuple.__new__(cls, (valence, trace, contribution, lemmas))
 
 
 def _compose(

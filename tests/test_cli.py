@@ -1381,6 +1381,47 @@ def test_bench_cli_accepts_file_corpus(tmp_path, capsys):
     assert json.loads(out.read_text())["sentences"] == 30
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--seed", 9, "--sentences", 50, "--length", 3), "--seed, --sentences, --length"),
+    (("--seed", 0), "--seed"),
+    (("--sentences", 10_000), "--sentences"),
+    (("--len", 3), "--length"),
+])
+def test_bench_of_an_input_file_refuses_the_flags_of_a_synthetic_corpus(
+    tmp_path, capsys, flags, named
+):
+    corpus, out = tmp_path / "corpus.bridge", tmp_path / "report.json"
+    run("gen", "--sentences", 30, "--length", 6, "-o", corpus)
+    # even a flag given its default value: the command line asked for something
+    assert run("bench", "-i", corpus, *flags, "-o", out) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {named} would do nothing: "
+        "bench reads the input file, not a synthetic corpus\n")
+    assert not out.exists()
+    # a settings file's seed is passed over, as the file may serve other commands
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 9\n")
+    assert run("bench", "--config", config, "-i", corpus, "--warmup", 0, "-o", out) == 0
+    assert json.loads(out.read_text())["sentences"] == 30
+
+
+def test_gen_conllu_refuses_a_scheme_flag_but_not_a_settings_file_scheme(tmp_path, capsys):
+    out, plain = tmp_path / "out.conllu", tmp_path / "plain.conllu"
+    assert run("gen", "--sentences", 5, "--format", "conllu", "-o", plain) == 0
+    assert run("gen", "--sentences", 5, "--format", "conllu", "--scheme", "brackets",
+               "-o", out) == 2
+    assert capsys.readouterr().err == (
+        "config error: --scheme would do nothing: gen --format conllu writes trees, not labels\n")
+    assert not out.exists()
+    config = tmp_path / "run.cfg"
+    config.write_text("scheme = brackets\n")
+    assert run("gen", "--sentences", 5, "--format", "conllu", "--config", config,
+               "-o", out) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    # bridge lines are written in the scheme the flag names
+    assert run("gen", "--sentences", 5, "--scheme", "brackets", "-o", out) == 0
+
+
 # A sentence whose score overflows a float under a lexicon that loads:
 # "very" has the largest strength a lexicon allows (it scales by 5), and
 # 441 of them on "good" make 3 * 5**441, past the largest float.

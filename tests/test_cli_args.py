@@ -115,7 +115,7 @@ def test_a_valid_command_line_gives_its_settings(recorded, argv, given):
     assert main(argv) == 0
     [(cfg, args)] = recorded
     command = argv[0]
-    assert args == {"command": command, **DEFAULTS[command], **given}
+    assert args == {"command": command, "given": set(given), **DEFAULTS[command], **given}
     settings = {key: given[key] for key in SETTINGS if key in given}
     if "scheme" in settings:
         settings["scheme"] = Scheme.parse(settings["scheme"])
@@ -274,7 +274,7 @@ def test_main_without_arguments_reads_sys_argv(recorded, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["treesent", "gen", "--seed", "5"])
     assert main() == 0
     [(cfg, args)] = recorded
-    assert args == {"command": "gen", **DEFAULTS["gen"], "seed": 5}
+    assert args == {"command": "gen", "given": {"seed"}, **DEFAULTS["gen"], "seed": 5}
     assert cfg == PipelineConfig(seed=5)
 
 

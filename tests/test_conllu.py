@@ -329,7 +329,8 @@ def test_the_whole_block_tests_and_the_rows_they_send_row_by_row(monkeypatch, li
     monkeypatch.setattr(conllu, "_NUMBER", {"0": 0})
     want = _same_as_row_by_row(lines)
     start = next((i for i, text in enumerate(lines) if not text.startswith("#")), len(lines))
-    assert (conllu._regular_columns(lines[start:], ReadStats()) is not None) == whole
+    rows = [text.split("\t") for text in lines[start:]]
+    assert (conllu._regular_columns(rows, ReadStats()) is not None) == whole
     if lines[-1].startswith("# sent_id"):
         assert want.sentence_id == "late"
 

@@ -7,11 +7,14 @@ they were written, so a change to how a record is declared shows here as a
 change of behaviour.
 """
 
+import copy
+import json
 import pickle
 from collections import Counter
 
 import pytest
 
+from treesent import cli
 from treesent.cli import PipelineConfig
 from treesent.conllu import ReadStats
 from treesent.encodings import (
@@ -173,3 +176,74 @@ def test_a_record_prints_compares_hashes_and_pickles_as_declared(
     else:
         setattr(record, fields[1], getattr(different, fields[1]))
         assert record != twin
+
+
+# The seven named tuples: the class, its fields by keyword and the defaults
+# of its trailing fields. They behave as ``collections.namedtuple`` classes.
+ROWS = [
+    (Token, {"id": 1, "form": "good", "lemma": "good", "upos": "ADJ", "head": 0,
+             "deprel": "root"}, {}),
+    (SyntaxLabel, {"scheme": Scheme.REL_POS, "payload": ("NOUN", 1), "deprel": "nsubj"}, {}),
+    (DecodeResult, {"tree": _tree(), "repairs": RepairStats(cycles_broken=1)}, {}),
+    (LexEntry, {"term": "good", "upos_filter": "ADJ", "valence": 1.5}, {}),
+    (Shifter, {"kind": "intensifier", "strength": 0.5}, {"strength": None}),
+    (TraceStep, {"token_id": 2, "rule": "NEGATE", "before": 1.5, "after": -2.5, "note": "not"},
+     {"note": ""}),
+    (_Composition, {"valence": 1.5, "trace": [TraceStep(2, "LEXICON", 0.0, 1.5)],
+                    "contribution": [0.0, 1.5], "lemmas": ["good"]}, {}),
+]
+ROW_IDS = [cls.__name__ for cls, _, _ in ROWS]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", ROWS, ids=ROW_IDS)
+def test_a_named_tuple_is_the_tuple_of_its_fields_however_it_is_built(cls, fields, defaults):
+    row = cls(**fields)
+    values = tuple(fields.values())
+    assert isinstance(row, tuple) and type(row) is cls
+    assert tuple(row) == values and row == cls(*values) and len(row) == len(fields)
+    assert cls._fields == tuple(fields) == cls.__match_args__
+    assert [getattr(row, name) for name in fields] == list(values)
+    assert not hasattr(row, "__dict__")
+    assert cls._field_defaults == defaults
+    required = {name: value for name, value in fields.items() if name not in defaults}
+    assert cls(**required) == (*required.values(), *defaults.values())
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
+@pytest.mark.parametrize("cls, fields, defaults", ROWS, ids=ROW_IDS)
+def test_a_named_tuple_makes_replaces_and_lists_its_fields(cls, fields, defaults):
+    row = cls(**fields)
+    made = cls._make(iter(fields.values()))
+    assert type(made) is cls and made == row
+    with pytest.raises(TypeError, match=f"Expected {len(fields)} arguments, got 1"):
+        cls._make(["only one"])
+    last = cls._fields[-1]
+    replaced = row._replace(**{last: "changed"})
+    assert type(replaced) is cls and replaced == (*tuple(row)[:-1], "changed")
+    assert row == cls(**fields)  # the original is left as it was
+    with pytest.raises(ValueError, match=r"Got unexpected field names: \['nope'\]"):
+        row._replace(nope=1)
+    listed = row._asdict()
+    assert type(listed) is dict and listed == fields and list(listed) == list(fields)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("cls, fields, defaults", ROWS, ids=ROW_IDS)
+def test_a_named_tuple_pickles_and_copies_as_itself(cls, fields, defaults, protocol):
+    row = cls(**fields)
+    for back in (pickle.loads(pickle.dumps(row, protocol)), copy.copy(row), copy.deepcopy(row)):
+        assert type(back) is cls and back == row and repr(back) == repr(row)
+
+
+def test_a_trace_step_is_written_as_a_json_array():
+    step = TraceStep(2, "NEGATE", 1.5, -2.5, "not")
+    record = {"trace": [step, TraceStep(1, "LEXICON", 0.0, 1.5)]}
+    text = '{"trace": [[2, "NEGATE", 1.5, -2.5, "not"], [1, "LEXICON", 0.0, 1.5, ""]]}'
+    assert cli._record_encoder()(record) == json.dumps(record) == text
+
+
+def test_a_scheme_pickled_from_the_encodings_module_loads_as_the_member():
+    # how a pickle of Scheme.REL_POS names its class, at protocol 0
+    old = b"ctreesent.encodings\nScheme\n(Vrel-pos\ntR."
+    assert pickle.loads(old) is Scheme.REL_POS

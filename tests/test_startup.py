@@ -10,13 +10,16 @@ and ``signal`` even when it forks a pool, which uses the C modules
 loads the standard modules that cost the most to import and that they can
 do without, argparse among them: the command line is read from a table of
 flags. None of them loads ``json``, ``re``, ``enum``, ``functools``,
-``contextlib``, ``importlib`` or ``types``: records go straight through
-the C encoder of ``_json``, ``Scheme`` is a plain class, the CoNLL-U reader
-and the bridge writer test their text with string methods, and the package
-resolves its public names with ``__import__``; the one regex a brackets
-reader needs imports ``re`` when it reads its first field. The start-up
-checks run in a fresh interpreter, since this test process has imported
-everything already.
+``contextlib``, ``importlib``, ``types`` or ``collections``: records go
+straight through the C encoder of ``_json``, ``Scheme`` is a plain class,
+the CoNLL-U reader and the bridge writer test their text with string
+methods, the package resolves its public names with ``__import__``, its
+named tuples are built on ``tuple`` and the pool takes ``deque`` from
+``_collections``; the one regex a brackets reader needs imports ``re`` when
+it reads its first field. analyze and aspects do not load the encodings
+either: ``Scheme``, which the command line reads for ``--scheme``, lives in
+``treesent.tree``. The start-up checks run in a fresh interpreter, since
+this test process has imported everything already.
 """
 
 import json
@@ -163,7 +166,8 @@ def test_encode_and_decode_leave_the_scoring_modules_unloaded(tmp_path):
 # what ``re`` imports, with ``contextlib`` and ``importlib``: each of encode,
 # decode, analyze and aspects loads none of them, but a brackets reader,
 # which imports ``re`` when it reads its first field
-UNUSED_BY_THE_LEAN_COMMANDS = ("re", "enum", "functools", "contextlib", "importlib", "types")
+UNUSED_BY_THE_LEAN_COMMANDS = ("re", "enum", "functools", "contextlib", "importlib", "types",
+                               "collections")
 
 ONE_COMMAND_RUN = """
 import sys
@@ -214,15 +218,28 @@ def test_encode_and_decode_load_neither_re_nor_what_it_imports(tmp_path, command
     assert (seen["code"], seen["loaded"]) == (0, [])
 
 
+# one command in a fresh interpreter that imports no more of treesent than the
+# command does, as ONE_COMMAND_RUN imports the encodings
+BARE_RUN = """
+import sys
+watched, argv = sys.argv[1].split(","), sys.argv[2:]
+import treesent.cli
+code = treesent.cli.main(argv)
+loaded = [m for m in watched if m in sys.modules]
+import json
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze",), ("aspects",), ("analyze", "--explain"), ("analyze", "--baseline"),
 ], ids=["analyze", "aspects", "explain", "baseline"])
 def test_the_scoring_commands_load_neither_json_nor_re(tmp_path, argv):
-    # the demo reviews are one chunk, which no pool worker runs
+    # nor the encodings; the demo reviews are one chunk, which no pool worker runs
     out = tmp_path / "out.jsonl"
-    seen = _fresh_python(ONE_COMMAND_RUN, ",".join(("json", *UNUSED_BY_THE_LEAN_COMMANDS)),
-                         *argv, "-i", demo_treebank_path(), "-o", out)
-    assert (seen["code"], seen["loaded"]) == (0, [])
+    watched = ("json", "treesent.encodings", *UNUSED_BY_THE_LEAN_COMMANDS)
+    seen = _fresh_python(BARE_RUN, ",".join(watched), *argv, "-i", demo_treebank_path(), "-o", out)
+    assert seen == {"code": 0, "loaded": []}
     assert len(out.read_text().splitlines()) == 3
 
 
