@@ -32,7 +32,6 @@ _EXPORTS = {
             "LabelSeq",
             "NonProjectiveError",
             "RepairStats",
-            "Scheme",
             "SyntaxLabel",
             "decode",
             "encode",
@@ -109,6 +108,7 @@ _EXPORTS = {
         (
             "DataError",
             "DepTree",
+            "Scheme",
             "Token",
             "TreeError",
             "crossing_arcs",

@@ -43,13 +43,12 @@ blocks it split. Without os.fork the command runs in one process.
 The command line is read from one table of commands and flags
 (``_COMMANDS``), without argparse, and analyze, aspects, encode and decode
 import neither ``re`` nor ``enum``, ``functools``, ``contextlib``,
-``importlib``, ``types`` and ``collections``. analyze and aspects write
-their records with the C encoder of ``_json``, which ``json`` wraps, and
-start without ``json`` and the label encodings. In a fresh ``python -S``
-with the bytecode cached (CPython 3.11, 2-CPU x86-64, medians of 60 runs)
-analyze starts and ends on an empty input in 11 ms and encode and decode
-in 10 ms, against 14 and 11-12 ms with ``collections``, and 6.5 ms for an
-empty interpreter.
+``importlib``, ``types`` and ``collections``; analyze and aspects write
+records with the C encoder of ``_json``, which ``json`` wraps, and start
+without ``json`` and the label encodings. In a fresh ``python -S`` with the
+bytecode cached (CPython 3.11, 2-CPU x86-64, medians of 60 runs) analyze
+ends on an empty input in 11 ms and encode and decode in 10 ms (14 and
+11-12 ms with ``collections``; 6.5 ms for an empty interpreter).
 """
 
 from __future__ import annotations
@@ -266,12 +265,6 @@ def _input_source(cfg: PipelineConfig):
 # sentence imports nothing; pool workers inherit it through the fork. The
 # run's job is ``parse_blocks`` with that function as its ``line``, which
 # raises ``_Skip`` for a tree that has no output line.
-
-
-# encode's skip reasons, in the order their tallies are printed: crossing
-# arcs, whitespace inside a field, and a field that would read back wrong
-_ENCODE_SKIPS = ("non-projective sentences", "sentences with whitespace inside a field",
-                 "sentences with a field that would read back wrong")
 
 
 def _opinions(result) -> list:
@@ -581,8 +574,8 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
             cuts.close()
 
 
-def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
-    """Write ``line`` of each sentence of the input, then the skip tallies."""
+def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str], reasons: Iterable = ()) -> int:
+    """Write ``line`` of each sentence, then the tallies of unreadable ones and of ``reasons``."""
     stats = ReadStats()
     source = _input_source(cfg)
     with _open_output(cfg) as out:
@@ -590,7 +583,7 @@ def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str]) -> int:
             return parse_blocks(blocks, cfg.on_error, stats, line)
 
         _write_records(job, source, cfg.workers, stats, out)
-    for reason in (UNREADABLE, *_ENCODE_SKIPS):
+    for reason in (UNREADABLE, *reasons):
         if stats.skipped_by.get(reason):
             print(f"skipped {stats.skipped_by[reason]} {reason}", file=sys.stderr)
     return 0
@@ -628,7 +621,10 @@ def cmd_encode(cfg: PipelineConfig) -> int:
     from .encodings import NonProjectiveError, UnreadableFieldError, encode, format_tagger_line
 
     scheme = cfg.scheme
-    reasons = dict(zip((NonProjectiveError, ValueError, UnreadableFieldError), _ENCODE_SKIPS))
+    # the skip reason of each error type, in the order their tallies are printed
+    reasons = {NonProjectiveError: "non-projective sentences",
+               ValueError: "sentences with whitespace inside a field",
+               UnreadableFieldError: "sentences with a field that would read back wrong"}
 
     def line(tree: DepTree) -> str:
         try:
@@ -636,7 +632,7 @@ def cmd_encode(cfg: PipelineConfig) -> int:
         except ValueError as exc:  # crossing arcs, or a field the line cannot carry
             raise _Skip(str(exc), reasons.get(type(exc), reasons[ValueError])) from None
 
-    return _run_job(cfg, line)
+    return _run_job(cfg, line, reasons.values())
 
 
 # ------------------------------------------------------------------- decode
@@ -770,8 +766,7 @@ def cmd_bench(cfg: PipelineConfig, args: _Args) -> int:
 
     from .bench import run_bench, synthetic_corpus
 
-    # a flag the run would not read is refused; a settings file's keys are
-    # passed over, as one file may serve several commands
+    # a flag the run would not read is refused; a settings file's key is passed over
     unused = [_long(key) for key in ("seed", "sentences", "length") if key in args.given]
     if cfg.input is not None and unused:
         raise ConfigError(f"{', '.join(unused)} would do nothing: "

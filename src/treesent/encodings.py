@@ -55,7 +55,6 @@ class SyntaxLabel(_Row):
 
     __slots__ = ()
     _fields = ("scheme", "payload", "deprel")
-
     def __new__(cls, scheme, payload, deprel):
         return tuple.__new__(cls, (scheme, payload, deprel))
 
@@ -136,7 +135,6 @@ class DecodeResult(_Row):
 
     __slots__ = ()
     _fields = ("tree", "repairs")
-
     def __new__(cls, tree, repairs):
         return tuple.__new__(cls, (tree, repairs))
 

@@ -42,7 +42,6 @@ class LexEntry(_Row):
 
     __slots__ = ()
     _fields = ("term", "upos_filter", "valence")
-
     def __new__(cls, term, upos_filter, valence):
         return tuple.__new__(cls, (term, upos_filter, valence))
 
@@ -52,7 +51,6 @@ class Shifter(_Row):
 
     __slots__ = ()
     _fields = ("kind", "strength")
-
     def __new__(cls, kind, strength=None):
         return tuple.__new__(cls, (kind, strength))
 

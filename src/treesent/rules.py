@@ -119,7 +119,6 @@ class TraceStep(_Row):
 
     __slots__ = ()
     _fields = ("token_id", "rule", "before", "after", "note")
-
     def __new__(cls, token_id, rule, before, after, note=""):
         return tuple.__new__(cls, (token_id, rule, before, after, note))
 
@@ -176,7 +175,6 @@ class _Composition(_Row):
 
     __slots__ = ()
     _fields = ("valence", "trace", "contribution", "lemmas")
-
     def __new__(cls, valence, trace, contribution, lemmas):
         return tuple.__new__(cls, (valence, trace, contribution, lemmas))
 

@@ -12,7 +12,11 @@ children lists the rule engine reads. The one exception is
 
 from __future__ import annotations
 
-from _collections import _tuplegetter
+try:
+    from _collections import _tuplegetter
+except ImportError:  # an interpreter without it reads fields as collections does then
+    from operator import itemgetter
+    _tuplegetter = lambda index, doc: property(itemgetter(index), doc=doc)  # noqa: E731
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -93,21 +97,16 @@ class _Tally(_Record):
     """A record of counts that a run fills in as it goes."""
 
     def add(self, other: "_Tally") -> None:
-        """Fold in the counts of another run of the same kind, such as one
-        chunk's; a dict of counts is summed key by key, into a new dict."""
+        """Fold in the counts of another run of the same kind, such as one chunk's."""
         for name in self._fields:
             mine, theirs = getattr(self, name), getattr(other, name)
-            if isinstance(mine, dict):
-                total = {key: mine.get(key, 0) + theirs.get(key, 0) for key in {**mine, **theirs}}
-            else:
-                total = mine + theirs
-            setattr(self, name, total)
+            setattr(self, name, {**mine, **{key: mine.get(key, 0) + n for key, n in theirs.items()}}
+                    if isinstance(mine, dict) else mine + theirs)  # counts by key: a new dict
 
 
 class _Row(tuple):
-    """Base of the package's named tuples, which behave as ``collections.namedtuple``'s
-    without importing it: a subclass lists its ``_fields`` and writes its ``__new__``.
-    A field is read by index through ``_tuplegetter``, as ``namedtuple`` reads it."""
+    """A named tuple as ``collections.namedtuple`` makes one, without importing it: a
+    subclass lists its ``_fields`` and writes ``__new__``; fields read as namedtuple's do."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -158,8 +157,7 @@ class _SchemeType(type):
 
 class Scheme(metaclass=_SchemeType):
     """A label scheme: ``REL_OFFSET``, ``REL_POS`` or ``BRACKETS``, each the
-    one instance with its ``name`` and ``value``, compared by identity.
-    ``encodings`` re-exports it; the command line reads it without them."""
+    one instance with its ``name`` and ``value``, compared by identity."""
 
     __slots__ = ("name", "value")
     _members: tuple[Scheme, ...]
@@ -208,7 +206,6 @@ class Token(_Row):
 
     __slots__ = ()
     _fields = ("id", "form", "lemma", "upos", "head", "deprel")
-
     def __new__(cls, id, form, lemma, upos, head, deprel):
         return tuple.__new__(cls, (id, form, lemma, upos, head, deprel))
 

@@ -247,3 +247,35 @@ def test_a_scheme_pickled_from_the_encodings_module_loads_as_the_member():
     # how a pickle of Scheme.REL_POS names its class, at protocol 0
     old = b"ctreesent.encodings\nScheme\n(Vrel-pos\ntR."
     assert pickle.loads(old) is Scheme.REL_POS
+
+
+# a fresh interpreter whose _collections lacks _tuplegetter, as some
+# interpreters' do: the rows read their fields through properties instead
+NO_TUPLEGETTER_RUN = """
+import copy, pickle, sys, types
+import _collections
+stub = types.ModuleType("_collections")
+stub.deque = _collections.deque
+sys.modules["_collections"] = stub
+from treesent.rules import TraceStep
+step = TraceStep(2, "NEGATE", 1.5, -2.5)
+assert (step.rule, step.note, step._replace(note="x").note) == ("NEGATE", "", "x")
+assert pickle.loads(pickle.dumps(step)) == copy.copy(step) == step
+assert type(TraceStep.note) is property and TraceStep.note.__doc__ == "Alias for field number 4"
+print(repr(step))
+"""
+
+
+def test_the_named_tuples_work_without_the_c_field_getter():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import treesent
+
+    src = Path(treesent.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-S", "-c", NO_TUPLEGETTER_RUN], check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert done.stdout == "TraceStep(token_id=2, rule='NEGATE', before=1.5, after=-2.5, note='')\n"

@@ -85,6 +85,14 @@ def test_import_treesent_loads_no_submodule():
     assert loaded == []
 
 
+def test_the_scheme_enum_loads_neither_the_encodings_nor_the_conllu_reader():
+    loaded = _fresh_python(
+        "import json, sys, treesent; treesent.Scheme; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('treesent.'))))"
+    )
+    assert loaded == ["treesent.tree"]
+
+
 CLI_RUN = """
 import sys
 reviews, ud, out, watched = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
