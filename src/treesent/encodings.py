@@ -54,7 +54,7 @@ class SyntaxLabel(_Row):
     """One token's label: a ``Scheme``, its payload and the token's relation."""
 
     __slots__ = ()
-    _fields = ("scheme", "payload", "deprel")
+
     def __new__(cls, scheme, payload, deprel):
         return tuple.__new__(cls, (scheme, payload, deprel))
 
@@ -134,7 +134,7 @@ class DecodeResult(_Row):
     """A decoded ``DepTree`` and the ``RepairStats`` of its decoding."""
 
     __slots__ = ()
-    _fields = ("tree", "repairs")
+
     def __new__(cls, tree, repairs):
         return tuple.__new__(cls, (tree, repairs))
 

@@ -41,7 +41,7 @@ class LexEntry(_Row):
     """One effective lexicon entry: a term, its UPOS filter or None, its valence."""
 
     __slots__ = ()
-    _fields = ("term", "upos_filter", "valence")
+
     def __new__(cls, term, upos_filter, valence):
         return tuple.__new__(cls, (term, upos_filter, valence))
 
@@ -50,7 +50,7 @@ class Shifter(_Row):
     """Classification result for a shifter lemma."""
 
     __slots__ = ()
-    _fields = ("kind", "strength")
+
     def __new__(cls, kind, strength=None):
         return tuple.__new__(cls, (kind, strength))
 

@@ -118,7 +118,7 @@ class TraceStep(_Row):
     """One rule application: token it applied at, values before and after."""
 
     __slots__ = ()
-    _fields = ("token_id", "rule", "before", "after", "note")
+
     def __new__(cls, token_id, rule, before, after, note=""):
         return tuple.__new__(cls, (token_id, rule, before, after, note))
 
@@ -174,7 +174,7 @@ class _Composition(_Row):
     ([0] unused); and the ``lemmas`` lowercased, after the collocation pre-pass."""
 
     __slots__ = ()
-    _fields = ("valence", "trace", "contribution", "lemmas")
+
     def __new__(cls, valence, trace, contribution, lemmas):
         return tuple.__new__(cls, (valence, trace, contribution, lemmas))
 

@@ -105,17 +105,18 @@ class _Tally(_Record):
 
 
 class _Row(tuple):
-    """A named tuple as ``collections.namedtuple`` makes one, without importing it: a
-    subclass lists its ``_fields`` and writes ``__new__``; fields read as namedtuple's do."""
+    """A named tuple as ``collections.namedtuple`` makes one, without importing it: a subclass
+    writes ``__new__``, whose parameters name its fields in order; they read as namedtuple's do."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     __repr__ = _Record.__repr__
 
     def __init_subclass__(cls) -> None:
+        code = cls.__new__.__code__
+        cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
         for index, name in enumerate(cls._fields):
             setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
-        cls.__match_args__ = cls._fields
         defaults = cls.__new__.__defaults__ or ()
         cls._field_defaults = dict(zip(cls._fields[len(cls._fields) - len(defaults):], defaults))
 
@@ -205,7 +206,7 @@ class Token(_Row):
     """One syntactic word. ``head`` is 0 for the root, else a 1-based token id."""
 
     __slots__ = ()
-    _fields = ("id", "form", "lemma", "upos", "head", "deprel")
+
     def __new__(cls, id, form, lemma, upos, head, deprel):
         return tuple.__new__(cls, (id, form, lemma, upos, head, deprel))
 
