@@ -14,7 +14,7 @@ from __future__ import annotations
 
 try:
     from _collections import _tuplegetter
-except ImportError:  # an interpreter without it reads fields as collections does then
+except ImportError:  # not every interpreter has it: collections falls back the same way
     from operator import itemgetter
     _tuplegetter = lambda index, doc: property(itemgetter(index), doc=doc)  # noqa: E731
 
