@@ -34,10 +34,10 @@ to 64 KiB, so the first records come soon. A chunk's records are written
 and flushed when the chunk is done. With --workers N and input of more
 than 64 KiB, the command runs the first chunk itself and writes its
 records, then forks up to N workers, one as each of the next N chunks is
-sent, each fed chunks down a pipe, and writes their records in input
-order, byte-identical to one worker; past the first chunk this process
-only cuts the input, counts the lines and sentences that number each
-chunk, and writes. A run that does not fork numbers each chunk from the
+sent, each fed chunks down a pipe as marshal data, and writes their
+records in input order, byte-identical to one worker; past the first
+chunk this process only cuts the input, counts the lines and sentences
+that number each chunk, and writes. A run that does not fork numbers each chunk from the
 blocks it split. Without os.fork the command runs in one process.
 
 The command line is read from one table of commands and flags
@@ -54,6 +54,7 @@ ends on an empty input in 11 ms and encode and decode in 10 ms (14 and
 from __future__ import annotations
 
 import io
+import marshal
 import os
 import sys
 from _collections import deque
@@ -75,8 +76,8 @@ from .conllu import (
 from .tree import ConfigError, DataError, DepTree, Scheme, _Record
 
 # The encodings, lexicon, rules, assets, json, evaluation, bench and pool
-# (select and the C modules _pickle and _signal) modules are imported where
-# they are used: analyze starts without the encodings and json, and so
+# (select, _signal; _pickle for what marshal cannot send) modules are imported
+# where they are used: analyze starts without the encodings and json, and so
 # without re, and encode and decode without the scoring modules and json.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -326,31 +327,46 @@ class _Worker:
         self.ended = False  # its result pipe is closed
 
 
-def _frame(data: bytes) -> bytes:
+def _frame(value: object) -> bytes:
+    """``value`` as a length-prefixed pool message: its ``marshal`` data (a bytes-like
+    value reads back as ``bytes``), or a zero byte, which starts none, and its pickle."""
+    try:
+        data = marshal.dumps(value)
+    except ValueError:  # an exception or another class's instance, such as bench's lexicon
+        import _pickle as pickle  # -1 is its highest protocol
+
+        data = b"\0" + pickle.dumps(value, -1)
     return len(data).to_bytes(8, "little") + data
 
 
-def _serve(fn: Callable, requests: int, results: int) -> None:
-    """A worker's loop: ``fn`` of each chunk pickled down ``requests``,
-    until it closes, with ``(True, result)`` or ``(False, exception)``
-    pickled back up ``results``."""
+def _unframe(data: bytes) -> object:
+    """The value of a message body that ``_frame`` wrote."""
+    if data[:1] != b"\0":
+        return marshal.loads(data)
     import _pickle as pickle
 
+    return pickle.loads(data[1:])
+
+
+def _serve(fn: Callable, requests: int, results: int) -> None:
+    """A worker's loop: ``fn`` of each chunk framed down ``requests``,
+    until it closes, with ``(True, result)`` or ``(False, exception)``
+    framed back up ``results``."""
     with open(requests, "rb") as source, open(results, "wb") as sink:
         while True:
             head = source.read(8)
             if len(head) < 8:
                 return
-            chunk = pickle.loads(source.read(int.from_bytes(head, "little")))
+            chunk = _unframe(source.read(int.from_bytes(head, "little")))
             try:
                 reply = True, fn(chunk)
             except Exception as exc:
                 reply = False, exc
             try:
-                data = pickle.dumps(reply, -1)
+                message = _frame(reply)
             except Exception as exc:  # a result or an exception that does not pickle
-                data = pickle.dumps((False, RuntimeError(f"worker result: {exc!r}")))
-            sink.write(_frame(data))
+                message = _frame((False, RuntimeError(f"worker result: {exc!r}")))
+            sink.write(message)
             sink.flush()
 
 
@@ -397,12 +413,13 @@ def _ended(worker: _Worker) -> DataError:
 def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
     """``fn`` over ``chunks`` in ``workers`` forked processes, results in submission order.
 
-    Chunk k goes to worker k mod ``workers``, pickled down its request pipe;
-    the result comes back up its result pipe, each as a length-prefixed
-    pickle. Worker k is forked when chunk k is sent, so that a short input
-    starts no idle worker. ``fn`` is inherited through the fork, never
-    pickled. At most ``2 * workers`` chunks are in flight, so memory stays
-    bounded however long the input is. An exception ``fn`` raises is raised
+    Chunk k goes to worker k mod ``workers`` down its request pipe, and the
+    result comes back up its result pipe, each as a ``_frame`` message:
+    marshal data, or a pickle for what marshal cannot write. Worker k is
+    forked when chunk k is sent, so that a short input starts no idle
+    worker. ``fn`` is inherited through the fork, never sent. At most
+    ``2 * workers`` chunks are in flight, so memory stays bounded however
+    long the input is. An exception ``fn`` raises is raised
     here with its own type; a worker that dies first is a ``DataError`` naming
     its exit status. However the generator ends, every worker has been reaped
     when it does. Without ``os.fork``, ``fn`` runs in this process.
@@ -410,7 +427,6 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
     if not hasattr(os, "fork"):
         yield from map(fn, chunks)
         return
-    import _pickle as pickle  # -1 is its highest protocol
     import _signal as signal
     import select
 
@@ -438,7 +454,7 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
                 if not w.outbox and not w.ended:
                     owner[w.send] = w
                     poll.register(w.send, select.POLLOUT)
-                w.outbox += _frame(pickle.dumps(chunk, -1))
+                w.outbox += _frame(chunk)
                 in_flight.append(w)
             if not in_flight:
                 break
@@ -476,7 +492,7 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
                     end = 8 + int.from_bytes(w.inbox[:8], "little")
                     if len(w.inbox) < end:
                         break
-                    w.results.append(pickle.loads(w.inbox[8:end]))
+                    w.results.append(_unframe(w.inbox[8:end]))
                     del w.inbox[:end]
         finished = True
     finally:
@@ -492,21 +508,24 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
 
 def _run_chunk(
     job: Job, split: Callable, tally: type, chunk
-) -> Tuple[str, _Tally, Optional[Exception]]:
+) -> Tuple[str, Dict[str, object], Optional[Exception]]:
     """Pool task: the output lines of ``job`` over ``split(chunk)`` as one
-    text, the chunk's tallies, and the exception that ended it, if one did.
+    text, the chunk's ``tally`` as plain values, a record among them as a
+    dict, that ``tally(**counts)`` takes, and the exception that ended it.
 
     Lines before a bad record, or before a fault of the program, are
     returned with its exception, so the parent writes exactly what a single
     process would before it stops.
     """
-    stats, lines = tally(), []
+    stats, lines, error = tally(), [], None
     try:
         for line in job(split(chunk), stats=stats):
             lines.append(line)
     except Exception as exc:
-        return "".join(lines), stats, exc
-    return "".join(lines), stats, None
+        error = exc
+    counts = {name: vars(value) if isinstance(value, _Record) else value
+              for name, value in vars(stats).items()}
+    return "".join(lines), counts, error
 
 
 def _parent_first(run: Callable, chunks: Iterator, workers: int) -> Iterator:
@@ -554,7 +573,7 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
         chunks, split = conllu._split_chunks(chained), iter
     tally = type(stats)
 
-    def run(chunk) -> Tuple[str, _Tally, Optional[Exception]]:
+    def run(chunk) -> Tuple[str, Dict[str, object], Optional[Exception]]:
         return _run_chunk(job, split, tally, chunk)
 
     results = _parent_first(run, chunks, workers) if pooled else (run(chunk) for chunk in chunks)
@@ -562,7 +581,7 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
         for text, counts, error in results:
             out.write(text)
             out.flush()
-            stats.add(counts)
+            stats.add(tally(**counts))
             if error is not None:
                 raise error
     finally:
@@ -760,6 +779,14 @@ def cmd_eval(cfg: PipelineConfig, args: _Args) -> int:
 # ----------------------------------------------------------------- bench/gen
 
 
+def _synthetic(make: Callable, args: _Args, lexicon: PolarityLexicon, **options) -> Iterator:
+    try:  # synthetic_corpus or synthetic_trees, which build the first sentence at once
+        return make(args.sentences, args.length, lexicon, **options)
+    except (MemoryError, OverflowError):
+        raise ConfigError(f"--length {args.length} is too long: "
+                          "no sentence that long fits in memory") from None
+
+
 def cmd_bench(cfg: PipelineConfig, args: _Args) -> int:
     import json
     import warnings
@@ -776,8 +803,8 @@ def cmd_bench(cfg: PipelineConfig, args: _Args) -> int:
     if cfg.input is not None:
         source = _input_source(cfg)
     else:
-        source = list(synthetic_corpus(args.sentences, args.length, lexicon, seed=cfg.seed,
-                                       scheme=cfg.scheme))
+        source = list(_synthetic(synthetic_corpus, args, lexicon, seed=cfg.seed,
+                                 scheme=cfg.scheme))
     # run_bench warns a library caller of a small corpus; a user of the
     # command gets one plain line on stderr, also when the run then fails
     with warnings.catch_warnings(record=True) as caught:
@@ -808,11 +835,10 @@ def cmd_gen(cfg: PipelineConfig, args: _Args) -> int:
     # both generators check their arguments when called, so bad ones
     # raise before the output is opened and leave an -o file as it was
     if args.format == "bridge":
-        lines = synthetic_corpus(args.sentences, args.length, lexicon, seed=cfg.seed,
-                                 scheme=cfg.scheme)
+        lines = _synthetic(synthetic_corpus, args, lexicon, seed=cfg.seed, scheme=cfg.scheme)
         records = (line + "\n" for line in lines)
     else:
-        trees = synthetic_trees(args.sentences, args.length, lexicon, seed=cfg.seed)
+        trees = _synthetic(synthetic_trees, args, lexicon, seed=cfg.seed)
         records = (format_sentence(_with_sent_id_comment(tree)) + "\n\n" for tree in trees)
     with _open_output(cfg) as out:
         out.writelines(records)

@@ -9,11 +9,12 @@ once each and read as columns if every row has 10 columns, the IDs other
 than ranges and empty nodes are ``1``..``n`` as text and every HEAD is one
 of ``0``..``n``. Any other block is read a row at a time, to its first bad row.
 
-Where a sentence starts and ends is decided by one splitter,
-``split_blocks``, whatever the source. Paths and byte streams are read in
-chunks cut just past a blank line, so that a chunk holds whole sentences
-and goes through ``split_blocks`` on its own (``chunk_blocks``), in this
-process or in a pool worker. The first read is of 4 KiB, so that
+Where a sentence starts and ends follows one rule, ``split_blocks``'s,
+whatever the source. Paths and byte streams are read in chunks cut just
+past a blank line, so that a chunk holds whole sentences and is split on
+its own (``chunk_blocks``, by one C search per sentence where every blank
+line is empty), in this process or in a pool worker, whose parent counts
+the same blocks (``count_blocks``). The first read is of 4 KiB, so that
 the first sentences are soon done; each later read is twice the last, up
 to ``CHUNK_BYTES``. Bridge lines, one record per line, are read the same
 way and cut at any newline.
@@ -49,9 +50,6 @@ _BLANK_REACH = 16
 CHUNK_BYTES = 1 << 16
 # the first read, when CHUNK_BYTES is larger; each later one is twice the last
 FIRST_CHUNK_BYTES = 1 << 12
-# a line that may be whitespace as ``str.isspace`` sees it, after the newline
-# before it: each byte could be part of a whitespace character
-_MAYBE_SPACE_LINE = rb"\n([\t\x0b-\r\x1c- \x80-\xff]*)(?=\n)"
 # a UTF-8 byte order mark, dropped where it starts an input
 _BOM = b"\xef\xbb\xbf"
 # the reason ``parse_blocks`` skips a sentence, in the words that report it
@@ -167,13 +165,13 @@ def settings_lines(
 def split_blocks(lines: Iterable[Line], ordinal: int = 1, lineno: int = 1) -> Iterator[Block]:
     """Group lines into sentence blocks, ``(ordinal, first_line, [line, ...])``.
 
-    The only code that decides where a sentence starts and ends. Empty
-    lines and whitespace lines (as ``str.isspace`` sees them) end a block
-    and every other line joins it, so a block's lines are consecutive and
-    ``first_line`` numbers them all. The first block is sentence ``ordinal``
-    and the first line is line ``lineno``. A kept line loses its ``\\n`` and
-    then its trailing ``\\r``s. A line that is not valid UTF-8 stays
-    ``bytes``, so the sentence holding it fails when its block is parsed.
+    The rule ``chunk_blocks`` follows: empty lines and whitespace lines (as
+    ``str.isspace`` sees them) end a block and every other line joins it, so
+    a block's lines are consecutive and ``first_line`` numbers them all. The
+    first block is sentence ``ordinal`` and the first line is line
+    ``lineno``. A kept line loses its ``\\n`` and then its trailing ``\\r``s.
+    A line that is not valid UTF-8 stays ``bytes``, so the sentence holding
+    it fails when its block is parsed.
     """
     block: List[Line] = []
     for lineno, raw in enumerate(lines, start=lineno):
@@ -279,25 +277,8 @@ def _split_chunks(cuts: Iterable[bytes]) -> Iterator[List[Block]]:
 
 
 def count_blocks(data: bytes) -> int:
-    """How many blocks ``split_blocks`` finds in the lines of ``data``.
-
-    Each run of lines between blank ones is a block. A line is blank when
-    it is empty or whitespace as ``str.isspace`` sees it, ``\\r`` included;
-    a line that is not valid UTF-8 is not. Only lines of bytes that could
-    all be whitespace are decoded to tell.
-    """
-    import re  # on first use: only a pool's parent counts blocks
-
-    count = after = 0  # ``after``: where the line after the last blank one starts
-    for match in re.finditer(_MAYBE_SPACE_LINE, b"\n" + data + b"\n"):
-        line = match.group(1)
-        if line:
-            text = decode_line(line)
-            if text is None or not text.isspace():
-                continue
-        count += match.start() > after
-        after = match.end()
-    return count + (after < len(data))
+    """How many blocks ``chunk_blocks`` finds in ``data``, once its byte order mark is gone."""
+    return sum(1 for _ in _blocks(data, 1, 1))
 
 
 def _line_numbered(cuts: Iterable[bytes]) -> Iterator[LineChunk]:
@@ -339,19 +320,36 @@ def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
     yields them from the whole input.
 
     The chunk that starts at line 1 loses one leading byte order mark, as
-    ``iter_raw_lines`` drops it. The chunk is decoded once, and its lines,
-    split at ``\\n``, go to ``split_blocks`` numbered from the chunk's first
-    ordinal and line. A chunk that is not valid UTF-8 goes as the line
-    reader's bytes lines, each with its newline.
+    ``iter_raw_lines`` drops it. The chunk is decoded once and split at
+    ``\\n``, and its blocks are numbered from the chunk's first ordinal and
+    line.
     """
     ordinal, lineno, data = chunk
-    if lineno == 1:
-        data = data.removeprefix(_BOM)
+    return _blocks(data.removeprefix(_BOM) if lineno == 1 else data, ordinal, lineno)
+
+
+def _blocks(data: bytes, ordinal: int, lineno: int) -> Iterator[Block]:
+    # text with no "\r" and no whitespace line is cut at its empty lines; any
+    # other goes to ``split_blocks``, bytes that are not UTF-8 as bytes lines
     try:
-        lines: Iterable[Line] = data.decode("utf-8").split("\n")
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
-        lines = io.BytesIO(data)
-    return split_blocks(lines, ordinal, lineno)
+        return split_blocks(io.BytesIO(data), ordinal, lineno)
+    lines = text.split("\n")
+    if "\r" in text or any(map(str.isspace, lines)):
+        return split_blocks(lines, ordinal, lineno)
+    return _between_empty_lines(lines, ordinal, lineno)
+
+
+def _between_empty_lines(lines: List[str], ordinal: int, lineno: int) -> Iterator[Block]:
+    lines.append("")  # so that the last block ends at an empty line too
+    start, last = 0, len(lines) - 1
+    while start < last:
+        end = lines.index("", start)
+        if end > start:
+            yield ordinal, lineno + start, lines[start:end]
+            ordinal += 1
+        start = end + 1
 
 
 def _id_pair(raw_id: str, sep: str) -> bool:

@@ -352,10 +352,11 @@ class BridgeStats(_Tally):
     _fields = ("records", "skipped", "repairs")
 
     def __init__(self, records: int = 0, skipped: int = 0,
-                 repairs: RepairStats = RepairStats()) -> None:
+                 repairs: RepairStats | dict = RepairStats()) -> None:
         self.records = records
         self.skipped = skipped
-        self.repairs = repairs
+        # a dict of its fields, as a pool worker sends the repairs, is read as one
+        self.repairs = RepairStats(**repairs) if isinstance(repairs, dict) else repairs
 
 
 def _fields(

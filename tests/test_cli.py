@@ -5,6 +5,7 @@ import errno
 import gc
 import io
 import json
+import marshal
 import os
 import re
 import signal
@@ -393,6 +394,33 @@ def test_an_exception_in_a_worker_is_raised_with_its_type(tmp_path, small_chunks
         cli._write_records(job, _pool_corpus(tmp_path), 2, ReadStats(), out)
     # every line before the failing one, as one process writes them
     assert out.getvalue().splitlines() == [f"syn-{i}" for i in range(99)]
+    _no_child_left()
+
+
+def _crossing(number):
+    """A pool task whose result or error marshal cannot write, past its plain ones."""
+    if number == 5:
+        raise conllu.ConlluError("not valid UTF-8", number, 40)  # a data error
+    if number == 6:
+        raise KeyError(number)  # a fault of the program
+    return (ReadStats(sentences=number), number) if number % 2 else {"plain": [number]}
+
+
+def test_what_marshal_cannot_write_still_crosses_the_pool():
+    # plain values are marshal data; a record or an exception is a pickle
+    plain = (True, ("text", {"sentences": 2, "skipped_by": {"x": 1}}, None))
+    assert cli._frame(plain)[8:] == marshal.dumps(plain)
+    assert cli._unframe(cli._frame(plain)[8:]) == plain
+    assert cli._frame(ReadStats())[8:9] == b"\0"
+    assert list(cli._map_chunks(_crossing, range(5), 2)) == [
+        _crossing(number) for number in range(5)]
+    for chunks, error, args in [
+        (range(6), conllu.ConlluError, ("sentence 5 (line 40): not valid UTF-8",)),
+        ([0, 1, 2, 3, 4, 6], KeyError, (6,)),
+    ]:
+        with pytest.raises(error) as raised:
+            list(cli._map_chunks(_crossing, chunks, 2))
+        assert (type(raised.value), raised.value.args) == (error, args)
     _no_child_left()
 
 
@@ -1345,6 +1373,19 @@ def test_bench_cli_reports_structure(tmp_path, capsys):
 def test_bad_bench_and_gen_parameters_are_config_errors(tmp_path, capsys, argv, message):
     assert run(*argv, "-o", tmp_path / "out") == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# lengths past what a list can hold: they fail before anything is allocated
+@pytest.mark.parametrize("length", [2**61, 2**64])
+@pytest.mark.parametrize("argv", [
+    ("gen",), ("gen", "--format", "conllu"), ("bench", "--workers", 2),
+], ids=["gen", "gen-conllu", "bench"])
+def test_a_sentence_length_too_long_to_hold_is_a_config_error(tmp_path, capsys, argv, length):
+    out = tmp_path / "out"
+    assert run(*argv, "--sentences", 3, "--length", length, "-o", out) == 2
+    assert capsys.readouterr().err == (f"config error: --length {length} is too long: "
+                                       "no sentence that long fits in memory\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["bridge", "conllu"])

@@ -480,7 +480,7 @@ def chunks_of(source, size):
 
 
 def _uncalled(*args):
-    raise AssertionError("read_conllu counted the sentences of a chunk it splits")
+    raise AssertionError(f"a function the reader should not call was called with {args!r}")
 
 
 @settings(max_examples=300, deadline=None)
@@ -523,6 +523,40 @@ def test_the_counted_numbers_of_each_chunk_are_those_its_blocks_give(data):
             assert counted == (ordinal, line, counted[2])
             ordinal += sum(1 for _ in chunk_blocks(counted))
             line += counted[2].count(b"\n")
+
+
+@pytest.mark.parametrize("data", [
+    SIMPLE.encode() + SIMPLE.replace("s1", "s2").encode(),
+    b"\n\n" + SIMPLE.encode() + b"\n\n\n" + SIMPLE.replace("s1", "s\u00e9").encode("utf-8"),
+    BOM + SIMPLE.encode() + SIMPLE.rstrip("\n").encode(),  # no final newline
+    b"", b"\n\n\n", b"one line",
+], ids=["two", "empty-lines", "bom", "nothing", "newlines", "one-line"])
+def test_lf_lines_whose_blank_lines_are_empty_are_split_without_split_blocks(
+    monkeypatch, data
+):
+    first, later = (list(split_blocks(iter_raw_lines(io.BytesIO(data)), 3, lineno))
+                    for lineno in (1, 9))
+    monkeypatch.setattr(conllu, "split_blocks", _uncalled)
+    assert list(chunk_blocks((3, 1, data))) == first
+    # a chunk that does not start the input keeps a byte order mark: here it has none
+    assert list(chunk_blocks((3, 9, data.removeprefix(BOM)))) == later
+    assert count_blocks(data.removeprefix(BOM)) == len(first)
+
+
+@pytest.mark.parametrize("data", [
+    SIMPLE.replace("\n", "\r\n").encode(),
+    SIMPLE.encode() + b" \n" + SIMPLE.encode(),
+    SIMPLE.encode() + "\u3000\n".encode() + SIMPLE.encode(),
+    SIMPLE.encode() + b"\x1c\n" + SIMPLE.encode(),
+    SIMPLE.encode() + b"\xff\n\n" + SIMPLE.encode(),
+], ids=["crlf", "space-line", "ideographic-space-line", "file-separator-line", "not-utf-8"])
+def test_other_chunks_are_split_by_split_blocks(monkeypatch, data):
+    expected = list(split_blocks(iter_raw_lines(io.BytesIO(data))))
+    calls = []
+    split = conllu.split_blocks
+    monkeypatch.setattr(conllu, "split_blocks", lambda *args: calls.append(args) or split(*args))
+    assert list(chunk_blocks((1, 1, data))) == expected
+    assert count_blocks(data) == len(expected) and len(calls) == 2
 
 
 class _Reads(io.BytesIO):

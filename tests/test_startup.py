@@ -5,8 +5,12 @@ imports the evaluation and benchmark modules only for the commands that
 use them, the lexicon, rules and demo-data modules only for the commands
 that score, ``json`` only for eval and bench, which print their reports
 with it, and none of ``concurrent.futures``, ``multiprocessing``, ``pickle``
-and ``signal`` even when it forks a pool, which uses the C modules
-``_pickle`` and ``_signal``. None of analyze, aspects, encode and decode
+and ``signal`` even when it forks a pool, which uses the C module
+``_signal``. The pool's chunks and results cross as ``marshal`` data, and
+its parent counts each chunk's sentences with the splitter its workers use,
+so a pooled analyze, encode or decode loads neither ``_pickle`` nor ``re``
+either: ``_pickle`` is imported only for a message that ``marshal`` cannot
+write, such as an exception. None of analyze, aspects, encode and decode
 loads the standard modules that cost the most to import and that they can
 do without, argparse among them: the command line is read from a table of
 flags. None of them loads ``json``, ``re``, ``enum``, ``functools``,
@@ -44,7 +48,7 @@ UNUSED_BY_THE_HOT_COMMANDS = (
     "multiprocessing",
     # the forked pool's, which an input of one chunk does not start
     "select",
-    # nor does the pool load these: it uses their C cores, _pickle and _signal
+    # nor does the pool load these: it uses marshal and the C core _signal
     "pickle",
     "signal",
     "importlib.resources",
@@ -119,28 +123,45 @@ def test_analyze_encode_decode_leave_eval_bench_and_the_pool_unloaded(tmp_path):
 
 POOL_RUN = """
 import sys
-corpus, out, chunk_bytes = sys.argv[1], sys.argv[2], int(sys.argv[3])
+corpus, out, chunk_bytes, watched = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:]
 from treesent import conllu
 import treesent.cli
 conllu.CHUNK_BYTES = chunk_bytes
 chunks = sum(1 for _ in conllu._cuts(corpus, conllu._block_end))
-code = treesent.cli.main(["analyze", "--workers", "2", "-i", corpus, "-o", out])
-loaded = [m for m in ("concurrent.futures", "multiprocessing", "pickle", "signal")
-          if m in sys.modules]
+codes = [treesent.cli.main([*argv, "--workers", "2", "-i", source, "-o", f"{out}/{name}.2"])
+         for name, argv, source in [("analyze", ["analyze"], corpus),
+                                    ("explain", ["analyze", "--explain"], corpus),
+                                    ("encode", ["encode"], corpus),
+                                    ("decode", ["decode"], f"{out}/encode.2")]]
+loaded = [m for m in watched if m in sys.modules]
 import json
-print(json.dumps({"chunks": chunks, "code": code, "loaded": loaded}))
+print(json.dumps({"chunks": chunks, "codes": codes, "loaded": loaded}))
 """
+
+# what the pool's messages would cost if they were pickles, not marshal data
+PICKLE_MODULES = ("_pickle", "copyreg")
 
 
 def test_the_pool_loads_neither_concurrent_futures_nor_multiprocessing(tmp_path):
+    # nor re and what it imports: the parent counts the sentences of each chunk
+    # with the splitter the workers use
     from treesent.cli import main
 
     corpus = tmp_path / "pool.conllu"
     assert main(["gen", "--sentences", "200", "--length", "6", "--format", "conllu",
                  "-o", str(corpus)]) == 0
-    seen = _fresh_python(POOL_RUN, corpus, tmp_path / "out.jsonl", 4096)
-    assert seen["chunks"] >= 3 and (seen["code"], seen["loaded"]) == (0, [])
-    assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 200
+    watched = ("concurrent.futures", "multiprocessing", "pickle", "signal",
+               *UNUSED_BY_THE_LEAN_COMMANDS, *PICKLE_MODULES)
+    seen = _fresh_python(POOL_RUN, corpus, tmp_path, 4096, *watched)
+    assert seen["chunks"] >= 3 and (seen["codes"], seen["loaded"]) == ([0] * 4, [])
+    for name, argv in [("analyze", ["analyze"]), ("explain", ["analyze", "--explain"]),
+                       ("encode", ["encode"])]:
+        one = tmp_path / f"{name}.1"
+        assert main([*argv, "-i", str(corpus), "-o", str(one)]) == 0
+        assert (tmp_path / f"{name}.2").read_bytes() == one.read_bytes()
+    assert len((tmp_path / "analyze.2").read_text().splitlines()) == 200
+    assert (tmp_path / "encode.2").stat().st_size > 3 * 4096  # decode's pool runs too
+    assert (tmp_path / "decode.2").read_bytes() == corpus.read_bytes()
 
 
 # modules that only the scoring commands (analyze, aspects, eval, bench, gen) call
