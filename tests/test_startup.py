@@ -138,7 +138,7 @@ import json
 print(json.dumps({"chunks": chunks, "codes": codes, "loaded": loaded}))
 """
 
-# what the pool's messages would cost if they were pickles, not marshal data
+# what the pool would import if its messages were pickles, not marshal data
 PICKLE_MODULES = ("_pickle", "copyreg")
 
 
