@@ -37,8 +37,8 @@ records, then forks up to N workers, one as each of the next N chunks is
 sent, each fed chunks down a pipe as marshal data, and writes their
 records in input order, byte-identical to one worker; past the first
 chunk this process only cuts the input, counts the lines and sentences
-that number each chunk, and writes. A run that does not fork numbers each chunk from the
-blocks it split. Without os.fork the command runs in one process.
+that number each chunk, and writes. A run that does not fork numbers
+each chunk from the blocks it split. Without os.fork it is one process.
 
 The command line is read from one table of commands and flags
 (``_COMMANDS``), without argparse, and analyze, aspects, encode and decode
@@ -328,8 +328,7 @@ class _Worker:
 
 
 def _frame(value: object) -> bytes:
-    """``value`` as a length-prefixed pool message: its ``marshal`` data (a bytes-like
-    value reads back as ``bytes``), or a zero byte, which starts none, and its pickle."""
+    """``value`` as a length-prefixed pool message: marshal data, or a zero byte and a pickle."""
     try:
         data = marshal.dumps(value)
     except ValueError:  # an exception or another class's instance, such as bench's lexicon
@@ -413,13 +412,12 @@ def _ended(worker: _Worker) -> DataError:
 def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
     """``fn`` over ``chunks`` in ``workers`` forked processes, results in submission order.
 
-    Chunk k goes to worker k mod ``workers`` down its request pipe, and the
-    result comes back up its result pipe, each as a ``_frame`` message:
-    marshal data, or a pickle for what marshal cannot write. Worker k is
-    forked when chunk k is sent, so that a short input starts no idle
-    worker. ``fn`` is inherited through the fork, never sent. At most
-    ``2 * workers`` chunks are in flight, so memory stays bounded however
-    long the input is. An exception ``fn`` raises is raised
+    Chunk k goes to worker k mod ``workers`` down its request pipe and the
+    result comes back up its result pipe, each as a ``_frame`` message.
+    Worker k is forked when chunk k is sent, so that a short input starts
+    no idle worker. ``fn`` is inherited through the fork, never sent. At
+    most ``2 * workers`` chunks are in flight, so memory stays bounded
+    however long the input is. An exception ``fn`` raises is raised
     here with its own type; a worker that dies first is a ``DataError`` naming
     its exit status. However the generator ends, every worker has been reaped
     when it does. Without ``os.fork``, ``fn`` runs in this process.
@@ -506,12 +504,24 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
                 os.waitpid(w.pid, 0)
 
 
+def _plain(record: _Record) -> Dict[str, object]:
+    """``record``'s fields by name, a record among them as its own ``_plain`` dict."""
+    return {name: _plain(value) if isinstance(value := getattr(record, name), _Record) else value
+            for name in record._fields}
+
+
+def _rebuilt(like: _Record, fields: Dict[str, object]) -> _Record:
+    """The record of ``like``'s type, and of its fields' types, that ``_plain`` gave ``fields``."""
+    return type(like)(**{name: _rebuilt(field, value)
+                         if isinstance(field := getattr(like, name), _Record) else value
+                         for name, value in fields.items()})
+
+
 def _run_chunk(
     job: Job, split: Callable, tally: type, chunk
 ) -> Tuple[str, Dict[str, object], Optional[Exception]]:
     """Pool task: the output lines of ``job`` over ``split(chunk)`` as one
-    text, the chunk's ``tally`` as plain values, a record among them as a
-    dict, that ``tally(**counts)`` takes, and the exception that ended it.
+    text, the chunk's ``_plain`` tally, and the exception that ended it.
 
     Lines before a bad record, or before a fault of the program, are
     returned with its exception, so the parent writes exactly what a single
@@ -523,9 +533,7 @@ def _run_chunk(
             lines.append(line)
     except Exception as exc:
         error = exc
-    counts = {name: vars(value) if isinstance(value, _Record) else value
-              for name, value in vars(stats).items()}
-    return "".join(lines), counts, error
+    return "".join(lines), _plain(stats), error
 
 
 def _parent_first(run: Callable, chunks: Iterator, workers: int) -> Iterator:
@@ -581,7 +589,7 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
         for text, counts, error in results:
             out.write(text)
             out.flush()
-            stats.add(tally(**counts))
+            stats.add(_rebuilt(stats, counts))
             if error is not None:
                 raise error
     finally:
@@ -783,8 +791,7 @@ def _synthetic(make: Callable, args: _Args, lexicon: PolarityLexicon, **options)
     try:  # synthetic_corpus or synthetic_trees, which build the first sentence at once
         return make(args.sentences, args.length, lexicon, **options)
     except (MemoryError, OverflowError):
-        raise ConfigError(f"--length {args.length} is too long: "
-                          "no sentence that long fits in memory") from None
+        raise ConfigError(f"--length {args.length} is too long to fit in memory") from None
 
 
 def cmd_bench(cfg: PipelineConfig, args: _Args) -> int:
@@ -803,8 +810,7 @@ def cmd_bench(cfg: PipelineConfig, args: _Args) -> int:
     if cfg.input is not None:
         source = _input_source(cfg)
     else:
-        source = list(_synthetic(synthetic_corpus, args, lexicon, seed=cfg.seed,
-                                 scheme=cfg.scheme))
+        source = list(_synthetic(synthetic_corpus, args, lexicon, seed=cfg.seed, scheme=cfg.scheme))
     # run_bench warns a library caller of a small corpus; a user of the
     # command gets one plain line on stderr, also when the run then fails
     with warnings.catch_warnings(record=True) as caught:

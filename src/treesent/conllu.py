@@ -12,12 +12,11 @@ of ``0``..``n``. Any other block is read a row at a time, to its first bad row.
 Where a sentence starts and ends follows one rule, ``split_blocks``'s,
 whatever the source. Paths and byte streams are read in chunks cut just
 past a blank line, so that a chunk holds whole sentences and is split on
-its own (``chunk_blocks``, by one C search per sentence where every blank
-line is empty), in this process or in a pool worker, whose parent counts
-the same blocks (``count_blocks``). The first read is of 4 KiB, so that
-the first sentences are soon done; each later read is twice the last, up
-to ``CHUNK_BYTES``. Bridge lines, one record per line, are read the same
-way and cut at any newline.
+its own (``chunk_blocks``), in this process or in a pool worker, whose
+parent counts its blocks (``count_blocks``). The first read is of 4 KiB,
+so that the first sentences are soon done; each later read is twice the
+last, up to ``CHUNK_BYTES``. Bridge lines, one record per line, are read
+the same way and cut at any newline.
 """
 
 from __future__ import annotations
@@ -320,28 +319,24 @@ def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
     yields them from the whole input.
 
     The chunk that starts at line 1 loses one leading byte order mark, as
-    ``iter_raw_lines`` drops it. The chunk is decoded once and split at
-    ``\\n``, and its blocks are numbered from the chunk's first ordinal and
-    line.
+    ``iter_raw_lines`` drops it. Its blocks are numbered from the chunk's
+    first ordinal and line.
     """
     ordinal, lineno, data = chunk
     return _blocks(data.removeprefix(_BOM) if lineno == 1 else data, ordinal, lineno)
 
 
 def _blocks(data: bytes, ordinal: int, lineno: int) -> Iterator[Block]:
-    # text with no "\r" and no whitespace line is cut at its empty lines; any
-    # other goes to ``split_blocks``, bytes that are not UTF-8 as bytes lines
+    # split_blocks' blocks: bytes that are not UTF-8 go to it; text is cut at its empty
+    # lines, one C search per block, once whitespace lines are "" and "\r"s end no line
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
-        return split_blocks(io.BytesIO(data), ordinal, lineno)
+        yield from split_blocks(io.BytesIO(data), ordinal, lineno)
+        return
     lines = text.split("\n")
     if "\r" in text or any(map(str.isspace, lines)):
-        return split_blocks(lines, ordinal, lineno)
-    return _between_empty_lines(lines, ordinal, lineno)
-
-
-def _between_empty_lines(lines: List[str], ordinal: int, lineno: int) -> Iterator[Block]:
+        lines = ["" if line.isspace() else line.rstrip("\r") for line in lines]
     lines.append("")  # so that the last block ends at an empty line too
     start, last = 0, len(lines) - 1
     while start < last:

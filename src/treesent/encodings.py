@@ -352,11 +352,10 @@ class BridgeStats(_Tally):
     _fields = ("records", "skipped", "repairs")
 
     def __init__(self, records: int = 0, skipped: int = 0,
-                 repairs: RepairStats | dict = RepairStats()) -> None:
+                 repairs: RepairStats = RepairStats()) -> None:
         self.records = records
         self.skipped = skipped
-        # a dict of its fields, as a pool worker sends the repairs, is read as one
-        self.repairs = RepairStats(**repairs) if isinstance(repairs, dict) else repairs
+        self.repairs = repairs
 
 
 def _fields(

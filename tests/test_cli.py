@@ -424,6 +424,20 @@ def test_what_marshal_cannot_write_still_crosses_the_pool():
     _no_child_left()
 
 
+def test_a_chunks_tally_crosses_the_pool_as_marshal_data_and_reads_back_equal():
+    from treesent.encodings import BridgeStats, RepairStats
+
+    for stats in [
+        ReadStats(sentences=4, skipped=2, dropped_ranges=1, skipped_by={"unreadable": 2}),
+        BridgeStats(records=5, skipped=1, repairs=RepairStats(out_of_range=2, cycles_broken=1)),
+    ]:
+        plain = cli._plain(stats)
+        assert cli._frame(plain)[8:] == marshal.dumps(plain)
+        back = cli._rebuilt(type(stats)(), marshal.loads(marshal.dumps(plain)))
+        assert back == stats and type(back) is type(stats)
+    assert type(back.repairs) is RepairStats
+
+
 def test_an_input_of_at_most_one_full_chunk_forks_no_worker(tmp_path, capsys, monkeypatch):
     forks, fork = [], os.fork
 
@@ -1383,8 +1397,8 @@ def test_bad_bench_and_gen_parameters_are_config_errors(tmp_path, capsys, argv, 
 def test_a_sentence_length_too_long_to_hold_is_a_config_error(tmp_path, capsys, argv, length):
     out = tmp_path / "out"
     assert run(*argv, "--sentences", 3, "--length", length, "-o", out) == 2
-    assert capsys.readouterr().err == (f"config error: --length {length} is too long: "
-                                       "no sentence that long fits in memory\n")
+    err = capsys.readouterr().err
+    assert err == f"config error: --length {length} is too long to fit in memory\n"
     assert not out.exists()
 
 

@@ -530,10 +530,13 @@ def test_the_counted_numbers_of_each_chunk_are_those_its_blocks_give(data):
     b"\n\n" + SIMPLE.encode() + b"\n\n\n" + SIMPLE.replace("s1", "s\u00e9").encode("utf-8"),
     BOM + SIMPLE.encode() + SIMPLE.rstrip("\n").encode(),  # no final newline
     b"", b"\n\n\n", b"one line",
-], ids=["two", "empty-lines", "bom", "nothing", "newlines", "one-line"])
-def test_lf_lines_whose_blank_lines_are_empty_are_split_without_split_blocks(
-    monkeypatch, data
-):
+    SIMPLE.replace("\n", "\r\n").encode() + b"\r\r\n" + SIMPLE.encode(),
+    SIMPLE.replace("_\n", "_ \r\r\n").encode() + b" \r\n\t\n" + SIMPLE.encode(),
+    SIMPLE.encode() + "\u3000\n".encode() + SIMPLE.encode() + b"\x1c\n" + SIMPLE.encode(),
+    b"a\rb\n\r\nc\r", b"\x0b\n\x0c\n \n" + SIMPLE.encode(),
+], ids=["two", "empty-lines", "bom", "nothing", "newlines", "one-line", "crlf",
+        "kept-lines-end-in-space-and-crs", "unicode-space-lines", "inner-cr", "ascii-space-lines"])
+def test_text_chunks_are_split_without_split_blocks(monkeypatch, data):
     first, later = (list(split_blocks(iter_raw_lines(io.BytesIO(data)), 3, lineno))
                     for lineno in (1, 9))
     monkeypatch.setattr(conllu, "split_blocks", _uncalled)
@@ -543,14 +546,8 @@ def test_lf_lines_whose_blank_lines_are_empty_are_split_without_split_blocks(
     assert count_blocks(data.removeprefix(BOM)) == len(first)
 
 
-@pytest.mark.parametrize("data", [
-    SIMPLE.replace("\n", "\r\n").encode(),
-    SIMPLE.encode() + b" \n" + SIMPLE.encode(),
-    SIMPLE.encode() + "\u3000\n".encode() + SIMPLE.encode(),
-    SIMPLE.encode() + b"\x1c\n" + SIMPLE.encode(),
-    SIMPLE.encode() + b"\xff\n\n" + SIMPLE.encode(),
-], ids=["crlf", "space-line", "ideographic-space-line", "file-separator-line", "not-utf-8"])
-def test_other_chunks_are_split_by_split_blocks(monkeypatch, data):
+def test_chunks_that_are_not_utf_8_are_split_by_split_blocks(monkeypatch):
+    data = SIMPLE.encode() + b"\xff\r\n \n" + SIMPLE.replace("\n", "\r\n").encode()
     expected = list(split_blocks(iter_raw_lines(io.BytesIO(data))))
     calls = []
     split = conllu.split_blocks
