@@ -23,7 +23,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .conllu import iter_raw_lines
-from .encodings import BridgeStats, Scheme, _parse_tagger_lines, encode, format_tagger_line
+from .encodings import BridgeStats, Scheme, _parse_tagger_lines, _tagger_line
 from .lexicon import PolarityLexicon
 from .rules import CLASSES, RuleConfig, analyze
 from .tree import ConfigError, DepTree, random_projective_tree
@@ -145,7 +145,7 @@ def synthetic_corpus(
     """Deterministic bridge lines: same arguments, same corpus. Bad
     arguments raise here, not on first use."""
     trees = synthetic_trees(sentences, length, lexicon, seed)
-    return (format_tagger_line(tree, encode(tree, scheme)) for tree in trees)
+    return (_tagger_line(tree, scheme) for tree in trees)
 
 
 def _bench_chunk(args) -> tuple:

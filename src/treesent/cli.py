@@ -645,7 +645,7 @@ def cmd_analyze(cfg: PipelineConfig, args: _Args) -> int:
 
 
 def cmd_encode(cfg: PipelineConfig) -> int:
-    from .encodings import NonProjectiveError, UnreadableFieldError, encode, format_tagger_line
+    from .encodings import NonProjectiveError, UnreadableFieldError, _tagger_line
 
     scheme = cfg.scheme
     # the skip reason of each error type, in the order their tallies are printed
@@ -655,7 +655,7 @@ def cmd_encode(cfg: PipelineConfig) -> int:
 
     def line(tree: DepTree) -> str:
         try:
-            return format_tagger_line(tree, encode(tree, scheme)) + "\n"
+            return _tagger_line(tree, scheme) + "\n"
         except ValueError as exc:  # crossing arcs, or a field the line cannot carry
             raise _Skip(str(exc), reasons.get(type(exc), reasons[ValueError])) from None
 

@@ -358,29 +358,35 @@ _NUMBER_TEXT: Tuple[str, ...] = ("0",)
 _NUMBER = {"0": 0}
 
 
+def _number_text(n: int) -> Tuple[str, ...]:
+    """``_NUMBER_TEXT``, grown first if it does not reach ``n``."""
+    global _NUMBER_TEXT
+    if n >= len(_NUMBER_TEXT):
+        _NUMBER_TEXT = tuple(map(str, range(n + 1)))
+        _NUMBER.update(zip(_NUMBER_TEXT, range(n + 1)))
+    return _NUMBER_TEXT
+
+
 def _regular_columns(rows: List[List[str]], stats: ReadStats) -> Optional[tuple]:
     """FORM, LEMMA, UPOS, HEAD and DEPREL of token rows, split at tabs, that
     pass the whole-block tests, else None. Ranges and empty nodes are
     tallied only when all pass."""
-    global _NUMBER_TEXT
     try:
         columns = list(zip(*rows, strict=True))
     except ValueError:  # rows of unequal length
         return None
     if len(columns) != _COLUMNS:
         return None
-    if len(rows) >= len(_NUMBER_TEXT):
-        _NUMBER_TEXT = tuple(map(str, range(len(rows) + 1)))
-        _NUMBER.update(zip(_NUMBER_TEXT, range(len(rows) + 1)))
+    numbers = _number_text(len(rows))
     ranges = empty_nodes = 0
-    if columns[0] != _NUMBER_TEXT[1:len(rows) + 1]:  # leave out ranges and empty nodes
+    if columns[0] != numbers[1:len(rows) + 1]:  # leave out ranges and empty nodes
         dropped = list(filterfalse(str.isdecimal, columns[0]))
         ranges = sum(_id_pair(raw_id, "-") for raw_id in dropped)
         empty_nodes = sum(_id_pair(raw_id, ".") for raw_id in dropped)
         rows = list(compress(rows, map(str.isdecimal, columns[0])))
         columns = list(zip(*rows))
         if (ranges + empty_nodes < len(dropped) or not rows
-                or columns[0] != _NUMBER_TEXT[1:len(rows) + 1]):
+                or columns[0] != numbers[1:len(rows) + 1]):
             return None
     try:
         heads = tuple(map(_NUMBER.__getitem__, columns[6]))
@@ -503,13 +509,13 @@ def read_conllu(
 
 def format_sentence(tree: DepTree) -> str:
     """Serialize one tree to a CoNLL-U block (no trailing blank line)."""
-    out = []
-    for key, value in tree.metadata.items():
-        out.append(f"# {key}" if value is None else f"# {key} = {value}")
-    for i, form, lemma, upos, head, deprel in zip(
-        range(1, len(tree) + 1), tree.forms, tree.lemmas, tree.upos, tree.heads, tree.deprels
-    ):
-        out.append(f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_")
+    out = [f"# {key}" if value is None else f"# {key} = {value}"
+           for key, value in tree.metadata.items()]
+    number = _number_text(len(tree))  # ids and heads as text, each a tuple lookup
+    out += [f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{number[head]}\t{deprel}\t_\t_"
+            for i, form, lemma, upos, head, deprel in zip(
+                number[1:len(tree) + 1], tree.forms, tree.lemmas, tree.upos, tree.heads,
+                tree.deprels)]
     return "\n".join(out)
 
 

@@ -16,13 +16,17 @@ Three per-word label schemes, all invertible on well-formed input:
 
 Decoding never fails: implausible head proposals are normalized by
 ``repair``, which counts what it had to change.
+
+Labels are built at the API edge, where a ``LabelSeq`` is taken or returned.
+Inside, the codec works on columns, one sequence per field with an entry per
+token, so the encode command builds labels only for a line that trips a
+read-back screen, and the decode command never pairs forms with tags.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import repeat
-from operator import itemgetter
 
 from .conllu import _ON_ERROR, decode_line, iter_raw_lines
 from .tree import (_BRACKETS, _REL_OFFSET, _REL_POS, DataError, DepTree, LineError, Scheme,
@@ -147,8 +151,9 @@ def _positions(upos: Sequence[str]) -> dict[str, list[int]]:
     return where
 
 
-def encode(tree: DepTree, scheme: Scheme) -> LabelSeq:
-    """Labels for a validated tree. BRACKETS requires projectivity."""
+def _columns(tree: DepTree, scheme: Scheme) -> tuple[Sequence[Payload], Sequence[str]]:
+    """The payload and the relation of each token of a validated tree, as two
+    columns. BRACKETS requires projectivity."""
     heads = tree.heads
     deprels: Sequence[str] = tree.deprels
     payloads: list[Payload]
@@ -192,10 +197,19 @@ def encode(tree: DepTree, scheme: Scheme) -> LabelSeq:
         deprels = ["root" if head == 0 else deprel for head, deprel in zip(heads, deprels)]
     else:  # pragma: no cover
         raise ValueError(f"unhandled scheme {scheme}")
+    return payloads, deprels
+
+
+def _labels(scheme: Scheme, payloads: Sequence[Payload], deprels: Sequence[str]) -> tuple:
+    """One label per payload and relation."""
     # tuple.__new__ makes the same label SyntaxLabel(...) makes, in a C-level
     # loop without a call to the named tuple's Python __new__ per label
-    labels = map(tuple.__new__, repeat(SyntaxLabel), zip(repeat(scheme), payloads, deprels))
-    return LabelSeq._trusted(labels=tuple(labels), scheme=scheme)
+    return tuple(map(tuple.__new__, repeat(SyntaxLabel), zip(repeat(scheme), payloads, deprels)))
+
+
+def encode(tree: DepTree, scheme: Scheme) -> LabelSeq:
+    """Labels for a validated tree. BRACKETS requires projectivity."""
+    return LabelSeq._trusted(labels=_labels(scheme, *_columns(tree, scheme)), scheme=scheme)
 
 
 def repair(proposals: Sequence[int | None], n: int) -> tuple[list[int], RepairStats]:
@@ -252,19 +266,16 @@ def repair(proposals: Sequence[int | None], n: int) -> tuple[list[int], RepairSt
     return heads[1:], stats
 
 
-def _propose_heads(seq: LabelSeq, upos: Sequence[str]) -> list[int | None]:
-    n = len(seq.labels)
-    scheme = seq.scheme
-    if scheme is Scheme.REL_OFFSET:
-        return [0 if lab.payload == 0 else i + lab.payload
-                for i, lab in enumerate(seq.labels, start=1)]
-    if scheme is Scheme.REL_POS:
+def _propose_heads(scheme: Scheme, payloads: Sequence[Payload],
+                   upos: Sequence[str]) -> list[int | None]:
+    if scheme is _REL_OFFSET:
+        return [0 if k == 0 else i + k for i, k in enumerate(payloads, start=1)]
+    if scheme is _REL_POS:
         # the k-th match outward from i is a fixed offset from where i
         # would be inserted among the positions of its tag
         where = _positions(upos)
         proposals: list[int | None] = []
-        for i, lab in enumerate(seq.labels, start=1):
-            tag, k = lab.payload
+        for i, (tag, k) in enumerate(payloads, start=1):
             if tag == ROOT_UPOS and k == 0:
                 proposals.append(0)
                 continue
@@ -278,11 +289,10 @@ def _propose_heads(seq: LabelSeq, upos: Sequence[str]) -> list[int | None]:
         return proposals
     # BRACKETS: scan both planes left to right, stacks give nearest-open
     # matching. Tokens never assigned a head become root proposals.
-    proposals = [None] * n
+    proposals = [None] * len(payloads)
     left_stack: list[int] = []
     right_stack: list[int] = []
-    for i, lab in enumerate(seq.labels, start=1):
-        sym: str = lab.payload
+    for i, sym in enumerate(payloads, start=1):
         pos = 0
         while pos < len(sym) and sym[pos] == "\\":
             if left_stack:
@@ -322,9 +332,15 @@ def decode(
     if not all(upos):
         first = next(i for i, tag in enumerate(upos, start=1) if not tag)
         raise TreeError(f"token {first}: empty upos")
-    proposals = _propose_heads(seq, upos)
-    heads, stats = repair(proposals, n)
-    deprels = tuple([lab.deprel for lab in seq.labels])
+    return _decode(seq.scheme, seq.labels, forms, upos, sentence_id)
+
+
+def _decode(scheme: Scheme, labels: Sequence[SyntaxLabel], forms: tuple[str, ...],
+            upos: tuple[str, ...], sentence_id: str) -> DecodeResult:
+    """``decode`` over columns: at least one label, all in ``scheme``, with one
+    form and one non-empty UPOS tag per label."""
+    _, payloads, deprels = zip(*labels)
+    heads, stats = repair(_propose_heads(scheme, payloads, upos), len(labels))
     # repair() returns in-range, single-rooted, acyclic heads, one per
     # label, so the tree is valid without checking it again
     tree = DepTree._trusted(forms, forms, upos, tuple(heads), deprels, sentence_id)
@@ -358,10 +374,9 @@ class BridgeStats(_Tally):
         self.repairs = repairs
 
 
-def _fields(
-    scheme: Scheme, forms: Sequence[str], upos: Sequence[str], labels: Sequence[SyntaxLabel]
-) -> list[str]:
-    """``form/upos/label`` per token, one comprehension per scheme.
+def _fields(scheme: Scheme, forms: Sequence[str], upos: Sequence[str],
+            payloads: Sequence[Payload], deprels: Sequence[str]) -> list[str]:
+    """``form/upos/label`` per token from its columns, one comprehension per scheme.
 
     This is the one spelling of label texts: ``<k>:<deprel>`` for
     REL_OFFSET, ``<tag>,<k>:<deprel>`` for REL_POS and
@@ -369,17 +384,17 @@ def _fields(
     """
     if scheme is _REL_OFFSET:
         return [f"{f}/{u}/{k:+d}:{r}" if k else f"{f}/{u}/0:{r}"
-                for f, u, (_, k, r) in zip(forms, upos, labels)]
+                for f, u, k, r in zip(forms, upos, payloads, deprels)]
     if scheme is _REL_POS:
         return [f"{f}/{u}/{t},{k:+d}:{r}" if k else f"{f}/{u}/{t},0:{r}"
-                for f, u, (_, (t, k), r) in zip(forms, upos, labels)]
-    return [f"{f}/{u}/{s}:{r}" for f, u, (_, s, r) in zip(forms, upos, labels)]
+                for f, u, (t, k), r in zip(forms, upos, payloads, deprels)]
+    return [f"{f}/{u}/{s}:{r}" for f, u, s, r in zip(forms, upos, payloads, deprels)]
 
 
 def format_label(label: SyntaxLabel) -> str:
     """The text of one label, as a bridge line spells it."""
     # the field of an empty form and upos is "//" and then the label text
-    return _fields(label.scheme, ("",), ("",), (label,))[0][2:]
+    return _fields(label.scheme, ("",), ("",), (label.payload,), (label.deprel,))[0][2:]
 
 
 # Non-greedy form: the earliest form/upos split that lets the whole field
@@ -456,7 +471,6 @@ class UnreadableFieldError(ValueError):
     """A bridge line field that ``parse_tagger_output`` would misread."""
 
 
-_DEPREL_OF = itemgetter(2)
 # UPOS characters that can make a field read back wrong: '/' splits it, ',' or
 # ':' a REL_POS label naming the tag, and bracket symbols let a '/' in the form
 # be the earliest form/upos split that parses (see _BRACKET_FIELD)
@@ -473,38 +487,49 @@ def format_tagger_line(tree: DepTree, seq: LabelSeq) -> str:
     """
     if len(seq.labels) != len(tree):
         raise ValueError("label count does not match sentence length")
+    _, payloads, deprels = zip(*seq.labels)
+    return _line(tree, seq.scheme, payloads, deprels)
+
+
+def _tagger_line(tree: DepTree, scheme: Scheme) -> str:
+    """``format_tagger_line(tree, encode(tree, scheme))``, from the label columns."""
+    return _line(tree, scheme, *_columns(tree, scheme))
+
+
+def _line(tree: DepTree, scheme: Scheme, payloads: Sequence, deprels: Sequence[str]) -> str:
+    """``format_tagger_line`` over label columns, one per token of ``tree``."""
     sent_id = tree.sentence_id or "s"
-    fields = _fields(seq.scheme, tree.forms, tree.upos, seq.labels)
+    fields = _fields(scheme, tree.forms, tree.upos, payloads, deprels)
     if _has_space(sent_id) or _has_space("".join(fields)):
-        raise _whitespace_error(sent_id, tree, seq)
+        raise _whitespace_error(sent_id, tree, _labels(scheme, payloads, deprels))
     # every line that could read back wrong, found without a Python loop per
     # token, given that a REL_POS label's tag is a UPOS tag of the sentence
     if (
         "" in tree.forms
-        or any(map("".join(tree.upos).__contains__, _RISKY_UPOS[seq.scheme]))
-        or "/" in "".join(map(_DEPREL_OF, seq.labels))
+        or any(map("".join(tree.upos).__contains__, _RISKY_UPOS[scheme]))
+        or "/" in "".join(deprels)
     ):
-        _check_read_back(tree, seq, fields)
+        _check_read_back(tree, scheme, _labels(scheme, payloads, deprels), fields)
     return sent_id + "\t" + " ".join(fields)
 
 
-def _whitespace_error(sent_id: str, tree: DepTree, seq: LabelSeq) -> ValueError:
+def _whitespace_error(sent_id: str, tree: DepTree, labels: Sequence[SyntaxLabel]) -> ValueError:
     """The error naming the first part of a bridge line that holds whitespace."""
     named = [("sentence id", sent_id)]
-    for i, (form, upos, label) in enumerate(zip(tree.forms, tree.upos, seq.labels), start=1):
+    for i, (form, upos, label) in enumerate(zip(tree.forms, tree.upos, labels), start=1):
         named += [(f"token {i}: form", form), (f"token {i}: upos", upos),
                   (f"token {i}: label", format_label(label))]
     what, text = next((what, text) for what, text in named if _has_space(text))
     return ValueError(f"{what} {text!r} contains whitespace")
 
 
-def _check_read_back(tree: DepTree, seq: LabelSeq, fields: list[str]) -> None:
+def _check_read_back(tree: DepTree, scheme: Scheme, labels: Sequence, fields: list[str]) -> None:
     """Read ``fields`` back as ``parse_tagger_output`` does, and raise
     ``UnreadableFieldError`` on the first that reads back as something else."""
-    written = zip(tree.forms, tree.upos, seq.labels)
+    written = zip(tree.forms, tree.upos, labels)
     for i, (field, word) in enumerate(zip(fields, written), start=1):
         try:
-            misread = _parse_field(field, seq.scheme) != word
+            misread = _parse_field(field, scheme) != word
         except ValueError:
             misread = True
         if misread:
@@ -575,16 +600,10 @@ def _parse_bridge_line(
     sent_id, tab, rest = line.partition("\t")
     if not tab or not rest.strip():
         raise BridgeError("expected 'sent_id<TAB>token fields'", lineno)
-    fields = rest.split(" ")
-    words: list[tuple[str, str]] = []
-    labels: list[SyntaxLabel] = []
-    for field_text in fields:
-        try:
-            form, upos, label = _parse_field(field_text, scheme, known)
-        except ValueError as exc:
-            raise BridgeError(str(exc), lineno) from None
-        words.append((form, upos))
-        labels.append(label)
+    try:
+        forms, upos, labels = zip(*[_parse_field(text, scheme, known) for text in rest.split(" ")])
+    except ValueError as exc:
+        raise BridgeError(str(exc), lineno) from None
     # _parse_field gives every label this scheme and a payload of its type;
     # only the bracket symbol order is left to check
     if scheme is _BRACKETS:
@@ -595,8 +614,8 @@ def _parse_bridge_line(
         # last, so that every other fault keeps its message; a tab in a form
         # or relation would split its CoNLL-U column in two
         raise BridgeError("tab inside the token fields", lineno)
-    seq = LabelSeq._trusted(labels=tuple(labels), scheme=scheme)
-    result = decode(seq, words, sentence_id=sent_id)
+    result = _decode(scheme, labels, forms, upos, sent_id)
     stats.records += 1
-    stats.repairs = stats.repairs + result.repairs
-    return seq, result
+    if result.repairs.total:
+        stats.repairs = stats.repairs + result.repairs
+    return LabelSeq._trusted(labels=labels, scheme=scheme), result

@@ -267,7 +267,8 @@ def _scan_rel_pos(seq, upos):
 def test_rel_pos_proposals_match_outward_scan(case):
     seq, words = case
     upos = [tag for _, tag in words]
-    assert _propose_heads(seq, upos) == _scan_rel_pos(seq, upos)
+    payloads = [lab.payload for lab in seq.labels]
+    assert _propose_heads(seq.scheme, payloads, upos) == _scan_rel_pos(seq, upos)
 
 
 @settings(max_examples=300, deadline=None)
@@ -859,6 +860,101 @@ def test_format_rejects_one_fault_exactly_when_it_would_not_read_back(scheme):
     for tree, seq in _one_fault_cases(scheme):
         got = _line_outcome(format_tagger_line, tree, seq)
         assert got == _line_outcome(_reference_line, tree, seq), (tree, seq)
+
+
+# -- the encode command's column path against the label API -----------------
+
+def _call_outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message of its ValueError."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _column_cases(draw):
+    """A tree, projective or not, whose forms may hold '/' or be empty, whose
+    UPOS tags may hold ',', ':', '\\' or '<', whose relations may hold '/' and
+    whose sentence id may hold whitespace."""
+    n = draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 10_000))
+    shape = draw(st.sampled_from([random_tree, random_projective_tree]))(n, seed)
+    text = st.text("ab/,:\\<>@0 ", min_size=1, max_size=5)
+
+    def column(*specials):
+        return st.lists(st.one_of(st.sampled_from(["x", "y"]), text, st.sampled_from(specials)),
+                        min_size=n, max_size=n)
+
+    return DepTree.build(
+        list(shape.heads),
+        forms=draw(column("", "a/b", "/", "a/b/0:@x")),
+        upos=draw(column("NOUN", "A,B", "A:B", "\\", "<", "NO/UN")),
+        deprels=draw(column("nmod:poss", "a/b", "/")),
+        sentence_id=draw(st.sampled_from(["", "s1", "a b", "a\tb", "s\u3000"])),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(_column_cases())
+@example(DepTree.build([2, 0], forms=["a/b", "c"], upos=["<", "X"], sentence_id="s"))
+@example(DepTree.build([3, 4, 0, 3], sentence_id="a b"))
+def test_the_encode_commands_line_is_format_tagger_line_of_encode(tree):
+    # encodings._tagger_line is the line function of the encode command: the
+    # same line, or the same error and message, in every scheme; and a line it
+    # writes reads back to what decode makes of the labels and words
+    words = list(zip(tree.forms, tree.upos))
+    for scheme in Scheme:
+        line = _call_outcome(encodings._tagger_line, tree, scheme)
+        assert line == _call_outcome(lambda: format_tagger_line(tree, encode(tree, scheme)))
+        if isinstance(line, str):
+            seq = encode(tree, scheme)
+            expected = [(seq, decode(LabelSeq(seq.labels, scheme), words, tree.sentence_id or "s"))]
+            assert list(parse_tagger_output([line], scheme, on_error="abort")) == expected
+
+
+def _uncalled(*args, **kwargs):
+    raise AssertionError(f"a function the encoder should not call was called with {args!r}")
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=str)
+def test_a_line_without_risky_fields_is_written_without_labels(scheme, monkeypatch):
+    tree = DepTree.build([0, 1, 2], forms=["a/b", "good", "phone"], sentence_id="s1")
+    expected = format_tagger_line(tree, encode(tree, scheme))
+    monkeypatch.setattr(LabelSeq, "_trusted", _uncalled)
+    monkeypatch.setattr(encodings, "_check_read_back", _uncalled)
+    # a '/' in a form alone reads back: the reader splits at the last two
+    assert encodings._tagger_line(tree, scheme) == expected
+
+
+# each change, and the schemes whose screens send its line to _check_read_back
+_RISKY_CHANGES = {
+    "empty-form": ({"forms": ["a/b", ""]}, list(Scheme)),
+    "slash-form-bracket-upos": ({"forms": ["a/b", "c"], "upos": ["<", "X"]}, [Scheme.BRACKETS]),
+    "slash-upos": ({"upos": ["X", "NO/UN"]}, list(Scheme)),
+    "comma-upos": ({"upos": ["X", "A,B"]}, [Scheme.REL_POS]),
+    "colon-upos": ({"upos": ["X", "A:B"]}, [Scheme.REL_POS]),
+    "backslash-upos": ({"upos": ["X", "\\"]}, [Scheme.BRACKETS]),
+    "slash-deprel": ({"deprels": ["root", "a/b"]}, list(Scheme)),
+}
+
+
+@pytest.mark.parametrize("change, scheme", [
+    pytest.param(change, scheme, id=f"{name}-{scheme.value}")
+    for name, (change, schemes) in _RISKY_CHANGES.items() for scheme in schemes])
+def test_a_line_with_a_risky_field_is_still_read_back(scheme, change, monkeypatch):
+    tree = DepTree.build([0, 1], **change)
+    expected = _call_outcome(lambda: format_tagger_line(tree, encode(tree, scheme)))
+    checked = []
+
+    def check_read_back(*args):
+        checked.append(args)
+        return read_back(*args)
+
+    read_back = encodings._check_read_back
+    monkeypatch.setattr(encodings, "_check_read_back", check_read_back)
+    assert _call_outcome(encodings._tagger_line, tree, scheme) == expected
+    assert len(checked) == 1
 
 
 def _slice_count_rel_pos(tree):
