@@ -148,10 +148,11 @@ def synthetic_corpus(
     return (_tagger_line(tree, scheme) for tree in trees)
 
 
-def _bench_chunk(args) -> tuple:
+def _bench_chunk(
+    numbered: List[Tuple[int, str]], lexicon: PolarityLexicon, config: RuleConfig, scheme: Scheme
+) -> tuple:
     """Sentences, tokens, repairs, decode and rules time, and the class
     tallies of a run of ``(lineno, line)`` pairs."""
-    numbered, lexicon, config, scheme = args
     stats = BridgeStats()
     started = perf_counter()
     trees = [result.tree for _, result in _parse_tagger_lines(numbered, scheme, True, stats)]
@@ -203,19 +204,23 @@ def run_bench(
         )
 
     if warmup and numbered:
-        _bench_chunk((numbered[:warmup], lexicon, config, scheme))
+        _bench_chunk(numbered[:warmup], lexicon, config, scheme)
 
     started = perf_counter()
     step = max(1, -(-len(numbered) // workers))
     # an empty corpus is one empty chunk, so that every tally below has a value
-    chunks = [(numbered[i : i + step], lexicon, config, scheme)
-              for i in range(0, len(numbered) or 1, step)]
+    chunks = [numbered[i : i + step] for i in range(0, len(numbered) or 1, step)]
+
+    # pool workers inherit the lexicon through the fork, so a chunk is marshal data
+    def run(chunk: List[Tuple[int, str]]) -> tuple:
+        return _bench_chunk(chunk, lexicon, config, scheme)
+
     if workers == 1:
-        results = list(map(_bench_chunk, chunks))
+        results = list(map(run, chunks))
     else:
         from .cli import _map_chunks
 
-        results = list(_map_chunks(_bench_chunk, chunks, workers))
+        results = list(_map_chunks(run, chunks, workers))
     processing_time = perf_counter() - started
 
     total_time = read_time + processing_time

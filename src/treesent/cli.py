@@ -34,11 +34,12 @@ to 64 KiB, so the first records come soon. A chunk's records are written
 and flushed when the chunk is done. With --workers N and input of more
 than 64 KiB, the command runs the first chunk itself and writes its
 records, then forks up to N workers, one as each of the next N chunks is
-sent, each fed chunks down a pipe as marshal data, and writes their
-records in input order, byte-identical to one worker; past the first
-chunk this process only cuts the input, counts the lines and sentences
-that number each chunk, and writes. A run that does not fork numbers
-each chunk from the blocks it split. Without os.fork it is one process.
+sent, each fed one chunk at a time down a pipe as marshal data, the next
+once its last result is read, and writes their records in input order,
+byte-identical to one worker; past the first chunk this process only
+cuts the input, counts the lines and sentences that number each chunk,
+and writes. A run that does not fork numbers each chunk from the blocks
+it split. Without os.fork it is one process.
 
 The command line is read from one table of commands and flags
 (``_COMMANDS``), without argparse, and analyze, aspects, encode and decode
@@ -76,7 +77,7 @@ from .conllu import (
 from .tree import ConfigError, DataError, DepTree, Scheme, _Record
 
 # The encodings, lexicon, rules, assets, json, evaluation, bench and pool
-# (select, _signal; _pickle for what marshal cannot send) modules are imported
+# (_signal; _pickle for what marshal cannot send) modules are imported
 # where they are used: analyze starts without the encodings and json, and so
 # without re, and encode and decode without the scoring modules and json.
 TYPE_CHECKING = False
@@ -316,30 +317,33 @@ def _json_line(
 
 class _Worker:
     """A forked pool process: its pid, the pipe its chunks go down and the
-    pipe its results come up, with the bytes and results still in transit."""
+    stream its results come up."""
 
-    __slots__ = ("pid", "send", "recv", "outbox", "inbox", "results", "ended")
+    __slots__ = ("pid", "send", "recv")
 
-    def __init__(self, pid: int, send: int, recv: int) -> None:
+    def __init__(self, pid: int, send: int, recv: IO[bytes]) -> None:
         self.pid, self.send, self.recv = pid, send, recv
-        self.outbox, self.inbox = bytearray(), bytearray()
-        self.results: Deque[tuple] = deque()
-        self.ended = False  # its result pipe is closed
 
 
 def _frame(value: object) -> bytes:
     """``value`` as a length-prefixed pool message: marshal data, or a zero byte and a pickle."""
     try:
         data = marshal.dumps(value)
-    except ValueError:  # an exception or another class's instance, such as bench's lexicon
+    except ValueError:  # an exception or another class's instance
         import _pickle as pickle  # -1 is its highest protocol
 
         data = b"\0" + pickle.dumps(value, -1)
     return len(data).to_bytes(8, "little") + data
 
 
-def _unframe(data: bytes) -> object:
-    """The value of a message body that ``_frame`` wrote."""
+def _receive(stream: IO[bytes]) -> object:
+    """The value of the next ``_frame`` message on ``stream``, or None once
+    the stream ends, or is cut short, before the message is whole."""
+    head = stream.read(8)
+    size = int.from_bytes(head, "little")
+    data = stream.read(size)
+    if len(head) < 8 or len(data) < size:
+        return None
     if data[:1] != b"\0":
         return marshal.loads(data)
     import _pickle as pickle
@@ -352,11 +356,7 @@ def _serve(fn: Callable, requests: int, results: int) -> None:
     until it closes, with ``(True, result)`` or ``(False, exception)``
     framed back up ``results``."""
     with open(requests, "rb") as source, open(results, "wb") as sink:
-        while True:
-            head = source.read(8)
-            if len(head) < 8:
-                return
-            chunk = _unframe(source.read(int.from_bytes(head, "little")))
+        while (chunk := _receive(source)) is not None:
             try:
                 reply = True, fn(chunk)
             except Exception as exc:
@@ -397,8 +397,18 @@ def _fork_worker(fn: Callable, number: int) -> _Worker:
             os._exit(code)
     os.close(requests)
     os.close(results)
-    os.set_blocking(send, False)
-    return _Worker(pid, send, recv)
+    return _Worker(pid, send, open(recv, "rb"))
+
+
+def _send(worker: _Worker, chunk) -> None:
+    """Frame ``chunk`` down ``worker``'s request pipe. A worker that has
+    exited is let pass: its closed result pipe reports it in its turn."""
+    message = memoryview(_frame(chunk))
+    try:
+        while message:  # a signal can cut a write short
+            message = message[os.write(worker.send, message):]
+    except BrokenPipeError:
+        pass
 
 
 def _ended(worker: _Worker) -> DataError:
@@ -409,94 +419,61 @@ def _ended(worker: _Worker) -> DataError:
     return DataError(f"a worker process ended before sending its result ({how})")
 
 
+def _result(worker: _Worker) -> object:
+    """What ``fn`` returned for the chunk ``worker`` holds; what it raised is raised here."""
+    reply = _receive(worker.recv)
+    if reply is None:
+        raise _ended(worker)
+    ok, value = reply
+    if not ok:
+        raise value
+    return value
+
+
 def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
     """``fn`` over ``chunks`` in ``workers`` forked processes, results in submission order.
 
-    Chunk k goes to worker k mod ``workers`` down its request pipe and the
-    result comes back up its result pipe, each as a ``_frame`` message.
-    Worker k is forked when chunk k is sent, so that a short input starts
-    no idle worker. ``fn`` is inherited through the fork, never sent. At
-    most ``2 * workers`` chunks are in flight, so memory stays bounded
-    however long the input is. An exception ``fn`` raises is raised
-    here with its own type; a worker that dies first is a ``DataError`` naming
-    its exit status. However the generator ends, every worker has been reaped
-    when it does. Without ``os.fork``, ``fn`` runs in this process.
+    Chunk k goes to worker k mod ``workers`` down its request pipe, once
+    this process has read that worker's result for chunk k - ``workers``
+    up its result pipe, each as a ``_frame`` message. So a worker holds
+    one chunk at a time, a blocking write always finds it reading, and
+    memory stays bounded however long the input is. A worker is sent its
+    next chunk before its result is yielded, so that it does not wait on
+    the caller. Worker k is forked when chunk k is sent, so that a short
+    input starts no idle worker. ``fn`` is inherited through the fork,
+    never sent. No chunk may be None, which ends a worker's input. An
+    exception ``fn`` raises is raised here with its own type; a worker
+    that dies first is a ``DataError`` naming its exit status. However the
+    generator ends, every worker has been reaped when it does. Without
+    ``os.fork``, ``fn`` runs in this process.
     """
     if not hasattr(os, "fork"):
         yield from map(fn, chunks)
         return
     import _signal as signal
-    import select
 
     pool: List[_Worker] = []
-    owner: Dict[int, _Worker] = {}
-    poll = select.poll()
+    busy: Deque[_Worker] = deque()  # the workers that hold a chunk, the oldest first
     finished = False
     try:
-        in_flight: Deque[_Worker] = deque()
-        todo: Optional[Iterator] = iter(chunks)
-        sent = 0
-        while True:
-            while todo is not None and len(in_flight) < 2 * workers:
-                try:
-                    chunk = next(todo)
-                except StopIteration:
-                    todo = None
-                    break
-                if len(pool) < workers:  # worker k is forked when chunk k is sent
-                    pool.append(_fork_worker(fn, len(pool) + 1))
-                    owner[pool[-1].recv] = pool[-1]
-                    poll.register(pool[-1].recv, select.POLLIN)
-                w = pool[sent % workers]
-                sent += 1
-                if not w.outbox and not w.ended:
-                    owner[w.send] = w
-                    poll.register(w.send, select.POLLOUT)
-                w.outbox += _frame(chunk)
-                in_flight.append(w)
-            if not in_flight:
-                break
-            head = in_flight[0]
-            if head.results:
-                in_flight.popleft()
-                ok, value = head.results.popleft()
-                if not ok:
-                    raise value
-                yield value
+        for chunk in chunks:
+            if len(pool) < workers:  # worker k is forked when chunk k is sent
+                pool.append(_fork_worker(fn, len(pool) + 1))
+                _send(pool[-1], chunk)
+                busy.append(pool[-1])
                 continue
-            if head.ended:
-                raise _ended(head)
-            for fd, _ in poll.poll():
-                w = owner[fd]
-                if fd == w.send:
-                    try:
-                        with memoryview(w.outbox) as pending:
-                            written = os.write(fd, pending)
-                    except BlockingIOError:
-                        continue
-                    except BrokenPipeError:  # the worker is gone; its result pipe says so
-                        written = len(w.outbox)
-                    del w.outbox[:written]
-                    if not w.outbox:
-                        poll.unregister(fd)
-                    continue
-                data = os.read(fd, 1 << 16)
-                if not data:
-                    w.ended = True
-                    poll.unregister(fd)
-                    continue
-                w.inbox += data
-                while len(w.inbox) >= 8:
-                    end = 8 + int.from_bytes(w.inbox[:8], "little")
-                    if len(w.inbox) < end:
-                        break
-                    w.results.append(_unframe(w.inbox[8:end]))
-                    del w.inbox[:end]
+            worker = busy.popleft()
+            result = _result(worker)
+            _send(worker, chunk)
+            busy.append(worker)
+            yield result
+        while busy:
+            yield _result(busy.popleft())
         finished = True
     finally:
         for w in pool:
             os.close(w.send)  # the worker's end of input: it exits once idle
-            os.close(w.recv)
+            w.recv.close()
         for w in pool:
             if w.pid:
                 if not finished:

@@ -134,9 +134,9 @@ def test_analyze_workers_preserve_order(tmp_path):
 
 
 # The pool tests cut their input into chunks of about POOL_CHUNK_BYTES:
-# the POOL_SENTENCES corpus then spans 26 chunks, more than --workers 3
-# keeps in flight (2 x 3), so that the pool starts and its window of
-# pending chunks moves on.
+# the POOL_SENTENCES corpus then spans 26 chunks, more than twice the
+# chunks --workers 3 keeps in flight (one a worker), so that the pool
+# starts and each worker takes several chunks in turn.
 POOL_SENTENCES = 458
 POOL_CHUNK_BYTES = 4096
 
@@ -410,7 +410,10 @@ def test_what_marshal_cannot_write_still_crosses_the_pool():
     # plain values are marshal data; a record or an exception is a pickle
     plain = (True, ("text", {"sentences": 2, "skipped_by": {"x": 1}}, None))
     assert cli._frame(plain)[8:] == marshal.dumps(plain)
-    assert cli._unframe(cli._frame(plain)[8:]) == plain
+    assert cli._receive(io.BytesIO(cli._frame(plain))) == plain
+    # a stream that ends, or is cut short, before a message is whole
+    for cut in (0, 5, 8, len(cli._frame(plain)) - 1):
+        assert cli._receive(io.BytesIO(cli._frame(plain)[:cut])) is None
     assert cli._frame(ReadStats())[8:9] == b"\0"
     assert list(cli._map_chunks(_crossing, range(5), 2)) == [
         _crossing(number) for number in range(5)]
@@ -596,6 +599,62 @@ def test_a_worker_that_dies_ends_the_command_with_one_error_line(
 
 
 @pytest.mark.parametrize("workers", [2, 3])
+def test_a_worker_that_ends_while_idle_ends_the_command_in_its_turn(
+    tmp_path, capsys, monkeypatch, small_chunks, workers
+):
+    corpus = _pool_corpus(tmp_path)
+    single = _run_output(capsys, "analyze", "-i", corpus)
+    sent, send = [], cli._send
+
+    def killing_send(worker, chunk):  # the first worker, as it is sent its second chunk
+        sent.append(worker.pid)
+        if worker.pid == sent[0] and sent.count(worker.pid) == 2:
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        return send(worker, chunk)
+
+    monkeypatch.setattr(cli, "_send", killing_send)
+    code, out, err = _run_output(capsys, "analyze", "-i", corpus, "--workers", workers)
+    assert (code, err) == (
+        1, "error: a worker process ended before sending its result (killed by signal 9)\n")
+    # the parent's chunk and the pool's chunks before the one the worker was to take
+    before = _chunk_starts(corpus)[1 + workers] - 1
+    assert out.splitlines() == single[1].splitlines()[:before]
+    _no_child_left()
+
+
+def test_the_pool_sends_a_worker_its_next_chunk_only_once_its_result_is_read(
+    tmp_path, capsys, monkeypatch, small_chunks
+):
+    corpus = _pool_corpus(tmp_path)
+    single = _run_output(capsys, "analyze", "-i", corpus)
+    events, send, result = [], cli._send, cli._result
+
+    def logged_send(worker, chunk):
+        events.append(("send", worker.pid))
+        return send(worker, chunk)
+
+    def logged_result(worker):
+        value = result(worker)
+        events.append(("result", worker.pid))
+        return value
+
+    monkeypatch.setattr(cli, "_send", logged_send)
+    monkeypatch.setattr(cli, "_result", logged_result)
+    assert _run_output(capsys, "analyze", "-i", corpus, "--workers", 3) == single
+    # the first chunk runs in this process; chunk k of the pool goes to worker k mod 3
+    sends = [pid for event, pid in events if event == "send"]
+    assert len(sends) == len(_chunk_starts(corpus)) - 1
+    assert len(set(sends[:3])) == 3
+    assert sends == [sends[k % 3] for k in range(len(sends))]
+    # a worker's chunks and results alternate: it never holds two chunks
+    for pid in sends[:3]:
+        own = [event for event, worker in events if worker == pid]
+        assert own == ["send", "result"] * (len(own) // 2)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize(
     "name, failing, error",
     [("fork", 2, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
@@ -669,9 +728,8 @@ def _deadline(seconds, message):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_the_pool_streams_chunks_and_results_larger_than_its_pipes(
-    tmp_path, capsys, monkeypatch
-):
+@pytest.fixture
+def small_pipes(monkeypatch):
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("pipe capacity cannot be set here")
@@ -683,6 +741,11 @@ def test_the_pool_streams_chunks_and_results_larger_than_its_pipes(
         return read_end, write_end
 
     monkeypatch.setattr(os, "pipe", small_pipe)
+
+
+def test_the_pool_streams_chunks_and_results_larger_than_its_pipes(
+    tmp_path, capsys, monkeypatch, small_pipes
+):
     monkeypatch.setattr(conllu, "CHUNK_BYTES", 4 * POOL_CHUNK_BYTES)
     corpus = _pool_corpus(tmp_path)
     assert len(_chunk_starts(corpus)) > 2 * 3
@@ -690,6 +753,27 @@ def test_the_pool_streams_chunks_and_results_larger_than_its_pipes(
         single, *pooled = _per_worker_count(capsys, "analyze", "--explain", "-i", corpus)
     assert single[0] == 0 and len(single[1]) > 10 * 4096
     assert all(result == single for result in pooled)
+    _no_child_left()
+
+
+def test_a_chunk_whose_write_a_signal_cuts_short_is_sent_whole(small_pipes):
+    started, ticks = time.monotonic(), []
+
+    def tick(*_):  # a handler that returns, unless the pool has stopped moving
+        ticks.append(1)
+        if time.monotonic() - started > 30:
+            raise TimeoutError("the pool made no progress")
+
+    previous = signal.signal(signal.SIGALRM, tick)
+    signal.setitimer(signal.ITIMER_REAL, 0.0005, 0.0005)
+    try:
+        # each chunk takes many writes to pass a one-page pipe, each one a signal can cut
+        chunks = [bytes([number]) * (1 << 20) for number in range(6)]
+        assert list(cli._map_chunks(len, chunks, 2)) == [1 << 20] * 6
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert ticks
     _no_child_left()
 
 

@@ -9,11 +9,13 @@ and ``signal`` even when it forks a pool, which uses the C module
 ``_signal``. The pool's chunks and results cross as ``marshal`` data, and
 its parent counts each chunk's sentences with the splitter its workers use,
 so a pooled analyze, encode or decode loads neither ``_pickle`` nor ``re``
-either: ``_pickle`` is imported only for a message that ``marshal`` cannot
-write, such as an exception. None of analyze, aspects, encode and decode
-loads the standard modules that cost the most to import and that they can
-do without, argparse among them: the command line is read from a table of
-flags. None of them loads ``json``, ``re``, ``enum``, ``functools``,
+either, and a pooled bench, whose workers inherit its lexicon, no
+``_pickle``: ``_pickle`` is imported only for a message that ``marshal``
+cannot write, such as an exception. The pool reads and writes blocking
+pipes a chunk at a time, so no run loads ``select``. None of analyze,
+aspects, encode and decode loads the standard modules that cost the most
+to import and that they can do without, argparse among them: the command
+line is read from a table of flags. None of them loads ``json``, ``re``, ``enum``, ``functools``,
 ``contextlib``, ``importlib``, ``types`` or ``collections``: records go
 straight through the C encoder of ``_json``, ``Scheme`` is a plain class,
 the CoNLL-U reader and the bridge writer test their text with string
@@ -46,9 +48,9 @@ UNUSED_BY_THE_HOT_COMMANDS = (
     "json",
     "concurrent.futures",
     "multiprocessing",
-    # the forked pool's, which an input of one chunk does not start
+    # nor does the forked pool load these: it uses blocking pipes, marshal
+    # and the C core _signal
     "select",
-    # nor does the pool load these: it uses marshal and the C core _signal
     "pickle",
     "signal",
     "importlib.resources",
@@ -134,8 +136,14 @@ codes = [treesent.cli.main([*argv, "--workers", "2", "-i", source, "-o", f"{out}
                                     ("encode", ["encode"], corpus),
                                     ("decode", ["decode"], f"{out}/encode.2")]]
 loaded = [m for m in watched if m in sys.modules]
+# bench imports json and random, but its workers inherit the lexicon, so its
+# chunks and results cross the pool as marshal data too
+codes.append(treesent.cli.main(["bench", "--sentences", "200", "--workers", "2",
+                                "-o", f"{out}/bench.json"]))
+bench_loaded = [m for m in ("_pickle", "select") if m in sys.modules]
 import json
-print(json.dumps({"chunks": chunks, "codes": codes, "loaded": loaded}))
+print(json.dumps({"chunks": chunks, "codes": codes, "loaded": loaded,
+                  "bench_loaded": bench_loaded}))
 """
 
 # what the pool would import if its messages were pickles, not marshal data
@@ -150,10 +158,12 @@ def test_the_pool_loads_neither_concurrent_futures_nor_multiprocessing(tmp_path)
     corpus = tmp_path / "pool.conllu"
     assert main(["gen", "--sentences", "200", "--length", "6", "--format", "conllu",
                  "-o", str(corpus)]) == 0
-    watched = ("concurrent.futures", "multiprocessing", "pickle", "signal",
+    watched = ("concurrent.futures", "multiprocessing", "pickle", "signal", "select",
                *UNUSED_BY_THE_LEAN_COMMANDS, *PICKLE_MODULES)
     seen = _fresh_python(POOL_RUN, corpus, tmp_path, 4096, *watched)
-    assert seen["chunks"] >= 3 and (seen["codes"], seen["loaded"]) == ([0] * 4, [])
+    assert seen["chunks"] >= 3
+    assert (seen["codes"], seen["loaded"], seen["bench_loaded"]) == ([0] * 5, [], [])
+    assert json.loads((tmp_path / "bench.json").read_text())["workers"] == 2
     for name, argv in [("analyze", ["analyze"]), ("explain", ["analyze", "--explain"]),
                        ("encode", ["encode"])]:
         one = tmp_path / f"{name}.1"
