@@ -235,14 +235,17 @@ class _Stdout:
         return None
 
 
-def _open_output(cfg: PipelineConfig) -> _Stdout | IO[str]:
+def _open_output(cfg: PipelineConfig, inputs: Iterable[Optional[str]] = ()) -> _Stdout | IO[str]:
     """The output as a context manager: the ``-o`` file, closed on leaving it,
-    or stdout."""
+    or stdout. An ``-o`` that is the input file or one of ``inputs`` is refused."""
     if cfg.output is None:
+        if sys.stdout is None:  # started with its descriptor closed
+            raise ConfigError("stdout is closed: give an output file with -o")
         return _Stdout()
     # the input is read lazily, so truncating it first would lose it
-    if cfg.input is not None and _same_file(cfg.output, cfg.input):
-        raise ConfigError(f"output file {cfg.output} is the input file {cfg.input}")
+    for source in (cfg.input, *inputs):
+        if source is not None and _same_file(cfg.output, source):
+            raise ConfigError(f"output file {cfg.output} is the input file {source}")
     try:
         return open(cfg.output, "w", encoding="utf-8")
     except OSError as exc:
@@ -251,6 +254,8 @@ def _open_output(cfg: PipelineConfig) -> _Stdout | IO[str]:
 
 def _input_source(cfg: PipelineConfig):
     if cfg.input is None:
+        if sys.stdin is None:  # started with its descriptor closed
+            raise ConfigError("stdin is closed: give an input file with -i")
         # bytes, so that a line that is not UTF-8 fails as data, with its line
         # number; a stdin that is only a text stream is read whole and encoded
         # back, so that text decoded from bytes that were not UTF-8 stays so
@@ -537,21 +542,21 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
     writes; the chunks go to the pool and finished lines come back.
     """
     cuts = conllu._cuts(source, conllu._line_end if lines else conllu._block_end)
-    head: List[bytes] = []
+    head: List[Tuple[int, bytes]] = []
     size = 0
     # the look-ahead holds a slow pipe's first records back until CHUNK_BYTES or
     # its end has come; it stays, as a pool for an input that fits made such
     # runs slower, and running chunks here while it reads slowed the pool
     if workers > 1:
-        for data in cuts:
-            head.append(data)
-            size += len(data)
+        for chunk in cuts:
+            head.append(chunk)
+            size += len(chunk[1])
             if size > conllu.CHUNK_BYTES:
                 break
     chained = chain(head, cuts)
     pooled = size > conllu.CHUNK_BYTES
     if lines:
-        chunks, split = conllu._line_numbered(chained), chunk_lines
+        chunks, split = chained, chunk_lines
     elif pooled:  # the pool parses its chunks, so this process counts their sentences
         chunks, split = conllu._numbered(chained), chunk_blocks
     else:
@@ -754,7 +759,7 @@ def cmd_eval(cfg: PipelineConfig, args: _Args) -> int:
         targets_overlap=targets_overlap,
         parse=parse_metrics,
     )
-    with _open_output(cfg) as out:
+    with _open_output(cfg, (args.pred, args.gold, args.pred_parse)) as out:
         out.write(
             json.dumps(report.to_dict(), ensure_ascii=False, indent=2, allow_nan=False) + "\n"
         )
@@ -1072,7 +1077,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _read_argv(sys.argv[1:] if argv is None else argv)
     try:
         code = _run(_build_config(args), args)
-        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        if sys.stdout is not None:  # None when started with its descriptor closed
+            sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

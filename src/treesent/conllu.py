@@ -13,10 +13,12 @@ Where a sentence starts and ends follows one rule, ``split_blocks``'s,
 whatever the source. Paths and byte streams are read in chunks cut just
 past a blank line, so that a chunk holds whole sentences and is split on
 its own (``chunk_blocks``), in this process or in a pool worker, whose
-parent counts its blocks (``count_blocks``). The first read is of 4 KiB,
-so that the first sentences are soon done; each later read is twice the
-last, up to ``CHUNK_BYTES``. Bridge lines, one record per line, are read
-the same way and cut at any newline.
+parent counts its blocks (``count_blocks``). Each chunk carries the number
+its first line has in the whole input, counted where the chunk is cut, and
+one byte order mark that starts the input leaves with the first chunk. The
+first read is of 4 KiB, so that the first sentences are soon done; each
+later read is twice the last, up to ``CHUNK_BYTES``. Bridge lines, one
+record per line, are read the same way and cut at any newline.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ if TYPE_CHECKING:
     # whole CoNLL-U lines of a byte input, numbered as in the whole input:
     # (ordinal of its first sentence, number of its first line, bytes)
     Chunk = Tuple[int, int, bytes]
-    # whole bridge lines of a byte input: (number of the first, bytes)
+    # whole lines of a byte input, as ``_cuts`` yields them: (number of the first, bytes)
     LineChunk = Tuple[int, bytes]
 
 _COLUMNS = 10
@@ -190,23 +192,11 @@ def split_blocks(lines: Iterable[Line], ordinal: int = 1, lineno: int = 1) -> It
         yield ordinal, lineno + 1 - len(block), block
 
 
-# the bytes that start a line of ASCII whitespace, from the newline before it
-_SPACE_STARTS = (b"\n ", b"\n\t", b"\n\r", b"\n\x0b", b"\n\x0c")
-
-
 def _block_end(data: bytearray, start: int) -> int:
     """Where a chunk of CoNLL-U in ``data`` may end: just past the newline of
     the last empty or ASCII whitespace line that starts at ``start`` or later
     (the newline before it may be the byte before ``start``); 0 if none does."""
     low = max(start - 1, 0)  # where the newline before such a line may be
-    empty = data.rfind(b"\n\n", low)
-    # a whitespace line past the last empty one starts with a blank: without
-    # one, the empty line is the last blank line
-    for space in _SPACE_STARTS:
-        if data.find(space, max(empty, low)) >= 0:
-            break
-    else:
-        return empty + 2 if empty >= 0 else 0
     end = data.rfind(b"\n", start)
     while end >= start:  # each line from the last, while it starts at ``start`` or later
         before = data.rfind(b"\n", low, end)
@@ -224,11 +214,15 @@ def _line_end(data: bytearray, start: int) -> int:
     return data.rfind(b"\n", start) + 1
 
 
-def _cuts(source: Source, cut: Callable[[bytearray, int], int]) -> Iterator[bytes]:
-    """A path or byte stream in runs of whole lines, each cut where ``cut``
-    (``_block_end`` or ``_line_end``) puts the end of what was read, once
-    ``FIRST_CHUNK_BYTES`` (at most ``CHUNK_BYTES``) were read, then twice
-    that, up to ``CHUNK_BYTES``."""
+def _cuts(source: Source, cut: Callable[[bytearray, int], int]) -> Iterator[LineChunk]:
+    """A path or byte stream in runs of whole lines, ``(number of the first
+    line, bytes)``, each cut where ``cut`` (``_block_end`` or ``_line_end``)
+    puts the end of what was read, once ``FIRST_CHUNK_BYTES`` (at most
+    ``CHUNK_BYTES``) were read, then twice that, up to ``CHUNK_BYTES``.
+
+    Lines are numbered as ``numbered_lines`` numbers them in the whole input.
+    One byte order mark that starts the input leaves with the first run.
+    """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             yield from _cuts(fh, cut)
@@ -236,69 +230,57 @@ def _cuts(source: Source, cut: Callable[[bytearray, int], int]) -> Iterator[byte
     read = getattr(source, "read1", source.read)  # what a pipe holds, not a full size
     pending = bytearray()
     size = min(FIRST_CHUNK_BYTES, CHUNK_BYTES)
+    lineno, mark = 1, _BOM  # mark: what the next run loses from its start
     while True:
         data = read(size)
-        if not data:
-            break
         size = min(2 * size, CHUNK_BYTES)
         start = max(len(pending) - _BLANK_REACH, 0)
         pending += data
-        end = cut(pending, start)
+        end = cut(pending, start) if data else len(pending)  # the rest, at the end
         if end:
-            yield bytes(pending[:end])
+            chunk = bytes(pending[:end])
             del pending[:end]
-    if pending:
-        yield bytes(pending)
+            yield lineno, chunk.removeprefix(mark)
+            lineno += chunk.count(b"\n")
+            mark = b""
+        if not data:
+            return
 
 
-def _numbered(cuts: Iterable[bytes]) -> Iterator[Chunk]:
-    # Each chunk carries the ordinal and line number its first sentence and
-    # line have in the whole input, which ``chunk_blocks`` continues from.
-    # A pool's parent parses no chunk: splitting each into blocks only to
-    # number the next would repeat the workers' work, so it counts lines by
-    # their newlines and sentences by ``count_blocks``. A process that parses
-    # every chunk numbers each from the blocks it split (``_split_chunks``).
-    ordinal = lineno = 1
-    for data in cuts:
+def _numbered(cuts: Iterable[LineChunk]) -> Iterator[Chunk]:
+    # Each chunk carries the ordinal its first sentence has in the whole input.
+    # A pool's parent parses no chunk, so it only counts each one's sentences
+    # (``count_blocks``); a process that parses every chunk numbers each from
+    # the blocks it split (``_split_chunks``).
+    ordinal = 1
+    for lineno, data in cuts:
         yield ordinal, lineno, data
-        ordinal += count_blocks(data.removeprefix(_BOM) if lineno == 1 else data)
-        lineno += data.count(b"\n")
+        ordinal += count_blocks(data)
 
 
-def _split_chunks(cuts: Iterable[bytes]) -> Iterator[List[Block]]:
+def _split_chunks(cuts: Iterable[LineChunk]) -> Iterator[List[Block]]:
     """The blocks of each run of ``cuts``, numbered on from the runs before."""
-    ordinal = lineno = 1
-    for data in cuts:
+    ordinal = 1
+    for lineno, data in cuts:
         blocks = list(chunk_blocks((ordinal, lineno, data)))
         yield blocks
         ordinal = blocks[-1][0] + 1 if blocks else ordinal
-        lineno += data.count(b"\n")
 
 
 def count_blocks(data: bytes) -> int:
-    """How many blocks ``chunk_blocks`` finds in ``data``, once its byte order mark is gone."""
-    return sum(1 for _ in _blocks(data, 1, 1))
-
-
-def _line_numbered(cuts: Iterable[bytes]) -> Iterator[LineChunk]:
-    lineno = 1
-    for data in cuts:
-        yield lineno, data
-        lineno += data.count(b"\n")
+    """How many blocks ``chunk_blocks`` finds in ``data``."""
+    return sum(1 for _ in chunk_blocks((1, 1, data)))
 
 
 def chunk_lines(chunk: LineChunk) -> Iterator[Tuple[int, Line]]:
-    """``(lineno, line)`` per line of one chunk from ``_line_numbered``,
-    as ``numbered_lines`` numbers them in the whole input, without their
+    """``(lineno, line)`` per line of one chunk from ``_cuts``, as
+    ``numbered_lines`` numbers them in the whole input, without their
     newlines.
 
-    The chunk that starts at line 1 loses one leading byte order mark. A
-    chunk that is valid UTF-8 gives its lines as text, decoded at once;
+    A chunk that is valid UTF-8 gives its lines as text, decoded at once;
     any other gives them as bytes.
     """
     lineno, data = chunk
-    if lineno == 1:
-        data = data.removeprefix(_BOM)
     try:
         lines: List[Line] = data.decode("utf-8").split("\n")
     except UnicodeDecodeError:
@@ -316,19 +298,11 @@ def iter_blocks(source: Source) -> Iterator[Block]:
 
 def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
     """The blocks of one chunk from ``_numbered``, as ``split_blocks``
-    yields them from the whole input.
-
-    The chunk that starts at line 1 loses one leading byte order mark, as
-    ``iter_raw_lines`` drops it. Its blocks are numbered from the chunk's
-    first ordinal and line.
-    """
+    yields them from the whole input, numbered from the chunk's first
+    ordinal and line."""
+    # bytes that are not UTF-8 go to split_blocks; text is cut at its empty lines,
+    # one C search per block, once whitespace lines are "" and "\r"s end no line
     ordinal, lineno, data = chunk
-    return _blocks(data.removeprefix(_BOM) if lineno == 1 else data, ordinal, lineno)
-
-
-def _blocks(data: bytes, ordinal: int, lineno: int) -> Iterator[Block]:
-    # split_blocks' blocks: bytes that are not UTF-8 go to it; text is cut at its empty
-    # lines, one C search per block, once whitespace lines are "" and "\r"s end no line
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:

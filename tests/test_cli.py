@@ -150,7 +150,7 @@ def counted_chunks(path, lines=False):
     """The numbered chunks the pool's parent makes of ``path``: CoNLL-U as
     ``(ordinal, line, bytes)``, or with ``lines`` bridge lines as ``(line, bytes)``."""
     if lines:
-        return conllu._line_numbered(conllu._cuts(path, conllu._line_end))
+        return conllu._cuts(path, conllu._line_end)
     return conllu._numbered(conllu._cuts(path, conllu._block_end))
 
 
@@ -2204,6 +2204,65 @@ def test_output_that_is_the_input_is_refused_before_it_is_truncated(
     assert source.read_bytes() == before
 
 
+@pytest.mark.parametrize("flag", ["--pred", "--gold", "--pred-parse"])
+def test_eval_refuses_an_output_file_that_is_one_of_its_inputs(tmp_path, capsys, flag):
+    inputs = {"--pred": tmp_path / "pred.jsonl", "--gold": tmp_path / "gold.jsonl",
+              "--pred-parse": tmp_path / "pred.conllu"}
+    for name in ("--pred", "--gold"):
+        inputs[name].write_bytes(demo_gold_path().read_bytes())
+    inputs["--pred-parse"].write_bytes(demo_treebank_path().read_bytes())
+    argv = ["eval"] + [part for name, path in inputs.items() for part in (name, path)]
+    assert run(*argv) == 0  # the same files are scored when -o is another file
+    capsys.readouterr()
+    before = inputs[flag].read_bytes()
+    assert run(*argv, "-o", inputs[flag]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output file {inputs[flag]} is the input file {inputs[flag]}\n"
+    )
+    assert inputs[flag].read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["analyze", "aspects", "encode", "decode"])
+def test_a_closed_stdin_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # Python sets sys.stdin to None when it starts with descriptor 0 closed
+    monkeypatch.setattr(sys, "stdin", None)
+    out = tmp_path / "out.txt"
+    assert run(command, "-o", out) == 2
+    assert capsys.readouterr().err == "config error: stdin is closed: give an input file with -i\n"
+    assert not out.exists()
+
+
+def _stdout_argv(tmp_path, command):
+    """A run of ``command`` that reads files, not stdin, and writes to stdout."""
+    if command == "decode":
+        bridge = tmp_path / "in.bridge"
+        assert run("gen", "--sentences", 5, "--length", 6, "-o", bridge) == 0
+        return [command, "-i", bridge]
+    if command == "eval":
+        return [command, "--pred", demo_gold_path(), "--gold", demo_gold_path()]
+    if command in ("gen", "bench"):
+        return [command, "--sentences", 20, "--length", 5]
+    return [command, "-i", demo_treebank_path()]
+
+
+@pytest.mark.parametrize(
+    "command", ["analyze", "aspects", "encode", "decode", "gen", "eval", "bench"])
+def test_a_closed_stdout_is_a_config_error_unless_there_is_an_output_file(
+    tmp_path, capsys, monkeypatch, command
+):
+    argv = _stdout_argv(tmp_path, command)
+    capsys.readouterr()
+    # Python sets sys.stdout to None when it starts with descriptor 1 closed
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "config error: stdout is closed: give an output file with -o"
+    assert "Traceback" not in err
+    out = tmp_path / "out.txt"
+    assert run(*argv, "-o", out) == 0
+    assert out.stat().st_size > 0
+
+
 @pytest.mark.parametrize(
     "error",
     [
@@ -2371,7 +2430,7 @@ def test_eval_reads_json_lines_with_a_byte_order_mark(tmp_path, marked):
     assert report["targets"]["exact"]["f1"] == 1.0
 
 
-@pytest.mark.parametrize("first", ["comment", "token"])
+@pytest.mark.parametrize("first", ["comment", "token", "crlf"])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
 def test_conllu_input_with_a_byte_order_mark_reads_as_without_one(
@@ -2381,7 +2440,9 @@ def test_conllu_input_with_a_byte_order_mark_reads_as_without_one(
     data = plain.read_bytes()
     if first == "token":  # the first sentence starts at its first token row
         data = data.split(b"\n", 1)[1]
-        plain.write_bytes(data)
+    if first == "crlf":  # at its comment, and every blank line, where chunks are cut, is "\r"
+        data = data.replace(b"\n", b"\r\n")
+    plain.write_bytes(data)
     marked = tmp_path / "marked.conllu"
     marked.write_bytes(BOM + data)
     outputs = []
@@ -2444,11 +2505,21 @@ def _not_utf8_line(lines):
     lines[123] = lines[123].replace(b"/", b"\xff/", 1)
 
 
+def _bom_line(lines):
+    lines[0] = BOM + lines[0]
+
+
+def _bom_crlf_lines(lines):
+    _crlf_lines(lines)
+    _bom_line(lines)
+
+
 BRIDGE_INPUTS = {
     "clean": lambda lines: None,
     "damaged": _damaged_lines,
     "crlf": _crlf_lines,
-    "bom": lambda lines: lines.__setitem__(0, BOM + lines[0]),
+    "bom": _bom_line,
+    "bom + crlf": _bom_crlf_lines,
     "blank lines": _blank_lines,
     "not utf-8": _not_utf8_line,
 }

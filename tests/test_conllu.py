@@ -468,7 +468,7 @@ def counted_chunks(source, lines=False):
     CoNLL-U as ``(ordinal, line, bytes)``, or with ``lines`` bridge lines as
     ``(line, bytes)``, each counted, not parsed."""
     if lines:
-        return conllu._line_numbered(conllu._cuts(source, conllu._line_end))
+        return conllu._cuts(source, conllu._line_end)
     return conllu._numbered(conllu._cuts(source, conllu._block_end))
 
 
@@ -493,7 +493,7 @@ def test_the_chunk_reader_reads_what_the_line_reader_reads(data):
                 if size is not None:
                     patch.setattr(conllu, "CHUNK_BYTES", size)
                 chunks = list(counted_chunks(io.BytesIO(data)))
-                assert b"".join(chunk for _, _, chunk in chunks) == data
+                assert b"".join(chunk for _, _, chunk in chunks) == data.removeprefix(BOM)
                 assert _outcome(chain.from_iterable(map(chunk_blocks, chunks)), policy) == expected
                 # read_conllu's own loop numbers each chunk from the blocks it split
                 patch.setattr(conllu, "count_blocks", _uncalled)
@@ -540,10 +540,10 @@ def test_text_chunks_are_split_without_split_blocks(monkeypatch, data):
     first, later = (list(split_blocks(iter_raw_lines(io.BytesIO(data)), 3, lineno))
                     for lineno in (1, 9))
     monkeypatch.setattr(conllu, "split_blocks", _uncalled)
+    data = data.removeprefix(BOM)  # which ``_cuts`` drops with the first chunk
     assert list(chunk_blocks((3, 1, data))) == first
-    # a chunk that does not start the input keeps a byte order mark: here it has none
-    assert list(chunk_blocks((3, 9, data.removeprefix(BOM)))) == later
-    assert count_blocks(data.removeprefix(BOM)) == len(first)
+    assert list(chunk_blocks((3, 9, data))) == later
+    assert count_blocks(data) == len(first)
 
 
 def test_chunks_that_are_not_utf_8_are_split_by_split_blocks(monkeypatch):
@@ -618,6 +618,19 @@ def test_a_whitespace_line_split_between_two_reads_still_ends_a_chunk():
     assert chunks == [(1, 1, first + b"  \n"), (2, 6, second)]
 
 
+def test_a_whitespace_line_past_the_reach_of_a_read_ends_no_chunk():
+    # each read looks back _BLANK_REACH bytes for a blank line that straddles
+    # it; this one starts further back, so its chunk runs on to the next one
+    first = SIMPLE.rstrip("\n").encode() + b"\n" + b" " * (conllu._BLANK_REACH + 1)
+    second = b" \n" + SIMPLE.replace("s1", "s2").encode()
+    third = SIMPLE.replace("s1", "s3").encode()
+    data = first + second + third
+    chunks = chunks_of(io.BytesIO(data), len(first))
+    assert chunks == [(1, 1, first + second), (3, 11, third)]
+    assert (list(chain.from_iterable(map(chunk_blocks, chunks)))
+            == list(split_blocks(iter_raw_lines(io.BytesIO(data)))))
+
+
 def test_a_sentence_longer_than_the_chunk_target_is_one_chunk():
     long = b"".join(
         b"%d\tw\tw\tX\t_\t_\t%d\tdep\t_\t_\n" % (i, i - 1) for i in range(1, 2001)
@@ -683,7 +696,7 @@ def test_line_chunks_number_their_lines_as_the_line_reader_does(data):
             if size is not None:
                 patch.setattr(conllu, "CHUNK_BYTES", size)
             chunks = list(counted_chunks(io.BytesIO(data), lines=True))
-        assert b"".join(chunk for _, chunk in chunks) == data
+        assert b"".join(chunk for _, chunk in chunks) == data.removeprefix(BOM)
         assert all(chunk.endswith(b"\n") for _, chunk in chunks[:-1])
         lines = [(lineno, conllu.decode_line(line))
                  for lineno, line in chain.from_iterable(map(chunk_lines, chunks))]
