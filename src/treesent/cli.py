@@ -36,10 +36,11 @@ than 64 KiB, the command runs the first chunk itself and writes its
 records, then forks up to N workers, one as each of the next N chunks is
 sent, each fed one chunk at a time down a pipe as marshal data, the next
 once its last result is read, and writes their records in input order,
-byte-identical to one worker; past the first chunk this process only
-cuts the input, counts the lines and sentences that number each chunk,
-and writes. A run that does not fork numbers each chunk from the blocks
-it split. Without os.fork it is one process.
+byte-identical to one worker. Past the first chunk this process only
+cuts the input, splits each CoNLL-U chunk into its sentences, numbered on
+from the chunks before, sends them (decode's bridge lines go as the bytes
+cut) and writes; the workers parse, score and serialise. Without os.fork
+it is one process.
 
 The command line is read from one table of commands and flags
 (``_COMMANDS``), without argparse, and analyze, aspects, encode and decode
@@ -67,7 +68,6 @@ from .conllu import (
     UNREADABLE,
     ReadStats,
     _Skip,
-    chunk_blocks,
     chunk_lines,
     format_sentence,
     parse_blocks,
@@ -92,8 +92,9 @@ if TYPE_CHECKING:
     from .rules import RuleConfig
     from .tree import _Tally
 
-    # a run's work on the blocks or numbered lines of a chunk, given as
-    # ``job(blocks, stats)``: ``parse_blocks`` with the run's ``on_error`` and ``line``
+    # a run's work on one chunk, given as ``job(chunk, stats)``: ``parse_blocks``
+    # of its blocks with the run's ``on_error`` and ``line``, or decode's read
+    # of its bridge lines
     Job = Callable[..., Iterator[str]]
 
 LEXICON_DIR_ENV = "TREESENT_LEXICON_DIR"
@@ -163,6 +164,17 @@ class PipelineConfig(_Record, frozen=True):
             return RuleConfig.from_file(_file_to_read(self.rules, "rule config file"))
         except RuleError as exc:
             raise ConfigError(f"rule config: {exc}") from None
+
+
+def _report(text: str) -> None:
+    """Print ``text`` on stderr. A stderr that cannot be written drops it,
+    so that it changes no exit status and only stdout can raise
+    ``BrokenPipeError``."""
+    try:
+        if sys.stderr is not None:  # None when started with its descriptor closed
+            print(text, file=sys.stderr)
+    except OSError:  # closed since, or open for reading only
+        pass
 
 
 def _file_to_read(path: str, what: str) -> str:
@@ -500,10 +512,10 @@ def _rebuilt(like: _Record, fields: Dict[str, object]) -> _Record:
 
 
 def _run_chunk(
-    job: Job, split: Callable, tally: type, chunk
+    job: Job, tally: type, chunk
 ) -> Tuple[str, Dict[str, object], Optional[Exception]]:
-    """Pool task: the output lines of ``job`` over ``split(chunk)`` as one
-    text, the chunk's ``_plain`` tally, and the exception that ended it.
+    """Pool task: the output lines of ``job`` over ``chunk`` as one text,
+    the chunk's ``_plain`` tally, and the exception that ended it.
 
     Lines before a bad record, or before a fault of the program, are
     returned with its exception, so the parent writes exactly what a single
@@ -511,7 +523,7 @@ def _run_chunk(
     """
     stats, lines, error = tally(), [], None
     try:
-        for line in job(split(chunk), stats=stats):
+        for line in job(chunk, stats=stats):
             lines.append(line)
     except Exception as exc:
         error = exc
@@ -530,16 +542,16 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
     """Run ``job`` over the records of byte ``source`` a chunk at a time, and
     write and flush each chunk's lines to ``out`` as the chunk is done.
 
-    ``source`` is CoNLL-U, its chunks split into blocks, or with ``lines``
-    bridge lines, its chunks split into numbered lines; ``stats`` sums the
+    ``source`` is CoNLL-U, each chunk given to ``job`` as its blocks,
+    numbered on from the blocks of the chunks before, or with ``lines``
+    bridge lines, each chunk given as ``_cuts`` cut it; ``stats`` sums the
     tallies of each chunk, which ``job`` fills in a new ``type(stats)``.
     With one worker, or input of at most ``CHUNK_BYTES``, everything runs in
-    this process, each chunk numbered from the blocks split before it.
-    Otherwise the first chunk, of about ``FIRST_CHUNK_BYTES``, runs in this
-    process and is written before the pool starts, so that the pool's
-    imports and forks come after the first records and an error in the
-    first chunk forks nothing. Past it this process only cuts, counts and
-    writes; the chunks go to the pool and finished lines come back.
+    this process. Otherwise the first chunk, of about ``FIRST_CHUNK_BYTES``,
+    runs in this process and is written before the pool starts, so that the
+    pool's imports and forks come after the first records and an error in
+    the first chunk forks nothing. Past it this process only cuts, splits
+    and writes; the chunks go to the pool and finished lines come back.
     """
     cuts = conllu._cuts(source, conllu._line_end if lines else conllu._block_end)
     head: List[Tuple[int, bytes]] = []
@@ -553,19 +565,15 @@ def _write_records(job: Job, source: Source, workers: int, stats: _Tally, out: I
             size += len(chunk[1])
             if size > conllu.CHUNK_BYTES:
                 break
-    chained = chain(head, cuts)
-    pooled = size > conllu.CHUNK_BYTES
-    if lines:
-        chunks, split = chained, chunk_lines
-    elif pooled:  # the pool parses its chunks, so this process counts their sentences
-        chunks, split = conllu._numbered(chained), chunk_blocks
-    else:
-        chunks, split = conllu._split_chunks(chained), iter
+    chunks = chain(head, cuts)
+    if not lines:
+        chunks = conllu._split_chunks(chunks)
     tally = type(stats)
 
     def run(chunk) -> Tuple[str, Dict[str, object], Optional[Exception]]:
-        return _run_chunk(job, split, tally, chunk)
+        return _run_chunk(job, tally, chunk)
 
+    pooled = size > conllu.CHUNK_BYTES
     results = _parent_first(run, chunks, workers) if pooled else (run(chunk) for chunk in chunks)
     try:
         for text, counts, error in results:
@@ -594,7 +602,7 @@ def _run_job(cfg: PipelineConfig, line: Callable[[DepTree], str], reasons: Itera
         _write_records(job, source, cfg.workers, stats, out)
     for reason in (UNREADABLE, *reasons):
         if stats.skipped_by.get(reason):
-            print(f"skipped {stats.skipped_by[reason]} {reason}", file=sys.stderr)
+            _report(f"skipped {stats.skipped_by[reason]} {reason}")
     return 0
 
 
@@ -662,19 +670,18 @@ def cmd_decode(cfg: PipelineConfig) -> int:
     source = _input_source(cfg)  # before the output is opened, which empties it
     scheme, abort = cfg.scheme, cfg.on_error == "abort"
     with _open_output(cfg) as out:
-        def job(numbered: Iterable, stats: BridgeStats) -> Iterator[str]:
-            """The CoNLL-U block of each record of ``(lineno, bridge line)`` pairs."""
-            for _, result in _parse_tagger_lines(numbered, scheme, abort, stats):
+        def job(chunk: Tuple[int, bytes], stats: BridgeStats) -> Iterator[str]:
+            """The CoNLL-U block of each record of a chunk of bridge lines."""
+            for _, result in _parse_tagger_lines(chunk_lines(chunk), scheme, abort, stats):
                 yield format_sentence(_with_sent_id_comment(result.tree)) + "\n\n"
 
         _write_records(job, source, cfg.workers, stats, out, lines=True)
     repairs = stats.repairs
-    print(
+    _report(
         f"decoded {stats.records} sentences, repairs total={repairs.total} "
         f"(out_of_range={repairs.out_of_range}, extra_roots={repairs.extra_roots}, "
         f"missing_root={repairs.missing_root}, cycles_broken={repairs.cycles_broken}), "
-        f"skipped={stats.skipped}",
-        file=sys.stderr,
+        f"skipped={stats.skipped}"
     )
     return 0
 
@@ -808,7 +815,7 @@ def cmd_bench(cfg: PipelineConfig, args: _Args) -> int:
             )
         finally:
             for warning in caught:
-                print(f"warning: {warning.message}", file=sys.stderr)
+                _report(f"warning: {warning.message}")
     with _open_output(cfg) as out:
         out.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
     return 0
@@ -941,7 +948,7 @@ def _help(command: Optional[str]) -> str:
 def _usage_error(command: Optional[str], message: str) -> NoReturn:
     """End as argparse does: the usage and the error on stderr, exit status 2."""
     prog = "treesent" if command is None else f"treesent {command}"
-    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    _report(f"{_usage(command)}\n{prog}: error: {message}")
     raise SystemExit(2)
 
 
@@ -1081,10 +1088,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _report(f"config error: {exc}")
         return 2
     except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 1
     except BrokenPipeError:
         # the reader of stdout went away (``| head``): stop quietly, and point
@@ -1092,7 +1099,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except OSError as exc:  # a file that cannot be read, a worker that cannot start
-        print(f"config error: {exc}", file=sys.stderr)
+        _report(f"config error: {exc}")
         return 2
     except KeyboardInterrupt:  # Ctrl-C; a pool's workers have been reaped on the way out
         return 130

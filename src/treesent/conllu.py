@@ -12,12 +12,13 @@ of ``0``..``n``. Any other block is read a row at a time, to its first bad row.
 Where a sentence starts and ends follows one rule, ``split_blocks``'s,
 whatever the source. Paths and byte streams are read in chunks cut just
 past a blank line, so that a chunk holds whole sentences and is split on
-its own (``chunk_blocks``), in this process or in a pool worker, whose
-parent counts its blocks (``count_blocks``). Each chunk carries the number
-its first line has in the whole input, counted where the chunk is cut, and
-one byte order mark that starts the input leaves with the first chunk. The
-first read is of 4 KiB, so that the first sentences are soon done; each
-later read is twice the last, up to ``CHUNK_BYTES``. Bridge lines, one
+its own (``chunk_blocks``), its blocks numbered on from those of the
+chunks before it (``_split_chunks``); a pool's workers are sent these
+blocks. Each chunk carries the number its first line has in the whole
+input, counted where the chunk is cut, and one byte order mark that
+starts the input leaves with the first chunk. The first read is of 4 KiB,
+so that the first sentences are soon done; each later read is twice the
+last, up to ``CHUNK_BYTES``. Bridge lines, one
 record per line, are read the same way and cut at any newline.
 """
 
@@ -247,17 +248,6 @@ def _cuts(source: Source, cut: Callable[[bytearray, int], int]) -> Iterator[Line
             return
 
 
-def _numbered(cuts: Iterable[LineChunk]) -> Iterator[Chunk]:
-    # Each chunk carries the ordinal its first sentence has in the whole input.
-    # A pool's parent parses no chunk, so it only counts each one's sentences
-    # (``count_blocks``); a process that parses every chunk numbers each from
-    # the blocks it split (``_split_chunks``).
-    ordinal = 1
-    for lineno, data in cuts:
-        yield ordinal, lineno, data
-        ordinal += count_blocks(data)
-
-
 def _split_chunks(cuts: Iterable[LineChunk]) -> Iterator[List[Block]]:
     """The blocks of each run of ``cuts``, numbered on from the runs before."""
     ordinal = 1
@@ -265,11 +255,6 @@ def _split_chunks(cuts: Iterable[LineChunk]) -> Iterator[List[Block]]:
         blocks = list(chunk_blocks((ordinal, lineno, data)))
         yield blocks
         ordinal = blocks[-1][0] + 1 if blocks else ordinal
-
-
-def count_blocks(data: bytes) -> int:
-    """How many blocks ``chunk_blocks`` finds in ``data``."""
-    return sum(1 for _ in chunk_blocks((1, 1, data)))
 
 
 def chunk_lines(chunk: LineChunk) -> Iterator[Tuple[int, Line]]:
@@ -297,7 +282,7 @@ def iter_blocks(source: Source) -> Iterator[Block]:
 
 
 def chunk_blocks(chunk: Chunk) -> Iterator[Block]:
-    """The blocks of one chunk from ``_numbered``, as ``split_blocks``
+    """The blocks of one ``(ordinal, line, bytes)`` chunk, as ``split_blocks``
     yields them from the whole input, numbered from the chunk's first
     ordinal and line."""
     # bytes that are not UTF-8 go to split_blocks; text is cut at its empty lines,

@@ -147,16 +147,17 @@ def small_chunks(monkeypatch):
 
 
 def counted_chunks(path, lines=False):
-    """The numbered chunks the pool's parent makes of ``path``: CoNLL-U as
-    ``(ordinal, line, bytes)``, or with ``lines`` bridge lines as ``(line, bytes)``."""
+    """The chunks the pool's parent makes of ``path``: CoNLL-U as lists of
+    ``(ordinal, line, lines)`` blocks, or with ``lines`` bridge lines as
+    ``(line, bytes)``."""
     if lines:
         return conllu._cuts(path, conllu._line_end)
-    return conllu._numbered(conllu._cuts(path, conllu._block_end))
+    return conllu._split_chunks(conllu._cuts(path, conllu._block_end))
 
 
 def _chunk_starts(path):
     """The ordinal of the first sentence of each chunk the pool cuts ``path`` into."""
-    return [ordinal for ordinal, _, _ in counted_chunks(path)]
+    return [blocks[0][0] for blocks in counted_chunks(path)]
 
 
 # (old, new) byte replacements that make one sentence unreadable
@@ -219,8 +220,8 @@ def test_pool_cuts_input_whose_sentences_end_at_whitespace_lines(
 ):
     corpus = _pool_corpus(tmp_path)
     corpus.write_bytes(corpus.read_bytes().replace(b"\n\n", b"\n" + separator + b"\n"))
-    # without sent_id lines each record carries s<N>: the ordinal that one
-    # worker's split_blocks gave its sentence, or the pool parent's count_blocks
+    # without sent_id lines each record carries s<N>: the ordinal its
+    # sentence is given where its chunk is split
     unnamed = tmp_path / "unnamed.conllu"
     unnamed.write_bytes(b"".join(line for line in corpus.read_bytes().splitlines(keepends=True)
                                  if not line.startswith(b"# sent_id")))
@@ -453,7 +454,7 @@ def test_an_input_of_at_most_one_full_chunk_forks_no_worker(tmp_path, capsys, mo
     data = _pool_corpus(tmp_path).read_bytes()
     small = tmp_path / "small.conllu"
     small.write_bytes(data[:data.rindex(b"\n\n", 0, conllu.CHUNK_BYTES) + 2])
-    assert len(next(counted_chunks(small))[2]) < small.stat().st_size  # chunks, not one
+    assert len(list(counted_chunks(small))) > 1  # chunks, not one
     for path, forked in ((small, []), (tmp_path / "pool.conllu", [os.getpid()] * 2)):
         forks.clear()
         single, pooled = (_run_output(capsys, "analyze", "-i", path, "--workers", workers)
@@ -518,13 +519,9 @@ def test_a_pooled_run_runs_its_first_chunk_before_it_forks(
     _no_child_left()
 
 
-def _uncalled(*args):
-    raise AssertionError("a run that does not fork counted sentences")
-
-
 @pytest.mark.parametrize("policy", ["skip", "abort"])
 @pytest.mark.parametrize("command", ["analyze", "aspects", "encode"])
-def test_a_run_that_does_not_fork_counts_no_sentences(
+def test_a_pooled_run_splits_each_chunk_once_in_this_process(
     tmp_path, capsys, monkeypatch, small_chunks, command, policy
 ):
     # past the first chunk, one unreadable sentence, skipped or named by its
@@ -541,15 +538,24 @@ def test_a_run_that_does_not_fork_counts_no_sentences(
         assert "s301" in expected[corpus][1]
     else:
         assert expected[corpus][2] == "error: sentence 100 (line 797): non-numeric head 'x'\n"
-    counted, count_blocks = [], conllu.count_blocks
+    assert _run_output(capsys, *command, "-i", small, "--workers", 2) == expected[small]
+    split, parent, chunk_blocks = [], os.getpid(), conllu.chunk_blocks
+
+    def recorded_chunk_blocks(chunk):
+        assert os.getpid() == parent, "a forked worker split a chunk"
+        split.append(chunk[:2])  # the ordinal and line the chunk is numbered from
+        return chunk_blocks(chunk)
+
     with monkeypatch.context() as patch:
-        patch.setattr(conllu, "count_blocks", _uncalled)
+        patch.setattr(conllu, "chunk_blocks", recorded_chunk_blocks)
         assert _run_output(capsys, *command, "-i", corpus, "--workers", 1) == expected[corpus]
-        assert _run_output(capsys, *command, "-i", small, "--workers", 2) == expected[small]
-        # the pool's parent parses no chunk, so it counts the sentences of each
-        patch.setattr(conllu, "count_blocks", lambda data: counted.append(data) or count_blocks(data))
+        single = split[:]
+        split.clear()
         assert _run_output(capsys, *command, "-i", corpus, "--workers", 2) == expected[corpus]
-    assert counted
+    if policy == "skip":  # each chunk once, numbered as one process numbers it
+        assert split == single and len(single) == len(_chunk_starts(corpus))
+    else:  # and the chunks cut past the bad one before its error came back
+        assert split[:len(single)] == single
     _no_child_left()
 
 
@@ -575,8 +581,7 @@ def test_each_chunk_is_written_and_flushed_before_the_next(tmp_path, small_chunk
     chunks = list(counted_chunks(corpus))
     assert out.calls[1::2] == [("flush",)] * len(chunks)
     written = [call[1] for call in out.calls[::2]]
-    assert [text.count("\n") for text in written] == [
-        sum(1 for _ in conllu.chunk_blocks(chunk)) for chunk in chunks]
+    assert [text.count("\n") for text in written] == list(map(len, chunks))
     assert "".join(written).splitlines() == [f"syn-{i}" for i in range(POOL_SENTENCES)]
 
 
@@ -2369,6 +2374,25 @@ def test_a_closed_stdout_ends_the_command_quietly(tmp_path, command, buffered):
     assert done.returncode == 1
     # decode reports its tallies on stderr before the end-of-run flush finds the pipe closed
     assert all(line.startswith(b"decoded ") for line in done.stderr.splitlines()), done.stderr
+
+
+@pytest.mark.parametrize("stderr", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+def test_a_stderr_that_cannot_be_written_changes_no_exit_status(tmp_path, stderr):
+    # closed at start-up, sys.stderr is None, and print(file=None) would
+    # write to stdout; open for reading only, each write raises OSError
+    bridge = tmp_path / "demo.bridge"
+    assert run("encode", "-i", demo_treebank_path(), "-o", bridge) == 0
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    cases = [(("analyze", "-i", tmp_path / "missing.conllu"), 2), (("analyze", "--bogus"), 2),
+             (("decode", "-i", bridge, "-o", tmp_path / "out.conllu"), 0)]
+    for argv, code in cases:
+        done = subprocess.run(
+            ["sh", "-c", f'exec "$@" {stderr}', "sh", sys.executable, "-S", "-m", "treesent.cli",
+             *map(str, argv)],
+            stdout=subprocess.PIPE, env=env, timeout=120,
+        )
+        assert (argv, done.returncode, done.stdout) == (argv, code, b"")
+    assert (tmp_path / "out.conllu").stat().st_size > 0
 
 
 def test_version_flag(capsys):

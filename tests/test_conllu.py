@@ -15,7 +15,7 @@ from treesent import (
 )
 from treesent import conllu
 from treesent.conllu import (
-    _parse_block, chunk_blocks, chunk_lines, count_blocks, iter_raw_lines, numbered_lines,
+    _parse_block, _split_chunks, chunk_blocks, chunk_lines, iter_raw_lines, numbered_lines,
     parse_blocks, split_blocks,
 )
 from treesent.tree import random_tree
@@ -463,20 +463,17 @@ def _outcome(blocks, policy):
     return blocks, trees, error, stats
 
 
-def counted_chunks(source, lines=False):
-    """The numbered chunks a pool's parent makes of a path or byte stream:
-    CoNLL-U as ``(ordinal, line, bytes)``, or with ``lines`` bridge lines as
-    ``(line, bytes)``, each counted, not parsed."""
-    if lines:
-        return conllu._cuts(source, conllu._line_end)
-    return conllu._numbered(conllu._cuts(source, conllu._block_end))
+def cut_chunks(source, lines=False):
+    """The ``(line, bytes)`` chunks a path or byte stream is cut into: CoNLL-U
+    past a blank line, or with ``lines`` bridge lines past any newline."""
+    return conllu._cuts(source, conllu._line_end if lines else conllu._block_end)
 
 
 def chunks_of(source, size):
-    """``counted_chunks(source)`` with ``CHUNK_BYTES`` set to ``size``."""
+    """``cut_chunks(source)`` with ``CHUNK_BYTES`` set to ``size``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(conllu, "CHUNK_BYTES", size)
-        return list(counted_chunks(source))
+        return list(cut_chunks(source))
 
 
 def _uncalled(*args):
@@ -492,11 +489,9 @@ def test_the_chunk_reader_reads_what_the_line_reader_reads(data):
             with pytest.MonkeyPatch.context() as patch:
                 if size is not None:
                     patch.setattr(conllu, "CHUNK_BYTES", size)
-                chunks = list(counted_chunks(io.BytesIO(data)))
-                assert b"".join(chunk for _, _, chunk in chunks) == data.removeprefix(BOM)
-                assert _outcome(chain.from_iterable(map(chunk_blocks, chunks)), policy) == expected
-                # read_conllu's own loop numbers each chunk from the blocks it split
-                patch.setattr(conllu, "count_blocks", _uncalled)
+                chunks = list(cut_chunks(io.BytesIO(data)))
+                assert b"".join(chunk for _, chunk in chunks) == data.removeprefix(BOM)
+                assert _outcome(chain.from_iterable(_split_chunks(chunks)), policy) == expected
                 stats, trees = ReadStats(), []
                 try:
                     trees.extend(read_conllu(io.BytesIO(data), policy, stats))
@@ -511,18 +506,19 @@ def test_the_chunk_reader_reads_what_the_line_reader_reads(data):
 @settings(max_examples=300, deadline=None)
 @given(_inputs)
 def test_the_counted_numbers_of_each_chunk_are_those_its_blocks_give(data):
-    blocks = split_blocks(iter_raw_lines(io.BytesIO(data)))
-    assert count_blocks(data.removeprefix(BOM)) == sum(1 for _ in blocks)
+    expected = list(split_blocks(iter_raw_lines(io.BytesIO(data))))
     for size in CHUNK_TARGETS:
         with pytest.MonkeyPatch.context() as patch:
             if size is not None:
                 patch.setattr(conllu, "CHUNK_BYTES", size)
-            chunks = list(counted_chunks(io.BytesIO(data)))
+            chunks = list(cut_chunks(io.BytesIO(data)))
         ordinal = line = 1
-        for counted in chunks:
-            assert counted == (ordinal, line, counted[2])
-            ordinal += sum(1 for _ in chunk_blocks(counted))
-            line += counted[2].count(b"\n")
+        for (first_line, chunk), blocks in zip(chunks, _split_chunks(chunks), strict=True):
+            assert first_line == line
+            assert blocks == list(chunk_blocks((ordinal, line, chunk)))
+            ordinal += len(blocks)
+            line += chunk.count(b"\n")
+        assert list(chain.from_iterable(_split_chunks(chunks))) == expected
 
 
 @pytest.mark.parametrize("data", [
@@ -543,7 +539,6 @@ def test_text_chunks_are_split_without_split_blocks(monkeypatch, data):
     data = data.removeprefix(BOM)  # which ``_cuts`` drops with the first chunk
     assert list(chunk_blocks((3, 1, data))) == first
     assert list(chunk_blocks((3, 9, data))) == later
-    assert count_blocks(data) == len(first)
 
 
 def test_chunks_that_are_not_utf_8_are_split_by_split_blocks(monkeypatch):
@@ -553,7 +548,7 @@ def test_chunks_that_are_not_utf_8_are_split_by_split_blocks(monkeypatch):
     split = conllu.split_blocks
     monkeypatch.setattr(conllu, "split_blocks", lambda *args: calls.append(args) or split(*args))
     assert list(chunk_blocks((1, 1, data))) == expected
-    assert count_blocks(data) == len(expected) and len(calls) == 2
+    assert len(calls) == 1
 
 
 class _Reads(io.BytesIO):
@@ -575,7 +570,7 @@ def test_the_first_read_is_small_and_each_later_one_twice_the_last(chunk_bytes):
     with pytest.MonkeyPatch.context() as patch:
         if chunk_bytes is not None:
             patch.setattr(conllu, "CHUNK_BYTES", chunk_bytes)
-        chunks = [chunk for _, _, chunk in counted_chunks(source)]
+        chunks = [chunk for _, chunk in cut_chunks(source)]
     largest = chunk_bytes or conllu.CHUNK_BYTES
     first = min(conllu.FIRST_CHUNK_BYTES, largest)
     assert source.sizes[:3] == [first, min(2 * first, largest), min(4 * first, largest)]
@@ -593,10 +588,12 @@ def test_every_chunk_but_the_last_ends_past_a_blank_line():
     data = data.replace(b"\n\n", b"\n\r\n", 7)  # a blank line of "\r" also ends a chunk
     chunks = chunks_of(io.BytesIO(data), 300)
     assert len(chunks) > 40
-    assert all(chunk.endswith((b"\n\n", b"\n\r\n")) for _, _, chunk in chunks[:-1])
-    for (ordinal, line, chunk), (next_ordinal, next_line, _) in zip(chunks, chunks[1:]):
+    assert all(chunk.endswith((b"\n\n", b"\n\r\n")) for _, chunk in chunks[:-1])
+    for (line, chunk), (next_line, _) in zip(chunks, chunks[1:]):
         assert next_line == line + chunk.count(b"\n")
-        assert next_ordinal == ordinal + sum(1 for _ in chunk_blocks((ordinal, line, chunk)))
+    blocks = list(_split_chunks(chunks))
+    for before, after in zip(blocks, blocks[1:]):
+        assert after[0][0] == before[-1][0] + 1
 
 
 @pytest.mark.parametrize("separator", [b" \n", b"\t \n", b"\r\n", b" \r\n", b"\x0b\x0c\n"])
@@ -605,9 +602,9 @@ def test_a_chunk_is_cut_past_a_whitespace_line(separator):
     data = (b"\n" + separator).join(block for block in blocks * 40 if block)
     chunks = chunks_of(io.BytesIO(data), 300)
     assert len(chunks) > 40
-    assert all(chunk.endswith(b"\n" + separator) for _, _, chunk in chunks[:-1])
-    assert b"".join(chunk for _, _, chunk in chunks) == data
-    assert (_outcome(chain.from_iterable(map(chunk_blocks, chunks)), "skip")
+    assert all(chunk.endswith(b"\n" + separator) for _, chunk in chunks[:-1])
+    assert b"".join(chunk for _, chunk in chunks) == data
+    assert (_outcome(chain.from_iterable(_split_chunks(chunks)), "skip")
             == _outcome(split_blocks(iter_raw_lines(io.BytesIO(data))), "skip"))
 
 
@@ -615,7 +612,7 @@ def test_a_whitespace_line_split_between_two_reads_still_ends_a_chunk():
     first = SIMPLE.rstrip("\n").encode() + b"\n  "  # the first read ends inside the line
     second = SIMPLE.replace("s1", "s2").encode()
     chunks = chunks_of(io.BytesIO(first + b"  \n" + second), len(first))
-    assert chunks == [(1, 1, first + b"  \n"), (2, 6, second)]
+    assert chunks == [(1, first + b"  \n"), (6, second)]
 
 
 def test_a_whitespace_line_past_the_reach_of_a_read_ends_no_chunk():
@@ -626,8 +623,8 @@ def test_a_whitespace_line_past_the_reach_of_a_read_ends_no_chunk():
     third = SIMPLE.replace("s1", "s3").encode()
     data = first + second + third
     chunks = chunks_of(io.BytesIO(data), len(first))
-    assert chunks == [(1, 1, first + second), (3, 11, third)]
-    assert (list(chain.from_iterable(map(chunk_blocks, chunks)))
+    assert chunks == [(1, first + second), (11, third)]
+    assert (list(chain.from_iterable(_split_chunks(chunks)))
             == list(split_blocks(iter_raw_lines(io.BytesIO(data)))))
 
 
@@ -637,7 +634,7 @@ def test_a_sentence_longer_than_the_chunk_target_is_one_chunk():
     )
     data = SIMPLE.encode() + long + b"\n" + SIMPLE.replace("s1", "s3").encode()
     chunks = chunks_of(io.BytesIO(data), 64)
-    assert [(ordinal, line) for ordinal, line, _ in chunks] == [(1, 1), (2, 6), (3, 2007)]
+    assert [blocks[0][:2] for blocks in _split_chunks(chunks)] == [(1, 1), (2, 6), (3, 2007)]
     assert [len(t) for t in read_conllu(io.BytesIO(data), on_error="abort")] == [3, 2000, 3]
 
 
@@ -665,20 +662,20 @@ def test_a_path_that_starts_with_a_byte_order_mark_reads_as_without_one(tmp_path
 def test_the_chunk_reader_drops_a_byte_order_mark_only_where_the_input_starts():
     data = (SIMPLE + SIMPLE.replace("s1", "s2")).encode("utf-8")
     chunks = chunks_of(io.BytesIO(BOM + data), 8)
-    assert [line for _, line, _ in chunks] == [1, 6]
-    blocks = chain.from_iterable(map(chunk_blocks, chunks))
+    assert [line for line, _ in chunks] == [1, 6]
+    blocks = chain.from_iterable(_split_chunks(chunks))
     assert [t.sentence_id for t in parse_blocks(blocks, "abort")] == ["s1", "s2"]
     # at the start of a later chunk it is text, so s2's first line is no comment
     later = chunks_of(io.BytesIO(data.replace(b"# sent_id = s2", BOM + b"# sent_id = s2")), 8)
     with pytest.raises(ConlluError, match=r"^sentence 2 \(line 6\): expected 10 columns, got 1$"):
-        list(parse_blocks(chain.from_iterable(map(chunk_blocks, later)), "abort"))
+        list(parse_blocks(chain.from_iterable(_split_chunks(later)), "abort"))
 
 
 def test_paths_and_raw_byte_streams_are_read_in_chunks(tmp_path):
     path = tmp_path / "in.conllu"
     path.write_text(SIMPLE + SIMPLE.replace("s1", "s2"))
-    assert [ordinal for ordinal, _, _ in chunks_of(path, 8)] == [1, 2]
-    assert [ordinal for ordinal, _, _ in chunks_of(str(path), 8)] == [1, 2]
+    for source in (path, str(path)):
+        assert [blocks[0][0] for blocks in _split_chunks(chunks_of(source, 8))] == [1, 2]
     with open(path, "rb", buffering=0) as raw:
         assert [t.sentence_id for t in read_conllu(raw)] == ["s1", "s2"]
 
@@ -695,7 +692,7 @@ def test_line_chunks_number_their_lines_as_the_line_reader_does(data):
         with pytest.MonkeyPatch.context() as patch:
             if size is not None:
                 patch.setattr(conllu, "CHUNK_BYTES", size)
-            chunks = list(counted_chunks(io.BytesIO(data), lines=True))
+            chunks = list(cut_chunks(io.BytesIO(data), lines=True))
         assert b"".join(chunk for _, chunk in chunks) == data.removeprefix(BOM)
         assert all(chunk.endswith(b"\n") for _, chunk in chunks[:-1])
         lines = [(lineno, conllu.decode_line(line))
@@ -708,7 +705,7 @@ def test_line_chunks_number_their_lines_as_the_line_reader_does(data):
 def test_line_chunks_are_read_from_paths_and_byte_streams_only(tmp_path):
     path = tmp_path / "in.bridge"
     path.write_bytes(BOM + b"a\tw/X/0:root\n" * 3)
-    assert [list(chunk_lines(chunk)) for chunk in counted_chunks(path, lines=True)] == [
+    assert [list(chunk_lines(chunk)) for chunk in cut_chunks(path, lines=True)] == [
         [(1, "a\tw/X/0:root"), (2, "a\tw/X/0:root"), (3, "a\tw/X/0:root"), (4, "")]]
 
 

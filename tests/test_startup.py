@@ -7,7 +7,7 @@ that score, ``json`` only for eval and bench, which print their reports
 with it, and none of ``concurrent.futures``, ``multiprocessing``, ``pickle``
 and ``signal`` even when it forks a pool, which uses the C module
 ``_signal``. The pool's chunks and results cross as ``marshal`` data, and
-its parent counts each chunk's sentences with the splitter its workers use,
+its parent splits each chunk into sentences without a regex and sends those,
 so a pooled analyze, encode or decode loads neither ``_pickle`` nor ``re``
 either, and a pooled bench, whose workers inherit its lexicon, no
 ``_pickle``: ``_pickle`` is imported only for a message that ``marshal``
@@ -151,8 +151,8 @@ PICKLE_MODULES = ("_pickle", "copyreg")
 
 
 def test_the_pool_loads_neither_concurrent_futures_nor_multiprocessing(tmp_path):
-    # nor re and what it imports: the parent counts the sentences of each chunk
-    # with the splitter the workers use
+    # nor re and what it imports: the parent splits each chunk into the
+    # sentences it sends without a regex
     from treesent.cli import main
 
     corpus = tmp_path / "pool.conllu"
