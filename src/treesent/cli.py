@@ -36,11 +36,12 @@ than 64 KiB, the command runs the first chunk itself and writes its
 records, then forks up to N workers, one as each of the next N chunks is
 sent, each fed one chunk at a time down a pipe as marshal data, the next
 once its last result is read, and writes their records in input order,
-byte-identical to one worker. Past the first chunk this process only
-cuts the input, splits each CoNLL-U chunk into its sentences, numbered on
-from the chunks before, sends them (decode's bridge lines go as the bytes
-cut) and writes; the workers parse, score and serialise. Without os.fork
-it is one process.
+byte-identical to one worker; a chunk that fails in a worker runs again
+in this process, to write and raise what one worker would. Past the first
+chunk this process only cuts the input, splits each CoNLL-U chunk into its
+sentences, numbered on from the chunks before, sends them (decode's bridge
+lines go as the bytes cut) and writes; the workers parse, score and
+serialise. Without os.fork it is one process.
 
 The command line is read from one table of commands and flags
 (``_COMMANDS``), without argparse, and analyze, aspects, encode and decode
@@ -77,9 +78,9 @@ from .conllu import (
 from .tree import ConfigError, DataError, DepTree, Scheme, _Record
 
 # The encodings, lexicon, rules, assets, json, evaluation, bench and pool
-# (_signal; _pickle for what marshal cannot send) modules are imported
-# where they are used: analyze starts without the encodings and json, and so
-# without re, and encode and decode without the scoring modules and json.
+# (_signal) modules are imported where they are used: analyze starts
+# without the encodings and json, and so without re, and encode and decode
+# without the scoring modules and json.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import (
@@ -343,13 +344,8 @@ class _Worker:
 
 
 def _frame(value: object) -> bytes:
-    """``value`` as a length-prefixed pool message: marshal data, or a zero byte and a pickle."""
-    try:
-        data = marshal.dumps(value)
-    except ValueError:  # an exception or another class's instance
-        import _pickle as pickle  # -1 is its highest protocol
-
-        data = b"\0" + pickle.dumps(value, -1)
+    """``value`` as a length-prefixed pool message of marshal data."""
+    data = marshal.dumps(value)
     return len(data).to_bytes(8, "little") + data
 
 
@@ -361,27 +357,19 @@ def _receive(stream: IO[bytes]) -> object:
     data = stream.read(size)
     if len(head) < 8 or len(data) < size:
         return None
-    if data[:1] != b"\0":
-        return marshal.loads(data)
-    import _pickle as pickle
-
-    return pickle.loads(data[1:])
+    return marshal.loads(data)
 
 
 def _serve(fn: Callable, requests: int, results: int) -> None:
     """A worker's loop: ``fn`` of each chunk framed down ``requests``,
-    until it closes, with ``(True, result)`` or ``(False, exception)``
-    framed back up ``results``."""
+    until it closes, framed back up ``results``; Ellipsis instead when
+    ``fn`` raised, or returned what marshal cannot write."""
     with open(requests, "rb") as source, open(results, "wb") as sink:
         while (chunk := _receive(source)) is not None:
             try:
-                reply = True, fn(chunk)
-            except Exception as exc:
-                reply = False, exc
-            try:
-                message = _frame(reply)
-            except Exception as exc:  # a result or an exception that does not pickle
-                message = _frame((False, RuntimeError(f"worker result: {exc!r}")))
+                message = _frame(fn(chunk))
+            except Exception:  # the main process runs the chunk again
+                message = _frame(Ellipsis)
             sink.write(message)
             sink.flush()
 
@@ -417,15 +405,18 @@ def _fork_worker(fn: Callable, number: int) -> _Worker:
     return _Worker(pid, send, open(recv, "rb"))
 
 
-def _send(worker: _Worker, chunk) -> None:
-    """Frame ``chunk`` down ``worker``'s request pipe. A worker that has
-    exited is let pass: its closed result pipe reports it in its turn."""
-    message = memoryview(_frame(chunk))
+def _send(worker: _Worker, chunk) -> bytes:
+    """Frame ``chunk`` down ``worker``'s request pipe, and return the
+    message. A worker that has exited is let pass: its closed result pipe
+    reports it in its turn."""
+    message = _frame(chunk)
+    left = memoryview(message)
     try:
-        while message:  # a signal can cut a write short
-            message = message[os.write(worker.send, message):]
+        while left:  # a signal can cut a write short
+            left = left[os.write(worker.send, left):]
     except BrokenPipeError:
         pass
+    return message
 
 
 def _ended(worker: _Worker) -> DataError:
@@ -436,15 +427,14 @@ def _ended(worker: _Worker) -> DataError:
     return DataError(f"a worker process ended before sending its result ({how})")
 
 
-def _result(worker: _Worker) -> object:
-    """What ``fn`` returned for the chunk ``worker`` holds; what it raised is raised here."""
+def _result(worker: _Worker, sent: bytes, fn: Callable) -> object:
+    """What ``fn`` returned for the chunk ``worker`` holds, which the
+    message ``sent`` framed. A chunk that failed there runs again here, so
+    that what ``fn`` raises is raised with its own type and traceback."""
     reply = _receive(worker.recv)
     if reply is None:
         raise _ended(worker)
-    ok, value = reply
-    if not ok:
-        raise value
-    return value
+    return fn(marshal.loads(sent[8:])) if reply is Ellipsis else reply
 
 
 def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
@@ -458,11 +448,14 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
     next chunk before its result is yielded, so that it does not wait on
     the caller. Worker k is forked when chunk k is sent, so that a short
     input starts no idle worker. ``fn`` is inherited through the fork,
-    never sent. No chunk may be None, which ends a worker's input. An
-    exception ``fn`` raises is raised here with its own type; a worker
-    that dies first is a ``DataError`` naming its exit status. However the
-    generator ends, every worker has been reaped when it does. Without
-    ``os.fork``, ``fn`` runs in this process.
+    never sent. Each chunk must be marshal data, and no chunk or result
+    None, which ends a pipe's messages. A chunk whose ``fn`` raised in a
+    worker, or returned what marshal cannot write, runs again in this
+    process, so ``fn`` must give the same each time; what it raises is
+    raised here with its own type. A worker that dies first is a
+    ``DataError`` naming its exit status. However the generator ends,
+    every worker has been reaped when it does. Without ``os.fork``, ``fn``
+    runs in this process.
     """
     if not hasattr(os, "fork"):
         yield from map(fn, chunks)
@@ -470,22 +463,21 @@ def _map_chunks(fn: Callable, chunks: Iterable, workers: int) -> Iterator:
     import _signal as signal
 
     pool: List[_Worker] = []
-    busy: Deque[_Worker] = deque()  # the workers that hold a chunk, the oldest first
+    # the workers that hold a chunk, each with the message that sent it, the oldest first
+    busy: Deque[Tuple[_Worker, bytes]] = deque()
     finished = False
     try:
         for chunk in chunks:
             if len(pool) < workers:  # worker k is forked when chunk k is sent
                 pool.append(_fork_worker(fn, len(pool) + 1))
-                _send(pool[-1], chunk)
-                busy.append(pool[-1])
+                busy.append((pool[-1], _send(pool[-1], chunk)))
                 continue
-            worker = busy.popleft()
-            result = _result(worker)
-            _send(worker, chunk)
-            busy.append(worker)
+            worker, sent = busy.popleft()
+            result = _result(worker, sent, fn)
+            busy.append((worker, _send(worker, chunk)))
             yield result
         while busy:
-            yield _result(busy.popleft())
+            yield _result(*busy.popleft(), fn)
         finished = True
     finally:
         for w in pool:

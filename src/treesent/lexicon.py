@@ -156,11 +156,15 @@ class PolarityLexicon(_Record, frozen=True):
         # with an unconstrained entry in some layer takes nothing from the
         # layers below it, whatever their UPOS filters.
         valences: dict = {}
+        kept: list = []  # the entry of each key as it is first set
         closed: set = set()
         for layer in reversed(layers):
             for (term, upos), valence in layer.items():
                 if term not in closed:
-                    valences.setdefault(term, {}).setdefault(upos, valence)
+                    senses = valences.setdefault(term, {})
+                    if upos not in senses:
+                        senses[upos] = valence
+                        kept.append(LexEntry(term, upos, valence))
             closed.update(term for term, upos in layer if upos is None)
         self.__dict__.update(
             layers=layers,
@@ -171,6 +175,7 @@ class PolarityLexicon(_Record, frozen=True):
             # {second lemma: merged}; the rule engine reads both and
             # ``shifters._by_lemma`` directly with already-lowered lemmas
             _valences=valences,
+            _entries=tuple(kept),
             _collocations_after=_by_first(collocations),
         )
 
@@ -186,14 +191,7 @@ class PolarityLexicon(_Record, frozen=True):
     def entries(self) -> Iterator[LexEntry]:
         """Effective entries after shadowing, topmost layer first: the ones
         a lookup of their own term and UPOS filter reaches."""
-        seen: set = set()
-        closed: set = set()  # terms with an unconstrained entry in a higher layer
-        for layer in reversed(self.layers):
-            for key, valence in layer.items():
-                if key not in seen and key[0] not in closed:
-                    seen.add(key)
-                    yield LexEntry(key[0], key[1], valence)
-            closed.update(term for term, upos in layer if upos is None)
+        return iter(self._entries)
 
     def overlay(self, domain: PolarityLexicon) -> PolarityLexicon:
         """Stack ``domain`` on top of this lexicon.

@@ -407,15 +407,15 @@ def _crossing(number):
     return (ReadStats(sentences=number), number) if number % 2 else {"plain": [number]}
 
 
-def test_what_marshal_cannot_write_still_crosses_the_pool():
-    # plain values are marshal data; a record or an exception is a pickle
+def test_a_chunk_whose_result_marshal_cannot_write_runs_again_in_this_process():
+    # the pool sends marshal data only; a worker whose task raised, or
+    # returned a record, replies so, and the chunk runs again here
     plain = (True, ("text", {"sentences": 2, "skipped_by": {"x": 1}}, None))
     assert cli._frame(plain)[8:] == marshal.dumps(plain)
     assert cli._receive(io.BytesIO(cli._frame(plain))) == plain
     # a stream that ends, or is cut short, before a message is whole
     for cut in (0, 5, 8, len(cli._frame(plain)) - 1):
         assert cli._receive(io.BytesIO(cli._frame(plain)[:cut])) is None
-    assert cli._frame(ReadStats())[8:9] == b"\0"
     assert list(cli._map_chunks(_crossing, range(5), 2)) == [
         _crossing(number) for number in range(5)]
     for chunks, error, args in [
@@ -425,6 +425,32 @@ def test_what_marshal_cannot_write_still_crosses_the_pool():
         with pytest.raises(error) as raised:
             list(cli._map_chunks(_crossing, chunks, 2))
         assert (type(raised.value), raised.value.args) == (error, args)
+    _no_child_left()
+
+
+def test_an_exception_class_that_cannot_be_pickled_is_raised_with_its_args():
+    class LocalError(Exception):
+        pass
+
+    def failing(number):
+        if number == 3:
+            raise LocalError("chunk", number)
+        return number
+
+    with pytest.raises(LocalError) as raised:
+        list(cli._map_chunks(failing, range(6), 2))
+    assert raised.value.args == ("chunk", 3)
+    _no_child_left()
+
+
+def test_a_pooled_run_without_fork_writes_what_one_worker_writes(
+    tmp_path, capsys, monkeypatch, small_chunks
+):
+    corpus = _pool_corpus(tmp_path)
+    assert len(_chunk_starts(corpus)) > 3
+    single = _run_output(capsys, "analyze", "-i", corpus)
+    monkeypatch.delattr(os, "fork")
+    assert _run_output(capsys, "analyze", "-i", corpus, "--workers", 2) == single
     _no_child_left()
 
 
@@ -639,8 +665,8 @@ def test_the_pool_sends_a_worker_its_next_chunk_only_once_its_result_is_read(
         events.append(("send", worker.pid))
         return send(worker, chunk)
 
-    def logged_result(worker):
-        value = result(worker)
+    def logged_result(worker, *sent_and_fn):
+        value = result(worker, *sent_and_fn)
         events.append(("result", worker.pid))
         return value
 
@@ -1342,6 +1368,15 @@ def test_eval_refuses_a_gold_file_that_repeats_a_sentence(tmp_path, capsys, side
     assert run("eval", "--pred", pred, "--gold", gold, "--on-error", policy) == 1
     where = "line 4" if side == "gold" else f"{repeated}:4"
     assert capsys.readouterr().err == f"error: {where}: duplicate record for 's3'\n"
+
+
+def test_eval_refuses_a_predictions_file_that_repeats_a_sent_id(tmp_path, capsys):
+    pred = tmp_path / "pred.jsonl"
+    assert run("analyze", "-i", demo_treebank_path(), "-o", pred) == 0
+    records = pred.read_text(encoding="utf-8")
+    pred.write_text(records + records.splitlines(keepends=True)[-1], encoding="utf-8")
+    assert run("eval", "--pred", pred, "--gold", demo_gold_path()) == 1
+    assert capsys.readouterr().err == f"error: {pred}:4: duplicate prediction for 's3'\n"
 
 
 def _json_error(text):

@@ -10,9 +10,10 @@ and ``signal`` even when it forks a pool, which uses the C module
 its parent splits each chunk into sentences without a regex and sends those,
 so a pooled analyze, encode or decode loads neither ``_pickle`` nor ``re``
 either, and a pooled bench, whose workers inherit its lexicon, no
-``_pickle``: ``_pickle`` is imported only for a message that ``marshal``
-cannot write, such as an exception. The pool reads and writes blocking
-pipes a chunk at a time, so no run loads ``select``. None of analyze,
+``_pickle``. Nothing else crosses: a chunk that fails in a worker, whose
+exception ``marshal`` cannot write, runs again in the parent, so a run
+that fails there loads no ``_pickle`` either. The pool reads and writes
+blocking pipes a chunk at a time, so no run loads ``select``. None of analyze,
 aspects, encode and decode loads the standard modules that cost the most
 to import and that they can do without, argparse among them: the command
 line is read from a table of flags. None of them loads ``json``, ``re``, ``enum``, ``functools``,
@@ -136,14 +137,22 @@ codes = [treesent.cli.main([*argv, "--workers", "2", "-i", source, "-o", f"{out}
                                     ("encode", ["encode"], corpus),
                                     ("decode", ["decode"], f"{out}/encode.2")]]
 loaded = [m for m in watched if m in sys.modules]
-# bench imports json and random, but its workers inherit the lexicon, so its
-# chunks and results cross the pool as marshal data too
+# runs that fail on a record in a chunk a worker holds: that chunk runs again
+# in this process, so no exception crosses the pool
+failed = [treesent.cli.main([command, "--workers", "2", "-i", f"{out}/{source}",
+                             "-o", f"{out}/{source}.2"])
+          for command, source in [("analyze", "bad.conllu"), ("decode", "bad.bridge")]]
+failed_loaded = [m for m in watched if m in sys.modules]
+# bench imports json and random, and so copyreg, but its workers inherit the
+# lexicon, so its chunks and results cross the pool as marshal data too
+failed.append(treesent.cli.main(["bench", "--warmup", "0", "--workers", "2",
+                                 "-i", f"{out}/bad.bridge", "-o", f"{out}/bad.json"]))
 codes.append(treesent.cli.main(["bench", "--sentences", "200", "--workers", "2",
                                 "-o", f"{out}/bench.json"]))
 bench_loaded = [m for m in ("_pickle", "select") if m in sys.modules]
 import json
-print(json.dumps({"chunks": chunks, "codes": codes, "loaded": loaded,
-                  "bench_loaded": bench_loaded}))
+print(json.dumps({"chunks": chunks, "codes": codes, "loaded": loaded, "failed": failed,
+                  "failed_loaded": failed_loaded, "bench_loaded": bench_loaded}))
 """
 
 # what the pool would import if its messages were pickles, not marshal data
@@ -158,11 +167,25 @@ def test_the_pool_loads_neither_concurrent_futures_nor_multiprocessing(tmp_path)
     corpus = tmp_path / "pool.conllu"
     assert main(["gen", "--sentences", "200", "--length", "6", "--format", "conllu",
                  "-o", str(corpus)]) == 0
+    # a bad head in sentence 150 and a bad bridge line 150 of 200, past the
+    # first chunk, which runs in this process
+    data = corpus.read_bytes().split(b"\n\n")
+    data[149] = data[149].replace(b"\t0\troot", b"\tx\troot")
+    (tmp_path / "bad.conllu").write_bytes(b"\n\n".join(data))
+    assert main(["encode", "-i", str(corpus), "-o", str(tmp_path / "bad.bridge")]) == 0
+    lines = (tmp_path / "bad.bridge").read_bytes().splitlines(keepends=True)
+    lines[149] = b"a\tno/fields\n"
+    (tmp_path / "bad.bridge").write_bytes(b"".join(lines))
     watched = ("concurrent.futures", "multiprocessing", "pickle", "signal", "select",
                *UNUSED_BY_THE_LEAN_COMMANDS, *PICKLE_MODULES)
     seen = _fresh_python(POOL_RUN, corpus, tmp_path, 4096, *watched)
     assert seen["chunks"] >= 3
     assert (seen["codes"], seen["loaded"], seen["bench_loaded"]) == ([0] * 5, [], [])
+    assert (seen["failed"], seen["failed_loaded"]) == ([1] * 3, [])
+    for source, command in [("bad.conllu", "analyze"), ("bad.bridge", "decode")]:
+        one = tmp_path / f"{source}.1"
+        assert main([command, "-i", str(tmp_path / source), "-o", str(one)]) == 1
+        assert (tmp_path / f"{source}.2").read_bytes() == one.read_bytes()
     assert json.loads((tmp_path / "bench.json").read_text())["workers"] == 2
     for name, argv in [("analyze", ["analyze"]), ("explain", ["analyze", "--explain"]),
                        ("encode", ["encode"])]:
